@@ -7,6 +7,28 @@ import (
 	"athena/internal/units"
 )
 
+var sinkFrame *Frame
+
+func BenchmarkSourceNext64x48(b *testing.B) {
+	src := NewSource(64, 48, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sinkFrame = src.Next()
+	}
+}
+
+// TestSourceNextAllocs pins that the trig tables are Source-owned scratch:
+// after the first call a frame costs its own two allocations (the Frame
+// and its Pix) and nothing else.
+func TestSourceNextAllocs(t *testing.T) {
+	src := NewSource(64, 48, 1)
+	src.Next()
+	if n := testing.AllocsPerRun(100, func() { sinkFrame = src.Next() }); n != 2 {
+		t.Fatalf("Next: %v allocs per frame, want 2", n)
+	}
+}
+
 func BenchmarkSSIM64x48(b *testing.B) {
 	src := NewSource(64, 48, 1)
 	f := src.Next()

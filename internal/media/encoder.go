@@ -166,11 +166,20 @@ func (e *Encoder) Encode(src *Frame, pts time.Duration) *EncodedFrame {
 // content distorted by the encoder's quantization noise. The noise RNG is
 // keyed by frame sequence so repeated decodes are deterministic.
 func (ef *EncodedFrame) Decode() *Frame {
-	out := ef.Source.Clone()
-	rng := rand.New(rand.NewSource(int64(ef.Seq)*2654435761 + 17))
-	for i := range out.Pix {
-		v := float64(out.Pix[i]) + rng.NormFloat64()*ef.NoiseSigma
-		out.Pix[i] = clamp8(v)
-	}
+	out := &Frame{}
+	ef.decodeInto(out, rand.New(rand.NewSource(0)))
 	return out
+}
+
+// decodeInto is Decode into caller-owned scratch: out is overwritten
+// (its Pix reused when large enough) and rng is reseeded, which yields
+// the stream of a fresh generator with that seed.
+func (ef *EncodedFrame) decodeInto(out *Frame, rng *rand.Rand) {
+	src := ef.Source
+	out.Seq, out.W, out.H = src.Seq, src.W, src.H
+	out.Pix = append(out.Pix[:0], src.Pix...)
+	rng.Seed(int64(ef.Seq)*2654435761 + 17)
+	for i, p := range out.Pix {
+		out.Pix[i] = clamp8(float64(p) + rng.NormFloat64()*ef.NoiseSigma)
+	}
 }

@@ -1,6 +1,8 @@
 package media
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"math"
 	"testing"
 	"testing/quick"
@@ -22,6 +24,37 @@ func TestSourceDeterministic(t *testing.T) {
 			if fa.Pix[j] != fb.Pix[j] {
 				t.Fatalf("pixel mismatch at frame %d", i)
 			}
+		}
+	}
+}
+
+// TestSourceGoldenPixels pins the synthetic camera's content: SHA-256
+// over Pix of frames 0..99, recorded from the per-pixel-trig kernel this
+// one replaced. Every SSIM figure and every registry digest that folds
+// one rests on these bytes. 33×17 exercises W≠H and the diagonal table's
+// length.
+func TestSourceGoldenPixels(t *testing.T) {
+	for _, tc := range []struct {
+		w, h int
+		seed int64
+		want string
+	}{
+		{64, 48, 1, "3200c7b7f8687b35f75ccba7c795828c53ce26461370288ae4443b018be400b6"},
+		{64, 48, 7001, "381a20f373ecc256c2699a847c5bf6de4ac6218cefd3e695ec4e9418b005e7b4"},
+		{33, 17, 42, "2b3e43a23432edca02a03c1b7468ddc6c94b69d0690fe1d42044fbaef818fc53"},
+	} {
+		s := NewSource(tc.w, tc.h, tc.seed)
+		h := sha256.New()
+		for i := 0; i < 100; i++ {
+			f := s.Next()
+			if f.Seq != uint64(i) || f.W != tc.w || f.H != tc.h || len(f.Pix) != tc.w*tc.h {
+				t.Fatalf("%dx%d seed %d frame %d: seq %d, %dx%d, %d samples",
+					tc.w, tc.h, tc.seed, i, f.Seq, f.W, f.H, len(f.Pix))
+			}
+			h.Write(f.Pix)
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != tc.want {
+			t.Errorf("%dx%d seed %d: pixel hash %s, want %s", tc.w, tc.h, tc.seed, got, tc.want)
 		}
 	}
 }
@@ -414,16 +447,23 @@ func TestRendererSSIMScoring(t *testing.T) {
 	src := NewSource(64, 48, 9)
 	e := NewEncoder(Mode28FPS, units.Mbps, 1)
 	r := NewRenderer(1)
+	var want []float64
 	for i := 0; i < 4; i++ {
 		ef := e.Encode(src.Next(), 0)
 		r.Display(ef, time.Duration(i)*33*time.Millisecond)
+		want = append(want, MustSSIM(ef.Source, ef.Decode()))
 	}
 	if len(r.SSIMs) != 4 {
 		t.Fatalf("SSIMs = %d", len(r.SSIMs))
 	}
-	for _, v := range r.SSIMs {
+	for i, v := range r.SSIMs {
 		if v <= 0 || v > 1 {
 			t.Fatalf("SSIM out of range: %v", v)
+		}
+		// The renderer's reused scratch frame and reseeded generator must
+		// score exactly what a fresh Decode does.
+		if v != want[i] {
+			t.Fatalf("frame %d: renderer SSIM %v, fresh decode %v", i, v, want[i])
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package media
 
 import (
+	"math/rand"
 	"time"
 
 	"athena/internal/stats"
@@ -40,6 +41,9 @@ type Renderer struct {
 	// 1 scores all frames.
 	SSIMEvery int
 	ssimSkip  int
+	// Scratch for the decoded copy each scored frame is compared against.
+	dec    Frame
+	decRNG *rand.Rand
 
 	// StallThreshold: gap between consecutive displays that counts as a
 	// stall. The paper flags frames on screen "longer than intended";
@@ -55,7 +59,8 @@ func NewRenderer(ssimEvery int) *Renderer {
 	return &Renderer{
 		DisplayTimes:   stats.NewSeries("display"),
 		SSIMEvery:      ssimEvery,
-		StallThreshold: 360 * time.Millisecond, // 2.5 × (1s/7)
+		decRNG:         rand.New(rand.NewSource(0)), // reseeded per decode
+		StallThreshold: 360 * time.Millisecond,      // 2.5 × (1s/7)
 	}
 }
 
@@ -85,10 +90,9 @@ func (r *Renderer) Display(f *EncodedFrame, now time.Duration) {
 	r.ssimSkip++
 	if r.ssimSkip >= r.SSIMEvery {
 		r.ssimSkip = 0
-		if dec := f.Decode(); dec != nil {
-			if v, err := SSIM(f.Source, dec); err == nil {
-				r.SSIMs = append(r.SSIMs, v)
-			}
+		f.decodeInto(&r.dec, r.decRNG)
+		if v, err := SSIM(f.Source, &r.dec); err == nil {
+			r.SSIMs = append(r.SSIMs, v)
 		}
 	}
 }

@@ -45,7 +45,11 @@ type RAN struct {
 	// Per-UE grant/BSR/predictor state lives on the UE itself, so each
 	// attachment's scheduling pipeline is self-contained.
 	pendingGrants []*grant
-	rrStart       int
+	// spareGrants is the backing array onULSlot filters pendingGrants
+	// into; the two swap every slot, so a standing backlog is re-filtered
+	// in place instead of regrown from nil.
+	spareGrants []*grant
+	rrStart     int
 
 	// faded reports whether the cell is currently in a channel fade.
 	faded   bool
@@ -203,6 +207,7 @@ func (r *RAN) Detach(u *UE) {
 	}
 	r.pendingGrants = kept
 	u.slotGrants = u.slotGrants[:0]
+	u.slotHead = 0
 	u.outstanding = 0
 
 	// HARQ reset. Only TBs awaiting a retransmission are in flight (the
@@ -282,6 +287,7 @@ func (r *RAN) SendDownlink(u *UE, p *packet.Packet) {
 // build TBs, start HARQ, then collect BSRs for future grants.
 func (r *RAN) onULSlot() {
 	now := r.sim.Now()
+	nextSlot := now + r.Cfg.ULPeriod()
 	capacity := r.effectiveCapacity()
 
 	// 1. Gather this slot's executable grants into per-UE queues (the
@@ -290,7 +296,7 @@ func (r *RAN) onULSlot() {
 	//    speculative proactive grant — under load the gNB cannot afford
 	//    speculative allocations, which is why the paper only sees
 	//    proactive TBs helping in a lightly-used cell.
-	var still []*grant
+	still := r.spareGrants[:0]
 	for _, g := range r.pendingGrants {
 		if g.due <= now {
 			g.ue.slotGrants = append(g.ue.slotGrants, g)
@@ -298,7 +304,7 @@ func (r *RAN) onULSlot() {
 			still = append(still, g)
 		}
 	}
-	r.pendingGrants = still
+	r.spareGrants, r.pendingGrants = r.pendingGrants, still
 	for _, u := range r.ues {
 		switch u.Sched {
 		case SchedOracle:
@@ -336,11 +342,11 @@ func (r *RAN) onULSlot() {
 			if order != nil {
 				u = order[i]
 			}
-			if len(u.slotGrants) == 0 {
+			if u.slotHead == len(u.slotGrants) {
 				continue
 			}
-			g := u.slotGrants[0]
-			u.slotGrants = u.slotGrants[1:]
+			g := u.slotGrants[u.slotHead]
+			u.slotHead++
 			progress = true
 			tbs := g.tbs
 			if tbs > remaining {
@@ -348,7 +354,7 @@ func (r *RAN) onULSlot() {
 				rest := tbs - remaining
 				tbs = remaining
 				if g.kind == telemetry.GrantRequested || g.kind == telemetry.GrantAppAware {
-					r.pendingGrants = append(r.pendingGrants, &grant{ue: g.ue, tbs: rest, due: now + r.Cfg.ULPeriod(), kind: g.kind})
+					r.pendingGrants = append(r.pendingGrants, &grant{ue: g.ue, tbs: rest, due: nextSlot, kind: g.kind})
 				}
 			}
 			remaining -= tbs
@@ -376,7 +382,7 @@ func (r *RAN) onULSlot() {
 			if used*2 < tbs && g.kind == telemetry.GrantAppAware &&
 				g.ue.Sched == SchedPredictive && g.retries < 4 {
 				r.pendingGrants = append(r.pendingGrants, &grant{
-					ue: g.ue, tbs: g.tbs - used, due: now + r.Cfg.ULPeriod(),
+					ue: g.ue, tbs: g.tbs - used, due: nextSlot,
 					kind: g.kind, retries: g.retries + 1,
 				})
 			}
@@ -390,13 +396,14 @@ func (r *RAN) onULSlot() {
 	// deferral is per-UE FIFO, so cross-UE order is immaterial, but the
 	// deterministic walk keeps the telemetry stream reproducible.
 	for _, u := range r.ues {
-		for _, g := range u.slotGrants {
+		for _, g := range u.slotGrants[u.slotHead:] {
 			if g.kind == telemetry.GrantRequested || g.kind == telemetry.GrantAppAware {
-				g.due = now + r.Cfg.ULPeriod()
+				g.due = nextSlot
 				r.pendingGrants = append(r.pendingGrants, g)
 			}
 		}
 		u.slotGrants = u.slotGrants[:0]
+		u.slotHead = 0
 	}
 	if n > 0 {
 		r.rrStart = (r.rrStart + 1) % n

@@ -137,11 +137,13 @@ type UE struct {
 
 	// Per-UE scheduler state: outstanding tracks requested-but-not-yet-
 	// executed bytes so repeated BSRs are not double-counted; slotGrants
-	// is the transient executable-grant queue of the current UL slot;
+	// is the transient executable-grant queue of the current UL slot,
+	// consumed from slotHead so its backing array is reused every slot;
 	// app/pred hold the app-aware and predictive schedulers' learned
 	// models for this attachment.
 	outstanding units.ByteCount
 	slotGrants  []*grant
+	slotHead    int
 	app         *appAwareState
 	pred        *predictor
 
