@@ -55,8 +55,8 @@ func main() {
 				continue
 			}
 			fmt.Printf("  flow %d over %d packets: ", flow, a.Packets)
-			for _, c := range []core.Cause{core.CauseQueueSlot, core.CauseBSR, core.CauseHARQ, core.CauseWAN, core.CauseSFU} {
-				fmt.Printf("%s=%.1fms ", c, a.TotalMS[c])
+			for _, c := range core.Causes {
+				fmt.Printf("%s=%.1fms ", c, a.TotalMS(c))
 			}
 			fmt.Println()
 		}

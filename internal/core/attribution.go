@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"athena/internal/packet"
 	"athena/internal/stats"
@@ -21,10 +20,52 @@ const (
 	CauseSFU       Cause = "sfu-app-processing"
 )
 
-// Attribution is an aggregate root-cause breakdown over a report.
+// Dense indices of the fixed root-cause set, so per-packet components and
+// running totals live in arrays — no hashing, no allocation on the emit
+// path. The downstream causes come last: a packet never seen at the
+// receiver has components only below IdxWAN.
+const (
+	IdxQueueSlot = iota
+	IdxBSR
+	IdxHARQ
+	IdxWAN
+	IdxSFU
+	NumCauses
+)
+
+// Causes maps the dense indices back to the cause labels.
+var Causes = [NumCauses]Cause{CauseQueueSlot, CauseBSR, CauseHARQ, CauseWAN, CauseSFU}
+
+// Components is one packet's delay split by cause, in integer nanoseconds
+// indexed by the Idx constants.
+type Components [NumCauses]int64
+
+// Components derives the packet's per-cause delay split. ok is false for
+// a packet without uplink attribution (never seen at the core, or matched
+// to no transport block). This is the only statement of the attribution
+// admission rule: offline reports, live sessions and the fleet rollup all
+// fold what it returns.
+func (v *PacketView) Components() (c Components, ok bool) {
+	if !v.SeenCore || len(v.TBIDs) == 0 {
+		return c, false
+	}
+	c[IdxQueueSlot] = int64(v.QueueWait - v.BSRWait)
+	c[IdxBSR] = int64(v.BSRWait)
+	c[IdxHARQ] = int64(v.HARQDelay)
+	if v.SeenRecv {
+		c[IdxWAN] = int64(v.WANDelay - v.SFUDelay)
+		c[IdxSFU] = int64(v.SFUDelay)
+	}
+	return c, true
+}
+
+// Attribution is an aggregate root-cause breakdown: a plain value whose
+// totals are exact integer nanoseconds, so sums over any partition of the
+// packets (per flow, per session, per cell) add back to the whole
+// bit-for-bit. Milliseconds are derived at render.
 type Attribution struct {
-	// TotalMS sums each cause's contribution across packets (ms).
-	TotalMS map[Cause]float64
+	// TotalNS sums each cause's contribution across packets.
+	TotalNS [NumCauses]int64
 	// Packets is the number of packets with uplink attribution.
 	Packets int
 	// RetxAffected counts packets whose delay includes HARQ inflation.
@@ -35,9 +76,11 @@ type Attribution struct {
 
 // Attribute computes the aggregate breakdown.
 func (r *Report) Attribute() Attribution {
-	a := Attribution{TotalMS: make(map[Cause]float64)}
-	for _, v := range r.Packets {
-		a.Accumulate(v)
+	var a Attribution
+	for i := range r.Packets {
+		if c, ok := r.Packets[i].Components(); ok {
+			a.Add(c)
+		}
 	}
 	return a
 }
@@ -47,47 +90,39 @@ func (r *Report) Attribute() Attribution {
 // another's. Flows without any attributable packet are absent.
 func (r *Report) AttributeByFlow() map[uint32]Attribution {
 	out := make(map[uint32]Attribution)
-	for _, v := range r.Packets {
-		if !v.SeenCore || len(v.TBIDs) == 0 {
-			continue
+	for i := range r.Packets {
+		v := &r.Packets[i]
+		if c, ok := v.Components(); ok {
+			a := out[v.Flow]
+			a.Add(c)
+			out[v.Flow] = a
 		}
-		a, ok := out[v.Flow]
-		if !ok {
-			a = Attribution{TotalMS: make(map[Cause]float64)}
-		}
-		a.Accumulate(v)
-		out[v.Flow] = a
 	}
 	return out
 }
 
-// Accumulate folds one packet's delay components into the breakdown;
-// packets without uplink attribution are skipped. Exported so streaming
-// consumers (the live session layer) can aggregate attribution
-// incrementally over emitted views instead of re-walking a report.
-func (a *Attribution) Accumulate(v PacketView) {
-	if a.TotalMS == nil {
-		a.TotalMS = make(map[Cause]float64)
-	}
-	if !v.SeenCore || len(v.TBIDs) == 0 {
-		return
-	}
-	msOf := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
+// Add folds one attributed packet's components into the breakdown.
+func (a *Attribution) Add(c Components) {
 	a.Packets++
-	nonBSR := v.QueueWait - v.BSRWait
-	a.TotalMS[CauseQueueSlot] += msOf(nonBSR)
-	a.TotalMS[CauseBSR] += msOf(v.BSRWait)
-	a.TotalMS[CauseHARQ] += msOf(v.HARQDelay)
-	if v.HARQDelay > 0 {
+	for i, ns := range c {
+		a.TotalNS[i] += ns
+	}
+	if c[IdxHARQ] > 0 {
 		a.RetxAffected++
 	}
-	if v.BSRWait > 0 {
+	if c[IdxBSR] > 0 {
 		a.BSRServed++
 	}
-	if v.SeenRecv {
-		a.TotalMS[CauseWAN] += msOf(v.WANDelay - v.SFUDelay)
-		a.TotalMS[CauseSFU] += msOf(v.SFUDelay)
+}
+
+// TotalMS reports a cause's summed contribution in milliseconds.
+func (a Attribution) TotalMS(c Cause) float64 {
+	for i, known := range Causes {
+		if known == c {
+			return float64(a.TotalNS[i]) / 1e6
+		}
 	}
+	return 0
 }
 
 // MeanMS reports the average per-packet contribution of a cause.
@@ -95,14 +130,14 @@ func (a Attribution) MeanMS(c Cause) float64 {
 	if a.Packets == 0 {
 		return 0
 	}
-	return a.TotalMS[c] / float64(a.Packets)
+	return a.TotalMS(c) / float64(a.Packets)
 }
 
 // String renders a table of mean contributions.
 func (a Attribution) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "root-cause attribution over %d packets (mean ms/packet):\n", a.Packets)
-	for _, c := range []Cause{CauseQueueSlot, CauseBSR, CauseHARQ, CauseWAN, CauseSFU} {
+	for _, c := range Causes {
 		fmt.Fprintf(&b, "  %-26s %8.3f\n", c, a.MeanMS(c))
 	}
 	fmt.Fprintf(&b, "  packets with HARQ inflation: %d; served by BSR grant: %d\n",

@@ -61,6 +61,20 @@ type Input struct {
 	ProbeOWDBaseline time.Duration
 }
 
+// withDefaults resolves the zero-means-default fields. It runs once,
+// where an Input enters the correlator (Correlate, NewLive), so the
+// matcher, the live settle gate and the live trim all read the same
+// tolerance and HARQ round-trip.
+func (in Input) withDefaults() Input {
+	if in.MatchTolerance == 0 {
+		in.MatchTolerance = 5 * time.Millisecond
+	}
+	if in.HARQRTT == 0 {
+		in.HARQRTT = 10 * time.Millisecond
+	}
+	return in
+}
+
 // offset returns the clock offset of one capture point.
 func (in *Input) offset(p packet.Point) time.Duration {
 	if in.Offsets == nil {
@@ -98,6 +112,14 @@ type PacketView struct {
 	SSRC    uint32
 	RTPTime uint32
 	Marker  bool
+}
+
+// Clone returns a view that owns its TBIDs. Views handed to a
+// LiveCorrelator's Emit callback borrow the correlator's recycled
+// buffers; a consumer that keeps one past the callback clones it.
+func (v PacketView) Clone() PacketView {
+	v.TBIDs = append([]uint64(nil), v.TBIDs...)
+	return v
 }
 
 // Report is the correlator's output.
@@ -165,10 +187,11 @@ type scratch struct {
 // Report whose memory is independent of the input slices.
 func Correlate(in Input) *Report {
 	var sc scratch
-	return sc.correlate(in)
+	return sc.correlate(in.withDefaults())
 }
 
-// correlate is the shared pipeline behind Correlate and LiveCorrelator.
+// correlate is the shared pipeline behind Correlate and LiveCorrelator;
+// both hand it an Input whose defaults are already resolved.
 // Stage spans (join, reconstructTBs, attribution) go to the global obs
 // timeline; with none installed the spans are inert zero values, which
 // preserves the live path's allocation-free guarantee.
@@ -304,6 +327,10 @@ func (sc *scratch) report(senderHint int) *Report {
 // to two local process indexes finalized when the head advances.
 func (sc *scratch) matchTBs(rep *Report, in Input, senderRecs []packet.Record, parent obs.Span) {
 	if len(in.TBs) == 0 {
+		// A TB-less window leaves an empty process table, not the previous
+		// window's: LiveCorrelator reads the table after every pass.
+		sc.procs = sc.procs[:0]
+		clear(sc.procIdx)
 		return
 	}
 	reconstruct := parent.Child("correlate.reconstructTBs")
@@ -312,9 +339,6 @@ func (sc *scratch) matchTBs(rep *Report, in Input, senderRecs []packet.Record, p
 	attribution := parent.Child("correlate.attribution")
 	defer attribution.End()
 	tol := in.MatchTolerance
-	if tol == 0 {
-		tol = 5 * time.Millisecond
-	}
 
 	fifoLeft := sc.fifoLeft[:0]
 	for _, r := range senderRecs {
@@ -403,9 +427,11 @@ func attributePacket(v *PacketView, procs []tbProcess, first, last int32) {
 // reconstructTBs groups attempt records into per-TB HARQ processes,
 // ordered by initial transmission time. Processes live in one scratch
 // slice indexed by a TBID→position map — no per-process heap allocation.
-// Telemetry normally arrives in transmission order, which makes the
-// first-seen process order already sorted; the stable sort only runs when
-// it is not.
+// It is the only writer of that table (sc.procs, sc.procIdx), which
+// LiveCorrelator reads back after the pass. Telemetry normally arrives in
+// transmission order, which makes the first-seen process order already
+// sorted; the stable sort — and the re-index that keeps procIdx pointing
+// at the moved processes — only runs when it is not.
 func (sc *scratch) reconstructTBs(recs []telemetry.TBRecord) []tbProcess {
 	out := sc.procs[:0]
 	if cap(out) < len(recs) {
@@ -441,6 +467,9 @@ func (sc *scratch) reconstructTBs(recs []telemetry.TBRecord) []tbProcess {
 	sc.procs = out
 	if !sortedByInitialAt(out) {
 		sort.SliceStable(out, func(i, j int) bool { return out[i].initialAt < out[j].initialAt })
+		for i := range out {
+			idx[out[i].id] = int32(i)
+		}
 	}
 	return out
 }

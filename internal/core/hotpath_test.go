@@ -12,24 +12,39 @@ import (
 
 // TestLiveSteadyStateAdvanceAllocFree pins the LiveCorrelator buffer-reuse
 // contract: once the working set is warm, a steady-state ingest step
-// (records in, Advance, mid-stream trim) performs no heap allocation at
-// all with a nil Emit. Any new per-Advance map, slice, or closure in the
-// hot path shows up here as a fractional allocs/op.
+// (records in, Advance, one view emitted, mid-stream trim) performs no
+// heap allocation at all — with a nil Emit, and with a consumer that
+// reads the borrowed view inside the callback. Any new per-Advance map,
+// slice, closure or per-view copy in the hot path shows up here as a
+// fractional allocs/op.
 func TestLiveSteadyStateAdvanceAllocFree(t *testing.T) {
-	lc := NewLive(Input{SlotDuration: 500 * time.Microsecond}, nil)
-	seq := uint32(0)
-	step := func() {
-		feedStep(lc, seq)
-		lc.Advance(time.Duration(seq) * 10 * time.Millisecond)
-		seq++
+	var tbs int
+	for name, emit := range map[string]func(PacketView){
+		"nil-emit":       nil,
+		"borrowing-emit": func(v PacketView) { tbs += len(v.TBIDs) },
+	} {
+		lc := NewLive(Input{SlotDuration: 500 * time.Microsecond}, emit)
+		seq := uint32(0)
+		step := func() {
+			feedStep(lc, seq)
+			lc.Advance(time.Duration(seq) * 10 * time.Millisecond)
+			seq++
+		}
+		// Warm up past the flush horizon and the first few trims so every
+		// recycled buffer has reached its steady-state capacity.
+		for i := 0; i < 500; i++ {
+			step()
+		}
+		emitted := lc.Snapshot().Emitted
+		if allocs := testing.AllocsPerRun(200, step); allocs != 0 {
+			t.Fatalf("%s: steady-state Advance allocates %.2f objects/op, want 0", name, allocs)
+		}
+		if lc.Snapshot().Emitted-emitted < 200 {
+			t.Fatalf("%s: measured steps emitted no views", name)
+		}
 	}
-	// Warm up past the flush horizon and the first few trims so every
-	// recycled buffer has reached its steady-state capacity.
-	for i := 0; i < 500; i++ {
-		step()
-	}
-	if allocs := testing.AllocsPerRun(200, step); allocs != 0 {
-		t.Fatalf("steady-state Advance allocates %.2f objects/op, want 0", allocs)
+	if tbs == 0 {
+		t.Fatal("emitted views carried no TBIDs; the borrow was not exercised")
 	}
 }
 

@@ -21,10 +21,10 @@ import (
 //   - sender and core records must arrive in capture order (non-decreasing
 //     LocalTime per stream) — ErrOutOfOrder otherwise;
 //   - a sender record identical in (flow, seq, kind, LocalTime) to one
-//     already fed is a replay — ErrDuplicate. Detection survives trims:
-//     records behind the capture head fail the order check, and the
-//     duplicate index retains head-timestamp entries across a full-drain
-//     reset;
+//     already fed is a replay — ErrDuplicate. Detection is independent of
+//     the retained window, so it survives every trim: records behind the
+//     capture head fail the order check, and the duplicate index is the
+//     keys accepted at exactly the head timestamp;
 //   - when Input.Flows is set, every sender and core record must belong to
 //     a listed flow — ErrFlowNotCovered. The sender capture is the FIFO
 //     the TB matcher replays, so an uncovered record would silently shift
@@ -53,8 +53,8 @@ var (
 	// delivers out of order has lost or reordered data.
 	ErrOutOfOrder = errors.New("record out of capture order")
 
-	// ErrDuplicate reports a sender record identical to one already in
-	// the retained window — the signature of a replayed feed batch.
+	// ErrDuplicate reports a sender record identical to one already fed —
+	// the signature of a replayed feed batch.
 	ErrDuplicate = errors.New("duplicate sender record")
 
 	// ErrFlowNotCovered reports a record whose flow is absent from

@@ -113,6 +113,40 @@ func TestIngestRejectsReplayAcrossDrain(t *testing.T) {
 	}
 }
 
+// A mid-stream trim must not reopen the replay gap either: A and B share
+// the capture-head timestamp, A resolves and is trimmed while B stays
+// buffered, and a replayed A still passes the order check (its time
+// equals the head). Accepting it would re-enter A in the FIFO behind B —
+// a silently wrong attribution.
+func TestIngestRejectsReplayOfTrimmedHeadRecord(t *testing.T) {
+	lc := NewLive(Input{}, nil)
+	a := sRec(1, 1, packet.KindVideo, 10*time.Millisecond)
+	a.Size = 100
+	b := sRec(1, 2, packet.KindVideo, 10*time.Millisecond)
+	for _, r := range []packet.Record{a, b} {
+		if err := lc.OnSenderRecord(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := lc.OnCoreRecord(cRec(1, 1, packet.KindVideo, 13*time.Millisecond)); err != nil {
+		t.Fatal(err)
+	}
+	if err := lc.OnTB(telemetry.TBRecord{At: 11 * time.Millisecond, TBID: 1, UE: 1, TBS: 100, UsedBytes: 100}); err != nil {
+		t.Fatal(err)
+	}
+	if err := lc.Advance(40 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if snap := lc.Snapshot(); snap.Trims != 1 || snap.BufferedSender != 1 {
+		t.Fatalf("A must be emitted and trimmed mid-stream before the replay: %+v", snap)
+	}
+	err := lc.OnSenderRecord(a)
+	if !errors.Is(err, ErrDuplicate) {
+		t.Fatalf("replay of trimmed head record: err=%v buffered=%d, want ErrDuplicate",
+			err, lc.Snapshot().BufferedSender)
+	}
+}
+
 // Drain must flush every pending packet regardless of where the feeder
 // left the clock — including feeds that never advanced at all and use
 // absolute (epoch-like) capture times far ahead of the zero clock.
@@ -170,7 +204,7 @@ func TestIngestRejectsClockRegression(t *testing.T) {
 // continues and the emitted views are those of a clean feed.
 func TestIngestErrorLeavesFeedUsable(t *testing.T) {
 	var views []PacketView
-	lc := NewLive(Input{}, func(v PacketView) { views = append(views, v) })
+	lc := NewLive(Input{}, func(v PacketView) { views = append(views, v.Clone()) })
 	lc.FlushAfter = 50 * time.Millisecond
 	if err := lc.OnSenderRecord(sRec(1, 0, packet.KindVideo, 10*time.Millisecond)); err != nil {
 		t.Fatal(err)
@@ -242,7 +276,7 @@ func replayChunked(t testing.TB, in Input, step func(i int) time.Duration) []Pac
 	cfg := in
 	cfg.Sender, cfg.Core, cfg.TBs = nil, nil, nil
 	var views []PacketView
-	lc := NewLive(cfg, func(v PacketView) { views = append(views, v) })
+	lc := NewLive(cfg, func(v PacketView) { views = append(views, v.Clone()) })
 	si, ci, ti := 0, 0, 0
 	now := time.Duration(0)
 	for i := 0; si < len(in.Sender) || ci < len(in.Core) || ti < len(in.TBs); i++ {

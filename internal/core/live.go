@@ -19,11 +19,11 @@ import (
 // Internally it re-runs the batch pipeline over a sliding window — the
 // batch correlator is cheap enough that clarity beats an incremental
 // reimplementation — but every re-run recycles one persistent working set
-// (report, indexes, FIFO and TBID buffers, trim maps), so steady-state
-// ingest performs no allocation at all with a nil Emit, and only the
-// emitted views' TBID copies otherwise. The emission contract (each
-// packet exactly once, in send order, only when resolvable) is what a
-// live consumer such as a PHY-aware congestion controller needs.
+// (report, indexes, FIFO and TBID buffers, the TB-process table the
+// settle gate and the trim read back), so steady-state ingest performs no
+// allocation at all, emitting or not. The emission contract (each packet
+// exactly once, in send order, only when resolvable) is what a live
+// consumer such as a PHY-aware congestion controller needs.
 //
 // The feed-order validation doubles as a structural guarantee: because
 // sender records are enforced time-ordered and (when Input.Flows is set)
@@ -39,9 +39,10 @@ type LiveCorrelator struct {
 	// unresolved before being emitted as-is (lost or unmatchable).
 	FlushAfter time.Duration
 
-	// Emit receives resolved packet views in send order. Views are
-	// stable: their TBIDs are copied out of the correlator's recycled
-	// buffers, so consumers may retain them indefinitely.
+	// Emit receives resolved packet views in send order. A view is
+	// borrowed: its TBIDs alias the correlator's recycled buffers and are
+	// valid only until the callback returns. A consumer that retains a
+	// view keeps v.Clone() instead.
 	Emit func(PacketView)
 
 	sender  []packet.Record
@@ -50,27 +51,28 @@ type LiveCorrelator struct {
 	emitted int // prefix of send-ordered packets already emitted
 
 	// Feed-validation state: per-stream capture heads, the duplicate
-	// index over the retained sender window (key → latest LocalTime),
-	// and the flow-coverage set derived from in.Flows.
+	// index, and the flow-coverage set derived from in.Flows. The
+	// duplicate index is just the keys accepted at exactly lastSenderAt:
+	// a replay of anything older already fails the order check. Being
+	// independent of the retained window, it survives every trim. It is
+	// scanned linearly — records sharing one capture timestamp are a
+	// handful (at most 7 in the generated streams).
 	lastSenderAt time.Duration
 	lastCoreAt   time.Duration
 	advanced     time.Duration
-	seen         map[pktKey]time.Duration
+	headKeys     []pktKey
 	coveredFlow  map[uint32]bool
 
 	// Progress counters surfaced by Snapshot.
 	emittedTotal int64
 	trims        int64
 
-	// sc is the recycled correlation working set; the trim maps below
-	// are likewise cleared and reused so mid-stream trims stay
-	// allocation-free once warm.
-	sc        scratch
-	trimKeys  map[pktKey]bool
-	trimTBs   map[uint64]bool
-	tbInitial map[uint64]time.Duration
-	tbLatest  map[uint64]time.Duration
-	procInit  map[uint64]time.Duration
+	// sc is the recycled correlation working set. After each pass its
+	// TB-process table (sc.procs, indexed by sc.procIdx) holds every
+	// buffered TB's first and last attempt time; spentTB marks, per table
+	// position, the processes a mid-stream trim discards.
+	sc      scratch
+	spentTB []bool
 }
 
 // LiveCorrelator implements the streaming ingest boundary.
@@ -82,11 +84,10 @@ var _ Ingest = (*LiveCorrelator)(nil)
 func NewLive(in Input, emit func(PacketView)) *LiveCorrelator {
 	in.Sender, in.Core, in.SFU, in.Receiver = nil, nil, nil, nil
 	lc := &LiveCorrelator{
-		in:         in,
+		in:         in.withDefaults(),
 		FlushAfter: 500 * time.Millisecond,
 		Emit:       emit,
 		sc:         scratch{reuse: true},
-		seen:       make(map[pktKey]time.Duration),
 	}
 	if len(in.Flows) > 0 {
 		lc.coveredFlow = make(map[uint32]bool, len(in.Flows))
@@ -98,9 +99,9 @@ func NewLive(in Input, emit func(PacketView)) *LiveCorrelator {
 }
 
 // OnSenderRecord feeds a point-① capture record. Records must arrive in
-// capture order; a record behind the capture head, a replay of a buffered
-// record, or a record outside Input.Flows is rejected without being
-// ingested.
+// capture order; a record behind the capture head, a replay of a record
+// at the capture head, or a record outside Input.Flows is rejected
+// without being ingested.
 func (lc *LiveCorrelator) OnSenderRecord(r packet.Record) error {
 	if r.LocalTime < lc.lastSenderAt {
 		return fmt.Errorf("%w: sender %d/%d/%s at %v behind head %v",
@@ -110,13 +111,18 @@ func (lc *LiveCorrelator) OnSenderRecord(r packet.Record) error {
 		return fmt.Errorf("%w: sender %d/%d/%s", ErrFlowNotCovered, r.Flow, r.Seq, r.Kind)
 	}
 	k := pktKey{r.Flow, r.Seq, r.Kind}
-	if at, ok := lc.seen[k]; ok && at == r.LocalTime {
-		// Sequence-less kinds (NTP cross traffic) legitimately repeat a
-		// key at distinct capture times; an identical timestamp means the
-		// same record fed twice.
-		return fmt.Errorf("%w: sender %d/%d/%s at %v", ErrDuplicate, r.Flow, r.Seq, r.Kind, r.LocalTime)
+	if r.LocalTime > lc.lastSenderAt {
+		lc.headKeys = lc.headKeys[:0]
 	}
-	lc.seen[k] = r.LocalTime
+	for _, hk := range lc.headKeys {
+		if hk == k {
+			// Sequence-less kinds (NTP cross traffic) legitimately repeat a
+			// key at distinct capture times; an identical timestamp means the
+			// same record fed twice.
+			return fmt.Errorf("%w: sender %d/%d/%s at %v", ErrDuplicate, r.Flow, r.Seq, r.Kind, r.LocalTime)
+		}
+	}
+	lc.headKeys = append(lc.headKeys, k)
 	lc.lastSenderAt = r.LocalTime
 	lc.sender = append(lc.sender, r)
 	return nil
@@ -190,28 +196,12 @@ func (lc *LiveCorrelator) Advance(now time.Duration) error {
 	// abandoned and the FIFO redistributes every byte from its position
 	// onward. Packets drained entirely by earlier TBs are unaffected, so
 	// emission holds only at and after the earliest unsettled position.
-	rtt := lc.in.HARQRTT
-	if rtt == 0 {
-		rtt = 10 * time.Millisecond
-	}
-	tol := lc.in.MatchTolerance
-	if tol == 0 {
-		tol = 5 * time.Millisecond
-	}
+	procs, procIdx := lc.sc.procs, lc.sc.procIdx
+	settle := lc.in.HARQRTT + lc.in.MatchTolerance
 	unsettled := time.Duration(1<<63 - 1)
-	for _, p := range lc.sc.procs {
-		if p.abandoned && now < p.finalAt+rtt+tol && p.initialAt < unsettled {
+	for i := range procs {
+		if p := &procs[i]; p.abandoned && now < p.finalAt+settle && p.initialAt < unsettled {
 			unsettled = p.initialAt
-		}
-	}
-	if unsettled < 1<<63-1 {
-		if lc.procInit == nil {
-			lc.procInit = make(map[uint64]time.Duration, len(lc.sc.procs))
-		} else {
-			clear(lc.procInit)
-		}
-		for _, p := range lc.sc.procs {
-			lc.procInit[p.id] = p.initialAt
 		}
 	}
 
@@ -222,7 +212,7 @@ func (lc *LiveCorrelator) Advance(now time.Duration) error {
 	senderOff := in.offset(packet.PointSender)
 	for lc.emitted < len(lc.sender) {
 		r := lc.sender[lc.emitted]
-		v := rep.Packets[lc.emitted]
+		v := &rep.Packets[lc.emitted]
 		// Resolved means the view is final: observed at the core and — when
 		// TB telemetry is in play — fully drained by the FIFO matcher, so
 		// no later TB can extend its match (the FIFO head never moves
@@ -233,7 +223,7 @@ func (lc *LiveCorrelator) Advance(now time.Duration) error {
 			(len(v.TBIDs) > 0 && rep.fifoLeft[lc.emitted] == 0))
 		if resolved && unsettled < 1<<63-1 {
 			for _, id := range v.TBIDs {
-				if lc.procInit[id] >= unsettled {
+				if procs[procIdx[id]].initialAt >= unsettled {
 					resolved = false
 					break
 				}
@@ -244,12 +234,7 @@ func (lc *LiveCorrelator) Advance(now time.Duration) error {
 			break
 		}
 		if lc.Emit != nil {
-			if len(v.TBIDs) > 0 {
-				// Detach from the recycled TBID backing: emitted views
-				// outlive the next Advance.
-				v.TBIDs = append([]uint64(nil), v.TBIDs...)
-			}
-			lc.Emit(v)
+			lc.Emit(*v)
 		}
 		lc.emitted++
 		lc.emittedTotal++
@@ -287,16 +272,6 @@ func (lc *LiveCorrelator) trim(horizon time.Duration, rep *Report, senderOff tim
 		lc.sender = lc.sender[:0]
 		lc.core = lc.core[:0]
 		lc.emitted = 0
-		// Retain the duplicate-index entries at the sender capture head:
-		// replays of older records are rejected by the order check
-		// (strictly behind lastSenderAt), but a replay at exactly the head
-		// timestamp passes it and must still be caught as a duplicate
-		// across the reset.
-		for k, at := range lc.seen {
-			if at != lc.lastSenderAt {
-				delete(lc.seen, k)
-			}
-		}
 		keepFrom := horizon - time.Second
 		tbCut := 0
 		for tbCut < len(lc.tbs) && lc.tbs[tbCut].At < keepFrom {
@@ -325,72 +300,50 @@ func (lc *LiveCorrelator) trim(horizon time.Duration, rep *Report, senderOff tim
 	}
 	lc.trims++
 
-	if lc.trimKeys == nil {
-		lc.trimKeys = make(map[pktKey]bool, cut)
-		lc.trimTBs = make(map[uint64]bool)
-	} else {
-		clear(lc.trimKeys)
-		clear(lc.trimTBs)
+	// Mark the TB processes spent on the prefix. Packets are walked in send
+	// order, so a TB also carried by a kept packet ends up unmarked (the
+	// boundary rule makes that unreachable, but the invariant is cheap to
+	// enforce).
+	procs, procIdx := lc.sc.procs, lc.sc.procIdx
+	if cap(lc.spentTB) < len(procs) {
+		lc.spentTB = make([]bool, len(procs))
 	}
-	for i := 0; i < cut; i++ {
-		r := lc.sender[i]
-		lc.trimKeys[pktKey{r.Flow, r.Seq, r.Kind}] = true
+	spent := lc.spentTB[:len(procs)]
+	clear(spent)
+	for i := range rep.Packets {
 		for _, id := range rep.Packets[i].TBIDs {
-			lc.trimTBs[id] = true
-		}
-		// Release the duplicate index entry unless a later record of the
-		// same key (a repeated sequence-less kind) re-armed it.
-		k := pktKey{r.Flow, r.Seq, r.Kind}
-		if at, ok := lc.seen[k]; ok && at == r.LocalTime {
-			delete(lc.seen, k)
+			spent[procIdx[id]] = i < cut
 		}
 	}
-	// Guard: a TB also carried by a kept packet stays (the boundary rule
-	// makes this unreachable, but the invariant is cheap to enforce).
-	for i := cut; i < len(lc.sender); i++ {
-		for _, id := range rep.Packets[i].TBIDs {
-			delete(lc.trimTBs, id)
-		}
+	// byKey is last-wins, so a key repeated past the cut (sequence-less
+	// kinds) points at a kept packet. Point every trimmed key back into
+	// the prefix: "byKey[k] < cut" then means "k was trimmed", and core
+	// records of a repeating key cannot pile up behind its newest sender
+	// record. The index is rebuilt by the next pass.
+	for i, r := range lc.sender[:cut] {
+		rep.byKey[pktKey{r.Flow, r.Seq, r.Kind}] = i
 	}
 
 	// Settled old TBs: initial attempt too old to satisfy causality
 	// against the first kept (hence any later) packet, and no attempt
 	// recent enough for the HARQ process to still be running.
-	tol := lc.in.MatchTolerance
-	if tol == 0 {
-		tol = 5 * time.Millisecond
-	}
 	firstKeptSent := lc.sender[cut].LocalTime - senderOff
-	causalLimit := firstKeptSent - lc.in.SlotDuration - tol
+	causalLimit := firstKeptSent - lc.in.SlotDuration - lc.in.MatchTolerance
 	settleLimit := horizon - time.Second
-	if lc.tbInitial == nil {
-		lc.tbInitial = make(map[uint64]time.Duration)
-		lc.tbLatest = make(map[uint64]time.Duration)
-	} else {
-		clear(lc.tbInitial)
-		clear(lc.tbLatest)
-	}
-	for _, tb := range lc.tbs {
-		if t, ok := lc.tbInitial[tb.TBID]; !ok || tb.At < t {
-			lc.tbInitial[tb.TBID] = tb.At
-		}
-		if tb.At > lc.tbLatest[tb.TBID] {
-			lc.tbLatest[tb.TBID] = tb.At
-		}
-	}
 
 	lc.sender = lc.sender[:copy(lc.sender, lc.sender[cut:])]
 	lc.emitted -= cut
 	keptCore := lc.core[:0]
 	for _, r := range lc.core {
-		if !lc.trimKeys[pktKey{r.Flow, r.Seq, r.Kind}] {
+		if i, ok := rep.byKey[pktKey{r.Flow, r.Seq, r.Kind}]; !ok || i >= cut {
 			keptCore = append(keptCore, r)
 		}
 	}
 	lc.core = keptCore
 	keptTBs := lc.tbs[:0]
 	for _, tb := range lc.tbs {
-		if lc.trimTBs[tb.TBID] || (lc.tbInitial[tb.TBID] < causalLimit && lc.tbLatest[tb.TBID] < settleLimit) {
+		j := procIdx[tb.TBID]
+		if p := &procs[j]; spent[j] || (p.initialAt < causalLimit && p.finalAt < settleLimit) {
 			continue
 		}
 		keptTBs = append(keptTBs, tb)

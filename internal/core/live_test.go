@@ -8,6 +8,7 @@ import (
 	"athena/internal/packet"
 	"athena/internal/ran"
 	"athena/internal/telemetry"
+	"athena/internal/units"
 )
 
 // liveBed runs the same workload as runBed but streams records into a
@@ -18,7 +19,7 @@ func runLive(t *testing.T, dur time.Duration, flush time.Duration) (views []Pack
 	lc := NewLive(Input{
 		SlotDuration: bed.r.Cfg.SlotDuration,
 		CoreDelay:    bed.r.Cfg.CoreDelay,
-	}, func(v PacketView) { views = append(views, v) })
+	}, func(v PacketView) { views = append(views, v.Clone()) })
 	if flush > 0 {
 		lc.FlushAfter = flush
 	}
@@ -102,7 +103,7 @@ func TestLiveEmissionLatencyBounded(t *testing.T) {
 		Flow: 1, Seq: 0, Size: 1200, LocalTime: 10 * time.Millisecond,
 	}}
 	var got []PacketView
-	lc := NewLive(Input{}, func(v PacketView) { got = append(got, v) })
+	lc := NewLive(Input{}, func(v PacketView) { got = append(got, v.Clone()) })
 	lc.FlushAfter = 100 * time.Millisecond
 	lc.OnSenderRecord(s[0])
 	lc.Advance(50 * time.Millisecond)
@@ -115,6 +116,59 @@ func TestLiveEmissionLatencyBounded(t *testing.T) {
 	}
 	if got[0].SeenCore {
 		t.Fatal("lost packet marked seen")
+	}
+}
+
+// The TB-process table Advance reads back after each pass has one writer
+// and must describe exactly the window just correlated: positions stay
+// valid when merged two-cell telemetry around a handover trips the stable
+// sort, and a TB-less window after a full drain leaves it empty rather
+// than holding the previous window's processes.
+func TestLiveTBProcessTableMatchesWindow(t *testing.T) {
+	lc := NewLive(Input{SlotDuration: 500 * time.Microsecond}, nil)
+	lc.FlushAfter = 50 * time.Millisecond
+	for i := 0; i < 3; i++ {
+		at := time.Duration(i+1) * time.Millisecond
+		lc.OnSenderRecord(sRec(1, uint32(i), packet.KindVideo, at))
+	}
+	// The source cell's stream (TBs 10, 11) is delivered ahead of the
+	// target cell's (TB 20), whose transmission falls between them.
+	for _, tb := range []telemetry.TBRecord{
+		{TBID: 10, At: 5 * time.Millisecond, UE: 1, TBS: 1200, UsedBytes: 1200},
+		{TBID: 11, At: 9 * time.Millisecond, UE: 1, TBS: 1200, UsedBytes: 1200},
+		{TBID: 20, At: 7 * time.Millisecond, UE: 1, TBS: 1200, UsedBytes: 1200},
+	} {
+		lc.OnTB(tb)
+	}
+	if err := lc.Advance(10 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	procs, procIdx := lc.sc.procs, lc.sc.procIdx
+	if len(procs) != 3 || procs[1].id != 20 {
+		t.Fatalf("interleaved telemetry did not trip the sort: %+v", procs)
+	}
+	for id, j := range procIdx {
+		if procs[j].id != id {
+			t.Fatalf("procIdx[%d] = %d, but that position holds TB %d", id, j, procs[j].id)
+		}
+	}
+
+	for i := 0; i < 3; i++ {
+		lc.OnCoreRecord(cRec(1, uint32(i), packet.KindVideo, time.Duration(i+11)*time.Millisecond))
+	}
+	if err := lc.Advance(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if snap := lc.Snapshot(); snap.Pending != 0 || snap.BufferedTBs != 0 {
+		t.Fatalf("full drain expected: %+v", snap)
+	}
+	lc.OnSenderRecord(sRec(1, 3, packet.KindVideo, 11*time.Second))
+	if err := lc.Advance(11 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if len(lc.sc.procs) != 0 || len(lc.sc.procIdx) != 0 {
+		t.Fatalf("TB-less window kept the previous window's table: %d processes, %d indexed",
+			len(lc.sc.procs), len(lc.sc.procIdx))
 	}
 }
 
@@ -178,6 +232,54 @@ func TestLiveMidStreamTrimBoundsBuffers(t *testing.T) {
 	if maxSender > bound || maxCore > bound || maxTBs > bound {
 		t.Fatalf("buffers unbounded mid-stream: sender<=%d core<=%d tbs<=%d (bound %d)",
 			maxSender, maxCore, maxTBs, bound)
+	}
+}
+
+// Sequence-less kinds repeat one (flow, seq, kind) key for the whole
+// session (NTP exchanges, all Seq 0), so a never-draining session's
+// window can always hold a newer sender record of that key than the ones
+// being trimmed. The trim must still release their core records:
+// keyed on the newest sender record alone, they would pile up for as long
+// as the session lives.
+func TestLiveMidStreamTrimBoundsRepeatedKeyCoreRecords(t *testing.T) {
+	lc := NewLive(Input{SlotDuration: 500 * time.Microsecond}, nil)
+	const n = 2000
+	maxCore := 0
+	var prev []packet.Record
+	for i := 0; i < n; i++ {
+		now := time.Duration(i) * 10 * time.Millisecond
+		ntp := sRec(99, 0, packet.KindCross, now+time.Microsecond)
+		ntp.Size = 90
+		cur := []packet.Record{sRec(1, uint32(i), packet.KindVideo, now), ntp}
+		var used units.ByteCount
+		for _, r := range cur {
+			lc.OnSenderRecord(r)
+		}
+		// The previous step's packets resolve now; this step's stay in
+		// flight, so the session never fully drains.
+		for _, r := range prev {
+			used += r.Size
+			r.Point = packet.PointCore
+			r.LocalTime = now - 4*time.Millisecond
+			lc.OnCoreRecord(r)
+		}
+		if used > 0 {
+			lc.OnTB(telemetry.TBRecord{At: now - 8*time.Millisecond, TBID: uint64(i), UE: 1, TBS: used, UsedBytes: used})
+		}
+		prev = cur
+		lc.Advance(now)
+		if lc.Pending() == 0 {
+			t.Fatalf("iteration %d: fully drained; this test must exercise the mid-stream path", i)
+		}
+		if len(lc.core) > maxCore {
+			maxCore = len(lc.core)
+		}
+	}
+	if lc.Snapshot().Emitted < n {
+		t.Fatalf("emitted %d views over %d steps; the stream is not resolving", lc.Snapshot().Emitted, n)
+	}
+	if maxCore > 300 {
+		t.Fatalf("core buffer grew to %d records over %d steps", maxCore, n)
 	}
 }
 

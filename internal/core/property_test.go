@@ -99,3 +99,39 @@ func TestAttributionBoundsProperty(t *testing.T) {
 		}
 	}
 }
+
+// Property: a report's breakdown is the field-wise sum of its per-flow
+// breakdowns — exactly, not approximately. Both fold the same
+// Components() into integer totals, and integer addition does not care
+// how the packets are partitioned; float millisecond totals would.
+func TestAttributeIsExactSumOfFlows(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		in := synthInput(4000, 7, seed)
+		rng := rand.New(rand.NewSource(seed))
+		for _, r := range in.Core {
+			r.Point = packet.PointReceiver
+			r.LocalTime += 20*time.Millisecond + time.Duration(rng.Int63n(int64(7*time.Millisecond)))
+			in.Receiver = append(in.Receiver, r)
+		}
+		in.ProbeOWDBaseline = 21 * time.Millisecond
+		rep := Correlate(in)
+
+		byFlow := rep.AttributeByFlow()
+		var sum Attribution
+		for _, a := range byFlow {
+			sum.Packets += a.Packets
+			sum.RetxAffected += a.RetxAffected
+			sum.BSRServed += a.BSRServed
+			for i, ns := range a.TotalNS {
+				sum.TotalNS[i] += ns
+			}
+		}
+		whole := rep.Attribute()
+		if len(byFlow) != 7 || whole.RetxAffected == 0 || whole.TotalNS[IdxSFU] == 0 {
+			t.Fatalf("seed %d: vacuous report: %d flows, %+v", seed, len(byFlow), whole)
+		}
+		if whole != sum {
+			t.Fatalf("seed %d: report %+v != sum over flows %+v", seed, whole, sum)
+		}
+	}
+}

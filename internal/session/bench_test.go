@@ -1,6 +1,7 @@
 package session
 
 import (
+	"fmt"
 	"io"
 	"testing"
 	"time"
@@ -25,7 +26,7 @@ func benchRollupFold(b *testing.B, enabled bool) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f.fold(1000, 2000, 3000, 4000, 500, 6000, true)
+		f.fold(core.Components{1000, 2000, 3000, 4000, 500}, true)
 	}
 }
 
@@ -59,23 +60,63 @@ func benchSessionFeed(b *testing.B, enabled bool) {
 			b.Fatal(err)
 		}
 		b.StartTimer()
-		ti := 0
-		for j := 0; j < n; j += 100 {
-			adv := in.Sender[j+99].LocalTime + 6*time.Millisecond
-			batch := Batch{Sender: in.Sender[j : j+100], Core: in.Core[j : j+100], AdvanceTo: adv}
-			for ti < len(in.TBs) && in.TBs[ti].At <= adv {
-				batch.TBs = append(batch.TBs, in.TBs[ti])
-				ti++
-			}
-			if _, err := s.Feed(&batch); err != nil {
-				b.Fatal(err)
-			}
-		}
+		feedBenchStream(b, s, in)
 		b.StopTimer()
 		reg.CloseAll()
 		b.StartTimer()
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/packet")
+}
+
+// feedBenchStream is the measured section of the feed benchmarks: the
+// stream delivered in 100-packet batches, each carrying the TBs due by its
+// clock advance.
+func feedBenchStream(tb testing.TB, s *Session, in core.Input) {
+	ti := 0
+	for j := 0; j < len(in.Sender); j += 100 {
+		adv := in.Sender[j+99].LocalTime + 6*time.Millisecond
+		batch := Batch{Sender: in.Sender[j : j+100], Core: in.Core[j : j+100], AdvanceTo: adv}
+		for ti < len(in.TBs) && in.TBs[ti].At <= adv {
+			batch.TBs = append(batch.TBs, in.TBs[ti])
+			ti++
+		}
+		if _, err := s.Feed(&batch); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
+// TestSessionFeedAllocsBounded pins what BenchmarkSessionFeed reports:
+// the whole ingest path — correlation, digest, attribution, rollup fold —
+// borrows each emitted view, so a 2000-packet stream costs buffer growth
+// and batch assembly, not an allocation per packet (2253 before the
+// borrow).
+func TestSessionFeedAllocsBounded(t *testing.T) {
+	const n, runs = 2000, 5
+	in := benchFeedInput(n)
+	reg := NewRegistry()
+	reg.Events = obs.NewEventLog(1024)
+	defer reg.CloseAll()
+	// AllocsPerRun calls the function once to warm up, then runs times.
+	sessions := make([]*Session, 0, runs+1)
+	for i := 0; i <= runs; i++ {
+		s, err := reg.Create(Config{ID: fmt.Sprintf("allocs%d", i), Cell: "cell0", Workload: "vca"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sessions = append(sessions, s)
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		feedBenchStream(t, sessions[next], in)
+		next++
+	})
+	if allocs > 300 {
+		t.Fatalf("feeding %d packets allocates %.0f objects, want <= 300", n, allocs)
+	}
+	if st := sessions[0].Status(); st.Feed.Emitted == 0 || st.Attribution.Packets == 0 {
+		t.Fatalf("measured feed emitted nothing: %+v", st)
+	}
 }
 
 func BenchmarkSessionFeed(b *testing.B)    { benchSessionFeed(b, false) }

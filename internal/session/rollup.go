@@ -8,35 +8,17 @@ import (
 	"athena/internal/obs"
 )
 
-// Dense cause indices for the fixed root-cause set: the rollup fold path
-// runs per emitted view on the session feed path, so cause totals live
-// in arrays of atomics rather than maps — no hashing, no allocation.
-const (
-	causeIdxQueueSlot = iota
-	causeIdxBSR
-	causeIdxHARQ
-	causeIdxWAN
-	causeIdxSFU
-	numCauses
-)
-
-// causeOrder maps dense indices back to the exported core.Cause labels.
-var causeOrder = [numCauses]core.Cause{
-	causeIdxQueueSlot: core.CauseQueueSlot,
-	causeIdxBSR:       core.CauseBSR,
-	causeIdxHARQ:      core.CauseHARQ,
-	causeIdxWAN:       core.CauseWAN,
-	causeIdxSFU:       core.CauseSFU,
-}
-
 // causeMetricNames are the metric-name components of each cause, used
 // for the fleet distribution histograms ("serve.rollup.cause.<name>_ns").
-var causeMetricNames = [numCauses]string{
-	causeIdxQueueSlot: "queue_slot",
-	causeIdxBSR:       "bsr",
-	causeIdxHARQ:      "harq",
-	causeIdxWAN:       "wan",
-	causeIdxSFU:       "sfu",
+// The rollup fold runs per emitted view on the session feed path, so
+// cause totals live in arrays of atomics indexed by core's dense cause
+// indices rather than maps — no hashing, no allocation.
+var causeMetricNames = [core.NumCauses]string{
+	core.IdxQueueSlot: "queue_slot",
+	core.IdxBSR:       "bsr",
+	core.IdxHARQ:      "harq",
+	core.IdxWAN:       "wan",
+	core.IdxSFU:       "sfu",
 }
 
 // unlabeledBin is the dimension label for sessions created without a
@@ -58,13 +40,13 @@ type Rollup struct {
 	packets atomic.Int64
 	retx    atomic.Int64
 	bsr     atomic.Int64
-	causeNS [numCauses]atomic.Int64
+	causeNS [core.NumCauses]atomic.Int64
 
 	// causeHist observes each attributed packet's per-cause delay (ns);
 	// registered once under "serve.rollup.cause.*" (the obs registry
 	// dedupes by name, so rollups across registries share instances,
 	// matching the package-level lifecycle metrics).
-	causeHist [numCauses]*obs.Histogram
+	causeHist [core.NumCauses]*obs.Histogram
 
 	mu       sync.Mutex
 	cells    map[string]*rollupBin
@@ -76,7 +58,7 @@ type Rollup struct {
 // total attributed delay.
 type rollupBin struct {
 	packets   atomic.Int64
-	causeNS   [numCauses]atomic.Int64
+	causeNS   [core.NumCauses]atomic.Int64
 	delayHist *obs.Histogram
 }
 
@@ -128,43 +110,38 @@ func (r *Rollup) Bind(cell, family string) rollupFold {
 	}
 }
 
-// fold adds one attributed view's integer-nanosecond components. The
-// caller (Session.foldView) has already applied the attribution
-// admission rule and derived the components exactly as
-// core.Attribution.Accumulate does; total is the packet's whole
-// attributed delay for the dimension distribution histograms.
-func (f rollupFold) fold(nonBSR, bsrNS, harqNS, wanNS, sfuNS, total int64, seenRecv bool) {
+// fold adds one attributed view's components, as derived by
+// PacketView.Components. A packet not seen at the receiver has no
+// downstream components — unobserved, not zero — so only the uplink
+// causes reach the totals and the per-cause distributions. The sum of
+// what is folded is the packet's whole attributed delay, which feeds the
+// dimension distribution histograms.
+func (f rollupFold) fold(c core.Components, seenRecv bool) {
 	r := f.r
 	if r == nil {
 		return
 	}
 	r.packets.Add(1)
-	if harqNS > 0 {
+	if c[core.IdxHARQ] > 0 {
 		r.retx.Add(1)
 	}
-	if bsrNS > 0 {
+	if c[core.IdxBSR] > 0 {
 		r.bsr.Add(1)
 	}
-	r.causeNS[causeIdxQueueSlot].Add(nonBSR)
-	r.causeNS[causeIdxBSR].Add(bsrNS)
-	r.causeNS[causeIdxHARQ].Add(harqNS)
-	r.causeHist[causeIdxQueueSlot].Observe(nonBSR)
-	r.causeHist[causeIdxBSR].Observe(bsrNS)
-	r.causeHist[causeIdxHARQ].Observe(harqNS)
+	observed := c[:core.IdxWAN]
 	if seenRecv {
-		r.causeNS[causeIdxWAN].Add(wanNS)
-		r.causeNS[causeIdxSFU].Add(sfuNS)
-		r.causeHist[causeIdxWAN].Observe(wanNS)
-		r.causeHist[causeIdxSFU].Observe(sfuNS)
+		observed = c[:]
+	}
+	var total int64
+	for i, ns := range observed {
+		r.causeNS[i].Add(ns)
+		r.causeHist[i].Observe(ns)
+		total += ns
 	}
 	for _, b := range [2]*rollupBin{f.cell, f.family} {
 		b.packets.Add(1)
-		b.causeNS[causeIdxQueueSlot].Add(nonBSR)
-		b.causeNS[causeIdxBSR].Add(bsrNS)
-		b.causeNS[causeIdxHARQ].Add(harqNS)
-		if seenRecv {
-			b.causeNS[causeIdxWAN].Add(wanNS)
-			b.causeNS[causeIdxSFU].Add(sfuNS)
+		for i, ns := range observed {
+			b.causeNS[i].Add(ns)
 		}
 		b.delayHist.Observe(total)
 	}
@@ -224,10 +201,10 @@ func (r *Rollup) Snapshot() Overview {
 		BSRServed:    r.bsr.Load(),
 	}
 	if o.Packets > 0 {
-		o.TotalNS = make(map[core.Cause]int64, numCauses)
-		o.TotalMS = make(map[core.Cause]float64, numCauses)
-		o.Causes = make(map[core.Cause]CauseStats, numCauses)
-		for i, c := range causeOrder {
+		o.TotalNS = make(map[core.Cause]int64, core.NumCauses)
+		o.TotalMS = make(map[core.Cause]float64, core.NumCauses)
+		o.Causes = make(map[core.Cause]CauseStats, core.NumCauses)
+		for i, c := range core.Causes {
 			ns := r.causeNS[i].Load()
 			o.TotalNS[c] = ns
 			o.TotalMS[c] = float64(ns) / 1e6
@@ -274,9 +251,9 @@ func binStats(refs []binRef) map[string]BinStats {
 			P99NS:   b.delayHist.Quantile(0.99),
 		}
 		if bs.Packets > 0 {
-			bs.TotalNS = make(map[core.Cause]int64, numCauses)
-			bs.TotalMS = make(map[core.Cause]float64, numCauses)
-			for i, c := range causeOrder {
+			bs.TotalNS = make(map[core.Cause]int64, core.NumCauses)
+			bs.TotalMS = make(map[core.Cause]float64, core.NumCauses)
+			for i, c := range core.Causes {
 				ns := b.causeNS[i].Load()
 				bs.TotalNS[c] = ns
 				bs.TotalMS[c] = float64(ns) / 1e6

@@ -110,7 +110,7 @@ func TestRollupTotalsExactAcrossSessions(t *testing.T) {
 	if wantRetx == 0 {
 		t.Fatal("no HARQ-affected packets; the HARQ total is vacuously exact")
 	}
-	for _, c := range causeOrder {
+	for _, c := range core.Causes {
 		if ov.TotalNS[c] != wantNS[c] {
 			t.Fatalf("cause %s: overview %d ns != session sum %d ns", c, ov.TotalNS[c], wantNS[c])
 		}
@@ -134,7 +134,7 @@ func TestRollupTotalsExactAcrossSessions(t *testing.T) {
 		if packets != wantPackets {
 			t.Fatalf("%s bins cover %d packets, want %d", dim, packets, wantPackets)
 		}
-		for _, c := range causeOrder {
+		for _, c := range core.Causes {
 			if binNS[c] != wantNS[c] {
 				t.Fatalf("%s bins cause %s: %d != %d", dim, c, binNS[c], wantNS[c])
 			}
@@ -153,7 +153,7 @@ func TestRollupTotalsExactAcrossSessions(t *testing.T) {
 func TestRollupFoldNoAllocs(t *testing.T) {
 	r := NewRollup()
 	f := r.Bind("cell0", "vca")
-	fold := func() { f.fold(1000, 2000, 3000, 4000, 500, 6000, true) }
+	fold := func() { f.fold(core.Components{1000, 2000, 3000, 4000, 500}, true) }
 	if n := testing.AllocsPerRun(1000, fold); n != 0 {
 		t.Fatalf("disabled fold allocates %.1f/op", n)
 	}

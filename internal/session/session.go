@@ -101,7 +101,7 @@ type Status struct {
 // TotalNS carries the exact integer-nanosecond totals the fleet rollup
 // folds: integer addition is associative, so the sum of every session's
 // TotalNS equals the rollup's total bit-for-bit under any feed
-// interleaving — a property the float TotalMS rendering cannot offer.
+// interleaving. TotalMS is its millisecond rendering.
 type Attribution struct {
 	Packets      int                    `json:"packets"`
 	RetxAffected int                    `json:"retx_affected"`
@@ -131,10 +131,6 @@ type Session struct {
 	hasher *core.ViewHasher
 	attr   core.Attribution
 	closed bool
-
-	// attrNS mirrors attr.TotalMS as exact integer nanoseconds, indexed
-	// by the dense cause indices; guarded by mu like attr.
-	attrNS [numCauses]int64
 
 	maxPending int
 
@@ -169,10 +165,15 @@ func newSession(cfg Config, hooks sessionHooks) *Session {
 	if s.maxPending == 0 {
 		s.maxPending = DefaultMaxPending
 	}
+	// The emit callback runs under the session mutex (it fires inside
+	// Feed/close) and is done with the borrowed view when it returns.
 	s.lc = core.NewLive(cfg.Input, func(v core.PacketView) {
 		s.hasher.Add(v)
-		s.attr.Accumulate(v)
-		s.foldView(v)
+		if c, ok := v.Components(); ok {
+			s.attr.Add(c)
+			s.metHARQ.Observe(c[core.IdxHARQ])
+			s.hooks.fold.fold(c, v.SeenRecv)
+		}
 	})
 	if cfg.FlushAfter > 0 {
 		s.lc.FlushAfter = cfg.FlushAfter
@@ -183,34 +184,6 @@ func newSession(cfg Config, hooks sessionHooks) *Session {
 	s.metTrims = obs.NewGauge(prefix + "trims")
 	s.metHARQ = obs.NewHistogram(prefix + "harq_ns")
 	return s
-}
-
-// foldView accumulates one emitted view's integer-nanosecond components
-// into the session totals and the fleet rollup. The admission rule and
-// component derivation mirror core.Attribution.Accumulate exactly, so
-// attrNS is the integer twin of attr.TotalMS view for view. Runs under
-// the session mutex (emit callbacks fire inside Feed/close).
-func (s *Session) foldView(v core.PacketView) {
-	if !v.SeenCore || len(v.TBIDs) == 0 {
-		return
-	}
-	nonBSR := int64(v.QueueWait - v.BSRWait)
-	bsrNS := int64(v.BSRWait)
-	harqNS := int64(v.HARQDelay)
-	s.attrNS[causeIdxQueueSlot] += nonBSR
-	s.attrNS[causeIdxBSR] += bsrNS
-	s.attrNS[causeIdxHARQ] += harqNS
-	total := int64(v.QueueWait) + harqNS
-	var wanNS, sfuNS int64
-	if v.SeenRecv {
-		wanNS = int64(v.WANDelay - v.SFUDelay)
-		sfuNS = int64(v.SFUDelay)
-		s.attrNS[causeIdxWAN] += wanNS
-		s.attrNS[causeIdxSFU] += sfuNS
-		total += int64(v.WANDelay)
-	}
-	s.metHARQ.Observe(harqNS)
-	s.hooks.fold.fold(nonBSR, bsrNS, harqNS, wanNS, sfuNS, total, v.SeenRecv)
 }
 
 // ID returns the session identifier.
@@ -315,21 +288,17 @@ func (s *Session) Status() Status {
 }
 
 func (s *Session) statusLocked() Status {
-	// TotalMS must be a copy: the returned Status is JSON-encoded after
-	// the mutex is released, while concurrent Feed calls keep mutating
-	// the live map through the emit callback.
-	var totals map[core.Cause]float64
-	if len(s.attr.TotalMS) > 0 {
-		totals = make(map[core.Cause]float64, len(s.attr.TotalMS))
-		for c, ms := range s.attr.TotalMS {
-			totals[c] = ms
-		}
-	}
+	// The running totals are a plain array; the maps below are rendered
+	// fresh for this Status, so encoding it after the mutex is released
+	// shares nothing with concurrent feeds.
+	var totalMS map[core.Cause]float64
 	var totalNS map[core.Cause]int64
 	if s.attr.Packets > 0 {
-		totalNS = make(map[core.Cause]int64, numCauses)
-		for i, c := range causeOrder {
-			totalNS[c] = s.attrNS[i]
+		totalMS = make(map[core.Cause]float64, core.NumCauses)
+		totalNS = make(map[core.Cause]int64, core.NumCauses)
+		for i, c := range core.Causes {
+			totalMS[c] = s.attr.TotalMS(c)
+			totalNS[c] = s.attr.TotalNS[i]
 		}
 	}
 	return Status{
@@ -342,7 +311,7 @@ func (s *Session) statusLocked() Status {
 			Packets:      s.attr.Packets,
 			RetxAffected: s.attr.RetxAffected,
 			BSRServed:    s.attr.BSRServed,
-			TotalMS:      totals,
+			TotalMS:      totalMS,
 			TotalNS:      totalNS,
 		},
 	}
