@@ -135,7 +135,12 @@ func main() {
 // server's lifetime so /metrics is live.
 func serve(ctx context.Context, ln net.Listener, reg *session.Registry) (int, error) {
 	obs.Enable()
-	srv := &http.Server{Handler: reg.Handler()}
+	srv := &http.Server{
+		Handler:           reg.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
 
@@ -161,6 +166,20 @@ func serve(ctx context.Context, ln net.Listener, reg *session.Registry) (int, er
 // shutdownGrace bounds how long in-flight requests may run once a
 // shutdown signal arrives.
 const shutdownGrace = 10 * time.Second
+
+// Connection read bounds, so a client that stalls mid-request cannot hold
+// a connection and its goroutine forever: the request line and headers
+// must arrive within readHeaderTimeout, the whole request (an 8 MiB feed
+// body at worst) within readTimeout, and a keep-alive connection may sit
+// idle between requests for idleTimeout. WriteTimeout stays unset on
+// purpose: it is one deadline for every response, and the /v1/events
+// long-poll and SSE stream legitimately hold theirs open for up to the
+// session package's 30 s eventsWaitCap.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 30 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
 
 // lintExposition parses one Prometheus text page (a scraped /metrics
 // capture, or stdin for "-") with the in-repo parser and returns the

@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -301,5 +302,73 @@ func TestServeGracefulDrain(t *testing.T) {
 	}
 	if drained != 1 {
 		t.Fatalf("drained %d sessions, want 1", drained)
+	}
+}
+
+// TestServeDropsStalledClient pins the read bounds: a client that sends
+// half a request line and stalls is disconnected within
+// readHeaderTimeout, while a well-behaved feeder on another connection
+// keeps getting 200s throughout.
+func TestServeDropsStalledClient(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := session.NewRegistry()
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() {
+		_, err := serve(ctx, ln, reg)
+		done <- err
+	}()
+	defer func() {
+		cancel()
+		if err := <-done; err != nil {
+			t.Error(err)
+		}
+	}()
+	target := "http://" + ln.Addr().String()
+	if err := doJSON(http.DefaultClient, "POST", target+"/v1/sessions",
+		mustEncode(session.Config{ID: "steady"}), http.StatusCreated, nil); err != nil {
+		t.Fatal(err)
+	}
+
+	slow, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer slow.Close()
+	if _, err := slow.Write([]byte("POST /v1/sess")); err != nil {
+		t.Fatal(err)
+	}
+	// The server closing the connection ends this read; the bound plus
+	// slack is the test's own deadline.
+	dropped := make(chan error, 1)
+	start := time.Now()
+	go func() {
+		slow.SetReadDeadline(start.Add(readHeaderTimeout + 5*time.Second))
+		_, err := io.Copy(io.Discard, slow)
+		dropped <- err
+	}()
+
+	feeds := 0
+	for clock := int64(1); ; clock++ {
+		if err := doJSON(http.DefaultClient, "POST", target+"/v1/sessions/steady/records",
+			mustEncode(map[string]int64{"advance_to_ns": clock}), http.StatusOK, nil); err != nil {
+			t.Fatalf("well-behaved feed %d while a slow client stalls: %v", feeds, err)
+		}
+		feeds++
+		select {
+		case err := <-dropped:
+			if err != nil {
+				t.Fatalf("stalled client still connected %v after its first byte: %v", time.Since(start), err)
+			}
+			if waited := time.Since(start); waited < readHeaderTimeout/2 {
+				t.Fatalf("stalled client dropped after %v, before the %v bound could have fired", waited, readHeaderTimeout)
+			}
+			t.Logf("stalled client dropped after %v; %d feeds answered 200 meanwhile", time.Since(start), feeds)
+			return
+		case <-time.After(20 * time.Millisecond):
+		}
 	}
 }

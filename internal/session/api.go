@@ -1,12 +1,14 @@
 package session
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"athena/internal/core"
@@ -20,14 +22,39 @@ var (
 	metFeedNs       = obs.NewHistogram("serve.http.feed_ns")
 )
 
-// Request-body limits: decoding is bounded before any JSON is read, so a
-// single oversized or streaming POST cannot exhaust server memory
-// regardless of the per-session admission bound. A create carries one
-// Config; a feed carries one Batch of records.
+// Request-body limits: a body is read whole, up to its bound, before any
+// JSON is decoded, so a single oversized or streaming POST cannot exhaust
+// server memory regardless of the per-session admission bound. A create
+// carries one Config; a feed carries one Batch of records.
 const (
 	maxCreateBytes = 1 << 20 // 1 MiB
 	maxFeedBytes   = 8 << 20 // 8 MiB
 )
+
+// feedScratch is what one feed request borrows from feedPool: the body
+// bytes and the Batch decoded from them. Session.Feed retains nothing of
+// the Batch past its return (TestFeedRetainsNothingOfBatch), so both go
+// back to the pool when the handler does.
+type feedScratch struct {
+	body  bytes.Buffer
+	batch Batch
+}
+
+var feedPool = sync.Pool{New: func() any { return new(feedScratch) }}
+
+// Pool retention caps: a scratch that grew past either is dropped for the
+// GC instead of returned, so one 8 MiB POST cannot pin 8 MiB (or the
+// records decoded from it) per P for the life of the server. A 100 ms
+// batch of one VCA session is ~13 KB and ~70 records.
+const (
+	maxPooledBodyBytes = 256 << 10
+	maxPooledRecords   = 4096
+)
+
+func (fs *feedScratch) poolable() bool {
+	b := &fs.batch
+	return fs.body.Cap() <= maxPooledBodyBytes && cap(b.Sender)+cap(b.Core)+cap(b.TBs) <= maxPooledRecords
+}
 
 // FeedResponse is the reply to a records POST: how many records of each
 // stream were ingested and the session's post-feed progress.
@@ -59,10 +86,12 @@ type errorBody struct {
 //	GET    /metrics/json                  obs registry snapshot (JSON, always)
 //	GET    /healthz                       liveness: status, session count, uptime
 //
-// Error statuses: 400 for malformed bodies and feed-contract violations
-// (the body names the offending record), 404 for unknown sessions, 409
-// for duplicate IDs or closed sessions, 413 for request bodies past the
-// decode bound, 429 for backpressure and session capacity.
+// Error statuses: 400 for malformed bodies (a syntax error names its byte
+// offset), for anything but whitespace after the one JSON value a create
+// or feed body carries, and for feed-contract violations (the body names
+// the offending record), 404 for unknown sessions, 409 for duplicate IDs
+// or closed sessions, 413 for request bodies past the decode bound, 429
+// for backpressure and session capacity.
 func (r *Registry) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/sessions", r.handleCreate)
@@ -87,10 +116,14 @@ func countRequests(next http.Handler) http.Handler {
 }
 
 func (r *Registry) handleCreate(w http.ResponseWriter, req *http.Request) {
-	req.Body = http.MaxBytesReader(w, req.Body, maxCreateBytes)
+	var body bytes.Buffer
 	var cfg Config
-	if err := json.NewDecoder(req.Body).Decode(&cfg); err != nil {
-		writeError(w, decodeStatus(err), err)
+	err := readBody(w, req, maxCreateBytes, &body)
+	if err == nil {
+		err = json.Unmarshal(body.Bytes(), &cfg)
+	}
+	if err != nil {
+		writeDecodeError(w, err)
 		return
 	}
 	s, err := r.Create(cfg)
@@ -111,14 +144,26 @@ func (r *Registry) handleFeed(w http.ResponseWriter, req *http.Request) {
 		writeError(w, http.StatusNotFound, ErrNotFound)
 		return
 	}
-	req.Body = http.MaxBytesReader(w, req.Body, maxFeedBytes)
-	var b Batch
-	if err := json.NewDecoder(req.Body).Decode(&b); err != nil {
-		writeError(w, decodeStatus(err), err)
+	fs := feedPool.Get().(*feedScratch)
+	defer func() {
+		if fs.poolable() {
+			feedPool.Put(fs)
+		}
+	}()
+	b := &fs.batch
+	err := readBody(w, req, maxFeedBytes, &fs.body)
+	if err == nil {
+		// Called directly: json.Unmarshal would scan the body for validity
+		// first, which the fast path does as it parses and the fallback
+		// does itself.
+		err = b.UnmarshalJSON(fs.body.Bytes())
+	}
+	if err != nil {
+		writeDecodeError(w, err)
 		return
 	}
 	start := time.Now()
-	snap, err := s.Feed(&b)
+	snap, err := s.Feed(b)
 	metFeedNs.ObserveDuration(time.Since(start))
 	if err != nil {
 		writeError(w, statusOf(err), err)
@@ -299,14 +344,30 @@ func parseUintParam(s string) (uint64, error) {
 	return strconv.ParseUint(s, 10, 64)
 }
 
-// decodeStatus maps a request-body decode failure to an HTTP status:
-// 413 when the bounded reader cut the body off, 400 otherwise.
-func decodeStatus(err error) int {
+// readBody reads the whole request body, at most limit bytes of it, into
+// buf. Decoding from the complete bytes (not a json.Decoder over the
+// stream, which stops after the first value) is what makes trailing data
+// an error instead of silently dropped records.
+func readBody(w http.ResponseWriter, req *http.Request, limit int64, buf *bytes.Buffer) error {
+	buf.Reset()
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, req.Body, limit))
+	return err
+}
+
+// writeDecodeError answers a request whose body could not be read or
+// decoded: 413 when the bounded reader cut the body off, 400 otherwise,
+// with the byte offset a json.SyntaxError carries but does not print.
+func writeDecodeError(w http.ResponseWriter, err error) {
+	status := http.StatusBadRequest
 	var mbe *http.MaxBytesError
-	if errors.As(err, &mbe) {
-		return http.StatusRequestEntityTooLarge
+	var se *json.SyntaxError
+	switch {
+	case errors.As(err, &mbe):
+		status = http.StatusRequestEntityTooLarge
+	case errors.As(err, &se):
+		err = fmt.Errorf("%w (at byte offset %d)", err, se.Offset)
 	}
-	return http.StatusBadRequest
+	writeError(w, status, err)
 }
 
 // statusOf maps service and feed-contract errors to HTTP statuses.

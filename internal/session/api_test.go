@@ -139,9 +139,33 @@ func TestAPIErrorMapping(t *testing.T) {
 		t.Fatalf("bad json: %d", rr.Code)
 	}
 
+	// Anything after the one JSON value is a 400 naming the offset, and
+	// nothing of the body is applied: a second concatenated value used to
+	// be dropped behind a 200.
+	in := synthFeed(2)
+	do(t, h, "POST", "/v1/sessions", Config{ID: "t"})
+	first, _ := json.Marshal(Batch{Sender: in.Sender[:1]})
+	second, _ := json.Marshal(Batch{Sender: in.Sender[1:]})
+	for _, c := range []struct{ name, path, body, offset string }{
+		{"two batches", "/v1/sessions/t/records", string(first) + string(second), strconv.Itoa(len(first) + 1)},
+		{"batch then garbage", "/v1/sessions/t/records", `{"advance_to_ns":1} x`, "21"},
+		{"two configs", "/v1/sessions", `{"id":"t2"}{"id":"t3"}`, "12"},
+	} {
+		rr := post(h, c.path, []byte(c.body))
+		if want := "after top-level value (at byte offset " + c.offset + ")"; rr.Code != http.StatusBadRequest ||
+			!strings.Contains(rr.Body.String(), want) {
+			t.Fatalf("%s: %d %s, want 400 with %q", c.name, rr.Code, rr.Body, want)
+		}
+	}
+	if st, _ := reg.Get("t"); st.Status().Feed.BufferedSender != 0 {
+		t.Fatalf("rejected feed body was partly ingested: %+v", st.Status().Feed)
+	}
+	if _, ok := reg.Get("t2"); ok {
+		t.Fatal("rejected create body made a session")
+	}
+
 	// Feed-contract violation surfaces as 400 with the sentinel's message.
 	do(t, h, "POST", "/v1/sessions", Config{ID: "e"})
-	in := synthFeed(2)
 	do(t, h, "POST", "/v1/sessions/e/records", Batch{Sender: in.Sender[1:]})
 	rr2, body := do(t, h, "POST", "/v1/sessions/e/records", Batch{Sender: in.Sender[:1]})
 	if rr2.Code != http.StatusBadRequest {

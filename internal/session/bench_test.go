@@ -1,8 +1,13 @@
 package session
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
+	"net/http"
+	"net/http/httptest"
+	"runtime/debug"
 	"testing"
 	"time"
 
@@ -118,6 +123,117 @@ func TestSessionFeedAllocsBounded(t *testing.T) {
 		t.Fatalf("measured feed emitted nothing: %+v", st)
 	}
 }
+
+// TestHandlerFeedAllocsBounded pins the whole feed request — route, pooled
+// body read, single-pass decode into the pooled Batch, Feed, response —
+// at a couple of dozen allocations for a tapped 100 ms batch (~75 records
+// with its TBs, 19 measured). Decoding
+// alone cost ~38 per such request through encoding/json (1134 per 30),
+// plus the three record slices grown from nil.
+func TestHandlerFeedAllocsBounded(t *testing.T) {
+	const runs = 100
+	limit := 25.0
+	if raceBuild() {
+		// The race detector makes sync.Pool drop every fourth Put on
+		// purpose, and the requests that regrow a scratch from nothing
+		// lift the mean by ~10.
+		limit = 40
+	}
+	bodies := loopedBatches(t, runs+1) // AllocsPerRun warms up with one extra call
+	reg := NewRegistry()
+	defer reg.CloseAll()
+	h := reg.Handler()
+	if _, err := reg.Create(Config{ID: "allocs", Input: realStream().Input}); err != nil {
+		t.Fatal(err)
+	}
+	// Steady state first: the session window, the pooled scratch and the
+	// mux have seen a whole call's traffic.
+	warm := len(bodies) - (runs + 1)
+	for _, enc := range bodies[:warm] {
+		if rr := post(h, "/v1/sessions/allocs/records", enc); rr.Code != http.StatusOK {
+			t.Fatalf("warm-up feed: %d %s", rr.Code, rr.Body)
+		}
+	}
+	// One request value and one writer serve every run, so the count is
+	// the handler's own.
+	var rd bytes.Reader
+	req := httptest.NewRequest("POST", "/v1/sessions/allocs/records", nil)
+	w := &discardWriter{header: make(http.Header)}
+	next := warm
+	allocs := testing.AllocsPerRun(runs, func() {
+		rd.Reset(bodies[next])
+		next++
+		req.Body = io.NopCloser(&rd)
+		h.ServeHTTP(w, req)
+		if w.status != http.StatusOK {
+			t.Fatalf("feed %d: %d", next, w.status)
+		}
+	})
+	t.Logf("%.0f allocs per feed request", allocs)
+	if allocs > limit {
+		t.Fatalf("one feed request allocates %.0f objects, want <= %.0f", allocs, limit)
+	}
+}
+
+// raceBuild reports whether the test binary was built with -race.
+func raceBuild() bool {
+	bi, ok := debug.ReadBuildInfo()
+	if !ok {
+		return false
+	}
+	for _, s := range bi.Settings {
+		if s.Key == "-race" {
+			return s.Value == "true"
+		}
+	}
+	return false
+}
+
+// loopedBatches extends the tapped stream to at least n batches past one
+// whole warm-up call by replaying it back to back, each replay shifted
+// past the previous one's final clock advance, so every batch is a valid
+// continuation of the feed.
+func loopedBatches(t *testing.T, n int) [][]byte {
+	t.Helper()
+	ss := realStream()
+	chunks := ss.Chunks(100 * time.Millisecond)
+	period := chunks[len(chunks)-1].AdvanceTo
+	var out [][]byte
+	for loop := 0; len(out) < n+len(chunks); loop++ {
+		shift := time.Duration(loop) * period
+		for _, ch := range chunks {
+			b := Batch{AdvanceTo: ch.AdvanceTo + shift}
+			for _, r := range ch.Sender {
+				r.LocalTime += shift
+				b.Sender = append(b.Sender, r)
+			}
+			for _, r := range ch.Core {
+				r.LocalTime += shift
+				b.Core = append(b.Core, r)
+			}
+			for _, r := range ch.TBs {
+				r.At += shift
+				b.TBs = append(b.TBs, r)
+			}
+			enc, err := json.Marshal(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, enc)
+		}
+	}
+	return out
+}
+
+// discardWriter is a ResponseWriter that keeps only the status.
+type discardWriter struct {
+	header http.Header
+	status int
+}
+
+func (w *discardWriter) Header() http.Header         { return w.header }
+func (w *discardWriter) Write(p []byte) (int, error) { return len(p), nil }
+func (w *discardWriter) WriteHeader(status int)      { w.status = status }
 
 func BenchmarkSessionFeed(b *testing.B)    { benchSessionFeed(b, false) }
 func BenchmarkSessionFeedObs(b *testing.B) { benchSessionFeed(b, true) }
