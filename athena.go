@@ -111,7 +111,10 @@ func NewTopology(n int) Topology { return scenario.NewTopology(n) }
 func DefaultUE() UESpec { return scenario.DefaultUE() }
 
 // RunTopology executes a multi-UE topology and correlates each UE's
-// traces. Topology runs are not memoized; every call simulates.
+// traces. Topology runs are not memoized; every call simulates. An
+// invalid topology (unknown workload, non-VCA family off the 5G path,
+// dangling cell reference) makes it panic with the error top.Validate()
+// returns — call that first on a user-supplied configuration.
 func RunTopology(top Topology) *TopologyResult { return scenario.RunTopology(top) }
 
 // WorkloadKind names the application family a UE runs (UESpec.Workload).

@@ -1,9 +1,10 @@
 // Command athena-bench regenerates the paper's evaluation artifacts —
 // figures F3–F10, the §5 mitigation studies M1–M4, the design ablations
-// A1–A4 and the extension studies S1–S4 — by sweeping the experiment
-// registry (internal/experiment). It carries no per-experiment table of
-// its own: every registered experiment, including out-of-tree ones
-// registered by importing packages, is selectable and sweepable.
+// A1–A4 and the extension studies S1–S4, S8 and S9 (23 in all) — by
+// sweeping the experiment registry (internal/experiment). It carries no
+// per-experiment table of its own: every registered experiment,
+// including out-of-tree ones registered by importing packages, is
+// selectable and sweepable.
 //
 //	athena-bench                       # everything, full scale
 //	athena-bench -list                 # show the registry
@@ -17,7 +18,6 @@
 //	athena-bench -shard 2/4 ...        # run the second quarter of the selection
 //	athena-bench -merge-manifests merged.json s1.json s2.json ...
 //	athena-bench -diff-manifests a.json b.json
-//	athena-bench -cache-bench BENCH_cache.json
 //
 // With -parallel the experiments run concurrently but output streams in
 // registry order as each ordered prefix completes, so the figure
@@ -173,12 +173,6 @@ func main() {
 	shardSpec := flag.String("shard", "", "run one shard i/n of the selection, partitioned by canonical ID order (e.g. 2/4)")
 	mergeOut := flag.String("merge-manifests", "", "merge the shard manifests given as arguments into this file and exit")
 	diffMode := flag.Bool("diff-manifests", false, "diff the two manifests given as arguments by digest and exit (nonzero on difference)")
-	cacheBench := flag.String("cache-bench", "", "run the selection cold then warm through the result store and write the timing report JSON here")
-	cells := flag.Int("cells", 0, "multi-cell scale mode: number of cells (bypasses the experiment sweep)")
-	ues := flag.Int("ues", 0, "multi-cell scale mode: number of UEs, spread round-robin over -cells")
-	handovers := flag.Int("handovers", 1, "scale mode: UEs given one scripted mid-run handover")
-	workloadMix := flag.Bool("workload-mix", false, "scale mode: round-robin the workload families (vca, cloud-gaming, bulk-transfer, audio-only) over the UEs and verify per-family digests")
-	scaleOut := flag.String("scale-out", "", "scale mode: write the serial-vs-sharded scale report JSON here")
 	prof := profiling.AddFlags(flag.CommandLine)
 	obsFlags := obs.AddCLIFlags(flag.CommandLine)
 	flag.Parse()
@@ -192,35 +186,6 @@ func main() {
 	}
 	if *diffMode {
 		if err := runDiffManifests(flag.Args()); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-
-	if *cells > 0 || *ues > 0 {
-		stopProf, err := profiling.StartConfig(*prof)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer stopProf()
-		obs.Enable() // barrier-wait histograms feed the scale report
-		stopObs, err := obsFlags.Start()
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := runScale(scaleParams{
-			UEs:       *ues,
-			Cells:     *cells,
-			Handovers: *handovers,
-			Mix:       *workloadMix,
-			Seed:      *seed,
-			Scale:     *scale,
-			Out:       *scaleOut,
-			Verbose:   *verbose,
-		}); err != nil {
-			log.Fatal(err)
-		}
-		if err := stopObs(); err != nil {
 			log.Fatal(err)
 		}
 		return
@@ -262,7 +227,7 @@ func main() {
 	// store use imply collection even when no output file was
 	// requested (instrumentation is digest-neutral, see
 	// TestDigestsUnchangedByObservability).
-	if *verbose || *storeDir != "" || *cacheBench != "" {
+	if *verbose || *storeDir != "" {
 		obs.Enable()
 	}
 	stopObs, err := obsFlags.Start()
@@ -272,16 +237,6 @@ func main() {
 
 	opts := experiment.Options{Seed: *seed, Scale: *scale}
 	namespace := storeNamespace(*storeNS)
-
-	if *cacheBench != "" {
-		if err := runCacheBench(sel, opts, *parallel, *storeDir, *storeMaxMB, namespace, *cacheBench); err != nil {
-			log.Fatal(err)
-		}
-		if err := stopObs(); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
 
 	var resultStore *store.Store
 	if *storeDir != "" {

@@ -6,9 +6,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"os"
 	"runtime"
-	"sort"
 	"sync"
 	"time"
 
@@ -29,69 +27,29 @@ type loadgenParams struct {
 	Tick      time.Duration
 	Seed      int64
 	Workers   int
-	Out       string // report path; empty skips the write
 }
 
-// serveReport is the BENCH_serve.json schema.
-type serveReport struct {
-	Target    string `json:"target"`
-	InProcess bool   `json:"in_process"`
+// loadgenResult is what a verified run established. Every session it
+// counts digest-matched; a mismatch is an error, not a smaller count.
+type loadgenResult struct {
+	InProcess bool
+	Streams   int   // session streams tapped from the source topology
+	Sessions  int   // sessions replayed, each ≡ core.Correlate by digest
+	Records   int64 // records fed across all sessions
 
-	Sessions    int     `json:"sessions"`
-	Streams     int     `json:"streams"`
-	UEs         int     `json:"ues"`
-	Cells       int     `json:"cells"`
-	Workloads   string  `json:"workloads"`
-	DurationSec float64 `json:"duration_sec"`
-	TickMS      float64 `json:"tick_ms"`
-	Seed        int64   `json:"seed"`
-
-	GOMAXPROCS int `json:"gomaxprocs"`
-	CPUs       int `json:"cpus"`
-	Workers    int `json:"workers"`
-
-	Records int64   `json:"records"`
-	Batches int64   `json:"batches"`
-	WallSec float64 `json:"wall_sec"`
-
-	// SessionsPerCoreSec is the headline throughput: completed sessions
-	// per core per wall second (sessions / wall_sec / gomaxprocs).
-	SessionsPerSec     float64 `json:"sessions_per_sec"`
-	SessionsPerCoreSec float64 `json:"sessions_per_core_sec"`
-
-	// Client-side POST /records latency and the server's own feed
-	// histogram (serve.http.feed_ns), both in nanoseconds.
-	ClientPostP50NS int64 `json:"client_post_p50_ns"`
-	ClientPostP99NS int64 `json:"client_post_p99_ns"`
-	ServerFeedP50NS int64 `json:"server_feed_p50_ns"`
-	ServerFeedP99NS int64 `json:"server_feed_p99_ns"`
-
-	// DigestMatches counts sessions whose streamed attribution digest
-	// equalled the offline batch correlation; a mismatch aborts the run
-	// with a nonzero exit, so a written report always has
-	// digest_matches == sessions.
-	DigestMatches int `json:"digest_matches"`
-
-	// Fleet observability verification (in-process targets only): the
-	// /v1/overview integer cause totals matched the sum of every
-	// session's final attribution exactly, the /metrics Prometheus
-	// exposition linted and round-tripped against the JSON snapshot, and
-	// the /v1/events stream accounted for every lifecycle event.
-	OverviewPackets  int64  `json:"overview_packets,omitempty"`
-	OverviewExactNS  bool   `json:"overview_exact_ns,omitempty"`
-	PromFamilies     int    `json:"prom_families,omitempty"`
-	EventsEmitted    uint64 `json:"events_emitted,omitempty"`
-	EventsDropped    int64  `json:"events_dropped,omitempty"`
-	EventsCreateSeen int64  `json:"events_create_seen,omitempty"`
-	EventsCloseSeen  int64  `json:"events_close_seen,omitempty"`
+	// Fleet cross-check (in-process targets only): /v1/overview equalled
+	// the sessions' summed attribution over this many packets, /metrics
+	// linted with this many families, /v1/events showed these counts.
+	OverviewPackets             int64
+	PromFamilies                int
+	EventsCreates, EventsCloses int64
 }
 
 // streamWork is one tapped session stream prepared for replication: the
 // session config (capture slices stripped), the pre-encoded feed
 // batches, and the offline reference digest every replica must match.
 // Pre-encoding pays the JSON cost once per stream instead of once per
-// session, so the measurement loop exercises the server, not the client
-// marshaller.
+// session.
 type streamWork struct {
 	id         string
 	cfg        session.Config
@@ -117,6 +75,9 @@ func buildWork(p loadgenParams) ([]streamWork, error) {
 		top.MixWorkloads()
 	default:
 		return nil, fmt.Errorf("unknown -workloads %q (want vca or mixed)", p.Workloads)
+	}
+	if err := top.Validate(); err != nil {
+		return nil, err
 	}
 	tr := scenario.RunTopology(top)
 
@@ -154,7 +115,7 @@ func buildWork(p loadgenParams) ([]streamWork, error) {
 // p.Sessions independent sessions and verifies every session's digest
 // against its stream's offline correlation. Any feed error or digest
 // mismatch fails the run.
-func runLoadgen(p loadgenParams) (*serveReport, error) {
+func runLoadgen(p loadgenParams) (*loadgenResult, error) {
 	if p.Sessions <= 0 {
 		p.Sessions = 1
 	}
@@ -194,11 +155,9 @@ func runLoadgen(p loadgenParams) (*serveReport, error) {
 	// Workers stride the session index space; each session is created,
 	// fed chunk by chunk, digest-verified and deleted before the worker
 	// moves on, so up to p.Workers sessions are live at once.
-	lats := make([][]int64, p.Workers)
 	finals := make([][]session.Status, p.Workers)
 	errs := make([]error, p.Workers)
 	var wg sync.WaitGroup
-	start := time.Now()
 	for w := 0; w < p.Workers; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -206,7 +165,7 @@ func runLoadgen(p loadgenParams) (*serveReport, error) {
 			for i := w; i < p.Sessions; i += p.Workers {
 				sw := &work[i%len(work)]
 				id := fmt.Sprintf("lg-%04d-%s", i, sw.id)
-				st, err := runSession(client, target, id, sw, &lats[w])
+				st, err := runSession(client, target, id, sw)
 				if err != nil {
 					errs[w] = fmt.Errorf("session %s: %w", id, err)
 					return
@@ -216,76 +175,31 @@ func runLoadgen(p loadgenParams) (*serveReport, error) {
 		}(w)
 	}
 	wg.Wait()
-	wall := time.Since(start)
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
 	}
 
-	var all []int64
-	for _, l := range lats {
-		all = append(all, l...)
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-
-	var records int64
+	res := &loadgenResult{InProcess: inproc, Streams: len(work), Sessions: p.Sessions}
 	for i := 0; i < p.Sessions; i++ {
-		records += work[i%len(work)].records
-	}
-	rep := &serveReport{
-		Target:             target,
-		InProcess:          inproc,
-		Sessions:           p.Sessions,
-		Streams:            len(work),
-		UEs:                p.UEs,
-		Cells:              p.Cells,
-		Workloads:          workloadsLabel(p.Workloads),
-		DurationSec:        p.Duration.Seconds(),
-		TickMS:             float64(p.Tick) / float64(time.Millisecond),
-		Seed:               p.Seed,
-		GOMAXPROCS:         runtime.GOMAXPROCS(0),
-		CPUs:               runtime.NumCPU(),
-		Workers:            p.Workers,
-		Records:            records,
-		Batches:            int64(len(all)),
-		WallSec:            wall.Seconds(),
-		SessionsPerSec:     float64(p.Sessions) / wall.Seconds(),
-		SessionsPerCoreSec: float64(p.Sessions) / wall.Seconds() / float64(runtime.GOMAXPROCS(0)),
-		ClientPostP50NS:    percentile(all, 0.50),
-		ClientPostP99NS:    percentile(all, 0.99),
-		DigestMatches:      p.Sessions,
-	}
-	if snap, err := fetchMetrics(client, target); err == nil {
-		h := snap.Histograms["serve.http.feed_ns"]
-		rep.ServerFeedP50NS, rep.ServerFeedP99NS = h.P50, h.P99
+		res.Records += work[i%len(work)].records
 	}
 
 	// Fleet verification only makes sense against a server this run owns
 	// exclusively: a shared external target carries other tenants'
 	// sessions in its rollup and event stream.
 	if inproc {
-		if err := verifyFleet(client, target, finals, rep); err != nil {
+		if err := verifyFleet(client, target, finals, res); err != nil {
 			return nil, fmt.Errorf("fleet verification: %w", err)
 		}
 	}
-
-	if p.Out != "" {
-		enc, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			return nil, err
-		}
-		if err := os.WriteFile(p.Out, append(enc, '\n'), 0o644); err != nil {
-			return nil, err
-		}
-	}
-	return rep, nil
+	return res, nil
 }
 
-// runSession drives one session through its full lifecycle, appending
-// each POST /records round-trip time to lat, and returns the final
-// (post-close) status for fleet-level verification.
-func runSession(c *http.Client, target, id string, sw *streamWork, lat *[]int64) (session.Status, error) {
+// runSession drives one session through its full lifecycle and returns
+// the final (post-close) status for fleet-level verification.
+func runSession(c *http.Client, target, id string, sw *streamWork) (session.Status, error) {
 	cfg := sw.cfg
 	cfg.ID = id
 	var st session.Status
@@ -294,10 +208,7 @@ func runSession(c *http.Client, target, id string, sw *streamWork, lat *[]int64)
 	}
 	var fr session.FeedResponse
 	for i, enc := range sw.chunks {
-		t0 := time.Now()
-		err := doJSON(c, "POST", target+"/v1/sessions/"+id+"/records", enc, http.StatusOK, &fr)
-		*lat = append(*lat, int64(time.Since(t0)))
-		if err != nil {
+		if err := doJSON(c, "POST", target+"/v1/sessions/"+id+"/records", enc, http.StatusOK, &fr); err != nil {
 			return st, fmt.Errorf("feed chunk %d: %w", i, err)
 		}
 	}
@@ -323,7 +234,7 @@ func runSession(c *http.Client, target, id string, sw *streamWork, lat *[]int64)
 // Prometheus exposition (lints and round-trips the feed histogram
 // against the JSON snapshot), and the /v1/events stream (every create
 // paired with a close).
-func verifyFleet(c *http.Client, target string, finals [][]session.Status, rep *serveReport) error {
+func verifyFleet(c *http.Client, target string, finals [][]session.Status, res *loadgenResult) error {
 	var wantPackets int64
 	wantNS := make(map[core.Cause]int64)
 	var sessions int64
@@ -352,8 +263,7 @@ func verifyFleet(c *http.Client, target string, finals [][]session.Status, rep *
 			return fmt.Errorf("overview %s: ms %v is not the exact rendering of %d ns", cause, ov.TotalMS[cause], ns)
 		}
 	}
-	rep.OverviewPackets = ov.Packets
-	rep.OverviewExactNS = true
+	res.OverviewPackets = ov.Packets
 
 	// Prometheus exposition: lint, then round-trip the feed histogram
 	// against the JSON snapshot of the same registry. All sessions are
@@ -370,9 +280,9 @@ func verifyFleet(c *http.Client, target string, finals [][]session.Status, rep *
 	if err != nil {
 		return fmt.Errorf("exposition does not lint: %w", err)
 	}
-	rep.PromFamilies = len(page.Families)
-	snap, err := fetchMetrics(c, target)
-	if err != nil {
+	res.PromFamilies = len(page.Families)
+	var snap obs.Snapshot
+	if err := doJSON(c, "GET", target+"/metrics/json", nil, http.StatusOK, &snap); err != nil {
 		return fmt.Errorf("metrics snapshot: %w", err)
 	}
 	want := snap.Histograms["serve.http.feed_ns"]
@@ -390,8 +300,8 @@ func verifyFleet(c *http.Client, target string, finals [][]session.Status, rep *
 	}
 
 	// Event stream: paginate from zero and pair every create with a
-	// close. An overrun ring (dropped > 0) makes counting unsound; report
-	// it instead of failing, since the ring size is a deployment choice.
+	// close. An overrun ring (dropped > 0) makes counting unsound, so the
+	// pairing is only asserted when nothing fell off.
 	var since uint64
 	var dropped int64
 	var creates, closes int64
@@ -415,14 +325,12 @@ func verifyFleet(c *http.Client, target string, finals [][]session.Status, rep *
 				closes++
 			}
 		}
-		rep.EventsEmitted = pageResp.Stats.Emitted
-		rep.EventsDropped = pageResp.Stats.Dropped
 		if len(pageResp.Events) == 0 {
 			break
 		}
 		since = pageResp.Next
 	}
-	rep.EventsCreateSeen, rep.EventsCloseSeen = creates, closes
+	res.EventsCreates, res.EventsCloses = creates, closes
 	if dropped == 0 && (creates != sessions || closes != sessions) {
 		return fmt.Errorf("event stream saw %d creates / %d closes for %d sessions",
 			creates, closes, sessions)
@@ -462,35 +370,10 @@ func doJSON(c *http.Client, method, url string, body []byte, want int, out any) 
 	return nil
 }
 
-func fetchMetrics(c *http.Client, target string) (*obs.Snapshot, error) {
-	var snap obs.Snapshot
-	if err := doJSON(c, "GET", target+"/metrics/json", nil, http.StatusOK, &snap); err != nil {
-		return nil, err
-	}
-	return &snap, nil
-}
-
-// workloadsLabel canonicalizes the empty default for the report.
-func workloadsLabel(w string) string {
-	if w == "" {
-		return "vca"
-	}
-	return w
-}
-
 func mustEncode(v any) []byte {
 	enc, err := json.Marshal(v)
 	if err != nil {
 		panic(err)
 	}
 	return enc
-}
-
-// percentile reads quantile q off a sorted latency slice.
-func percentile(sorted []int64, q float64) int64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	i := int(q * float64(len(sorted)-1))
-	return sorted[i]
 }

@@ -6,9 +6,9 @@
 //
 //	athena-serve                        # serve on :8080
 //	athena-serve -addr 127.0.0.1:9090   # serve elsewhere
-//	athena-serve -loadgen               # load-generate against an
-//	                                    # in-process server, write
-//	                                    # BENCH_serve.json
+//	athena-serve -loadgen               # replay tapped sessions into an
+//	                                    # in-process server and verify
+//	                                    # every digest; nonzero on mismatch
 //	athena-serve -loadgen -target http://host:8080 -sessions 200
 //
 // The server drains gracefully: on SIGINT/SIGTERM it stops accepting
@@ -21,9 +21,9 @@
 // -sessions independent sessions, and verifies every streamed session's
 // attribution digest against the offline batch correlation of the same
 // feed — a cryptographic end-to-end check that service-mode Athena and
-// paper-mode Athena are the same estimator. Throughput (sessions per
-// core-second) and ingest latency (client POST p99 and server feed p99)
-// land in BENCH_serve.json.
+// paper-mode Athena are the same estimator. It exits nonzero on any
+// mismatch and measures nothing: throughput and latency come from the
+// benchmark (go run -C bench . -workload serve-tick100).
 package main
 
 import (
@@ -53,7 +53,7 @@ func main() {
 	eventBuffer := flag.Int("event-buffer", obs.DefaultEventBuffer, "event ring-buffer capacity served by /v1/events")
 	anomalyHARQ := flag.Duration("anomaly-harq-p99", 50*time.Millisecond, "per-session HARQ-attributed p99 bound; crossings emit session.anomaly events, 0 disables")
 	promlint := flag.String("promlint", "", "lint a scraped Prometheus exposition page (a file, or - for stdin) and exit")
-	loadgen := flag.Bool("loadgen", false, "run the load generator instead of a server")
+	loadgen := flag.Bool("loadgen", false, "replay simulator-tapped sessions into a server and verify every attribution digest, instead of serving")
 	target := flag.String("target", "", "loadgen: server URL; empty runs an in-process server")
 	sessions := flag.Int("sessions", 120, "loadgen: concurrent session count")
 	ues := flag.Int("ues", 2, "loadgen: UEs in the source topology")
@@ -63,7 +63,6 @@ func main() {
 	tick := flag.Duration("tick", 100*time.Millisecond, "loadgen: feed batching interval")
 	seed := flag.Int64("seed", 1, "loadgen: simulation seed")
 	workers := flag.Int("workers", 0, "loadgen: concurrent feeders, 0 = 2x GOMAXPROCS")
-	out := flag.String("out", "BENCH_serve.json", "loadgen: report path, empty skips the write")
 	flag.Parse()
 
 	if *promlint != "" {
@@ -86,16 +85,12 @@ func main() {
 			Tick:      *tick,
 			Seed:      *seed,
 			Workers:   *workers,
-			Out:       *out,
 		}
-		rep, err := runLoadgen(p)
+		res, err := runLoadgen(p)
 		if err != nil {
 			log.Fatal(err)
 		}
-		log.Printf("%d sessions, %d records in %.2fs: %.1f sessions/core-sec, client p99 %s, server p99 %s",
-			rep.Sessions, rep.Records, rep.WallSec,
-			rep.SessionsPerCoreSec,
-			time.Duration(rep.ClientPostP99NS), time.Duration(rep.ServerFeedP99NS))
+		log.Printf("%d/%d sessions digest-match, %d records", res.Sessions, res.Sessions, res.Records)
 		return
 	}
 

@@ -143,9 +143,15 @@ func bucketOf(v int64) int {
 
 // Observe records one value when collection is enabled.
 func (h *Histogram) Observe(v int64) {
-	if !enabled.Load() {
-		return
+	if enabled.Load() {
+		h.Record(v)
 	}
+}
+
+// Record records one value whether or not collection is enabled, for a
+// histogram the program reads back to decide something: behaviour must
+// not follow the metrics switch.
+func (h *Histogram) Record(v int64) {
 	h.buckets[bucketOf(v)].Add(1)
 	h.count.Add(1)
 	h.sum.Add(v)

@@ -20,7 +20,7 @@ func benchConfigs(n int) []scenario.Config {
 }
 
 // BenchmarkRunAllSerial is the single-worker reference for the parallel
-// speedup trajectory (BENCH_baseline.json).
+// speedup trajectory.
 func BenchmarkRunAllSerial(b *testing.B) {
 	cfgs := benchConfigs(8)
 	b.ResetTimer()

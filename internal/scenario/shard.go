@@ -139,24 +139,6 @@ func shardSeed(seed int64, si int) int64 {
 	return seed + int64(si)*1_000_003
 }
 
-// validateCells panics on out-of-range cell references — misrouted UEs
-// would otherwise surface as nil-map lookups deep in the build.
-func validateCells(top Topology) {
-	if top.Emulated || (top.Access != "" && top.Access != Access5G) {
-		panic("scenario: Topology.Cells requires the Access5G path")
-	}
-	for i, u := range top.UEs {
-		if u.Cell < 0 || u.Cell >= len(top.Cells) {
-			panic(fmt.Sprintf("scenario: UE %d homed on cell %d of %d", i, u.Cell, len(top.Cells)))
-		}
-		for _, h := range u.Handovers {
-			if h.ToCell < 0 || h.ToCell >= len(top.Cells) {
-				panic(fmt.Sprintf("scenario: UE %d hands over to cell %d of %d", i, h.ToCell, len(top.Cells)))
-			}
-		}
-	}
-}
-
 // runShardedTopology executes a multi-cell topology: build one engine
 // per handover domain, advance them all under conservative time-window
 // sync (in parallel on a worker gang unless top.Serial), exchange
@@ -167,7 +149,6 @@ func validateCells(top Topology) {
 // order — so serial and parallel advancement produce byte-identical
 // digests.
 func runShardedTopology(top Topology) *TopologyResult {
-	validateCells(top)
 	if len(top.UEs) == 0 {
 		u := DefaultUE()
 		u.Seed = top.Seed

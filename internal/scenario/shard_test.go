@@ -20,22 +20,48 @@ func shortShardedTopology(seed int64) Topology {
 	return top
 }
 
+// pairedHandoverTopology is the deployment-scale input: 100 UEs round-
+// robin over 4 cells, the first four handing over mid-run to their paired
+// cell (2k ↔ 2k+1). Pairing — rather than hopping to the next cell —
+// keeps the handover domains at two cells each, so the run stays on two
+// shards instead of collapsing into one engine.
+func pairedHandoverTopology(seed int64) Topology {
+	top := NewMultiCellTopology(100, 4)
+	top.Seed = seed
+	top.Duration = 2 * time.Second
+	for i := 0; i < 4; i++ {
+		top.UEs[i].Handovers = []Handover{{At: top.Duration / 2, ToCell: top.UEs[i].Cell ^ 1}}
+	}
+	return top
+}
+
 // TestShardedDigestsMatchSerial is the golden determinism claim of the
 // sharded engine: serial and parallel shard advancement must produce
 // byte-identical digests, across seeds, with interference coupling and
-// a handover in play.
+// a handover in play — and at deployment scale, on two shards.
 func TestShardedDigestsMatchSerial(t *testing.T) {
-	for _, seed := range []int64{1, 7, 1234} {
-		serialTop := shortShardedTopology(seed)
-		serialTop.Serial = true
-		serial := RunTopology(serialTop).Digest()
-
-		parTop := shortShardedTopology(seed)
-		parTop.Serial = false
-		parallel := RunTopology(parTop).Digest()
-
-		if serial != parallel {
-			t.Fatalf("seed %d: serial digest %s != parallel digest %s", seed, serial, parallel)
+	for _, tc := range []struct {
+		name  string
+		build func(seed int64) Topology
+		seeds []int64
+	}{
+		{"6ue-3cell-coupled", shortShardedTopology, []int64{1, 7, 1234}},
+		{"100ue-4cell-paired", pairedHandoverTopology, []int64{1}},
+	} {
+		for _, seed := range tc.seeds {
+			run := func(serial bool) *TopologyResult {
+				top := tc.build(seed)
+				top.Serial = serial
+				return RunTopology(top)
+			}
+			serial, parallel := run(true), run(false)
+			if len(serial.Shards) != 2 || len(parallel.Shards) != 2 {
+				t.Fatalf("%s seed %d: %d serial / %d parallel shards, want 2",
+					tc.name, seed, len(serial.Shards), len(parallel.Shards))
+			}
+			if s, p := serial.Digest(), parallel.Digest(); s != p {
+				t.Fatalf("%s seed %d: serial digest %s != parallel digest %s", tc.name, seed, s, p)
+			}
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -240,6 +241,54 @@ func SingleUE(cfg Config) Topology {
 	}
 }
 
+// onRANPath reports whether the UEs attach to shared RAN cells (the
+// Access5G path) rather than to private emulated, Wi-Fi, LEO or wired
+// links.
+func (top Topology) onRANPath() bool {
+	return !top.Emulated && (top.Access == "" || top.Access == Access5G)
+}
+
+// Validate reports the first reason RunTopology cannot run top: a
+// workload family that does not exist, a VCA-only knob or a private
+// access link on a family that needs the shared cell's downlink, or
+// cell references that do not resolve. nil means RunTopology will not
+// panic on the configuration.
+func (top Topology) Validate() error {
+	ranPath := top.onRANPath()
+	if len(top.Cells) > 0 && !ranPath {
+		return errors.New("scenario: Topology.Cells requires the Access5G path")
+	}
+	for i, u := range top.UEs {
+		switch kind := u.workloadKind(); kind {
+		case WorkloadVCA:
+		case WorkloadCloudGaming, WorkloadBulkTransfer, WorkloadAudioOnly:
+			if u.TwoParty {
+				return fmt.Errorf("scenario: UE %d sets TwoParty on workload %q (VCA-only)", i, kind)
+			}
+			if !ranPath {
+				return fmt.Errorf("scenario: workload %q on UE %d requires the Access5G path", kind, i)
+			}
+		default:
+			return fmt.Errorf("scenario: UE %d names unknown workload %q", i, kind)
+		}
+		if len(top.Cells) == 0 {
+			if u.Cell != 0 || len(u.Handovers) > 0 {
+				return fmt.Errorf("scenario: UE %d sets Cell/Handovers but Topology.Cells is empty", i)
+			}
+			continue
+		}
+		if u.Cell < 0 || u.Cell >= len(top.Cells) {
+			return fmt.Errorf("scenario: UE %d homed on cell %d of %d", i, u.Cell, len(top.Cells))
+		}
+		for _, h := range u.Handovers {
+			if h.ToCell < 0 || h.ToCell >= len(top.Cells) {
+				return fmt.Errorf("scenario: UE %d hands over to cell %d of %d", i, h.ToCell, len(top.Cells))
+			}
+		}
+	}
+	return nil
+}
+
 // UEResult is one UE's slice of a topology run.
 type UEResult struct {
 	Spec  UESpec
@@ -358,14 +407,16 @@ type ueBuild struct {
 // traces. It is deterministic in Topology alone: with Cells set, the
 // sharded multi-cell engine produces byte-identical digests whether the
 // shards advance serially or in parallel.
+//
+// An invalid topology is the caller's bug by the time it gets here:
+// RunTopology panics with the error Validate returns. Callers holding a
+// user-supplied configuration call Validate first.
 func RunTopology(top Topology) *TopologyResult {
+	if err := top.Validate(); err != nil {
+		panic(err)
+	}
 	if len(top.Cells) > 0 {
 		return runShardedTopology(top)
-	}
-	for i, u := range top.UEs {
-		if u.Cell != 0 || len(u.Handovers) > 0 {
-			panic(fmt.Sprintf("scenario: UE %d sets Cell/Handovers but Topology.Cells is empty", i))
-		}
 	}
 	b := runTopologyBuild(top)
 	b.correlate()
@@ -602,7 +653,7 @@ func (b *build) coreIngress() packet.Handler {
 // optional synthetic cross traffic). The other access kinds give each
 // UE a private link, built by buildEndpoint.
 func (b *build) buildAccess() {
-	if b.top.Emulated || (b.top.Access != "" && b.top.Access != Access5G) {
+	if !b.top.onRANPath() {
 		return
 	}
 	if len(b.cellIdxs) == 0 {

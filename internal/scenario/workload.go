@@ -94,11 +94,7 @@ type Workload interface {
 // VCA family's controller construction is RNG-free, which keeps the
 // refactor byte-identical to the pre-workload layout).
 func newWorkload(spec UESpec, ub *ueBuild) Workload {
-	kind := spec.workloadKind()
-	if kind != WorkloadVCA && spec.TwoParty {
-		panic(fmt.Sprintf("scenario: UE %d sets TwoParty on workload %q (VCA-only)", ub.idx, kind))
-	}
-	switch kind {
+	switch spec.workloadKind() {
 	case WorkloadVCA:
 		return newVCAWorkload(spec, ub)
 	case WorkloadCloudGaming:
@@ -108,16 +104,7 @@ func newWorkload(spec UESpec, ub *ueBuild) Workload {
 	case WorkloadAudioOnly:
 		return &audioOnlyWorkload{ub: ub}
 	}
-	panic(fmt.Sprintf("scenario: UE %d names unknown workload %q", ub.idx, kind))
-}
-
-// requireRANPath guards the families whose downlink leg needs the shared
-// cell (SendDownlink); the private emulated/WiFi/LEO/wired access paths
-// carry only the VCA family today.
-func requireRANPath(ub *ueBuild, kind WorkloadKind) {
-	if ub.ranUE == nil {
-		panic(fmt.Sprintf("scenario: workload %q on UE %d requires the Access5G path", kind, ub.idx))
-	}
+	panic("scenario: newWorkload on a spec Topology.Validate rejects")
 }
 
 // WorkloadScore is one UE's app-level QoE summary: a family tag plus

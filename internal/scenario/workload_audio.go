@@ -38,7 +38,6 @@ func (w *audioOnlyWorkload) Kind() WorkloadKind { return WorkloadAudioOnly }
 func (w *audioOnlyWorkload) Hint() ran.AppHintClass { return ran.HintConversational }
 
 func (w *audioOnlyWorkload) Build(b *build, ub *ueBuild) {
-	requireRANPath(ub, WorkloadAudioOnly)
 	w.s, w.alloc = b.s, &b.alloc
 	w.until = b.top.Duration
 	w.enc = media.NewAudioEncoder(0)

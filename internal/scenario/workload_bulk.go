@@ -29,7 +29,6 @@ func (w *bulkWorkload) Hint() ran.AppHintClass { return ran.HintThroughput }
 
 func (w *bulkWorkload) Build(b *build, ub *ueBuild) {
 	s := b.s
-	requireRANPath(ub, WorkloadBulkTransfer)
 	w.until = b.top.Duration
 	// Acks cross the same 15 ms wired return leg as VCA feedback before
 	// entering the shared downlink.

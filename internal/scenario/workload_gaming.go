@@ -28,7 +28,6 @@ func (w *gamingWorkload) Hint() ran.AppHintClass { return ran.HintLatency }
 
 func (w *gamingWorkload) Build(b *build, ub *ueBuild) {
 	s, spec := b.s, ub.spec
-	requireRANPath(ub, WorkloadCloudGaming)
 	w.until = b.top.Duration
 	cfg := apps.GameConfig{
 		InputFlow: ub.flows.Video,

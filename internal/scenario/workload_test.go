@@ -217,44 +217,66 @@ func TestWorkloadScoreStringCanonical(t *testing.T) {
 	}
 }
 
-func TestUnknownWorkloadPanics(t *testing.T) {
+// mustRejectTopology asserts the one rejection path for a hostile
+// configuration: Validate names the fault, and RunTopology panics with
+// exactly that error instead of failing somewhere mid-build.
+func mustRejectTopology(t *testing.T, top Topology, want string) {
+	t.Helper()
+	err := top.Validate()
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Validate() = %v, want an error containing %q", err, want)
+	}
 	defer func() {
-		if recover() == nil {
-			t.Fatal("unknown workload kind must panic at build time")
+		if r, ok := recover().(error); !ok || r.Error() != err.Error() {
+			t.Fatalf("RunTopology panicked with %v, want the Validate error %q", r, err)
 		}
 	}()
-	top := NewTopology(1)
-	top.Duration = 100 * time.Millisecond
-	top.UEs[0].Workload = "teleportation"
 	RunTopology(top)
 }
 
+func TestUnknownWorkloadPanics(t *testing.T) {
+	top := NewTopology(1)
+	top.Duration = 100 * time.Millisecond
+	top.UEs[0].Workload = "teleportation"
+	mustRejectTopology(t, top, `UE 0 names unknown workload "teleportation"`)
+}
+
 func TestTwoPartyOnNonVCAPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("TwoParty on a non-VCA workload must panic")
-		}
-	}()
 	top := NewTopology(1)
 	top.Duration = 100 * time.Millisecond
 	top.UEs[0].Workload = WorkloadBulkTransfer
 	top.UEs[0].TwoParty = true
-	RunTopology(top)
+	mustRejectTopology(t, top, `UE 0 sets TwoParty on workload "bulk-transfer" (VCA-only)`)
 }
 
 // TestNonVCARequiresRANPath pins the guard: the non-VCA families need
 // the shared cell's downlink.
 func TestNonVCARequiresRANPath(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("audio-only on Wi-Fi access must panic")
-		}
-	}()
 	top := NewTopology(1)
 	top.Duration = 100 * time.Millisecond
 	top.Access = AccessWiFi
 	top.UEs[0].Workload = WorkloadAudioOnly
-	RunTopology(top)
+	mustRejectTopology(t, top, `workload "audio-only" on UE 0 requires the Access5G path`)
+}
+
+// TestInvalidCellReferencesRejected covers the cell-reference half of
+// Validate: each fault used to panic from a different depth of the build.
+func TestInvalidCellReferencesRejected(t *testing.T) {
+	for _, tc := range []struct {
+		want string
+		mut  func(*Topology)
+	}{
+		{"Topology.Cells requires the Access5G path", func(top *Topology) { top.Access = AccessWiFi }},
+		{"UE 1 homed on cell 2 of 2", func(top *Topology) { top.UEs[1].Cell = 2 }},
+		{"UE 0 hands over to cell -1 of 2", func(top *Topology) {
+			top.UEs[0].Handovers = []Handover{{At: time.Millisecond, ToCell: -1}}
+		}},
+		{"UE 1 sets Cell/Handovers but Topology.Cells is empty", func(top *Topology) { top.Cells = nil }},
+	} {
+		top := NewMultiCellTopology(2, 2)
+		tc.mut(&top)
+		mustRejectTopology(t, top, tc.want)
+	}
 }
 
 // TestQoEAwareSchedulerPrioritizesLatency runs the mixed cell under the

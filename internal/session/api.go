@@ -289,41 +289,51 @@ func (r *Registry) handleEvents(w http.ResponseWriter, req *http.Request) {
 
 // serveEventsSSE streams events as server-sent "data:" frames until the
 // client disconnects or the wait window (default eventsWaitCap) closes.
+// The server runs without a WriteTimeout so the window can be long; each
+// flush therefore carries its own write deadline at the window's end, or
+// a client that stopped reading would pin this goroutine in Write until
+// the kernel gave up on the connection.
 func (r *Registry) serveEventsSSE(w http.ResponseWriter, req *http.Request, since uint64, wait time.Duration) {
-	flusher, ok := w.(http.Flusher)
-	if !ok {
-		writeError(w, http.StatusNotImplemented, fmt.Errorf("streaming unsupported"))
-		return
-	}
 	if wait <= 0 {
 		wait = eventsWaitCap
 	}
+	end := time.Now().Add(wait)
+	rc := http.NewResponseController(w)
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
-	flusher.Flush()
+	if err := rc.Flush(); err != nil { // commits the 200 and the headers
+		writeError(w, http.StatusNotImplemented, fmt.Errorf("streaming unsupported: %w", err))
+		return
+	}
 	deadline := time.NewTimer(wait)
 	defer deadline.Stop()
 	enc := json.NewEncoder(w)
 	for {
 		changed := r.Events.Changed()
 		evs, dropped, next := r.Events.Since(since, 0)
-		if dropped > 0 {
-			fmt.Fprintf(w, "event: dropped\ndata: %d\n\n", dropped)
-		}
-		for i := range evs {
-			if _, err := w.Write([]byte("data: ")); err != nil {
-				return
-			}
-			if err := enc.Encode(evs[i]); err != nil { // Encode writes the trailing \n
-				return
-			}
-			if _, err := w.Write([]byte("\n")); err != nil {
-				return
-			}
-		}
 		if len(evs) > 0 || dropped > 0 {
-			flusher.Flush()
+			// Unsupported only on writers with no connection to stall on.
+			_ = rc.SetWriteDeadline(end)
+			if dropped > 0 {
+				fmt.Fprintf(w, "event: dropped\ndata: %d\n\n", dropped)
+			}
+			for i := range evs {
+				if _, err := w.Write([]byte("data: ")); err != nil {
+					return
+				}
+				if err := enc.Encode(evs[i]); err != nil { // Encode writes the trailing \n
+					return
+				}
+				if _, err := w.Write([]byte("\n")); err != nil {
+					return
+				}
+			}
+			if err := rc.Flush(); err != nil {
+				return
+			}
+			// Cleared so the chunked trailer of a stream that ends on time
+			// is not written against an expired deadline.
+			_ = rc.SetWriteDeadline(time.Time{})
 		}
 		since = next
 		select {

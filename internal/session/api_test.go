@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -405,6 +407,134 @@ func TestAPIOverviewAndEvents(t *testing.T) {
 	if rr, _ := do(t, h, "GET", "/v1/events?wait=bogus", nil); rr.Code != http.StatusBadRequest {
 		t.Fatalf("bad wait: %d", rr.Code)
 	}
+}
+
+// TestEventsSSESlowConsumer pins what an SSE subscriber that stops
+// reading can cost: its own connection and nothing else. While it
+// stalls, sessions churn far more events than the ring holds; every
+// create/feed/close (and the Emit inside each) stays prompt, the stalled
+// handler is released when its wait window closes rather than when the
+// kernel gives up on the socket, and a second client that does read is
+// told exactly how many events the ring dropped.
+func TestEventsSSESlowConsumer(t *testing.T) {
+	const ring, window = 64, time.Second
+	reg := NewRegistry()
+	reg.Events = obs.NewEventLog(ring)
+	h := reg.Handler()
+	sseHeld := make(chan time.Duration, 2) // one send per SSE request below
+	srv := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		start := time.Now()
+		h.ServeHTTP(w, r)
+		if r.URL.Path == "/v1/events" {
+			sseHeld <- time.Since(start)
+		}
+	}))
+	srv.Listener = smallSendBuf{srv.Listener}
+	srv.Start()
+	defer srv.Close()
+
+	// With both kernel buffers small the server's Write blocks after
+	// kilobytes instead of after the megabytes loopback autotunes to.
+	stalled, err := net.Dial("tcp", srv.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stalled.Close()
+	if err := stalled.(*net.TCPConn).SetReadBuffer(4096); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fmt.Fprintf(stalled, "GET /v1/events?wait=%s HTTP/1.1\r\nHost: x\r\nAccept: text/event-stream\r\n\r\n", window); err != nil {
+		t.Fatal(err)
+	}
+
+	in := synthFeedTB(20)
+	stop, churned := make(chan struct{}), make(chan struct{})
+	var rounds int
+	var slowest time.Duration
+	go func() {
+		defer close(churned)
+		for ; ; rounds++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			start, id := time.Now(), fmt.Sprintf("churn%d", rounds)
+			s, err := reg.Create(Config{ID: id})
+			if err == nil {
+				_, err = s.Feed(&Batch{Sender: in.Sender, Core: in.Core, TBs: in.TBs, AdvanceTo: time.Minute})
+			}
+			if err == nil {
+				_, err = reg.Close(id)
+			}
+			if err != nil {
+				t.Errorf("churn %s: %v", id, err)
+				return
+			}
+			slowest = max(slowest, time.Since(start))
+		}
+	}()
+	select {
+	case held := <-sseHeld:
+		t.Logf("stalled client released after %v", held)
+	case <-time.After(window + 3*time.Second):
+		t.Errorf("stalled SSE client still pins its handler %v after a %v window", window+3*time.Second, window)
+	}
+	close(stop)
+	<-churned
+	if rounds == 0 || slowest > time.Second {
+		t.Errorf("churn: %d rounds, slowest %v — feeds or Emit blocked behind the stalled client", rounds, slowest)
+	}
+	if t.Failed() {
+		return
+	}
+
+	// The release must have been the write deadline cutting a blocked
+	// Write short: a stream that ended on its own terms closes with the
+	// chunked terminator, and then this test proved nothing.
+	stalled.SetReadDeadline(time.Now().Add(5 * time.Second))
+	stalled.(*net.TCPConn).SetReadBuffer(1 << 20) // reopen the window, or the drain crawls
+	if raw, _ := io.ReadAll(stalled); bytes.HasSuffix(raw, []byte("0\r\n\r\n")) {
+		t.Fatalf("server never blocked on the stalled client (%d bytes sent, stream ended cleanly)", len(raw))
+	}
+
+	st := reg.Events.Stats()
+	if st.Emitted <= ring {
+		t.Fatalf("churn emitted %d events, not enough to overrun a ring of %d", st.Emitted, ring)
+	}
+	req, err := http.NewRequest("GET", srv.URL+"/v1/events?wait=100ms", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Accept", "text/event-stream")
+	resp, err := srv.Client().Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatalf("reading client: stream did not end cleanly: %v", err)
+	}
+	<-sseHeld
+	want := fmt.Sprintf("event: dropped\ndata: %d\n\n", st.Emitted-ring)
+	if !bytes.HasPrefix(body, []byte(want)) {
+		t.Fatalf("reading client's stream starts %q, want %q", body[:min(len(body), 2*len(want))], want)
+	}
+	if n := bytes.Count(body, []byte("\ndata: {")); n != ring {
+		t.Fatalf("reading client got %d event frames after the gap, want the ring's %d", n, ring)
+	}
+}
+
+// smallSendBuf caps each accepted connection's kernel send buffer.
+type smallSendBuf struct{ net.Listener }
+
+func (l smallSendBuf) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err == nil {
+		err = c.(*net.TCPConn).SetWriteBuffer(4096)
+	}
+	return c, err
 }
 
 // Without an event log configured the endpoints degrade gracefully: the

@@ -273,13 +273,23 @@ func TestRegistryEventsLifecycle(t *testing.T) {
 
 // TestSessionAnomalyEvents pins the threshold-crossing detector: a
 // session whose HARQ-attributed p99 exceeds the registry bound emits
-// exactly one session.anomaly event (not one per feed) until it clears.
+// exactly one session.anomaly event (not one per feed) until it clears —
+// with metrics collection on or off, since the tracker is session state
+// and not a metric.
 func TestSessionAnomalyEvents(t *testing.T) {
-	obs.Enable()
-	defer func() {
-		obs.Disable()
-		obs.ResetAll()
-	}()
+	for name, metrics := range map[string]bool{"metrics-on": true, "metrics-off": false} {
+		t.Run(name, func(t *testing.T) {
+			defer obs.ResetAll()
+			if metrics {
+				obs.Enable()
+				defer obs.Disable()
+			}
+			testSessionAnomalyEvents(t)
+		})
+	}
+}
+
+func testSessionAnomalyEvents(t *testing.T) {
 	reg := NewRegistry()
 	reg.Events = obs.NewEventLog(256)
 	reg.AnomalyHARQP99 = time.Millisecond

@@ -171,7 +171,13 @@ func newSession(cfg Config, hooks sessionHooks) *Session {
 		s.hasher.Add(v)
 		if c, ok := v.Components(); ok {
 			s.attr.Add(c)
-			s.metHARQ.Observe(c[core.IdxHARQ])
+			if s.hooks.anomalyNS > 0 {
+				// The anomaly check reads this histogram: it is session
+				// state then, recorded with or without metrics collection.
+				s.metHARQ.Record(c[core.IdxHARQ])
+			} else {
+				s.metHARQ.Observe(c[core.IdxHARQ])
+			}
 			s.hooks.fold.fold(c, v.SeenRecv)
 		}
 	})
@@ -257,8 +263,6 @@ func (s *Session) observeLocked(start time.Time, snap core.LiveSnapshot) {
 // the configured bound and emits one event per crossing: raised on the
 // way up, cleared on the way back down. Quantile is allocation-free, so
 // this rides every feed without disturbing the 0-alloc ingest contract.
-// The histogram is gated on obs.Enable like all metrics, so anomaly
-// events only fire on instrumented servers.
 func (s *Session) checkAnomalyLocked() {
 	if s.hooks.anomalyNS <= 0 || s.metHARQ.Count() == 0 {
 		return
