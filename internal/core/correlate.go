@@ -180,14 +180,17 @@ type scratch struct {
 	tbids     []uint64 // shared backing array carved into per-packet TBIDs
 	procs     []tbProcess
 	procIdx   map[uint64]int32
-	frameIdx  map[frameKey]int
 }
 
 // Correlate runs the full pipeline. Each call returns a freshly allocated
 // Report whose memory is independent of the input slices.
 func Correlate(in Input) *Report {
 	var sc scratch
-	return sc.correlate(in.withDefaults())
+	rep := sc.correlate(in.withDefaults())
+	// Group packets into frames/samples and compute delay spreads: only
+	// batch callers read Report.Frames, so the live windows skip it.
+	rep.Frames = groupFrames(rep.Packets)
+	return rep
 }
 
 // correlate is the shared pipeline behind Correlate and LiveCorrelator;
@@ -286,9 +289,6 @@ func (sc *scratch) correlate(in Input) *Report {
 	// 3. Match packets to transport blocks and attribute uplink delay.
 	sc.matchTBs(rep, in, senderRecs, root)
 
-	// 4. Group packets into frames/samples and compute delay spreads.
-	rep.Frames = sc.groupFrames(rep.Packets, rep.Frames)
-
 	return rep
 }
 
@@ -306,7 +306,6 @@ func (sc *scratch) report(senderHint int) *Report {
 	}
 	rep := sc.rep
 	rep.Packets = rep.Packets[:0]
-	rep.Frames = rep.Frames[:0]
 	rep.fifoLeft = nil
 	clear(rep.byKey)
 	return rep

@@ -38,17 +38,10 @@ type frameKey struct {
 	ts   uint32
 }
 
-// groupFrames buckets packet views by (SSRC, RTPTime) into frames,
-// reusing the scratch's index map and the caller's frame slice (the
-// recycled Report.Frames in live mode, nil in batch mode).
-func (sc *scratch) groupFrames(pkts []PacketView, frames []FrameView) []FrameView {
-	if sc.frameIdx == nil {
-		sc.frameIdx = make(map[frameKey]int, len(pkts)/3+1)
-	} else {
-		clear(sc.frameIdx)
-	}
-	idx := sc.frameIdx
-	frames = frames[:0]
+// groupFrames buckets packet views by (SSRC, RTPTime) into frames.
+func groupFrames(pkts []PacketView) []FrameView {
+	idx := make(map[frameKey]int, len(pkts)/3+1)
+	var frames []FrameView
 	for _, v := range pkts {
 		if v.Kind != packet.KindVideo && v.Kind != packet.KindAudio {
 			continue

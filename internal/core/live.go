@@ -94,6 +94,9 @@ func NewLive(in Input, emit func(PacketView)) *LiveCorrelator {
 		for _, f := range in.Flows {
 			lc.coveredFlow[f] = true
 		}
+		// Uncovered records are rejected at the door, so the window
+		// passes need no filter of their own.
+		lc.in.Flows = nil
 	}
 	return lc
 }

@@ -192,12 +192,12 @@ func (l *EventLog) Since(after uint64, max int) (events []Event, dropped int64, 
 
 // Changed returns a channel that is closed at the next emission — the
 // long-poll wait primitive. Grab the channel, call Since, and only then
-// wait: any emission after the grab closes it.
+// wait: any emission after the grab closes it. A nil log never emits, so
+// its channel is nil — never ready — and a select on it falls through to
+// the caller's timer or context instead of spinning.
 func (l *EventLog) Changed() <-chan struct{} {
 	if l == nil {
-		closed := make(chan struct{})
-		close(closed)
-		return closed
+		return nil
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()

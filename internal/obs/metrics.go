@@ -486,9 +486,8 @@ func Unregister(name string) bool {
 }
 
 // UnregisterPrefix removes every metric whose name starts with prefix and
-// reports how many entries were dropped. Session teardown uses it to
-// retire a closed session's "session.<id>." metric family in one call, so
-// a long-lived server's registry does not grow with session churn.
+// reports how many entries were dropped. The result store's Close uses
+// it to retire its instance-named metric family in one call.
 func UnregisterPrefix(prefix string) int {
 	registry.mu.Lock()
 	defer registry.mu.Unlock()

@@ -5,7 +5,49 @@ import (
 	"time"
 
 	"athena/internal/packet"
+	"athena/internal/units"
 )
+
+// TestEveryAccessRunsOneShard pins the one-engine result shape: whatever
+// the access, a run has at least one shard, the top-level infrastructure
+// aliases shard 0, and only the Access5G path owns a cell.
+func TestEveryAccessRunsOneShard(t *testing.T) {
+	for name, mut := range map[string]func(*Config){
+		"5g":    func(c *Config) {},
+		"wifi":  func(c *Config) { c.Access = AccessWiFi },
+		"leo":   func(c *Config) { c.Access = AccessLEO },
+		"wired": func(c *Config) { c.Access = AccessWired },
+		"emulated": func(c *Config) {
+			c.Emulated = true
+			c.EmulatedSchedule = []units.ByteCount{c.RAN.SlotCapacity()}
+		},
+	} {
+		res := short(func(c *Config) {
+			c.Duration = time.Second
+			mut(c)
+		})
+		if len(res.Shards) != 1 {
+			t.Fatalf("%s: %d shards, want 1", name, len(res.Shards))
+		}
+		sr := res.Shards[0]
+		if res.Sim != sr.Sim || res.Prober != sr.Prober || res.CapCore != sr.CapCore || res.CapSFU != sr.CapSFU {
+			t.Fatalf("%s: top-level infrastructure does not alias shard 0", name)
+		}
+		if len(sr.UEs) != 1 || sr.UEs[0] != res.UEResult {
+			t.Fatalf("%s: shard 0 does not hold the run's UE", name)
+		}
+		if name == "5g" {
+			if len(sr.Cells) != 1 || len(sr.RANs) != 1 || res.RAN != sr.RANs[0] {
+				t.Fatalf("5g: cells %v, %d RANs; want the implicit cell 0 aliased by RAN", sr.Cells, len(sr.RANs))
+			}
+		} else if len(sr.Cells) != 0 || len(sr.RANs) != 0 || res.RAN != nil {
+			t.Fatalf("%s: a private-link access built cells %v", name, sr.Cells)
+		}
+		if len(res.Report.Packets) == 0 {
+			t.Fatalf("%s: no packets correlated", name)
+		}
+	}
+}
 
 func TestAccessWiFiRuns(t *testing.T) {
 	res := short(func(c *Config) { c.Access = AccessWiFi })

@@ -62,7 +62,8 @@ func itoa(n int) string {
 func BenchmarkTopologyCorrelate(b *testing.B) {
 	top := NewTopology(4)
 	top.Duration = 3 * time.Second
-	bld := runTopologyBuild(top)
+	_, builds := simulate(top)
+	bld := builds[0]
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

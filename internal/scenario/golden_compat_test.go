@@ -4,9 +4,9 @@ package scenario
 // Topology run is byte-identical to the pre-refactor monolithic Run: the
 // same RNG stream creation order, the same event insertion order, the
 // same per-packet corrected timings. legacyRun below is a verbatim copy
-// of the monolith (only the injector construction is adapted to the
-// refactored signature), kept as the golden reference; the tests compare
-// full result digests for the figure-shaped configs that exercise every
+// of the monolith (only the injector construction and the Result literal
+// are adapted to the refactored signatures), kept as the golden
+// reference; the tests compare full result digests for the figure-shaped configs that exercise every
 // stage (Fig 3: 5G + cross traffic + two-party; Fig 7: 5G and its
 // emulated twin).
 
@@ -42,7 +42,7 @@ import (
 func legacyRun(cfg Config) *Result {
 	s := sim.New(cfg.Seed)
 	var alloc packet.Alloc
-	res := &Result{Cfg: cfg, Sim: s}
+	res := &Result{Cfg: cfg, TopologyResult: &TopologyResult{Sim: s}, UEResult: &UEResult{}}
 
 	// Host clocks (NTP-synchronized: small residual offsets).
 	senderClk := &clock.HostClock{Name: "sender", Offset: cfg.SenderClockOffset}

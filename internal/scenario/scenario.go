@@ -16,17 +16,12 @@ package scenario
 import (
 	"time"
 
-	"athena/internal/cc/gcc"
-	"athena/internal/cc/pcc"
-	"athena/internal/cc/phyaware"
-	"athena/internal/core"
 	"athena/internal/packet"
 	"athena/internal/probe"
 	"athena/internal/ran"
 	"athena/internal/sim"
 	"athena/internal/stats"
 	"athena/internal/units"
-	"athena/internal/vca"
 	"athena/internal/wifi"
 )
 
@@ -155,63 +150,23 @@ func Defaults() Config {
 	}
 }
 
-// Result bundles everything a figure driver needs.
+// Result bundles everything a figure driver needs: the single-UE view of
+// a topology run. The shared infrastructure (Sim, RAN, Prober, CapCore,
+// CapSFU) is promoted from the TopologyResult, the endpoint side (Sender,
+// Receiver, GCC, PCC, CapSender, CapReceiver, DLSender, DLReceiver,
+// Report, RanDelayBySeq, EstimatedOffsets) from its only UEResult.
 type Result struct {
-	Cfg      Config
-	Sim      *sim.Simulator
-	Sender   *vca.Sender
-	Receiver *vca.Receiver
-	RAN      *ran.RAN        // nil in emulated mode
-	GCC      *gcc.GCC        // nil unless a GCC-family controller ran
-	PCC      *pcc.Controller // nil unless the PCC controller ran
-	Prober   *probe.Prober
-
-	CapSender, CapCore, CapSFU, CapReceiver *packet.Capture
-
-	// DLSender / DLReceiver are the far participant's endpoints when
-	// Cfg.TwoParty is set (nil otherwise). DLReceiver.VideoOWDMS holds
-	// the downlink media one-way delays.
-	DLSender   *vca.Sender
-	DLReceiver *vca.Receiver
-
-	// Report is the Athena correlation of the collected traces.
-	Report *core.Report
-
-	// RanDelayBySeq is the PHY side-channel table (filled at the core tap
-	// from the RAN's per-packet attribution; stands in for live
-	// NG-Scope + correlator output).
-	RanDelayBySeq *phyaware.Table
-
-	// EstimatedOffsets holds the NTP-estimated clock offsets when
-	// Cfg.EstimateOffsets is set (what the correlator was given).
-	EstimatedOffsets map[packet.Point]time.Duration
+	Cfg Config
+	*TopologyResult
+	*UEResult
 }
 
-// Run executes the scenario and correlates the traces. It is the
-// single-UE compatibility constructor over RunTopology: a 1-UE topology
-// run is byte-identical to the historical monolithic implementation.
+// Run executes the scenario and correlates the traces: RunTopology over
+// the 1-UE topology of cfg, byte-identical to the historical monolithic
+// implementation (the golden-compat test pins this).
 func Run(cfg Config) *Result {
 	tr := RunTopology(SingleUE(cfg))
-	u := tr.UEs[0]
-	return &Result{
-		Cfg:              cfg,
-		Sim:              tr.Sim,
-		Sender:           u.Sender,
-		Receiver:         u.Receiver,
-		RAN:              tr.RAN,
-		GCC:              u.GCC,
-		PCC:              u.PCC,
-		Prober:           tr.Prober,
-		CapSender:        u.CapSender,
-		CapCore:          tr.CapCore,
-		CapSFU:           tr.CapSFU,
-		CapReceiver:      u.CapReceiver,
-		DLSender:         u.DLSender,
-		DLReceiver:       u.DLReceiver,
-		Report:           u.Report,
-		RanDelayBySeq:    u.RanDelayBySeq,
-		EstimatedOffsets: u.EstimatedOffsets,
-	}
+	return &Result{Cfg: cfg, TopologyResult: tr, UEResult: tr.UEs[0]}
 }
 
 // probeBaseline estimates the media path's core→receiver propagation from

@@ -221,7 +221,7 @@ func TestTBScheduleShape(t *testing.T) {
 	if total == 0 {
 		t.Fatal("empty TB schedule")
 	}
-	if TBSchedule(&Result{Cfg: res.Cfg}) != nil {
+	if TBSchedule(&Result{Cfg: res.Cfg, TopologyResult: &TopologyResult{}}) != nil {
 		t.Fatal("nil RAN should yield nil schedule")
 	}
 }

@@ -22,7 +22,7 @@ var (
 	metShardedRuns = obs.NewCounter("scenario.sharded_runs")
 )
 
-// CellSpec describes one cell of a multi-cell Topology.
+// CellSpec describes one cell of a Topology.
 type CellSpec struct {
 	// RAN overrides the topology-wide cell config for this cell. Nil
 	// inherits Topology.RAN. Either way the effective config's CellID is
@@ -45,8 +45,9 @@ type Handover struct {
 	ToCell int
 }
 
-// ShardResult is one shard's slice of a sharded topology run: the cells
-// it simulated, its engine, and its private wired path and captures.
+// ShardResult is one shard's slice of a topology run: the cells it
+// simulated (none off the Access5G path), its engine, and its private
+// wired path and captures.
 type ShardResult struct {
 	Cells  []int // global cell indices, ascending
 	Sim    *sim.Simulator
@@ -84,8 +85,16 @@ type shardPlan struct {
 // engine. UEs that never hand over leave their cells disconnected, and a
 // fully static N-cell topology yields N independent shards. Shards are
 // ordered by their smallest cell index, so shard 0 always contains cell
-// 0 — the plan is a pure function of the Topology value.
+// 0 — the plan is a pure function of the Topology value. Off the RAN
+// path there are no cells: one shard holds every UE.
 func planShards(top Topology) []shardPlan {
+	if !top.onRANPath() {
+		all := make([]int, len(top.UEs))
+		for i := range all {
+			all[i] = i
+		}
+		return []shardPlan{{ues: all}}
+	}
 	n := len(top.Cells)
 	parent := make([]int, n)
 	for i := range parent {
@@ -133,26 +142,49 @@ func planShards(top Topology) []shardPlan {
 }
 
 // shardSeed derives shard si's engine seed from the master seed. Shard 0
-// keeps the master seed itself, so a single-shard run is seeded exactly
-// like the single-cell path.
+// keeps the master seed itself: a single-shard run is seeded by
+// Topology.Seed, as the golden-compat reference expects.
 func shardSeed(seed int64, si int) int64 {
 	return seed + int64(si)*1_000_003
 }
 
-// runShardedTopology executes a multi-cell topology: build one engine
-// per handover domain, advance them all under conservative time-window
-// sync (in parallel on a worker gang unless top.Serial), exchange
-// inter-cell interference load at every window barrier, then correlate
-// each shard and assemble the global result. Deterministic in Topology
-// alone: construction is serial in shard order, every engine is seeded
-// from the master seed, and barrier-time exchanges walk cells in global
-// order — so serial and parallel advancement produce byte-identical
-// digests.
-func runShardedTopology(top Topology) *TopologyResult {
+// RunTopology executes a testbed and correlates each UE's traces: build
+// one engine per handover domain (a single one for one cell or a non-RAN
+// access), advance them all under conservative time-window sync (in
+// parallel on a worker gang unless top.Serial), exchange inter-cell
+// interference load at every window barrier, then correlate each shard
+// and assemble the global result. Deterministic in Topology alone:
+// construction is serial in shard order, every engine is seeded from the
+// master seed, and barrier-time exchanges walk cells in global order —
+// so serial and parallel advancement produce byte-identical digests.
+//
+// An invalid topology is the caller's bug by the time it gets here:
+// RunTopology panics with the error Validate returns. Callers holding a
+// user-supplied configuration call Validate first.
+func RunTopology(top Topology) *TopologyResult {
+	if err := top.Validate(); err != nil {
+		panic(err)
+	}
+	top, builds := simulate(top)
+	for _, b := range builds {
+		b.correlate()
+	}
+	return assemble(top, builds)
+}
+
+// simulate normalises a valid topology once — default UE, the implicit
+// cell of a cell-less Access5G topology, Lookahead, HandoverGap — and
+// runs the simulation stages of every shard, leaving the correlation
+// stage to the caller (RunTopology, or a benchmark that times it in
+// isolation).
+func simulate(top Topology) (Topology, []*build) {
 	if len(top.UEs) == 0 {
 		u := DefaultUE()
 		u.Seed = top.Seed
 		top.UEs = []UESpec{u}
+	}
+	if len(top.Cells) == 0 && top.onRANPath() {
+		top.Cells = []CellSpec{{CrossUEs: top.CrossUEs, CrossPhases: top.CrossPhases}}
 	}
 	if top.Lookahead <= 0 {
 		top.Lookahead = 10 * time.Millisecond
@@ -167,9 +199,7 @@ func runShardedTopology(top Topology) *TopologyResult {
 	builds := make([]*build, len(plans))
 	sims := make([]*sim.Simulator, len(plans))
 	for si, plan := range plans {
-		b := newBuildFor(top, shardSeed(top.Seed, si), plan.ues)
-		b.shardIdx = si
-		b.cellIdxs = plan.cells
+		b := newBuildFor(top, shardSeed(top.Seed, si), plan)
 		b.s.Label(fmt.Sprintf("shard%d", si))
 		b.buildWiredPath()
 		b.buildAccess()
@@ -193,10 +223,7 @@ func runShardedTopology(top Topology) *TopologyResult {
 	for _, b := range builds {
 		b.stop()
 	}
-	for _, b := range builds {
-		b.correlate()
-	}
-	return assembleSharded(top, builds)
+	return top, builds
 }
 
 // interferenceBarrier returns the per-window exchange applied with every
@@ -212,7 +239,7 @@ func runShardedTopology(top Topology) *TopologyResult {
 func interferenceBarrier(builds []*build) func(time.Duration) {
 	var cells []*ran.RAN
 	for _, b := range builds {
-		cells = append(cells, b.cellList()...)
+		cells = append(cells, b.res.RANs...)
 	}
 	coupled := false
 	for _, c := range cells {
@@ -277,25 +304,16 @@ func (b *build) scheduleHandovers() {
 	}
 }
 
-// assembleSharded merges per-shard builds into the global result. UE
-// results land at their global index; the legacy top-level pointers
+// assemble merges per-shard builds into the global result. UE results
+// land at their global index; the top-level infrastructure pointers
 // alias shard 0, which by construction holds cell 0.
-func assembleSharded(top Topology, builds []*build) *TopologyResult {
+func assemble(top Topology, builds []*build) *TopologyResult {
 	res := &TopologyResult{
 		Top: top,
 		UEs: make([]*UEResult, len(top.UEs)),
 	}
 	for _, b := range builds {
-		sr := &ShardResult{
-			Cells:   b.cellIdxs,
-			Sim:     b.s,
-			RANs:    b.cells,
-			Prober:  b.prober,
-			CapCore: b.res.CapCore,
-			CapSFU:  b.res.CapSFU,
-			UEs:     b.res.UEs,
-		}
-		res.Shards = append(res.Shards, sr)
+		res.Shards = append(res.Shards, b.res)
 		for _, ub := range b.ues {
 			res.UEs[ub.idx] = ub.res
 		}
@@ -316,17 +334,11 @@ func assembleSharded(top Topology, builds []*build) *TopologyResult {
 // its delay attribution plus the receiver-side QoE aggregates. Two runs
 // of the same Topology — serial or sharded, any worker count — must
 // produce equal digests; nothing wall-clock- or scheduling-dependent is
-// hashed. The single-cell path renders as shard 0, so a one-cell
-// sharded topology can be digest-compared against the legacy engine
-// directly.
+// hashed.
 func (tr *TopologyResult) Digest() string {
 	h := sha256.New()
-	if len(tr.Shards) > 0 {
-		for si, sr := range tr.Shards {
-			fmt.Fprintf(h, "shard=%d probe=%v\n", si, sr.Prober.OWDsMS())
-		}
-	} else {
-		fmt.Fprintf(h, "shard=0 probe=%v\n", tr.Prober.OWDsMS())
+	for si, sr := range tr.Shards {
+		fmt.Fprintf(h, "shard=%d probe=%v\n", si, sr.Prober.OWDsMS())
 	}
 	for _, u := range tr.UEs {
 		writeUEDigest(h, u)

@@ -1,8 +1,12 @@
 package scenario
 
 import (
+	"runtime"
 	"testing"
 	"time"
+
+	"athena/internal/ran"
+	"athena/internal/units"
 )
 
 // shortShardedTopology builds a 6-UE / 3-cell topology with inter-cell
@@ -66,23 +70,40 @@ func TestShardedDigestsMatchSerial(t *testing.T) {
 	}
 }
 
-// TestSingleCellShardedMatchesLegacy pins that cells=1 routed through
-// the windowed shard engine reproduces the legacy single-cell engine
-// byte for byte — the windows, the barrier machinery and the shard
-// plumbing are execution-only.
-func TestSingleCellShardedMatchesLegacy(t *testing.T) {
-	legacyTop := shortMultiTopology(3)
-	legacy := RunTopology(legacyTop)
-
-	shardedTop := shortMultiTopology(3)
-	shardedTop.Cells = []CellSpec{{}}
-	sharded := RunTopology(shardedTop)
-
-	if len(sharded.Shards) != 1 {
-		t.Fatalf("one-cell topology produced %d shards, want 1", len(sharded.Shards))
-	}
-	if got, want := sharded.Digest(), legacy.Digest(); got != want {
-		t.Fatalf("one-cell sharded digest %s != legacy digest %s", got, want)
+// TestSingleCellDigestsPinned keeps the deleted single-cell engine as a
+// reference the way TestSourceGoldenPixels keeps the per-pixel camera:
+// the literals are TopologyResult.Digest() of these inputs as that engine
+// (runTopologyBuild, commit fadc9a7) produced them, and the one engine
+// must reproduce them — the windows, the barrier machinery and the shard
+// plumbing are execution-only. Spelling the implicit cell out must change
+// nothing either: Cells: nil ≡ Cells: []CellSpec{{}}.
+func TestSingleCellDigestsPinned(t *testing.T) {
+	cross := mixedTopology(4, 3*time.Second)
+	cross.CrossUEs = 2
+	cross.CrossPhases = []ran.CrossPhase{{Start: 0, Rate: 4 * units.Mbps}}
+	for _, tc := range []struct {
+		name string
+		top  Topology
+		want string
+	}{
+		{"3ue-vca", shortMultiTopology(3), "b5157cc231a96af1e5cc47f41c37c29bd5a7baee445ae6a4cae3899185e22321"},
+		{"8ue-mixed", mixedTopology(8, 2*time.Second), "d632faa53e0d223bfd57f389b0849202121c4d2e20c5caa54f8213851594cd11"},
+		{"4ue-mixed-cross", cross, "eba0f009719816fe8bfd204dde4f2d36dc124631d24447fd6260278c516ba626"},
+	} {
+		implicit := RunTopology(tc.top)
+		if len(implicit.Shards) != 1 || len(implicit.Top.Cells) != 1 {
+			t.Fatalf("%s: %d shards over %d cells, want 1 over 1", tc.name, len(implicit.Shards), len(implicit.Top.Cells))
+		}
+		got := implicit.Digest()
+		// Encoder-noise floats are not FMA-pinned off amd64 (ROADMAP item 6).
+		if runtime.GOARCH == "amd64" && got != tc.want {
+			t.Errorf("%s: digest %s, the single-cell engine recorded %s", tc.name, got, tc.want)
+		}
+		explicit := tc.top
+		explicit.Cells = []CellSpec{{CrossUEs: tc.top.CrossUEs, CrossPhases: tc.top.CrossPhases}}
+		if d := RunTopology(explicit).Digest(); d != got {
+			t.Errorf("%s: explicit one-cell digest %s != implicit-cell digest %s", tc.name, d, got)
+		}
 	}
 }
 
@@ -132,7 +153,7 @@ func TestShardedTopologyCorrelates(t *testing.T) {
 		}
 	}
 	// Shard structure: shard 0 owns cell 0, shard 1 owns cell 1, and the
-	// legacy aliases point at shard 0.
+	// top-level aliases point at shard 0.
 	for si, sr := range tr.Shards {
 		if len(sr.Cells) != 1 || sr.Cells[0] != si {
 			t.Fatalf("shard %d owns cells %v, want [%d]", si, sr.Cells, si)
@@ -145,7 +166,7 @@ func TestShardedTopologyCorrelates(t *testing.T) {
 		}
 	}
 	if tr.Sim != tr.Shards[0].Sim || tr.RAN != tr.Shards[0].RANs[0] {
-		t.Fatal("legacy result aliases do not point at shard 0")
+		t.Fatal("top-level result aliases do not point at shard 0")
 	}
 }
 

@@ -26,10 +26,10 @@ type SessionStream struct {
 	UE int
 	ID string
 
-	// Cell is the UE's initial attach cell (Topology.Cells index, 0 on
-	// single-cell topologies); Workload is the resolved application
-	// family. Both are rollup dimension labels for a session server
-	// (session.Config.Cell / .Workload).
+	// Cell is the UE's initial attach cell (Topology.Cells index);
+	// Workload is the resolved application family. Both are rollup
+	// dimension labels for a session server (session.Config.Cell /
+	// .Workload).
 	Cell     int
 	Workload WorkloadKind
 
@@ -44,30 +44,22 @@ type SessionStream struct {
 // reproduces the run's per-UE reports bit for bit. Streams are ordered by
 // global UE index.
 func (tr *TopologyResult) SessionStreams() []SessionStream {
-	if len(tr.Shards) > 0 {
-		var out []SessionStream
-		for _, sr := range tr.Shards {
-			var tbs []telemetry.TBRecord
-			for _, cell := range sr.RANs {
-				tbs = append(tbs, cell.Telemetry.Records...)
-			}
-			out = append(out, groupStreams(tr.Top, sr.UEs, sr.CapCore.Records, tbs)...)
+	var out []SessionStream
+	for _, sr := range tr.Shards {
+		var tbs []telemetry.TBRecord
+		for _, cell := range sr.RANs {
+			tbs = append(tbs, cell.Telemetry.Records...)
 		}
-		sort.Slice(out, func(i, j int) bool { return out[i].UE < out[j].UE })
-		return out
+		out = append(out, groupStreams(tr.Top, sr.UEs, sr.CapCore.Records, tbs)...)
 	}
-	var tbs []telemetry.TBRecord
-	if tr.RAN != nil {
-		tbs = tr.RAN.Telemetry.Records
-	}
-	return groupStreams(tr.Top, tr.UEs, tr.CapCore.Records, tbs)
+	sort.Slice(out, func(i, j int) bool { return out[i].UE < out[j].UE })
+	return out
 }
 
-// groupStreams builds the session streams of one correlation group: the
-// UEs that shared a wired path and mid-path capture (the whole topology
-// on the single-cell path, one shard's UEs on the sharded path). The
-// multi-UE flow-coverage rule is per group, mirroring the correlation
-// stage: a group of one correlates unfiltered.
+// groupStreams builds the session streams of one shard: the UEs that
+// shared a wired path and mid-path capture. The multi-UE flow-coverage
+// rule is per shard, mirroring the correlation stage: a shard of one
+// correlates unfiltered.
 func groupStreams(top Topology, ues []*UEResult, capCore []packet.Record, tbs []telemetry.TBRecord) []SessionStream {
 	multi := len(ues) > 1
 	ueOfFlow := make(map[uint32]int, 5*len(ues))

@@ -44,9 +44,7 @@ type UESpec struct {
 	Workload WorkloadKind
 
 	// Seed drives this UE's media randomness (camera content, encoder
-	// noise): the sender uses Seed+10 and the far party Seed+20,
-	// matching the legacy single-UE wiring when Seed equals the
-	// topology seed.
+	// noise): the sender uses Seed+10 and the far party Seed+20.
 	Seed int64
 
 	Controller  ControllerKind
@@ -68,8 +66,7 @@ type UESpec struct {
 	EstimateOffsets     bool
 
 	// Cell is the index into Topology.Cells this UE initially attaches
-	// to. Only meaningful when Cells is non-empty; must be zero (with no
-	// Handovers) on a single-cell topology.
+	// to; must be zero (with no Handovers) when Cells is empty.
 	Cell int
 	// Handovers scripts cell changes for this UE. Every target cell is
 	// pulled into the UE's handover domain, so all cells a UE can visit
@@ -80,8 +77,8 @@ type UESpec struct {
 
 // Topology describes a composable testbed: N VCA UEs, each with its own
 // endpoint pipeline, host clocks, captures and flow IDs, sharing one
-// access network (a single RAN cell under Access5G, whose schedulers
-// arbitrate the competing UE buffers) and one wired core→WAN→SFU path.
+// access network (RAN cells under Access5G, whose schedulers arbitrate
+// the competing UE buffers) and one wired core→WAN→SFU path per shard.
 // A 1-UE topology is byte-identical to the historical monolithic Run
 // (the golden-compat test pins this).
 type Topology struct {
@@ -89,12 +86,14 @@ type Topology struct {
 	Duration time.Duration
 
 	// Access selects the uplink technology; empty means Access5G. Under
-	// Access5G all UEs attach to one shared cell; the other access kinds
-	// give each UE a private link.
+	// Access5G UEs attach to shared cells; the other access kinds give
+	// each UE a private link.
 	Access AccessKind
 	WiFi   wifi.Config
 
-	RAN              ran.Config
+	RAN ran.Config
+	// CrossUEs / CrossPhases load the implicit cell of an Access5G
+	// topology with empty Cells; explicit cells carry their own.
 	CrossUEs         int
 	CrossPhases      []ran.CrossPhase
 	Emulated         bool
@@ -108,15 +107,15 @@ type Topology struct {
 
 	UEs []UESpec
 
-	// Cells, when non-empty, turns the topology into a multi-cell
-	// deployment: each cell gets its own RAN instance, UEs attach per
-	// UESpec.Cell, and the simulation shards per handover domain — one
-	// sim engine per domain, advanced in parallel under conservative
-	// time-window synchronization. Empty Cells is the historical
-	// single-cell path, bit-for-bit unchanged.
+	// Cells lists the deployment's cells: each gets its own RAN
+	// instance, UEs attach per UESpec.Cell, and the simulation shards
+	// per handover domain — one sim engine per domain, advanced in
+	// parallel under conservative time-window synchronization. Empty
+	// Cells on the Access5G path means one default cell (Cells: nil ≡
+	// Cells: []CellSpec{{}} when CrossUEs is zero); off it, no cell.
 	Cells []CellSpec
 
-	// Lookahead is the conservative sync window of a sharded run. It
+	// Lookahead is the conservative sync window of the run. It
 	// must lower-bound every cross-shard physical latency; the wired
 	// inter-gNB path bounds it in practice. Zero defaults to 10 ms.
 	Lookahead time.Duration
@@ -132,7 +131,7 @@ type Topology struct {
 	// cell's usable capacity via the barrier-exchanged utilization.
 	InterferenceCoupling float64
 
-	// Serial forces a sharded run to advance its shards on one goroutine
+	// Serial forces a run to advance its shards on one goroutine
 	// instead of the worker gang. Execution-only: digests are identical
 	// either way (the golden test pins this).
 	Serial bool
@@ -321,23 +320,27 @@ type UEResult struct {
 	EstimatedOffsets map[packet.Point]time.Duration
 }
 
-// TopologyResult bundles the shared infrastructure and per-UE results.
+// TopologyResult bundles the per-shard infrastructure and per-UE results.
 type TopologyResult struct {
-	Top    Topology
-	Sim    *sim.Simulator
-	RAN    *ran.RAN // nil off the Access5G path
-	Prober *probe.Prober
+	// Top is the topology as run: defaults filled in, the implicit cell
+	// of a cell-less Access5G topology made explicit.
+	Top Topology
 
-	// CapCore / CapSFU are the shared mid-path captures; every UE's
-	// packets interleave here, which is exactly why per-UE correlation
-	// takes a flow filter.
+	// Sim, RAN (nil off the Access5G path), Prober, CapCore and CapSFU
+	// alias Shards[0] (RAN its first cell, which is always cell 0): the
+	// whole run's infrastructure when there is one shard. CapCore /
+	// CapSFU are a shard's shared mid-path captures; every UE's packets
+	// interleave there, which is exactly why per-UE correlation takes a
+	// flow filter.
+	Sim             *sim.Simulator
+	RAN             *ran.RAN
+	Prober          *probe.Prober
 	CapCore, CapSFU *packet.Capture
 
+	// UEs are every shard's UE results, by global UE index.
 	UEs []*UEResult
 
-	// Shards holds the per-shard infrastructure of a sharded multi-cell
-	// run (nil on the single-cell path). The legacy top-level pointers
-	// (Sim, RAN, Prober, CapCore, CapSFU) then alias shard 0's.
+	// Shards holds each shard's infrastructure; never empty.
 	Shards []*ShardResult
 }
 
@@ -349,22 +352,16 @@ type build struct {
 	top   Topology
 	s     *sim.Simulator
 	alloc packet.Alloc
-	res   *TopologyResult
+	res   *ShardResult
 	ues   []*ueBuild
 
 	coreClk, sfuClk *clock.HostClock
 
-	prober *probe.Prober
 	wanUp  *netem.Link
 	inject *injector
-	cell   *ran.RAN
 
-	// Sharded-run fields (zero on the single-cell path): the shard
-	// index, the global indices of the cells this shard owns, the RAN
-	// instances in that order, and the lookup from global cell index.
-	shardIdx     int
-	cellIdxs     []int
-	cells        []*ran.RAN
+	// cellByGlobal looks up this shard's RAN instances (res.RANs,
+	// parallel to res.Cells) by global cell index.
 	cellByGlobal map[int]*ran.RAN
 
 	// Routing tables for the shared stages, keyed by flow.
@@ -392,10 +389,10 @@ type ueBuild struct {
 	wanDown            *netem.Link
 
 	// servingCell is the cell currently carrying this UE's downlink (and,
-	// via ranUE's attachment, its uplink). On the single-cell path it is
-	// the one cell for the whole run; a handover repoints it at detach
-	// time so downlink traffic reroutes immediately, while the uplink
-	// rebinds when the grant gap ends. curCell is its global cell index.
+	// via ranUE's attachment, its uplink); nil off the Access5G path. A
+	// handover repoints it at detach time so downlink traffic reroutes
+	// immediately, while the uplink rebinds when the grant gap ends.
+	// curCell is its global cell index.
 	servingCell *ran.RAN
 	curCell     int
 
@@ -403,70 +400,17 @@ type ueBuild struct {
 	senderNTP, recvNTP clock.SyncEstimator
 }
 
-// RunTopology executes a multi-UE testbed and correlates each UE's
-// traces. It is deterministic in Topology alone: with Cells set, the
-// sharded multi-cell engine produces byte-identical digests whether the
-// shards advance serially or in parallel.
-//
-// An invalid topology is the caller's bug by the time it gets here:
-// RunTopology panics with the error Validate returns. Callers holding a
-// user-supplied configuration call Validate first.
-func RunTopology(top Topology) *TopologyResult {
-	if err := top.Validate(); err != nil {
-		panic(err)
-	}
-	if len(top.Cells) > 0 {
-		return runShardedTopology(top)
-	}
-	b := runTopologyBuild(top)
-	b.correlate()
-	return b.res
-}
-
-// runTopologyBuild runs the simulation stages of a topology, leaving the
-// correlation stage to the caller (RunTopology, or a benchmark that
-// times it in isolation).
-func runTopologyBuild(top Topology) *build {
-	if len(top.UEs) == 0 {
-		u := DefaultUE()
-		u.Seed = top.Seed
-		top.UEs = []UESpec{u}
-	}
-	b := newBuild(top)
-	b.buildWiredPath()
-	b.buildAccess()
-	for _, ub := range b.ues {
-		b.buildEndpoint(ub)
-	}
-	b.buildProbes()
-	b.start()
-	b.s.RunUntil(top.Duration)
-	b.stop()
-	return b
-}
-
-// newBuild allocates the simulator, host clocks and controllers — no
-// events or RNG streams yet.
-func newBuild(top Topology) *build {
-	idxs := make([]int, len(top.UEs))
-	for i := range idxs {
-		idxs[i] = i
-	}
-	return newBuildFor(top, top.Seed, idxs)
-}
-
-// newBuildFor is newBuild generalized to a subset of the topology's UEs
-// (one shard of a multi-cell run) with its own engine seed. UEs keep
-// their global index — flow IDs, clock names and RAN UE identifiers are
-// topology-global, so merged results are position-independent. For the
-// full index set and the topology seed it is exactly the historical
-// single-shard construction.
-func newBuildFor(top Topology, seed int64, ueIdxs []int) *build {
+// newBuildFor allocates one shard's simulator, host clocks and
+// controllers — no events or RNG streams yet — for the given subset of
+// the topology's UEs, with its own engine seed. UEs keep their global
+// index — flow IDs, clock names and RAN UE identifiers are
+// topology-global, so merged results are position-independent.
+func newBuildFor(top Topology, seed int64, plan shardPlan) *build {
 	s := sim.New(seed)
 	b := &build{
 		top:            top,
 		s:              s,
-		res:            &TopologyResult{Top: top, Sim: s},
+		res:            &ShardResult{Cells: plan.cells, Sim: s},
 		coreClk:        clock.Perfect("core"),
 		sfuClk:         clock.Perfect("sfu"),
 		downlinkByFlow: make(map[uint32]*netem.Link),
@@ -474,7 +418,7 @@ func newBuildFor(top Topology, seed int64, ueIdxs []int) *build {
 		ueByDLFB:       make(map[uint32]*ueBuild),
 		ueByMedia:      make(map[uint32]*ueBuild),
 	}
-	for _, i := range ueIdxs {
+	for _, i := range plan.ues {
 		spec := top.UEs[i]
 		sname, rname := "sender", "receiver"
 		if i > 0 {
@@ -573,12 +517,12 @@ func (b *build) buildWiredPath() {
 	sfu := netem.NewSFU(s, egress)
 	// The SFU is also the probe target: echoes return to the core.
 	wanBackToCore := netem.NewLink(s, "sfu-core", 8*time.Millisecond, units.Gbps, packet.HandlerFunc(func(p *packet.Packet) {
-		b.prober.Done(p)
+		b.res.Prober.Done(p)
 	}))
 	wanBackToCore.Jitter = 500 * time.Microsecond
 	sfuIngress := packet.HandlerFunc(func(p *packet.Packet) {
 		if p.Kind == packet.KindICMP {
-			b.prober.Echo(p)
+			b.res.Prober.Echo(p)
 			wanBackToCore.Handle(p)
 			return
 		}
@@ -649,33 +593,17 @@ func (b *build) coreIngress() packet.Handler {
 }
 
 // buildAccess constructs the shared access stage: under Access5G, one
-// cell whose scheduler arbitrates every attached UE's buffer (plus
-// optional synthetic cross traffic). The other access kinds give each
-// UE a private link, built by buildEndpoint.
+// RAN per owned cell, in global cell order, whose scheduler arbitrates
+// every attached UE's buffer; UEs attach to their home cell; per-cell
+// synthetic cross traffic last (stream creation order IS the behavior).
+// The other access kinds give each UE a private link, built by
+// buildEndpoint.
 func (b *build) buildAccess() {
 	if !b.top.onRANPath() {
 		return
 	}
-	if len(b.cellIdxs) == 0 {
-		// Single-cell path, unchanged byte for byte.
-		b.cell = ran.New(b.s, b.top.RAN, b.res.CapCore)
-		b.res.RAN = b.cell
-		for _, ub := range b.ues {
-			ub.ranUE = b.cell.AttachUE(uint32(ub.idx+1), ub.spec.Sched)
-			ub.ranUE.Hint = ub.wl.Hint()
-			ub.servingCell = b.cell
-		}
-		if b.top.CrossUEs > 0 && len(b.top.CrossPhases) > 0 {
-			ran.NewCrossSource(b.s, b.cell, &b.alloc, b.top.CrossUEs, b.top.crossFlowBase(), b.top.CrossPhases)
-		}
-		return
-	}
-	// Multi-cell shard: one RAN per owned cell, in global cell order;
-	// UEs attach to their home cell; per-cell cross traffic last, so a
-	// one-cell shard's stream creation order matches the single-cell
-	// path exactly.
-	b.cellByGlobal = make(map[int]*ran.RAN, len(b.cellIdxs))
-	for _, ci := range b.cellIdxs {
+	b.cellByGlobal = make(map[int]*ran.RAN, len(b.res.Cells))
+	for _, ci := range b.res.Cells {
 		spec := b.top.Cells[ci]
 		cfg := b.top.RAN
 		if spec.RAN != nil {
@@ -686,10 +614,9 @@ func (b *build) buildAccess() {
 			cfg.InterferenceCoupling = b.top.InterferenceCoupling
 		}
 		cell := ran.New(b.s, cfg, b.res.CapCore)
-		b.cells = append(b.cells, cell)
+		b.res.RANs = append(b.res.RANs, cell)
 		b.cellByGlobal[ci] = cell
 	}
-	b.res.RAN = b.cells[0]
 	for _, ub := range b.ues {
 		cell := b.cellByGlobal[ub.spec.Cell]
 		ub.ranUE = cell.AttachUE(uint32(ub.idx+1), ub.spec.Sched)
@@ -697,7 +624,7 @@ func (b *build) buildAccess() {
 		ub.servingCell = cell
 		ub.curCell = ub.spec.Cell
 	}
-	for _, ci := range b.cellIdxs {
+	for _, ci := range b.res.Cells {
 		spec := b.top.Cells[ci]
 		if spec.CrossUEs > 0 && len(spec.CrossPhases) > 0 {
 			base := b.top.crossFlowBase() + uint32(64*ci)
@@ -753,8 +680,7 @@ func (b *build) buildEndpoint(ub *ueBuild) {
 // real access path.
 func (b *build) buildProbes() {
 	s := b.s
-	b.prober = probe.New(s, &b.alloc, proberFlow, b.wanUp)
-	b.res.Prober = b.prober
+	b.res.Prober = probe.New(s, &b.alloc, proberFlow, b.wanUp)
 
 	for _, ub := range b.ues {
 		ub := ub
@@ -791,7 +717,7 @@ func (b *build) start() {
 	for _, ub := range b.ues {
 		ub.wl.Start()
 	}
-	b.prober.Start(b.top.ProbeInterval)
+	b.res.Prober.Start(b.top.ProbeInterval)
 }
 
 // stop halts the traffic sources after the run.
@@ -814,7 +740,7 @@ func (b *build) stop() {
 // output is input-ordered and byte-identical to the serial loop
 // regardless of scheduling.
 func (b *build) correlate() {
-	baseline := probeBaseline(b.prober)
+	baseline := probeBaseline(b.res.Prober)
 	multi := len(b.ues) > 1
 
 	// Partition the shared state once instead of N filtered re-scans.
@@ -827,7 +753,7 @@ func (b *build) correlate() {
 	coreByUE := partitionByFlow(b.res.CapCore.Records, ueOfFlow, len(b.ues))
 	sfuByUE := partitionByFlow(b.res.CapSFU.Records, ueOfFlow, len(b.ues))
 	var tbsByUE [][]telemetry.TBRecord
-	if cells := b.cellList(); len(cells) > 0 {
+	if cells := b.res.RANs; len(cells) > 0 {
 		// Concatenate per-cell telemetry in global cell order: a UE that
 		// handed over has TBs in two cells' streams, and the correlator's
 		// TB reconstruction tolerates the resulting time interleaving.
@@ -941,22 +867,10 @@ func partitionByFlow(records []packet.Record, ueOfFlow map[uint32]int, n int) []
 	return out
 }
 
-// cellList returns the build's RAN instances: the single shared cell on
-// the legacy path, or the shard's cells in global order.
-func (b *build) cellList() []*ran.RAN {
-	if len(b.cells) > 0 {
-		return b.cells
-	}
-	if b.cell != nil {
-		return []*ran.RAN{b.cell}
-	}
-	return nil
-}
-
 // partitionTBsByUE splits cell telemetry into per-UE attempt streams in
 // one pass, preserving input order. idOf maps RAN UE identifiers to
-// local result positions (identity minus one on the legacy path; sparse
-// for a shard holding a subset of the topology's UEs).
+// local result positions (sparse for a shard holding a subset of the
+// topology's UEs).
 func partitionTBsByUE(records []telemetry.TBRecord, idOf map[uint32]int, n int) [][]telemetry.TBRecord {
 	counts := make([]int, n)
 	for _, r := range records {

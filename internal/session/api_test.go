@@ -276,6 +276,78 @@ func TestAPIMetricsAndHealth(t *testing.T) {
 	}
 }
 
+// TestMetricsPageIndependentOfSessions pins that no series is named after
+// a session: the /metrics page has the same families with 100 live, fed
+// sessions as with none, grows by value digits only (it grew 630 B per
+// session when each registered session.<id>.*), and ids that alias as
+// name prefixes (ue1 / ue1.x) or collide after PromName (a.b / a-b) do
+// not disturb one another.
+func TestMetricsPageIndependentOfSessions(t *testing.T) {
+	obs.Enable()
+	defer obs.Disable()
+	reg := NewRegistry()
+	reg.AnomalyHARQP99 = time.Nanosecond // the HARQ tracker is live too
+	h := reg.Handler()
+	scrape := func() (map[string]bool, int) {
+		rr, body := do(t, h, "GET", "/metrics", nil)
+		if rr.Code != http.StatusOK {
+			t.Fatalf("metrics: %d", rr.Code)
+		}
+		page, err := obs.ParsePrometheus(bytes.NewReader(body))
+		if err != nil {
+			t.Fatalf("exposition does not lint: %v", err)
+		}
+		names := make(map[string]bool, len(page.Families))
+		for name := range page.Families {
+			names[name] = true
+		}
+		return names, len(body)
+	}
+	feed := func(id string) {
+		s, err := reg.Create(Config{ID: id})
+		if err != nil {
+			t.Fatal(err)
+		}
+		feedAllTB(t, s, synthFeedTB(10), 5)
+	}
+
+	// Warm every feed-path series with a session that is gone again.
+	feed("warm")
+	if _, err := reg.Close("warm"); err != nil {
+		t.Fatal(err)
+	}
+	before, sizeBefore := scrape()
+
+	ids := []string{"ue1", "ue1.x", "a.b", "a-b"}
+	for i := len(ids); i < 100; i++ {
+		ids = append(ids, fmt.Sprintf("live%d", i))
+	}
+	for _, id := range ids {
+		feed(id)
+	}
+	after, sizeAfter := scrape()
+	for name := range after {
+		if !before[name] {
+			t.Fatalf("family %s appeared with live sessions (%d families, %d with none)", name, len(after), len(before))
+		}
+	}
+	if grew := sizeAfter - sizeBefore; grew >= len(ids) {
+		t.Errorf("/metrics grew %d bytes over %d sessions; want value digits only", grew, len(ids))
+	}
+
+	if _, err := reg.Close("ue1"); err != nil {
+		t.Fatal(err)
+	}
+	rr, body := do(t, h, "GET", "/v1/sessions/ue1.x/attribution", nil)
+	var st Status
+	if err := json.Unmarshal(body, &st); rr.Code != http.StatusOK || err != nil {
+		t.Fatalf("ue1.x after closing ue1: %d %v", rr.Code, err)
+	}
+	if st.Attribution.Packets != 10 || st.Feed.Emitted != 10 {
+		t.Fatalf("ue1.x lost state when ue1 closed: %+v", st)
+	}
+}
+
 // TestAPIOverviewAndEvents drives the fleet endpoints end to end over
 // HTTP: the overview totals mirror the sessions' attribution exactly,
 // and the event stream paginates by cursor, long-polls, and streams SSE.
@@ -552,6 +624,22 @@ func TestAPIEventsWithoutLog(t *testing.T) {
 	}
 	if len(page.Events) != 0 || page.Next != 0 {
 		t.Fatalf("nil-log page %+v", page)
+	}
+
+	// A wait on the nil log sleeps until its deadline (it used to spin on
+	// an always-ready channel) and still ends on time, empty, both ways.
+	for _, accept := range []string{"application/json", "text/event-stream"} {
+		req := httptest.NewRequest("GET", "/v1/events?wait=300ms", nil)
+		req.Header.Set("Accept", accept)
+		rr := httptest.NewRecorder()
+		start := time.Now()
+		h.ServeHTTP(rr, req)
+		if held := time.Since(start); held < 300*time.Millisecond || held > 2*time.Second {
+			t.Fatalf("%s wait=300ms on a nil log held %v", accept, held)
+		}
+		if rr.Code != http.StatusOK || strings.Contains(rr.Body.String(), "data:") {
+			t.Fatalf("%s nil-log wait: %d %q", accept, rr.Code, rr.Body.String())
+		}
 	}
 }
 

@@ -144,16 +144,11 @@ func (r *Registry) List() []Status {
 	return out
 }
 
-// Close drains and removes one session, returning its final status. The
-// session's metric prefix is retired under the registry lock, before the
-// id becomes reusable: Create (which registers metrics under the same
-// lock) can therefore never have a fresh same-id session's metrics
-// swept away by a stale close.
+// Close drains and removes one session, returning its final status.
 func (r *Registry) Close(id string) (Status, error) {
 	r.mu.Lock()
 	s, ok := r.sessions[id]
 	if ok {
-		obs.UnregisterPrefix("session." + id + ".")
 		delete(r.sessions, id)
 		metClosed.Inc()
 		metActive.Set(int64(len(r.sessions)))
@@ -176,7 +171,6 @@ func (r *Registry) CloseAll() []Status {
 	r.mu.Lock()
 	sessions := make([]*Session, 0, len(r.sessions))
 	for id, s := range r.sessions {
-		obs.UnregisterPrefix("session." + id + ".")
 		sessions = append(sessions, s)
 		delete(r.sessions, id)
 	}

@@ -45,7 +45,7 @@ const DefaultMaxPending = 1 << 16
 
 // Config describes one session at creation time.
 type Config struct {
-	// ID is the registry key and metric-name component ("session.<id>.*").
+	// ID is the registry key.
 	ID string `json:"id"`
 
 	// Cell and Workload are the session's fleet rollup dimensions: which
@@ -138,13 +138,10 @@ type Session struct {
 	// anomalyOn tracks whether the HARQ p99 anomaly is currently raised,
 	// so crossings emit one event per direction instead of one per feed.
 	anomalyOn bool
-
-	// Per-session metrics, registered under "session.<id>." and retired
-	// when the session closes.
-	metIngest  *obs.Histogram // ingest_ns: wall time of each Feed call
-	metPending *obs.Gauge     // pending: unresolved packets after last feed
-	metTrims   *obs.Gauge     // trims: correlator state trims so far
-	metHARQ    *obs.Histogram // harq_ns: HARQ-attributed delay per packet
+	// harq is the HARQ-attributed delay per packet, recorded only when an
+	// anomaly bound is set. Session state, not a metric: it is registered
+	// nowhere, so no series name ever carries a session id.
+	harq obs.Histogram
 }
 
 func newSession(cfg Config, hooks sessionHooks) *Session {
@@ -172,11 +169,7 @@ func newSession(cfg Config, hooks sessionHooks) *Session {
 		if c, ok := v.Components(); ok {
 			s.attr.Add(c)
 			if s.hooks.anomalyNS > 0 {
-				// The anomaly check reads this histogram: it is session
-				// state then, recorded with or without metrics collection.
-				s.metHARQ.Record(c[core.IdxHARQ])
-			} else {
-				s.metHARQ.Observe(c[core.IdxHARQ])
+				s.harq.Record(c[core.IdxHARQ])
 			}
 			s.hooks.fold.fold(c, v.SeenRecv)
 		}
@@ -184,11 +177,6 @@ func newSession(cfg Config, hooks sessionHooks) *Session {
 	if cfg.FlushAfter > 0 {
 		s.lc.FlushAfter = cfg.FlushAfter
 	}
-	prefix := "session." + cfg.ID + "."
-	s.metIngest = obs.NewHistogram(prefix + "ingest_ns")
-	s.metPending = obs.NewGauge(prefix + "pending")
-	s.metTrims = obs.NewGauge(prefix + "trims")
-	s.metHARQ = obs.NewHistogram(prefix + "harq_ns")
 	return s
 }
 
@@ -202,7 +190,6 @@ func (s *Session) ID() string { return s.id }
 // correct its stream and continue. A batch whose sender records would
 // overflow the pending bound is rejected whole with ErrBackpressure.
 func (s *Session) Feed(b *Batch) (core.LiveSnapshot, error) {
-	start := time.Now()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -216,18 +203,15 @@ func (s *Session) Feed(b *Batch) (core.LiveSnapshot, error) {
 		return snap, fmt.Errorf("%w: %d pending + %d arriving > %d",
 			ErrBackpressure, snap.Pending, len(b.Sender), s.maxPending)
 	}
-	if err := s.feedLocked(b); err != nil {
+	err := s.feedLocked(b)
+	if err != nil {
 		s.hooks.events.Emit(obs.Event{
 			Type: "session.reject", Session: s.id, Cell: s.cell, Family: s.family,
 			Detail: err.Error(),
 		})
-		snap := s.lc.Snapshot()
-		s.observeLocked(start, snap)
-		return snap, err
 	}
-	snap := s.lc.Snapshot()
-	s.observeLocked(start, snap)
-	return snap, nil
+	s.checkAnomalyLocked()
+	return s.lc.Snapshot(), err
 }
 
 func (s *Session) feedLocked(b *Batch) error {
@@ -252,22 +236,15 @@ func (s *Session) feedLocked(b *Batch) error {
 	return nil
 }
 
-func (s *Session) observeLocked(start time.Time, snap core.LiveSnapshot) {
-	s.metIngest.ObserveDuration(time.Since(start))
-	s.metPending.Set(int64(snap.Pending))
-	s.metTrims.Set(snap.Trims)
-	s.checkAnomalyLocked()
-}
-
 // checkAnomalyLocked compares the session's HARQ-attributed p99 against
 // the configured bound and emits one event per crossing: raised on the
 // way up, cleared on the way back down. Quantile is allocation-free, so
 // this rides every feed without disturbing the 0-alloc ingest contract.
 func (s *Session) checkAnomalyLocked() {
-	if s.hooks.anomalyNS <= 0 || s.metHARQ.Count() == 0 {
+	if s.hooks.anomalyNS <= 0 || s.harq.Count() == 0 {
 		return
 	}
-	p99 := s.metHARQ.Quantile(0.99)
+	p99 := s.harq.Quantile(0.99)
 	switch {
 	case p99 > s.hooks.anomalyNS && !s.anomalyOn:
 		s.anomalyOn = true
@@ -324,8 +301,7 @@ func (s *Session) statusLocked() Status {
 // close drains the session (pushing the clock past every buffered sender
 // record's flush horizon, wherever the feed left the clock), marks it
 // closed, and returns the final status. Idempotent via the registry,
-// which removes the session — and retires its metric prefix, under the
-// registry lock so a same-id Create cannot interleave — before calling.
+// which removes the session before calling.
 func (s *Session) close() Status {
 	s.mu.Lock()
 	defer s.mu.Unlock()

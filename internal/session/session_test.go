@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"athena/internal/core"
-	"athena/internal/obs"
 	"athena/internal/packet"
 	"athena/internal/telemetry"
 )
@@ -216,29 +215,6 @@ func TestSessionStatusDetachedFromFeed(t *testing.T) {
 	}
 }
 
-// Reusing an id after Close must leave the new session's metrics
-// registered: the registry retires the metric prefix under its own lock
-// before the id becomes reusable.
-func TestSessionMetricsSurviveRecreate(t *testing.T) {
-	obs.Enable()
-	defer obs.Disable()
-	reg := NewRegistry()
-	reg.Create(Config{ID: "reuse"})
-	if _, err := reg.Close("reuse"); err != nil {
-		t.Fatal(err)
-	}
-	s, err := reg.Create(Config{ID: "reuse"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := synthFeed(10)
-	feedAll(t, s, in, 5)
-	snap := obs.TakeSnapshot()
-	if snap.Histograms["session.reuse.ingest_ns"].Count == 0 {
-		t.Fatal("recreated session's metrics missing after a same-id close")
-	}
-}
-
 func TestSessionBackpressure(t *testing.T) {
 	reg := NewRegistry()
 	s, _ := reg.Create(Config{ID: "bp", MaxPending: 10})
@@ -296,34 +272,6 @@ func TestRegistryCreateErrors(t *testing.T) {
 	}
 	if got := len(reg.List()); got != 2 {
 		t.Fatalf("listed %d sessions", got)
-	}
-}
-
-func TestSessionMetricsLifecycle(t *testing.T) {
-	obs.Enable()
-	defer obs.Disable()
-	reg := NewRegistry()
-	s, _ := reg.Create(Config{ID: "met"})
-	in := synthFeed(20)
-	feedAll(t, s, in, 5)
-
-	snap := obs.TakeSnapshot()
-	if snap.Histograms["session.met.ingest_ns"].Count == 0 {
-		t.Fatal("ingest_ns not recorded")
-	}
-	if _, ok := snap.Gauges["session.met.pending"]; !ok {
-		t.Fatal("pending gauge missing")
-	}
-	if snap.Gauges["session.met.trims"] == 0 {
-		t.Fatal("trims gauge never moved despite full drains")
-	}
-
-	reg.Close("met")
-	snap = obs.TakeSnapshot()
-	for name := range snap.Histograms {
-		if name == "session.met.ingest_ns" {
-			t.Fatal("closed session's metrics survived")
-		}
 	}
 }
 
