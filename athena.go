@@ -39,9 +39,6 @@ type Report = core.Report
 // Controller kinds selectable in Config.Controller.
 const (
 	GCC       = scenario.CtlGCC
-	NADA      = scenario.CtlNADA
-	SCReAM    = scenario.CtlSCReAM
-	LossBased = scenario.CtlLossBased
 	L4S       = scenario.CtlL4S
 	PHYAware  = scenario.CtlPHYAware
 	MaskedGCC = scenario.CtlMaskedGCC

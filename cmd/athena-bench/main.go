@@ -306,8 +306,8 @@ func main() {
 	fmt.Printf("regenerated %d artifacts (%d from store) in %v\n", completed, cached, time.Since(start).Round(time.Millisecond))
 	if *verbose {
 		st := runner.Default.Stats()
-		fmt.Printf("scenario pool: %d submissions, %d memo hits, %d misses, %d evictions, %d in flight, %d flushes\n",
-			st.Submissions, st.MemoHits, st.MemoMisses, st.MemoEvictions, st.InFlight, st.Flushes)
+		fmt.Printf("scenario pool: %d submissions, %d memo hits, %d misses, %d in flight, %d flushes\n",
+			st.Submissions, st.MemoHits, st.MemoMisses, st.InFlight, st.Flushes)
 		if resultStore != nil {
 			ss := resultStore.Stats()
 			fmt.Printf("result store: %d hits, %d misses, %d writes, %d evictions, %d corrupt (%d entries, %d bytes)\n",

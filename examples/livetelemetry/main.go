@@ -3,10 +3,12 @@
 // telemetry are fed into a LiveCorrelator as they happen, and resolved
 // per-packet root-cause attributions emerge with bounded latency — the
 // feed a PHY-aware congestion controller or a RIC xApp would subscribe to.
+// It exits nonzero if the feed is rejected or a packet is never emitted.
 package main
 
 import (
 	"fmt"
+	"log"
 	"time"
 
 	"athena"
@@ -15,18 +17,16 @@ import (
 )
 
 func main() {
-	// Run a short call to obtain realistic traces, then replay them into
-	// the live correlator as a tap would deliver them.
+	log.SetFlags(0)
+
+	// Run a short call to obtain realistic traces, then replay its tapped
+	// session stream into the live correlator as a tap would deliver it.
 	cfg := athena.DefaultConfig()
 	cfg.Duration = 10 * time.Second
-	res := athena.Run(cfg)
+	ss := athena.Run(cfg).SessionStreams()[0]
 
-	var emitted int
-	var bsrWaits, harqHits int
-	lc := core.NewLive(core.Input{
-		SlotDuration: cfg.RAN.SlotDuration,
-		CoreDelay:    cfg.RAN.CoreDelay,
-	}, func(v core.PacketView) {
+	var emitted, bsrWaits, harqHits int
+	lc := core.NewLive(ss.Input, func(v core.PacketView) {
 		emitted++
 		if v.BSRWait > 0 {
 			bsrWaits++
@@ -41,29 +41,17 @@ func main() {
 				ms(v.ULDelay), ms(v.QueueWait), ms(v.BSRWait), ms(v.HARQDelay), v.TBIDs)
 		}
 	})
-
-	tbs := res.RAN.Telemetry.ForUE(1)
-	si, ci, ti := 0, 0, 0
-	for now := time.Duration(0); now < cfg.Duration+2*time.Second; now += 50 * time.Millisecond {
-		for si < len(res.CapSender.Records) && res.CapSender.Records[si].LocalTime <= now {
-			lc.OnSenderRecord(res.CapSender.Records[si])
-			si++
-		}
-		for ci < len(res.CapCore.Records) && res.CapCore.Records[ci].LocalTime <= now {
-			lc.OnCoreRecord(res.CapCore.Records[ci])
-			ci++
-		}
-		for ti < len(tbs) && tbs[ti].At <= now {
-			lc.OnTB(tbs[ti])
-			ti++
-		}
-		lc.Advance(now)
+	if err := ss.Replay(lc, 50*time.Millisecond); err != nil {
+		log.Fatalf("livetelemetry: feed rejected: %v", err)
+	}
+	if n := lc.Pending(); n != 0 {
+		log.Fatalf("livetelemetry: %d packets still pending after the replay drained", n)
 	}
 
-	fmt.Printf("\nstreamed %d packets, %d TB attempts\n", si, ti)
+	fmt.Printf("\nstreamed %d packets, %d TB attempts\n", len(ss.Input.Sender), len(ss.Input.TBs))
 	fmt.Printf("resolved live: %d packets (%d waited on a BSR grant, %d HARQ-inflated)\n",
 		emitted, bsrWaits, harqHits)
-	fmt.Printf("grant mix observed: %s\n", grantMix(tbs))
+	fmt.Printf("grant mix observed: %s\n", grantMix(ss.Input.TBs))
 }
 
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }

@@ -7,7 +7,8 @@ package athena
 // execution, export and the run manifest all flow through the registry —
 // cmd/athena-bench is a pure client of it, and out-of-tree experiments
 // registered through RegisterExperiment sweep exactly like the
-// built-ins (see examples/registry).
+// built-ins (internal/experiment's registry and sweep tests run a
+// registered generator through that path).
 
 import (
 	"context"

@@ -5,8 +5,13 @@ package athena
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
+	"time"
+
+	"athena/internal/core"
+	"athena/internal/ran"
 )
 
 var itOpts = Options{Seed: 1, Scale: 0.5}
@@ -315,6 +320,19 @@ func TestIntegrationPublicAPIRoundTrip(t *testing.T) {
 	if res.Report.Attribute().Packets == 0 {
 		t.Fatal("attribution empty")
 	}
+
+	// The multi-UE surface: every workload family on one cell, each UE
+	// correlated through the shared captures.
+	top := NewTopology(len(WorkloadKinds()))
+	top.Duration = 2 * time.Second
+	top.MixWorkloads()
+	tr := RunTopology(top)
+	for i, kind := range WorkloadKinds() {
+		if u := tr.UEs[i]; u.Workload != kind || u.Report.Attribute().Packets == 0 {
+			t.Fatalf("UE %d: workload %q with %d attributed packets, want %q with some",
+				i, u.Workload, u.Report.Attribute().Packets, kind)
+		}
+	}
 }
 
 func TestIntegrationS3LearnerClouded(t *testing.T) {
@@ -366,5 +384,55 @@ func TestIntegrationS4AppSensitivity(t *testing.T) {
 	}
 	if b < a*0.85 {
 		t.Fatalf("upload should be scheduler-insensitive: combined %.1f vs bsr %.1f", a, b)
+	}
+}
+
+func TestIntegrationS8BulkPaysTheBSRCycle(t *testing.T) {
+	fig := S8MixedWorkloads(itOpts)
+	// A backlogged bulk upload waits on requested grants; cloud gaming's
+	// paced frames ride the proactive ones.
+	bsrWait := func(kind WorkloadKind) []float64 {
+		var out []float64
+		prefix := string(core.CauseBSR) + "_ms:" + string(kind) + ":"
+		for k, v := range fig.Scalars {
+			if strings.HasPrefix(k, prefix) {
+				out = append(out, v)
+			}
+		}
+		return out
+	}
+	bulk, gaming := bsrWait(WorkloadBulkTransfer), bsrWait(WorkloadCloudGaming)
+	if len(bulk) == 0 || len(gaming) == 0 {
+		t.Fatalf("BSR-wait rows missing: bulk %v gaming %v", bulk, gaming)
+	}
+	if slices.Min(bulk) <= slices.Max(gaming) {
+		t.Fatalf("every bulk UE's BSR wait %v should exceed every gaming UE's %v", bulk, gaming)
+	}
+}
+
+func TestIntegrationS9QoEAwareTradesBulkForInteractive(t *testing.T) {
+	fig := S9QoEScheduler(itOpts)
+	def, qoe := "@"+ran.SchedCombined.String(), "@"+ran.SchedQoEAware.String()
+	ues := 0
+	for k, before := range fig.Scalars {
+		if !strings.HasPrefix(k, "qoe_") || !strings.HasSuffix(k, def) {
+			continue
+		}
+		after, ok := fig.Scalars[strings.TrimSuffix(k, def)+qoe]
+		if !ok {
+			t.Fatalf("%s has no %s counterpart", k, qoe)
+		}
+		ues++
+		if strings.HasPrefix(k, "qoe_goodput_mbps:") {
+			// The elastic tier pays for the others' timeliness.
+			if after > before {
+				t.Errorf("%s: bulk goodput rose %.2f -> %.2f under %s", k, before, after, qoe)
+			}
+		} else if after >= before {
+			t.Errorf("%s: interactive headline %.1f -> %.1f, want lower under %s", k, before, after, qoe)
+		}
+	}
+	if ues != 8 {
+		t.Fatalf("compared %d UEs, want the 8 of the mixed cell", ues)
 	}
 }

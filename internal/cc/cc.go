@@ -1,7 +1,7 @@
 // Package cc defines the sender-side congestion-control interface the
 // simulated VCA drives, plus helpers shared by the concrete algorithms
-// (GCC, NADA, SCReAM, loss-based, and the §5.3 PHY-informed and L4S
-// variants in subpackages).
+// (GCC, the §5.3 PHY-informed and L4S variants, and the PCC-Vivace-style
+// learner of study S3, in subpackages).
 //
 // All algorithms are fed the same inputs a real WebRTC sender has: its own
 // send timestamps and the receiver's transport-wide feedback reports

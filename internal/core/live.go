@@ -176,10 +176,13 @@ func (lc *LiveCorrelator) Advance(now time.Duration) error {
 		return fmt.Errorf("%w: %v behind %v", ErrTimeRegression, now, lc.advanced)
 	}
 	lc.advanced = now
-	if len(lc.sender) == 0 || lc.emitted >= len(lc.sender) {
+	horizon := now - lc.FlushAfter
+	if lc.Pending() == 0 {
+		// Nothing to correlate, but a sender-silent feed still delivers
+		// core records and telemetry: retention runs regardless.
+		lc.trim(horizon, nil, lc.in.offset(packet.PointSender))
 		return nil
 	}
-	horizon := now - lc.FlushAfter
 
 	in := lc.in
 	in.Sender = lc.sender
@@ -251,10 +254,19 @@ func (lc *LiveCorrelator) Advance(now time.Duration) error {
 // trim discards consumed state so memory — and with it each Advance's
 // re-correlation cost — stays bounded on long sessions.
 //
-// Fully drained, everything resets. Mid-stream, the emitted sender
-// prefix is cut where the batch matcher's state is settled, so a rerun
-// over the trimmed buffers reproduces the full rerun for every kept
-// packet:
+// Fully drained — on every Advance with nothing pending, whether or not
+// it correlated — the sender buffer resets and one retention rule keeps
+// what a future sender record can still use. A core record survives if
+// no emitted sender record consumed its key, its corrected time is at or
+// after the sender head's corrected send time (a packet sent later
+// reaches the core later), and it lies within a second of the flush
+// horizon; telemetry survives within that same second. So a core record
+// delivered ahead of its sender record (a sender clock running ahead)
+// waits for it, and a feed with no sender records at all stays bounded.
+//
+// Mid-stream, the emitted sender prefix is cut where the batch matcher's
+// state is settled, so a rerun over the trimmed buffers reproduces the
+// full rerun for every kept packet:
 //
 //   - every trimmed packet must be fully drained (fifoLeft == 0) — a
 //     packet with unmatched bytes still absorbs future TB budget, and
@@ -272,10 +284,23 @@ func (lc *LiveCorrelator) trim(horizon time.Duration, rep *Report, senderOff tim
 		if len(lc.sender) > 0 {
 			lc.trims++
 		}
-		lc.sender = lc.sender[:0]
-		lc.core = lc.core[:0]
-		lc.emitted = 0
 		keepFrom := horizon - time.Second
+		head := lc.lastSenderAt - senderOff
+		coreOff := lc.in.offset(packet.PointCore)
+		keptCore := lc.core[:0]
+		for _, r := range lc.core {
+			if rep != nil {
+				if _, consumed := rep.byKey[pktKey{r.Flow, r.Seq, r.Kind}]; consumed {
+					continue
+				}
+			}
+			if at := r.LocalTime - coreOff; at >= head && at >= keepFrom {
+				keptCore = append(keptCore, r)
+			}
+		}
+		lc.core = keptCore
+		lc.sender = lc.sender[:0]
+		lc.emitted = 0
 		tbCut := 0
 		for tbCut < len(lc.tbs) && lc.tbs[tbCut].At < keepFrom {
 			tbCut++

@@ -235,6 +235,31 @@ func TestLiveMidStreamTrimBoundsBuffers(t *testing.T) {
 	}
 }
 
+// TestLiveSenderSilentFeedBounded feeds a session core records and
+// telemetry but no sender records, advancing every millisecond. Nothing
+// is ever pending, so no pass runs; retention must still hold both
+// buffers to the FlushAfter + 1 s of feed a future sender record could
+// use (ends inclusive), not to the whole session.
+func TestLiveSenderSilentFeedBounded(t *testing.T) {
+	lc := NewLive(Input{SlotDuration: 500 * time.Microsecond}, nil)
+	const step = time.Millisecond
+	bound := int((lc.FlushAfter+time.Second)/step) + 1
+	for i := 0; i < 20000; i++ {
+		now := time.Duration(i) * step
+		if err := lc.OnCoreRecord(cRec(1, uint32(i), packet.KindVideo, now)); err != nil {
+			t.Fatal(err)
+		}
+		lc.OnTB(telemetry.TBRecord{At: now, TBID: uint64(i), UE: 1, TBS: 1200, UsedBytes: 1200})
+		if err := lc.Advance(now); err != nil {
+			t.Fatal(err)
+		}
+		if snap := lc.Snapshot(); snap.BufferedCore > bound || snap.BufferedTBs > bound {
+			t.Fatalf("at %v: %d core records and %d TBs buffered, bound %d",
+				now, snap.BufferedCore, snap.BufferedTBs, bound)
+		}
+	}
+}
+
 // Sequence-less kinds repeat one (flow, seq, kind) key for the whole
 // session (NTP exchanges, all Seq 0), so a never-draining session's
 // window can always hold a newer sender record of that key than the ones

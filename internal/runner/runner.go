@@ -21,7 +21,6 @@ import (
 	"encoding/hex"
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"time"
 
@@ -45,23 +44,13 @@ func Key(cfg scenario.Config) string {
 type Pool struct {
 	sem chan struct{} // counting semaphore bounding concurrent runs
 
-	mu      sync.Mutex
-	cache   map[string]*entry
-	memoCap int    // max completed+in-flight entries; <= 0 = unbounded
-	clock   uint64 // logical access clock driving LRU eviction
+	mu    sync.Mutex
+	cache map[string]*entry
 
 	runFn func(scenario.Config) *scenario.Result // seam for tests
 
 	met poolMetrics
 }
-
-// DefaultMemoCap bounds the memo cache of pools created by New. Each
-// entry retains a full scenario Result (captures included), so an
-// unbounded cache grows without limit across sweeps unless callers
-// remember to Flush; the cap evicts the least-recently-claimed
-// completed entries instead. Evicting only costs a re-execution on a
-// later identical submission, never correctness.
-const DefaultMemoCap = 4096
 
 // poolMetrics holds a pool's instrumentation. The metrics are value
 // types embedded in the Pool, so private pools get working Stats without
@@ -69,14 +58,13 @@ const DefaultMemoCap = 4096
 // Recording is gated by the obs package flag, so an un-observed process
 // pays one atomic load per event.
 type poolMetrics struct {
-	submissions   obs.Counter
-	memoHits      obs.Counter
-	memoMisses    obs.Counter
-	memoEvictions obs.Counter
-	flushes       obs.Counter
-	inFlight      obs.Gauge
-	queueWait     obs.Histogram // claim → worker start, ns
-	runDur        obs.Histogram // runFn wall time, ns
+	submissions obs.Counter
+	memoHits    obs.Counter
+	memoMisses  obs.Counter
+	flushes     obs.Counter
+	inFlight    obs.Gauge
+	queueWait   obs.Histogram // claim → worker start, ns
+	runDur      obs.Histogram // runFn wall time, ns
 }
 
 // The shared Default pool's metrics appear in registry snapshots under
@@ -85,7 +73,6 @@ func init() {
 	obs.RegisterCounter("runner.default.submissions", &Default.met.submissions)
 	obs.RegisterCounter("runner.default.memo_hits", &Default.met.memoHits)
 	obs.RegisterCounter("runner.default.memo_misses", &Default.met.memoMisses)
-	obs.RegisterCounter("runner.default.memo_evictions", &Default.met.memoEvictions)
 	obs.RegisterCounter("runner.default.flushes", &Default.met.flushes)
 	obs.RegisterGauge("runner.default.in_flight", &Default.met.inFlight)
 	obs.RegisterHistogram("runner.default.queue_wait_ns", &Default.met.queueWait)
@@ -95,23 +82,21 @@ func init() {
 // Stats is a point-in-time read of a pool's execution counters. Values
 // accumulate only while obs metrics are enabled (see obs.Enable).
 type Stats struct {
-	Submissions   int64 // configs submitted through RunAll (duplicates included)
-	MemoHits      int64 // submissions satisfied by the cache or batch dedup
-	MemoMisses    int64 // submissions that claimed a fresh execution
-	MemoEvictions int64 // completed entries dropped by the memo cap
-	InFlight      int64 // runs currently executing on workers
-	Flushes       int64 // Flush calls
+	Submissions int64 // configs submitted through RunAll (duplicates included)
+	MemoHits    int64 // submissions satisfied by the cache or batch dedup
+	MemoMisses  int64 // submissions that claimed a fresh execution
+	InFlight    int64 // runs currently executing on workers
+	Flushes     int64 // Flush calls
 }
 
 // Stats reads the pool's counters.
 func (p *Pool) Stats() Stats {
 	return Stats{
-		Submissions:   p.met.submissions.Value(),
-		MemoHits:      p.met.memoHits.Value(),
-		MemoMisses:    p.met.memoMisses.Value(),
-		MemoEvictions: p.met.memoEvictions.Value(),
-		InFlight:      p.met.inFlight.Value(),
-		Flushes:       p.met.flushes.Value(),
+		Submissions: p.met.submissions.Value(),
+		MemoHits:    p.met.memoHits.Value(),
+		MemoMisses:  p.met.memoMisses.Value(),
+		InFlight:    p.met.inFlight.Value(),
+		Flushes:     p.met.flushes.Value(),
 	}
 }
 
@@ -121,7 +106,6 @@ func (p *Pool) Stats() Stats {
 type entry struct {
 	done chan struct{}
 	res  *scenario.Result
-	seq  uint64 // pool clock at last claim; orders LRU eviction
 }
 
 // New creates a pool running at most workers simulations concurrently.
@@ -133,49 +117,9 @@ func New(workers int) *Pool {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	return &Pool{
-		sem:     make(chan struct{}, workers),
-		cache:   make(map[string]*entry),
-		memoCap: DefaultMemoCap,
-		runFn:   scenario.Run,
-	}
-}
-
-// SetMemoCap rebounds the memo cache to at most n entries, evicting
-// least-recently-claimed completed entries when exceeded; n <= 0
-// removes the bound. In-flight entries are never evicted (they own
-// their cache slot until done, exactly as under Flush), so the cache
-// can transiently exceed a cap smaller than the in-flight set.
-func (p *Pool) SetMemoCap(n int) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.memoCap = n
-	p.evictLocked()
-}
-
-// evictLocked enforces memoCap; p.mu must be held.
-func (p *Pool) evictLocked() {
-	if p.memoCap <= 0 || len(p.cache) <= p.memoCap {
-		return
-	}
-	type cand struct {
-		key string
-		seq uint64
-	}
-	var cands []cand
-	for k, e := range p.cache {
-		select {
-		case <-e.done:
-			cands = append(cands, cand{k, e.seq})
-		default: // in-flight: waiters are blocked on this slot
-		}
-	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i].seq < cands[j].seq })
-	for _, c := range cands {
-		if len(p.cache) <= p.memoCap {
-			return
-		}
-		delete(p.cache, c.key)
-		p.met.memoEvictions.Inc()
+		sem:   make(chan struct{}, workers),
+		cache: make(map[string]*entry),
+		runFn: scenario.Run,
 	}
 }
 
@@ -222,14 +166,8 @@ func (p *Pool) RunAll(ctx context.Context, cfgs []scenario.Config) []*scenario.R
 		} else {
 			p.met.memoHits.Inc()
 		}
-		p.clock++
-		e.seq = p.clock
 		entries[i] = e
 	}
-	// Enforce the memo cap now, while this batch's entries are all
-	// in-flight (and therefore unevictable): only older completed
-	// entries can go.
-	p.evictLocked()
 	p.mu.Unlock()
 
 	var wg sync.WaitGroup

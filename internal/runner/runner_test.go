@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"athena/internal/obs"
 	"athena/internal/packet"
 	"athena/internal/ran"
 	"athena/internal/scenario"
@@ -290,100 +289,5 @@ func TestForEachShardedTopologyNoStarvation(t *testing.T) {
 		}
 	case <-time.After(2 * time.Minute):
 		t.Fatal("sharded RunTopology starved inside a single-worker pool")
-	}
-}
-
-// TestMemoCapEvictsLRU pins the bounded memo: exceeding the cap evicts
-// the least-recently-claimed completed entries, counts them, and a
-// later resubmission of an evicted config simply re-executes.
-func TestMemoCapEvictsLRU(t *testing.T) {
-	obs.Enable()
-	defer obs.Disable()
-	var runs atomic.Int64
-	p := New(2)
-	p.runFn = func(cfg scenario.Config) *scenario.Result {
-		runs.Add(1)
-		return &scenario.Result{Cfg: cfg}
-	}
-	p.SetMemoCap(2)
-	mk := func(seed int64) scenario.Config {
-		c := scenario.Defaults()
-		c.Seed = seed
-		return c
-	}
-	p.Run(mk(1))
-	p.Run(mk(2))
-	p.Run(mk(1)) // refresh 1: seed 2 becomes LRU
-	p.Run(mk(3)) // evicts seed 2
-	if n := p.CacheLen(); n != 2 {
-		t.Fatalf("CacheLen = %d, want 2 (capped)", n)
-	}
-	if ev := p.Stats().MemoEvictions; ev != 1 {
-		t.Fatalf("MemoEvictions = %d, want 1", ev)
-	}
-	before := runs.Load()
-	p.Run(mk(1)) // survived: memo hit
-	if runs.Load() != before {
-		t.Fatal("recently-used entry was evicted")
-	}
-	p.Run(mk(2)) // evicted: must re-execute, correctly
-	if runs.Load() != before+1 {
-		t.Fatal("evicted entry did not re-execute")
-	}
-}
-
-// TestMemoCapNeverEvictsInFlight submits more concurrent distinct
-// configs than the cap allows: in-flight entries own their slots, so
-// the cache transiently exceeds the cap rather than dropping an entry
-// a waiter is blocked on.
-func TestMemoCapNeverEvictsInFlight(t *testing.T) {
-	obs.Enable()
-	defer obs.Disable()
-	p := New(4)
-	block := make(chan struct{})
-	p.runFn = func(cfg scenario.Config) *scenario.Result {
-		<-block
-		return &scenario.Result{Cfg: cfg}
-	}
-	p.SetMemoCap(1)
-	cfgs := make([]scenario.Config, 4)
-	for i := range cfgs {
-		cfgs[i] = scenario.Defaults()
-		cfgs[i].Seed = int64(i + 1)
-	}
-	done := make(chan []*scenario.Result, 1)
-	go func() { done <- p.RunAll(context.Background(), cfgs) }()
-	for p.Stats().InFlight != 4 {
-		time.Sleep(time.Millisecond)
-	}
-	if ev := p.Stats().MemoEvictions; ev != 0 {
-		t.Fatalf("in-flight entries evicted: %d", ev)
-	}
-	close(block)
-	res := <-done
-	for i, r := range res {
-		if r == nil || r.Cfg.Seed != cfgs[i].Seed {
-			t.Fatalf("slot %d lost its result: %+v", i, r)
-		}
-	}
-	// With everything completed, SetMemoCap re-enforces the bound.
-	p.SetMemoCap(1)
-	if n := p.CacheLen(); n != 1 {
-		t.Fatalf("CacheLen = %d after re-cap, want 1", n)
-	}
-}
-
-// TestMemoCapUnbounded keeps the opt-out: cap <= 0 never evicts.
-func TestMemoCapUnbounded(t *testing.T) {
-	p := New(2)
-	p.runFn = func(cfg scenario.Config) *scenario.Result { return &scenario.Result{Cfg: cfg} }
-	p.SetMemoCap(0)
-	for i := 0; i < 100; i++ {
-		c := scenario.Defaults()
-		c.Seed = int64(i + 1)
-		p.Run(c)
-	}
-	if n := p.CacheLen(); n != 100 {
-		t.Fatalf("CacheLen = %d, want 100 (unbounded)", n)
 	}
 }

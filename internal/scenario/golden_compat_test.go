@@ -19,11 +19,8 @@ import (
 	"athena/internal/cc"
 	"athena/internal/cc/gcc"
 	"athena/internal/cc/l4s"
-	"athena/internal/cc/lossbased"
-	"athena/internal/cc/nada"
 	"athena/internal/cc/pcc"
 	"athena/internal/cc/phyaware"
-	"athena/internal/cc/scream"
 	"athena/internal/clock"
 	"athena/internal/core"
 	"athena/internal/netem"
@@ -54,12 +51,6 @@ func legacyRun(cfg Config) *Result {
 	res.RanDelayBySeq = phyaware.NewTable()
 	var ctrl cc.Controller
 	switch cfg.Controller {
-	case CtlNADA:
-		ctrl = nada.New(cfg.InitialRate, cfg.MinRate, cfg.MaxRate)
-	case CtlSCReAM:
-		ctrl = scream.New(cfg.InitialRate, cfg.MinRate, cfg.MaxRate)
-	case CtlLossBased:
-		ctrl = lossbased.New(cfg.InitialRate, cfg.MinRate, cfg.MaxRate)
 	case CtlL4S:
 		ctrl = l4s.New(cfg.InitialRate, cfg.MinRate, cfg.MaxRate)
 	case CtlPCC:

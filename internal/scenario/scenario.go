@@ -31,9 +31,6 @@ type ControllerKind string
 // Supported controllers.
 const (
 	CtlGCC       ControllerKind = "gcc"
-	CtlNADA      ControllerKind = "nada"
-	CtlSCReAM    ControllerKind = "scream"
-	CtlLossBased ControllerKind = "loss"
 	CtlL4S       ControllerKind = "l4s"
 	CtlPHYAware  ControllerKind = "gcc-phy"  // §5.3: telemetry-informed GCC
 	CtlMaskedGCC ControllerKind = "gcc-mask" // §5.3: RAN rewrites feedback

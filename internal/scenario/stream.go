@@ -36,81 +36,26 @@ type SessionStream struct {
 	Input core.Input
 }
 
-// SessionStreams taps every UE's live feed off the completed run. The
-// per-UE inputs are derived exactly as the run's own correlation stage
-// derived them — same partitioning of the shared mid-path captures, same
-// per-shard telemetry merge in global cell order, same flow-coverage and
-// clock-offset rules — so replaying a stream into a live session
-// reproduces the run's per-UE reports bit for bit. Streams are ordered by
-// global UE index.
+// SessionStreams taps every UE's live feed off the completed run: the
+// per-UE inputs come from the same derivation as the run's own
+// correlation stage (shardInputs), so replaying a stream into a live
+// session reproduces the run's per-UE reports bit for bit. Streams are
+// ordered by global UE index.
 func (tr *TopologyResult) SessionStreams() []SessionStream {
-	var out []SessionStream
+	out := make([]SessionStream, 0, len(tr.UEs))
 	for _, sr := range tr.Shards {
-		var tbs []telemetry.TBRecord
-		for _, cell := range sr.RANs {
-			tbs = append(tbs, cell.Telemetry.Records...)
+		for i, in := range shardInputs(tr.Top, sr, false) {
+			u := sr.UEs[i]
+			out = append(out, SessionStream{
+				UE:       int(u.ID) - 1,
+				ID:       fmt.Sprintf("ue%d", u.ID),
+				Cell:     u.Spec.Cell,
+				Workload: u.Workload,
+				Input:    in,
+			})
 		}
-		out = append(out, groupStreams(tr.Top, sr.UEs, sr.CapCore.Records, tbs)...)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].UE < out[j].UE })
-	return out
-}
-
-// groupStreams builds the session streams of one shard: the UEs that
-// shared a wired path and mid-path capture. The multi-UE flow-coverage
-// rule is per shard, mirroring the correlation stage: a shard of one
-// correlates unfiltered.
-func groupStreams(top Topology, ues []*UEResult, capCore []packet.Record, tbs []telemetry.TBRecord) []SessionStream {
-	multi := len(ues) > 1
-	ueOfFlow := make(map[uint32]int, 5*len(ues))
-	idOf := make(map[uint32]int, len(ues))
-	for i, u := range ues {
-		for _, f := range u.Flows.All() {
-			ueOfFlow[f] = i
-		}
-		idOf[u.ID] = i
-	}
-	coreByUE := partitionByFlow(capCore, ueOfFlow, len(ues))
-	var tbsByUE [][]telemetry.TBRecord
-	if len(tbs) > 0 {
-		tbsByUE = partitionTBsByUE(tbs, idOf, len(ues))
-	}
-
-	out := make([]SessionStream, 0, len(ues))
-	for i, u := range ues {
-		offsets := map[packet.Point]time.Duration{
-			packet.PointSender:   u.Spec.SenderClockOffset,
-			packet.PointReceiver: u.Spec.ReceiverClockOffset,
-		}
-		if u.Spec.EstimateOffsets {
-			offsets = u.EstimatedOffsets
-		}
-		in := core.Input{
-			Sender:       u.CapSender.Records,
-			Core:         coreByUE[i],
-			Offsets:      offsets,
-			SlotDuration: top.RAN.SlotDuration,
-			HARQRTT:      top.RAN.HARQRTT,
-			CoreDelay:    top.RAN.CoreDelay,
-		}
-		if multi {
-			in.Flows = u.Flows.All()
-		}
-		if tbsByUE != nil {
-			in.TBs = tbsByUE[i]
-		}
-		workload := u.Workload
-		if workload == "" {
-			workload = u.Spec.workloadKind()
-		}
-		out = append(out, SessionStream{
-			UE:       int(u.ID) - 1,
-			ID:       fmt.Sprintf("ue%d", u.ID),
-			Cell:     u.Spec.Cell,
-			Workload: workload,
-			Input:    in,
-		})
-	}
 	return out
 }
 

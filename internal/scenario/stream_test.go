@@ -68,6 +68,39 @@ func TestSessionStreamsMatchOfflineSharded(t *testing.T) {
 	assertStreamsMatchOffline(t, res, 100*time.Millisecond)
 }
 
+// TestSessionStreamsSeenCoreUnderSenderOffset runs every sender clock
+// 30 ms ahead, so replay delivers a packet's core record chunks before
+// its sender record. Each live view must still see the core exactly
+// when the offline view does. Full digest equality is not asserted here:
+// under offset a few views per UE still differ in TB set.
+func TestSessionStreamsSeenCoreUnderSenderOffset(t *testing.T) {
+	top := NewTopology(2)
+	top.Duration = 2 * time.Second
+	for i := range top.UEs {
+		top.UEs[i].SenderClockOffset = 30 * time.Millisecond
+	}
+	for _, ss := range RunTopology(top).SessionStreams() {
+		var live []bool
+		lc := core.NewLive(ss.Input, func(v core.PacketView) { live = append(live, v.SeenCore) })
+		if err := ss.Replay(lc, 50*time.Millisecond); err != nil {
+			t.Fatalf("stream %s: %v", ss.ID, err)
+		}
+		offline := core.Correlate(ss.Input).Packets
+		if len(live) != len(offline) {
+			t.Fatalf("stream %s: emitted %d of %d views", ss.ID, len(live), len(offline))
+		}
+		differ := 0
+		for i, v := range offline {
+			if live[i] != v.SeenCore {
+				differ++
+			}
+		}
+		if differ > 0 {
+			t.Errorf("stream %s: %d of %d views disagree with offline on SeenCore", ss.ID, differ, len(offline))
+		}
+	}
+}
+
 // TestSessionStreamLabels pins the rollup dimension labels on tapped
 // streams: each stream carries its UE's attach cell and resolved
 // workload family, across shards and mixed workloads.

@@ -11,11 +11,8 @@ import (
 	"athena/internal/cc"
 	"athena/internal/cc/gcc"
 	"athena/internal/cc/l4s"
-	"athena/internal/cc/lossbased"
-	"athena/internal/cc/nada"
 	"athena/internal/cc/pcc"
 	"athena/internal/cc/phyaware"
-	"athena/internal/cc/scream"
 	"athena/internal/clock"
 	"athena/internal/core"
 	"athena/internal/netem"
@@ -458,12 +455,6 @@ func newBuildFor(top Topology, seed int64, plan shardPlan) *build {
 // the concrete GCC/PCC handle for drivers that read their traces.
 func buildController(spec UESpec, res *UEResult) cc.Controller {
 	switch spec.Controller {
-	case CtlNADA:
-		return nada.New(spec.InitialRate, spec.MinRate, spec.MaxRate)
-	case CtlSCReAM:
-		return scream.New(spec.InitialRate, spec.MinRate, spec.MaxRate)
-	case CtlLossBased:
-		return lossbased.New(spec.InitialRate, spec.MinRate, spec.MaxRate)
 	case CtlL4S:
 		return l4s.New(spec.InitialRate, spec.MinRate, spec.MaxRate)
 	case CtlPCC:
@@ -727,92 +718,38 @@ func (b *build) stop() {
 	}
 }
 
-// correlate runs the Athena correlator once per UE: private captures
-// (points ① and ④) plus the shared mid-path captures restricted to the
-// UE's flows, and the cell telemetry restricted to the UE's TBs.
+// correlate runs the Athena correlator once per UE over the inputs
+// shardInputs derives: private captures (points ① and ④), the shared
+// mid-path captures restricted to the UE's flows, and the cell telemetry
+// restricted to the UE's TBs. NTP-estimated clock offsets are resolved
+// first, since the inputs read them.
 //
-// The shared mid-path captures and the cell telemetry are partitioned by
-// owning UE in one scan each — records of flows nobody owns (cross
-// traffic) never matched any UE's sender-derived join keys, so dropping
-// them up front cannot change any report — and the per-UE correlations
-// then fan out across GOMAXPROCS workers. Each worker's Correlate is a
-// pure function of its UE's inputs writing only that UE's result, so the
-// output is input-ordered and byte-identical to the serial loop
-// regardless of scheduling.
+// The per-UE correlations fan out across GOMAXPROCS workers. Each
+// worker's Correlate is a pure function of its UE's inputs writing only
+// that UE's result, so the output is input-ordered and byte-identical to
+// the serial loop regardless of scheduling.
 func (b *build) correlate() {
-	baseline := probeBaseline(b.res.Prober)
-	multi := len(b.ues) > 1
-
-	// Partition the shared state once instead of N filtered re-scans.
-	ueOfFlow := make(map[uint32]int, 5*len(b.ues))
-	for i, ub := range b.ues {
-		for _, f := range ub.flows.All() {
-			ueOfFlow[f] = i
+	for _, ub := range b.ues {
+		if !ub.spec.EstimateOffsets {
+			continue
 		}
+		// ProbeSample.Offset() is remote-minus-reference; the reference
+		// clock here is the host being synchronized, and the core is the
+		// (true-time) remote, so the host's own offset is the negation.
+		offsets := map[packet.Point]time.Duration{}
+		if est, ok := ub.senderNTP.Estimate(); ok {
+			offsets[packet.PointSender] = -est
+		}
+		if est, ok := ub.recvNTP.Estimate(); ok {
+			offsets[packet.PointReceiver] = -est
+		}
+		ub.res.EstimatedOffsets = offsets
 	}
-	coreByUE := partitionByFlow(b.res.CapCore.Records, ueOfFlow, len(b.ues))
-	sfuByUE := partitionByFlow(b.res.CapSFU.Records, ueOfFlow, len(b.ues))
-	var tbsByUE [][]telemetry.TBRecord
-	if cells := b.res.RANs; len(cells) > 0 {
-		// Concatenate per-cell telemetry in global cell order: a UE that
-		// handed over has TBs in two cells' streams, and the correlator's
-		// TB reconstruction tolerates the resulting time interleaving.
-		recs := cells[0].Telemetry.Records
-		if len(cells) > 1 {
-			total := 0
-			for _, c := range cells {
-				total += len(c.Telemetry.Records)
-			}
-			merged := make([]telemetry.TBRecord, 0, total)
-			for _, c := range cells {
-				merged = append(merged, c.Telemetry.Records...)
-			}
-			recs = merged
-		}
-		idOf := make(map[uint32]int, len(b.ues))
-		for i, ub := range b.ues {
-			idOf[uint32(ub.idx+1)] = i
-		}
-		tbsByUE = partitionTBsByUE(recs, idOf, len(b.ues))
-	}
+	ins := shardInputs(b.top, b.res, true)
 
 	correlateUE := func(i int) {
 		ub := b.ues[i]
-		offsets := map[packet.Point]time.Duration{
-			packet.PointSender:   ub.spec.SenderClockOffset,
-			packet.PointReceiver: ub.spec.ReceiverClockOffset,
-		}
-		if ub.spec.EstimateOffsets {
-			// ProbeSample.Offset() is remote-minus-reference; the
-			// reference clock here is the host being synchronized, and
-			// the core is the (true-time) remote, so the host's own
-			// offset is the negation.
-			offsets = map[packet.Point]time.Duration{}
-			if est, ok := ub.senderNTP.Estimate(); ok {
-				offsets[packet.PointSender] = -est
-			}
-			if est, ok := ub.recvNTP.Estimate(); ok {
-				offsets[packet.PointReceiver] = -est
-			}
-			ub.res.EstimatedOffsets = offsets
-		}
-		in := core.Input{
-			Sender:           ub.res.CapSender.Records,
-			Core:             coreByUE[i],
-			SFU:              sfuByUE[i],
-			Receiver:         ub.res.CapReceiver.Records,
-			Offsets:          offsets,
-			SlotDuration:     b.top.RAN.SlotDuration,
-			CoreDelay:        b.top.RAN.CoreDelay,
-			ProbeOWDBaseline: baseline,
-		}
-		if multi {
-			in.Flows = ub.flows.All()
-		}
-		if tbsByUE != nil {
-			in.TBs = tbsByUE[i]
-		}
-		ub.res.Report = core.Correlate(in)
+		ub.res.Report = core.Correlate(ins[i])
 		ub.res.Score = ub.wl.Score(b.top.Duration)
 	}
 
@@ -842,6 +779,92 @@ func (b *build) correlate() {
 		}()
 	}
 	wg.Wait()
+}
+
+// shardInputs derives the correlator input of each UE of one shard, in
+// shard order: the one derivation behind both the run's correlation
+// stage and the live feeds SessionStreams taps.
+//
+// The shard's shared captures are partitioned by owning UE in one scan
+// each — records of flows nobody owns (cross traffic, probes) never
+// match a UE's sender-derived join keys, so dropping them up front
+// cannot change any report. The cells' telemetry is concatenated in
+// global cell order (a UE that handed over has TBs in two cells'
+// streams, and the TB reconstruction tolerates the resulting time
+// interleaving) and partitioned by RAN UE identifier. Clock offsets are
+// the configured ones, or EstimatedOffsets for a UE that estimates
+// them; Flows is set only in a shard of several UEs, so a shard of one
+// correlates unfiltered.
+//
+// The live path ingests only the sender capture, the core capture and
+// the telemetry. downstream also fills what the batch correlation reads
+// beyond that: the SFU partition, the receiver capture and the probe
+// baseline.
+func shardInputs(top Topology, sr *ShardResult, downstream bool) []core.Input {
+	ues := sr.UEs
+	ueOfFlow := make(map[uint32]int, 5*len(ues))
+	idOf := make(map[uint32]int, len(ues))
+	for i, u := range ues {
+		for _, f := range u.Flows.All() {
+			ueOfFlow[f] = i
+		}
+		idOf[u.ID] = i
+	}
+	coreByUE := partitionByFlow(sr.CapCore.Records, ueOfFlow, len(ues))
+	var sfuByUE [][]packet.Record
+	var baseline time.Duration
+	if downstream {
+		sfuByUE = partitionByFlow(sr.CapSFU.Records, ueOfFlow, len(ues))
+		baseline = probeBaseline(sr.Prober)
+	}
+	var tbsByUE [][]telemetry.TBRecord
+	if cells := sr.RANs; len(cells) > 0 {
+		recs := cells[0].Telemetry.Records
+		if len(cells) > 1 {
+			total := 0
+			for _, c := range cells {
+				total += len(c.Telemetry.Records)
+			}
+			merged := make([]telemetry.TBRecord, 0, total)
+			for _, c := range cells {
+				merged = append(merged, c.Telemetry.Records...)
+			}
+			recs = merged
+		}
+		tbsByUE = partitionTBsByUE(recs, idOf, len(ues))
+	}
+
+	ins := make([]core.Input, len(ues))
+	for i, u := range ues {
+		offsets := u.EstimatedOffsets
+		if !u.Spec.EstimateOffsets {
+			offsets = map[packet.Point]time.Duration{
+				packet.PointSender:   u.Spec.SenderClockOffset,
+				packet.PointReceiver: u.Spec.ReceiverClockOffset,
+			}
+		}
+		in := core.Input{
+			Sender:       u.CapSender.Records,
+			Core:         coreByUE[i],
+			Offsets:      offsets,
+			SlotDuration: top.RAN.SlotDuration,
+			HARQRTT:      top.RAN.HARQRTT,
+			CoreDelay:    top.RAN.CoreDelay,
+		}
+		if len(ues) > 1 {
+			in.Flows = u.Flows.All()
+		}
+		if tbsByUE != nil {
+			in.TBs = tbsByUE[i]
+		}
+		if downstream {
+			in.SFU = sfuByUE[i]
+			in.Receiver = u.CapReceiver.Records
+			in.ProbeOWDBaseline = baseline
+		}
+		ins[i] = in
+	}
+	return ins
 }
 
 // partitionByFlow splits a shared capture into per-UE record slices in
