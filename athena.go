@@ -63,8 +63,7 @@ func DefaultConfig() Config { return scenario.Defaults() }
 // shared process-wide runner: a config already executed this process
 // (same seed, same knobs) is recalled from the memoization cache and the
 // callers share one Result. Results are safe to share because their
-// accessors are pure readers; call RunFresh for a private, uncached
-// Result.
+// accessors are pure readers.
 func Run(cfg Config) *Result { return runner.Default.Run(cfg) }
 
 // RunAll executes a batch of independent scenarios, fanning them across
@@ -76,10 +75,6 @@ func Run(cfg Config) *Result { return runner.Default.Run(cfg) }
 func RunAll(cfgs []Config) []*Result {
 	return runner.Default.RunAll(context.Background(), cfgs)
 }
-
-// RunFresh executes a scenario directly, bypassing the runner's cache —
-// for callers that need exclusive ownership of the Result.
-func RunFresh(cfg Config) *Result { return scenario.Run(cfg) }
 
 // Topology describes a multi-UE cell: N VCA participants, each with its
 // own endpoint pipeline, clocks, captures and flow IDs, sharing one RAN
@@ -97,15 +92,9 @@ type TopologyResult = scenario.TopologyResult
 // flow-filtered correlation Report.
 type UEResult = scenario.UEResult
 
-// FlowIDs names one UE's uplink/downlink media and NTP flows.
-type FlowIDs = scenario.FlowIDs
-
 // NewTopology returns a topology of n default VCA UEs sharing one
 // DefaultConfig cell, each with a distinct media seed.
 func NewTopology(n int) Topology { return scenario.NewTopology(n) }
-
-// DefaultUE returns the default participant spec.
-func DefaultUE() UESpec { return scenario.DefaultUE() }
 
 // RunTopology executes a multi-UE topology and correlates each UE's
 // traces. Topology runs are not memoized; every call simulates. An
@@ -125,10 +114,6 @@ const (
 	WorkloadBulkTransfer = scenario.WorkloadBulkTransfer
 	WorkloadAudioOnly    = scenario.WorkloadAudioOnly
 )
-
-// WorkloadScore is a UE's app-level QoE summary (UEResult.Score): a
-// family tag plus named scalars.
-type WorkloadScore = scenario.WorkloadScore
 
 // WorkloadKinds lists every application family in canonical order.
 func WorkloadKinds() []WorkloadKind { return scenario.WorkloadKinds() }

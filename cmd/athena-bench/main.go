@@ -15,8 +15,6 @@
 //	athena-bench -parallel 4           # up to 4 experiments concurrently
 //	athena-bench -manifest run.json    # JSON run manifest for regression diffing
 //	athena-bench -store .athena-store  # persistent result store: repeat sweeps are incremental
-//	athena-bench -shard 2/4 ...        # run the second quarter of the selection
-//	athena-bench -merge-manifests merged.json s1.json s2.json ...
 //	athena-bench -diff-manifests a.json b.json
 //
 // With -parallel the experiments run concurrently but output streams in
@@ -29,10 +27,8 @@
 // With -store (or ATHENA_STORE in the environment) results persist in
 // an on-disk content-addressed store keyed by experiment, options and
 // code revision: a warm sweep skips every unchanged generator and is
-// digest-identical to a cold one. -shard i/n deterministically
-// partitions any selection by canonical ID order so a sweep splits
-// across machines; -merge-manifests recombines the shard manifests
-// into one manifest digest-identical to an unsharded run.
+// digest-identical to a cold one. The store grows by about one sweep's
+// results per revision and is safe to delete.
 //
 // On SIGINT/SIGTERM a sweep stops launching new experiments, lets
 // in-flight ones finish, and still writes the manifest — completed
@@ -105,30 +101,6 @@ func storeNamespace(explicit string) string {
 	return "dev"
 }
 
-// runMergeManifests implements -merge-manifests OUT in1.json in2.json…
-func runMergeManifests(out string, inputs []string) error {
-	if len(inputs) == 0 {
-		return fmt.Errorf("-merge-manifests needs shard manifest paths as arguments")
-	}
-	ms := make([]*experiment.Manifest, 0, len(inputs))
-	for _, p := range inputs {
-		m, err := experiment.ReadManifestFile(p)
-		if err != nil {
-			return fmt.Errorf("%s: %w", p, err)
-		}
-		ms = append(ms, m)
-	}
-	merged, err := experiment.MergeManifests(ms)
-	if err != nil {
-		return err
-	}
-	if err := merged.WriteFile(out); err != nil {
-		return err
-	}
-	fmt.Printf("merged %d manifests (%d experiments) into %s\n", len(ms), len(merged.Experiments), out)
-	return nil
-}
-
 // runDiffManifests implements -diff-manifests a.json b.json; a nonzero
 // exit means the runs rendered different artifacts.
 func runDiffManifests(paths []string) error {
@@ -168,22 +140,13 @@ func main() {
 	parallel := flag.Int("parallel", 1, "number of experiments to regenerate concurrently")
 	verbose := flag.Bool("v", false, "print runner pool and result store statistics after the sweep")
 	storeDir := flag.String("store", os.Getenv("ATHENA_STORE"), "persistent result store directory (default $ATHENA_STORE; empty disables)")
-	storeMaxMB := flag.Int64("store-max-mb", 256, "result store size budget in MiB before LRU pruning (<= 0: unbounded)")
 	storeNS := flag.String("store-namespace", "", "result store namespace (default $ATHENA_STORE_NAMESPACE, else the build VCS revision)")
-	shardSpec := flag.String("shard", "", "run one shard i/n of the selection, partitioned by canonical ID order (e.g. 2/4)")
-	mergeOut := flag.String("merge-manifests", "", "merge the shard manifests given as arguments into this file and exit")
 	diffMode := flag.Bool("diff-manifests", false, "diff the two manifests given as arguments by digest and exit (nonzero on difference)")
 	prof := profiling.AddFlags(flag.CommandLine)
 	obsFlags := obs.AddCLIFlags(flag.CommandLine)
 	flag.Parse()
 
-	// Manifest utility modes: no simulation, just read/combine/compare.
-	if *mergeOut != "" {
-		if err := runMergeManifests(*mergeOut, flag.Args()); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
+	// Manifest utility mode: no simulation, just read and compare.
 	if *diffMode {
 		if err := runDiffManifests(flag.Args()); err != nil {
 			log.Fatal(err)
@@ -198,13 +161,6 @@ func main() {
 	})
 	if err != nil {
 		log.Fatal(err)
-	}
-	if *shardSpec != "" {
-		sh, err := experiment.ParseShard(*shardSpec)
-		if err != nil {
-			log.Fatal(err)
-		}
-		sel = sh.Partition(sel)
 	}
 	if *list {
 		for _, e := range sel {
@@ -240,7 +196,7 @@ func main() {
 
 	var resultStore *store.Store
 	if *storeDir != "" {
-		resultStore, err = store.Open(*storeDir, store.Config{MaxBytes: *storeMaxMB << 20, Metrics: "store"})
+		resultStore, err = store.Open(*storeDir, store.Config{Metrics: "store"})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -310,8 +266,8 @@ func main() {
 			st.Submissions, st.MemoHits, st.MemoMisses, st.InFlight, st.Flushes)
 		if resultStore != nil {
 			ss := resultStore.Stats()
-			fmt.Printf("result store: %d hits, %d misses, %d writes, %d evictions, %d corrupt (%d entries, %d bytes)\n",
-				ss.Hits, ss.Misses, ss.Writes, ss.Evictions, ss.Corrupt, resultStore.Len(), resultStore.Size())
+			fmt.Printf("result store: %d hits, %d misses, %d writes, %d corrupt (%d entries, %d bytes)\n",
+				ss.Hits, ss.Misses, ss.Writes, ss.Corrupt, resultStore.Len(), resultStore.Size())
 		}
 	}
 	if err := stopObs(); err != nil {

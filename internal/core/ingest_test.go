@@ -147,6 +147,40 @@ func TestIngestRejectsReplayOfTrimmedHeadRecord(t *testing.T) {
 	}
 }
 
+// A burst of records sharing one capture timestamp must ingest in time
+// linear in its length: the duplicate guard runs under the session lock,
+// and DefaultMaxPending same-timestamp records fit in one feed. The check
+// is on the ratio of two burst sizes, not on absolute time: linear
+// scaling gives ~4, a scan of the burst per record ~16. The first burst
+// of each size only sizes the buffers, so the ratio measures the guard,
+// not the allocator.
+func TestIngestSameTimestampBurstLinear(t *testing.T) {
+	ingest := func(n int) time.Duration {
+		lc := NewLive(Input{}, nil)
+		best := time.Duration(1<<63 - 1)
+		for rep := 0; rep < 6; rep++ {
+			at := time.Duration(rep) * time.Second
+			t0 := time.Now()
+			for i := 0; i < n; i++ {
+				if err := lc.OnSenderRecord(sRec(1, uint32(i), packet.KindVideo, at)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if rep > 0 {
+				best = min(best, time.Since(t0))
+			}
+			if err := lc.Advance(at + time.Second); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return best
+	}
+	small, large := ingest(8<<10), ingest(32<<10)
+	if ratio := float64(large) / float64(small); ratio >= 8 {
+		t.Fatalf("32 Ki same-timestamp records took %v, %.1f× the %v of 8 Ki; want < 8×", large, ratio, small)
+	}
+}
+
 // Drain must flush every pending packet regardless of where the feeder
 // left the clock — including feeds that never advanced at all and use
 // absolute (epoch-like) capture times far ahead of the zero clock.

@@ -54,13 +54,13 @@ type LiveCorrelator struct {
 	// index, and the flow-coverage set derived from in.Flows. The
 	// duplicate index is just the keys accepted at exactly lastSenderAt:
 	// a replay of anything older already fails the order check. Being
-	// independent of the retained window, it survives every trim. It is
-	// scanned linearly — records sharing one capture timestamp are a
-	// handful (at most 7 in the generated streams).
+	// independent of the retained window, it survives every trim.
+	// headPeak is the most keys it has held since it was last made.
 	lastSenderAt time.Duration
 	lastCoreAt   time.Duration
 	advanced     time.Duration
-	headKeys     []pktKey
+	headKeys     map[pktKey]struct{}
+	headPeak     int
 	coveredFlow  map[uint32]bool
 
 	// Progress counters surfaced by Snapshot.
@@ -78,6 +78,10 @@ type LiveCorrelator struct {
 // LiveCorrelator implements the streaming ingest boundary.
 var _ Ingest = (*LiveCorrelator)(nil)
 
+// DefaultFlushAfter is the emission horizon NewLive sets: a packet still
+// unresolved this long after it was sent is emitted as-is.
+const DefaultFlushAfter = 500 * time.Millisecond
+
 // NewLive creates a live correlator with the same configuration fields as
 // the batch Input (captures inside `in` are ignored; feed records through
 // the On* methods).
@@ -85,8 +89,9 @@ func NewLive(in Input, emit func(PacketView)) *LiveCorrelator {
 	in.Sender, in.Core, in.SFU, in.Receiver = nil, nil, nil, nil
 	lc := &LiveCorrelator{
 		in:         in.withDefaults(),
-		FlushAfter: 500 * time.Millisecond,
+		FlushAfter: DefaultFlushAfter,
 		Emit:       emit,
+		headKeys:   make(map[pktKey]struct{}),
 		sc:         scratch{reuse: true},
 	}
 	if len(in.Flows) > 0 {
@@ -115,20 +120,33 @@ func (lc *LiveCorrelator) OnSenderRecord(r packet.Record) error {
 	}
 	k := pktKey{r.Flow, r.Seq, r.Kind}
 	if r.LocalTime > lc.lastSenderAt {
-		lc.headKeys = lc.headKeys[:0]
+		lc.resetHead()
 	}
-	for _, hk := range lc.headKeys {
-		if hk == k {
-			// Sequence-less kinds (NTP cross traffic) legitimately repeat a
-			// key at distinct capture times; an identical timestamp means the
-			// same record fed twice.
-			return fmt.Errorf("%w: sender %d/%d/%s at %v", ErrDuplicate, r.Flow, r.Seq, r.Kind, r.LocalTime)
-		}
+	if _, dup := lc.headKeys[k]; dup {
+		// Sequence-less kinds (NTP cross traffic) legitimately repeat a
+		// key at distinct capture times; an identical timestamp means the
+		// same record fed twice.
+		return fmt.Errorf("%w: sender %d/%d/%s at %v", ErrDuplicate, r.Flow, r.Seq, r.Kind, r.LocalTime)
 	}
-	lc.headKeys = append(lc.headKeys, k)
+	lc.headKeys[k] = struct{}{}
 	lc.lastSenderAt = r.LocalTime
 	lc.sender = append(lc.sender, r)
 	return nil
+}
+
+// resetHead empties the duplicate index for a new capture timestamp.
+// Clearing a map costs its capacity, which never shrinks, so once a
+// burst has grown the map past 64 keys, a run under a quarter of that
+// burst replaces it instead. Either way the reset is amortised O(1) per
+// record, and a feed whose runs stay small never allocates here.
+func (lc *LiveCorrelator) resetHead() {
+	n := len(lc.headKeys)
+	lc.headPeak = max(lc.headPeak, n)
+	if lc.headPeak > 64 && 4*n < lc.headPeak {
+		lc.headKeys, lc.headPeak = make(map[pktKey]struct{}), 0
+		return
+	}
+	clear(lc.headKeys)
 }
 
 // OnCoreRecord feeds a point-② capture record. The same capture-order

@@ -9,15 +9,9 @@ import (
 	"sort"
 )
 
-// ManifestSchema versions the manifest JSON layout. History:
-//
-//	1: initial layout
-//	2: per-entry queue_wait_ms, recorded separately from wall_ms
-//	3: per-entry cached flag and store_wait_ms (persistent result
-//	   store lookups, internal/store)
-//
-// ReadManifest accepts any schema up to the current one; older readers
-// reject newer manifests rather than silently dropping fields.
+// ManifestSchema versions the manifest JSON layout. ReadManifest accepts
+// exactly this schema: a manifest of any other layout is rejected rather
+// than half-read.
 const ManifestSchema = 3
 
 // ManifestEntry records one experiment of a sweep: its registry
@@ -33,16 +27,16 @@ type ManifestEntry struct {
 	Tags    []string `json:"tags,omitempty"`
 	Options Options  `json:"options"`
 	WallMS  float64  `json:"wall_ms"`
-	// QueueWaitMS (schema >= 2) is how long the experiment waited
-	// behind the sweep's parallelism bound before running; wall_ms
-	// counts only the generator itself.
+	// QueueWaitMS is how long the experiment waited behind the sweep's
+	// parallelism bound before running; wall_ms counts only the
+	// generator itself.
 	QueueWaitMS float64 `json:"queue_wait_ms"`
-	// StoreWaitMS (schema >= 3) is the persistent-store lookup and
-	// validation time, hit or miss; zero when no store was configured.
+	// StoreWaitMS is the persistent-store lookup and validation time,
+	// hit or miss; zero when no store was configured.
 	StoreWaitMS float64 `json:"store_wait_ms,omitempty"`
-	// Cached (schema >= 3) marks entries recalled from the persistent
-	// result store rather than regenerated; their wall_ms is ~zero and
-	// their digest was revalidated on load.
+	// Cached marks entries recalled from the persistent result store
+	// rather than regenerated; their wall_ms is ~zero and their digest
+	// was revalidated on load.
 	Cached    bool     `json:"cached,omitempty"`
 	Digest    string   `json:"digest"`
 	Artifacts []string `json:"artifacts,omitempty"`
@@ -115,8 +109,8 @@ func ReadManifest(r io.Reader) (*Manifest, error) {
 	if err := dec.Decode(&m); err != nil {
 		return nil, fmt.Errorf("reading manifest: %w", err)
 	}
-	if m.Schema > ManifestSchema {
-		return nil, fmt.Errorf("manifest schema %d newer than supported %d", m.Schema, ManifestSchema)
+	if m.Schema != ManifestSchema {
+		return nil, fmt.Errorf("manifest schema %d, want %d", m.Schema, ManifestSchema)
 	}
 	return &m, nil
 }

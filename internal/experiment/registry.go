@@ -239,9 +239,6 @@ func filter(es []Experiment, pred func(Experiment) bool) []Experiment {
 
 // Package-level wrappers over the Default registry.
 
-// Register adds an experiment to the Default registry.
-func Register(e Experiment) error { return Default.Register(e) }
-
 // MustRegister adds experiments to the Default registry, panicking on
 // error.
 func MustRegister(es ...Experiment) { Default.MustRegister(es...) }
@@ -252,9 +249,6 @@ func Lookup(id string) (Experiment, bool) { return Default.Lookup(id) }
 
 // All lists the Default registry in canonical order.
 func All() []Experiment { return Default.All() }
-
-// IDs lists the Default registry's IDs in canonical order.
-func IDs() []string { return Default.IDs() }
 
 // Select filters the Default registry.
 func Select(sel Selection) ([]Experiment, error) { return Default.Select(sel) }

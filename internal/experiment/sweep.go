@@ -39,10 +39,6 @@ type SweepConfig struct {
 	// hook CLIs print from. It must not be called concurrently and is
 	// never called for experiments skipped by cancellation.
 	OnResult func(i int, r RunResult)
-	// Tracer, when set, receives one span per executed experiment
-	// (named exp:<id>). When nil, the global obs timeline is used — and
-	// with no timeline installed, span recording is inert.
-	Tracer *obs.Tracer
 }
 
 // RunResult is one experiment's slot in a sweep, in input order.
@@ -107,10 +103,6 @@ func Sweep(ctx context.Context, exps []Experiment, cfg SweepConfig) []RunResult 
 	if workers < 1 {
 		workers = 1
 	}
-	tracer := cfg.Tracer
-	if tracer == nil {
-		tracer = obs.Timeline()
-	}
 	submitAt := time.Now()
 	pool := runner.New(workers)
 	pool.ForEach(ctx, len(exps), func(i int) {
@@ -133,7 +125,7 @@ func Sweep(ctx context.Context, exps []Experiment, cfg SweepConfig) []RunResult 
 			}
 		}
 		if !r.Cached {
-			span := tracer.Begin("exp:"+exps[i].ID, 0)
+			span := obs.StartSpan("exp:" + exps[i].ID)
 			t0 := time.Now()
 			fig := exps[i].Gen(cfg.Options)
 			r.Figure = fig

@@ -26,6 +26,13 @@ func fastExperiments(n int) []Experiment {
 	return es
 }
 
+// useTimeline installs tr as the global timeline Sweep reports to, and
+// removes it when the test ends.
+func useTimeline(t *testing.T, tr *obs.Tracer) {
+	obs.SetTimeline(tr)
+	t.Cleanup(func() { obs.SetTimeline(nil) })
+}
+
 // goldenSweepTrace is the Chrome trace of a serial 2-experiment sweep
 // under a deterministic clock that advances 1 ms per reading: each
 // experiment's span takes two readings (begin, end), so the spans tile
@@ -57,10 +64,8 @@ func TestSweepChromeTraceGolden(t *testing.T) {
 	tr := obs.NewTracerClock(func() time.Duration {
 		return time.Duration(ticks.Add(1)) * time.Millisecond
 	})
-	results := Sweep(context.Background(), fastExperiments(2), SweepConfig{
-		Parallel: 1,
-		Tracer:   tr,
-	})
+	useTimeline(t, tr)
+	results := Sweep(context.Background(), fastExperiments(2), SweepConfig{Parallel: 1})
 	for _, r := range results {
 		if r.Err != nil || r.Skipped {
 			t.Fatalf("sweep failed: %+v", r)
@@ -80,8 +85,9 @@ func TestSweepChromeTraceGolden(t *testing.T) {
 // of worker interleaving.
 func TestSweepSpansParallel(t *testing.T) {
 	tr := obs.NewTracer()
+	useTimeline(t, tr)
 	exps := fastExperiments(8)
-	Sweep(context.Background(), exps, SweepConfig{Parallel: 4, Tracer: tr})
+	Sweep(context.Background(), exps, SweepConfig{Parallel: 4})
 
 	spans := tr.Snapshot()
 	if len(spans) != len(exps) {

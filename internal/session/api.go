@@ -88,8 +88,9 @@ type errorBody struct {
 //
 // Error statuses: 400 for malformed bodies (a syntax error names its byte
 // offset), for anything but whitespace after the one JSON value a create
-// or feed body carries, and for feed-contract violations (the body names
-// the offending record), 404 for unknown sessions, 409 for duplicate IDs
+// or feed body carries, for create bounds outside the server's (the body
+// names the field), and for feed-contract violations (the body names the
+// offending record), 404 for unknown sessions, 409 for duplicate IDs
 // or closed sessions, 413 for request bodies past the decode bound, 429
 // for backpressure and session capacity.
 func (r *Registry) Handler() http.Handler {
@@ -391,7 +392,7 @@ func statusOf(err error) int {
 		return http.StatusTooManyRequests
 	case errors.Is(err, core.ErrOutOfOrder), errors.Is(err, core.ErrDuplicate),
 		errors.Is(err, core.ErrFlowNotCovered), errors.Is(err, core.ErrTimeRegression),
-		errors.Is(err, ErrInvalidID):
+		errors.Is(err, ErrInvalidID), errors.Is(err, ErrInvalidConfig):
 		return http.StatusBadRequest
 	default:
 		return http.StatusInternalServerError

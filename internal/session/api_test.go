@@ -178,6 +178,23 @@ func TestAPIErrorMapping(t *testing.T) {
 		t.Fatalf("error envelope missing: %s", body)
 	}
 
+	// A create may lower the server's bounds but not disable or raise
+	// them: 400 naming the field, and no session.
+	for _, c := range []struct {
+		cfg   Config
+		field string
+	}{
+		{Config{ID: "b1", MaxPending: -1}, "max_pending"},
+		{Config{ID: "b2", MaxPending: DefaultMaxPending + 1}, "max_pending"},
+		{Config{ID: "b3", FlushAfter: -1}, "flush_after_ns"},
+		{Config{ID: "b4", FlushAfter: core.DefaultFlushAfter + 1}, "flush_after_ns"},
+	} {
+		rr, body := do(t, h, "POST", "/v1/sessions", c.cfg)
+		if _, made := reg.Get(c.cfg.ID); rr.Code != http.StatusBadRequest || !strings.Contains(string(body), c.field) || made {
+			t.Fatalf("%+v: %d %s (session made: %t), want 400 naming %s", c.cfg, rr.Code, body, made, c.field)
+		}
+	}
+
 	// Backpressure is 429.
 	do(t, h, "POST", "/v1/sessions", Config{ID: "bp", MaxPending: 5})
 	big := synthFeed(6)

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"athena/internal/core"
 	"athena/internal/obs"
 )
 
@@ -86,10 +87,18 @@ func (r *Registry) Overview() Overview {
 }
 
 // Create registers a new session. The ID must be non-empty, at most 128
-// bytes, and unused.
+// bytes, and unused. The bounds are server policy: a create may lower
+// MaxPending and FlushAfter below their defaults, but not raise or
+// disable them.
 func (r *Registry) Create(cfg Config) (*Session, error) {
 	if cfg.ID == "" || len(cfg.ID) > 128 {
 		return nil, fmt.Errorf("%w: %q", ErrInvalidID, cfg.ID)
+	}
+	if cfg.MaxPending < 0 || cfg.MaxPending > DefaultMaxPending {
+		return nil, fmt.Errorf("%w: max_pending %d outside [0, %d]", ErrInvalidConfig, cfg.MaxPending, DefaultMaxPending)
+	}
+	if cfg.FlushAfter < 0 || cfg.FlushAfter > core.DefaultFlushAfter {
+		return nil, fmt.Errorf("%w: flush_after_ns %d outside [0, %d]", ErrInvalidConfig, cfg.FlushAfter, core.DefaultFlushAfter)
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -36,6 +36,10 @@ var (
 	// the feeder should advance the session clock (resolving or expiring
 	// pending packets) before retrying.
 	ErrBackpressure = errors.New("session pending window full")
+
+	// ErrInvalidConfig reports a Create whose memory or emission bound
+	// lies outside what the server allows.
+	ErrInvalidConfig = errors.New("invalid session config")
 )
 
 // DefaultMaxPending bounds how many unresolved packets a session admits
@@ -59,12 +63,13 @@ type Config struct {
 	// slices inside are ignored — records arrive through Feed.
 	Input core.Input `json:"input"`
 
-	// FlushAfter overrides the correlator's emission horizon (how long a
+	// FlushAfter lowers the correlator's emission horizon (how long a
 	// packet may stay unresolved before being emitted as-is). Zero keeps
-	// the correlator default.
+	// core.DefaultFlushAfter, which is also the ceiling.
 	FlushAfter time.Duration `json:"flush_after_ns,omitempty"`
 
-	// MaxPending overrides DefaultMaxPending; negative disables the bound.
+	// MaxPending lowers the admission bound. Zero keeps
+	// DefaultMaxPending, which is also the ceiling.
 	MaxPending int `json:"max_pending,omitempty"`
 }
 
@@ -195,7 +200,7 @@ func (s *Session) Feed(b *Batch) (core.LiveSnapshot, error) {
 	if s.closed {
 		return core.LiveSnapshot{}, fmt.Errorf("%w: %s", ErrClosed, s.id)
 	}
-	if snap := s.lc.Snapshot(); s.maxPending > 0 && snap.Pending+len(b.Sender) > s.maxPending {
+	if snap := s.lc.Snapshot(); snap.Pending+len(b.Sender) > s.maxPending {
 		s.hooks.events.Emit(obs.Event{
 			Type: "session.backpressure", Session: s.id, Cell: s.cell, Family: s.family,
 			Value: int64(snap.Pending + len(b.Sender)),

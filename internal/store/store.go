@@ -10,16 +10,16 @@
 // — is discarded and counted as corrupt rather than returned. A corrupt
 // or stale cache can therefore cost a recompute, never a wrong result.
 //
-// The store is size-bounded: when the configured budget is exceeded a
-// prune pass removes the least-recently-used entries (hit reads refresh
-// an entry's mtime) until the store fits again. All activity is
-// observable through obs counters (<prefix>.hits/misses/writes/
-// evictions/corrupt when a metrics prefix is configured).
+// The store has no size budget and never evicts: the experiment layer
+// writes about one sweep's results (under 2 MB) per code-revision
+// namespace, and the directory is safe to delete at any time — a missing
+// entry is a recompute. All activity is observable through obs counters
+// (<prefix>.hits/misses/writes/corrupt when a metrics prefix is
+// configured).
 //
 // Concurrent use within a process is safe (one mutex); concurrent use
-// across processes — shards of one sweep sharing a directory — is safe
-// because entries are immutable once renamed into place and a reader
-// that races a prune simply misses.
+// across processes sharing a directory is safe because entries are
+// immutable once renamed into place.
 package store
 
 import (
@@ -29,10 +29,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"sync"
-	"time"
 
 	"athena/internal/obs"
 )
@@ -46,37 +44,25 @@ const entryVersion = 1
 const entryMagic = "athena-store"
 
 // entrySuffix names entry files; everything else in the directory is
-// ignored (and never pruned), so a store can live inside a directory
-// that also holds manifests or notes.
+// ignored, so a store can live inside a directory that also holds
+// manifests or notes.
 const entrySuffix = ".entry"
-
-// DefaultMaxBytes is the prune budget applied when Config.MaxBytes is
-// zero: generous for rendered-figure payloads (a full-registry sweep is
-// well under 1 MiB) while keeping a long-lived CI cache bounded.
-const DefaultMaxBytes = 256 << 20
 
 // Config tunes Open.
 type Config struct {
-	// MaxBytes bounds the total size of entry files; exceeding it
-	// triggers an LRU prune after the write that crossed the budget.
-	// Zero selects DefaultMaxBytes; negative disables pruning.
-	MaxBytes int64
 	// Metrics, when non-empty, registers the store's counters in the
-	// global obs registry under <Metrics>.hits, .misses, .writes,
-	// .evictions and .corrupt. Leave empty for private (test) stores.
+	// global obs registry under <Metrics>.hits, .misses, .writes and
+	// .corrupt. Leave empty for private (test) stores.
 	Metrics string
 }
 
 // Store is one on-disk result store rooted at a directory. Create with
 // Open; the zero value is not usable.
 type Store struct {
-	dir      string
-	maxBytes int64
-	metrics  string
+	dir     string
+	metrics string
 
-	mu   sync.Mutex
-	size int64 // total bytes across entry files
-
+	mu  sync.Mutex
 	met storeMetrics
 }
 
@@ -85,51 +71,40 @@ type Store struct {
 // registry. Counters accumulate only while obs recording is enabled
 // (see obs.Enable), matching the runner pool's convention.
 type storeMetrics struct {
-	hits      obs.Counter
-	misses    obs.Counter
-	writes    obs.Counter
-	evictions obs.Counter
-	corrupt   obs.Counter
+	hits    obs.Counter
+	misses  obs.Counter
+	writes  obs.Counter
+	corrupt obs.Counter
 }
 
 // Stats is a point-in-time read of the store's counters.
 type Stats struct {
-	Hits      int64 `json:"hits"`      // Get calls that returned a validated payload
-	Misses    int64 `json:"misses"`    // Get calls with no (valid) entry
-	Writes    int64 `json:"writes"`    // Put calls that renamed an entry into place
-	Evictions int64 `json:"evictions"` // entries removed by the prune policy
-	Corrupt   int64 `json:"corrupt"`   // entries discarded because validation failed
+	Hits    int64 `json:"hits"`    // Get calls that returned a validated payload
+	Misses  int64 `json:"misses"`  // Get calls with no (valid) entry
+	Writes  int64 `json:"writes"`  // Put calls that renamed an entry into place
+	Corrupt int64 `json:"corrupt"` // entries discarded because validation failed
 }
 
 // Stats reads the store's counters.
 func (s *Store) Stats() Stats {
 	return Stats{
-		Hits:      s.met.hits.Value(),
-		Misses:    s.met.misses.Value(),
-		Writes:    s.met.writes.Value(),
-		Evictions: s.met.evictions.Value(),
-		Corrupt:   s.met.corrupt.Value(),
+		Hits:    s.met.hits.Value(),
+		Misses:  s.met.misses.Value(),
+		Writes:  s.met.writes.Value(),
+		Corrupt: s.met.corrupt.Value(),
 	}
 }
 
-// Open creates (if needed) and opens the store rooted at dir, scanning
-// existing entries to initialize the size accounting.
+// Open creates (if needed) and opens the store rooted at dir.
 func Open(dir string, cfg Config) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	s := &Store{dir: dir, maxBytes: cfg.MaxBytes, metrics: cfg.Metrics}
-	if s.maxBytes == 0 {
-		s.maxBytes = DefaultMaxBytes
-	}
-	for _, e := range s.scan() {
-		s.size += e.size
-	}
+	s := &Store{dir: dir, metrics: cfg.Metrics}
 	if cfg.Metrics != "" {
 		obs.RegisterCounter(cfg.Metrics+".hits", &s.met.hits)
 		obs.RegisterCounter(cfg.Metrics+".misses", &s.met.misses)
 		obs.RegisterCounter(cfg.Metrics+".writes", &s.met.writes)
-		obs.RegisterCounter(cfg.Metrics+".evictions", &s.met.evictions)
 		obs.RegisterCounter(cfg.Metrics+".corrupt", &s.met.corrupt)
 	}
 	return s, nil
@@ -280,14 +255,10 @@ func (s *Store) Get(key string) (payload []byte, ok bool) {
 	}
 	gotKey, payload, err := decodeEntryStrict(data)
 	if err != nil || gotKey != key {
-		s.discardLocked(p, int64(len(data)))
+		s.discardLocked(p)
 		s.met.misses.Inc()
 		return nil, false
 	}
-	// Refresh the mtime so the prune policy is LRU rather than
-	// write-ordered; failure is harmless (the entry just looks older).
-	now := time.Now()
-	_ = os.Chtimes(p, now, now)
 	s.met.hits.Inc()
 	return payload, true
 }
@@ -295,8 +266,7 @@ func (s *Store) Get(key string) (payload []byte, ok bool) {
 // Put stores payload under key, atomically: the entry is written to a
 // temp file in the store directory and renamed into place, so a crash
 // mid-write leaves either the old entry or none, and concurrent readers
-// (including other processes) never observe a partial file. Writing may
-// trigger a prune if the store exceeds its size budget.
+// (including other processes) never observe a partial file.
 func (s *Store) Put(key string, payload []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -318,17 +288,11 @@ func (s *Store) Put(key string, payload []byte) error {
 		os.Remove(tmp.Name())
 		return fmt.Errorf("store: %w", err)
 	}
-	var prevSize int64
-	if fi, err := os.Stat(p); err == nil {
-		prevSize = fi.Size()
-	}
 	if err := os.Rename(tmp.Name(), p); err != nil {
 		os.Remove(tmp.Name())
 		return fmt.Errorf("store: %w", err)
 	}
-	s.size += int64(len(data)) - prevSize
 	s.met.writes.Inc()
-	s.pruneLocked()
 	return nil
 }
 
@@ -339,98 +303,48 @@ func (s *Store) Put(key string, payload []byte) error {
 func (s *Store) Invalidate(key string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	p := s.path(key)
-	if fi, err := os.Stat(p); err == nil {
-		s.discardLocked(p, fi.Size())
-	}
+	s.discardLocked(s.path(key))
 }
 
-// discardLocked deletes a failed entry and accounts for it.
-func (s *Store) discardLocked(path string, size int64) {
+// discardLocked deletes a failed entry and counts it.
+func (s *Store) discardLocked(path string) {
 	if os.Remove(path) == nil {
-		s.size -= size
 		s.met.corrupt.Inc()
 	}
 }
 
 // Len reports the number of entry files.
 func (s *Store) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.scan())
+	n, _ := s.scan()
+	return n
 }
 
-// Size reports the total bytes across entry files as accounted.
+// Size reports the total bytes across entry files.
 func (s *Store) Size() int64 {
+	_, size := s.scan()
+	return size
+}
+
+// scan counts the entry files under the store root and sums their
+// sizes. Called rarely (Len, Size), so it re-walks rather than caching.
+func (s *Store) scan() (n int, size int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.size
-}
-
-type fileInfo struct {
-	path  string
-	size  int64
-	mtime time.Time
-}
-
-// scan lists every entry file under the store root. Called rarely
-// (Open, Len, prune), so it re-walks rather than caching.
-func (s *Store) scan() []fileInfo {
-	var out []fileInfo
-	subs, err := os.ReadDir(s.dir)
-	if err != nil {
-		return nil
-	}
+	subs, _ := os.ReadDir(s.dir)
 	for _, sub := range subs {
 		if !sub.IsDir() || len(sub.Name()) != 2 {
 			continue
 		}
-		files, err := os.ReadDir(filepath.Join(s.dir, sub.Name()))
-		if err != nil {
-			continue
-		}
+		files, _ := os.ReadDir(filepath.Join(s.dir, sub.Name()))
 		for _, f := range files {
 			if f.IsDir() || filepath.Ext(f.Name()) != entrySuffix {
 				continue
 			}
-			fi, err := f.Info()
-			if err != nil {
-				continue
+			if fi, err := f.Info(); err == nil {
+				n++
+				size += fi.Size()
 			}
-			out = append(out, fileInfo{
-				path:  filepath.Join(s.dir, sub.Name(), f.Name()),
-				size:  fi.Size(),
-				mtime: fi.ModTime(),
-			})
 		}
 	}
-	return out
-}
-
-// pruneLocked enforces the size budget: entries are removed oldest
-// mtime first (hits refresh mtimes, so this approximates LRU) until the
-// store fits. The entry just written is the newest, so a single
-// oversized write cannot evict itself before anything older.
-func (s *Store) pruneLocked() {
-	if s.maxBytes < 0 || s.size <= s.maxBytes {
-		return
-	}
-	entries := s.scan()
-	sort.Slice(entries, func(i, j int) bool { return entries[i].mtime.Before(entries[j].mtime) })
-	// Re-derive size from the scan: accounting drift (entries removed
-	// behind our back by another process) must not cause over-pruning.
-	var total int64
-	for _, e := range entries {
-		total += e.size
-	}
-	s.size = total
-	for _, e := range entries {
-		if s.size <= s.maxBytes {
-			break
-		}
-		if os.Remove(e.path) == nil {
-			s.size -= e.size
-			s.met.evictions.Inc()
-		}
-	}
+	return n, size
 }

@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"athena/internal/obs"
 )
@@ -172,59 +171,6 @@ func TestInvalidate(t *testing.T) {
 		t.Fatalf("corrupt counter = %d, want 1", st.Corrupt)
 	}
 	s.Invalidate("k") // idempotent on absent entries
-}
-
-func TestPruneEvictsLeastRecentlyUsed(t *testing.T) {
-	withObs(t)
-	// Budget that fits roughly 3 of the ~1150-byte entries below.
-	s := openTest(t, Config{MaxBytes: 3500})
-	payload := bytes.Repeat([]byte("x"), 1000)
-	now := time.Now()
-	for i := 0; i < 3; i++ {
-		key := fmt.Sprintf("k%d", i)
-		if err := s.Put(key, payload); err != nil {
-			t.Fatal(err)
-		}
-		// Spread mtimes so LRU order is unambiguous even on coarse
-		// filesystem timestamp granularity.
-		old := now.Add(time.Duration(i-10) * time.Hour)
-		if err := os.Chtimes(entryPath(s, key), old, old); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Touch k0 (the oldest by write) so k1 becomes the LRU victim.
-	if _, ok := s.Get("k0"); !ok {
-		t.Fatal("k0 missing before prune")
-	}
-	if err := s.Put("k3", payload); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := s.Get("k1"); ok {
-		t.Fatal("LRU entry k1 survived the prune")
-	}
-	for _, key := range []string{"k0", "k2", "k3"} {
-		if _, ok := s.Get(key); !ok {
-			t.Fatalf("entry %s evicted out of LRU order", key)
-		}
-	}
-	if st := s.Stats(); st.Evictions == 0 {
-		t.Fatalf("evictions counter = %d, want > 0", st.Evictions)
-	}
-	if s.Size() > 3500 {
-		t.Fatalf("size %d exceeds budget after prune", s.Size())
-	}
-}
-
-func TestPruneDisabled(t *testing.T) {
-	s := openTest(t, Config{MaxBytes: -1})
-	for i := 0; i < 20; i++ {
-		if err := s.Put(fmt.Sprintf("k%d", i), bytes.Repeat([]byte("y"), 4096)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if s.Len() != 20 {
-		t.Fatalf("Len = %d, want 20 (pruning disabled)", s.Len())
-	}
 }
 
 func TestReopenSeesExistingEntries(t *testing.T) {
