@@ -48,7 +48,7 @@ func main() {
 	log.SetPrefix("athena-serve: ")
 
 	addr := flag.String("addr", ":8080", "listen address (server mode)")
-	maxSessions := flag.Int("max-sessions", 0, "session capacity, 0 = unbounded")
+	maxSessions := flag.Int("max-sessions", defaultMaxSessions, "session capacity: creates beyond it get 429; 0 = unbounded")
 	eventsOut := flag.String("events-out", "", "append the structured event stream (JSONL) to this file")
 	eventBuffer := flag.Int("event-buffer", obs.DefaultEventBuffer, "event ring-buffer capacity served by /v1/events")
 	anomalyHARQ := flag.Duration("anomaly-harq-p99", 50*time.Millisecond, "per-session HARQ-attributed p99 bound; crossings emit session.anomaly events, 0 disables")
@@ -157,6 +157,11 @@ func serve(ctx context.Context, ln net.Listener, reg *session.Registry) (int, er
 	final := reg.CloseAll()
 	return len(final), nil
 }
+
+// defaultMaxSessions is the server's session capacity unless -max-sessions
+// says otherwise: 8× the most sessions the loadgen, CI or the benchmark
+// hold live at once, so memory stays bounded by default.
+const defaultMaxSessions = 1024
 
 // shutdownGrace bounds how long in-flight requests may run once a
 // shutdown signal arrives.

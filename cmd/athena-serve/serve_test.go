@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -279,6 +280,49 @@ func TestServeGracefulDrain(t *testing.T) {
 	}
 	if drained != 1 {
 		t.Fatalf("drained %d sessions, want 1", drained)
+	}
+}
+
+// TestServeDefaultSessionCap holds a default-configured server's session
+// count bounded: the 1025th concurrent create is refused with 429, and a
+// close makes room again.
+func TestServeDefaultSessionCap(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := session.NewRegistry()
+	reg.MaxSessions = defaultMaxSessions
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() {
+		_, err := serve(ctx, ln, reg)
+		done <- err
+	}()
+	defer func() {
+		cancel()
+		if err := <-done; err != nil {
+			t.Error(err)
+		}
+	}()
+	target := "http://" + ln.Addr().String() + "/v1/sessions"
+	create := func(i, want int) error {
+		return doJSON(http.DefaultClient, "POST", target,
+			mustEncode(session.Config{ID: fmt.Sprintf("s%d", i)}), want, nil)
+	}
+	for i := 0; i < 1024; i++ {
+		if err := create(i, http.StatusCreated); err != nil {
+			t.Fatalf("create %d: %v", i, err)
+		}
+	}
+	if err := create(1024, http.StatusTooManyRequests); err != nil {
+		t.Fatalf("create 1025: %v", err)
+	}
+	if err := doJSON(http.DefaultClient, "DELETE", target+"/s0", nil, http.StatusOK, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := create(1024, http.StatusCreated); err != nil {
+		t.Fatalf("create after a close: %v", err)
 	}
 }
 

@@ -130,8 +130,7 @@ type Report struct {
 	byKey map[pktKey]int
 	// fifoLeft holds, per Packets index, the bytes the TB matcher's FIFO
 	// replay never drained into a transport block (nil when no TBs were
-	// supplied). LiveCorrelator's trim uses it to find a prefix whose
-	// matcher state is fully settled.
+	// supplied).
 	fifoLeft []int64
 }
 
@@ -156,30 +155,100 @@ type tbProcess struct {
 	initialAt time.Duration
 	finalAt   time.Duration // last (successful) attempt
 	used      int64
+	seen      uint64 // arrival number of the first attempt: the sort's tie-break
+	rounds    int32
+	nrec      int32 // attempts merged
 	grant     telemetry.GrantKind
-	rounds    int
 	abandoned bool
+	dead      bool // removed by a live trim; the slot awaits compaction
 }
 
-// scratch is the correlator's working set. The batch entry point uses a
-// zero scratch per call (fresh, capacity-preallocated buffers whose
-// output-visible parts transfer into the returned Report); LiveCorrelator
-// owns a persistent scratch with reuse set, which recycles every buffer —
-// including the Report itself — so steady-state re-correlation of its
-// window allocates nothing.
-type scratch struct {
-	// reuse keeps buffers (and the Report) across correlate calls. Only
-	// safe when the caller abandons each returned Report before the next
-	// call, as LiveCorrelator does.
-	reuse bool
+// tbAttempt is one TB attempt reduced to what its process reads, with
+// its arrival number.
+type tbAttempt struct {
+	id     uint64
+	at     time.Duration
+	used   int64
+	seq    uint64
+	round  int32
+	grant  telemetry.GrantKind
+	failed bool
+}
 
+// attemptOf reduces a TB record to an attempt.
+func attemptOf(r telemetry.TBRecord, seq uint64) tbAttempt {
+	return tbAttempt{r.TBID, r.At, int64(r.UsedBytes), seq, int32(r.HARQRound), r.Grant, r.Failed}
+}
+
+// newProcess starts a process from its first attempt seen.
+func newProcess(a tbAttempt) tbProcess {
+	p := tbProcess{id: a.id, initialAt: a.at, finalAt: a.at, used: a.used, grant: a.grant, seen: a.seq}
+	p.merge(a)
+	return p
+}
+
+// before orders processes by initial transmission, then by first sighting.
+func (p *tbProcess) before(q *tbProcess) bool {
+	return p.initialAt < q.initialAt || p.initialAt == q.initialAt && p.seen < q.seen
+}
+
+// merge folds one attempt into its process. used and grant stay those of
+// the first attempt seen.
+func (p *tbProcess) merge(a tbAttempt) {
+	if a.at < p.initialAt {
+		p.initialAt = a.at
+	}
+	if a.at > p.finalAt {
+		p.finalAt = a.at
+	}
+	if a.round >= p.rounds {
+		p.rounds = a.round
+		// The process's fate is its latest attempt's: a failed final
+		// attempt means HARQ gave up and the bytes never arrived.
+		p.abandoned = a.failed
+	}
+	p.nrec++
+}
+
+// cursor is the FIFO matcher's position between processes: the head
+// packet, where its TBIDs begin in the shared backing array, and (when it
+// holds any) the process positions of its first and last carrying TBs.
+type cursor struct {
+	head, tbStart int
+	first, last   int32
+}
+
+// checkpoint is what a live matcher needs to resume at one process: the
+// head packet's absolute number, its undrained bytes and how many TBIDs it
+// already holds.
+type checkpoint struct {
+	head, k int
+	left    int64
+}
+
+// noPos marks an unset process position.
+const noPos = 1<<31 - 1
+
+// scratch is the correlator's working set. The batch entry point uses a
+// zero scratch per call, whose output-visible parts transfer into the
+// returned Report; LiveCorrelator owns one across its whole feed and
+// extends it record by record.
+type scratch struct {
 	rep       *Report
 	senderBuf []packet.Record // filtered/sorted sender view when needed
-	flowOK    map[uint32]bool
 	fifoLeft  []int64
 	tbids     []uint64 // shared backing array carved into per-packet TBIDs
 	procs     []tbProcess
 	procIdx   map[uint64]int32
+
+	// Matcher state. m is the cursor where the last walk stopped. A live
+	// scratch also keeps ckpt, the cursor at entry to each process (heads
+	// numbered absolutely: a packet's position plus shift), and dry, the
+	// first process whose budget the FIFO left over by running dry.
+	m     cursor
+	ckpt  []checkpoint
+	shift int
+	dry   int
 }
 
 // Correlate runs the full pipeline. Each call returns a freshly allocated
@@ -187,42 +256,36 @@ type scratch struct {
 func Correlate(in Input) *Report {
 	var sc scratch
 	rep := sc.correlate(in.withDefaults())
-	// Group packets into frames/samples and compute delay spreads: only
-	// batch callers read Report.Frames, so the live windows skip it.
+	// Group packets into frames/samples and compute delay spreads.
 	rep.Frames = groupFrames(rep.Packets)
 	return rep
 }
 
-// correlate is the shared pipeline behind Correlate and LiveCorrelator;
-// both hand it an Input whose defaults are already resolved.
-// Stage spans (join, reconstructTBs, attribution) go to the global obs
-// timeline; with none installed the spans are inert zero values, which
-// preserves the live path's allocation-free guarantee.
+// correlate is the batch pipeline; it takes an Input whose defaults are
+// already resolved. Stage spans (join, reconstructTBs, attribution) go to
+// the global obs timeline; with none installed they are inert zero values.
 func (sc *scratch) correlate(in Input) *Report {
 	root := obs.StartSpan("correlate")
 	defer root.End()
-	rep := sc.report(len(in.Sender))
+	rep := &Report{
+		Packets: make([]PacketView, 0, len(in.Sender)),
+		byKey:   make(map[pktKey]int, len(in.Sender)),
+	}
 
 	// Flow filter (multi-UE topologies carving shared captures).
 	var flowOK map[uint32]bool
 	if len(in.Flows) > 0 {
-		if sc.flowOK == nil {
-			sc.flowOK = make(map[uint32]bool, len(in.Flows))
-		} else {
-			clear(sc.flowOK)
-		}
+		flowOK = make(map[uint32]bool, len(in.Flows))
 		for _, f := range in.Flows {
-			sc.flowOK[f] = true
+			flowOK[f] = true
 		}
-		flowOK = sc.flowOK
 	}
 
 	// 1. Build per-packet views from the sender capture (the session's
 	//    send order), correcting clocks. Capture taps append under a
-	//    monotone clock, so the common case — notably every
-	//    LiveCorrelator window — is already time-ordered and skips the
-	//    copy+sort entirely; a filter or an unsorted capture falls back
-	//    to a scratch copy.
+	//    monotone clock, so the common case is already time-ordered and
+	//    skips the copy+sort entirely; a filter or an unsorted capture
+	//    falls back to a scratch copy.
 	senderRecs := in.Sender
 	if sorted := packet.IsSortedByTime(senderRecs); !sorted || flowOK != nil {
 		buf := sc.senderBuf[:0]
@@ -238,15 +301,11 @@ func (sc *scratch) correlate(in Input) *Report {
 		senderRecs = buf
 	}
 	senderOff := in.offset(packet.PointSender)
-	for _, r := range senderRecs {
+	for i := range senderRecs {
+		r := &senderRecs[i]
 		rep.byKey[pktKey{r.Flow, r.Seq, r.Kind}] = len(rep.Packets)
-		rep.Packets = append(rep.Packets, PacketView{
-			Flow: r.Flow, Seq: r.Seq, Kind: r.Kind,
-			SentAt:  r.LocalTime - senderOff,
-			SSRC:    r.SSRC,
-			RTPTime: r.RTPTime,
-			Marker:  r.Marker,
-		})
+		rep.Packets = append(rep.Packets, PacketView{})
+		rep.Packets[i].fromSender(r, senderOff)
 	}
 
 	// 2. Join the core and receiver captures against the sender index.
@@ -257,10 +316,7 @@ func (sc *scratch) correlate(in Input) *Report {
 			continue
 		}
 		if i, ok := rep.byKey[pktKey{r.Flow, r.Seq, r.Kind}]; ok {
-			v := &rep.Packets[i]
-			v.CoreAt = r.LocalTime - coreOff
-			v.SeenCore = true
-			v.ULDelay = v.CoreAt - v.SentAt
+			rep.Packets[i].joinCore(r.LocalTime - coreOff)
 		}
 	}
 	recvOff := in.offset(packet.PointReceiver)
@@ -287,87 +343,80 @@ func (sc *scratch) correlate(in Input) *Report {
 	join.End()
 
 	// 3. Match packets to transport blocks and attribute uplink delay.
-	sc.matchTBs(rep, in, senderRecs, root)
-
-	return rep
-}
-
-// report readies the output Report: a fresh one with capacity hints in
-// batch mode, the recycled one in reuse mode.
-func (sc *scratch) report(senderHint int) *Report {
-	if !sc.reuse {
-		return &Report{
-			Packets: make([]PacketView, 0, senderHint),
-			byKey:   make(map[pktKey]int, senderHint),
+	if len(in.TBs) > 0 {
+		reconstruct := root.Child("correlate.reconstructTBs")
+		procs := sc.reconstructTBs(in.TBs)
+		reconstruct.End()
+		attribution := root.Child("correlate.attribution")
+		rep.fifoLeft = make([]int64, 0, len(senderRecs))
+		for _, r := range senderRecs {
+			rep.fifoLeft = append(rep.fifoLeft, int64(r.Size))
 		}
+		sc.fifoLeft = rep.fifoLeft
+		// Each drain iteration either completes a packet or exhausts a TB,
+		// so the shared TBID backing never exceeds len(procs)+len(packets).
+		sc.tbids = make([]uint64, 0, len(procs)+len(rep.Packets))
+		sc.rep = rep
+		sc.walk(in, 0)
+		attribution.End()
 	}
-	if sc.rep == nil {
-		sc.rep = &Report{byKey: make(map[pktKey]int, senderHint)}
-	}
-	rep := sc.rep
-	rep.Packets = rep.Packets[:0]
-	rep.fifoLeft = nil
-	clear(rep.byKey)
 	return rep
 }
 
-// matchTBs reconstructs the UE buffer's FIFO service order: packets enter
-// in sender-capture order; successful TBs drain UsedBytes each in
-// transmission order. Byte conservation plus causality (a TB cannot carry
-// a packet sent after the TB's transmission) pins down the mapping — the
-// same reasoning Fig 9's dashed packet↔TB lines encode.
+// fromSender fills a zero view from the packet's sender record.
+func (v *PacketView) fromSender(r *packet.Record, senderOff time.Duration) {
+	v.Flow, v.Seq, v.Kind = r.Flow, r.Seq, r.Kind
+	v.SentAt = r.LocalTime - senderOff
+	v.SSRC, v.RTPTime, v.Marker = r.SSRC, r.RTPTime, r.Marker
+}
+
+// joinCore records the packet's corrected core sighting.
+func (v *PacketView) joinCore(at time.Duration) {
+	v.CoreAt, v.SeenCore, v.ULDelay = at, true, at-v.SentAt
+}
+
+// clearCore forgets the packet's core sighting.
+func (v *PacketView) clearCore() {
+	v.CoreAt, v.SeenCore, v.ULDelay = 0, false, 0
+}
+
+// walk replays the UE buffer's FIFO service order from process position
+// from, starting at cursor sc.m: packets enter in sender-capture order;
+// successful TBs drain UsedBytes each in transmission order. Byte
+// conservation plus causality (a TB cannot carry a packet sent after the
+// TB's transmission) pins down the mapping — the same reasoning Fig 9's
+// dashed packet↔TB lines encode.
 //
 // rep.Packets is built 1:1 from the send-ordered sender records, so the
-// packet slice IS the FIFO: position replaces the former per-record map
-// lookup, rep.fifoLeft doubles as the in-place drain state, and every
-// packet's TBIDs are carved out of one shared backing array (appends to
-// the current FIFO head are contiguous, and the head never moves
-// backwards). The former map[int]*carry of heap-allocated pairs reduces
-// to two local process indexes finalized when the head advances.
-func (sc *scratch) matchTBs(rep *Report, in Input, senderRecs []packet.Record, parent obs.Span) {
-	if len(in.TBs) == 0 {
-		// A TB-less window leaves an empty process table, not the previous
-		// window's: LiveCorrelator reads the table after every pass.
-		sc.procs = sc.procs[:0]
-		clear(sc.procIdx)
-		return
-	}
-	reconstruct := parent.Child("correlate.reconstructTBs")
-	procs := sc.reconstructTBs(in.TBs)
-	reconstruct.End()
-	attribution := parent.Child("correlate.attribution")
-	defer attribution.End()
-	tol := in.MatchTolerance
-
-	fifoLeft := sc.fifoLeft[:0]
-	for _, r := range senderRecs {
-		fifoLeft = append(fifoLeft, int64(r.Size))
-	}
-	sc.fifoLeft = fifoLeft
-	rep.fifoLeft = fifoLeft
-
-	// Each drain iteration either completes a packet or exhausts a TB,
-	// so the shared TBID backing never exceeds len(procs)+len(packets).
-	tbids := sc.tbids[:0]
-	if cap(tbids) < len(procs)+len(rep.Packets) {
-		tbids = make([]uint64, 0, len(procs)+len(rep.Packets))
-	}
-
-	head := 0
-	tbStart := 0           // tbids index where the head packet's IDs begin
-	headFirst := int32(-1) // procs index of the head packet's first carrying TB
-	headLast := int32(-1)
-	for pi := range procs {
+// packet slice IS the FIFO: sc.fifoLeft holds each packet's undrained
+// bytes, and every packet's TBIDs are carved out of one shared backing
+// array (appends to the current FIFO head are contiguous, and the head
+// never moves backwards). Batch correlation walks once from position 0;
+// a live correlator resumes from the earliest position new evidence can
+// change, so it records a checkpoint at entry to every process.
+func (sc *scratch) walk(in Input, from int) {
+	procs, fifoLeft, tbids, pkts := sc.procs, sc.fifoLeft, sc.tbids, sc.rep.Packets
+	slack := in.SlotDuration + in.MatchTolerance
+	head, tbStart, first, last := sc.m.head, sc.m.tbStart, sc.m.first, sc.m.last
+	live := sc.ckpt != nil
+	for pi := from; pi < len(procs); pi++ {
+		if live {
+			c := checkpoint{head: head + sc.shift, k: len(tbids) - tbStart}
+			if head < len(fifoLeft) {
+				c.left = fifoLeft[head]
+			}
+			sc.ckpt = append(sc.ckpt, c)
+		}
 		tb := &procs[pi]
 		if tb.abandoned {
 			continue
 		}
 		budget := tb.used
 		for budget > 0 && head < len(fifoLeft) {
-			v := &rep.Packets[head]
+			v := &pkts[head]
 			// Causality: this TB cannot carry a packet sent after its
 			// transmission (within the sync tolerance plus a slot).
-			if v.SentAt > tb.initialAt+in.SlotDuration+tol {
+			if v.SentAt > tb.initialAt+slack {
 				break
 			}
 			take := fifoLeft[head]
@@ -376,30 +425,32 @@ func (sc *scratch) matchTBs(rep *Report, in Input, senderRecs []packet.Record, p
 			}
 			fifoLeft[head] -= take
 			budget -= take
-			if headFirst < 0 {
-				headFirst = int32(pi)
+			if len(tbids) == tbStart {
+				first = int32(pi)
 			}
-			headLast = int32(pi)
+			last = int32(pi)
 			tbids = append(tbids, tb.id)
 			if fifoLeft[head] == 0 {
 				end := len(tbids)
 				v.TBIDs = tbids[tbStart:end:end]
-				attributePacket(v, procs, headFirst, headLast)
+				attributePacket(v, procs, first, last)
 				head++
 				tbStart = end
-				headFirst, headLast = -1, -1
 			}
 		}
+		if budget > 0 && head == len(fifoLeft) && pi < sc.dry {
+			sc.dry = pi
+		}
 	}
-	if headFirst >= 0 {
-		// The final head packet drained only partially; it still carries
+	if end := len(tbids); end > tbStart {
+		// The head packet drained only partially; it still carries
 		// attribution for the bytes that did ride TBs.
-		end := len(tbids)
-		v := &rep.Packets[head]
+		v := &pkts[head]
 		v.TBIDs = tbids[tbStart:end:end]
-		attributePacket(v, procs, headFirst, headLast)
+		attributePacket(v, procs, first, last)
 	}
 	sc.tbids = tbids
+	sc.m = cursor{head, tbStart, first, last}
 }
 
 // attributePacket derives the uplink delay attribution from a packet's
@@ -411,6 +462,7 @@ func attributePacket(v *PacketView, procs []tbProcess, first, last int32) {
 	if v.QueueWait < 0 {
 		v.QueueWait = 0
 	}
+	v.BSRWait = 0
 	if l.grant == telemetry.GrantRequested {
 		v.BSRWait = v.QueueWait
 	}
@@ -426,50 +478,30 @@ func attributePacket(v *PacketView, procs []tbProcess, first, last int32) {
 // reconstructTBs groups attempt records into per-TB HARQ processes,
 // ordered by initial transmission time. Processes live in one scratch
 // slice indexed by a TBID→position map — no per-process heap allocation.
-// It is the only writer of that table (sc.procs, sc.procIdx), which
-// LiveCorrelator reads back after the pass. Telemetry normally arrives in
-// transmission order, which makes the first-seen process order already
-// sorted; the stable sort — and the re-index that keeps procIdx pointing
-// at the moved processes — only runs when it is not.
+// Telemetry normally arrives in transmission order, which makes the
+// first-seen process order already sorted; the stable sort — and the
+// re-index that keeps procIdx pointing at the moved processes — only runs
+// when it is not.
 func (sc *scratch) reconstructTBs(recs []telemetry.TBRecord) []tbProcess {
-	out := sc.procs[:0]
-	if cap(out) < len(recs) {
-		out = make([]tbProcess, 0, len(recs))
-	}
-	if sc.procIdx == nil {
-		sc.procIdx = make(map[uint64]int32, len(recs))
-	} else {
-		clear(sc.procIdx)
-	}
-	idx := sc.procIdx
+	out := make([]tbProcess, 0, len(recs))
+	idx := make(map[uint64]int32, len(recs))
 	for _, r := range recs {
+		a := attemptOf(r, 0)
 		j, ok := idx[r.TBID]
 		if !ok {
-			j = int32(len(out))
-			idx[r.TBID] = j
-			out = append(out, tbProcess{id: r.TBID, initialAt: r.At, finalAt: r.At, used: int64(r.UsedBytes), grant: r.Grant})
+			idx[r.TBID] = int32(len(out))
+			out = append(out, newProcess(a))
+			continue
 		}
-		p := &out[j]
-		if r.At < p.initialAt {
-			p.initialAt = r.At
-		}
-		if r.At > p.finalAt {
-			p.finalAt = r.At
-		}
-		if r.HARQRound >= p.rounds {
-			p.rounds = r.HARQRound
-			// The process's fate is its latest attempt's: a failed final
-			// attempt means HARQ gave up and the bytes never arrived.
-			p.abandoned = r.Failed
-		}
+		out[j].merge(a)
 	}
-	sc.procs = out
 	if !sortedByInitialAt(out) {
 		sort.SliceStable(out, func(i, j int) bool { return out[i].initialAt < out[j].initialAt })
 		for i := range out {
 			idx[out[i].id] = int32(i)
 		}
 	}
+	sc.procs, sc.procIdx = out, idx
 	return out
 }
 

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"math/rand"
-	"reflect"
+	"sort"
 	"testing"
 	"time"
 
@@ -70,12 +72,11 @@ func TestCorrelateAllocBound(t *testing.T) {
 	}
 }
 
-// TestCorrelateMatchesMapJoinReference is the differential oracle for the
-// hot-path overhaul: on randomized multi-flow inputs — with and without
-// clock offsets, receiver captures, flow filters, and pre-sorted sender
-// order — the indexed implementation must reproduce the preserved
-// map-join reference byte for byte. (The reference contract requires
-// unique (flow, seq, kind) sender keys, which synthInput guarantees.)
+// TestCorrelateMatchesMapJoinReference pins batch Correlate on randomized
+// multi-flow inputs — with and without clock offsets, receiver captures,
+// flow filters, and pre-sorted sender order — to the pre-overhaul map-join
+// correlator it replaced: each literal is reportHash of that reference
+// implementation's report, recorded before the reference was deleted.
 func TestCorrelateMatchesMapJoinReference(t *testing.T) {
 	type variant struct {
 		name string
@@ -118,6 +119,62 @@ func TestCorrelateMatchesMapJoinReference(t *testing.T) {
 			return in
 		}},
 	}
+	want := map[string]string{
+		"plain/seed1/flows1":           "ebcba4258280b9353c4477f937cb7f9b8c673a79828974969dc3209d183de598",
+		"offsets/seed1/flows1":         "a5788e4e6ead87c09497ce210e8a061a6f7fc4b40d6afd48809d7a7d0ebfe3b1",
+		"receiver/seed1/flows1":        "c0f471829c3c5e1e7b879dde540995f43be90f9d664c4afd6e11c1a27abb157d",
+		"flow-filter/seed1/flows1":     "ebcba4258280b9353c4477f937cb7f9b8c673a79828974969dc3209d183de598",
+		"unsorted-sender/seed1/flows1": "c952990dbc7e9bdfa004c81b8d602fb4ef716cb949240e95badc6caba30014ea",
+		"no-tbs/seed1/flows1":          "58991b938fb05b2acdc51838e27a47f88a4b889b6fc5eec1422ee831f7b42a6c",
+		"plain/seed1/flows4":           "f3036767201bb4fb73b3f00e5f78f05f6fc7878ae9a816c923ec27d1b74985ca",
+		"offsets/seed1/flows4":         "6550b1e1491e8b9a3ac7458a455d06554fc2e0d9deae3511d12c02805017fe01",
+		"receiver/seed1/flows4":        "16472710f95dbbe79dfd17470f971365b878c1d5cf40c7354f8f5bc104cc399a",
+		"flow-filter/seed1/flows4":     "35f6438fafcc7db1b880fab713da401c80736c60a829ef8d7c1511de15539ed2",
+		"unsorted-sender/seed1/flows4": "cadc151639a9a7d61887953802bdff4326937fba5bc5f0428067254dbac66f2d",
+		"no-tbs/seed1/flows4":          "6e97ac0f4df6d5cc405fb4e20c4a5753364240b6e41a5ac7c0328e725747445e",
+		"plain/seed1/flows7":           "e170adfa04535d557b5d818f59e4654484747eb9757ba0848d7e59db1d3573ed",
+		"offsets/seed1/flows7":         "fbe2a5c642ac8b35556452a9747a44bd114dce8d9b16202c64327cbaa8c4633c",
+		"receiver/seed1/flows7":        "db26616c859b4efdec2c68bd8cc9646c660c165d18b271a7246bc225abfdd68a",
+		"flow-filter/seed1/flows7":     "1d4a4adae4bd97bd23b37e4bcecac7281db697c222e9a5fc8687690aa7011de5",
+		"unsorted-sender/seed1/flows7": "3c4a690b16282dbab37d47e94d7bc9a072e8f2f8e6da8abbd054b682b23d8a76",
+		"no-tbs/seed1/flows7":          "2c90007ddc3e08b0cf52d97f6f0bbce5e5d44cbfd450a7d175d1015c8cb13d90",
+		"plain/seed2/flows1":           "b8d8d29524ee51dda215cdb469fa0d4606e13dc6a5d62b82e808dbff56eb9428",
+		"offsets/seed2/flows1":         "c3e7b31d0a549a5e1e15026c3d322889161cb290714447df79b885f20fef4d1a",
+		"receiver/seed2/flows1":        "f351b2d13b5864502096040407a5afe2bebebf891dbf130742c8d45727457526",
+		"flow-filter/seed2/flows1":     "b8d8d29524ee51dda215cdb469fa0d4606e13dc6a5d62b82e808dbff56eb9428",
+		"unsorted-sender/seed2/flows1": "2c84e8316accd668617e778f2b41bb249a1e790564dfc785efb49f5b79c889eb",
+		"no-tbs/seed2/flows1":          "a63fe834b90fda186b5947906a488d2076290a4e5d250b952d7da9c3a6dcabdd",
+		"plain/seed2/flows4":           "74f106b3d08ff9df43333994373b10f6577e5a44cce0843771f9545b6024e5bc",
+		"offsets/seed2/flows4":         "679e92079e24ea59894988aed369256b1d6c6422536d69f864942fbeafec5cf8",
+		"receiver/seed2/flows4":        "3913134a35105757edd07dc4c37374aabc88aaaf14047673090b0ad53834721b",
+		"flow-filter/seed2/flows4":     "fe57da6ff3757741e87ff1a314e38cae4aa9d53775c496747321cb71481e9ecc",
+		"unsorted-sender/seed2/flows4": "439dbf41d6cd6e17de8a23101d3abc17b9c586ecad7e98249c01d917703242c2",
+		"no-tbs/seed2/flows4":          "f51aae196f05bd876cdd740d3efb15a0a51159fc68b7db63dbb14a8e60f8ee51",
+		"plain/seed2/flows7":           "fb55e80da945f6d12d5ca329636bb2a2db79fb58a4b215d02ab104731b363eeb",
+		"offsets/seed2/flows7":         "c90fd206d8ea66a37331a7670c1ad51057d34732088257bc5573b9b9bcf8582c",
+		"receiver/seed2/flows7":        "b32e80692c1cedebe47f5cb93c01b913d99a596089c467ae41a937fdfdcbc4c2",
+		"flow-filter/seed2/flows7":     "105638ed3a871973b5569938df712f4de8c58f13690d270af4d162cb37efc036",
+		"unsorted-sender/seed2/flows7": "894b41af0bbeb7d207267b21b88e6d4969b5276d63e7136b1079a6516eeb7bd9",
+		"no-tbs/seed2/flows7":          "a797d483a7ff7447062871c9fcc3ee5e375e70b1213aa3a74a0ec8d276a50389",
+		"plain/seed3/flows1":           "1c54272c167b62dcca6084dbcc27ca198a089c5d4ba95976055b2500e40d9506",
+		"offsets/seed3/flows1":         "9718cea5bb139010f9da36d56dc1e0e4944a6b882d01664b88a516db49bba304",
+		"receiver/seed3/flows1":        "ebc4c3f5c8267e1c870ed48110c3e0973301b11d9c4ee2485ee2a14aaf6912e2",
+		"flow-filter/seed3/flows1":     "1c54272c167b62dcca6084dbcc27ca198a089c5d4ba95976055b2500e40d9506",
+		"unsorted-sender/seed3/flows1": "cc7fea63a8ab1e38bed102669b34cd33d60b011822c6d482c3769e549a947a8b",
+		"no-tbs/seed3/flows1":          "bc83d3ec8d6da247c0f3184b4aab89c5c98320d91952ae974efbf89f1fdf810d",
+		"plain/seed3/flows4":           "189cdb65c1bcc9ee585b9a20fb2ef6ab56200492521a0d5dd7bfe1165947fd19",
+		"offsets/seed3/flows4":         "37de4e5d57755d6ea967753e77b7e57803cdbdda3120f7781ed81f4079900f6f",
+		"receiver/seed3/flows4":        "7c43c8db7b39f8c4535f5b9eb65c79344d771be358516ba9282edae068304831",
+		"flow-filter/seed3/flows4":     "615413c9c43cc9d74d7cfe3d005c6cacb8d14d0a22a002da404b5f1778470917",
+		"unsorted-sender/seed3/flows4": "e376226dc53e6418ee11f7f23362d7e742276c3b800d8563a79765775f299dad",
+		"no-tbs/seed3/flows4":          "c724de6c53ab352f15753158b4dea1c22dd7067416648ab23c45ce4fa7d92ec3",
+		"plain/seed3/flows7":           "75950f8095b1793012a774b4500e60ee6991de793a73c9ddfb6a534d5ece1c24",
+		"offsets/seed3/flows7":         "008274b3db33ba6e2e872ae3e1a1aedddde211f72262d628ffba6b2e02d8db93",
+		"receiver/seed3/flows7":        "d44991e0d2d158f37a4765cfbd4491d50cd41bd9119a2bf912fd7df7c70a322a",
+		"flow-filter/seed3/flows7":     "10a6ba50d27b4cf3351cc70d9d32bcc2296874817aad89302ca6a22681002fc2",
+		"unsorted-sender/seed3/flows7": "f50819fe4c79ccfd9aec1318142d4118b4454a3716bc6330afc240c77adb17d0",
+		"no-tbs/seed3/flows7":          "c5e987d5eabc0f1393104e28df8c624fe63baa72313cae69707516b98da97f87",
+	}
 	for seed := int64(1); seed <= 3; seed++ {
 		for _, flows := range []int{1, 4, 7} {
 			base := synthInput(2500, flows, seed)
@@ -125,54 +182,33 @@ func TestCorrelateMatchesMapJoinReference(t *testing.T) {
 				name := fmt.Sprintf("%s/seed%d/flows%d", v.name, seed, flows)
 				rng := rand.New(rand.NewSource(seed * 1000))
 				in := v.mut(base, rng)
-				diffReports(t, name, Correlate(in), correlateMapJoinRef(in))
+				if got := reportHash(Correlate(in)); got != want[name] {
+					t.Errorf("%s: report hash %s, reference recorded %s", name, got, want[name])
+				}
 			}
 		}
 	}
 }
 
-// diffReports fails the test on the first field where got diverges from
-// the reference report.
-func diffReports(t *testing.T, name string, got, want *Report) {
-	t.Helper()
-	if len(got.Packets) != len(want.Packets) {
-		t.Fatalf("%s: %d packets, reference has %d", name, len(got.Packets), len(want.Packets))
+// reportHash renders every field of a Report the equivalence contract
+// covers — each view with its TBIDs, the frames, the key index and the
+// matcher's fifoLeft — and returns its SHA-256.
+func reportHash(rep *Report) string {
+	h := sha256.New()
+	for _, v := range rep.Packets {
+		fmt.Fprintf(h, "%+v\n", v)
 	}
-	for i := range got.Packets {
-		g, w := got.Packets[i], want.Packets[i]
-		if !equalIDs(g.TBIDs, w.TBIDs) {
-			t.Fatalf("%s: packet %d (flow %d seq %d) TBIDs %v, reference %v",
-				name, i, g.Flow, g.Seq, g.TBIDs, w.TBIDs)
-		}
-		g.TBIDs, w.TBIDs = nil, nil
-		if !reflect.DeepEqual(g, w) {
-			t.Fatalf("%s: packet %d diverged:\n  got  %+v\n  want %+v", name, i, g, w)
-		}
+	for _, f := range rep.Frames {
+		fmt.Fprintf(h, "%+v\n", f)
 	}
-	if len(got.Frames) != len(want.Frames) {
-		t.Fatalf("%s: %d frames, reference has %d", name, len(got.Frames), len(want.Frames))
+	keys := make([]pktKey, 0, len(rep.byKey))
+	for k := range rep.byKey {
+		keys = append(keys, k)
 	}
-	for i := range got.Frames {
-		if got.Frames[i] != want.Frames[i] {
-			t.Fatalf("%s: frame %d diverged:\n  got  %+v\n  want %+v",
-				name, i, got.Frames[i], want.Frames[i])
-		}
+	sort.Slice(keys, func(i, j int) bool { return rep.byKey[keys[i]] < rep.byKey[keys[j]] })
+	for _, k := range keys {
+		fmt.Fprintf(h, "%v=%d\n", k, rep.byKey[k])
 	}
-	if len(got.byKey) != len(want.byKey) {
-		t.Fatalf("%s: index has %d keys, reference %d", name, len(got.byKey), len(want.byKey))
-	}
-	for k, gi := range got.byKey {
-		if wi, ok := want.byKey[k]; !ok || wi != gi {
-			t.Fatalf("%s: index[%v] = %d, reference %d (present %v)", name, k, gi, wi, ok)
-		}
-	}
-	if (got.fifoLeft == nil) != (want.fifoLeft == nil) || len(got.fifoLeft) != len(want.fifoLeft) {
-		t.Fatalf("%s: fifoLeft shape %d/%v, reference %d/%v",
-			name, len(got.fifoLeft), got.fifoLeft == nil, len(want.fifoLeft), want.fifoLeft == nil)
-	}
-	for i := range got.fifoLeft {
-		if got.fifoLeft[i] != want.fifoLeft[i] {
-			t.Fatalf("%s: fifoLeft[%d] = %d, reference %d", name, i, got.fifoLeft[i], want.fifoLeft[i])
-		}
-	}
+	fmt.Fprintf(h, "fifo nil=%v %v\n", rep.fifoLeft == nil, rep.fifoLeft)
+	return hex.EncodeToString(h.Sum(nil))
 }

@@ -2,12 +2,14 @@ package core
 
 import (
 	"errors"
+	"slices"
 	"sort"
 	"testing"
 	"time"
 
 	"athena/internal/packet"
 	"athena/internal/telemetry"
+	"athena/internal/units"
 )
 
 func sRec(flow, seq uint32, kind packet.Kind, at time.Duration) packet.Record {
@@ -304,15 +306,25 @@ func TestIngestSnapshotProgress(t *testing.T) {
 // emitted views. step(i) is the i-th clock increment, the fuzzed degree
 // of freedom: it controls how records interleave across Advance windows
 // (and therefore which trim/flush paths run) without ever violating the
-// feed contract.
-func replayChunked(t testing.TB, in Input, step func(i int) time.Duration) []PacketView {
+// feed contract. After every Advance the incremental state must equal a
+// re-derive from position 0 over the same buffers. rewinds counts the
+// Advances that resumed the matcher before the position it had walked.
+func replayChunked(t testing.TB, in Input, step func(i int) time.Duration) (views []PacketView, rewinds int) {
 	t.Helper()
 	cfg := in
 	cfg.Sender, cfg.Core, cfg.TBs = nil, nil, nil
-	var views []PacketView
 	lc := NewLive(cfg, func(v PacketView) { views = append(views, v.Clone()) })
 	si, ci, ti := 0, 0, 0
 	now := time.Duration(0)
+	advance := func(now time.Duration) {
+		if lc.Pending() > 0 && lc.dirty < len(lc.sc.ckpt) {
+			rewinds++
+		}
+		if err := lc.Advance(now); err != nil {
+			t.Fatalf("advance %v: %v", now, err)
+		}
+		assertRederives(t, lc)
+	}
 	for i := 0; si < len(in.Sender) || ci < len(in.Core) || ti < len(in.TBs); i++ {
 		now += step(i)
 		for si < len(in.Sender) && in.Sender[si].LocalTime <= now {
@@ -335,14 +347,82 @@ func replayChunked(t testing.TB, in Input, step func(i int) time.Duration) []Pac
 			}
 			ti++
 		}
-		if err := lc.Advance(now); err != nil {
-			t.Fatalf("advance %v: %v", now, err)
+		advance(now)
+	}
+	advance(now + 30*time.Second)
+	return views, rewinds
+}
+
+// assertRederives checks a live correlator's incremental state against a
+// forced re-derive from position 0 over its retained buffers: batch
+// correlation of the retained sender, core and TB records — one walk of
+// the shared matcher on a fresh state — must reproduce every view, the
+// drain state, the key index and the TB-process table.
+func assertRederives(t testing.TB, lc *LiveCorrelator) {
+	t.Helper()
+	in := lc.in
+	in.Sender = lc.sender
+	for _, c := range lc.core.items() {
+		if lc.coreLive(&c) {
+			in.Core = append(in.Core, packet.Record{
+				Flow: c.key.flow, Seq: c.key.seq, Kind: c.key.kind, LocalTime: c.at + lc.coreOff,
+			})
 		}
 	}
-	if err := lc.Advance(now + 30*time.Second); err != nil {
-		t.Fatalf("final advance: %v", err)
+	for _, a := range lc.tbs.items() {
+		if lc.tbLive(&a) {
+			in.TBs = append(in.TBs, telemetry.TBRecord{
+				TBID: a.id, At: a.at, UsedBytes: units.ByteCount(a.used),
+				Grant: a.grant, HARQRound: int(a.round), Failed: a.failed,
+			})
+		}
 	}
-	return views
+	if len(in.Core) != lc.nCore || len(in.TBs) != lc.nTBs {
+		t.Fatalf("retained %d core / %d TB records, counted %d / %d", len(in.Core), len(in.TBs), lc.nCore, lc.nTBs)
+	}
+	var sc scratch
+	want := sc.correlate(in)
+	got := lc.sc.rep.Packets
+	if len(got) != len(want.Packets) {
+		t.Fatalf("%d views, re-derive has %d", len(got), len(want.Packets))
+	}
+	for i := range got {
+		g, w := got[i], want.Packets[i]
+		if !slices.Equal(g.TBIDs, w.TBIDs) || string(appendViewLine(nil, g)) != string(appendViewLine(nil, w)) {
+			t.Fatalf("view %d diverges from the re-derive:\nincremental %s\nre-derived  %s",
+				i, appendViewLine(nil, g), appendViewLine(nil, w))
+		}
+		if lc.nTBs > 0 && lc.sc.fifoLeft[i] != want.fifoLeft[i] ||
+			lc.nTBs == 0 && lc.sc.fifoLeft[i] != int64(lc.sender[i].Size) {
+			t.Fatalf("view %d: %d bytes undrained, re-derive has %d", i, lc.sc.fifoLeft[i], want.fifoLeft)
+		}
+	}
+	if len(lc.sc.rep.byKey) != len(want.byKey) {
+		t.Fatalf("key index holds %d keys, re-derive %d", len(lc.sc.rep.byKey), len(want.byKey))
+	}
+	for k, i := range lc.sc.rep.byKey {
+		if w, ok := want.byKey[k]; !ok || i-lc.sc.shift != w {
+			t.Fatalf("key %v at %d, re-derive has %d (present %v)", k, i-lc.sc.shift, w, ok)
+		}
+	}
+	var live []tbProcess
+	for _, p := range lc.sc.procs {
+		if !p.dead {
+			p.seen = 0
+			live = append(live, p)
+		}
+	}
+	if !slices.Equal(live, sc.procs) {
+		t.Fatalf("TB-process table diverges from the re-derive:\nincremental %+v\nre-derived  %+v", live, sc.procs)
+	}
+	if len(lc.sc.procIdx) != len(live) {
+		t.Fatalf("%d processes indexed, %d in the table", len(lc.sc.procIdx), len(live))
+	}
+	for id, j := range lc.sc.procIdx {
+		if lc.sc.procs[j].id != id {
+			t.Fatalf("procIdx[%d] = %d, but that position holds TB %d", id, j, lc.sc.procs[j].id)
+		}
+	}
 }
 
 // assertStreamMatchesBatch checks the ISSUE's correctness bar at the core
@@ -372,8 +452,9 @@ func assertStreamMatchesBatch(t testing.TB, in Input, views []PacketView) {
 }
 
 // TestLiveChunkedReplayMatchesBatchDigest is the deterministic core of the
-// fuzz target: several seeds and pathological step patterns, each checked
-// for exact digest equality between streamed and batch attribution.
+// fuzz target: several seeds and pathological step patterns, plus the
+// fuzz seeds, each checked for exact digest equality between streamed and
+// batch attribution.
 func TestLiveChunkedReplayMatchesBatchDigest(t *testing.T) {
 	steps := map[string]func(i int) time.Duration{
 		"fine":    func(int) time.Duration { return 700 * time.Microsecond },
@@ -385,21 +466,48 @@ func TestLiveChunkedReplayMatchesBatchDigest(t *testing.T) {
 	for name, step := range steps {
 		for _, seed := range []int64{1, 42, 7777} {
 			in := synthInput(600, 4, seed)
-			views := replayChunked(t, in, step)
+			views, _ := replayChunked(t, in, step)
 			t.Run(name, func(t *testing.T) { assertStreamMatchesBatch(t, in, views) })
 		}
+	}
+	for _, c := range liveFeedSeeds {
+		in := synthInput(300, 3, c.seed)
+		views, _ := replayChunked(t, in, chunkSteps(c.chunks))
+		assertStreamMatchesBatch(t, in, views)
+	}
+}
+
+// liveFeedSeeds is FuzzLiveFeedOrder's seed corpus.
+var liveFeedSeeds = []struct {
+	seed   int64
+	chunks []byte
+}{
+	{1, []byte{3, 18, 1, 1, 250, 2, 9}},
+	{42, []byte{1}},
+	{99, []byte{200, 200, 200}},
+}
+
+// chunkSteps reads fuzz bytes as clock increments of 1–120 ms.
+func chunkSteps(chunks []byte) func(i int) time.Duration {
+	return func(i int) time.Duration {
+		return time.Duration(int(chunks[i%len(chunks)])%120+1) * time.Millisecond
 	}
 }
 
 // FuzzLiveFeedOrder fuzzes the delivery chunking of a synthetic session:
 // each fuzz byte is a clock increment, so the corpus explores adversarial
 // interleavings of sender/core/TB delivery against Advance (including
-// long stalls that force horizon flushes and mid-stream trims). Emitted
-// views must always digest-match the batch correlation.
+// long stalls that force horizon flushes and mid-stream trims). After
+// every Advance the incremental state must equal the re-derive, and every
+// packet is emitted exactly once. Emission need not match the batch
+// correlation on every chunking: a full drain keeps the TBs that carried
+// the drained packets, and a packet sent within the causality slack of
+// one can reuse its spent budget (ROADMAP item 1). The seeds above do
+// match, and TestLiveChunkedReplayMatchesBatchDigest holds them to it.
 func FuzzLiveFeedOrder(f *testing.F) {
-	f.Add(int64(1), []byte{3, 18, 1, 1, 250, 2, 9})
-	f.Add(int64(42), []byte{1})
-	f.Add(int64(99), []byte{200, 200, 200})
+	for _, c := range liveFeedSeeds {
+		f.Add(c.seed, c.chunks)
+	}
 	f.Fuzz(func(t *testing.T, seed int64, chunks []byte) {
 		if len(chunks) == 0 {
 			chunks = []byte{5}
@@ -408,13 +516,103 @@ func FuzzLiveFeedOrder(f *testing.F) {
 			chunks = chunks[:256]
 		}
 		in := synthInput(300, 3, seed)
-		step := func(i int) time.Duration {
-			ms := int(chunks[i%len(chunks)])%120 + 1
-			return time.Duration(ms) * time.Millisecond
+		if views, _ := replayChunked(t, in, chunkSteps(chunks)); len(views) != len(in.Sender) {
+			t.Fatalf("emitted %d views for %d sent packets", len(views), len(in.Sender))
 		}
-		views := replayChunked(t, in, step)
-		assertStreamMatchesBatch(t, in, views)
 	})
+}
+
+// TestLiveRederivesLateEvidence feeds evidence that reaches the
+// correlator after the matcher walked past its position, so Advance must
+// resume early; replayChunked checks every step against the re-derive.
+//   - handover-merge: two cells' telemetry merged with the target cell's
+//     arriving late, inserting processes before the walked position;
+//   - late-harq-retry: retransmissions delivered long after the settle
+//     window, flipping abandoned processes back to carrying bytes;
+//   - retry-first: a retry delivered before its failed first attempt,
+//     which then moves the process earlier into a tie with another
+//     cell's empty grant in the same slot (first sighting breaks it);
+//   - sender-ahead: a sender clock 20 ms ahead, so sender records trail
+//     the TBs that carry them, every packet resolves on arrival and each
+//     Advance fully drains: the next walk starts over the kept TBs;
+//   - clocks-ahead: sender and core clocks 20 and 30 ms ahead, so the
+//     FIFO keeps running dry while packets wait for their core sightings.
+//
+// None of these feeds promises emission equal to batch correlation.
+func TestLiveRederivesLateEvidence(t *testing.T) {
+	const other = 1 << 48 // a second cell's TBID namespace
+	for _, tc := range []struct {
+		name string
+		feed func(in Input) Input
+	}{
+		{"handover-merge", func(in Input) Input {
+			return deliverTBs(in, func(tb telemetry.TBRecord) time.Duration {
+				if tb.TBID%3 == 0 {
+					return tb.At + 12*time.Millisecond
+				}
+				return tb.At
+			})
+		}},
+		{"late-harq-retry", func(in Input) Input {
+			return deliverTBs(in, func(tb telemetry.TBRecord) time.Duration {
+				if tb.HARQRound > 0 {
+					return tb.At + 30*time.Millisecond
+				}
+				return tb.At
+			})
+		}},
+		{"retry-first", func(in Input) Input {
+			for _, tb := range in.TBs {
+				in.TBs = append(in.TBs, telemetry.TBRecord{TBID: other | tb.TBID, UE: 1, At: tb.At, TBS: tb.TBS})
+			}
+			return deliverTBs(in, func(tb telemetry.TBRecord) time.Duration {
+				switch {
+				case tb.TBID&other != 0:
+					return tb.At + 11*time.Millisecond
+				case tb.Failed && tb.HARQRound == 0:
+					return tb.At + 12*time.Millisecond
+				}
+				return tb.At
+			})
+		}},
+		{"sender-ahead", func(in Input) Input {
+			in.Offsets = map[packet.Point]time.Duration{packet.PointSender: 20 * time.Millisecond}
+			in.Sender = slices.Clone(in.Sender)
+			for i := range in.Sender {
+				in.Sender[i].LocalTime += in.Offsets[packet.PointSender]
+			}
+			return in
+		}},
+		{"clocks-ahead", func(in Input) Input {
+			in.Offsets = map[packet.Point]time.Duration{
+				packet.PointSender: 20 * time.Millisecond,
+				packet.PointCore:   30 * time.Millisecond,
+			}
+			in.Sender, in.Core = slices.Clone(in.Sender), slices.Clone(in.Core)
+			for i := range in.Sender {
+				in.Sender[i].LocalTime += in.Offsets[packet.PointSender]
+				in.Core[i].LocalTime += in.Offsets[packet.PointCore]
+			}
+			return in
+		}},
+	} {
+		for _, step := range []time.Duration{5 * time.Millisecond, 40 * time.Millisecond} {
+			in := tc.feed(synthInput(600, 4, 3))
+			_, rewinds := replayChunked(t, in, func(int) time.Duration { return step })
+			if rewinds == 0 && tc.name != "sender-ahead" {
+				t.Errorf("%s at %v: no Advance resumed before the walked position", tc.name, step)
+			}
+		}
+	}
+}
+
+// deliverTBs reorders the telemetry by due time. replayChunked delivers
+// it in slice order, so an attempt arrives late without its timestamp
+// changing.
+func deliverTBs(in Input, due func(telemetry.TBRecord) time.Duration) Input {
+	in.TBs = slices.Clone(in.TBs)
+	sort.SliceStable(in.TBs, func(i, j int) bool { return due(in.TBs[i]) < due(in.TBs[j]) })
+	return in
 }
 
 // TestIngestTBOrderFree pins the documented TB contract: merged multi-cell
@@ -422,14 +620,14 @@ func FuzzLiveFeedOrder(f *testing.F) {
 // causally plausible) order must not change the attribution digest.
 func TestIngestTBOrderFree(t *testing.T) {
 	in := synthInput(400, 4, 5)
-	base := replayChunked(t, in, func(int) time.Duration { return 5 * time.Millisecond })
+	base, _ := replayChunked(t, in, func(int) time.Duration { return 5 * time.Millisecond })
 
 	shuffled := in
 	shuffled.TBs = append([]telemetry.TBRecord(nil), in.TBs...)
 	// A stable sort by At reorders HARQ retries relative to later initial
 	// attempts — exactly how a time-merged multi-cell stream delivers them.
 	sort.SliceStable(shuffled.TBs, func(i, j int) bool { return shuffled.TBs[i].At < shuffled.TBs[j].At })
-	alt := replayChunked(t, shuffled, func(int) time.Duration { return 5 * time.Millisecond })
+	alt, _ := replayChunked(t, shuffled, func(int) time.Duration { return 5 * time.Millisecond })
 
 	sum := func(vs []PacketView) string {
 		vh := NewViewHasher()

@@ -16,22 +16,28 @@ import (
 // given up on after the flush horizon). It implements Ingest, the
 // validated streaming boundary a session server holds against each feed.
 //
-// Internally it re-runs the batch pipeline over a sliding window — the
-// batch correlator is cheap enough that clarity beats an incremental
-// reimplementation — but every re-run recycles one persistent working set
-// (report, indexes, FIFO and TBID buffers, the TB-process table the
-// settle gate and the trim read back), so steady-state ingest performs no
-// allocation at all, emitting or not. The emission contract (each packet
-// exactly once, in send order, only when resolvable) is what a live
-// consumer such as a PHY-aware congestion controller needs.
+// It keeps the batch matcher's state between calls. A sender record
+// appends its view and joins its key's buffered core sighting; a core
+// record joins its key's newest view; a TB attempt merges into its HARQ
+// process, in the table order the batch path sorts to. Advance resumes the
+// FIFO matcher at the earliest process position new evidence can change —
+// the first process an attempt inserted, moved or changed the time or fate
+// of, or, once sender records arrive, the first whose budget a dry FIFO
+// left over — from the checkpoint taken on entering it, and touches
+// nothing before. A batch so costs O(new evidence), not O(window), every
+// buffer is recycled (steady-state ingest allocates nothing), and after
+// every Advance the state equals batch correlation of the retained
+// records. The emission contract (each packet exactly once, in send
+// order, only when resolvable) is what a live consumer such as a
+// PHY-aware congestion controller needs.
 //
 // The feed-order validation doubles as a structural guarantee: because
 // sender records are enforced time-ordered and (when Input.Flows is set)
-// flow-covered, each window's batch report is built 1:1 from the sender
-// buffer, so position i of the buffer IS position i of the report. The
-// emission and trim paths exploit that positional identity — duplicate
-// (flow, seq, kind) keys, legal for sequence-less kinds like NTP cross
-// traffic, can no longer alias each other through the key index.
+// flow-covered, the views are 1:1 with the sender buffer, so position i
+// of the buffer IS view i. Emission and trim exploit that positional
+// identity — duplicate (flow, seq, kind) keys, legal for sequence-less
+// kinds like NTP cross traffic, can no longer alias each other through
+// the key index.
 type LiveCorrelator struct {
 	in Input
 
@@ -45,10 +51,22 @@ type LiveCorrelator struct {
 	// view keeps v.Clone() instead.
 	Emit func(PacketView)
 
-	sender  []packet.Record
-	core    []packet.Record
-	tbs     []telemetry.TBRecord
-	emitted int // prefix of send-ordered packets already emitted
+	// The retained window. sender is positionally identical to the views
+	// in sc.rep.Packets and the drain state in sc.fifoLeft; emitted is the
+	// prefix already emitted. core and tbs are arrival-ordered logs whose
+	// records trims retire in place (coreLive, tbLive); nCore and nTBs
+	// count the retained ones, coreKeys sums them up per key for the join,
+	// and arrivals numbers them.
+	sender    []packet.Record
+	emitted   int
+	core      queue[coreRec]
+	coreKeys  map[pktKey]coreKey
+	tbs       queue[tbAttempt]
+	nCore     int
+	nTBs      int
+	arrivals  uint64
+	senderOff time.Duration
+	coreOff   time.Duration
 
 	// Feed-validation state: per-stream capture heads, the duplicate
 	// index, and the flow-coverage set derived from in.Flows. The
@@ -67,12 +85,31 @@ type LiveCorrelator struct {
 	emittedTotal int64
 	trims        int64
 
-	// sc is the recycled correlation working set. After each pass its
-	// TB-process table (sc.procs, indexed by sc.procIdx) holds every
-	// buffered TB's first and last attempt time; spentTB marks, per table
-	// position, the processes a mid-stream trim discards.
-	sc      scratch
-	spentTB []bool
+	// Matcher bookkeeping: dirty is the first process position the next
+	// walk must revisit; harq lists abandoned processes whose retry may
+	// still arrive (the settle gate's candidates); nDead counts processes
+	// a trim dropped whose slots await compactProcs.
+	dirty int
+	harq  []uint64
+	nDead int
+	sc    scratch
+}
+
+// coreRec is one retained core sighting: its key, corrected time and
+// arrival number.
+type coreRec struct {
+	key pktKey
+	at  time.Duration
+	seq uint64
+}
+
+// coreKey sums up a key's retained core sightings: the newest one's
+// corrected time, their count, and the arrival number they count from
+// (older sightings of the key were retired with it).
+type coreKey struct {
+	at   time.Duration
+	n    int
+	from uint64
 }
 
 // LiveCorrelator implements the streaming ingest boundary.
@@ -92,15 +129,22 @@ func NewLive(in Input, emit func(PacketView)) *LiveCorrelator {
 		FlushAfter: DefaultFlushAfter,
 		Emit:       emit,
 		headKeys:   make(map[pktKey]struct{}),
-		sc:         scratch{reuse: true},
+		coreKeys:   make(map[pktKey]coreKey),
+		sc: scratch{
+			rep:     &Report{byKey: make(map[pktKey]int)},
+			procIdx: make(map[uint64]int32),
+			ckpt:    []checkpoint{},
+			dry:     noPos,
+		},
 	}
+	lc.senderOff, lc.coreOff = in.offset(packet.PointSender), in.offset(packet.PointCore)
 	if len(in.Flows) > 0 {
 		lc.coveredFlow = make(map[uint32]bool, len(in.Flows))
 		for _, f := range in.Flows {
 			lc.coveredFlow[f] = true
 		}
-		// Uncovered records are rejected at the door, so the window
-		// passes need no filter of their own.
+		// Uncovered records are rejected at the door, so the matcher
+		// needs no filter of its own.
 		lc.in.Flows = nil
 	}
 	return lc
@@ -131,6 +175,23 @@ func (lc *LiveCorrelator) OnSenderRecord(r packet.Record) error {
 	lc.headKeys[k] = struct{}{}
 	lc.lastSenderAt = r.LocalTime
 	lc.sender = append(lc.sender, r)
+
+	sc := &lc.sc
+	if i, ok := sc.rep.byKey[k]; ok {
+		// The join is last-wins: the key's core sightings move to its
+		// newest sender record.
+		sc.rep.Packets[i-sc.shift].clearCore()
+	}
+	sc.rep.byKey[k] = len(sc.rep.Packets) + sc.shift
+	sc.rep.Packets = append(sc.rep.Packets, PacketView{})
+	v := &sc.rep.Packets[len(sc.rep.Packets)-1]
+	v.fromSender(&r, lc.senderOff)
+	if g, ok := lc.coreKeys[k]; ok {
+		v.joinCore(g.at)
+	}
+	sc.fifoLeft = append(sc.fifoLeft, int64(r.Size))
+	// A dry FIFO left budget over that the new packet can take.
+	lc.dirty = min(lc.dirty, sc.dry)
 	return nil
 }
 
@@ -161,16 +222,89 @@ func (lc *LiveCorrelator) OnCoreRecord(r packet.Record) error {
 		return fmt.Errorf("%w: core %d/%d/%s", ErrFlowNotCovered, r.Flow, r.Seq, r.Kind)
 	}
 	lc.lastCoreAt = r.LocalTime
-	lc.core = append(lc.core, r)
+	k, at := pktKey{r.Flow, r.Seq, r.Kind}, r.LocalTime-lc.coreOff
+	g, ok := lc.coreKeys[k]
+	if !ok {
+		g.from = lc.arrivals
+	}
+	g.at, g.n = at, g.n+1
+	lc.coreKeys[k] = g
+	lc.core.push(coreRec{k, at, lc.arrivals})
+	lc.arrivals++
+	lc.nCore++
+	if i, ok := lc.sc.rep.byKey[k]; ok {
+		lc.sc.rep.Packets[i-lc.sc.shift].joinCore(at)
+	}
 	return nil
 }
 
 // OnTB feeds one TB telemetry record (any HARQ attempt). No ordering
 // constraint: merged multi-cell telemetry legitimately interleaves in
-// time, and the TB reconstruction sorts when needed.
+// time, and the process table keeps its order whatever the arrival order.
 func (lc *LiveCorrelator) OnTB(r telemetry.TBRecord) error {
-	lc.tbs = append(lc.tbs, r)
+	a := attemptOf(r, lc.arrivals)
+	lc.tbs.push(a)
+	lc.nTBs++
+	lc.arrivals++
+	lc.addTB(a)
 	return nil
+}
+
+// addTB merges one attempt into the TB-process table and re-places the
+// process if the attempt created it or changed its time or fate.
+func (lc *LiveCorrelator) addTB(a tbAttempt) {
+	sc := &lc.sc
+	j, ok := sc.procIdx[a.id]
+	if !ok {
+		sc.procs = append(sc.procs, newProcess(a))
+		j = int32(len(sc.procs) - 1)
+	} else {
+		p := &sc.procs[j]
+		was := *p
+		p.merge(a)
+		if p.initialAt == was.initialAt && p.finalAt == was.finalAt && p.abandoned == was.abandoned {
+			return
+		}
+	}
+	lc.placed(int(j))
+}
+
+// placed re-sorts the changed process at position j, lowers dirty to the
+// first position affected and makes an abandoned process a settle-gate
+// candidate.
+func (lc *LiveCorrelator) placed(j int) {
+	sc := &lc.sc
+	to := sc.place(j)
+	lc.dirty = min(lc.dirty, j, to)
+	if p := &sc.procs[to]; p.abandoned {
+		lc.harq = append(lc.harq, p.id)
+	}
+}
+
+// place moves the process at position j until the table is back in
+// (initialAt, seen) order — the batch path's stable sort order —
+// re-indexing each process it passes, and returns the new position.
+// Checkpoints stay put: the one at the lower of the two positions is
+// still the state on entering it, and the walk resumes there.
+func (sc *scratch) place(j int) int {
+	procs, p := sc.procs, sc.procs[j]
+	for ; j > 0 && p.before(&procs[j-1]); j-- {
+		sc.shiftProc(j, j-1)
+	}
+	for ; j+1 < len(procs) && procs[j+1].before(&p); j++ {
+		sc.shiftProc(j, j+1)
+	}
+	procs[j] = p
+	sc.procIdx[p.id] = int32(j)
+	return j
+}
+
+// shiftProc moves the process at position from to position to.
+func (sc *scratch) shiftProc(to, from int) {
+	sc.procs[to] = sc.procs[from]
+	if p := &sc.procs[to]; !p.dead {
+		sc.procIdx[p.id] = int32(to)
+	}
 }
 
 // Snapshot reports the feed's progress: emission and trim counts, the
@@ -182,8 +316,8 @@ func (lc *LiveCorrelator) Snapshot() LiveSnapshot {
 		Trims:          lc.trims,
 		Advanced:       lc.advanced,
 		BufferedSender: len(lc.sender),
-		BufferedCore:   len(lc.core),
-		BufferedTBs:    len(lc.tbs),
+		BufferedCore:   lc.nCore,
+		BufferedTBs:    lc.nTBs,
 	}
 }
 
@@ -198,63 +332,41 @@ func (lc *LiveCorrelator) Advance(now time.Duration) error {
 	if lc.Pending() == 0 {
 		// Nothing to correlate, but a sender-silent feed still delivers
 		// core records and telemetry: retention runs regardless.
-		lc.trim(horizon, nil, lc.in.offset(packet.PointSender))
+		lc.trim(horizon)
 		return nil
 	}
-
-	in := lc.in
-	in.Sender = lc.sender
-	in.Core = lc.core
-	in.TBs = lc.tbs
-	rep := lc.sc.correlate(in)
-	if len(rep.Packets) != len(lc.sender) {
-		// Unreachable given the feed validation (sorted order and flow
-		// coverage make the report 1:1 with the sender buffer), but a
-		// broken invariant here must not silently misemit.
-		return fmt.Errorf("core: live window misaligned: %d views for %d sender records",
-			len(rep.Packets), len(lc.sender))
-	}
+	lc.match()
 
 	// A failed TB attempt whose HARQ retransmission may still be in
 	// flight is unsettled: if the retry arrives, the TB stops looking
 	// abandoned and the FIFO redistributes every byte from its position
 	// onward. Packets drained entirely by earlier TBs are unaffected, so
 	// emission holds only at and after the earliest unsettled position.
-	procs, procIdx := lc.sc.procs, lc.sc.procIdx
-	settle := lc.in.HARQRTT + lc.in.MatchTolerance
-	unsettled := time.Duration(1<<63 - 1)
-	for i := range procs {
-		if p := &procs[i]; p.abandoned && now < p.finalAt+settle && p.initialAt < unsettled {
-			unsettled = p.initialAt
-		}
-	}
+	sc, unsettled := &lc.sc, lc.unsettled(now)
 
 	// Emit, in send order, every not-yet-emitted packet that is either
 	// fully resolved (seen at the core with TBs matched) or past the
-	// flush horizon. The report is positionally identical to the sender
-	// buffer, so index — not the (possibly aliased) key — selects views.
-	senderOff := in.offset(packet.PointSender)
+	// flush horizon. Views are positionally identical to the sender
+	// buffer, so index — not the (possibly aliased) key — selects them.
 	for lc.emitted < len(lc.sender) {
-		r := lc.sender[lc.emitted]
-		v := &rep.Packets[lc.emitted]
+		v := &sc.rep.Packets[lc.emitted]
 		// Resolved means the view is final: observed at the core and — when
 		// TB telemetry is in play — fully drained by the FIFO matcher, so
 		// no later TB can extend its match (the FIFO head never moves
 		// backwards). A causal feed implies drained whenever the core saw
 		// the packet; the explicit check protects emission against feeds
 		// that are not.
-		resolved := v.SeenCore && (len(lc.tbs) == 0 ||
-			(len(v.TBIDs) > 0 && rep.fifoLeft[lc.emitted] == 0))
+		resolved := v.SeenCore && (lc.nTBs == 0 ||
+			(len(v.TBIDs) > 0 && sc.fifoLeft[lc.emitted] == 0))
 		if resolved && unsettled < 1<<63-1 {
 			for _, id := range v.TBIDs {
-				if procs[procIdx[id]].initialAt >= unsettled {
+				if sc.procs[sc.procIdx[id]].initialAt >= unsettled {
 					resolved = false
 					break
 				}
 			}
 		}
-		expired := r.LocalTime-senderOff <= horizon
-		if !resolved && !expired {
+		if !resolved && v.SentAt > horizon {
 			break
 		}
 		if lc.Emit != nil {
@@ -265,12 +377,119 @@ func (lc *LiveCorrelator) Advance(now time.Duration) error {
 	}
 
 	// Trim state that can no longer influence unemitted packets.
-	lc.trim(horizon, rep, senderOff)
+	lc.trim(horizon)
 	return nil
 }
 
-// trim discards consumed state so memory — and with it each Advance's
-// re-correlation cost — stays bounded on long sessions.
+// match brings the views up to date with the evidence fed since the last
+// walk: the matcher rewinds to its checkpoint at position dirty — or
+// continues where it stopped, if that process was never walked — and
+// walks the rest of the table.
+func (lc *LiveCorrelator) match() {
+	sc, from := &lc.sc, lc.dirty
+	if from < len(sc.procs) {
+		// The walk appends at most one TBID per process walked plus one
+		// per packet, after the rewind restores the head's.
+		need := len(sc.procs) - from + len(lc.sender)
+		if from < len(sc.ckpt) {
+			need += sc.ckpt[from].k
+		}
+		if cap(sc.tbids)-len(sc.tbids) < need {
+			lc.repack(need)
+		}
+		if from < len(sc.ckpt) {
+			lc.rewind(from)
+		}
+		if from <= sc.dry {
+			sc.dry = noPos
+		}
+		sc.ckpt = sc.ckpt[:from]
+		sc.walk(lc.in, from)
+	}
+	lc.dirty = len(sc.procs)
+}
+
+// rewind restores the matcher to its checkpoint at process position from
+// and returns every view the walk will re-derive to its unmatched state.
+// A checkpoint whose head packet was trimmed stands for the first retained
+// packet, untouched: every process before it carried only trimmed packets
+// (and went with them) or cannot carry a later one.
+func (lc *LiveCorrelator) rewind(from int) {
+	sc := &lc.sc
+	c := sc.ckpt[from]
+	head := c.head - sc.shift
+	if head < 0 {
+		head, c = 0, checkpoint{}
+	}
+	m := cursor{head: head, tbStart: len(sc.tbids)}
+	var ids []uint64
+	if c.k > 0 {
+		ids = sc.rep.Packets[head].TBIDs[:c.k]
+		m.first, m.last = sc.procIdx[ids[0]], sc.procIdx[ids[c.k-1]]
+	}
+	for j := head; j <= sc.m.head && j < len(lc.sender); j++ {
+		v := &sc.rep.Packets[j]
+		v.TBIDs, v.GrantKind, v.QueueWait, v.BSRWait, v.HARQDelay = nil, 0, 0, 0, 0
+		sc.fifoLeft[j] = int64(lc.sender[j].Size)
+	}
+	if c.k > 0 {
+		// Every take records a TBID, so a head without any is untouched —
+		// perhaps not even fed when the checkpoint was taken.
+		sc.tbids = append(sc.tbids, ids...)
+		sc.fifoLeft[head] = c.left
+	}
+	sc.m = m
+}
+
+// repack moves the retained views' TBIDs to the front of the shared
+// backing array — or into one twice the size they and need take —
+// dropping the IDs of trimmed and re-derived packets. Views hold their
+// IDs in packet order, so packing in that order only ever copies down.
+func (lc *LiveCorrelator) repack(need int) {
+	sc := &lc.sc
+	live := 0
+	for i := range sc.rep.Packets {
+		live += len(sc.rep.Packets[i].TBIDs)
+	}
+	ids := sc.tbids[:0]
+	if 2*(live+need) > cap(ids) {
+		ids = make([]uint64, 0, 2*(live+need))
+	}
+	for i := range sc.rep.Packets {
+		if v := &sc.rep.Packets[i]; len(v.TBIDs) > 0 {
+			start := len(ids)
+			ids = append(ids, v.TBIDs...)
+			v.TBIDs = ids[start:len(ids):len(ids)]
+		}
+	}
+	// The head's IDs, if any, are the last packed.
+	sc.m.tbStart = len(ids) - (len(sc.tbids) - sc.m.tbStart)
+	sc.tbids = ids
+}
+
+// unsettled returns the earliest initial transmission among abandoned
+// processes whose retransmission may still arrive, dropping the
+// candidates that have settled.
+func (lc *LiveCorrelator) unsettled(now time.Duration) time.Duration {
+	sc := &lc.sc
+	settle := lc.in.HARQRTT + lc.in.MatchTolerance
+	earliest := time.Duration(1<<63 - 1)
+	kept := lc.harq[:0]
+	for _, id := range lc.harq {
+		j, ok := sc.procIdx[id]
+		if !ok {
+			continue
+		}
+		if p := &sc.procs[j]; p.abandoned && now < p.finalAt+settle {
+			kept = append(kept, id)
+			earliest = min(earliest, p.initialAt)
+		}
+	}
+	lc.harq = kept
+	return earliest
+}
+
+// trim discards consumed state so memory stays bounded on long sessions.
 //
 // Fully drained — on every Advance with nothing pending, whether or not
 // it correlated — the sender buffer resets and one retention rule keeps
@@ -282,9 +501,9 @@ func (lc *LiveCorrelator) Advance(now time.Duration) error {
 // delivered ahead of its sender record (a sender clock running ahead)
 // waits for it, and a feed with no sender records at all stays bounded.
 //
-// Mid-stream, the emitted sender prefix is cut where the batch matcher's
-// state is settled, so a rerun over the trimmed buffers reproduces the
-// full rerun for every kept packet:
+// Mid-stream, the emitted sender prefix is cut where the matcher's state
+// is settled, so the state over the trimmed buffers equals a batch pass
+// over them for every kept packet:
 //
 //   - every trimmed packet must be fully drained (fifoLeft == 0) — a
 //     packet with unmatched bytes still absorbs future TB budget, and
@@ -293,108 +512,232 @@ func (lc *LiveCorrelator) Advance(now time.Duration) error {
 //     each TB's carried packets contiguous, so it suffices that the last
 //     trimmed and first kept packet share no TB.
 //
-// TBs carried only by trimmed packets have poured their budget into the
-// prefix and can never serve a kept packet (the FIFO head never moves
-// backwards), so their attempt records go too, as do settled TBs too old
-// to pass the causality check against any kept-or-future packet.
-func (lc *LiveCorrelator) trim(horizon time.Duration, rep *Report, senderOff time.Duration) {
+// TBs carried by trimmed packets have poured their budget into the prefix
+// and can never serve a kept packet (the FIFO head never moves
+// backwards), so their processes go too, as do settled TBs too old to
+// pass the causality check against any kept-or-future packet.
+//
+// Each step costs what it removes: the drained prefix starts at the
+// matcher head, spent processes are the trimmed packets' TBIDs, too-old
+// processes lead the table, and retired records and processes are
+// compacted away once they make up a quarter of their buffer.
+func (lc *LiveCorrelator) trim(horizon time.Duration) {
+	sc := &lc.sc
+	keepFrom := horizon - time.Second
 	if lc.Pending() == 0 {
 		if len(lc.sender) > 0 {
 			lc.trims++
 		}
-		keepFrom := horizon - time.Second
-		head := lc.lastSenderAt - senderOff
-		coreOff := lc.in.offset(packet.PointCore)
-		keptCore := lc.core[:0]
-		for _, r := range lc.core {
-			if rep != nil {
-				if _, consumed := rep.byKey[pktKey{r.Flow, r.Seq, r.Kind}]; consumed {
-					continue
+		lc.retire(len(lc.sender))
+		sc.m, sc.tbids, sc.ckpt, sc.dry, lc.dirty = cursor{}, sc.tbids[:0], sc.ckpt[:0], noPos, 0
+		from, i := max(lc.lastSenderAt-lc.senderOff, keepFrom), lc.core.off
+		for ; i < len(lc.core.buf); i++ {
+			if c := &lc.core.buf[i]; lc.coreLive(c) {
+				if c.at >= from {
+					break
+				}
+				lc.nCore--
+				if g := lc.coreKeys[c.key]; g.n > 1 {
+					g.n--
+					lc.coreKeys[c.key] = g
+				} else {
+					delete(lc.coreKeys, c.key)
 				}
 			}
-			if at := r.LocalTime - coreOff; at >= head && at >= keepFrom {
-				keptCore = append(keptCore, r)
+		}
+		lc.core.off = i
+		for i = lc.tbs.off; i < len(lc.tbs.buf); i++ {
+			if a := &lc.tbs.buf[i]; lc.tbLive(a) {
+				if a.at >= keepFrom {
+					break
+				}
+				lc.cutTB(i)
 			}
 		}
-		lc.core = keptCore
-		lc.sender = lc.sender[:0]
-		lc.emitted = 0
-		tbCut := 0
-		for tbCut < len(lc.tbs) && lc.tbs[tbCut].At < keepFrom {
-			tbCut++
-		}
-		lc.tbs = lc.tbs[tbCut:]
-		return
-	}
-	if lc.emitted == 0 || rep == nil || rep.fifoLeft == nil {
+		lc.tbs.off = i
+	} else if lc.nTBs > 0 && lc.emitted > 0 {
 		// Without TB telemetry there is no matcher state to settle; the
 		// full-drain reset above bounds that regime.
-		return
-	}
-	cut := lc.emitted
-	for i := 0; i < cut; i++ {
-		if rep.fifoLeft[i] != 0 {
-			cut = i
-			break
+		cut := min(sc.m.head, lc.emitted)
+		for cut < lc.emitted && sc.fifoLeft[cut] == 0 {
+			cut++
 		}
+		pkts := sc.rep.Packets
+		for cut > 0 && sharesTB(pkts[cut-1].TBIDs, pkts[cut].TBIDs) {
+			cut--
+		}
+		if cut == 0 {
+			return
+		}
+		lc.trims++
+		for i := range pkts[:cut] {
+			for _, id := range pkts[i].TBIDs {
+				lc.drop(id)
+			}
+		}
+		// Settled old TBs: initial attempt too old to satisfy causality
+		// against the first kept (hence any later) packet, and no attempt
+		// recent enough for the HARQ process to still be running. No
+		// attempt precedes the initial one, so the scan ends at whichever
+		// limit comes first.
+		limit := min(pkts[cut].SentAt-lc.in.SlotDuration-lc.in.MatchTolerance, keepFrom)
+		for j := 0; j < len(sc.procs) && sc.procs[j].initialAt < limit; j++ {
+			if p := &sc.procs[j]; !p.dead && p.finalAt < keepFrom {
+				lc.drop(p.id)
+			}
+		}
+		lc.retire(cut)
 	}
-	for cut > 0 && sharesTB(rep.Packets[cut-1].TBIDs, rep.Packets[cut].TBIDs) {
-		cut--
+	if 4*lc.nDead > len(sc.procs) {
+		lc.compactProcs()
 	}
-	if cut == 0 {
-		return
+	if 4*lc.nCore < 3*len(lc.core.items()) {
+		lc.core.keep(lc.coreLive)
 	}
-	lc.trims++
+	if 4*lc.nTBs < 3*len(lc.tbs.items()) {
+		lc.tbs.keep(lc.tbLive)
+	}
+}
 
-	// Mark the TB processes spent on the prefix. Packets are walked in send
-	// order, so a TB also carried by a kept packet ends up unmarked (the
-	// boundary rule makes that unreachable, but the invariant is cheap to
-	// enforce).
-	procs, procIdx := lc.sc.procs, lc.sc.procIdx
-	if cap(lc.spentTB) < len(procs) {
-		lc.spentTB = make([]bool, len(procs))
-	}
-	spent := lc.spentTB[:len(procs)]
-	clear(spent)
-	for i := range rep.Packets {
-		for _, id := range rep.Packets[i].TBIDs {
-			spent[procIdx[id]] = i < cut
-		}
-	}
-	// byKey is last-wins, so a key repeated past the cut (sequence-less
-	// kinds) points at a kept packet. Point every trimmed key back into
-	// the prefix: "byKey[k] < cut" then means "k was trimmed", and core
-	// records of a repeating key cannot pile up behind its newest sender
-	// record. The index is rebuilt by the next pass.
+// retire removes the first cut packets from the window, and their keys'
+// core sightings with them. Positions shift down by cut; the key index
+// stores positions plus sc.shift, so it needs no rewrite.
+func (lc *LiveCorrelator) retire(cut int) {
+	sc := &lc.sc
 	for i, r := range lc.sender[:cut] {
-		rep.byKey[pktKey{r.Flow, r.Seq, r.Kind}] = i
-	}
-
-	// Settled old TBs: initial attempt too old to satisfy causality
-	// against the first kept (hence any later) packet, and no attempt
-	// recent enough for the HARQ process to still be running.
-	firstKeptSent := lc.sender[cut].LocalTime - senderOff
-	causalLimit := firstKeptSent - lc.in.SlotDuration - lc.in.MatchTolerance
-	settleLimit := horizon - time.Second
-
-	lc.sender = lc.sender[:copy(lc.sender, lc.sender[cut:])]
-	lc.emitted -= cut
-	keptCore := lc.core[:0]
-	for _, r := range lc.core {
-		if i, ok := rep.byKey[pktKey{r.Flow, r.Seq, r.Kind}]; !ok || i >= cut {
-			keptCore = append(keptCore, r)
+		k := pktKey{r.Flow, r.Seq, r.Kind}
+		if g, ok := lc.coreKeys[k]; ok {
+			lc.nCore -= g.n
+			delete(lc.coreKeys, k)
+		}
+		if h, ok := sc.rep.byKey[k]; ok && h == i+sc.shift {
+			delete(sc.rep.byKey, k)
+		} else if ok && h-sc.shift >= cut {
+			sc.rep.Packets[h-sc.shift].clearCore()
 		}
 	}
-	lc.core = keptCore
-	keptTBs := lc.tbs[:0]
-	for _, tb := range lc.tbs {
-		j := procIdx[tb.TBID]
-		if p := &procs[j]; spent[j] || (p.initialAt < causalLimit && p.finalAt < settleLimit) {
+	n := copy(lc.sender, lc.sender[cut:])
+	lc.sender = lc.sender[:n]
+	sc.rep.Packets = sc.rep.Packets[:copy(sc.rep.Packets, sc.rep.Packets[cut:])]
+	sc.fifoLeft = sc.fifoLeft[:copy(sc.fifoLeft, sc.fifoLeft[cut:])]
+	lc.emitted -= cut
+	sc.shift += cut
+	// Only an unmatched zero-size head can fall in the prefix.
+	sc.m.head = max(sc.m.head-cut, 0)
+}
+
+// cutTB removes the logged attempt at index i, which the full drain cuts
+// by time, not with its process. The process goes with its last attempt;
+// otherwise it is re-derived from those that remain — they follow in the
+// log within one HARQ lifetime — as the cut one may have set its
+// initialAt, used, grant or fate.
+func (lc *LiveCorrelator) cutTB(i int) {
+	sc := &lc.sc
+	id := lc.tbs.buf[i].id
+	j := int(sc.procIdx[id])
+	left := sc.procs[j].nrec - 1
+	if left == 0 {
+		lc.drop(id)
+		return
+	}
+	lc.nTBs--
+	var p tbProcess
+	for k := i + 1; p.nrec < left; k++ {
+		if a := lc.tbs.buf[k]; a.id == id {
+			if p.nrec == 0 {
+				p = newProcess(a)
+			} else {
+				p.merge(a)
+			}
+		}
+	}
+	sc.procs[j] = p
+	lc.placed(j)
+}
+
+// drop removes a TB process from the table; its slot stays, skipped by
+// the matcher, until compactProcs.
+func (lc *LiveCorrelator) drop(id uint64) {
+	j, ok := lc.sc.procIdx[id]
+	if !ok {
+		return
+	}
+	p := &lc.sc.procs[j]
+	p.dead, p.abandoned = true, true
+	delete(lc.sc.procIdx, id)
+	lc.nTBs -= int(p.nrec)
+	lc.nDead++
+}
+
+// compactProcs closes the slots of dropped processes, moving checkpoints
+// and the matcher's process positions with their processes.
+func (lc *LiveCorrelator) compactProcs() {
+	sc := &lc.sc
+	kept, walked, dry := sc.procs[:0], 0, noPos
+	for i, p := range sc.procs {
+		if i == sc.dry {
+			dry = len(kept)
+		}
+		if p.dead {
 			continue
 		}
-		keptTBs = append(keptTBs, tb)
+		if i < len(sc.ckpt) {
+			sc.ckpt[walked] = sc.ckpt[i]
+			walked++
+		}
+		if i != len(kept) {
+			sc.procIdx[p.id] = int32(len(kept))
+		}
+		kept = append(kept, p)
 	}
-	lc.tbs = keptTBs
+	sc.procs, sc.ckpt, sc.dry = kept, sc.ckpt[:walked], dry
+	lc.dirty, lc.nDead = min(lc.dirty, len(kept)), 0
+	if sc.m.tbStart < len(sc.tbids) {
+		sc.m.first, sc.m.last = sc.procIdx[sc.tbids[sc.m.tbStart]], sc.procIdx[sc.tbids[len(sc.tbids)-1]]
+	}
+}
+
+// coreLive reports whether a logged core sighting is still retained.
+func (lc *LiveCorrelator) coreLive(c *coreRec) bool {
+	g, ok := lc.coreKeys[c.key]
+	return ok && c.seq >= g.from
+}
+
+// tbLive reports whether a logged attempt belongs to a process in the
+// table: dropping a process retires its attempts, and a later attempt of
+// the same TB starts a new one.
+func (lc *LiveCorrelator) tbLive(a *tbAttempt) bool {
+	j, ok := lc.sc.procIdx[a.id]
+	return ok && a.seq >= lc.sc.procs[j].seen
+}
+
+// queue is an arrival-ordered log consumed from the front. Dropping a
+// prefix moves an offset; the survivors move back to the start of the
+// backing array once the offset reaches half of it, so each record is
+// copied amortised O(1) times and steady state reuses one allocation.
+type queue[T any] struct {
+	buf []T
+	off int
+}
+
+func (q *queue[T]) push(x T) {
+	if len(q.buf) == cap(q.buf) && 2*q.off >= len(q.buf) {
+		q.buf, q.off = q.buf[:copy(q.buf, q.buf[q.off:])], 0
+	}
+	q.buf = append(q.buf, x)
+}
+
+func (q *queue[T]) items() []T { return q.buf[q.off:] }
+
+// keep filters the log in place down to the records live retains.
+func (q *queue[T]) keep(live func(*T) bool) {
+	kept := q.buf[:0]
+	for i := q.off; i < len(q.buf); i++ {
+		if live(&q.buf[i]) {
+			kept = append(kept, q.buf[i])
+		}
+	}
+	q.buf, q.off = kept, 0
 }
 
 // Drain pushes the clock just far enough that every buffered sender
@@ -405,7 +748,7 @@ func (lc *LiveCorrelator) trim(horizon time.Duration, rep *Report, senderOff tim
 // LocalTimes are absolute (e.g. epoch-based) and far ahead of it.
 func (lc *LiveCorrelator) Drain() error {
 	now := lc.advanced
-	if head := lc.lastSenderAt - lc.in.offset(packet.PointSender); head > now {
+	if head := lc.lastSenderAt - lc.senderOff; head > now {
 		now = head
 	}
 	return lc.Advance(now + lc.FlushAfter + time.Second)

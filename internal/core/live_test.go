@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -41,6 +42,7 @@ func runLive(t *testing.T, dur time.Duration, flush time.Duration) (views []Pack
 			tbIdx++
 		}
 		lc.Advance(now)
+		assertRederives(t, lc)
 	}
 	return views, bed
 }
@@ -212,17 +214,18 @@ func TestLiveMidStreamTrimBoundsBuffers(t *testing.T) {
 		// Advance time: hold it back by advancing only to its send time,
 		// inside the flush horizon, so Pending() stays positive.
 		lc.Advance(time.Duration(i) * 10 * time.Millisecond)
+		assertRederives(t, lc)
 		if lc.Pending() == 0 && i > 0 {
 			t.Fatalf("iteration %d: fully drained; this test must exercise the mid-stream path", i)
 		}
 		if len(lc.sender) > maxSender {
 			maxSender = len(lc.sender)
 		}
-		if len(lc.core) > maxCore {
-			maxCore = len(lc.core)
+		if lc.nCore > maxCore {
+			maxCore = lc.nCore
 		}
-		if len(lc.tbs) > maxTBs {
-			maxTBs = len(lc.tbs)
+		if lc.nTBs > maxTBs {
+			maxTBs = lc.nTBs
 		}
 	}
 	// The horizon is FlushAfter (500 ms) = 50 packets of history, plus
@@ -232,6 +235,51 @@ func TestLiveMidStreamTrimBoundsBuffers(t *testing.T) {
 	if maxSender > bound || maxCore > bound || maxTBs > bound {
 		t.Fatalf("buffers unbounded mid-stream: sender<=%d core<=%d tbs<=%d (bound %d)",
 			maxSender, maxCore, maxTBs, bound)
+	}
+}
+
+// TestLiveMidStreamTrimDropsSettledTBs adds an empty grant to every step
+// of the never-draining session. Empty TBs carry no packet, so no trim
+// spends them; only the settled-old rule retires them, once they are too
+// old for causality and their HARQ process is over.
+func TestLiveMidStreamTrimDropsSettledTBs(t *testing.T) {
+	lc := NewLive(Input{SlotDuration: 500 * time.Microsecond}, nil)
+	for i := 0; i < 1000; i++ {
+		feedStep(lc, uint32(i))
+		now := time.Duration(i) * 10 * time.Millisecond
+		lc.OnTB(telemetry.TBRecord{At: now + time.Millisecond, TBID: 1<<32 | uint64(i), UE: 1, TBS: 1200})
+		lc.Advance(now)
+		assertRederives(t, lc)
+		// 1.5 s of empty grants, plus the spent-TB window.
+		if got := lc.Snapshot().BufferedTBs; got > 300 {
+			t.Fatalf("step %d: %d TB records buffered", i, got)
+		}
+	}
+}
+
+// After a full drain the next walk covers every kept TB again, even when
+// the drain also closed the slots of the TBs it cut: TB 100 outlives the
+// cut of TBs 1–10 and must carry the next packet.
+func TestLiveDrainRewalksKeptTBs(t *testing.T) {
+	var views []PacketView
+	lc := NewLive(Input{SlotDuration: 500 * time.Microsecond}, func(v PacketView) { views = append(views, v.Clone()) })
+	lc.FlushAfter = 50 * time.Millisecond
+	for i := 0; i < 10; i++ {
+		lc.OnTB(telemetry.TBRecord{TBID: uint64(i + 1), At: time.Duration(i) * time.Millisecond, UE: 1, TBS: 1200, UsedBytes: 1000})
+	}
+	feed := func(seq uint32, at time.Duration) {
+		lc.OnSenderRecord(sRec(1, seq, packet.KindVideo, at))
+		lc.OnCoreRecord(cRec(1, seq, packet.KindVideo, at+2*time.Millisecond))
+	}
+	feed(0, 5*time.Millisecond)
+	lc.Advance(20 * time.Millisecond)
+	lc.OnTB(telemetry.TBRecord{TBID: 100, At: 2 * time.Second, UE: 1, TBS: 1200, UsedBytes: 1200})
+	lc.Advance(2 * time.Second)
+	feed(1, 2*time.Second+time.Millisecond)
+	lc.Advance(2*time.Second + 10*time.Millisecond)
+	assertRederives(t, lc)
+	if len(views) != 2 || !slices.Equal(views[1].TBIDs, []uint64{100}) {
+		t.Fatalf("views %+v, want the second carried by TB 100", views)
 	}
 }
 
@@ -293,11 +341,12 @@ func TestLiveMidStreamTrimBoundsRepeatedKeyCoreRecords(t *testing.T) {
 		}
 		prev = cur
 		lc.Advance(now)
+		assertRederives(t, lc)
 		if lc.Pending() == 0 {
 			t.Fatalf("iteration %d: fully drained; this test must exercise the mid-stream path", i)
 		}
-		if len(lc.core) > maxCore {
-			maxCore = len(lc.core)
+		if lc.nCore > maxCore {
+			maxCore = lc.nCore
 		}
 	}
 	if lc.Snapshot().Emitted < n {
@@ -368,7 +417,7 @@ func TestLiveTrimBoundsMemory(t *testing.T) {
 	if lc.Pending() != 0 {
 		t.Fatalf("pending = %d after final advance", lc.Pending())
 	}
-	if len(lc.sender) > 100 || len(lc.core) > 100 {
-		t.Fatalf("state unbounded: sender=%d core=%d", len(lc.sender), len(lc.core))
+	if len(lc.sender) > 100 || lc.nCore > 100 {
+		t.Fatalf("state unbounded: sender=%d core=%d", len(lc.sender), lc.nCore)
 	}
 }

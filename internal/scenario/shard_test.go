@@ -1,10 +1,14 @@
 package scenario
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"runtime"
 	"testing"
 	"time"
 
+	"athena/internal/core"
 	"athena/internal/ran"
 	"athena/internal/units"
 )
@@ -103,6 +107,48 @@ func TestSingleCellDigestsPinned(t *testing.T) {
 		explicit.Cells = []CellSpec{{CrossUEs: tc.top.CrossUEs, CrossPhases: tc.top.CrossPhases}}
 		if d := RunTopology(explicit).Digest(); d != got {
 			t.Errorf("%s: explicit one-cell digest %s != implicit-cell digest %s", tc.name, d, got)
+		}
+	}
+}
+
+// TestLiveDigestsPinned pins streaming behaviour across commits: each
+// literal folds the live-replay digest of every UE's session stream, in
+// UE order, at one tick. Most of these streams hold packets past the
+// flush horizon, so they differ from offline (differ counts them) and the
+// literals pin horizon expiry, not only the streamed ≡ offline case.
+func TestLiveDigestsPinned(t *testing.T) {
+	vca := NewMultiCellTopology(24, 1)
+	vca.Duration = 2 * time.Second
+	mixed := NewMultiCellTopology(8, 2)
+	mixed.Duration = 4 * time.Second
+	mixed.MixWorkloads()
+	for _, tc := range []struct {
+		name   string
+		top    Topology
+		tick   time.Duration
+		differ int
+		want   string
+	}{
+		{"24ue-vca-10ms", vca, 10 * time.Millisecond, 24, "e92c904761b0c9dca5ceac1b14b203339e56f0cd9a6ffed402d213a87f5779c0"},
+		{"24ue-vca-100ms", vca, 100 * time.Millisecond, 24, "b9f346d258978c5bb5934fc7959dcf341e90bbb2d5c6a3128aa73e4fdc497e32"},
+		{"8ue-mixed-10ms", mixed, 10 * time.Millisecond, 2, "3ccc54702ef64eaeb8cbf872eaf916853235214b74be1c5723fd54815d826e70"},
+	} {
+		h := sha256.New()
+		differ := 0
+		for _, ss := range RunTopology(tc.top).SessionStreams() {
+			live, _ := replayDigest(t, ss, tc.tick)
+			if live != core.Correlate(ss.Input).PacketsDigest() {
+				differ++
+			}
+			fmt.Fprintf(h, "%s %s\n", ss.ID, live)
+		}
+		got := hex.EncodeToString(h.Sum(nil))
+		if differ != tc.differ {
+			t.Errorf("%s: %d streams differ from offline, want %d", tc.name, differ, tc.differ)
+		}
+		// Encoder-noise floats are not FMA-pinned off amd64 (ROADMAP item 6).
+		if runtime.GOARCH == "amd64" && got != tc.want {
+			t.Errorf("%s: live digest %s, pinned %s", tc.name, got, tc.want)
 		}
 	}
 }

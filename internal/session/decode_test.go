@@ -318,9 +318,9 @@ func TestPooledBatchNotRefed(t *testing.T) {
 	}
 }
 
-// LiveCorrelator.OnTB keeps each TBRecord by value (append(lc.tbs, r)),
-// PacketIDs slice header included, so a decode into a reused Batch must
-// never write into PacketIDs memory handed out by an earlier one.
+// A TBRecord kept by value holds its PacketIDs slice header, so a decode
+// into a reused Batch must never write into PacketIDs memory handed out
+// by an earlier one.
 func TestDecodedPacketIDsSurviveReuse(t *testing.T) {
 	var b Batch
 	if err := b.UnmarshalJSON(realBatch(t)); err != nil {
