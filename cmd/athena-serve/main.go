@@ -48,10 +48,8 @@ func main() {
 	log.SetPrefix("athena-serve: ")
 
 	addr := flag.String("addr", ":8080", "listen address (server mode)")
-	maxSessions := flag.Int("max-sessions", defaultMaxSessions, "session capacity: creates beyond it get 429; 0 = unbounded")
+	newRegistry := registryFlags(flag.CommandLine)
 	eventsOut := flag.String("events-out", "", "append the structured event stream (JSONL) to this file")
-	eventBuffer := flag.Int("event-buffer", obs.DefaultEventBuffer, "event ring-buffer capacity served by /v1/events")
-	anomalyHARQ := flag.Duration("anomaly-harq-p99", 50*time.Millisecond, "per-session HARQ-attributed p99 bound; crossings emit session.anomaly events, 0 disables")
 	promlint := flag.String("promlint", "", "lint a scraped Prometheus exposition page (a file, or - for stdin) and exit")
 	loadgen := flag.Bool("loadgen", false, "replay simulator-tapped sessions into a server and verify every attribution digest, instead of serving")
 	target := flag.String("target", "", "loadgen: server URL; empty runs an in-process server")
@@ -100,10 +98,7 @@ func main() {
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	reg := session.NewRegistry()
-	reg.MaxSessions = *maxSessions
-	reg.AnomalyHARQP99 = *anomalyHARQ
-	reg.Events = obs.NewEventLog(*eventBuffer)
+	reg := newRegistry()
 	if *eventsOut != "" {
 		f, err := os.OpenFile(*eventsOut, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
@@ -158,10 +153,23 @@ func serve(ctx context.Context, ln net.Listener, reg *session.Registry) (int, er
 	return len(final), nil
 }
 
-// defaultMaxSessions is the server's session capacity unless -max-sessions
-// says otherwise: 8× the most sessions the loadgen, CI or the benchmark
-// hold live at once, so memory stays bounded by default.
-const defaultMaxSessions = 1024
+// registryFlags defines the server-mode flags that configure the session
+// registry on fs and returns the constructor of the registry they
+// describe. The default session capacity is 8× the most sessions the
+// loadgen, CI or the benchmark hold live at once, so memory stays bounded
+// unless -max-sessions says otherwise.
+func registryFlags(fs *flag.FlagSet) func() *session.Registry {
+	maxSessions := fs.Int("max-sessions", 1024, "session capacity: creates beyond it get 429; 0 = unbounded")
+	eventBuffer := fs.Int("event-buffer", obs.DefaultEventBuffer, "event ring-buffer capacity served by /v1/events")
+	anomalyHARQ := fs.Duration("anomaly-harq-p99", 50*time.Millisecond, "per-session HARQ-attributed p99 bound; crossings emit session.anomaly events, 0 disables")
+	return func() *session.Registry {
+		reg := session.NewRegistry()
+		reg.MaxSessions = *maxSessions
+		reg.AnomalyHARQP99 = *anomalyHARQ
+		reg.Events = obs.NewEventLog(*eventBuffer)
+		return reg
+	}
+}
 
 // shutdownGrace bounds how long in-flight requests may run once a
 // shutdown signal arrives.

@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"io"
 	"net"
@@ -284,15 +285,26 @@ func TestServeGracefulDrain(t *testing.T) {
 }
 
 // TestServeDefaultSessionCap holds a default-configured server's session
-// count bounded: the 1025th concurrent create is refused with 429, and a
-// close makes room again.
+// count bounded: with no flags given, the 1025th concurrent create is
+// refused with 429, and a close makes room again. An explicit
+// -max-sessions 0 still means unbounded.
 func TestServeDefaultSessionCap(t *testing.T) {
+	parse := func(args ...string) *session.Registry {
+		fs := flag.NewFlagSet("athena-serve", flag.ContinueOnError)
+		newRegistry := registryFlags(fs)
+		if err := fs.Parse(args); err != nil {
+			t.Fatal(err)
+		}
+		return newRegistry()
+	}
+	if reg := parse("-max-sessions", "0"); reg.MaxSessions != 0 {
+		t.Fatalf("-max-sessions 0 gives capacity %d, want unbounded", reg.MaxSessions)
+	}
+	reg := parse()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := session.NewRegistry()
-	reg.MaxSessions = defaultMaxSessions
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {

@@ -242,13 +242,18 @@ type scratch struct {
 	procIdx   map[uint64]int32
 
 	// Matcher state. m is the cursor where the last walk stopped. A live
-	// scratch also keeps ckpt, the cursor at entry to each process (heads
-	// numbered absolutely: a packet's position plus shift), and dry, the
-	// first process whose budget the FIFO left over by running dry.
-	m     cursor
-	ckpt  []checkpoint
-	shift int
-	dry   int
+	// scratch also keeps ckpt, the cursor at entry to each process from
+	// position base on (heads numbered absolutely: a packet's position
+	// plus shift), and dry, the first process whose budget the FIFO left
+	// over by running dry. A walk takes nothing before base, so the state
+	// on entering any process there is the first packet, untouched.
+	// walked counts the process positions walked, the matcher's work.
+	m      cursor
+	ckpt   []checkpoint
+	base   int
+	shift  int
+	dry    int
+	walked int
 }
 
 // Correlate runs the full pipeline. Each call returns a freshly allocated
@@ -399,6 +404,7 @@ func (sc *scratch) walk(in Input, from int) {
 	slack := in.SlotDuration + in.MatchTolerance
 	head, tbStart, first, last := sc.m.head, sc.m.tbStart, sc.m.first, sc.m.last
 	live := sc.ckpt != nil
+	sc.walked += len(procs) - from
 	for pi := from; pi < len(procs); pi++ {
 		if live {
 			c := checkpoint{head: head + sc.shift, k: len(tbids) - tbStart}

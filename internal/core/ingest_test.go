@@ -7,7 +7,9 @@ import (
 	"testing"
 	"time"
 
+	"athena/internal/clock"
 	"athena/internal/packet"
+	"athena/internal/ran"
 	"athena/internal/telemetry"
 	"athena/internal/units"
 )
@@ -307,23 +309,42 @@ func TestIngestSnapshotProgress(t *testing.T) {
 // of freedom: it controls how records interleave across Advance windows
 // (and therefore which trim/flush paths run) without ever violating the
 // feed contract. After every Advance the incremental state must equal a
-// re-derive from position 0 over the same buffers. rewinds counts the
-// Advances that resumed the matcher before the position it had walked.
-func replayChunked(t testing.TB, in Input, step func(i int) time.Duration) (views []PacketView, rewinds int) {
+// re-derive from position 0 over the same buffers.
+func replayChunked(t testing.TB, in Input, step func(i int) time.Duration) (views []PacketView, st replayStats) {
 	t.Helper()
 	cfg := in
 	cfg.Sender, cfg.Core, cfg.TBs = nil, nil, nil
-	lc := NewLive(cfg, func(v PacketView) { views = append(views, v.Clone()) })
+	var kept map[uint64]bool
+	lc := NewLive(cfg, func(v PacketView) {
+		for _, id := range v.TBIDs {
+			st.reused = st.reused || kept[id]
+		}
+		views = append(views, v.Clone())
+	})
 	si, ci, ti := 0, 0, 0
 	now := time.Duration(0)
 	advance := func(now time.Duration) {
-		if lc.Pending() > 0 && lc.dirty < len(lc.sc.ckpt) {
-			rewinds++
+		buffered := len(lc.sender)
+		if lc.Pending() > 0 && lc.dirty < lc.sc.base+len(lc.sc.ckpt) {
+			st.rewinds++
 		}
 		if err := lc.Advance(now); err != nil {
 			t.Fatalf("advance %v: %v", now, err)
 		}
 		assertRederives(t, lc)
+		if buffered > 0 && len(lc.sender) == 0 {
+			// A full drain: note the TBs it kept that carried its packets.
+			for _, v := range views[len(views)-buffered:] {
+				for _, id := range v.TBIDs {
+					if _, ok := lc.sc.procIdx[id]; ok {
+						if kept == nil {
+							kept = make(map[uint64]bool)
+						}
+						kept[id] = true
+					}
+				}
+			}
+		}
 	}
 	for i := 0; si < len(in.Sender) || ci < len(in.Core) || ti < len(in.TBs); i++ {
 		now += step(i)
@@ -350,7 +371,21 @@ func replayChunked(t testing.TB, in Input, step func(i int) time.Duration) (view
 		advance(now)
 	}
 	advance(now + 30*time.Second)
-	return views, rewinds
+	st.walked = lc.sc.walked
+	return views, st
+}
+
+// replayStats sums up what a chunked replay made the matcher do.
+//   - rewinds counts the Advances that resumed it before the position it
+//     had walked;
+//   - walked counts the process positions it walked;
+//   - reused reports that a packet was matched to a TB a full drain kept
+//     after that TB had carried drained packets. The next walk starts the
+//     kept TB at its full budget where batch correlation has spent it, so
+//     only then may emission differ from batch (ROADMAP item 1).
+type replayStats struct {
+	rewinds, walked int
+	reused          bool
 }
 
 // assertRederives checks a live correlator's incremental state against a
@@ -452,9 +487,8 @@ func assertStreamMatchesBatch(t testing.TB, in Input, views []PacketView) {
 }
 
 // TestLiveChunkedReplayMatchesBatchDigest is the deterministic core of the
-// fuzz target: several seeds and pathological step patterns, plus the
-// fuzz seeds, each checked for exact digest equality between streamed and
-// batch attribution.
+// fuzz target: several seeds and pathological step patterns, each checked
+// for exact digest equality between streamed and batch attribution.
 func TestLiveChunkedReplayMatchesBatchDigest(t *testing.T) {
 	steps := map[string]func(i int) time.Duration{
 		"fine":    func(int) time.Duration { return 700 * time.Microsecond },
@@ -470,44 +504,21 @@ func TestLiveChunkedReplayMatchesBatchDigest(t *testing.T) {
 			t.Run(name, func(t *testing.T) { assertStreamMatchesBatch(t, in, views) })
 		}
 	}
-	for _, c := range liveFeedSeeds {
-		in := synthInput(300, 3, c.seed)
-		views, _ := replayChunked(t, in, chunkSteps(c.chunks))
-		assertStreamMatchesBatch(t, in, views)
-	}
-}
-
-// liveFeedSeeds is FuzzLiveFeedOrder's seed corpus.
-var liveFeedSeeds = []struct {
-	seed   int64
-	chunks []byte
-}{
-	{1, []byte{3, 18, 1, 1, 250, 2, 9}},
-	{42, []byte{1}},
-	{99, []byte{200, 200, 200}},
-}
-
-// chunkSteps reads fuzz bytes as clock increments of 1–120 ms.
-func chunkSteps(chunks []byte) func(i int) time.Duration {
-	return func(i int) time.Duration {
-		return time.Duration(int(chunks[i%len(chunks)])%120+1) * time.Millisecond
-	}
 }
 
 // FuzzLiveFeedOrder fuzzes the delivery chunking of a synthetic session:
 // each fuzz byte is a clock increment, so the corpus explores adversarial
 // interleavings of sender/core/TB delivery against Advance (including
 // long stalls that force horizon flushes and mid-stream trims). After
-// every Advance the incremental state must equal the re-derive, and every
-// packet is emitted exactly once. Emission need not match the batch
-// correlation on every chunking: a full drain keeps the TBs that carried
-// the drained packets, and a packet sent within the causality slack of
-// one can reuse its spent budget (ROADMAP item 1). The seeds above do
-// match, and TestLiveChunkedReplayMatchesBatchDigest holds them to it.
+// every Advance the incremental state must equal the re-derive, and the
+// emitted views must digest-match the batch correlation — unless a packet
+// took budget from a TB a full drain kept after it carried drained
+// packets (ROADMAP item 1), where every packet must still be emitted once.
 func FuzzLiveFeedOrder(f *testing.F) {
-	for _, c := range liveFeedSeeds {
-		f.Add(c.seed, c.chunks)
-	}
+	f.Add(int64(1), []byte{3, 18, 1, 1, 250, 2, 9})
+	f.Add(int64(42), []byte{1})
+	f.Add(int64(99), []byte{200, 200, 200})
+	f.Add(int64(-203), []byte("x")) // 1 ms steps: a kept TB's budget is reused
 	f.Fuzz(func(t *testing.T, seed int64, chunks []byte) {
 		if len(chunks) == 0 {
 			chunks = []byte{5}
@@ -516,9 +527,18 @@ func FuzzLiveFeedOrder(f *testing.F) {
 			chunks = chunks[:256]
 		}
 		in := synthInput(300, 3, seed)
-		if views, _ := replayChunked(t, in, chunkSteps(chunks)); len(views) != len(in.Sender) {
-			t.Fatalf("emitted %d views for %d sent packets", len(views), len(in.Sender))
+		step := func(i int) time.Duration {
+			ms := int(chunks[i%len(chunks)])%120 + 1
+			return time.Duration(ms) * time.Millisecond
 		}
+		views, st := replayChunked(t, in, step)
+		if st.reused {
+			if len(views) != len(in.Sender) {
+				t.Fatalf("emitted %d views for %d sent packets", len(views), len(in.Sender))
+			}
+			return
+		}
+		assertStreamMatchesBatch(t, in, views)
 	})
 }
 
@@ -598,12 +618,33 @@ func TestLiveRederivesLateEvidence(t *testing.T) {
 	} {
 		for _, step := range []time.Duration{5 * time.Millisecond, 40 * time.Millisecond} {
 			in := tc.feed(synthInput(600, 4, 3))
-			_, rewinds := replayChunked(t, in, func(int) time.Duration { return step })
-			if rewinds == 0 && tc.name != "sender-ahead" {
+			_, st := replayChunked(t, in, func(int) time.Duration { return step })
+			if st.rewinds == 0 && tc.name != "sender-ahead" {
 				t.Errorf("%s at %v: no Advance resumed before the walked position", tc.name, step)
 			}
 		}
 	}
+}
+
+// TestLiveReplayCostIndependentOfTick holds the live matcher's work per
+// record flat across feed batch sizes: an Advance walks the processes its
+// new evidence can change, not the retained window, so replaying a 4 s
+// session with HARQ retransmissions in 10 ms batches may walk at most
+// twice the process positions of the 100 ms replay. Re-correlating the
+// window on every Advance walks each process once per batch it stays in,
+// about ten times as many at the finer tick.
+func TestLiveReplayCostIndependentOfTick(t *testing.T) {
+	in := runBed(t, ran.SchedCombined, 0.1, clock.Perfect("s"), clock.Perfect("c"), 4*time.Second).input(nil)
+	walked := func(tick time.Duration) int {
+		_, st := replayChunked(t, in, func(int) time.Duration { return tick })
+		return st.walked
+	}
+	fine, coarse := walked(10*time.Millisecond), walked(100*time.Millisecond)
+	if fine >= 2*coarse {
+		t.Fatalf("10 ms batches walked %d process positions, %.1f× the %d of 100 ms batches; want < 2×",
+			fine, float64(fine)/float64(coarse), coarse)
+	}
+	t.Logf("%d TB attempts; walked %d positions at 10 ms, %d at 100 ms", len(in.TBs), fine, coarse)
 }
 
 // deliverTBs reorders the telemetry by due time. replayChunked delivers

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sort"
 	"time"
 
 	"athena/internal/packet"
@@ -69,11 +70,12 @@ type LiveCorrelator struct {
 	coreOff   time.Duration
 
 	// Feed-validation state: per-stream capture heads, the duplicate
-	// index, and the flow-coverage set derived from in.Flows. The
-	// duplicate index is just the keys accepted at exactly lastSenderAt:
-	// a replay of anything older already fails the order check. Being
-	// independent of the retained window, it survives every trim.
-	// headPeak is the most keys it has held since it was last made.
+	// index, and the flow-coverage set derived from in.Flows. A duplicate
+	// is a key accepted at exactly lastSenderAt: a replay of anything
+	// older already fails the order check. The key index finds the ones
+	// still retained; headKeys holds those a trim retired, so the check
+	// survives every trim. headPeak is the most keys headKeys has held
+	// since it was last made.
 	lastSenderAt time.Duration
 	lastCoreAt   time.Duration
 	advanced     time.Duration
@@ -166,18 +168,18 @@ func (lc *LiveCorrelator) OnSenderRecord(r packet.Record) error {
 	if r.LocalTime > lc.lastSenderAt {
 		lc.resetHead()
 	}
-	if _, dup := lc.headKeys[k]; dup {
+	sc := &lc.sc
+	i, ok := sc.rep.byKey[k]
+	if _, retired := lc.headKeys[k]; retired || ok && lc.sender[i-sc.shift].LocalTime == r.LocalTime {
 		// Sequence-less kinds (NTP cross traffic) legitimately repeat a
 		// key at distinct capture times; an identical timestamp means the
 		// same record fed twice.
 		return fmt.Errorf("%w: sender %d/%d/%s at %v", ErrDuplicate, r.Flow, r.Seq, r.Kind, r.LocalTime)
 	}
-	lc.headKeys[k] = struct{}{}
 	lc.lastSenderAt = r.LocalTime
 	lc.sender = append(lc.sender, r)
 
-	sc := &lc.sc
-	if i, ok := sc.rep.byKey[k]; ok {
+	if ok {
 		// The join is last-wins: the key's core sightings move to its
 		// newest sender record.
 		sc.rep.Packets[i-sc.shift].clearCore()
@@ -388,35 +390,40 @@ func (lc *LiveCorrelator) Advance(now time.Duration) error {
 func (lc *LiveCorrelator) match() {
 	sc, from := &lc.sc, lc.dirty
 	if from < len(sc.procs) {
+		var c checkpoint
+		rewound := from < sc.base+len(sc.ckpt)
+		if rewound {
+			c = checkpoint{head: sc.shift}
+			if from >= sc.base {
+				c = sc.ckpt[from-sc.base]
+			}
+		}
 		// The walk appends at most one TBID per process walked plus one
 		// per packet, after the rewind restores the head's.
-		need := len(sc.procs) - from + len(lc.sender)
-		if from < len(sc.ckpt) {
-			need += sc.ckpt[from].k
-		}
+		need := len(sc.procs) - from + len(lc.sender) + c.k
 		if cap(sc.tbids)-len(sc.tbids) < need {
 			lc.repack(need)
 		}
-		if from < len(sc.ckpt) {
-			lc.rewind(from)
+		if rewound {
+			lc.rewind(c)
 		}
 		if from <= sc.dry {
 			sc.dry = noPos
 		}
-		sc.ckpt = sc.ckpt[:from]
+		sc.base = min(sc.base, from)
+		sc.ckpt = sc.ckpt[:from-sc.base]
 		sc.walk(lc.in, from)
 	}
 	lc.dirty = len(sc.procs)
 }
 
-// rewind restores the matcher to its checkpoint at process position from
-// and returns every view the walk will re-derive to its unmatched state.
-// A checkpoint whose head packet was trimmed stands for the first retained
-// packet, untouched: every process before it carried only trimmed packets
-// (and went with them) or cannot carry a later one.
-func (lc *LiveCorrelator) rewind(from int) {
+// rewind restores the matcher to checkpoint c and returns every view the
+// walk will re-derive to its unmatched state. A checkpoint whose head
+// packet was trimmed stands for the first retained packet, untouched:
+// every process before it carried only trimmed packets (and went with
+// them) or cannot carry a later one.
+func (lc *LiveCorrelator) rewind(c checkpoint) {
 	sc := &lc.sc
-	c := sc.ckpt[from]
 	head := c.head - sc.shift
 	if head < 0 {
 		head, c = 0, checkpoint{}
@@ -529,8 +536,9 @@ func (lc *LiveCorrelator) trim(horizon time.Duration) {
 			lc.trims++
 		}
 		lc.retire(len(lc.sender))
-		sc.m, sc.tbids, sc.ckpt, sc.dry, lc.dirty = cursor{}, sc.tbids[:0], sc.ckpt[:0], noPos, 0
-		from, i := max(lc.lastSenderAt-lc.senderOff, keepFrom), lc.core.off
+		sc.m, sc.tbids, sc.ckpt, sc.dry = cursor{}, sc.tbids[:0], sc.ckpt[:0], noPos
+		head := lc.lastSenderAt - lc.senderOff
+		from, i := max(head, keepFrom), lc.core.off
 		for ; i < len(lc.core.buf); i++ {
 			if c := &lc.core.buf[i]; lc.coreLive(c) {
 				if c.at >= from {
@@ -555,6 +563,12 @@ func (lc *LiveCorrelator) trim(horizon time.Duration) {
 			}
 		}
 		lc.tbs.off = i
+		// No packet sent from now on precedes the sender head, so a kept
+		// process whose transmission causality bars the head from takes
+		// nothing: the next walk starts past them.
+		head -= lc.in.SlotDuration + lc.in.MatchTolerance
+		sc.base = sort.Search(len(sc.procs), func(j int) bool { return sc.procs[j].initialAt >= head })
+		lc.dirty = sc.base
 	} else if lc.nTBs > 0 && lc.emitted > 0 {
 		// Without TB telemetry there is no matcher state to settle; the
 		// full-drain reset above bounds that regime.
@@ -612,6 +626,9 @@ func (lc *LiveCorrelator) retire(cut int) {
 		}
 		if h, ok := sc.rep.byKey[k]; ok && h == i+sc.shift {
 			delete(sc.rep.byKey, k)
+			if r.LocalTime == lc.lastSenderAt {
+				lc.headKeys[k] = struct{}{}
+			}
 		} else if ok && h-sc.shift >= cut {
 			sc.rep.Packets[h-sc.shift].clearCore()
 		}
@@ -673,7 +690,7 @@ func (lc *LiveCorrelator) drop(id uint64) {
 // and the matcher's process positions with their processes.
 func (lc *LiveCorrelator) compactProcs() {
 	sc := &lc.sc
-	kept, walked, dry := sc.procs[:0], 0, noPos
+	kept, dirty, base, walked, dry := sc.procs[:0], 0, 0, 0, noPos
 	for i, p := range sc.procs {
 		if i == sc.dry {
 			dry = len(kept)
@@ -681,8 +698,13 @@ func (lc *LiveCorrelator) compactProcs() {
 		if p.dead {
 			continue
 		}
-		if i < len(sc.ckpt) {
-			sc.ckpt[walked] = sc.ckpt[i]
+		if i < lc.dirty {
+			dirty++
+		}
+		if i < sc.base {
+			base++
+		} else if i < sc.base+len(sc.ckpt) {
+			sc.ckpt[walked] = sc.ckpt[i-sc.base]
 			walked++
 		}
 		if i != len(kept) {
@@ -690,8 +712,8 @@ func (lc *LiveCorrelator) compactProcs() {
 		}
 		kept = append(kept, p)
 	}
-	sc.procs, sc.ckpt, sc.dry = kept, sc.ckpt[:walked], dry
-	lc.dirty, lc.nDead = min(lc.dirty, len(kept)), 0
+	sc.procs, sc.base, sc.ckpt, sc.dry = kept, base, sc.ckpt[:walked], dry
+	lc.dirty, lc.nDead = dirty, 0
 	if sc.m.tbStart < len(sc.tbids) {
 		sc.m.first, sc.m.last = sc.procIdx[sc.tbids[sc.m.tbStart]], sc.procIdx[sc.tbids[len(sc.tbids)-1]]
 	}

@@ -169,47 +169,3 @@ func TestSessionStreamInputsMatchRunReports(t *testing.T) {
 		}
 	}
 }
-
-// TestLiveReplayCostIndependentOfTick holds the live correlator's cost
-// per record flat across feed batch sizes: each Advance costs the new
-// evidence it brings, not the retained window, so replaying the same
-// streams in 10 ms batches may cost at most twice the 100 ms replay
-// (best of five, chunking done outside the clock).
-func TestLiveReplayCostIndependentOfTick(t *testing.T) {
-	top := NewMultiCellTopology(4, 2)
-	top.Duration = 4 * time.Second
-	streams := RunTopology(top).SessionStreams()
-	replay := func(tick time.Duration) time.Duration {
-		chunks := make([][]StreamChunk, len(streams))
-		for i := range streams {
-			chunks[i] = streams[i].Chunks(tick)
-		}
-		best := time.Duration(1<<63 - 1)
-		for rep := 0; rep < 5; rep++ {
-			t0 := time.Now()
-			for i, ss := range streams {
-				lc := core.NewLive(ss.Input, nil)
-				for _, ch := range chunks[i] {
-					for _, r := range ch.Sender {
-						lc.OnSenderRecord(r)
-					}
-					for _, r := range ch.Core {
-						lc.OnCoreRecord(r)
-					}
-					for _, tb := range ch.TBs {
-						lc.OnTB(tb)
-					}
-					lc.Advance(ch.AdvanceTo)
-				}
-			}
-			best = min(best, time.Since(t0))
-		}
-		return best
-	}
-	fine, coarse := replay(10*time.Millisecond), replay(100*time.Millisecond)
-	if ratio := float64(fine) / float64(coarse); ratio >= 2 {
-		t.Fatalf("10 ms batches cost %v, %.1f× the %v of 100 ms batches; want < 2×", fine, ratio, coarse)
-	} else {
-		t.Logf("10 ms: %v, 100 ms: %v (%.2f×)", fine, coarse, ratio)
-	}
-}
