@@ -192,8 +192,8 @@ func Fig7(o Options) *FigureData {
 	// The paper's baseline uses tc with the cellular capacity "calculated
 	// from the physical transport block sizes": the cell's per-slot TBS
 	// capability as a constant rate, at a fixed 15 ms latency. (The
-	// per-slot granted trace is available via TBSchedule for replay
-	// studies, but grants track demand, not capacity.)
+	// per-slot granted trace is available via scenario.TBSchedule for
+	// replay studies, but grants track demand, not capacity.)
 	em.EmulatedSchedule = []units.ByteCount{base.RAN.SlotCapacity()}
 	// The two calls are independent, so they run concurrently; the 5G
 	// baseline is also the config several mitigation studies reuse, so it
@@ -266,7 +266,3 @@ type (
 	Spike         = scenario.Spike
 	JitterEpisode = scenario.JitterEpisode
 )
-
-// TBSchedule extracts the per-UL-slot capacity schedule from a 5G run for
-// the Fig 7 emulated baseline.
-func TBSchedule(res *Result) []units.ByteCount { return scenario.TBSchedule(res) }

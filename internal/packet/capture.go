@@ -1,7 +1,6 @@
 package packet
 
 import (
-	"sort"
 	"time"
 
 	"athena/internal/clock"
@@ -117,27 +116,9 @@ func rtpInfo(i RTPInfo) (ssrc uint32, seq uint16, ts uint32, marker, mediaMeta b
 	return
 }
 
-// ByPacket indexes records by packet ID for quick correlation.
-func ByPacket(records []Record) map[uint64]Record {
-	m := make(map[uint64]Record, len(records))
-	for _, r := range records {
-		m[r.PacketID] = r
-	}
-	return m
-}
-
-// SortedByTime returns a copy of records ordered by local timestamp.
-func SortedByTime(records []Record) []Record {
-	out := make([]Record, len(records))
-	copy(out, records)
-	sort.Slice(out, func(i, j int) bool { return out[i].LocalTime < out[j].LocalTime })
-	return out
-}
-
 // IsSortedByTime reports whether records are already in non-decreasing
 // LocalTime order. Capture taps append under a monotone clock, so their
-// record slices normally are — callers use this to skip the copy+sort
-// SortedByTime would pay.
+// record slices normally are — callers use this to skip a copy and sort.
 func IsSortedByTime(records []Record) bool {
 	for i := 1; i < len(records); i++ {
 		if records[i].LocalTime < records[i-1].LocalTime {
@@ -145,15 +126,4 @@ func IsSortedByTime(records []Record) bool {
 		}
 	}
 	return true
-}
-
-// FilterKind returns the records of a single traffic kind, preserving order.
-func FilterKind(records []Record, k Kind) []Record {
-	var out []Record
-	for _, r := range records {
-		if r.Kind == k {
-			out = append(out, r)
-		}
-	}
-	return out
 }

@@ -110,45 +110,6 @@ func TestCaptureNilNextDiscards(t *testing.T) {
 	}
 }
 
-func TestByPacket(t *testing.T) {
-	recs := []Record{{PacketID: 1, Seq: 10}, {PacketID: 2, Seq: 20}}
-	m := ByPacket(recs)
-	if len(m) != 2 || m[1].Seq != 10 || m[2].Seq != 20 {
-		t.Fatalf("ByPacket = %v", m)
-	}
-}
-
-func TestSortedByTime(t *testing.T) {
-	recs := []Record{
-		{PacketID: 1, LocalTime: 3 * time.Millisecond},
-		{PacketID: 2, LocalTime: 1 * time.Millisecond},
-		{PacketID: 3, LocalTime: 2 * time.Millisecond},
-	}
-	out := SortedByTime(recs)
-	if out[0].PacketID != 2 || out[1].PacketID != 3 || out[2].PacketID != 1 {
-		t.Fatalf("sorted = %v", out)
-	}
-	// Original untouched.
-	if recs[0].PacketID != 1 {
-		t.Fatal("input mutated")
-	}
-}
-
-func TestFilterKind(t *testing.T) {
-	recs := []Record{
-		{PacketID: 1, Kind: KindVideo},
-		{PacketID: 2, Kind: KindAudio},
-		{PacketID: 3, Kind: KindVideo},
-	}
-	v := FilterKind(recs, KindVideo)
-	if len(v) != 2 || v[0].PacketID != 1 || v[1].PacketID != 3 {
-		t.Fatalf("FilterKind = %v", v)
-	}
-	if got := FilterKind(recs, KindICMP); got != nil {
-		t.Fatalf("want nil, got %v", got)
-	}
-}
-
 func TestDiscardHandler(t *testing.T) {
 	var a Alloc
 	Discard.Handle(a.New(KindCross, 1, 100, 0)) // must not panic

@@ -49,15 +49,6 @@ type Config struct {
 	// byte-identical to the historical single-cell numbering.
 	CellID uint32
 
-	// InterferenceCoupling scales how strongly neighbor-cell uplink load
-	// depresses this cell's usable capacity: effective slot capacity is
-	// divided by (1 + InterferenceCoupling × externalLoad), where
-	// externalLoad is the neighbor utilization reported via
-	// SetExternalLoad (in a sharded run, at each sync barrier). Zero
-	// disables the term entirely — the capacity math is then bit-for-bit
-	// the single-cell computation.
-	InterferenceCoupling float64
-
 	// Duplex selects TDD (default) or FDD uplink multiplexing.
 	Duplex Duplex
 	// SlotDuration is one NR slot (0.5 ms at 30 kHz SCS). Different

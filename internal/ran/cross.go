@@ -15,18 +15,6 @@ type CrossPhase struct {
 	Rate  units.BitRate
 }
 
-// PaperCrossSchedule reproduces §2's workload: "cross traffic from six
-// other cellular mobiles varies in throughput, from 0 to 14, 16, and
-// finally 18 Mbps, in five-minute phases."
-func PaperCrossSchedule() []CrossPhase {
-	return []CrossPhase{
-		{Start: 0, Rate: 0},
-		{Start: 5 * time.Minute, Rate: 14 * units.Mbps},
-		{Start: 10 * time.Minute, Rate: 16 * units.Mbps},
-		{Start: 15 * time.Minute, Rate: 18 * units.Mbps},
-	}
-}
-
 // CrossSource drives n competing UEs with CBR uplink traffic following a
 // phase schedule. Packets are 1200 B, the typical size the paper cites.
 type CrossSource struct {

@@ -60,12 +60,7 @@ type RAN struct {
 
 	nextTBID uint64
 
-	// extLoad is the neighbor-cell uplink utilization last reported by
-	// the multi-cell coordinator (SetExternalLoad at a sync barrier);
-	// with Cfg.InterferenceCoupling it depresses effective capacity.
-	extLoad float64
-	// grantedBytes accumulates every TB allocation (TB size, not payload)
-	// so the coordinator can compute per-window cell utilization.
+	// grantedBytes accumulates every TB allocation (TB size, not payload).
 	grantedBytes units.ByteCount
 
 	// Drops counts packets abandoned after HARQ exhaustion.
@@ -133,24 +128,14 @@ func (r *RAN) effectiveBLER() float64 {
 }
 
 // effectiveCapacity is the current per-slot byte budget (fades reduce the
-// usable MCS; neighbor-cell load adds interference headroom loss).
+// usable MCS).
 func (r *RAN) effectiveCapacity() units.ByteCount {
 	c := r.Cfg.SlotCapacity()
 	if r.faded && r.Cfg.FadeCapacityFactor > 0 {
 		c = units.ByteCount(float64(c) * r.Cfg.FadeCapacityFactor)
 	}
-	if r.Cfg.InterferenceCoupling > 0 && r.extLoad > 0 {
-		c = units.ByteCount(float64(c) / (1 + r.Cfg.InterferenceCoupling*r.extLoad))
-	}
 	return c
 }
-
-// SetExternalLoad reports the aggregate uplink utilization of neighboring
-// cells (0 = idle neighbors, 1 = a fully loaded neighbor). In a sharded
-// run the coordinator refreshes it at every sync barrier from the other
-// cells' granted-byte counters; it only matters when
-// Cfg.InterferenceCoupling is nonzero.
-func (r *RAN) SetExternalLoad(l float64) { r.extLoad = l }
 
 // GrantedBytes reports the cumulative bytes of uplink TB allocations this
 // cell has issued (allocation size, not payload carried). Utilization

@@ -2,7 +2,6 @@ package rtp
 
 import (
 	"encoding/binary"
-	"errors"
 	"time"
 )
 
@@ -12,8 +11,8 @@ import (
 // delay-gradient estimator runs entirely off these reports.
 //
 // The §5.3 "delay masking" mitigation rewrites the arrival times in these
-// reports inside the RAN, which is why feedback is a first-class wire
-// format here rather than an in-memory callback.
+// reports on their way through the RAN (cc.MaskFeedback, on the typed
+// report).
 
 // ArrivalInfo is one (sequence, arrival) pair in a feedback report.
 // Lost packets are reported with Received=false.
@@ -34,8 +33,8 @@ type Feedback struct {
 
 const feedbackEntrySize = 2 + 1 + 8 // seq + flags + arrival (ns)
 
-// Marshal serializes the report. Format (simulation-internal, but a real
-// byte format so the RAN-side rewriter parses what it forwards):
+// Marshal serializes the report; the receiver sizes its RTCP packets
+// from it. Format (simulation-internal):
 //
 //	0:4   SSRC
 //	4:6   count
@@ -59,33 +58,6 @@ func (f *Feedback) Marshal() []byte {
 		off += feedbackEntrySize
 	}
 	return buf
-}
-
-// ErrBadFeedback reports a malformed feedback payload.
-var ErrBadFeedback = errors.New("rtp: malformed transport-wide feedback")
-
-// UnmarshalFeedback parses a feedback report.
-func UnmarshalFeedback(buf []byte) (*Feedback, error) {
-	if len(buf) < 6 {
-		return nil, ErrBadFeedback
-	}
-	f := &Feedback{SSRC: binary.BigEndian.Uint32(buf[0:])}
-	n := int(binary.BigEndian.Uint16(buf[4:]))
-	if len(buf) < 6+n*feedbackEntrySize {
-		return nil, ErrBadFeedback
-	}
-	off := 6
-	for i := 0; i < n; i++ {
-		r := ArrivalInfo{
-			Seq:      binary.BigEndian.Uint16(buf[off:]),
-			Received: buf[off+2]&1 != 0,
-			ECE:      buf[off+2]&2 != 0,
-			Arrival:  time.Duration(binary.BigEndian.Uint64(buf[off+3:])),
-		}
-		f.Reports = append(f.Reports, r)
-		off += feedbackEntrySize
-	}
-	return f, nil
 }
 
 // FeedbackBuilder accumulates arrivals at the receiver and cuts periodic
@@ -151,11 +123,6 @@ func (b *FeedbackBuilder) ExpireGaps(now time.Duration) {
 
 // seqNewer reports whether a is after b in RFC 1982 serial order.
 func seqNewer(a, b uint16) bool { return a != b && a-b < 0x8000 }
-
-// OnLoss records a packet known lost (e.g. by sequence gap at flush time).
-func (b *FeedbackBuilder) OnLoss(seq uint16) {
-	b.pending = append(b.pending, ArrivalInfo{Seq: seq})
-}
 
 // Flush cuts a report containing everything since the previous flush, or
 // nil if nothing is pending.

@@ -74,6 +74,3 @@ func (z *Packetizer) Packetize(u Unit) []*Packet {
 	}
 	return pkts
 }
-
-// NextSeq reports the next sequence number to be assigned.
-func (z *Packetizer) NextSeq() uint16 { return z.seq }

@@ -1,18 +1,16 @@
 // Package rtp implements the subset of the Real-time Transport Protocol
 // (RFC 3550) that Athena's measurement and mitigation pipeline needs:
-// header marshal/unmarshal, the one-byte header-extension mechanism
+// header marshal, the one-byte header-extension mechanism
 // (RFC 8285), the SVC temporal-layer extension the paper observed Zoom
 // using, the media-metadata extension proposed in §5.2 for application-
 // aware RAN scheduling, and transport-wide congestion-control feedback.
 //
-// Packets are serialized to real bytes and parsed back: capture points see
-// what an on-path pcap parser would see, and the marshal/unmarshal pair is
-// property-tested for round-trip fidelity.
+// WireSize equals the length Marshal emits, so every packet is sized as
+// the bytes an on-path pcap would see.
 package rtp
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 )
 
@@ -73,7 +71,7 @@ type MediaMeta struct {
 	FrameSizeBytes uint32 // periodically updated current frame size estimate
 }
 
-// Packet is a parsed RTP packet.
+// Packet is an RTP packet.
 type Packet struct {
 	PayloadType uint8
 	Seq         uint16
@@ -179,93 +177,4 @@ func (p *Packet) Marshal() []byte {
 	}
 	// Payload bytes are already zero.
 	return buf
-}
-
-// Errors returned by Unmarshal.
-var (
-	ErrShort      = errors.New("rtp: packet too short")
-	ErrBadVersion = errors.New("rtp: unsupported version")
-	ErrBadExt     = errors.New("rtp: malformed extension")
-)
-
-// Unmarshal parses wire bytes into p, replacing its contents.
-func (p *Packet) Unmarshal(buf []byte) error {
-	if len(buf) < HeaderSize {
-		return ErrShort
-	}
-	if buf[0]>>6 != Version {
-		return ErrBadVersion
-	}
-	hasExt := buf[0]&(1<<4) != 0
-	*p = Packet{
-		Marker:      buf[1]&0x80 != 0,
-		PayloadType: buf[1] & 0x7f,
-		Seq:         binary.BigEndian.Uint16(buf[2:]),
-		Timestamp:   binary.BigEndian.Uint32(buf[4:]),
-		SSRC:        binary.BigEndian.Uint32(buf[8:]),
-	}
-	off := HeaderSize
-	if hasExt {
-		if len(buf) < off+4 {
-			return ErrBadExt
-		}
-		profile := binary.BigEndian.Uint16(buf[off:])
-		words := int(binary.BigEndian.Uint16(buf[off+2:]))
-		off += 4
-		end := off + words*4
-		if len(buf) < end {
-			return ErrBadExt
-		}
-		if profile == 0xBEDE {
-			if err := p.parseOneByteExts(buf[off:end]); err != nil {
-				return err
-			}
-		}
-		off = end
-	}
-	p.PayloadLen = len(buf) - off
-	return nil
-}
-
-func (p *Packet) parseOneByteExts(b []byte) error {
-	for i := 0; i < len(b); {
-		if b[i] == 0 { // padding
-			i++
-			continue
-		}
-		id := b[i] >> 4
-		length := int(b[i]&0x0f) + 1
-		i++
-		if i+length > len(b) {
-			return ErrBadExt
-		}
-		data := b[i : i+length]
-		switch id {
-		case ExtIDSVCLayer:
-			if length != 1 {
-				return ErrBadExt
-			}
-			p.SVC = SVCLayer(data[0])
-			p.HasSVC = true
-		case ExtIDMediaMeta:
-			if length != 8 {
-				return ErrBadExt
-			}
-			p.Meta = MediaMeta{
-				Streams:        data[0],
-				FrameRateFPS:   data[1],
-				AudioRateHz:    binary.BigEndian.Uint16(data[2:]),
-				FrameSizeBytes: binary.BigEndian.Uint32(data[4:]),
-			}
-			p.HasMeta = true
-		case ExtIDTWSeq:
-			if length != 2 {
-				return ErrBadExt
-			}
-			p.TWSeq = binary.BigEndian.Uint16(data)
-			p.HasTWSeq = true
-		}
-		i += length
-	}
-	return nil
 }

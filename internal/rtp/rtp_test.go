@@ -1,135 +1,9 @@
 package rtp
 
 import (
-	"reflect"
 	"testing"
-	"testing/quick"
 	"time"
 )
-
-func TestMarshalUnmarshalBasic(t *testing.T) {
-	p := &Packet{
-		PayloadType: PayloadTypeVideo,
-		Seq:         1234,
-		Timestamp:   90000,
-		SSRC:        0xdeadbeef,
-		Marker:      true,
-		PayloadLen:  100,
-	}
-	buf := p.Marshal()
-	if len(buf) != HeaderSize+100 {
-		t.Fatalf("wire size = %d", len(buf))
-	}
-	var q Packet
-	if err := q.Unmarshal(buf); err != nil {
-		t.Fatal(err)
-	}
-	if q.Seq != 1234 || q.Timestamp != 90000 || q.SSRC != 0xdeadbeef || !q.Marker ||
-		q.PayloadType != PayloadTypeVideo || q.PayloadLen != 100 {
-		t.Fatalf("round trip mismatch: %+v", q)
-	}
-}
-
-func TestMarshalUnmarshalAllExtensions(t *testing.T) {
-	p := &Packet{
-		PayloadType: PayloadTypeVideo,
-		Seq:         7,
-		Timestamp:   1,
-		SSRC:        42,
-		SVC:         LayerHighFPSEnhancement,
-		HasSVC:      true,
-		Meta: MediaMeta{
-			Streams: 2, FrameRateFPS: 28, AudioRateHz: 5000, FrameSizeBytes: 4200,
-		},
-		HasMeta:    true,
-		TWSeq:      999,
-		HasTWSeq:   true,
-		PayloadLen: 33,
-	}
-	var q Packet
-	if err := q.Unmarshal(p.Marshal()); err != nil {
-		t.Fatal(err)
-	}
-	if !q.HasSVC || q.SVC != LayerHighFPSEnhancement {
-		t.Errorf("SVC lost: %+v", q)
-	}
-	if !q.HasMeta || q.Meta != p.Meta {
-		t.Errorf("Meta lost: %+v vs %+v", q.Meta, p.Meta)
-	}
-	if !q.HasTWSeq || q.TWSeq != 999 {
-		t.Errorf("TWSeq lost: %+v", q)
-	}
-	if q.PayloadLen != 33 {
-		t.Errorf("PayloadLen = %d", q.PayloadLen)
-	}
-}
-
-// Property: marshal/unmarshal is the identity on the serialized fields.
-func TestMarshalRoundTripProperty(t *testing.T) {
-	f := func(pt uint8, seq uint16, ts, ssrc uint32, marker bool, svc uint8,
-		hasSVC, hasMeta, hasTW bool, tw uint16, payload uint16, meta MediaMeta) bool {
-		p := &Packet{
-			PayloadType: pt & 0x7f,
-			Seq:         seq,
-			Timestamp:   ts,
-			SSRC:        ssrc,
-			Marker:      marker,
-			SVC:         SVCLayer(svc % 4),
-			HasSVC:      hasSVC,
-			Meta:        meta,
-			HasMeta:     hasMeta,
-			TWSeq:       tw,
-			HasTWSeq:    hasTW,
-			PayloadLen:  int(payload % 2000),
-		}
-		var q Packet
-		if err := q.Unmarshal(p.Marshal()); err != nil {
-			return false
-		}
-		want := *p
-		want.FrameID = 0
-		if !want.HasMeta {
-			want.Meta = MediaMeta{}
-		}
-		if !want.HasSVC {
-			want.SVC = 0
-		}
-		if !want.HasTWSeq {
-			want.TWSeq = 0
-		}
-		return reflect.DeepEqual(q, want)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestUnmarshalErrors(t *testing.T) {
-	var p Packet
-	if err := p.Unmarshal(make([]byte, 5)); err != ErrShort {
-		t.Errorf("short: %v", err)
-	}
-	bad := make([]byte, 12)
-	bad[0] = 1 << 6 // version 1
-	if err := p.Unmarshal(bad); err != ErrBadVersion {
-		t.Errorf("version: %v", err)
-	}
-	// Extension flag set but header truncated.
-	trunc := make([]byte, 13)
-	trunc[0] = Version<<6 | 1<<4
-	if err := p.Unmarshal(trunc); err != ErrBadExt {
-		t.Errorf("truncated ext: %v", err)
-	}
-	// Extension declares more words than present.
-	lie := make([]byte, 16)
-	lie[0] = Version<<6 | 1<<4
-	lie[12] = 0xBE
-	lie[13] = 0xDE
-	lie[15] = 9 // 9 words
-	if err := p.Unmarshal(lie); err != ErrBadExt {
-		t.Errorf("lying ext length: %v", err)
-	}
-}
 
 func TestWireSizeMatchesMarshal(t *testing.T) {
 	for _, p := range []*Packet{
@@ -237,58 +111,6 @@ func TestPacketizerDefaultMTU(t *testing.T) {
 	z := NewPacketizer(1, PayloadTypeVideo, 90000, 0)
 	if z.MTUPayload <= 0 {
 		t.Fatal("default MTU not applied")
-	}
-}
-
-func TestFeedbackRoundTrip(t *testing.T) {
-	f := &Feedback{
-		SSRC: 77,
-		Reports: []ArrivalInfo{
-			{Seq: 1, Received: true, Arrival: 5 * time.Millisecond},
-			{Seq: 2, Received: false},
-			{Seq: 3, Received: true, Arrival: 9 * time.Millisecond, ECE: true},
-		},
-	}
-	g, err := UnmarshalFeedback(f.Marshal())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(f, g) {
-		t.Fatalf("round trip: %+v vs %+v", f, g)
-	}
-}
-
-func TestFeedbackRoundTripProperty(t *testing.T) {
-	f := func(ssrc uint32, seqs []uint16, recvMask []bool) bool {
-		fb := &Feedback{SSRC: ssrc}
-		for i, s := range seqs {
-			ri := ArrivalInfo{Seq: s}
-			if i < len(recvMask) && recvMask[i] {
-				ri.Received = true
-				ri.Arrival = time.Duration(i) * time.Millisecond
-			}
-			fb.Reports = append(fb.Reports, ri)
-		}
-		got, err := UnmarshalFeedback(fb.Marshal())
-		if err != nil {
-			return false
-		}
-		return reflect.DeepEqual(fb, got)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestUnmarshalFeedbackErrors(t *testing.T) {
-	if _, err := UnmarshalFeedback(make([]byte, 3)); err != ErrBadFeedback {
-		t.Errorf("short: %v", err)
-	}
-	// Header claims 5 entries but payload empty.
-	buf := make([]byte, 6)
-	buf[5] = 5
-	if _, err := UnmarshalFeedback(buf); err != ErrBadFeedback {
-		t.Errorf("count lie: %v", err)
 	}
 }
 

@@ -264,8 +264,9 @@ func TestFlush(t *testing.T) {
 }
 
 // A pool worker executing a sharded multi-cell RunTopology must
-// complete even on a single-worker pool: the shard gang runs on its own
-// goroutines in internal/sim, not by submitting back into the pool, so
+// complete even on a single-worker pool: the shards run on their own
+// goroutines started by internal/scenario, not by submitting back into
+// the pool, so
 // holding a worker slot for the whole topology run cannot starve the
 // shards of each other (the nested-submission deadlock ForEach's
 // contract warns about). Guards the fan-out layering of the sharded

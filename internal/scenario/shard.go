@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"io"
+	"sync"
 	"time"
 
 	"athena/internal/obs"
@@ -12,7 +13,6 @@ import (
 	"athena/internal/probe"
 	"athena/internal/ran"
 	"athena/internal/sim"
-	"athena/internal/units"
 )
 
 // Multi-cell scenario metrics.
@@ -22,14 +22,9 @@ var (
 	metShardedRuns = obs.NewCounter("scenario.sharded_runs")
 )
 
-// CellSpec describes one cell of a Topology.
+// CellSpec describes one cell of a Topology. Every cell runs
+// Topology.RAN with CellID set to the cell's index.
 type CellSpec struct {
-	// RAN overrides the topology-wide cell config for this cell. Nil
-	// inherits Topology.RAN. Either way the effective config's CellID is
-	// forced to the cell's index and InterferenceCoupling defaults to
-	// Topology.InterferenceCoupling.
-	RAN *ran.Config
-
 	// CrossUEs / CrossPhases attach synthetic cross-traffic load to this
 	// cell (flow IDs are blocked per cell so captures stay disjoint).
 	CrossUEs    int
@@ -38,8 +33,7 @@ type CellSpec struct {
 
 // Handover scripts one cell change for a UE: at virtual time At the UE
 // detaches from its current cell (grant gap + HARQ reset), and
-// Topology.HandoverGap later attaches to cell ToCell with its buffer
-// intact.
+// handoverGap later attaches to cell ToCell with its buffer intact.
 type Handover struct {
 	At     time.Duration
 	ToCell int
@@ -148,15 +142,19 @@ func shardSeed(seed int64, si int) int64 {
 	return seed + int64(si)*1_000_003
 }
 
+// handoverGap is the service interruption of a handover: the UE is
+// detached (no grants, HARQ reset) for this long before attaching to the
+// target cell, covering the grant gap plus the buffered-data transfer.
+const handoverGap = 20 * time.Millisecond
+
 // RunTopology executes a testbed and correlates each UE's traces: build
 // one engine per handover domain (a single one for one cell or a non-RAN
-// access), advance them all under conservative time-window sync (in
-// parallel on a worker gang unless top.Serial), exchange inter-cell
-// interference load at every window barrier, then correlate each shard
-// and assemble the global result. Deterministic in Topology alone:
-// construction is serial in shard order, every engine is seeded from the
-// master seed, and barrier-time exchanges walk cells in global order —
-// so serial and parallel advancement produce byte-identical digests.
+// access), run each to the horizon (each on its own goroutine unless
+// top.Serial), then correlate each shard and assemble the global result.
+// Deterministic in Topology alone: shards share no state, construction
+// is serial in shard order, and every engine is seeded from the master
+// seed by shardSeed — so serial and parallel runs produce byte-identical
+// digests.
 //
 // An invalid topology is the caller's bug by the time it gets here:
 // RunTopology panics with the error Validate returns. Callers holding a
@@ -172,11 +170,10 @@ func RunTopology(top Topology) *TopologyResult {
 	return assemble(top, builds)
 }
 
-// simulate normalises a valid topology once — default UE, the implicit
-// cell of a cell-less Access5G topology, Lookahead, HandoverGap — and
-// runs the simulation stages of every shard, leaving the correlation
-// stage to the caller (RunTopology, or a benchmark that times it in
-// isolation).
+// simulate normalises a valid topology once — default UE and the
+// implicit cell of a cell-less Access5G topology — and runs the
+// simulation stages of every shard, leaving the correlation stage to the
+// caller (RunTopology, or a benchmark that times it in isolation).
 func simulate(top Topology) (Topology, []*build) {
 	if len(top.UEs) == 0 {
 		u := DefaultUE()
@@ -186,18 +183,11 @@ func simulate(top Topology) (Topology, []*build) {
 	if len(top.Cells) == 0 && top.onRANPath() {
 		top.Cells = []CellSpec{{CrossUEs: top.CrossUEs, CrossPhases: top.CrossPhases}}
 	}
-	if top.Lookahead <= 0 {
-		top.Lookahead = 10 * time.Millisecond
-	}
-	if top.HandoverGap <= 0 {
-		top.HandoverGap = 20 * time.Millisecond
-	}
 	metShardedRuns.Inc()
 
 	plans := planShards(top)
 	metShardCount.Set(int64(len(plans)))
 	builds := make([]*build, len(plans))
-	sims := make([]*sim.Simulator, len(plans))
 	for si, plan := range plans {
 		b := newBuildFor(top, shardSeed(top.Seed, si), plan)
 		b.s.Label(fmt.Sprintf("shard%d", si))
@@ -210,78 +200,33 @@ func simulate(top Topology) (Topology, []*build) {
 		b.scheduleHandovers()
 		b.start()
 		builds[si] = b
-		sims[si] = b.s
 	}
 
-	sh := sim.NewShards(sims, top.Lookahead)
-	var g *sim.Gang
-	if !top.Serial && len(builds) > 1 {
-		g = sim.NewGang(len(builds))
-		defer g.Close()
+	if top.Serial || len(builds) == 1 {
+		for _, b := range builds {
+			b.s.RunUntil(top.Duration)
+		}
+	} else {
+		var wg sync.WaitGroup
+		wg.Add(len(builds))
+		for _, b := range builds {
+			go func() {
+				defer wg.Done()
+				b.s.RunUntil(top.Duration)
+			}()
+		}
+		wg.Wait()
 	}
-	sh.Advance(top.Duration, g, interferenceBarrier(builds))
 	for _, b := range builds {
 		b.stop()
 	}
 	return top, builds
 }
 
-// interferenceBarrier returns the per-window exchange applied with every
-// shard quiesced at the barrier: each cell's uplink utilization over the
-// closing window (granted bytes / capacity) is summed for every *other*
-// cell and reported via SetExternalLoad, where InterferenceCoupling
-// turns it into a capacity reduction for the windows ahead. Cells are
-// walked in global order on the single barrier goroutine, so the
-// exchange is deterministic and identical under serial and parallel
-// advancement. Returns nil — no barrier work at all — when no cell
-// couples, which keeps the uncoupled sharded path's event stream
-// untouched.
-func interferenceBarrier(builds []*build) func(time.Duration) {
-	var cells []*ran.RAN
-	for _, b := range builds {
-		cells = append(cells, b.res.RANs...)
-	}
-	coupled := false
-	for _, c := range cells {
-		if c.Cfg.InterferenceCoupling > 0 {
-			coupled = true
-			break
-		}
-	}
-	if !coupled {
-		return nil
-	}
-	lastGranted := make([]units.ByteCount, len(cells))
-	utils := make([]float64, len(cells))
-	prevEnd := time.Duration(0)
-	return func(end time.Duration) {
-		window := end - prevEnd
-		prevEnd = end
-		if window <= 0 {
-			return
-		}
-		var total float64
-		for i, c := range cells {
-			g := c.GrantedBytes()
-			delta := g - lastGranted[i]
-			lastGranted[i] = g
-			cap := units.BytesOver(c.Cfg.CellULRate, window)
-			utils[i] = 0
-			if cap > 0 {
-				utils[i] = float64(delta) / float64(cap)
-			}
-			total += utils[i]
-		}
-		for i, c := range cells {
-			c.SetExternalLoad(total - utils[i])
-		}
-	}
-}
-
 // scheduleHandovers installs each UE's scripted cell changes. The
 // detach is immediate (grant gap begins, downlink reroutes to the
 // target cell); the uplink attachment to the target completes
-// HandoverGap later with the UE's buffer — including bytes reclaimed by
+// handoverGap later with the UE's buffer — including bytes reclaimed by
 // the HARQ reset — intact.
 func (b *build) scheduleHandovers() {
 	for _, ub := range b.ues {
@@ -298,7 +243,7 @@ func (b *build) scheduleHandovers() {
 				ub.curCell = h.ToCell
 				ub.servingCell = dst
 				metHandovers.Inc()
-				b.s.After(b.top.HandoverGap, func() { dst.AttachExisting(ub.ranUE) })
+				b.s.After(handoverGap, func() { dst.AttachExisting(ub.ranUE) })
 			})
 		}
 	}

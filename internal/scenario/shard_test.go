@@ -13,17 +13,15 @@ import (
 	"athena/internal/units"
 )
 
-// shortShardedTopology builds a 6-UE / 3-cell topology with inter-cell
-// interference coupling and one UE that hands over between cells 2 and
-// 1 mid-run. The handover unites cells 1 and 2 into one domain while
-// cell 0 stays independent, so the plan has two shards — parallel
-// advancement is genuinely exercised alongside the handover and the
-// coupling exchange.
+// shortShardedTopology builds a 6-UE / 3-cell topology with one UE that
+// hands over between cells 2 and 1 mid-run. The handover unites cells 1
+// and 2 into one domain while cell 0 stays independent, so the plan has
+// two shards — parallel runs are genuinely exercised alongside the
+// handover.
 func shortShardedTopology(seed int64) Topology {
 	top := NewMultiCellTopology(6, 3)
 	top.Seed = seed
 	top.Duration = 3 * time.Second
-	top.InterferenceCoupling = 0.3
 	top.UEs[5].Handovers = []Handover{{At: 1200 * time.Millisecond, ToCell: 1}}
 	return top
 }
@@ -44,16 +42,16 @@ func pairedHandoverTopology(seed int64) Topology {
 }
 
 // TestShardedDigestsMatchSerial is the golden determinism claim of the
-// sharded engine: serial and parallel shard advancement must produce
-// byte-identical digests, across seeds, with interference coupling and
-// a handover in play — and at deployment scale, on two shards.
+// sharded engine: serial and parallel shard runs must produce
+// byte-identical digests, across seeds, with a handover in play — and at
+// deployment scale, on two shards.
 func TestShardedDigestsMatchSerial(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
 		build func(seed int64) Topology
 		seeds []int64
 	}{
-		{"6ue-3cell-coupled", shortShardedTopology, []int64{1, 7, 1234}},
+		{"6ue-3cell-handover", shortShardedTopology, []int64{1, 7, 1234}},
 		{"100ue-4cell-paired", pairedHandoverTopology, []int64{1}},
 	} {
 		for _, seed := range tc.seeds {
@@ -78,8 +76,7 @@ func TestShardedDigestsMatchSerial(t *testing.T) {
 // reference the way TestSourceGoldenPixels keeps the per-pixel camera:
 // the literals are TopologyResult.Digest() of these inputs as that engine
 // (runTopologyBuild, commit fadc9a7) produced them, and the one engine
-// must reproduce them — the windows, the barrier machinery and the shard
-// plumbing are execution-only. Spelling the implicit cell out must change
+// must reproduce them — the shard plumbing is execution-only. Spelling the implicit cell out must change
 // nothing either: Cells: nil ≡ Cells: []CellSpec{{}}.
 func TestSingleCellDigestsPinned(t *testing.T) {
 	cross := mixedTopology(4, 3*time.Second)
@@ -256,21 +253,8 @@ func TestShardedHandoverDelivers(t *testing.T) {
 	}
 }
 
-// TestInterferenceCouplingHasEffect guards the coupling term against
-// silently becoming a no-op: the same deployment with and without
-// coupling must diverge (neighbor load shrinks capacity), while
-// coupling zero must keep the barrier entirely out of the event stream.
-func TestInterferenceCouplingHasEffect(t *testing.T) {
-	with := shortShardedTopology(3)
-	without := shortShardedTopology(3)
-	without.InterferenceCoupling = 0
-	if RunTopology(with).Digest() == RunTopology(without).Digest() {
-		t.Fatal("interference coupling changed nothing — the capacity term is dead")
-	}
-}
-
 // TestShardedDeterministicAcrossRuns: two identical parallel runs agree
-// — the gang's wall-clock scheduling must leak nothing into the digest.
+// — goroutine scheduling must leak nothing into the digest.
 func TestShardedDeterministicAcrossRuns(t *testing.T) {
 	a := RunTopology(shortShardedTopology(42)).Digest()
 	b := RunTopology(shortShardedTopology(42)).Digest()

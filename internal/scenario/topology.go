@@ -106,31 +106,16 @@ type Topology struct {
 
 	// Cells lists the deployment's cells: each gets its own RAN
 	// instance, UEs attach per UESpec.Cell, and the simulation shards
-	// per handover domain — one sim engine per domain, advanced in
-	// parallel under conservative time-window synchronization. Empty
+	// per handover domain — one sim engine per domain, each run to the
+	// end independently of the others (in parallel). Empty
 	// Cells on the Access5G path means one default cell (Cells: nil ≡
 	// Cells: []CellSpec{{}} when CrossUEs is zero); off it, no cell.
 	Cells []CellSpec
 
-	// Lookahead is the conservative sync window of the run. It
-	// must lower-bound every cross-shard physical latency; the wired
-	// inter-gNB path bounds it in practice. Zero defaults to 10 ms.
-	Lookahead time.Duration
-
-	// HandoverGap is the service interruption of a handover: the UE is
-	// detached (no grants, HARQ reset) for this long before attaching to
-	// the target cell, covering the grant gap plus the buffered-data
-	// transfer. Zero defaults to 20 ms.
-	HandoverGap time.Duration
-
-	// InterferenceCoupling sets ran.Config.InterferenceCoupling on every
-	// cell that does not override it: neighbor-cell load depresses each
-	// cell's usable capacity via the barrier-exchanged utilization.
-	InterferenceCoupling float64
-
-	// Serial forces a run to advance its shards on one goroutine
-	// instead of the worker gang. Execution-only: digests are identical
-	// either way (the golden test pins this).
+	// Serial forces a run to advance its shards one after another on
+	// the calling goroutine instead of one goroutine each.
+	// Execution-only: digests are identical either way (the golden test
+	// pins this).
 	Serial bool
 }
 
@@ -595,15 +580,8 @@ func (b *build) buildAccess() {
 	}
 	b.cellByGlobal = make(map[int]*ran.RAN, len(b.res.Cells))
 	for _, ci := range b.res.Cells {
-		spec := b.top.Cells[ci]
 		cfg := b.top.RAN
-		if spec.RAN != nil {
-			cfg = *spec.RAN
-		}
 		cfg.CellID = uint32(ci)
-		if cfg.InterferenceCoupling == 0 {
-			cfg.InterferenceCoupling = b.top.InterferenceCoupling
-		}
 		cell := ran.New(b.s, cfg, b.res.CapCore)
 		b.res.RANs = append(b.res.RANs, cell)
 		b.cellByGlobal[ci] = cell

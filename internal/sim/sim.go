@@ -78,14 +78,12 @@ func (t Timer) Stop() bool {
 // Simulator is a discrete-event scheduler with a virtual clock.
 // The zero value is not usable; create one with New.
 type Simulator struct {
-	now  time.Duration
-	heap []*event // 4-ary min-heap ordered by eventLess
-	live int      // heap entries not marked dead
-	free []*event // recycled event records
-	seq  uint64
-	rng  *rand.Rand
-	// Horizon, when nonzero, stops Run once the clock passes it.
-	horizon time.Duration
+	now     time.Duration
+	heap    []*event // 4-ary min-heap ordered by eventLess
+	live    int      // heap entries not marked dead
+	free    []*event // recycled event records
+	seq     uint64
+	rng     *rand.Rand
 	stopped bool
 
 	// Engine metrics. New points these at the process-wide aggregates;
@@ -322,7 +320,6 @@ func (s *Simulator) Stop() { s.stopped = true }
 // clock would pass horizon. The clock finishes at min(horizon, last event)
 // and is advanced to horizon on return.
 func (s *Simulator) RunUntil(horizon time.Duration) {
-	s.horizon = horizon
 	for len(s.heap) > 0 && !s.stopped {
 		e := s.heap[0]
 		if e.dead {

@@ -1,11 +1,15 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
+
+	"athena/internal/obs"
 )
 
 func TestRunExecutesInTimeOrder(t *testing.T) {
@@ -337,5 +341,41 @@ func TestPendingCountsLiveOnly(t *testing.T) {
 	tm.Stop()
 	if s.Pending() != 1 {
 		t.Fatalf("Pending = %d, want 1", s.Pending())
+	}
+}
+
+// TestLabeledEnginesDoNotInterleaveCounts is the obs-namespacing race
+// check: two engines advancing concurrently, each labeled, must record
+// into disjoint series with exact per-engine totals (run under -race in
+// CI).
+func TestLabeledEnginesDoNotInterleaveCounts(t *testing.T) {
+	obs.ResetAll()
+	obs.Enable()
+	defer obs.Disable()
+	const perEngine = 5000
+	var wg sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		s := New(int64(i + 1))
+		s.Label(fmt.Sprintf("race%d", i))
+		var n int
+		s.Every(0, time.Millisecond, func() {
+			n++
+			if n >= perEngine {
+				s.Stop()
+			}
+		})
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s.Run()
+		}()
+	}
+	wg.Wait()
+	for i := 0; i < 2; i++ {
+		c := obs.NewCounter(fmt.Sprintf("sim.race%d.events_fired", i))
+		if got := c.Value(); got != perEngine {
+			t.Fatalf("engine %d recorded %d events, want exactly %d (cross-engine interleaving?)",
+				i, got, perEngine)
+		}
 	}
 }

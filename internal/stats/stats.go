@@ -212,57 +212,6 @@ type Point struct {
 	X, Y float64
 }
 
-// Histogram counts samples into fixed-width bins over [Lo, Hi). Samples
-// outside the range land in the first or last bin.
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int
-	total  int
-}
-
-// NewHistogram creates a histogram with bins equal-width bins over [lo, hi).
-func NewHistogram(lo, hi float64, bins int) *Histogram {
-	if bins < 1 {
-		bins = 1
-	}
-	if hi <= lo {
-		hi = lo + 1
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int, bins)}
-}
-
-// Add records one sample.
-func (h *Histogram) Add(x float64) {
-	width := (h.Hi - h.Lo) / float64(len(h.Counts))
-	i := int((x - h.Lo) / width)
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(h.Counts) {
-		i = len(h.Counts) - 1
-	}
-	h.Counts[i]++
-	h.total++
-}
-
-// Total reports the number of samples recorded.
-func (h *Histogram) Total() int { return h.total }
-
-// Mode returns the midpoint of the most populated bin, or NaN if empty.
-func (h *Histogram) Mode() float64 {
-	if h.total == 0 {
-		return math.NaN()
-	}
-	best, bestCount := 0, -1
-	for i, c := range h.Counts {
-		if c > bestCount {
-			best, bestCount = i, c
-		}
-	}
-	width := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return h.Lo + (float64(best)+0.5)*width
-}
-
 // Running accumulates a streaming mean/variance/min/max without storing
 // samples (Welford's algorithm). The zero value is ready to use.
 type Running struct {

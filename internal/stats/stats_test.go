@@ -145,36 +145,6 @@ func TestCDFPoints(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	for _, x := range []float64{0.5, 1.5, 1.6, -3, 99} {
-		h.Add(x)
-	}
-	if h.Total() != 5 {
-		t.Fatalf("Total = %d", h.Total())
-	}
-	if h.Counts[0] != 2 { // 0.5 and clamped -3
-		t.Errorf("bin0 = %d, want 2", h.Counts[0])
-	}
-	if h.Counts[9] != 1 { // clamped 99
-		t.Errorf("bin9 = %d, want 1", h.Counts[9])
-	}
-	if got := h.Mode(); math.Abs(got-0.5) > 1e-9 && math.Abs(got-1.5) > 1e-9 {
-		t.Errorf("Mode = %v", got)
-	}
-}
-
-func TestHistogramDegenerate(t *testing.T) {
-	h := NewHistogram(5, 5, 0) // hi<=lo, bins<1
-	h.Add(5)
-	if h.Total() != 1 {
-		t.Fatal("degenerate histogram unusable")
-	}
-	if !math.IsNaN(NewHistogram(0, 1, 4).Mode()) {
-		t.Fatal("empty Mode should be NaN")
-	}
-}
-
 func TestRunningMatchesSummarize(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	xs := make([]float64, 1000)
