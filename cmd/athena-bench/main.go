@@ -51,7 +51,6 @@ import (
 
 	"athena/internal/experiment"
 	"athena/internal/obs"
-	"athena/internal/profiling"
 	"athena/internal/runner"
 	"athena/internal/store"
 
@@ -142,7 +141,6 @@ func main() {
 	storeDir := flag.String("store", os.Getenv("ATHENA_STORE"), "persistent result store directory (default $ATHENA_STORE; empty disables)")
 	storeNS := flag.String("store-namespace", "", "result store namespace (default $ATHENA_STORE_NAMESPACE, else the build VCS revision)")
 	diffMode := flag.Bool("diff-manifests", false, "diff the two manifests given as arguments by digest and exit (nonzero on difference)")
-	prof := profiling.AddFlags(flag.CommandLine)
 	obsFlags := obs.AddCLIFlags(flag.CommandLine)
 	flag.Parse()
 
@@ -172,12 +170,6 @@ func main() {
 	if len(sel) == 0 {
 		log.Fatalf("no experiments match the selection; run with -list to see the registry")
 	}
-
-	stopProf, err := profiling.StartConfig(*prof)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer stopProf()
 
 	// Pool and store statistics ride the obs counters, so -v and any
 	// store use imply collection even when no output file was
@@ -274,7 +266,6 @@ func main() {
 		log.Fatal(err)
 	}
 	if skipped > 0 {
-		stopProf()
 		log.Printf("interrupted: %d experiments skipped; manifest (if any) is partial", skipped)
 		os.Exit(1)
 	}

@@ -14,8 +14,33 @@ import (
 // in real time: capture records and TB telemetry arrive incrementally,
 // and fully-resolved packet views are emitted once a packet's fate is
 // settled (observed at the core and matched to its transport blocks, or
-// given up on after the flush horizon). It implements Ingest, the
-// validated streaming boundary a session server holds against each feed.
+// given up on after the flush horizon). It is the validated streaming
+// boundary a session server holds against each feed: records arrive
+// through OnSenderRecord, OnCoreRecord and OnTB, Advance moves the
+// session clock (emitting every packet whose fate is settled), and
+// Snapshot reports the feed's progress without disturbing it.
+//
+// Every feed call validates its input and returns an explicit error
+// instead of letting a malformed feed surface later as a misjoin:
+//
+//   - sender and core records must arrive in capture order (non-decreasing
+//     LocalTime per stream) — ErrOutOfOrder otherwise;
+//   - a sender record identical in (flow, seq, kind, LocalTime) to one
+//     already fed is a replay — ErrDuplicate. Detection is independent of
+//     the retained window, so it survives every trim: records behind the
+//     capture head fail the order check, and the duplicate index is the
+//     keys accepted at exactly the head timestamp;
+//   - when Input.Flows is set, every sender and core record must belong to
+//     a listed flow — ErrFlowNotCovered. The sender capture is the FIFO
+//     the TB matcher replays, so an uncovered record would silently shift
+//     every later packet's TB match;
+//   - Advance's clock must never move backwards — ErrTimeRegression.
+//
+// TB telemetry carries no ordering constraint: multi-cell deployments
+// merge per-cell streams whose timestamps legitimately interleave, and
+// the TB reconstruction tolerates that. A call that returns an error has
+// not ingested the offending record; the prior state is untouched and
+// the feed may continue.
 //
 // It keeps the batch matcher's state between calls. A sender record
 // appends its view and joins its key's buffered core sighting; a core
@@ -113,9 +138,6 @@ type coreKey struct {
 	n    int
 	from uint64
 }
-
-// LiveCorrelator implements the streaming ingest boundary.
-var _ Ingest = (*LiveCorrelator)(nil)
 
 // DefaultFlushAfter is the emission horizon NewLive sets: a packet still
 // unresolved this long after it was sent is emitted as-is.

@@ -508,58 +508,6 @@ func TestScreenSamplerInvalidBeforeFirstFrame(t *testing.T) {
 	}
 }
 
-func TestPSNRIdentical(t *testing.T) {
-	f := NewSource(64, 48, 1).Next()
-	v, err := PSNR(f, f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !math.IsInf(v, 1) {
-		t.Fatalf("PSNR(f,f) = %v, want +Inf", v)
-	}
-}
-
-func TestPSNRDecreasesWithNoise(t *testing.T) {
-	f := NewSource(64, 48, 1).Next()
-	prev := math.Inf(1)
-	for _, sigma := range []float64{3, 10, 30} {
-		ef := &EncodedFrame{Seq: f.Seq, NoiseSigma: sigma, Source: f}
-		v, err := PSNR(f, ef.Decode())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if v >= prev {
-			t.Fatalf("PSNR not decreasing at sigma=%v: %v >= %v", sigma, v, prev)
-		}
-		if v < 10 || v > 60 {
-			t.Fatalf("PSNR %v out of plausible dB range", v)
-		}
-		prev = v
-	}
-}
-
-func TestPSNRMismatch(t *testing.T) {
-	a, b := NewFrame(1, 8, 8), NewFrame(1, 4, 4)
-	if _, err := PSNR(a, b); err == nil {
-		t.Fatal("size mismatch accepted")
-	}
-}
-
-func TestPSNRTracksSSIM(t *testing.T) {
-	// Both metrics must agree on ordering across rates.
-	src := NewSource(64, 48, 5)
-	f := src.Next()
-	low := &EncodedFrame{Seq: f.Seq, NoiseSigma: 25, Source: f}
-	high := &EncodedFrame{Seq: f.Seq, NoiseSigma: 6, Source: f}
-	pl, _ := PSNR(f, low.Decode())
-	ph, _ := PSNR(f, high.Decode())
-	sl := MustSSIM(f, low.Decode())
-	sh := MustSSIM(f, high.Decode())
-	if (ph > pl) != (sh > sl) {
-		t.Fatalf("metric ordering disagrees: psnr %v/%v ssim %v/%v", ph, pl, sh, sl)
-	}
-}
-
 func TestAudioPlayout(t *testing.T) {
 	p := NewAudioPlayout(60 * time.Millisecond)
 	// On-time sample.

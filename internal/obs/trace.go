@@ -144,29 +144,6 @@ func (t *Tracer) Snapshot() []SpanRecord {
 	return out
 }
 
-// Reset discards every recorded span.
-func (t *Tracer) Reset() {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.spans = t.spans[:0]
-	t.dropped = 0
-	t.mu.Unlock()
-}
-
-// WriteJSON emits the span snapshot as indented JSON with a trailing
-// newline.
-func (t *Tracer) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	spans := t.Snapshot()
-	if spans == nil {
-		spans = []SpanRecord{}
-	}
-	return enc.Encode(spans)
-}
-
 // chromeEvent is one Chrome trace-event ("X" = complete event with
 // duration). Times are microseconds, per the trace-event spec.
 type chromeEvent struct {
@@ -243,9 +220,6 @@ var timeline atomic.Pointer[Tracer]
 // SetTimeline installs (or, with nil, removes) the global timeline
 // tracer. Install it once at startup, before the workload.
 func SetTimeline(t *Tracer) { timeline.Store(t) }
-
-// Timeline returns the global timeline tracer, or nil when disabled.
-func Timeline() *Tracer { return timeline.Load() }
 
 // StartSpan opens a root span on the global timeline. With no timeline
 // installed it returns the inert zero Span without allocating.

@@ -72,7 +72,7 @@ func fig3ShapedConfig() Config {
 func assertGolden(t *testing.T, name string, cfg Config, want string) {
 	t.Helper()
 	sum := sha256.Sum256([]byte(compatDigest(Run(cfg))))
-	// Encoder-noise floats are not FMA-pinned off amd64 (ROADMAP item 6).
+	// Encoder-noise floats are not FMA-pinned off amd64 (ROADMAP item 14).
 	if got := hex.EncodeToString(sum[:]); runtime.GOARCH == "amd64" && got != want {
 		t.Fatalf("%s: topology Run digest %s, the pre-refactor monolith recorded %s", name, got, want)
 	}

@@ -96,7 +96,7 @@ func TestSingleCellDigestsPinned(t *testing.T) {
 			t.Fatalf("%s: %d shards over %d cells, want 1 over 1", tc.name, len(implicit.Shards), len(implicit.Top.Cells))
 		}
 		got := implicit.Digest()
-		// Encoder-noise floats are not FMA-pinned off amd64 (ROADMAP item 6).
+		// Encoder-noise floats are not FMA-pinned off amd64 (ROADMAP item 14).
 		if runtime.GOARCH == "amd64" && got != tc.want {
 			t.Errorf("%s: digest %s, the single-cell engine recorded %s", tc.name, got, tc.want)
 		}
@@ -143,7 +143,7 @@ func TestLiveDigestsPinned(t *testing.T) {
 		if differ != tc.differ {
 			t.Errorf("%s: %d streams differ from offline, want %d", tc.name, differ, tc.differ)
 		}
-		// Encoder-noise floats are not FMA-pinned off amd64 (ROADMAP item 6).
+		// Encoder-noise floats are not FMA-pinned off amd64 (ROADMAP item 14).
 		if runtime.GOARCH == "amd64" && got != tc.want {
 			t.Errorf("%s: live digest %s, pinned %s", tc.name, got, tc.want)
 		}

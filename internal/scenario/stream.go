@@ -122,27 +122,27 @@ func (ss *SessionStream) Chunks(tick time.Duration) []StreamChunk {
 	}
 }
 
-// Replay feeds the stream into a live ingest in tick-sized batches and
-// returns the first feed error. It is the in-process form of what the
+// Replay feeds the stream into a live correlator in tick-sized batches
+// and returns the first feed error. It is the in-process form of what the
 // load generator does over HTTP.
-func (ss *SessionStream) Replay(ing core.Ingest, tick time.Duration) error {
+func (ss *SessionStream) Replay(lc *core.LiveCorrelator, tick time.Duration) error {
 	for _, ch := range ss.Chunks(tick) {
 		for _, r := range ch.Sender {
-			if err := ing.OnSenderRecord(r); err != nil {
+			if err := lc.OnSenderRecord(r); err != nil {
 				return err
 			}
 		}
 		for _, r := range ch.Core {
-			if err := ing.OnCoreRecord(r); err != nil {
+			if err := lc.OnCoreRecord(r); err != nil {
 				return err
 			}
 		}
 		for _, tb := range ch.TBs {
-			if err := ing.OnTB(tb); err != nil {
+			if err := lc.OnTB(tb); err != nil {
 				return err
 			}
 		}
-		if err := ing.Advance(ch.AdvanceTo); err != nil {
+		if err := lc.Advance(ch.AdvanceTo); err != nil {
 			return err
 		}
 	}

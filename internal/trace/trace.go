@@ -1,7 +1,7 @@
 // Package trace serializes Athena's collected cross-layer traces — packet
 // capture records and per-TB PHY telemetry — to CSV and JSON, and merges
 // them into a single time-ordered event log. cmd/athena-trace uses it to
-// dump a run; cmd/athena-analyze parses the same formats back.
+// dump a run, and its analyze verb reads a dumped JSONL log back.
 package trace
 
 import (
@@ -13,6 +13,7 @@ import (
 	"io"
 	"sort"
 	"strconv"
+	"strings"
 	"time"
 
 	"athena/internal/packet"
@@ -193,19 +194,51 @@ func WriteTBCSV(w io.Writer, tbs []telemetry.TBRecord) error {
 	return cw.Error()
 }
 
-// Summary renders a one-paragraph description of an event stream.
+// Summary describes an event stream: its event count and time span, the
+// capture records per capture point, and the TB attempts per grant kind
+// with their failures and retransmissions. Points and grant kinds print
+// in sorted order, so one stream always renders one summary.
 func Summary(evs []Event) string {
-	var net, phy int
+	points := map[string]int{}
+	grants := map[string]int{}
+	var net, phy, failed, retx int
 	var span time.Duration
 	for _, e := range evs {
-		if e.Layer == "net" {
-			net++
-		} else {
-			phy++
-		}
 		if e.At > span {
 			span = e.At
 		}
+		if e.Layer == "net" {
+			net++
+			points[e.Point]++
+			continue
+		}
+		phy++
+		grants[e.Grant]++
+		if e.Round > 0 {
+			retx++
+		}
+		if e.Fail {
+			failed++
+		}
 	}
-	return fmt.Sprintf("%d events (%d net, %d phy) spanning %v", len(evs), net, phy, span)
+	var b strings.Builder
+	fmt.Fprintf(&b, "%d events (%d net, %d phy) spanning %v\n", len(evs), net, phy, span)
+	b.WriteString("packets per capture point:\n")
+	writeCounts(&b, points)
+	b.WriteString("TB attempts per grant kind:\n")
+	writeCounts(&b, grants)
+	fmt.Fprintf(&b, "failed attempts: %d; retransmissions: %d", failed, retx)
+	return b.String()
+}
+
+// writeCounts prints one indented "name count" line per key, sorted.
+func writeCounts(b *strings.Builder, counts map[string]int) {
+	keys := make([]string, 0, len(counts))
+	for k := range counts {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		fmt.Fprintf(b, "  %-12s %d\n", k, counts[k])
+	}
 }

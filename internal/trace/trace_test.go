@@ -95,9 +95,19 @@ func TestTBCSV(t *testing.T) {
 }
 
 func TestSummary(t *testing.T) {
+	const want = `4 events (2 net, 2 phy) spanning 9ms
+packets per capture point:
+  1-sender     1
+  2-core       1
+TB attempts per grant kind:
+  Proactive    1
+  Requested    1
+failed attempts: 1; retransmissions: 1`
 	recs, tbs := sample()
-	s := Summary(Merge(recs, tbs))
-	if !strings.Contains(s, "4 events (2 net, 2 phy)") {
-		t.Fatalf("summary = %q", s)
+	evs := Merge(recs, tbs)
+	for i := 0; i < 10; i++ { // map iteration order must not leak
+		if s := Summary(evs); s != want {
+			t.Fatalf("summary =\n%s\nwant\n%s", s, want)
+		}
 	}
 }

@@ -13,12 +13,13 @@ import (
 	"context"
 	"testing"
 
+	"athena/internal/experiment"
 	"athena/internal/obs"
 	"athena/internal/runner"
 )
 
 func TestDigestsUnchangedByObservability(t *testing.T) {
-	sel, err := SelectExperiments(Selection{})
+	sel, err := experiment.Select(experiment.Selection{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +27,7 @@ func TestDigestsUnchangedByObservability(t *testing.T) {
 	ctx := context.Background()
 
 	obs.Disable()
-	base := SweepExperiments(ctx, sel, SweepConfig{Options: opts, Parallel: 2})
+	base := experiment.Sweep(ctx, sel, experiment.SweepConfig{Options: opts, Parallel: 2})
 
 	// The shared scenario pool memoizes by config; without a flush the
 	// instrumented sweep would just recall cached Results and this test
@@ -40,7 +41,7 @@ func TestDigestsUnchangedByObservability(t *testing.T) {
 		obs.SetTimeline(nil)
 		obs.Disable()
 	}()
-	instr := SweepExperiments(ctx, sel, SweepConfig{Options: opts, Parallel: 2})
+	instr := experiment.Sweep(ctx, sel, experiment.SweepConfig{Options: opts, Parallel: 2})
 
 	if len(base) != len(instr) || len(base) == 0 {
 		t.Fatalf("sweep sizes differ: %d vs %d", len(base), len(instr))
@@ -54,7 +55,7 @@ func TestDigestsUnchangedByObservability(t *testing.T) {
 				base[i].Experiment.ID, base[i].Digest, instr[i].Digest)
 		}
 	}
-	if diffs := DiffManifests(NewManifest(opts, base), NewManifest(opts, instr)); len(diffs) != 0 {
+	if diffs := experiment.DiffDigests(experiment.NewManifest(opts, base), experiment.NewManifest(opts, instr)); len(diffs) != 0 {
 		t.Fatalf("manifests diverge under instrumentation: %v", diffs)
 	}
 

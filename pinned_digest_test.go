@@ -12,6 +12,8 @@ import (
 	"context"
 	"runtime"
 	"testing"
+
+	"athena/internal/experiment"
 )
 
 var pinnedDigests = map[string]string{
@@ -42,16 +44,16 @@ var pinnedDigests = map[string]string{
 
 func TestRegistryDigestsPinned(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
-		t.Skip("SSIM and decode-noise floats are not FMA-pinned yet (ROADMAP item 6); the literals are amd64's")
+		t.Skip("SSIM and decode-noise floats are not FMA-pinned yet (ROADMAP item 14); the literals are amd64's")
 	}
-	sel, err := SelectExperiments(Selection{})
+	sel, err := experiment.Select(experiment.Selection{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(sel) != len(pinnedDigests) {
 		t.Fatalf("registry has %d experiments, %d digests pinned", len(sel), len(pinnedDigests))
 	}
-	for _, r := range SweepExperiments(context.Background(), sel, SweepConfig{Options: Options{Seed: 1, Scale: 0.02}, Parallel: 2}) {
+	for _, r := range experiment.Sweep(context.Background(), sel, experiment.SweepConfig{Options: Options{Seed: 1, Scale: 0.02}, Parallel: 2}) {
 		id := r.Experiment.ID
 		if r.Err != nil {
 			t.Fatalf("%s errored: %v", id, r.Err)

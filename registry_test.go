@@ -39,7 +39,7 @@ func TestRegistryCompleteAndStable(t *testing.T) {
 	// built-ins must be present exactly once, in canonical order.
 	var builtin []Experiment
 	seen := map[string]bool{}
-	for _, e := range Experiments() {
+	for _, e := range experiment.All() {
 		if seen[strings.ToLower(e.ID)] {
 			t.Fatalf("duplicate ID %s", e.ID)
 		}
@@ -63,7 +63,7 @@ func TestRegistryCompleteAndStable(t *testing.T) {
 		}
 	}
 	// Select with empty filters returns the same complete stable set.
-	sel, err := SelectExperiments(Selection{})
+	sel, err := experiment.Select(experiment.Selection{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestRegistryCompleteAndStable(t *testing.T) {
 	}
 	// One smoke experiment per built-in family, so the CI sweep covers
 	// every family.
-	smoke, err := SelectExperiments(Selection{Tags: []string{"smoke"}})
+	smoke, err := experiment.Select(experiment.Selection{Tags: []string{"smoke"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestRegistryCompleteAndStable(t *testing.T) {
 
 func TestEveryLegacyDriverResolvesToRegistryEntry(t *testing.T) {
 	for id, fn := range legacyDrivers {
-		e, ok := LookupExperiment(id)
+		e, ok := experiment.Lookup(id)
 		if !ok {
 			t.Fatalf("%s not registered", id)
 		}
@@ -97,14 +97,14 @@ func TestEveryLegacyDriverResolvesToRegistryEntry(t *testing.T) {
 			t.Fatalf("%s registry generator is not the exported driver", id)
 		}
 		// Case-insensitive resolution (the -only f3 satellite).
-		if low, ok := LookupExperiment(strings.ToLower(id)); !ok || low.ID != id {
+		if low, ok := experiment.Lookup(strings.ToLower(id)); !ok || low.ID != id {
 			t.Fatalf("case-insensitive lookup of %s failed", id)
 		}
 	}
 }
 
 func TestSelectUnknownIDListsValidIDs(t *testing.T) {
-	_, err := SelectExperiments(Selection{IDs: []string{"F99"}})
+	_, err := experiment.Select(experiment.Selection{IDs: []string{"F99"}})
 	if err == nil {
 		t.Fatal("unknown ID must be an error, not an empty (exit-0) run")
 	}
@@ -122,12 +122,12 @@ func TestSelectUnknownIDListsValidIDs(t *testing.T) {
 func TestRegistrySweepMatchesLegacyEntryPoints(t *testing.T) {
 	ids := []string{"F6", "A1", "F4"} // cheap representatives: schematic, sweep, single run
 	opts := Options{Seed: 3, Scale: 0.05}
-	sel, err := SelectExperiments(Selection{IDs: ids})
+	sel, err := experiment.Select(experiment.Selection{IDs: ids})
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial := SweepExperiments(context.Background(), sel, SweepConfig{Options: opts, Parallel: 1})
-	par := SweepExperiments(context.Background(), sel, SweepConfig{Options: opts, Parallel: 4})
+	serial := experiment.Sweep(context.Background(), sel, experiment.SweepConfig{Options: opts, Parallel: 1})
+	par := experiment.Sweep(context.Background(), sel, experiment.SweepConfig{Options: opts, Parallel: 4})
 
 	for i, r := range serial {
 		if r.Err != nil {
@@ -154,7 +154,7 @@ func TestRegistrySweepMatchesLegacyEntryPoints(t *testing.T) {
 	}
 
 	// Manifests from the two sweeps must agree digest-for-digest.
-	if diffs := DiffManifests(NewManifest(opts, serial), NewManifest(opts, par)); len(diffs) != 0 {
+	if diffs := experiment.DiffDigests(experiment.NewManifest(opts, serial), experiment.NewManifest(opts, par)); len(diffs) != 0 {
 		t.Fatalf("parallel manifests diverge: %v", diffs)
 	}
 }

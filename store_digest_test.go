@@ -16,13 +16,14 @@ import (
 	"strings"
 	"testing"
 
+	"athena/internal/experiment"
 	"athena/internal/obs"
 	"athena/internal/runner"
 	"athena/internal/store"
 )
 
 func TestDigestsUnchangedByStore(t *testing.T) {
-	sel, err := SelectExperiments(Selection{})
+	sel, err := experiment.Select(experiment.Selection{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,27 +33,27 @@ func TestDigestsUnchangedByStore(t *testing.T) {
 	obs.Enable()
 	defer obs.Disable()
 
-	off := SweepExperiments(ctx, sel, SweepConfig{Options: opts, Parallel: 2})
+	off := experiment.Sweep(ctx, sel, experiment.SweepConfig{Options: opts, Parallel: 2})
 
 	s, err := store.Open(t.TempDir(), store.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	withStore := SweepConfig{Options: opts, Parallel: 2, Cache: s, CacheNamespace: "digest-test"}
+	withStore := experiment.SweepConfig{Options: opts, Parallel: 2, Cache: s, CacheNamespace: "digest-test"}
 
 	// The shared scenario pool memoizes by config; flush between sweeps
 	// so each cold pass truly recomputes.
 	runner.Default.Flush()
-	cold := SweepExperiments(ctx, sel, withStore)
+	cold := experiment.Sweep(ctx, sel, withStore)
 	runner.Default.Flush()
-	warm := SweepExperiments(ctx, sel, withStore)
+	warm := experiment.Sweep(ctx, sel, withStore)
 
 	if len(off) != len(sel) || len(cold) != len(sel) || len(warm) != len(sel) || len(sel) == 0 {
 		t.Fatalf("sweep sizes: %d %d %d over %d experiments", len(off), len(cold), len(warm), len(sel))
 	}
 	for i := range sel {
 		id := sel[i].ID
-		for _, r := range []RunResult{off[i], cold[i], warm[i]} {
+		for _, r := range []experiment.RunResult{off[i], cold[i], warm[i]} {
 			if r.Err != nil {
 				t.Fatalf("%s errored: %v", id, r.Err)
 			}
@@ -73,7 +74,7 @@ func TestDigestsUnchangedByStore(t *testing.T) {
 			t.Errorf("%s rendered bytes changed cold → warm", id)
 		}
 	}
-	if diffs := DiffManifests(NewManifest(opts, off), NewManifest(opts, warm)); len(diffs) != 0 {
+	if diffs := experiment.DiffDigests(experiment.NewManifest(opts, off), experiment.NewManifest(opts, warm)); len(diffs) != 0 {
 		t.Fatalf("manifests diverge across store tiers: %v", diffs)
 	}
 	st := s.Stats()
@@ -103,7 +104,7 @@ func TestDigestsUnchangedByStore(t *testing.T) {
 		t.Fatalf("corrupted %d entries, want %d", corrupted, len(sel))
 	}
 	runner.Default.Flush()
-	after := SweepExperiments(ctx, sel, withStore)
+	after := experiment.Sweep(ctx, sel, withStore)
 	for i := range sel {
 		if after[i].Cached {
 			t.Fatalf("%s served from a corrupt entry", sel[i].ID)
