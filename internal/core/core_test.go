@@ -315,18 +315,15 @@ func TestReceiverJoinAndSFUAttribution(t *testing.T) {
 }
 
 func TestReconstructTBsAbandoned(t *testing.T) {
-	recs := []telemetry.TBRecord{
-		{TBID: 1, At: 0, UsedBytes: 100, HARQRound: 0, Failed: true},
-		{TBID: 1, At: 10 * time.Millisecond, UsedBytes: 100, HARQRound: 1, Failed: true},
-	}
-	var sc scratch
-	procs := sc.reconstructTBs(recs)
+	lc := NewLive(Input{}, nil)
+	lc.OnTB(telemetry.TBRecord{TBID: 1, At: 0, UsedBytes: 100, HARQRound: 0, Failed: true})
+	lc.OnTB(telemetry.TBRecord{TBID: 1, At: 10 * time.Millisecond, UsedBytes: 100, HARQRound: 1, Failed: true})
+	procs := lc.procs
 	if len(procs) != 1 || !procs[0].abandoned {
 		t.Fatalf("abandoned TB not detected: %+v", procs)
 	}
-	recs = append(recs, telemetry.TBRecord{TBID: 1, At: 20 * time.Millisecond, UsedBytes: 100, HARQRound: 2, Failed: false})
-	procs = (&scratch{}).reconstructTBs(recs)
-	if procs[0].abandoned {
+	lc.OnTB(telemetry.TBRecord{TBID: 1, At: 20 * time.Millisecond, UsedBytes: 100, HARQRound: 2, Failed: false})
+	if len(procs) != 1 || procs[0].abandoned {
 		t.Fatal("recovered TB still marked abandoned")
 	}
 	if procs[0].finalAt != 20*time.Millisecond || procs[0].rounds != 2 {

@@ -13,6 +13,8 @@
 package core
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"time"
 
@@ -59,20 +61,6 @@ type Input struct {
 	// ProbeOWDBaseline is the median probe one-way delay core→receiver
 	// path; used to split WAN propagation from SFU processing.
 	ProbeOWDBaseline time.Duration
-}
-
-// withDefaults resolves the zero-means-default fields. It runs once,
-// where an Input enters the correlator (Correlate, NewLive), so the
-// matcher, the live settle gate and the live trim all read the same
-// tolerance and HARQ round-trip.
-func (in Input) withDefaults() Input {
-	if in.MatchTolerance == 0 {
-		in.MatchTolerance = 5 * time.Millisecond
-	}
-	if in.HARQRTT == 0 {
-		in.HARQRTT = 10 * time.Millisecond
-	}
-	return in
 }
 
 // offset returns the clock offset of one capture point.
@@ -126,8 +114,9 @@ func (v PacketView) Clone() PacketView {
 type Report struct {
 	Packets []PacketView
 	Frames  []FrameView
-	// byKey indexes Packets for tests and downstream tools.
-	byKey map[pktKey]int
+	// byKey is the key index: each packet key's newest view and core
+	// sightings.
+	byKey map[pktKey]keyState
 	// fifoLeft holds, per Packets index, the bytes the TB matcher's FIFO
 	// replay never drained into a transport block (nil when no TBs were
 	// supplied).
@@ -140,13 +129,29 @@ type pktKey struct {
 	kind packet.Kind
 }
 
+// keyState is one key's entry in the index: the position of its newest
+// view (plus the live window's shift; noView if it has none) and a
+// summary of its retained core sightings — the newest one's corrected
+// time, their count, and the arrival number they count from (older
+// sightings of the key were retired with it). A key with neither a view
+// nor a sighting has no entry.
+type keyState struct {
+	view int
+	at   time.Duration
+	n    int
+	from uint64
+}
+
+// noView marks a key whose core sightings await their sender record.
+const noView = -1
+
 // Packet looks up the view for a specific packet.
 func (r *Report) Packet(flow, seq uint32, kind packet.Kind) (PacketView, bool) {
-	i, ok := r.byKey[pktKey{flow, seq, kind}]
-	if !ok {
+	s, ok := r.byKey[pktKey{flow, seq, kind}]
+	if !ok || s.view == noView {
 		return PacketView{}, false
 	}
-	return r.Packets[i], true
+	return r.Packets[s.view], true
 }
 
 // tbProcess is one TB's HARQ lifecycle reconstructed from attempts.
@@ -173,11 +178,6 @@ type tbAttempt struct {
 	round  int32
 	grant  telemetry.GrantKind
 	failed bool
-}
-
-// attemptOf reduces a TB record to an attempt.
-func attemptOf(r telemetry.TBRecord, seq uint64) tbAttempt {
-	return tbAttempt{r.TBID, r.At, int64(r.UsedBytes), seq, int32(r.HARQRound), r.Grant, r.Failed}
 }
 
 // newProcess starts a process from its first attempt seen.
@@ -229,150 +229,88 @@ type checkpoint struct {
 // noPos marks an unset process position.
 const noPos = 1<<31 - 1
 
-// scratch is the correlator's working set. The batch entry point uses a
-// zero scratch per call, whose output-visible parts transfer into the
-// returned Report; LiveCorrelator owns one across its whole feed and
-// extends it record by record.
-type scratch struct {
-	rep       *Report
-	senderBuf []packet.Record // filtered/sorted sender view when needed
-	fifoLeft  []int64
-	tbids     []uint64 // shared backing array carved into per-packet TBIDs
-	procs     []tbProcess
-	procIdx   map[uint64]int32
-
-	// Matcher state. m is the cursor where the last walk stopped. A live
-	// scratch also keeps ckpt, the cursor at entry to each process from
-	// position base on (heads numbered absolutely: a packet's position
-	// plus shift), and dry, the first process whose budget the FIFO left
-	// over by running dry. A walk takes nothing before base, so the state
-	// on entering any process there is the first packet, untouched.
-	// walked counts the process positions walked, the matcher's work.
-	m      cursor
-	ckpt   []checkpoint
-	base   int
-	shift  int
-	dry    int
-	walked int
-}
-
-// Correlate runs the full pipeline. Each call returns a freshly allocated
-// Report whose memory is independent of the input slices.
+// Correlate correlates one session's complete captures: it feeds every
+// record once into a LiveCorrelator, joins the receiver capture against
+// its key index, walks the matcher once and returns the window it holds
+// as the Report — the state a live feed of the same records reaches,
+// read without emitting or trimming. Each call returns a freshly
+// allocated Report whose memory is independent of the input slices.
+//
+// It accepts captures a live feed rejects:
+//   - an unsorted sender or core capture is correlated from a sorted copy
+//     (the core copy stable by LocalTime);
+//   - records of flows outside Input.Flows are dropped;
+//   - an exact replay of a sender record (same key and LocalTime) is
+//     dropped.
 func Correlate(in Input) *Report {
-	var sc scratch
-	rep := sc.correlate(in.withDefaults())
+	rep := feedOnce(in).rep
 	// Group packets into frames/samples and compute delay spreads.
 	rep.Frames = groupFrames(rep.Packets)
 	return rep
 }
 
-// correlate is the batch pipeline; it takes an Input whose defaults are
-// already resolved. Stage spans (join, reconstructTBs, attribution) go to
-// the global obs timeline; with none installed they are inert zero values.
-func (sc *scratch) correlate(in Input) *Report {
+// feedOnce is Correlate's feed: a LiveCorrelator given every record of
+// in and matched, never advanced. Stage spans go to the global obs
+// timeline; with none installed they are inert zero values.
+func feedOnce(in Input) *LiveCorrelator {
 	root := obs.StartSpan("correlate")
 	defer root.End()
-	rep := &Report{
-		Packets: make([]PacketView, 0, len(in.Sender)),
-		byKey:   make(map[pktKey]int, len(in.Sender)),
-	}
+	lc := NewLive(in, nil)
+	rep := lc.rep
 
-	// Flow filter (multi-UE topologies carving shared captures).
-	var flowOK map[uint32]bool
-	if len(in.Flows) > 0 {
-		flowOK = make(map[uint32]bool, len(in.Flows))
-		for _, f := range in.Flows {
-			flowOK[f] = true
-		}
-	}
-
-	// 1. Build per-packet views from the sender capture (the session's
-	//    send order), correcting clocks. Capture taps append under a
-	//    monotone clock, so the common case is already time-ordered and
-	//    skips the copy+sort entirely; a filter or an unsorted capture
-	//    falls back to a scratch copy.
-	senderRecs := in.Sender
-	if sorted := packet.IsSortedByTime(senderRecs); !sorted || flowOK != nil {
-		buf := sc.senderBuf[:0]
-		for _, r := range senderRecs {
-			if flowOK == nil || flowOK[r.Flow] {
-				buf = append(buf, r)
-			}
-		}
-		if !sorted {
-			sort.Slice(buf, func(i, j int) bool { return buf[i].LocalTime < buf[j].LocalTime })
-		}
-		sc.senderBuf = buf
-		senderRecs = buf
-	}
-	senderOff := in.offset(packet.PointSender)
-	for i := range senderRecs {
-		r := &senderRecs[i]
-		rep.byKey[pktKey{r.Flow, r.Seq, r.Kind}] = len(rep.Packets)
-		rep.Packets = append(rep.Packets, PacketView{})
-		rep.Packets[i].fromSender(r, senderOff)
-	}
-
-	// 2. Join the core and receiver captures against the sender index.
 	join := root.Child("correlate.join")
-	coreOff := in.offset(packet.PointCore)
-	for _, r := range in.Core {
-		if flowOK != nil && !flowOK[r.Flow] {
-			continue
-		}
-		if i, ok := rep.byKey[pktKey{r.Flow, r.Seq, r.Kind}]; ok {
-			rep.Packets[i].joinCore(r.LocalTime - coreOff)
+	sender, core := in.Sender, in.Core
+	if !packet.IsSortedByTime(sender) {
+		sender = slices.Clone(sender)
+		sort.Slice(sender, func(i, j int) bool { return sender[i].LocalTime < sender[j].LocalTime })
+	}
+	if !packet.IsSortedByTime(core) {
+		core = slices.Clone(core)
+		slices.SortStableFunc(core, func(a, b packet.Record) int { return cmp.Compare(a.LocalTime, b.LocalTime) })
+	}
+	// Uncovered records are skipped, not fed to be rejected: in a shared
+	// capture most records are other UEs'.
+	for i := range sender {
+		if lc.covers(sender[i].Flow) {
+			_ = lc.OnSenderRecord(sender[i]) // a rejected record is dropped
 		}
 	}
+	for i := range core {
+		if lc.covers(core[i].Flow) {
+			_ = lc.OnCoreRecord(core[i]) // a rejected record is dropped
+		}
+	}
+	// Only covered records reached the index, so it filters the receiver
+	// capture too.
 	recvOff := in.offset(packet.PointReceiver)
 	for _, r := range in.Receiver {
-		if flowOK != nil && !flowOK[r.Flow] {
+		s, ok := rep.byKey[pktKey{r.Flow, r.Seq, r.Kind}]
+		if !ok || s.view == noView {
 			continue
 		}
-		if i, ok := rep.byKey[pktKey{r.Flow, r.Seq, r.Kind}]; ok {
-			v := &rep.Packets[i]
-			v.ReceiverAt = r.LocalTime - recvOff
-			v.SeenRecv = true
-			if v.SeenCore {
-				v.WANDelay = v.ReceiverAt - v.CoreAt
-				if in.ProbeOWDBaseline > 0 {
-					v.SFUDelay = v.WANDelay - in.ProbeOWDBaseline
-					if v.SFUDelay < 0 {
-						v.SFUDelay = 0
-					}
-				}
+		v := &rep.Packets[s.view]
+		v.ReceiverAt, v.SeenRecv = r.LocalTime-recvOff, true
+		if v.SeenCore {
+			v.WANDelay = v.ReceiverAt - v.CoreAt
+			if in.ProbeOWDBaseline > 0 {
+				v.SFUDelay = max(v.WANDelay-in.ProbeOWDBaseline, 0)
 			}
 		}
 	}
-
 	join.End()
 
-	// 3. Match packets to transport blocks and attribute uplink delay.
 	if len(in.TBs) > 0 {
 		reconstruct := root.Child("correlate.reconstructTBs")
-		procs := sc.reconstructTBs(in.TBs)
+		for _, r := range in.TBs {
+			_ = lc.OnTB(r) // never fails
+		}
 		reconstruct.End()
 		attribution := root.Child("correlate.attribution")
-		rep.fifoLeft = make([]int64, 0, len(senderRecs))
-		for _, r := range senderRecs {
-			rep.fifoLeft = append(rep.fifoLeft, int64(r.Size))
-		}
-		sc.fifoLeft = rep.fifoLeft
-		// Each drain iteration either completes a packet or exhausts a TB,
-		// so the shared TBID backing never exceeds len(procs)+len(packets).
-		sc.tbids = make([]uint64, 0, len(procs)+len(rep.Packets))
-		sc.rep = rep
-		sc.walk(in, 0)
+		lc.match()
 		attribution.End()
+		rep.fifoLeft = lc.fifoLeft
 	}
-	return rep
-}
-
-// fromSender fills a zero view from the packet's sender record.
-func (v *PacketView) fromSender(r *packet.Record, senderOff time.Duration) {
-	v.Flow, v.Seq, v.Kind = r.Flow, r.Seq, r.Kind
-	v.SentAt = r.LocalTime - senderOff
-	v.SSRC, v.RTPTime, v.Marker = r.SSRC, r.RTPTime, r.Marker
+	return lc
 }
 
 // joinCore records the packet's corrected core sighting.
@@ -386,33 +324,30 @@ func (v *PacketView) clearCore() {
 }
 
 // walk replays the UE buffer's FIFO service order from process position
-// from, starting at cursor sc.m: packets enter in sender-capture order;
+// from, starting at cursor lc.m: packets enter in sender-capture order;
 // successful TBs drain UsedBytes each in transmission order. Byte
 // conservation plus causality (a TB cannot carry a packet sent after the
 // TB's transmission) pins down the mapping — the same reasoning Fig 9's
 // dashed packet↔TB lines encode.
 //
 // rep.Packets is built 1:1 from the send-ordered sender records, so the
-// packet slice IS the FIFO: sc.fifoLeft holds each packet's undrained
+// packet slice IS the FIFO: lc.fifoLeft holds each packet's undrained
 // bytes, and every packet's TBIDs are carved out of one shared backing
 // array (appends to the current FIFO head are contiguous, and the head
-// never moves backwards). Batch correlation walks once from position 0;
-// a live correlator resumes from the earliest position new evidence can
-// change, so it records a checkpoint at entry to every process.
-func (sc *scratch) walk(in Input, from int) {
-	procs, fifoLeft, tbids, pkts := sc.procs, sc.fifoLeft, sc.tbids, sc.rep.Packets
-	slack := in.SlotDuration + in.MatchTolerance
-	head, tbStart, first, last := sc.m.head, sc.m.tbStart, sc.m.first, sc.m.last
-	live := sc.ckpt != nil
-	sc.walked += len(procs) - from
+// never moves backwards). A later walk resumes from the earliest
+// position new evidence can change, so each records a checkpoint at
+// entry to every process.
+func (lc *LiveCorrelator) walk(from int) {
+	procs, fifoLeft, tbids, pkts := lc.procs, lc.fifoLeft, lc.tbids, lc.rep.Packets
+	slack := lc.in.SlotDuration + lc.in.MatchTolerance
+	head, tbStart, first, last := lc.m.head, lc.m.tbStart, lc.m.first, lc.m.last
+	lc.walked += len(procs) - from
 	for pi := from; pi < len(procs); pi++ {
-		if live {
-			c := checkpoint{head: head + sc.shift, k: len(tbids) - tbStart}
-			if head < len(fifoLeft) {
-				c.left = fifoLeft[head]
-			}
-			sc.ckpt = append(sc.ckpt, c)
+		c := checkpoint{head: head + lc.shift, k: len(tbids) - tbStart}
+		if head < len(fifoLeft) {
+			c.left = fifoLeft[head]
 		}
+		lc.ckpt = append(lc.ckpt, c)
 		tb := &procs[pi]
 		if tb.abandoned {
 			continue
@@ -444,8 +379,8 @@ func (sc *scratch) walk(in Input, from int) {
 				tbStart = end
 			}
 		}
-		if budget > 0 && head == len(fifoLeft) && pi < sc.dry {
-			sc.dry = pi
+		if budget > 0 && head == len(fifoLeft) && pi < lc.dry {
+			lc.dry = pi
 		}
 	}
 	if end := len(tbids); end > tbStart {
@@ -455,8 +390,8 @@ func (sc *scratch) walk(in Input, from int) {
 		v.TBIDs = tbids[tbStart:end:end]
 		attributePacket(v, procs, first, last)
 	}
-	sc.tbids = tbids
-	sc.m = cursor{head, tbStart, first, last}
+	lc.tbids = tbids
+	lc.m = cursor{head, tbStart, first, last}
 }
 
 // attributePacket derives the uplink delay attribution from a packet's
@@ -479,45 +414,4 @@ func attributePacket(v *PacketView, procs []tbProcess, first, last int32) {
 		slowest = l
 	}
 	v.HARQDelay = slowest.finalAt - slowest.initialAt
-}
-
-// reconstructTBs groups attempt records into per-TB HARQ processes,
-// ordered by initial transmission time. Processes live in one scratch
-// slice indexed by a TBID→position map — no per-process heap allocation.
-// Telemetry normally arrives in transmission order, which makes the
-// first-seen process order already sorted; the stable sort — and the
-// re-index that keeps procIdx pointing at the moved processes — only runs
-// when it is not.
-func (sc *scratch) reconstructTBs(recs []telemetry.TBRecord) []tbProcess {
-	out := make([]tbProcess, 0, len(recs))
-	idx := make(map[uint64]int32, len(recs))
-	for _, r := range recs {
-		a := attemptOf(r, 0)
-		j, ok := idx[r.TBID]
-		if !ok {
-			idx[r.TBID] = int32(len(out))
-			out = append(out, newProcess(a))
-			continue
-		}
-		out[j].merge(a)
-	}
-	if !sortedByInitialAt(out) {
-		sort.SliceStable(out, func(i, j int) bool { return out[i].initialAt < out[j].initialAt })
-		for i := range out {
-			idx[out[i].id] = int32(i)
-		}
-	}
-	sc.procs, sc.procIdx = out, idx
-	return out
-}
-
-// sortedByInitialAt reports whether processes are already in
-// non-decreasing initial-transmission order.
-func sortedByInitialAt(procs []tbProcess) bool {
-	for i := 1; i < len(procs); i++ {
-		if procs[i].initialAt < procs[i-1].initialAt {
-			return false
-		}
-	}
-	return true
 }

@@ -29,7 +29,7 @@ func DigestEligible(v PacketView) bool {
 // ViewHasher accumulates the canonical per-packet attribution digest over
 // a stream of emitted views. Feeding every emitted view of a live session
 // (in emission order) produces the same digest as Report.PacketsDigest
-// over the offline batch correlation of the same input — the equivalence
+// over Correlate's one-shot feed of the same input — the equivalence
 // the serve acceptance tests pin. The line buffer is recycled, so Add
 // performs at most one (amortized) allocation.
 type ViewHasher struct {

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -50,9 +51,9 @@ func TestLiveSteadyStateAdvanceAllocFree(t *testing.T) {
 	}
 }
 
-// TestCorrelateAllocBound bounds the allocation count of a batch
-// Correlate over a pre-sorted capture. The indexed hot path allocates a
-// fixed set of capacity-hinted buffers per call — independent of how the
+// TestCorrelateAllocBound bounds the allocation count of Correlate over
+// a pre-sorted capture. The one-shot feed allocates a fixed set of
+// buffers presized from the input's lengths — independent of how the
 // input grows within a size class — so the bound is a small constant
 // where the map-join implementation spent O(packets + TBs) allocations.
 func TestCorrelateAllocBound(t *testing.T) {
@@ -64,15 +65,16 @@ func TestCorrelateAllocBound(t *testing.T) {
 	if len(rep.Packets) != 5000 {
 		t.Fatalf("correlated %d of 5000 packets", len(rep.Packets))
 	}
-	// Measured ~60 on go1.24 (report + index maps + growth steps);
+	// Measured 62 on go1.24 (the correlator, its presized buffers and
+	// index maps, the frame grouping);
 	// 200 leaves headroom for map-runtime changes while still failing
 	// loudly on any return to per-record allocation.
 	if allocs > 200 {
-		t.Fatalf("batch Correlate allocates %.0f objects/op, want <= 200", allocs)
+		t.Fatalf("Correlate allocates %.0f objects/op, want <= 200", allocs)
 	}
 }
 
-// TestCorrelateMatchesMapJoinReference pins batch Correlate on randomized
+// TestCorrelateMatchesMapJoinReference pins Correlate on randomized
 // multi-flow inputs — with and without clock offsets, receiver captures,
 // flow filters, and pre-sorted sender order — to the pre-overhaul map-join
 // correlator it replaced: each literal is reportHash of that reference
@@ -190,9 +192,74 @@ func TestCorrelateMatchesMapJoinReference(t *testing.T) {
 	}
 }
 
+// TestCorrelateAcceptsWhatLiveRejects checks Correlate's feed rules
+// relationally: a shuffled core capture is correlated from a sorted copy,
+// and an exact replay of a sender record is dropped — each leaves the
+// report unchanged.
+func TestCorrelateAcceptsWhatLiveRejects(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		in := synthInput(2000, 4, seed)
+		want := reportHash(Correlate(in))
+		rng := rand.New(rand.NewSource(seed))
+
+		shuffled := in
+		shuffled.Core = slices.Clone(in.Core)
+		rng.Shuffle(len(shuffled.Core), func(i, j int) {
+			shuffled.Core[i], shuffled.Core[j] = shuffled.Core[j], shuffled.Core[i]
+		})
+
+		replayed := in
+		i := rng.Intn(len(in.Sender))
+		replayed.Sender = slices.Insert(slices.Clone(in.Sender), i, in.Sender[i])
+
+		for name, in := range map[string]Input{"shuffled-core": shuffled, "replayed-sender": replayed} {
+			if got := reportHash(Correlate(in)); got != want {
+				t.Errorf("seed %d, %s: report hash %s, want %s", seed, name, got, want)
+			}
+		}
+	}
+}
+
+// TestRecordsBeforeTimeZeroAreFed stamps every sender and core record
+// 30 ms earlier and declares that as the two clocks' offset, so the
+// first records fall before time zero while every corrected time is
+// unchanged: Correlate's report must be too, and a chunked live replay
+// must still emit it.
+func TestRecordsBeforeTimeZeroAreFed(t *testing.T) {
+	const off = -30 * time.Millisecond
+	for seed := int64(1); seed <= 3; seed++ {
+		in := synthInput(2000, 4, seed)
+		want := reportHash(Correlate(in))
+
+		early := in
+		early.Offsets = map[packet.Point]time.Duration{packet.PointSender: off, packet.PointCore: off}
+		early.Sender, early.Core = slices.Clone(in.Sender), slices.Clone(in.Core)
+		for i := range early.Sender {
+			early.Sender[i].LocalTime += off
+		}
+		for i := range early.Core {
+			early.Core[i].LocalTime += off
+		}
+		if early.Sender[0].LocalTime >= 0 || early.Core[0].LocalTime >= 0 {
+			t.Fatalf("seed %d: first records at %v / %v, want before zero",
+				seed, early.Sender[0].LocalTime, early.Core[0].LocalTime)
+		}
+		rep := Correlate(early)
+		if len(rep.Packets) != len(in.Sender) {
+			t.Errorf("seed %d: correlated %d of %d sender records", seed, len(rep.Packets), len(in.Sender))
+		}
+		if got := reportHash(rep); got != want {
+			t.Errorf("seed %d: report hash %s, want %s", seed, got, want)
+		}
+		views, _ := replayChunked(t, early, func(int) time.Duration { return 7 * time.Millisecond })
+		assertStreamMatchesBatch(t, early, views)
+	}
+}
+
 // reportHash renders every field of a Report the equivalence contract
-// covers — each view with its TBIDs, the frames, the key index and the
-// matcher's fifoLeft — and returns its SHA-256.
+// covers — each view with its TBIDs, the frames, the view positions of
+// the key index (keys seen only at the core have none) and the matcher's
+// fifoLeft — and returns its SHA-256.
 func reportHash(rep *Report) string {
 	h := sha256.New()
 	for _, v := range rep.Packets {
@@ -202,12 +269,14 @@ func reportHash(rep *Report) string {
 		fmt.Fprintf(h, "%+v\n", f)
 	}
 	keys := make([]pktKey, 0, len(rep.byKey))
-	for k := range rep.byKey {
-		keys = append(keys, k)
+	for k, s := range rep.byKey {
+		if s.view != noView {
+			keys = append(keys, k)
+		}
 	}
-	sort.Slice(keys, func(i, j int) bool { return rep.byKey[keys[i]] < rep.byKey[keys[j]] })
+	sort.Slice(keys, func(i, j int) bool { return rep.byKey[keys[i]].view < rep.byKey[keys[j]].view })
 	for _, k := range keys {
-		fmt.Fprintf(h, "%v=%d\n", k, rep.byKey[k])
+		fmt.Fprintf(h, "%v=%d\n", k, rep.byKey[k].view)
 	}
 	fmt.Fprintf(h, "fifo nil=%v %v\n", rep.fifoLeft == nil, rep.fifoLeft)
 	return hex.EncodeToString(h.Sum(nil))

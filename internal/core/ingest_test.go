@@ -329,19 +329,19 @@ func replayChunked(t testing.TB, in Input, step func(i int) time.Duration) (view
 	si, ci, ti := 0, 0, 0
 	now := time.Duration(0)
 	advance := func(now time.Duration) {
-		buffered := len(lc.sender)
-		if lc.Pending() > 0 && lc.dirty < lc.sc.base+len(lc.sc.ckpt) {
+		buffered := len(lc.sizes)
+		if lc.Pending() > 0 && lc.dirty < lc.base+len(lc.ckpt) {
 			st.rewinds++
 		}
 		if err := lc.Advance(now); err != nil {
 			t.Fatalf("advance %v: %v", now, err)
 		}
 		assertRederives(t, lc)
-		if buffered > 0 && len(lc.sender) == 0 {
+		if buffered > 0 && len(lc.sizes) == 0 {
 			// A full drain: note the TBs it kept that carried its packets.
 			for _, v := range views[len(views)-buffered:] {
 				for _, id := range v.TBIDs {
-					if _, ok := lc.sc.procIdx[id]; ok {
+					if _, ok := lc.procIdx[id]; ok {
 						if kept == nil {
 							kept = make(map[uint64]bool)
 						}
@@ -376,7 +376,7 @@ func replayChunked(t testing.TB, in Input, step func(i int) time.Duration) (view
 		advance(now)
 	}
 	advance(now + 30*time.Second)
-	st.walked = lc.sc.walked
+	st.walked = lc.walked
 	return views, st
 }
 
@@ -386,22 +386,27 @@ func replayChunked(t testing.TB, in Input, step func(i int) time.Duration) (view
 //   - walked counts the process positions it walked;
 //   - reused reports that a packet was matched to a TB a full drain kept
 //     after that TB had carried drained packets. The next walk starts the
-//     kept TB at its full budget where batch correlation has spent it, so
-//     only then may emission differ from batch (ROADMAP item 1).
+//     kept TB at its full budget where a one-shot feed has spent it, so
+//     only then may emission differ from Correlate (ROADMAP item 1).
 type replayStats struct {
 	rewinds, walked int
 	reused          bool
 }
 
-// assertRederives checks a live correlator's incremental state against a
-// forced re-derive from position 0 over its retained buffers: batch
-// correlation of the retained sender, core and TB records — one walk of
-// the shared matcher on a fresh state — must reproduce every view, the
+// assertRederives checks a correlator fed incrementally against a
+// one-shot feed of the records it retains: Correlate's feed of the
+// retained sender, core and TB records — one walk of the matcher from
+// position 0 on a fresh correlator — must reproduce every view, the
 // drain state, the key index and the TB-process table.
 func assertRederives(t testing.TB, lc *LiveCorrelator) {
 	t.Helper()
 	in := lc.in
-	in.Sender = lc.sender
+	for i, v := range lc.rep.Packets {
+		in.Sender = append(in.Sender, packet.Record{
+			Flow: v.Flow, Seq: v.Seq, Kind: v.Kind, Size: units.ByteCount(lc.sizes[i]),
+			LocalTime: v.SentAt + lc.senderOff, SSRC: v.SSRC, RTPTime: v.RTPTime, Marker: v.Marker,
+		})
+	}
 	for _, c := range lc.core.items() {
 		if lc.coreLive(&c) {
 			in.Core = append(in.Core, packet.Record{
@@ -420,9 +425,9 @@ func assertRederives(t testing.TB, lc *LiveCorrelator) {
 	if len(in.Core) != lc.nCore || len(in.TBs) != lc.nTBs {
 		t.Fatalf("retained %d core / %d TB records, counted %d / %d", len(in.Core), len(in.TBs), lc.nCore, lc.nTBs)
 	}
-	var sc scratch
-	want := sc.correlate(in)
-	got := lc.sc.rep.Packets
+	re := feedOnce(in)
+	want := re.rep
+	got := lc.rep.Packets
 	if len(got) != len(want.Packets) {
 		t.Fatalf("%d views, re-derive has %d", len(got), len(want.Packets))
 	}
@@ -432,35 +437,44 @@ func assertRederives(t testing.TB, lc *LiveCorrelator) {
 			t.Fatalf("view %d diverges from the re-derive:\nincremental %s\nre-derived  %s",
 				i, appendViewLine(nil, g), appendViewLine(nil, w))
 		}
-		if lc.nTBs > 0 && lc.sc.fifoLeft[i] != want.fifoLeft[i] ||
-			lc.nTBs == 0 && lc.sc.fifoLeft[i] != int64(lc.sender[i].Size) {
-			t.Fatalf("view %d: %d bytes undrained, re-derive has %d", i, lc.sc.fifoLeft[i], want.fifoLeft)
+		if lc.fifoLeft[i] != re.fifoLeft[i] {
+			t.Fatalf("view %d: %d bytes undrained, re-derive has %d", i, lc.fifoLeft[i], re.fifoLeft[i])
 		}
 	}
-	if len(lc.sc.rep.byKey) != len(want.byKey) {
-		t.Fatalf("key index holds %d keys, re-derive %d", len(lc.sc.rep.byKey), len(want.byKey))
+	if len(lc.rep.byKey) != len(want.byKey) {
+		t.Fatalf("key index holds %d keys, re-derive %d", len(lc.rep.byKey), len(want.byKey))
 	}
-	for k, i := range lc.sc.rep.byKey {
-		if w, ok := want.byKey[k]; !ok || i-lc.sc.shift != w {
-			t.Fatalf("key %v at %d, re-derive has %d (present %v)", k, i-lc.sc.shift, w, ok)
+	for k, s := range lc.rep.byKey {
+		w, ok := want.byKey[k]
+		if s.view != noView {
+			s.view -= lc.shift
+		}
+		// Arrival numbers differ between the two feeds.
+		s.from, w.from = 0, 0
+		if !ok || s != w {
+			t.Fatalf("key %v is %+v, re-derive has %+v (present %v)", k, s, w, ok)
 		}
 	}
-	var live []tbProcess
-	for _, p := range lc.sc.procs {
+	var live, rederived []tbProcess
+	for _, p := range lc.procs {
 		if !p.dead {
 			p.seen = 0
 			live = append(live, p)
 		}
 	}
-	if !slices.Equal(live, sc.procs) {
-		t.Fatalf("TB-process table diverges from the re-derive:\nincremental %+v\nre-derived  %+v", live, sc.procs)
+	for _, p := range re.procs {
+		p.seen = 0
+		rederived = append(rederived, p)
 	}
-	if len(lc.sc.procIdx) != len(live) {
-		t.Fatalf("%d processes indexed, %d in the table", len(lc.sc.procIdx), len(live))
+	if !slices.Equal(live, rederived) {
+		t.Fatalf("TB-process table diverges from the re-derive:\nincremental %+v\nre-derived  %+v", live, rederived)
 	}
-	for id, j := range lc.sc.procIdx {
-		if lc.sc.procs[j].id != id {
-			t.Fatalf("procIdx[%d] = %d, but that position holds TB %d", id, j, lc.sc.procs[j].id)
+	if len(lc.procIdx) != len(live) {
+		t.Fatalf("%d processes indexed, %d in the table", len(lc.procIdx), len(live))
+	}
+	for id, j := range lc.procIdx {
+		if lc.procs[j].id != id {
+			t.Fatalf("procIdx[%d] = %d, but that position holds TB %d", id, j, lc.procs[j].id)
 		}
 	}
 }
@@ -514,11 +528,13 @@ func TestLiveChunkedReplayMatchesBatchDigest(t *testing.T) {
 // FuzzLiveFeedOrder fuzzes the delivery chunking of a synthetic session:
 // each fuzz byte is a clock increment, so the corpus explores adversarial
 // interleavings of sender/core/TB delivery against Advance (including
-// long stalls that force horizon flushes and mid-stream trims). After
-// every Advance the incremental state must equal the re-derive, and the
-// emitted views must digest-match the batch correlation — unless a packet
-// took budget from a TB a full drain kept after it carried drained
-// packets (ROADMAP item 1), where every packet must still be emitted once.
+// long stalls that force horizon flushes and mid-stream trims). It
+// compares the incremental and one-shot feeds of the one correlator:
+// after every Advance the incremental state must equal a one-shot feed
+// of the retained records, and the emitted views must digest-match
+// Correlate's one-shot feed of the whole session — unless a packet took
+// budget from a TB a full drain kept after it carried drained packets
+// (ROADMAP item 1), where every packet must still be emitted once.
 func FuzzLiveFeedOrder(f *testing.F) {
 	f.Add(int64(1), []byte{3, 18, 1, 1, 250, 2, 9})
 	f.Add(int64(42), []byte{1})

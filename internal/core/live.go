@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"time"
 
@@ -9,16 +10,16 @@ import (
 	"athena/internal/telemetry"
 )
 
-// LiveCorrelator is the streaming form of Correlate, for the paper's §5.1
-// vision of "continuous, fine-grained measurement" feeding higher layers
-// in real time: capture records and TB telemetry arrive incrementally,
-// and fully-resolved packet views are emitted once a packet's fate is
-// settled (observed at the core and matched to its transport blocks, or
-// given up on after the flush horizon). It is the validated streaming
-// boundary a session server holds against each feed: records arrive
-// through OnSenderRecord, OnCoreRecord and OnTB, Advance moves the
-// session clock (emitting every packet whose fate is settled), and
-// Snapshot reports the feed's progress without disturbing it.
+// LiveCorrelator is the correlator, for the paper's §5.1 vision of
+// "continuous, fine-grained measurement" feeding higher layers in real
+// time: capture records and TB telemetry arrive incrementally, and
+// fully-resolved packet views are emitted once a packet's fate is settled
+// (observed at the core and matched to its transport blocks, or given up
+// on after the flush horizon). A session server holds one against each
+// feed: records arrive through OnSenderRecord, OnCoreRecord and OnTB,
+// Advance moves the session clock (emitting every packet whose fate is
+// settled), and Snapshot reports the feed's progress without disturbing
+// it. Correlate feeds one a session's complete captures at once.
 //
 // Every feed call validates its input and returns an explicit error
 // instead of letting a malformed feed surface later as a misjoin:
@@ -42,28 +43,26 @@ import (
 // not ingested the offending record; the prior state is untouched and
 // the feed may continue.
 //
-// It keeps the batch matcher's state between calls. A sender record
-// appends its view and joins its key's buffered core sighting; a core
-// record joins its key's newest view; a TB attempt merges into its HARQ
-// process, in the table order the batch path sorts to. Advance resumes the
-// FIFO matcher at the earliest process position new evidence can change —
-// the first process an attempt inserted, moved or changed the time or fate
-// of, or, once sender records arrive, the first whose budget a dry FIFO
-// left over — from the checkpoint taken on entering it, and touches
-// nothing before. A batch so costs O(new evidence), not O(window), every
-// buffer is recycled (steady-state ingest allocates nothing), and after
-// every Advance the state equals batch correlation of the retained
-// records. The emission contract (each packet exactly once, in send
-// order, only when resolvable) is what a live consumer such as a
-// PHY-aware congestion controller needs.
+// It keeps the matcher's state between calls. A sender record appends
+// its view and joins its key's buffered core sighting; a core record
+// joins its key's newest view; a TB attempt merges into its HARQ process,
+// which keeps the table in (initial transmission, first sighting) order.
+// Advance resumes the FIFO matcher at the earliest process position new
+// evidence can change — the first process an attempt inserted, moved or
+// changed the time or fate of, or, once sender records arrive, the first
+// whose budget a dry FIFO left over — from the checkpoint taken on
+// entering it, and touches nothing before. A batch so costs O(new
+// evidence), not O(window), every buffer is recycled (steady-state ingest
+// allocates nothing), and after every Advance the state equals a one-shot
+// feed of the retained records. The emission contract (each packet
+// exactly once, in send order, only when resolvable) is what a live
+// consumer such as a PHY-aware congestion controller needs.
 //
-// The feed-order validation doubles as a structural guarantee: because
-// sender records are enforced time-ordered and (when Input.Flows is set)
-// flow-covered, the views are 1:1 with the sender buffer, so position i
-// of the buffer IS view i. Emission and trim exploit that positional
-// identity — duplicate (flow, seq, kind) keys, legal for sequence-less
-// kinds like NTP cross traffic, can no longer alias each other through
-// the key index.
+// The feed-order validation doubles as a structural guarantee: sender
+// records are time-ordered and flow-covered, so the views are 1:1 with
+// the sender buffer and position i of the buffer IS view i. Emission and
+// trim select by position, never by key — duplicate (flow, seq, kind)
+// keys are legal for sequence-less kinds like NTP cross traffic.
 type LiveCorrelator struct {
 	in Input
 
@@ -77,16 +76,17 @@ type LiveCorrelator struct {
 	// view keeps v.Clone() instead.
 	Emit func(PacketView)
 
-	// The retained window. sender is positionally identical to the views
-	// in sc.rep.Packets and the drain state in sc.fifoLeft; emitted is the
-	// prefix already emitted. core and tbs are arrival-ordered logs whose
-	// records trims retire in place (coreLive, tbLive); nCore and nTBs
-	// count the retained ones, coreKeys sums them up per key for the join,
-	// and arrivals numbers them.
-	sender    []packet.Record
+	// The retained window. sizes holds the sender records' sizes,
+	// positionally identical to the views in rep.Packets and the drain
+	// state in fifoLeft; emitted is the prefix already emitted. core
+	// and tbs are arrival-ordered logs whose records trims retire in place
+	// (coreLive, tbLive); nCore and nTBs count the retained ones, the key
+	// index sums them up per key for the join, and arrivals numbers them.
+	rep       *Report
+	fifoLeft  []int64
+	sizes     []int64
 	emitted   int
 	core      queue[coreRec]
-	coreKeys  map[pktKey]coreKey
 	tbs       queue[tbAttempt]
 	nCore     int
 	nTBs      int
@@ -94,32 +94,49 @@ type LiveCorrelator struct {
 	senderOff time.Duration
 	coreOff   time.Duration
 
-	// Feed-validation state: per-stream capture heads, the duplicate
-	// index, and the flow-coverage set derived from in.Flows. A duplicate
-	// is a key accepted at exactly lastSenderAt: a replay of anything
-	// older already fails the order check. The key index finds the ones
+	// Feed-validation state: per-stream capture heads in corrected time
+	// (noTime until the stream's first record), the duplicate index, and
+	// the flow-coverage set derived from in.Flows. A duplicate is a key
+	// accepted at exactly sentHead: a replay of anything older already
+	// fails the order check. The key index finds the ones
 	// still retained; headKeys holds those a trim retired, so the check
 	// survives every trim. headPeak is the most keys headKeys has held
 	// since it was last made.
-	lastSenderAt time.Duration
-	lastCoreAt   time.Duration
-	advanced     time.Duration
-	headKeys     map[pktKey]struct{}
-	headPeak     int
-	coveredFlow  map[uint32]bool
+	sentHead    time.Duration
+	coreHead    time.Duration
+	advanced    time.Duration
+	headKeys    map[pktKey]struct{}
+	headPeak    int
+	coveredFlow map[uint32]bool
 
 	// Progress counters surfaced by Snapshot.
 	emittedTotal int64
 	trims        int64
 
-	// Matcher bookkeeping: dirty is the first process position the next
-	// walk must revisit; harq lists abandoned processes whose retry may
-	// still arrive (the settle gate's candidates); nDead counts processes
-	// a trim dropped whose slots await compactProcs.
-	dirty int
-	harq  []uint64
-	nDead int
-	sc    scratch
+	// The matcher: the TB-process table (procs, indexed by procIdx) and
+	// the shared backing array carved into per-packet TBIDs. m is the
+	// cursor where the last walk stopped, ckpt the cursor at entry to each
+	// process from position base on (heads numbered absolutely: a packet's
+	// position plus shift), and dry the first process whose budget the
+	// FIFO left over by running dry. A walk takes nothing before base, so
+	// the state on entering any process there is the first packet,
+	// untouched. dirty is the first process position the next walk must
+	// revisit, and walked counts the positions walked, the matcher's work.
+	// harq lists abandoned processes whose retry may still arrive (the
+	// settle gate's candidates); nDead counts processes a trim dropped
+	// whose slots await compactProcs.
+	procs   []tbProcess
+	procIdx map[uint64]int32
+	tbids   []uint64
+	m       cursor
+	ckpt    []checkpoint
+	base    int
+	shift   int
+	dry     int
+	dirty   int
+	walked  int
+	harq    []uint64
+	nDead   int
 }
 
 // coreRec is one retained core sighting: its key, corrected time and
@@ -130,36 +147,42 @@ type coreRec struct {
 	seq uint64
 }
 
-// coreKey sums up a key's retained core sightings: the newest one's
-// corrected time, their count, and the arrival number they count from
-// (older sightings of the key were retired with it).
-type coreKey struct {
-	at   time.Duration
-	n    int
-	from uint64
-}
-
 // DefaultFlushAfter is the emission horizon NewLive sets: a packet still
 // unresolved this long after it was sent is emitted as-is.
 const DefaultFlushAfter = 500 * time.Millisecond
 
-// NewLive creates a live correlator with the same configuration fields as
-// the batch Input (captures inside `in` are ignored; feed records through
-// the On* methods).
+// NewLive creates a live correlator from an Input's configuration
+// fields. Its captures are not fed — feed records through the On*
+// methods — but their lengths size the buffers.
 func NewLive(in Input, emit func(PacketView)) *LiveCorrelator {
-	in.Sender, in.Core, in.SFU, in.Receiver = nil, nil, nil, nil
+	ns, nc, nt := len(in.Sender), len(in.Core), len(in.TBs)
+	in.Sender, in.Core, in.SFU, in.Receiver, in.TBs = nil, nil, nil, nil, nil
+	// Resolve the zero-means-default fields once, so the matcher, the
+	// settle gate and the trim all read the same tolerance and HARQ
+	// round-trip.
+	if in.MatchTolerance == 0 {
+		in.MatchTolerance = 5 * time.Millisecond
+	}
+	if in.HARQRTT == 0 {
+		in.HARQRTT = 10 * time.Millisecond
+	}
 	lc := &LiveCorrelator{
-		in:         in.withDefaults(),
+		in:         in,
 		FlushAfter: DefaultFlushAfter,
 		Emit:       emit,
+		rep:        &Report{Packets: make([]PacketView, 0, ns), byKey: make(map[pktKey]keyState, ns)},
+		fifoLeft:   make([]int64, 0, ns),
+		sizes:      make([]int64, 0, ns),
+		core:       queue[coreRec]{buf: make([]coreRec, 0, nc)},
+		tbs:        queue[tbAttempt]{buf: make([]tbAttempt, 0, nt)},
 		headKeys:   make(map[pktKey]struct{}),
-		coreKeys:   make(map[pktKey]coreKey),
-		sc: scratch{
-			rep:     &Report{byKey: make(map[pktKey]int)},
-			procIdx: make(map[uint64]int32),
-			ckpt:    []checkpoint{},
-			dry:     noPos,
-		},
+		procs:      make([]tbProcess, 0, nt),
+		procIdx:    make(map[uint64]int32, nt),
+		tbids:      make([]uint64, 0, ns+nt),
+		ckpt:       make([]checkpoint, 0, nt),
+		dry:        noPos,
+		sentHead:   noTime,
+		coreHead:   noTime,
 	}
 	lc.senderOff, lc.coreOff = in.offset(packet.PointSender), in.offset(packet.PointCore)
 	if len(in.Flows) > 0 {
@@ -179,43 +202,49 @@ func NewLive(in Input, emit func(PacketView)) *LiveCorrelator {
 // at the capture head, or a record outside Input.Flows is rejected
 // without being ingested.
 func (lc *LiveCorrelator) OnSenderRecord(r packet.Record) error {
-	if r.LocalTime < lc.lastSenderAt {
+	at := r.LocalTime - lc.senderOff
+	if at < lc.sentHead {
 		return fmt.Errorf("%w: sender %d/%d/%s at %v behind head %v",
-			ErrOutOfOrder, r.Flow, r.Seq, r.Kind, r.LocalTime, lc.lastSenderAt)
+			ErrOutOfOrder, r.Flow, r.Seq, r.Kind, r.LocalTime, lc.sentHead+lc.senderOff)
 	}
-	if lc.coveredFlow != nil && !lc.coveredFlow[r.Flow] {
+	if !lc.covers(r.Flow) {
 		return fmt.Errorf("%w: sender %d/%d/%s", ErrFlowNotCovered, r.Flow, r.Seq, r.Kind)
 	}
 	k := pktKey{r.Flow, r.Seq, r.Kind}
-	if r.LocalTime > lc.lastSenderAt {
+	if at > lc.sentHead {
 		lc.resetHead()
 	}
-	sc := &lc.sc
-	i, ok := sc.rep.byKey[k]
-	if _, retired := lc.headKeys[k]; retired || ok && lc.sender[i-sc.shift].LocalTime == r.LocalTime {
+	s, ok := lc.rep.byKey[k]
+	var prev *PacketView
+	if ok && s.view != noView {
+		prev = &lc.rep.Packets[s.view-lc.shift]
+	}
+	if _, retired := lc.headKeys[k]; retired || prev != nil && prev.SentAt == at {
 		// Sequence-less kinds (NTP cross traffic) legitimately repeat a
 		// key at distinct capture times; an identical timestamp means the
 		// same record fed twice.
 		return fmt.Errorf("%w: sender %d/%d/%s at %v", ErrDuplicate, r.Flow, r.Seq, r.Kind, r.LocalTime)
 	}
-	lc.lastSenderAt = r.LocalTime
-	lc.sender = append(lc.sender, r)
+	lc.sentHead = at
+	lc.sizes = append(lc.sizes, int64(r.Size))
 
-	if ok {
+	if prev != nil {
 		// The join is last-wins: the key's core sightings move to its
 		// newest sender record.
-		sc.rep.Packets[i-sc.shift].clearCore()
+		prev.clearCore()
 	}
-	sc.rep.byKey[k] = len(sc.rep.Packets) + sc.shift
-	sc.rep.Packets = append(sc.rep.Packets, PacketView{})
-	v := &sc.rep.Packets[len(sc.rep.Packets)-1]
-	v.fromSender(&r, lc.senderOff)
-	if g, ok := lc.coreKeys[k]; ok {
-		v.joinCore(g.at)
+	s.view = len(lc.rep.Packets) + lc.shift
+	lc.rep.byKey[k] = s
+	lc.rep.Packets = append(lc.rep.Packets, PacketView{})
+	v := &lc.rep.Packets[len(lc.rep.Packets)-1]
+	v.Flow, v.Seq, v.Kind, v.SentAt = r.Flow, r.Seq, r.Kind, at
+	v.SSRC, v.RTPTime, v.Marker = r.SSRC, r.RTPTime, r.Marker
+	if s.n > 0 {
+		v.joinCore(s.at)
 	}
-	sc.fifoLeft = append(sc.fifoLeft, int64(r.Size))
+	lc.fifoLeft = append(lc.fifoLeft, int64(r.Size))
 	// A dry FIFO left budget over that the new packet can take.
-	lc.dirty = min(lc.dirty, sc.dry)
+	lc.dirty = min(lc.dirty, lc.dry)
 	return nil
 }
 
@@ -238,35 +267,48 @@ func (lc *LiveCorrelator) resetHead() {
 // and flow-coverage validation as the sender stream applies; duplicates
 // are harmless here (the join overwrites in place) and pass.
 func (lc *LiveCorrelator) OnCoreRecord(r packet.Record) error {
-	if r.LocalTime < lc.lastCoreAt {
+	at := r.LocalTime - lc.coreOff
+	if at < lc.coreHead {
 		return fmt.Errorf("%w: core %d/%d/%s at %v behind head %v",
-			ErrOutOfOrder, r.Flow, r.Seq, r.Kind, r.LocalTime, lc.lastCoreAt)
+			ErrOutOfOrder, r.Flow, r.Seq, r.Kind, r.LocalTime, lc.coreHead+lc.coreOff)
 	}
-	if lc.coveredFlow != nil && !lc.coveredFlow[r.Flow] {
+	if !lc.covers(r.Flow) {
 		return fmt.Errorf("%w: core %d/%d/%s", ErrFlowNotCovered, r.Flow, r.Seq, r.Kind)
 	}
-	lc.lastCoreAt = r.LocalTime
-	k, at := pktKey{r.Flow, r.Seq, r.Kind}, r.LocalTime-lc.coreOff
-	g, ok := lc.coreKeys[k]
+	lc.coreHead = at
+	k := pktKey{r.Flow, r.Seq, r.Kind}
+	s, ok := lc.rep.byKey[k]
 	if !ok {
-		g.from = lc.arrivals
+		s.view = noView
 	}
-	g.at, g.n = at, g.n+1
-	lc.coreKeys[k] = g
+	if s.n == 0 {
+		s.from = lc.arrivals
+	}
+	s.at, s.n = at, s.n+1
+	lc.rep.byKey[k] = s
 	lc.core.push(coreRec{k, at, lc.arrivals})
 	lc.arrivals++
 	lc.nCore++
-	if i, ok := lc.sc.rep.byKey[k]; ok {
-		lc.sc.rep.Packets[i-lc.sc.shift].joinCore(at)
+	if s.view != noView {
+		lc.rep.Packets[s.view-lc.shift].joinCore(at)
 	}
 	return nil
+}
+
+// noTime marks a capture head no record has set: a clock running behind
+// stamps records before time zero, so zero cannot.
+const noTime = time.Duration(math.MinInt64)
+
+// covers reports whether Input.Flows, if set, lists the flow.
+func (lc *LiveCorrelator) covers(flow uint32) bool {
+	return lc.coveredFlow == nil || lc.coveredFlow[flow]
 }
 
 // OnTB feeds one TB telemetry record (any HARQ attempt). No ordering
 // constraint: merged multi-cell telemetry legitimately interleaves in
 // time, and the process table keeps its order whatever the arrival order.
 func (lc *LiveCorrelator) OnTB(r telemetry.TBRecord) error {
-	a := attemptOf(r, lc.arrivals)
+	a := tbAttempt{r.TBID, r.At, int64(r.UsedBytes), lc.arrivals, int32(r.HARQRound), r.Grant, r.Failed}
 	lc.tbs.push(a)
 	lc.nTBs++
 	lc.arrivals++
@@ -277,13 +319,12 @@ func (lc *LiveCorrelator) OnTB(r telemetry.TBRecord) error {
 // addTB merges one attempt into the TB-process table and re-places the
 // process if the attempt created it or changed its time or fate.
 func (lc *LiveCorrelator) addTB(a tbAttempt) {
-	sc := &lc.sc
-	j, ok := sc.procIdx[a.id]
+	j, ok := lc.procIdx[a.id]
 	if !ok {
-		sc.procs = append(sc.procs, newProcess(a))
-		j = int32(len(sc.procs) - 1)
+		lc.procs = append(lc.procs, newProcess(a))
+		j = int32(len(lc.procs) - 1)
 	} else {
-		p := &sc.procs[j]
+		p := &lc.procs[j]
 		was := *p
 		p.merge(a)
 		if p.initialAt == was.initialAt && p.finalAt == was.finalAt && p.abandoned == was.abandoned {
@@ -297,37 +338,36 @@ func (lc *LiveCorrelator) addTB(a tbAttempt) {
 // first position affected and makes an abandoned process a settle-gate
 // candidate.
 func (lc *LiveCorrelator) placed(j int) {
-	sc := &lc.sc
-	to := sc.place(j)
+	to := lc.place(j)
 	lc.dirty = min(lc.dirty, j, to)
-	if p := &sc.procs[to]; p.abandoned {
+	if p := &lc.procs[to]; p.abandoned {
 		lc.harq = append(lc.harq, p.id)
 	}
 }
 
 // place moves the process at position j until the table is back in
-// (initialAt, seen) order — the batch path's stable sort order —
-// re-indexing each process it passes, and returns the new position.
-// Checkpoints stay put: the one at the lower of the two positions is
-// still the state on entering it, and the walk resumes there.
-func (sc *scratch) place(j int) int {
-	procs, p := sc.procs, sc.procs[j]
+// (initialAt, seen) order, re-indexing each process it passes, and
+// returns the new position. Checkpoints stay put: the one at the lower
+// of the two positions is still the state on entering it, and the walk
+// resumes there.
+func (lc *LiveCorrelator) place(j int) int {
+	procs, p := lc.procs, lc.procs[j]
 	for ; j > 0 && p.before(&procs[j-1]); j-- {
-		sc.shiftProc(j, j-1)
+		lc.shiftProc(j, j-1)
 	}
 	for ; j+1 < len(procs) && procs[j+1].before(&p); j++ {
-		sc.shiftProc(j, j+1)
+		lc.shiftProc(j, j+1)
 	}
 	procs[j] = p
-	sc.procIdx[p.id] = int32(j)
+	lc.procIdx[p.id] = int32(j)
 	return j
 }
 
 // shiftProc moves the process at position from to position to.
-func (sc *scratch) shiftProc(to, from int) {
-	sc.procs[to] = sc.procs[from]
-	if p := &sc.procs[to]; !p.dead {
-		sc.procIdx[p.id] = int32(to)
+func (lc *LiveCorrelator) shiftProc(to, from int) {
+	lc.procs[to] = lc.procs[from]
+	if p := &lc.procs[to]; !p.dead {
+		lc.procIdx[p.id] = int32(to)
 	}
 }
 
@@ -339,7 +379,7 @@ func (lc *LiveCorrelator) Snapshot() LiveSnapshot {
 		Pending:        lc.Pending(),
 		Trims:          lc.trims,
 		Advanced:       lc.advanced,
-		BufferedSender: len(lc.sender),
+		BufferedSender: len(lc.sizes),
 		BufferedCore:   lc.nCore,
 		BufferedTBs:    lc.nTBs,
 	}
@@ -366,14 +406,14 @@ func (lc *LiveCorrelator) Advance(now time.Duration) error {
 	// abandoned and the FIFO redistributes every byte from its position
 	// onward. Packets drained entirely by earlier TBs are unaffected, so
 	// emission holds only at and after the earliest unsettled position.
-	sc, unsettled := &lc.sc, lc.unsettled(now)
+	unsettled := lc.unsettled(now)
 
 	// Emit, in send order, every not-yet-emitted packet that is either
 	// fully resolved (seen at the core with TBs matched) or past the
 	// flush horizon. Views are positionally identical to the sender
 	// buffer, so index — not the (possibly aliased) key — selects them.
-	for lc.emitted < len(lc.sender) {
-		v := &sc.rep.Packets[lc.emitted]
+	for lc.emitted < len(lc.sizes) {
+		v := &lc.rep.Packets[lc.emitted]
 		// Resolved means the view is final: observed at the core and — when
 		// TB telemetry is in play — fully drained by the FIFO matcher, so
 		// no later TB can extend its match (the FIFO head never moves
@@ -381,10 +421,10 @@ func (lc *LiveCorrelator) Advance(now time.Duration) error {
 		// the packet; the explicit check protects emission against feeds
 		// that are not.
 		resolved := v.SeenCore && (lc.nTBs == 0 ||
-			(len(v.TBIDs) > 0 && sc.fifoLeft[lc.emitted] == 0))
+			(len(v.TBIDs) > 0 && lc.fifoLeft[lc.emitted] == 0))
 		if resolved && unsettled < 1<<63-1 {
 			for _, id := range v.TBIDs {
-				if sc.procs[sc.procIdx[id]].initialAt >= unsettled {
+				if lc.procs[lc.procIdx[id]].initialAt >= unsettled {
 					resolved = false
 					break
 				}
@@ -410,33 +450,33 @@ func (lc *LiveCorrelator) Advance(now time.Duration) error {
 // continues where it stopped, if that process was never walked — and
 // walks the rest of the table.
 func (lc *LiveCorrelator) match() {
-	sc, from := &lc.sc, lc.dirty
-	if from < len(sc.procs) {
+	from := lc.dirty
+	if from < len(lc.procs) {
 		var c checkpoint
-		rewound := from < sc.base+len(sc.ckpt)
+		rewound := from < lc.base+len(lc.ckpt)
 		if rewound {
-			c = checkpoint{head: sc.shift}
-			if from >= sc.base {
-				c = sc.ckpt[from-sc.base]
+			c = checkpoint{head: lc.shift}
+			if from >= lc.base {
+				c = lc.ckpt[from-lc.base]
 			}
 		}
 		// The walk appends at most one TBID per process walked plus one
 		// per packet, after the rewind restores the head's.
-		need := len(sc.procs) - from + len(lc.sender) + c.k
-		if cap(sc.tbids)-len(sc.tbids) < need {
+		need := len(lc.procs) - from + len(lc.sizes) + c.k
+		if cap(lc.tbids)-len(lc.tbids) < need {
 			lc.repack(need)
 		}
 		if rewound {
 			lc.rewind(c)
 		}
-		if from <= sc.dry {
-			sc.dry = noPos
+		if from <= lc.dry {
+			lc.dry = noPos
 		}
-		sc.base = min(sc.base, from)
-		sc.ckpt = sc.ckpt[:from-sc.base]
-		sc.walk(lc.in, from)
+		lc.base = min(lc.base, from)
+		lc.ckpt = lc.ckpt[:from-lc.base]
+		lc.walk(from)
 	}
-	lc.dirty = len(sc.procs)
+	lc.dirty = len(lc.procs)
 }
 
 // rewind restores the matcher to checkpoint c and returns every view the
@@ -445,29 +485,28 @@ func (lc *LiveCorrelator) match() {
 // every process before it carried only trimmed packets (and went with
 // them) or cannot carry a later one.
 func (lc *LiveCorrelator) rewind(c checkpoint) {
-	sc := &lc.sc
-	head := c.head - sc.shift
+	head := c.head - lc.shift
 	if head < 0 {
 		head, c = 0, checkpoint{}
 	}
-	m := cursor{head: head, tbStart: len(sc.tbids)}
+	m := cursor{head: head, tbStart: len(lc.tbids)}
 	var ids []uint64
 	if c.k > 0 {
-		ids = sc.rep.Packets[head].TBIDs[:c.k]
-		m.first, m.last = sc.procIdx[ids[0]], sc.procIdx[ids[c.k-1]]
+		ids = lc.rep.Packets[head].TBIDs[:c.k]
+		m.first, m.last = lc.procIdx[ids[0]], lc.procIdx[ids[c.k-1]]
 	}
-	for j := head; j <= sc.m.head && j < len(lc.sender); j++ {
-		v := &sc.rep.Packets[j]
+	for j := head; j <= lc.m.head && j < len(lc.sizes); j++ {
+		v := &lc.rep.Packets[j]
 		v.TBIDs, v.GrantKind, v.QueueWait, v.BSRWait, v.HARQDelay = nil, 0, 0, 0, 0
-		sc.fifoLeft[j] = int64(lc.sender[j].Size)
+		lc.fifoLeft[j] = lc.sizes[j]
 	}
 	if c.k > 0 {
 		// Every take records a TBID, so a head without any is untouched —
 		// perhaps not even fed when the checkpoint was taken.
-		sc.tbids = append(sc.tbids, ids...)
-		sc.fifoLeft[head] = c.left
+		lc.tbids = append(lc.tbids, ids...)
+		lc.fifoLeft[head] = c.left
 	}
-	sc.m = m
+	lc.m = m
 }
 
 // repack moves the retained views' TBIDs to the front of the shared
@@ -475,41 +514,39 @@ func (lc *LiveCorrelator) rewind(c checkpoint) {
 // dropping the IDs of trimmed and re-derived packets. Views hold their
 // IDs in packet order, so packing in that order only ever copies down.
 func (lc *LiveCorrelator) repack(need int) {
-	sc := &lc.sc
 	live := 0
-	for i := range sc.rep.Packets {
-		live += len(sc.rep.Packets[i].TBIDs)
+	for i := range lc.rep.Packets {
+		live += len(lc.rep.Packets[i].TBIDs)
 	}
-	ids := sc.tbids[:0]
+	ids := lc.tbids[:0]
 	if 2*(live+need) > cap(ids) {
 		ids = make([]uint64, 0, 2*(live+need))
 	}
-	for i := range sc.rep.Packets {
-		if v := &sc.rep.Packets[i]; len(v.TBIDs) > 0 {
+	for i := range lc.rep.Packets {
+		if v := &lc.rep.Packets[i]; len(v.TBIDs) > 0 {
 			start := len(ids)
 			ids = append(ids, v.TBIDs...)
 			v.TBIDs = ids[start:len(ids):len(ids)]
 		}
 	}
 	// The head's IDs, if any, are the last packed.
-	sc.m.tbStart = len(ids) - (len(sc.tbids) - sc.m.tbStart)
-	sc.tbids = ids
+	lc.m.tbStart = len(ids) - (len(lc.tbids) - lc.m.tbStart)
+	lc.tbids = ids
 }
 
 // unsettled returns the earliest initial transmission among abandoned
 // processes whose retransmission may still arrive, dropping the
 // candidates that have settled.
 func (lc *LiveCorrelator) unsettled(now time.Duration) time.Duration {
-	sc := &lc.sc
 	settle := lc.in.HARQRTT + lc.in.MatchTolerance
 	earliest := time.Duration(1<<63 - 1)
 	kept := lc.harq[:0]
 	for _, id := range lc.harq {
-		j, ok := sc.procIdx[id]
+		j, ok := lc.procIdx[id]
 		if !ok {
 			continue
 		}
-		if p := &sc.procs[j]; p.abandoned && now < p.finalAt+settle {
+		if p := &lc.procs[j]; p.abandoned && now < p.finalAt+settle {
 			kept = append(kept, id)
 			earliest = min(earliest, p.initialAt)
 		}
@@ -551,27 +588,26 @@ func (lc *LiveCorrelator) unsettled(now time.Duration) time.Duration {
 // processes lead the table, and retired records and processes are
 // compacted away once they make up a quarter of their buffer.
 func (lc *LiveCorrelator) trim(horizon time.Duration) {
-	sc := &lc.sc
 	keepFrom := horizon - time.Second
 	if lc.Pending() == 0 {
-		if len(lc.sender) > 0 {
+		if len(lc.sizes) > 0 {
 			lc.trims++
 		}
-		lc.retire(len(lc.sender))
-		sc.m, sc.tbids, sc.ckpt, sc.dry = cursor{}, sc.tbids[:0], sc.ckpt[:0], noPos
-		head := lc.lastSenderAt - lc.senderOff
-		from, i := max(head, keepFrom), lc.core.off
+		lc.retire(len(lc.sizes))
+		lc.m, lc.tbids, lc.ckpt, lc.dry = cursor{}, lc.tbids[:0], lc.ckpt[:0], noPos
+		from, i := max(lc.sentHead, keepFrom), lc.core.off
 		for ; i < len(lc.core.buf); i++ {
 			if c := &lc.core.buf[i]; lc.coreLive(c) {
 				if c.at >= from {
 					break
 				}
+				// The sender buffer is empty, so the key has no view.
 				lc.nCore--
-				if g := lc.coreKeys[c.key]; g.n > 1 {
-					g.n--
-					lc.coreKeys[c.key] = g
+				if s := lc.rep.byKey[c.key]; s.n > 1 {
+					s.n--
+					lc.rep.byKey[c.key] = s
 				} else {
-					delete(lc.coreKeys, c.key)
+					delete(lc.rep.byKey, c.key)
 				}
 			}
 		}
@@ -588,17 +624,17 @@ func (lc *LiveCorrelator) trim(horizon time.Duration) {
 		// No packet sent from now on precedes the sender head, so a kept
 		// process whose transmission causality bars the head from takes
 		// nothing: the next walk starts past them.
-		head -= lc.in.SlotDuration + lc.in.MatchTolerance
-		sc.base = sort.Search(len(sc.procs), func(j int) bool { return sc.procs[j].initialAt >= head })
-		lc.dirty = sc.base
+		slack := lc.in.SlotDuration + lc.in.MatchTolerance
+		lc.base = sort.Search(len(lc.procs), func(j int) bool { return lc.procs[j].initialAt+slack >= lc.sentHead })
+		lc.dirty = lc.base
 	} else if lc.nTBs > 0 && lc.emitted > 0 {
 		// Without TB telemetry there is no matcher state to settle; the
 		// full-drain reset above bounds that regime.
-		cut := min(sc.m.head, lc.emitted)
-		for cut < lc.emitted && sc.fifoLeft[cut] == 0 {
+		cut := min(lc.m.head, lc.emitted)
+		for cut < lc.emitted && lc.fifoLeft[cut] == 0 {
 			cut++
 		}
-		pkts := sc.rep.Packets
+		pkts := lc.rep.Packets
 		for cut > 0 && sharesTB(pkts[cut-1].TBIDs, pkts[cut].TBIDs) {
 			cut--
 		}
@@ -617,14 +653,14 @@ func (lc *LiveCorrelator) trim(horizon time.Duration) {
 		// attempt precedes the initial one, so the scan ends at whichever
 		// limit comes first.
 		limit := min(pkts[cut].SentAt-lc.in.SlotDuration-lc.in.MatchTolerance, keepFrom)
-		for j := 0; j < len(sc.procs) && sc.procs[j].initialAt < limit; j++ {
-			if p := &sc.procs[j]; !p.dead && p.finalAt < keepFrom {
+		for j := 0; j < len(lc.procs) && lc.procs[j].initialAt < limit; j++ {
+			if p := &lc.procs[j]; !p.dead && p.finalAt < keepFrom {
 				lc.drop(p.id)
 			}
 		}
 		lc.retire(cut)
 	}
-	if 4*lc.nDead > len(sc.procs) {
+	if 4*lc.nDead > len(lc.procs) {
 		lc.compactProcs()
 	}
 	if 4*lc.nCore < 3*len(lc.core.items()) {
@@ -637,32 +673,33 @@ func (lc *LiveCorrelator) trim(horizon time.Duration) {
 
 // retire removes the first cut packets from the window, and their keys'
 // core sightings with them. Positions shift down by cut; the key index
-// stores positions plus sc.shift, so it needs no rewrite.
+// stores positions plus lc.shift, so it needs no rewrite.
 func (lc *LiveCorrelator) retire(cut int) {
-	sc := &lc.sc
-	for i, r := range lc.sender[:cut] {
-		k := pktKey{r.Flow, r.Seq, r.Kind}
-		if g, ok := lc.coreKeys[k]; ok {
-			lc.nCore -= g.n
-			delete(lc.coreKeys, k)
-		}
-		if h, ok := sc.rep.byKey[k]; ok && h == i+sc.shift {
-			delete(sc.rep.byKey, k)
-			if r.LocalTime == lc.lastSenderAt {
+	for i := range lc.rep.Packets[:cut] {
+		v := &lc.rep.Packets[i]
+		k := pktKey{v.Flow, v.Seq, v.Kind}
+		s := lc.rep.byKey[k] // the key's newest view, this one or a later
+		lc.nCore -= s.n
+		if s.view == i+lc.shift {
+			delete(lc.rep.byKey, k)
+			if v.SentAt == lc.sentHead {
 				lc.headKeys[k] = struct{}{}
 			}
-		} else if ok && h-sc.shift >= cut {
-			sc.rep.Packets[h-sc.shift].clearCore()
+			continue
 		}
+		if s.view-lc.shift >= cut {
+			lc.rep.Packets[s.view-lc.shift].clearCore()
+		}
+		s.at, s.n = 0, 0
+		lc.rep.byKey[k] = s
 	}
-	n := copy(lc.sender, lc.sender[cut:])
-	lc.sender = lc.sender[:n]
-	sc.rep.Packets = sc.rep.Packets[:copy(sc.rep.Packets, sc.rep.Packets[cut:])]
-	sc.fifoLeft = sc.fifoLeft[:copy(sc.fifoLeft, sc.fifoLeft[cut:])]
+	lc.sizes = lc.sizes[:copy(lc.sizes, lc.sizes[cut:])]
+	lc.rep.Packets = lc.rep.Packets[:copy(lc.rep.Packets, lc.rep.Packets[cut:])]
+	lc.fifoLeft = lc.fifoLeft[:copy(lc.fifoLeft, lc.fifoLeft[cut:])]
 	lc.emitted -= cut
-	sc.shift += cut
+	lc.shift += cut
 	// Only an unmatched zero-size head can fall in the prefix.
-	sc.m.head = max(sc.m.head-cut, 0)
+	lc.m.head = max(lc.m.head-cut, 0)
 }
 
 // cutTB removes the logged attempt at index i, which the full drain cuts
@@ -671,10 +708,9 @@ func (lc *LiveCorrelator) retire(cut int) {
 // log within one HARQ lifetime — as the cut one may have set its
 // initialAt, used, grant or fate.
 func (lc *LiveCorrelator) cutTB(i int) {
-	sc := &lc.sc
 	id := lc.tbs.buf[i].id
-	j := int(sc.procIdx[id])
-	left := sc.procs[j].nrec - 1
+	j := int(lc.procIdx[id])
+	left := lc.procs[j].nrec - 1
 	if left == 0 {
 		lc.drop(id)
 		return
@@ -690,20 +726,20 @@ func (lc *LiveCorrelator) cutTB(i int) {
 			}
 		}
 	}
-	sc.procs[j] = p
+	lc.procs[j] = p
 	lc.placed(j)
 }
 
 // drop removes a TB process from the table; its slot stays, skipped by
 // the matcher, until compactProcs.
 func (lc *LiveCorrelator) drop(id uint64) {
-	j, ok := lc.sc.procIdx[id]
+	j, ok := lc.procIdx[id]
 	if !ok {
 		return
 	}
-	p := &lc.sc.procs[j]
+	p := &lc.procs[j]
 	p.dead, p.abandoned = true, true
-	delete(lc.sc.procIdx, id)
+	delete(lc.procIdx, id)
 	lc.nTBs -= int(p.nrec)
 	lc.nDead++
 }
@@ -711,10 +747,9 @@ func (lc *LiveCorrelator) drop(id uint64) {
 // compactProcs closes the slots of dropped processes, moving checkpoints
 // and the matcher's process positions with their processes.
 func (lc *LiveCorrelator) compactProcs() {
-	sc := &lc.sc
-	kept, dirty, base, walked, dry := sc.procs[:0], 0, 0, 0, noPos
-	for i, p := range sc.procs {
-		if i == sc.dry {
+	kept, dirty, base, walked, dry := lc.procs[:0], 0, 0, 0, noPos
+	for i, p := range lc.procs {
+		if i == lc.dry {
 			dry = len(kept)
 		}
 		if p.dead {
@@ -723,36 +758,36 @@ func (lc *LiveCorrelator) compactProcs() {
 		if i < lc.dirty {
 			dirty++
 		}
-		if i < sc.base {
+		if i < lc.base {
 			base++
-		} else if i < sc.base+len(sc.ckpt) {
-			sc.ckpt[walked] = sc.ckpt[i-sc.base]
+		} else if i < lc.base+len(lc.ckpt) {
+			lc.ckpt[walked] = lc.ckpt[i-lc.base]
 			walked++
 		}
 		if i != len(kept) {
-			sc.procIdx[p.id] = int32(len(kept))
+			lc.procIdx[p.id] = int32(len(kept))
 		}
 		kept = append(kept, p)
 	}
-	sc.procs, sc.base, sc.ckpt, sc.dry = kept, base, sc.ckpt[:walked], dry
+	lc.procs, lc.base, lc.ckpt, lc.dry = kept, base, lc.ckpt[:walked], dry
 	lc.dirty, lc.nDead = dirty, 0
-	if sc.m.tbStart < len(sc.tbids) {
-		sc.m.first, sc.m.last = sc.procIdx[sc.tbids[sc.m.tbStart]], sc.procIdx[sc.tbids[len(sc.tbids)-1]]
+	if lc.m.tbStart < len(lc.tbids) {
+		lc.m.first, lc.m.last = lc.procIdx[lc.tbids[lc.m.tbStart]], lc.procIdx[lc.tbids[len(lc.tbids)-1]]
 	}
 }
 
 // coreLive reports whether a logged core sighting is still retained.
 func (lc *LiveCorrelator) coreLive(c *coreRec) bool {
-	g, ok := lc.coreKeys[c.key]
-	return ok && c.seq >= g.from
+	s := lc.rep.byKey[c.key]
+	return s.n > 0 && c.seq >= s.from
 }
 
 // tbLive reports whether a logged attempt belongs to a process in the
 // table: dropping a process retires its attempts, and a later attempt of
 // the same TB starts a new one.
 func (lc *LiveCorrelator) tbLive(a *tbAttempt) bool {
-	j, ok := lc.sc.procIdx[a.id]
-	return ok && a.seq >= lc.sc.procs[j].seen
+	j, ok := lc.procIdx[a.id]
+	return ok && a.seq >= lc.procs[j].seen
 }
 
 // queue is an arrival-ordered log consumed from the front. Dropping a
@@ -792,8 +827,8 @@ func (q *queue[T]) keep(live func(*T) bool) {
 // LocalTimes are absolute (e.g. epoch-based) and far ahead of it.
 func (lc *LiveCorrelator) Drain() error {
 	now := lc.advanced
-	if head := lc.lastSenderAt - lc.senderOff; head > now {
-		now = head
+	if lc.sentHead > now {
+		now = lc.sentHead
 	}
 	return lc.Advance(now + lc.FlushAfter + time.Second)
 }
@@ -811,4 +846,4 @@ func sharesTB(a, b []uint64) bool {
 }
 
 // Pending reports how many fed packets await emission.
-func (lc *LiveCorrelator) Pending() int { return len(lc.sender) - lc.emitted }
+func (lc *LiveCorrelator) Pending() int { return len(lc.sizes) - lc.emitted }

@@ -145,7 +145,7 @@ func TestLiveTBProcessTableMatchesWindow(t *testing.T) {
 	if err := lc.Advance(10 * time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	procs, procIdx := lc.sc.procs, lc.sc.procIdx
+	procs, procIdx := lc.procs, lc.procIdx
 	if len(procs) != 3 || procs[1].id != 20 {
 		t.Fatalf("interleaved telemetry did not trip the sort: %+v", procs)
 	}
@@ -168,9 +168,9 @@ func TestLiveTBProcessTableMatchesWindow(t *testing.T) {
 	if err := lc.Advance(11 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if len(lc.sc.procs) != 0 || len(lc.sc.procIdx) != 0 {
+	if len(lc.procs) != 0 || len(lc.procIdx) != 0 {
 		t.Fatalf("TB-less window kept the previous window's table: %d processes, %d indexed",
-			len(lc.sc.procs), len(lc.sc.procIdx))
+			len(lc.procs), len(lc.procIdx))
 	}
 }
 
@@ -218,8 +218,8 @@ func TestLiveMidStreamTrimBoundsBuffers(t *testing.T) {
 		if lc.Pending() == 0 && i > 0 {
 			t.Fatalf("iteration %d: fully drained; this test must exercise the mid-stream path", i)
 		}
-		if len(lc.sender) > maxSender {
-			maxSender = len(lc.sender)
+		if len(lc.sizes) > maxSender {
+			maxSender = len(lc.sizes)
 		}
 		if lc.nCore > maxCore {
 			maxCore = lc.nCore
@@ -417,7 +417,7 @@ func TestLiveTrimBoundsMemory(t *testing.T) {
 	if lc.Pending() != 0 {
 		t.Fatalf("pending = %d after final advance", lc.Pending())
 	}
-	if len(lc.sender) > 100 || lc.nCore > 100 {
-		t.Fatalf("state unbounded: sender=%d core=%d", len(lc.sender), lc.nCore)
+	if len(lc.sizes) > 100 || lc.nCore > 100 {
+		t.Fatalf("state unbounded: sender=%d core=%d", len(lc.sizes), lc.nCore)
 	}
 }
