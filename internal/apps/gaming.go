@@ -10,7 +10,6 @@ import (
 	"math/rand"
 	"time"
 
-	"athena/internal/media"
 	"athena/internal/packet"
 	"athena/internal/rtp"
 	"athena/internal/sim"
@@ -43,9 +42,6 @@ type GameConfig struct {
 	// FrameBudget is the delivery deadline past capture before a frame
 	// counts late (default 50 ms).
 	FrameBudget time.Duration
-
-	// Seed drives the frame-content randomness (size variation).
-	Seed int64
 }
 
 func (c *GameConfig) defaults() {
@@ -70,7 +66,6 @@ type GameServer struct {
 	alloc *packet.Alloc
 	out   packet.Handler // downlink path toward the UE
 	rng   *rand.Rand
-	src   *media.Source
 	pack  *rtp.Packetizer
 
 	rung       int // index into Cfg.LadderMbps
@@ -107,7 +102,6 @@ func NewGameServer(s *sim.Simulator, alloc *packet.Alloc, cfg GameConfig, rng *r
 		alloc: alloc,
 		out:   out,
 		rng:   rng,
-		src:   media.NewSource(64, 48, cfg.Seed),
 		pack:  rtp.NewPacketizer(cfg.FrameFlow, rtp.PayloadTypeVideo, 90000, 1160),
 		rung:  len(cfg.LadderMbps) - 1,
 	}
@@ -135,7 +129,6 @@ func (gs *GameServer) RateMbps() float64 { return gs.Cfg.LadderMbps[gs.rung] }
 // around rate/fps.
 func (gs *GameServer) emitFrame() {
 	now := gs.sim.Now()
-	frame := gs.src.Next() // reuse the media source as the render content
 	mean := gs.RateMbps() * 1e6 / 8 / float64(gs.Cfg.FPS)
 	size := mean * (1 + (gs.rng.Float64()-0.5)*0.2)
 	if size < 120 {
@@ -147,7 +140,7 @@ func (gs *GameServer) emitFrame() {
 		SVC:        rtp.LayerBase,
 	})
 	for _, rp := range pkts {
-		rp.FrameID = frame.Seq
+		rp.FrameID = uint64(gs.FramesSent) // frames are numbered from 0
 		wire := units.ByteCount(rp.WireSize() + 28)
 		p := gs.alloc.New(packet.KindVideo, gs.Cfg.FrameFlow, wire, now)
 		p.Payload = rp

@@ -19,7 +19,7 @@ func TestGameServerPacesFramesAtRate(t *testing.T) {
 		pkts++
 		bytes += p.Size
 	})
-	gs := NewGameServer(s, &alloc, GameConfig{FrameFlow: 7, Seed: 3}, s.NewStream(), out)
+	gs := NewGameServer(s, &alloc, GameConfig{FrameFlow: 7}, s.NewStream(), out)
 	gs.Start(time.Second)
 	s.RunUntil(time.Second)
 	// 60 fps pacing inclusive of t=0 and t=1s ticks.
@@ -51,7 +51,7 @@ func TestGameClientAssemblesReorderedFrames(t *testing.T) {
 			cur = nil
 		}
 	})
-	cfg := GameConfig{InputFlow: 1, FrameFlow: 7, Seed: 3}
+	cfg := GameConfig{InputFlow: 1, FrameFlow: 7}
 	gs := NewGameServer(s, &alloc, cfg, s.NewStream(), out)
 	gc := NewGameClient(s, &alloc, cfg, packet.Discard)
 	gs.Start(200 * time.Millisecond)

@@ -43,19 +43,21 @@ func (f *Frame) At(x, y int) uint8 { return f.Pix[y*f.W+x] }
 // video.
 type Source struct {
 	W, H int
-	rng  rand.Source
+	rng  *lfgStream
 	seq  uint64
 
-	// Per-frame tables of the texture's three sinusoids, reused across
-	// frames: col over x, row over y, diag over x+y.
+	// Per-frame scratch reused across frames: the tables of the texture's
+	// three sinusoids (col over x, row over y, diag over x+y) and the
+	// frame's noise, row-major like Pix.
 	col, row, diag []float64
+	noise          []int8
 }
 
 // NewSource creates a frame source with the given dimensions. Small frames
 // (e.g. 64×48) keep per-frame SSIM cheap while preserving the
 // bitrate→quality relationship.
 func NewSource(w, h int, seed int64) *Source {
-	return &Source{W: w, H: h, rng: rand.NewSource(seed)}
+	return &Source{W: w, H: h, rng: newLFGStream(seed)}
 }
 
 // Next produces the next frame in display order.
@@ -77,9 +79,12 @@ func (s *Source) Next() *Frame {
 		s.col = make([]float64, s.W)
 		s.row = make([]float64, s.H)
 		s.diag = make([]float64, s.W+s.H-1)
+		s.noise = make([]int8, s.W*s.H)
 	}
 	col, row, diag := s.col, s.row, s.diag
-	phase := float64(f.Seq) * 0.13
+	// A little static detail so the image is not band-limited.
+	s.rng.fillNoise(s.noise)
+	phase := float64(float64(f.Seq) * 0.13)
 	// Smoothly moving texture: two crossed sinusoids and a diagonal one.
 	for x := range col {
 		col[x] = 128 + float64(52*math.Sin(float64(float64(x)*0.21)+phase))
@@ -90,30 +95,103 @@ func (s *Source) Next() *Frame {
 	for d := range diag {
 		diag[d] = float64(16 * math.Sin(float64(float64(d)*0.09)+float64(0.3*phase)))
 	}
-	rng := s.rng
 	for y, ry := range row {
 		pix := f.Pix[y*s.W:][:len(col)]
 		dg := diag[y:][:len(col)]
+		nz := s.noise[y*s.W:][:len(col)]
 		for x, cx := range col {
-			// A little static detail so the image is not band-limited.
-			pix[x] = clamp8(cx + ry + dg[x] + float64(noise(rng)))
+			pix[x] = clamp8(cx + ry + dg[x] + float64(nz[x]))
 		}
 	}
 	return f
 }
 
-// noise draws uniformly from [-5, 5]: math/rand's Int31n(11) minus 5, taken
-// straight from the source — same rejection bound, same stream as
-// rand.New(src).Intn(11) — in a shape the compiler inlines into the pixel
-// loop.
-func noise(src rand.Source) int32 {
+// lfgStream is the stream of rand.NewSource(seed), drawn without an
+// interface call per value. math/rand's source is an additive lagged
+// Fibonacci generator, o[n] = o[n−607] + o[n−273] mod 2⁶⁴, and its
+// compatibility promise freezes that stream; so once the first 607
+// outputs come from the real source, the recurrence continues them
+// exactly.
+type lfgStream struct {
+	// vec holds the last lfgLen terms of the recurrence: the next output
+	// o[n] is vec[i] + vec[j] (o[n−607] + o[n−273], j = i+334 mod 607)
+	// and overwrites vec[i].
+	vec [lfgLen]uint64
+	i   int
+}
+
+const (
+	lfgLen = 607
+	lfgTap = 273
+)
+
+// newLFGStream draws o[0..606] from the real source and solves the
+// recurrence backwards for the 607 terms before o[0] that it maps onto
+// them, so the stream starts at o[0]: o[n] = t[n] + o[n−273] fixes t[n]
+// for n ≥ 273, and o[n] = t[n] + t[n+334] then fixes the rest.
+func newLFGStream(seed int64) *lfgStream {
+	src := rand.NewSource(seed).(rand.Source64)
+	var o [lfgLen]uint64
+	for n := range o {
+		o[n] = src.Uint64()
+	}
+	g := &lfgStream{}
+	for n := lfgTap; n < lfgLen; n++ {
+		g.vec[n] = o[n] - o[n-lfgTap]
+	}
+	for n := 0; n < lfgTap; n++ {
+		g.vec[n] = o[n] - g.vec[n+lfgLen-lfgTap]
+	}
+	return g
+}
+
+// Int63 is the stream's next value as rand.Source.Int63 returns it.
+func (g *lfgStream) Int63() int64 {
+	i := g.i
+	j := i + lfgLen - lfgTap
+	if j >= lfgLen {
+		j -= lfgLen
+	}
+	x := g.vec[i] + g.vec[j]
+	g.vec[i] = x
+	if i++; i == lfgLen {
+		i = 0
+	}
+	g.i = i
+	return int64(x &^ (1 << 63))
+}
+
+// fillNoise fills dst with values uniform on [-5, 5]: math/rand's
+// Int31n(11) minus 5, each with the same rejection bound and from the
+// same stream as rand.New(src).Intn(11). It is Int63 inlined by hand and
+// run in stretches where neither lag index wraps, so the loop body is a
+// few loads, an add and a store.
+func (g *lfgStream) fillNoise(dst []int8) {
 	const n = 11
 	const max = (1 << 31) - 1 - (1<<31)%n
-	for {
-		if v := int32(src.Int63() >> 32); v <= max {
-			return v%n - 5
+	i, k := g.i, 0
+	for k < len(dst) {
+		j := i + lfgLen - lfgTap
+		if j >= lfgLen {
+			j -= lfgLen
+		}
+		feed, tap := g.vec[i:], g.vec[j:]
+		run := min(len(feed), len(tap))
+		feed, tap = feed[:run], tap[:run]
+		t := 0
+		for ; t < run && k < len(dst); t++ {
+			x := feed[t] + tap[t]
+			feed[t] = x
+			if v := uint32(x << 1 >> 33); v <= max {
+				dst[k] = int8(v%n) - 5
+				k++
+			}
+		}
+		if i += t; i == lfgLen {
+			i = 0
 		}
 	}
+	g.i = i
 }
 
 func clamp8(v float64) uint8 {

@@ -97,7 +97,7 @@ func (b *JitterBuffer) adapt(lateness time.Duration) {
 		l = 0
 	}
 	const alpha = 1.0 / 16
-	b.jitterEst += (l - b.jitterEst) * alpha
+	b.jitterEst += float64((l - b.jitterEst) * alpha)
 	want := time.Duration(2 * b.jitterEst)
 	if want < b.MinDelay {
 		want = b.MinDelay

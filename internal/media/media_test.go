@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
@@ -55,6 +56,30 @@ func TestSourceGoldenPixels(t *testing.T) {
 		}
 		if got := hex.EncodeToString(h.Sum(nil)); got != tc.want {
 			t.Errorf("%dx%d seed %d: pixel hash %s, want %s", tc.w, tc.h, tc.seed, got, tc.want)
+		}
+	}
+}
+
+// The camera's inline noise stream is math/rand's default source,
+// continued by its recurrence instead of drawn through the interface:
+// value for value, well past the 607 outputs it is seeded from, and its
+// noise is rand.New(src).Intn(11) − 5 with the same rejections.
+func TestLFGStreamMatchesMathRand(t *testing.T) {
+	for _, seed := range []int64{0, 1, 7, 7001, -3, 1 << 40} {
+		g, src := newLFGStream(seed), rand.NewSource(seed)
+		for n := 0; n < 100_000; n++ {
+			if got, want := g.Int63(), src.Int63(); got != want {
+				t.Fatalf("seed %d: draw %d is %d, want %d", seed, n, got, want)
+			}
+		}
+		g, rng := newLFGStream(seed), rand.New(rand.NewSource(seed))
+		noise := make([]int8, 20_000)
+		g.fillNoise(noise[:5])
+		g.fillNoise(noise[5:])
+		for n, v := range noise {
+			if want := rng.Intn(11) - 5; int(v) != want {
+				t.Fatalf("seed %d: noise %d is %d, want %d", seed, n, v, want)
+			}
 		}
 	}
 }

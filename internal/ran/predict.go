@@ -132,7 +132,6 @@ func (r *RAN) predictiveGrants(u *UE, now time.Duration) []*grant {
 			gs = append(gs, &grant{
 				ue:   u,
 				tbs:  units.ByteCount(float64(p.size) * predictMargin),
-				due:  now,
 				kind: telemetry.GrantAppAware,
 			})
 			p.anchor += p.period
@@ -143,7 +142,6 @@ func (r *RAN) predictiveGrants(u *UE, now time.Duration) []*grant {
 			gs = append(gs, &grant{
 				ue:   u,
 				tbs:  units.ByteCount(float64(p.smallSize)*predictMargin) + 60,
-				due:  now,
 				kind: telemetry.GrantAppAware,
 			})
 			p.smallAnchor += p.smallPeriod

@@ -41,15 +41,13 @@ type RAN struct {
 
 	Telemetry *telemetry.Collector
 
-	// pendingGrants are requested/app-aware grants not yet executable.
 	// Per-UE grant/BSR/predictor state lives on the UE itself, so each
-	// attachment's scheduling pipeline is self-contained.
-	pendingGrants []*grant
-	// spareGrants is the backing array onULSlot filters pendingGrants
-	// into; the two swap every slot, so a standing backlog is re-filtered
-	// in place instead of regrown from nil.
-	spareGrants []*grant
-	rrStart     int
+	// attachment's scheduling pipeline is self-contained. rests is the
+	// slot's scratch list of split remainders and predictive retries, in
+	// allocation order; onULSlot hands each to its UE's queue at the end
+	// of the slot.
+	rests   []*grant
+	rrStart int
 
 	// faded reports whether the cell is currently in a channel fade.
 	faded   bool
@@ -69,13 +67,77 @@ type RAN struct {
 
 // grant is an uplink allocation executable at a specific UL slot.
 type grant struct {
-	ue   *UE
-	tbs  units.ByteCount
+	ue  *UE
+	tbs units.ByteCount
+	// due is when a BSR-requested grant becomes executable. Every other
+	// grant is executable at the slot whose queue it sits in.
 	due  time.Duration
 	kind telemetry.GrantKind
 	// retries counts re-issues of a predicted grant that fired before the
 	// traffic it anticipated arrived.
 	retries int
+}
+
+// carries reports whether an unserved grant of this kind waits for the
+// next slot. Speculative allocations (proactive, oracle) lapse instead.
+func carries(k telemetry.GrantKind) bool {
+	return k == telemetry.GrantRequested || k == telemetry.GrantAppAware
+}
+
+// grantRing is a double-ended grant queue over a power-of-two ring: a
+// UE's backlog is served from the front, and a slot touches only the
+// grants it serves, files or carries past, never the whole queue.
+type grantRing struct {
+	buf  []*grant
+	head int
+	n    int
+}
+
+func (q *grantRing) at(i int) *grant { return q.buf[(q.head+i)&(len(q.buf)-1)] }
+
+func (q *grantRing) grow() {
+	if q.n < len(q.buf) {
+		return
+	}
+	buf := make([]*grant, max(8, 2*len(q.buf)))
+	for i := range q.n {
+		buf[i] = q.at(i)
+	}
+	q.buf, q.head = buf, 0
+}
+
+func (q *grantRing) pushBack(g *grant) {
+	q.grow()
+	q.buf[(q.head+q.n)&(len(q.buf)-1)] = g
+	q.n++
+}
+
+func (q *grantRing) pushFront(g *grant) {
+	q.grow()
+	q.head = (q.head - 1) & (len(q.buf) - 1)
+	q.buf[q.head] = g
+	q.n++
+}
+
+func (q *grantRing) popFront() *grant {
+	g := q.buf[q.head]
+	q.buf[q.head] = nil
+	q.head = (q.head + 1) & (len(q.buf) - 1)
+	q.n--
+	return g
+}
+
+func (q *grantRing) popBack() *grant {
+	i := (q.head + q.n - 1) & (len(q.buf) - 1)
+	g := q.buf[i]
+	q.buf[i] = nil
+	q.n--
+	return g
+}
+
+func (q *grantRing) reset() {
+	clear(q.buf)
+	q.head, q.n = 0, 0
 }
 
 // New creates a RAN on s delivering uplink packets to core. The UL slot
@@ -184,15 +246,8 @@ func (r *RAN) Detach(u *UE) {
 	} else {
 		r.rrStart = 0
 	}
-	kept := r.pendingGrants[:0]
-	for _, g := range r.pendingGrants {
-		if g.ue != u {
-			kept = append(kept, g)
-		}
-	}
-	r.pendingGrants = kept
-	u.slotGrants = u.slotGrants[:0]
-	u.slotHead = 0
+	u.grants.reset()
+	u.bsrGrants.reset()
 	u.outstanding = 0
 
 	// HARQ reset. Only TBs awaiting a retransmission are in flight (the
@@ -275,40 +330,48 @@ func (r *RAN) onULSlot() {
 	nextSlot := now + r.Cfg.ULPeriod()
 	capacity := r.effectiveCapacity()
 
-	// 1. Gather this slot's executable grants into per-UE queues (the
-	//    UE's transient slotGrants field). Within a UE: backlogged
-	//    requested grants first (FIFO), then app-aware/oracle, then the
-	//    speculative proactive grant — under load the gNB cannot afford
-	//    speculative allocations, which is why the paper only sees
-	//    proactive TBs helping in a lightly-used cell.
-	still := r.spareGrants[:0]
-	for _, g := range r.pendingGrants {
-		if g.due <= now {
-			g.ue.slotGrants = append(g.ue.slotGrants, g)
-		} else {
-			still = append(still, g)
-		}
-	}
-	r.spareGrants, r.pendingGrants = r.pendingGrants, still
+	// 1. Queue this slot's executable grants on each UE, in service
+	//    order: BSR grants filed two or more slots ago that are now due
+	//    (pushed in front of what the queue carried over from the last
+	//    slot: its split rests and retries, its unserved requested and
+	//    app-aware grants, and a BSR grant filed last slot that is due
+	//    already), then this slot's own grants — app-aware/oracle, or the
+	//    speculative proactive grant, which goes last because under load
+	//    the gNB cannot afford speculative allocations; that is why the
+	//    paper only sees proactive TBs helping in a lightly-used cell.
 	for _, u := range r.ues {
+		due := 0
+		for due < u.bsrGrants.n && u.bsrGrants.at(due).due <= now {
+			due++
+		}
+		for i := due - 1; i >= 0; i-- {
+			u.grants.pushFront(u.bsrGrants.at(i))
+		}
+		for ; due > 0; due-- {
+			u.bsrGrants.popFront()
+		}
 		switch u.Sched {
 		case SchedOracle:
 			if u.bufBytes > 0 {
-				u.slotGrants = append(u.slotGrants, &grant{ue: u, tbs: u.bufBytes, due: now, kind: telemetry.GrantOracle})
+				u.grants.pushBack(&grant{ue: u, tbs: u.bufBytes, kind: telemetry.GrantOracle})
 			}
 		case SchedAppAware:
-			u.slotGrants = append(u.slotGrants, r.appAwareGrants(u, now)...)
+			for _, g := range r.appAwareGrants(u, now) {
+				u.grants.pushBack(g)
+			}
 		case SchedPredictive:
-			u.slotGrants = append(u.slotGrants, r.predictiveGrants(u, now)...)
+			for _, g := range r.predictiveGrants(u, now) {
+				u.grants.pushBack(g)
+			}
 		case SchedCombined, SchedProactiveOnly:
-			u.slotGrants = append(u.slotGrants, &grant{ue: u, tbs: r.Cfg.ProactiveTBS, due: now, kind: telemetry.GrantProactive})
+			u.grants.pushBack(&grant{ue: u, tbs: r.Cfg.ProactiveTBS, kind: telemetry.GrantProactive})
 		case SchedQoEAware:
 			// StreamGuard-style: speculative proactive grants go to the
 			// latency-sensitive families only. Elastic bulk waits for its
 			// BSR — under load the freed slot budget is exactly what keeps
 			// the interactive UEs' grants timely.
 			if u.Hint != HintThroughput {
-				u.slotGrants = append(u.slotGrants, &grant{ue: u, tbs: r.Cfg.ProactiveTBS, due: now, kind: telemetry.GrantProactive})
+				u.grants.pushBack(&grant{ue: u, tbs: r.Cfg.ProactiveTBS, kind: telemetry.GrantProactive})
 			}
 		}
 	}
@@ -327,19 +390,18 @@ func (r *RAN) onULSlot() {
 			if order != nil {
 				u = order[i]
 			}
-			if u.slotHead == len(u.slotGrants) {
+			if u.grants.n == 0 {
 				continue
 			}
-			g := u.slotGrants[u.slotHead]
-			u.slotHead++
+			g := u.grants.popFront()
 			progress = true
 			tbs := g.tbs
 			if tbs > remaining {
 				// Split: transmit what fits, defer the rest.
 				rest := tbs - remaining
 				tbs = remaining
-				if g.kind == telemetry.GrantRequested || g.kind == telemetry.GrantAppAware {
-					r.pendingGrants = append(r.pendingGrants, &grant{ue: g.ue, tbs: rest, due: nextSlot, kind: g.kind})
+				if carries(g.kind) {
+					r.rests = append(r.rests, &grant{ue: u, tbs: rest, kind: g.kind})
 				}
 			}
 			remaining -= tbs
@@ -349,7 +411,7 @@ func (r *RAN) onULSlot() {
 					u.outstanding = 0
 				}
 			}
-			used := r.transmitTB(g.ue, tbs, g.kind, now)
+			used := r.transmitTB(u, tbs, g.kind, now)
 			// QoE-aware cells reclaim the unused tail of speculative
 			// grants: strict tier priority would otherwise let idle
 			// proactive allocations of the latency tiers permanently
@@ -365,10 +427,9 @@ func (r *RAN) onULSlot() {
 			// unused" (not strictly empty) covers the case where a stray
 			// audio packet absorbed a few bytes of an early frame grant.
 			if used*2 < tbs && g.kind == telemetry.GrantAppAware &&
-				g.ue.Sched == SchedPredictive && g.retries < 4 {
-				r.pendingGrants = append(r.pendingGrants, &grant{
-					ue: g.ue, tbs: g.tbs - used, due: nextSlot,
-					kind: g.kind, retries: g.retries + 1,
+				u.Sched == SchedPredictive && g.retries < 4 {
+				r.rests = append(r.rests, &grant{
+					ue: u, tbs: g.tbs - used, kind: g.kind, retries: g.retries + 1,
 				})
 			}
 		}
@@ -376,20 +437,21 @@ func (r *RAN) onULSlot() {
 			break
 		}
 	}
-	// Unserved grants: requested/app-aware defer to the next slot;
-	// proactive allocations simply lapse. Walked in attach order — the
-	// deferral is per-UE FIFO, so cross-UE order is immaterial, but the
-	// deterministic walk keeps the telemetry stream reproducible.
+	// Unserved grants: requested/app-aware ones stay queued, in order, for
+	// the next slot; proactive and oracle allocations lapse. Only this
+	// slot's own grants can lapse, and they sit at the back of the queue.
+	// The slot's split rests and retries go in front of what stays, each
+	// UE's in the order it filed them.
 	for _, u := range r.ues {
-		for _, g := range u.slotGrants[u.slotHead:] {
-			if g.kind == telemetry.GrantRequested || g.kind == telemetry.GrantAppAware {
-				g.due = nextSlot
-				r.pendingGrants = append(r.pendingGrants, g)
-			}
+		for u.grants.n > 0 && !carries(u.grants.at(u.grants.n-1).kind) {
+			u.grants.popBack()
 		}
-		u.slotGrants = u.slotGrants[:0]
-		u.slotHead = 0
 	}
+	for i := len(r.rests) - 1; i >= 0; i-- {
+		r.rests[i].ue.grants.pushFront(r.rests[i])
+		r.rests[i] = nil
+	}
+	r.rests = r.rests[:0]
 	if n > 0 {
 		r.rrStart = (r.rrStart + 1) % n
 	}
@@ -416,9 +478,15 @@ func (r *RAN) onULSlot() {
 			want = capacity // a grant cannot exceed one slot
 		}
 		u.outstanding += want
-		r.pendingGrants = append(r.pendingGrants, &grant{
-			ue: u, tbs: want, due: now + r.Cfg.SchedDelay, kind: telemetry.GrantRequested,
-		})
+		g := &grant{ue: u, tbs: want, due: now + r.Cfg.SchedDelay, kind: telemetry.GrantRequested}
+		// A grant due by the next slot is served after what that slot
+		// carries over; a later one waits in the UE's BSR FIFO, where a
+		// fixed SchedDelay keeps due times in filing order.
+		if g.due <= nextSlot {
+			u.grants.pushBack(g)
+		} else {
+			u.bsrGrants.pushBack(g)
+		}
 	}
 }
 
@@ -609,7 +677,7 @@ func (r *RAN) appAwareGrants(u *UE, now time.Duration) []*grant {
 		u.hasMeta = false // consume; refreshed by the next meta packet
 		// The frame that carried the metadata is itself in the buffer:
 		// grant for it immediately.
-		return []*grant{{ue: u, tbs: st.frameBytes, due: now, kind: telemetry.GrantAppAware}}
+		return []*grant{{ue: u, tbs: st.frameBytes, kind: telemetry.GrantAppAware}}
 	}
 	if !st.primed {
 		return nil
@@ -618,11 +686,11 @@ func (r *RAN) appAwareGrants(u *UE, now time.Duration) []*grant {
 	// Issue the frame grant on the first UL slot at/after the predicted
 	// generation instant; anchors in the future wait for a later slot.
 	for st.interval > 0 && st.anchor <= now {
-		gs = append(gs, &grant{ue: u, tbs: st.frameBytes, due: now, kind: telemetry.GrantAppAware})
+		gs = append(gs, &grant{ue: u, tbs: st.frameBytes, kind: telemetry.GrantAppAware})
 		st.anchor += st.interval
 	}
 	for st.audioInterval > 0 && st.audioAnchor <= now {
-		gs = append(gs, &grant{ue: u, tbs: st.audioBytes, due: now, kind: telemetry.GrantAppAware})
+		gs = append(gs, &grant{ue: u, tbs: st.audioBytes, kind: telemetry.GrantAppAware})
 		st.audioAnchor += st.audioInterval
 	}
 	return gs

@@ -136,14 +136,14 @@ type UE struct {
 	bufBytes units.ByteCount
 
 	// Per-UE scheduler state: outstanding tracks requested-but-not-yet-
-	// executed bytes so repeated BSRs are not double-counted; slotGrants
-	// is the transient executable-grant queue of the current UL slot,
-	// consumed from slotHead so its backing array is reused every slot;
+	// executed bytes so repeated BSRs are not double-counted; grants holds
+	// the grants executable at the next UL slot, in service order, and
+	// bsrGrants the filed BSR grants not yet due, in filing order;
 	// app/pred hold the app-aware and predictive schedulers' learned
 	// models for this attachment.
 	outstanding units.ByteCount
-	slotGrants  []*grant
-	slotHead    int
+	grants      grantRing
+	bsrGrants   grantRing
 	app         *appAwareState
 	pred        *predictor
 

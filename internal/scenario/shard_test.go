@@ -108,6 +108,52 @@ func TestSingleCellDigestsPinned(t *testing.T) {
 	}
 }
 
+// TestShortSchedDelayDigestsPinned covers a grant order no registry
+// artifact reaches: a BSR delay of at most one UL period, where a grant
+// filed in one slot is due in the next and queues behind the grants that
+// slot carries over. Cross traffic overloads cell 0 for a second so the
+// per-UE backlogs run deep; a handover clears one UE's queues mid-run.
+// The literals were recorded from the cell-wide pending-grant list that
+// the per-UE grant queues replaced.
+func TestShortSchedDelayDigestsPinned(t *testing.T) {
+	for _, tc := range []struct {
+		cfg   ran.Config
+		delay time.Duration
+		sched ran.SchedulerKind
+		mix   bool
+		want  string
+	}{
+		{ran.Defaults(), 500 * time.Microsecond, ran.SchedCombined, true, "794fc7a8c83b1739386ccb1315eb62cc4d8f18b1b7bf69b3a34538213ee1594a"},
+		{ran.Defaults(), time.Millisecond, ran.SchedAppAware, false, "04a93ef68c6eae27cddabd28dad091df76a6e26a17e5fb5abb923164755a41bb"},
+		{ran.Defaults(), 2500 * time.Microsecond, ran.SchedPredictive, true, "446bcec796e551b1dac8258a8ce39e9feea17360894e53c8eaccf65b2dca10d8"},
+		{ran.LTEDefaults(), time.Millisecond, ran.SchedQoEAware, true, "4b7eeba408b20347011a8a279a6a75c86211f60713e025de89d969b295f4016d"},
+	} {
+		top := NewMultiCellTopology(8, 2)
+		top.Seed = 5
+		top.Duration = 3 * time.Second
+		top.RAN = tc.cfg
+		top.RAN.SchedDelay = tc.delay
+		top.RAN.BLER = 0.1
+		top.Cells[0].CrossUEs = 3
+		top.Cells[0].CrossPhases = []ran.CrossPhase{
+			{Start: 0, Rate: 6 * units.Mbps}, {Start: time.Second, Rate: 30 * units.Mbps}, {Start: 2 * time.Second, Rate: 2 * units.Mbps},
+		}
+		if tc.mix {
+			top.MixWorkloads()
+		}
+		for i := range top.UEs {
+			top.UEs[i].Sched = tc.sched
+			top.UEs[i].AttachMeta = i%2 == 0
+		}
+		top.UEs[0].Handovers = []Handover{{At: 1500 * time.Millisecond, ToCell: 1}}
+		got := RunTopology(top).Digest()
+		// Encoder-noise floats are not FMA-pinned off amd64 (ROADMAP item 14).
+		if runtime.GOARCH == "amd64" && got != tc.want {
+			t.Errorf("%v, SchedDelay %v, %v: digest %s, want %s", tc.cfg.Duplex, tc.delay, tc.sched, got, tc.want)
+		}
+	}
+}
+
 // TestLiveDigestsPinned pins streaming behaviour across commits: each
 // literal folds the live-replay digest of every UE's session stream, in
 // UE order, at one tick. Most of these streams hold packets past the

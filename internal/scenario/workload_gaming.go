@@ -27,12 +27,11 @@ func (w *gamingWorkload) Kind() WorkloadKind { return WorkloadCloudGaming }
 func (w *gamingWorkload) Hint() ran.AppHintClass { return ran.HintLatency }
 
 func (w *gamingWorkload) Build(b *build, ub *ueBuild) {
-	s, spec := b.s, ub.spec
+	s := b.s
 	w.until = b.top.Duration
 	cfg := apps.GameConfig{
 		InputFlow: ub.flows.Video,
 		FrameFlow: ub.flows.DLVideo,
-		Seed:      spec.Seed + 10,
 	}
 	frameOut := packet.HandlerFunc(func(p *packet.Packet) {
 		s.After(15*time.Millisecond, func() { ub.servingCell.SendDownlink(ub.ranUE, p) })

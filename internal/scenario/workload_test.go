@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -307,5 +308,40 @@ func TestQoEAwareSchedulerMixedCell(t *testing.T) {
 	// Bulk still makes progress (starved entirely would be a scheduler bug).
 	if mbps := qoe.UEs[2].Score.Scalars["goodput_mbps"]; mbps <= 0 {
 		t.Fatalf("qoe-aware starved bulk entirely: %v Mbps", mbps)
+	}
+}
+
+// A receiver retires the sender's stored frame once it completes (or is
+// given up on), so after a run each FrameStore holds only frames still in
+// flight: none whose every packet already reached the receiver's tap.
+func TestFrameStoreHoldsOnlyFramesInFlight(t *testing.T) {
+	top := NewMultiCellTopology(16, 2)
+	top.Duration = 4 * time.Second
+	res := RunTopology(top)
+	for _, ue := range res.UEs {
+		video, _ := ue.Sender.SSRCs()
+		frames := map[uint32][]uint64{} // RTP timestamp → the frame's packets
+		for _, rec := range ue.CapSender.Records {
+			if rec.Kind == packet.KindVideo && rec.SSRC == video {
+				frames[rec.RTPTime] = append(frames[rec.RTPTime], rec.PacketID)
+			}
+		}
+		arrived := map[uint64]bool{}
+		for _, rec := range ue.CapReceiver.Records {
+			arrived[rec.PacketID] = true
+		}
+		stored := ue.Sender.FrameStore
+		if 4*len(stored) > len(frames) {
+			t.Errorf("UE %d: %d of %d sent frames still stored", ue.ID, len(stored), len(frames))
+		}
+		for id, ef := range stored {
+			pkts := frames[uint32(ef.PTS.Seconds()*90000)]
+			if len(pkts) == 0 {
+				t.Fatalf("UE %d: stored frame %#x (PTS %v) matches no sent packet", ue.ID, id, ef.PTS)
+			}
+			if !slices.ContainsFunc(pkts, func(p uint64) bool { return !arrived[p] }) {
+				t.Errorf("UE %d: frame %#x (PTS %v) reached the receiver whole but is still stored", ue.ID, id, ef.PTS)
+			}
+		}
 	}
 }

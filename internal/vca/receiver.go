@@ -67,8 +67,9 @@ type frameAsm struct {
 	createdAt    time.Duration
 }
 
-// NewReceiver creates a receiver. frames is the sender's FrameStore;
-// fbOut carries RTCP feedback packets back toward the sender.
+// NewReceiver creates a receiver. frames is the sender's FrameStore, which
+// the receiver empties as frames complete or are given up on; fbOut
+// carries RTCP feedback packets back toward the sender.
 func NewReceiver(s *sim.Simulator, alloc *packet.Alloc, videoSSRC uint32, frames map[uint64]*media.EncodedFrame, fbOut packet.Handler) *Receiver {
 	if fbOut == nil {
 		fbOut = packet.Discard
@@ -185,7 +186,10 @@ func seqBefore(a, b uint16) bool { return a != b && b-a < 0x8000 }
 func (r *Receiver) completeFrame(id uint64, a *frameAsm, now time.Duration) {
 	delete(r.asm, id)
 	r.completed[id] = now
+	// The sender's copy is read once, here: a completed frame is never
+	// displayed again, so the entry retires with it.
 	ef := r.frames[id]
+	delete(r.frames, id)
 	if ef == nil {
 		// Frame content unavailable (e.g. audio-less test harness).
 		return
@@ -213,12 +217,14 @@ func (r *Receiver) completeFrame(id uint64, a *frameAsm, now time.Duration) {
 	})
 }
 
-// reapStale drops reassembly state for frames that will never complete.
+// reapStale drops reassembly state, and the sender's stored frame, for
+// frames that will never complete.
 func (r *Receiver) reapStale() {
 	now := r.sim.Now()
 	for id, a := range r.asm {
 		if now-a.createdAt > 2*time.Second {
 			delete(r.asm, id)
+			delete(r.frames, id)
 			r.LostFrames++
 		}
 	}
