@@ -132,7 +132,7 @@ func (l *LossEstimator) Update(fb *rtp.Feedback) {
 		return
 	}
 	inst := float64(lost) / float64(recv+lost)
-	l.frac = 0.7*l.frac + 0.3*inst
+	l.frac = float64(0.7*l.frac) + float64(0.3*inst)
 }
 
 // Fraction reports the smoothed loss fraction in [0,1].

@@ -95,7 +95,7 @@ func (d *detector) adapt(m float64, now time.Duration) {
 			dt = ms
 		}
 	}
-	d.threshold += k * (am - d.threshold) * dt
+	d.threshold += float64(k * (am - d.threshold) * dt)
 	if d.threshold < thresholdMin {
 		d.threshold = thresholdMin
 	}

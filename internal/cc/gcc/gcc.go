@@ -133,7 +133,7 @@ func (g *GCC) OnFeedback(fb *rtp.Feedback, now time.Duration) {
 	lf := g.loss.Fraction()
 	switch {
 	case lf > 0.10:
-		g.lossRate = units.BitRate(float64(g.lossRate) * (1 - 0.5*lf))
+		g.lossRate = units.BitRate(float64(g.lossRate) * (1 - float64(0.5*lf)))
 	case lf < 0.02:
 		g.lossRate = units.BitRate(float64(g.lossRate) * 1.05)
 	}

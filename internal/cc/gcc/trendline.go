@@ -35,7 +35,9 @@ func (t *trendline) update(d time.Duration, arrival time.Duration) {
 	t.numDeltas++
 	ms := float64(d) / float64(time.Millisecond)
 	t.accumDelay += ms
-	t.smoothedDlay = trendSmoothing*t.smoothedDlay + (1-trendSmoothing)*t.accumDelay
+	// Here and below, float64() around a product keeps arm64 from fusing
+	// it with the neighbouring add, so every GOARCH rounds as amd64 does.
+	t.smoothedDlay = float64(trendSmoothing*t.smoothedDlay) + float64((1-trendSmoothing)*t.accumDelay)
 
 	xi := float64(arrival-t.firstArrival) / float64(time.Millisecond)
 	t.x = append(t.x, xi)
@@ -61,8 +63,8 @@ func slope(x, y []float64, prev float64) float64 {
 	mx, my := sx/n, sy/n
 	var num, den float64
 	for i := range x {
-		num += (x[i] - mx) * (y[i] - my)
-		den += (x[i] - mx) * (x[i] - mx)
+		num += float64((x[i] - mx) * (y[i] - my))
+		den += float64((x[i] - mx) * (x[i] - mx))
 	}
 	if den == 0 {
 		return prev

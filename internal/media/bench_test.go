@@ -7,32 +7,57 @@ import (
 	"athena/internal/units"
 )
 
-var sinkFrame *Frame
+var sinkRef FrameRef
 
-func BenchmarkSourceNext64x48(b *testing.B) {
+// BenchmarkSourceRender64x48 renders consecutive frames into one scratch
+// frame: the cost of a scored frame whose predecessor was scored.
+func BenchmarkSourceRender64x48(b *testing.B) {
 	src := NewSource(64, 48, 1)
+	var f Frame
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sinkFrame = src.Next()
+		src.Next().renderInto(&f)
 	}
 }
 
-// TestSourceNextAllocs pins that the trig tables are Source-owned scratch:
-// after the first call a frame costs its own two allocations (the Frame
-// and its Pix) and nothing else.
+// BenchmarkSourceSkip64x48 is the walk a render makes over each unscored
+// frame before it: one frame's noise drawn and dropped.
+func BenchmarkSourceSkip64x48(b *testing.B) {
+	g := newLFGStream(1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g.skipNoise(64 * 48)
+	}
+}
+
+// TestSourceNextAllocs pins the lazy camera's costs: Next returns a value
+// handle and allocates nothing, and once the trig tables exist, rendering
+// into a scratch frame — a skip walk included — allocates nothing either.
 func TestSourceNextAllocs(t *testing.T) {
 	src := NewSource(64, 48, 1)
-	src.Next()
-	if n := testing.AllocsPerRun(100, func() { sinkFrame = src.Next() }); n != 2 {
-		t.Fatalf("Next: %v allocs per frame, want 2", n)
+	if n := testing.AllocsPerRun(100, func() { sinkRef = src.Next() }); n != 0 {
+		t.Fatalf("Next: %v allocs per frame, want 0", n)
+	}
+	var f Frame
+	src.Next().renderInto(&f)
+	render := func() {
+		for range 3 {
+			src.Next()
+		}
+		src.Next().renderInto(&f)
+	}
+	if n := testing.AllocsPerRun(100, render); n != 0 {
+		t.Fatalf("render into scratch: %v allocs per frame, want 0", n)
 	}
 }
 
 func BenchmarkSSIM64x48(b *testing.B) {
 	src := NewSource(64, 48, 1)
-	f := src.Next()
-	ef := &EncodedFrame{Seq: f.Seq, NoiseSigma: 10, Source: f}
+	ref := src.Next()
+	f := render(ref)
+	ef := &EncodedFrame{Seq: f.Seq, NoiseSigma: 10, Source: ref}
 	g := ef.Decode()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -43,7 +68,7 @@ func BenchmarkSSIM64x48(b *testing.B) {
 func BenchmarkEncodeFrame(b *testing.B) {
 	src := NewSource(64, 48, 1)
 	e := NewEncoder(Mode28FPS, units.Mbps, 1)
-	frames := make([]*Frame, 64)
+	frames := make([]FrameRef, 64)
 	for i := range frames {
 		frames[i] = src.Next()
 	}

@@ -43,10 +43,10 @@ type EncodedFrame struct {
 	Layer      rtp.SVCLayer
 	Bytes      units.ByteCount
 	NoiseSigma float64 // quantization-distortion model parameter
-	// Source is the pristine frame, retained so the receiver can
-	// reconstruct and score SSIM (the paper compares each received frame
+	// Source names the pristine frame, so the receiver can render,
+	// reconstruct and score it (the paper compares each received frame
 	// with the corresponding sent frame).
-	Source *Frame
+	Source FrameRef
 }
 
 // Encoder models a Zoom-like SVC video encoder: it consumes camera frames,
@@ -114,7 +114,7 @@ func (e *Encoder) SkipFrames(n int) {
 // Encode consumes the next camera frame and returns its encoded form, or
 // nil if the frame was skipped (enhancement skip or layer cadence). pts is
 // the frame's capture time.
-func (e *Encoder) Encode(src *Frame, pts time.Duration) *EncodedFrame {
+func (e *Encoder) Encode(src FrameRef, pts time.Duration) *EncodedFrame {
 	idx := e.frameIdx
 	e.frameIdx++
 
@@ -168,16 +168,18 @@ func (e *Encoder) Encode(src *Frame, pts time.Duration) *EncodedFrame {
 // content distorted by the encoder's quantization noise. The noise RNG is
 // keyed by frame sequence so repeated decodes are deterministic.
 func (ef *EncodedFrame) Decode() *Frame {
+	var src Frame
+	ef.Source.renderInto(&src)
 	out := &Frame{}
-	ef.decodeInto(out, rand.New(rand.NewSource(0)))
+	ef.decodeInto(out, &src, rand.New(rand.NewSource(0)))
 	return out
 }
 
-// decodeInto is Decode into caller-owned scratch: out is overwritten
-// (its Pix reused when large enough) and rng is reseeded, which yields
-// the stream of a fresh generator with that seed.
-func (ef *EncodedFrame) decodeInto(out *Frame, rng *rand.Rand) {
-	src := ef.Source
+// decodeInto is Decode into caller-owned scratch, from src, the rendered
+// Source: out is overwritten (its Pix reused when large enough) and rng
+// is reseeded, which yields the stream of a fresh generator with that
+// seed.
+func (ef *EncodedFrame) decodeInto(out, src *Frame, rng *rand.Rand) {
 	out.Seq, out.W, out.H = src.Seq, src.W, src.H
 	out.Pix = append(out.Pix[:0], src.Pix...)
 	rng.Seed(int64(ef.Seq)*2654435761 + 17)

@@ -9,6 +9,7 @@ package media
 import (
 	"math"
 	"math/rand"
+	"slices"
 )
 
 // Frame is one uncompressed luma (grayscale) picture. Seq is the
@@ -17,11 +18,6 @@ type Frame struct {
 	Seq  uint64
 	W, H int
 	Pix  []uint8 // row-major luma samples, len = W*H
-}
-
-// NewFrame allocates a black frame.
-func NewFrame(seq uint64, w, h int) *Frame {
-	return &Frame{Seq: seq, W: w, H: h, Pix: make([]uint8, w*h)}
 }
 
 // Clone deep-copies the frame.
@@ -41,26 +37,51 @@ func (f *Frame) At(x, y int) uint8 { return f.Pix[y*f.W+x] }
 // little (P-frame-friendly) and SSIM against a distorted copy is
 // meaningful. The content is a stand-in for the paper's prerecorded talk
 // video.
+//
+// Frames are rendered lazily: Next only stamps a FrameRef, and the pixels
+// are drawn when a FrameRef is rendered. The Source is a cursor over its
+// noise stream; a render walks the stream forward over the frames in
+// between, so the bytes do not depend on which frames are rendered, nor
+// in what order. A Source and its FrameRefs belong to one goroutine.
 type Source struct {
 	W, H int
-	rng  *lfgStream
-	seq  uint64
+	seed int64
+	seq  uint64 // the next frame Next issues
 
-	// Per-frame scratch reused across frames: the tables of the texture's
-	// three sinusoids (col over x, row over y, diag over x+y) and the
-	// frame's noise, row-major like Pix.
+	// rng is positioned at the noise of frame cursor; nil until the
+	// first render.
+	rng    *lfgStream
+	cursor uint64
+
+	// Render scratch reused across frames: the tables of the texture's
+	// three sinusoids (col over x, row over y, diag over x+y).
 	col, row, diag []float64
-	noise          []int8
 }
 
 // NewSource creates a frame source with the given dimensions. Small frames
 // (e.g. 64×48) keep per-frame SSIM cheap while preserving the
 // bitrate→quality relationship.
 func NewSource(w, h int, seed int64) *Source {
-	return &Source{W: w, H: h, rng: newLFGStream(seed)}
+	return &Source{W: w, H: h, seed: seed}
 }
 
-// Next produces the next frame in display order.
+// FrameRef names one frame of a Source without its pixels.
+type FrameRef struct {
+	Seq  uint64
+	W, H int
+	src  *Source
+}
+
+// Next issues the next frame in display order. It draws no noise and
+// renders nothing.
+func (s *Source) Next() FrameRef {
+	f := FrameRef{Seq: s.seq, W: s.W, H: s.H, src: s}
+	s.seq++
+	return f
+}
+
+// renderInto renders the frame into dst, reusing dst.Pix when it is large
+// enough.
 //
 // A sample is ((128 + 52·sin(0.21x+φ)) + 43·cos(0.17y−0.7φ)) +
 // 16·sin(0.09(x+y)+0.3φ), plus noise, rounded — the float64 sum taken in
@@ -69,21 +90,28 @@ func NewSource(w, h int, seed int64) *Source {
 // product is wrapped in float64(), which forbids fusing it with the
 // neighbouring add: the bytes are the same on every GOARCH, and
 // TestSourceGoldenPixels pins them.
-func (s *Source) Next() *Frame {
-	f := NewFrame(s.seq, s.W, s.H)
-	s.seq++
-	if len(f.Pix) == 0 {
-		return f
+func (f FrameRef) renderInto(dst *Frame) {
+	s := f.src
+	dst.Seq, dst.W, dst.H = f.Seq, f.W, f.H
+	dst.Pix = slices.Grow(dst.Pix[:0], f.W*f.H)[:f.W*f.H]
+	if len(dst.Pix) == 0 {
+		return
 	}
+	// A frame behind the cursor replays the stream from its seed.
+	if s.rng == nil || f.Seq < s.cursor {
+		s.rng, s.cursor = newLFGStream(s.seed), 0
+	}
+	s.rng.skipNoise(int(f.Seq-s.cursor) * len(dst.Pix))
+	// A little static detail so the image is not band-limited; the noise
+	// is parked in Pix and read back below.
+	s.rng.fillNoise(dst.Pix)
+	s.cursor = f.Seq + 1
 	if len(s.col) != s.W || len(s.row) != s.H {
 		s.col = make([]float64, s.W)
 		s.row = make([]float64, s.H)
 		s.diag = make([]float64, s.W+s.H-1)
-		s.noise = make([]int8, s.W*s.H)
 	}
 	col, row, diag := s.col, s.row, s.diag
-	// A little static detail so the image is not band-limited.
-	s.rng.fillNoise(s.noise)
 	phase := float64(float64(f.Seq) * 0.13)
 	// Smoothly moving texture: two crossed sinusoids and a diagonal one.
 	for x := range col {
@@ -96,14 +124,12 @@ func (s *Source) Next() *Frame {
 		diag[d] = float64(16 * math.Sin(float64(float64(d)*0.09)+float64(0.3*phase)))
 	}
 	for y, ry := range row {
-		pix := f.Pix[y*s.W:][:len(col)]
+		pix := dst.Pix[y*s.W:][:len(col)]
 		dg := diag[y:][:len(col)]
-		nz := s.noise[y*s.W:][:len(col)]
 		for x, cx := range col {
-			pix[x] = clamp8(cx + ry + dg[x] + float64(nz[x]))
+			pix[x] = clamp8(cx + ry + dg[x] + float64(int8(pix[x])))
 		}
 	}
-	return f
 }
 
 // lfgStream is the stream of rand.NewSource(seed), drawn without an
@@ -161,12 +187,12 @@ func (g *lfgStream) Int63() int64 {
 	return int64(x &^ (1 << 63))
 }
 
-// fillNoise fills dst with values uniform on [-5, 5]: math/rand's
-// Int31n(11) minus 5, each with the same rejection bound and from the
-// same stream as rand.New(src).Intn(11). It is Int63 inlined by hand and
-// run in stretches where neither lag index wraps, so the loop body is a
-// few loads, an add and a store.
-func (g *lfgStream) fillNoise(dst []int8) {
+// fillNoise fills dst with values uniform on [-5, 5], stored as int8 bit
+// patterns: math/rand's Int31n(11) minus 5, each with the same rejection
+// bound and from the same stream as rand.New(src).Intn(11). It is Int63
+// inlined by hand and run in stretches where neither lag index wraps, so
+// the loop body is a few loads, an add and a store.
+func (g *lfgStream) fillNoise(dst []uint8) {
 	const n = 11
 	const max = (1 << 31) - 1 - (1<<31)%n
 	i, k := g.i, 0
@@ -183,11 +209,41 @@ func (g *lfgStream) fillNoise(dst []int8) {
 			x := feed[t] + tap[t]
 			feed[t] = x
 			if v := uint32(x << 1 >> 33); v <= max {
-				dst[k] = int8(v%n) - 5
+				dst[k] = uint8(int8(v%n) - 5)
 				k++
 			}
 		}
 		if i += t; i == lfgLen {
+			i = 0
+		}
+	}
+	g.i = i
+}
+
+// skipNoise advances the stream past n noise values exactly as fillNoise
+// would draw them, rejections included, and stores nothing. A stretch
+// draws as many values as are still owed, then owes one more per value
+// it rejected.
+func (g *lfgStream) skipNoise(n int) {
+	const max = (1 << 31) - 1 - (1<<31)%11
+	i := g.i
+	for n > 0 {
+		j := i + lfgLen - lfgTap
+		if j >= lfgLen {
+			j -= lfgLen
+		}
+		feed, tap := g.vec[i:], g.vec[j:]
+		run := min(len(feed), len(tap), n)
+		feed, tap = feed[:run], tap[:run]
+		for t := range feed {
+			x := feed[t] + tap[t]
+			feed[t] = x
+			if uint32(x<<1>>33) > max {
+				n++
+			}
+		}
+		n -= run
+		if i += run; i == lfgLen {
 			i = 0
 		}
 	}

@@ -13,11 +13,21 @@ import (
 	"athena/internal/units"
 )
 
+// render renders f into a fresh frame.
+func render(f FrameRef) *Frame {
+	var dst Frame
+	f.renderInto(&dst)
+	return &dst
+}
+
+// blank is a black w×h frame.
+func blank(w, h int) *Frame { return &Frame{W: w, H: h, Pix: make([]uint8, w*h)} }
+
 func TestSourceDeterministic(t *testing.T) {
 	a := NewSource(32, 24, 7)
 	b := NewSource(32, 24, 7)
 	for i := 0; i < 5; i++ {
-		fa, fb := a.Next(), b.Next()
+		fa, fb := render(a.Next()), render(b.Next())
 		if fa.Seq != fb.Seq {
 			t.Fatal("seq mismatch")
 		}
@@ -30,10 +40,10 @@ func TestSourceDeterministic(t *testing.T) {
 }
 
 // TestSourceGoldenPixels pins the synthetic camera's content: SHA-256
-// over Pix of frames 0..99, recorded from the per-pixel-trig kernel this
-// one replaced. Every SSIM figure and every registry digest that folds
-// one rests on these bytes. 33×17 exercises W≠H and the diagonal table's
-// length.
+// over Pix of frames 0..99, rendered in order, recorded from the
+// per-pixel-trig kernel of an eager camera. Every SSIM figure and every
+// registry digest that folds one rests on these bytes. 33×17 exercises
+// W≠H and the diagonal table's length.
 func TestSourceGoldenPixels(t *testing.T) {
 	for _, tc := range []struct {
 		w, h int
@@ -46,8 +56,9 @@ func TestSourceGoldenPixels(t *testing.T) {
 	} {
 		s := NewSource(tc.w, tc.h, tc.seed)
 		h := sha256.New()
+		var f Frame
 		for i := 0; i < 100; i++ {
-			f := s.Next()
+			s.Next().renderInto(&f)
 			if f.Seq != uint64(i) || f.W != tc.w || f.H != tc.h || len(f.Pix) != tc.w*tc.h {
 				t.Fatalf("%dx%d seed %d frame %d: seq %d, %dx%d, %d samples",
 					tc.w, tc.h, tc.seed, i, f.Seq, f.W, f.H, len(f.Pix))
@@ -56,6 +67,53 @@ func TestSourceGoldenPixels(t *testing.T) {
 		}
 		if got := hex.EncodeToString(h.Sum(nil)); got != tc.want {
 			t.Errorf("%dx%d seed %d: pixel hash %s, want %s", tc.w, tc.h, tc.seed, got, tc.want)
+		}
+	}
+}
+
+// TestSourceRenderOrder holds the lazy camera to its sequential bytes: a
+// frame renders the same whichever frames were rendered before it and in
+// whatever order — shuffled, reversed, repeated, or after skipping many —
+// so a receiver that scores every 4th frame, late or out of order, sees
+// what an eager camera drew. One scratch frame serves every size.
+func TestSourceRenderOrder(t *testing.T) {
+	const n = 40
+	reversed, repeated := make([]int, n), []int{0, 0, 1, 1, 1, 7, 7, 2, 9, 9, 9}
+	for i := range reversed {
+		reversed[i] = n - 1 - i
+	}
+	orders := []struct {
+		name  string
+		order []int
+	}{
+		{"shuffled", rand.New(rand.NewSource(3)).Perm(n)},
+		{"reversed", reversed},
+		{"repeated", repeated},
+		{"skip-many-then-render", []int{n - 1, n - 1, 0, n / 2, n - 2}},
+	}
+	var f Frame
+	for _, sz := range []struct{ w, h int }{{64, 48}, {33, 17}, {0, 0}} {
+		seq := NewSource(sz.w, sz.h, 5)
+		want := make([][sha256.Size]byte, n)
+		for k := range want {
+			want[k] = sha256.Sum256(render(seq.Next()).Pix)
+		}
+		for _, o := range orders {
+			s := NewSource(sz.w, sz.h, 5)
+			refs := make([]FrameRef, n)
+			for k := range refs {
+				refs[k] = s.Next()
+			}
+			for _, k := range o.order {
+				refs[k].renderInto(&f)
+				if f.Seq != uint64(k) || f.W != sz.w || f.H != sz.h || len(f.Pix) != sz.w*sz.h {
+					t.Fatalf("%dx%d %s: frame %d rendered as seq %d, %dx%d, %d samples",
+						sz.w, sz.h, o.name, k, f.Seq, f.W, f.H, len(f.Pix))
+				}
+				if sha256.Sum256(f.Pix) != want[k] {
+					t.Errorf("%dx%d %s: frame %d differs from its sequential render", sz.w, sz.h, o.name, k)
+				}
+			}
 		}
 	}
 }
@@ -73,20 +131,44 @@ func TestLFGStreamMatchesMathRand(t *testing.T) {
 			}
 		}
 		g, rng := newLFGStream(seed), rand.New(rand.NewSource(seed))
-		noise := make([]int8, 20_000)
+		noise := make([]uint8, 20_000)
 		g.fillNoise(noise[:5])
 		g.fillNoise(noise[5:])
 		for n, v := range noise {
-			if want := rng.Intn(11) - 5; int(v) != want {
+			if want := rng.Intn(11) - 5; int(int8(v)) != want {
 				t.Fatalf("seed %d: noise %d is %d, want %d", seed, n, v, want)
 			}
 		}
 	}
 }
 
+// A seeded stream rejects about one draw in 10⁹, so the rejection rule
+// of skipNoise is checked on a stream built to reject: every 7th lag
+// term makes a value above Int31n(11)'s bound. Skipping k values must
+// leave the stream where filling k values does, over a lag wrap.
+func TestSkipNoiseMatchesFillNoise(t *testing.T) {
+	var crafted lfgStream
+	for n := range crafted.vec {
+		if n%7 == 0 {
+			crafted.vec[n] = 0x7fffffff << 32
+		}
+	}
+	for _, k := range []int{1, 5, 300, 606, 607, 900, 5000} {
+		filled, skipped := crafted, crafted
+		filled.fillNoise(make([]uint8, k))
+		skipped.skipNoise(k)
+		if k < lfgLen && filled.i == k {
+			t.Fatalf("k=%d: the crafted stream rejected nothing", k)
+		}
+		if skipped != filled {
+			t.Fatalf("k=%d: skipNoise left the stream at %d, fillNoise at %d", k, skipped.i, filled.i)
+		}
+	}
+}
+
 func TestSourceFramesEvolve(t *testing.T) {
 	s := NewSource(32, 24, 7)
-	a, b := s.Next(), s.Next()
+	a, b := render(s.Next()), render(s.Next())
 	if a.Seq+1 != b.Seq {
 		t.Fatal("seq not incrementing")
 	}
@@ -102,7 +184,7 @@ func TestSourceFramesEvolve(t *testing.T) {
 }
 
 func TestFrameCloneIndependent(t *testing.T) {
-	f := NewFrame(1, 4, 4)
+	f := blank(4, 4)
 	f.Pix[0] = 10
 	g := f.Clone()
 	g.Pix[0] = 20
@@ -121,7 +203,7 @@ func TestClamp8(t *testing.T) {
 }
 
 func TestSSIMIdentical(t *testing.T) {
-	f := NewSource(64, 48, 1).Next()
+	f := render(NewSource(64, 48, 1).Next())
 	v, err := SSIM(f, f)
 	if err != nil {
 		t.Fatal(err)
@@ -132,10 +214,11 @@ func TestSSIMIdentical(t *testing.T) {
 }
 
 func TestSSIMDecreasesWithNoise(t *testing.T) {
-	f := NewSource(64, 48, 1).Next()
+	ref := NewSource(64, 48, 1).Next()
+	f := render(ref)
 	prev := 1.0
 	for _, sigma := range []float64{5, 15, 40} {
-		ef := &EncodedFrame{Seq: f.Seq, NoiseSigma: sigma, Source: f}
+		ef := &EncodedFrame{Seq: f.Seq, NoiseSigma: sigma, Source: ref}
 		v := MustSSIM(f, ef.Decode())
 		if v >= prev {
 			t.Fatalf("SSIM not decreasing: sigma=%v -> %v (prev %v)", sigma, v, prev)
@@ -145,12 +228,12 @@ func TestSSIMDecreasesWithNoise(t *testing.T) {
 }
 
 func TestSSIMErrors(t *testing.T) {
-	a := NewFrame(1, 64, 48)
-	b := NewFrame(1, 32, 48)
+	a := blank(64, 48)
+	b := blank(32, 48)
 	if _, err := SSIM(a, b); err != ErrSSIMMismatch {
 		t.Fatal("size mismatch not detected")
 	}
-	tiny := NewFrame(1, 4, 4)
+	tiny := blank(4, 4)
 	if _, err := SSIM(tiny, tiny); err != ErrSSIMMismatch {
 		t.Fatal("too-small frame not detected")
 	}
@@ -159,8 +242,9 @@ func TestSSIMErrors(t *testing.T) {
 func TestSSIMSymmetricProperty(t *testing.T) {
 	src := NewSource(64, 48, 3)
 	f := func(sigma8 uint8) bool {
-		f1 := src.Next()
-		ef := &EncodedFrame{Seq: f1.Seq, NoiseSigma: float64(sigma8) / 8, Source: f1}
+		ref := src.Next()
+		f1 := render(ref)
+		ef := &EncodedFrame{Seq: f1.Seq, NoiseSigma: float64(sigma8) / 8, Source: ref}
 		f2 := ef.Decode()
 		a := MustSSIM(f1, f2)
 		b := MustSSIM(f2, f1)
@@ -300,7 +384,7 @@ func TestEncoderQualityImprovesWithRate(t *testing.T) {
 		n := 20
 		for i := 0; i < n; i++ {
 			ef := e.Encode(src.Next(), 0)
-			sum += MustSSIM(ef.Source, ef.Decode())
+			sum += MustSSIM(render(ef.Source), ef.Decode())
 		}
 		return sum / float64(n)
 	}
@@ -476,7 +560,7 @@ func TestRendererSSIMScoring(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		ef := e.Encode(src.Next(), 0)
 		r.Display(ef, time.Duration(i)*33*time.Millisecond)
-		want = append(want, MustSSIM(ef.Source, ef.Decode()))
+		want = append(want, MustSSIM(render(ef.Source), ef.Decode()))
 	}
 	if len(r.SSIMs) != 4 {
 		t.Fatalf("SSIMs = %d", len(r.SSIMs))

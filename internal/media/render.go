@@ -41,9 +41,10 @@ type Renderer struct {
 	// 1 scores all frames.
 	SSIMEvery int
 	ssimSkip  int
-	// Scratch for the decoded copy each scored frame is compared against.
-	dec    Frame
-	decRNG *rand.Rand
+	// Scratch for each scored frame: its rendered source and the decoded
+	// copy compared against it.
+	src, dec Frame
+	decRNG   *rand.Rand
 
 	// StallThreshold: gap between consecutive displays that counts as a
 	// stall. The paper flags frames on screen "longer than intended";
@@ -90,8 +91,9 @@ func (r *Renderer) Display(f *EncodedFrame, now time.Duration) {
 	r.ssimSkip++
 	if r.ssimSkip >= r.SSIMEvery {
 		r.ssimSkip = 0
-		f.decodeInto(&r.dec, r.decRNG)
-		if v, err := SSIM(f.Source, &r.dec); err == nil {
+		f.Source.renderInto(&r.src)
+		f.decodeInto(&r.dec, &r.src, r.decRNG)
+		if v, err := SSIM(&r.src, &r.dec); err == nil {
 			r.SSIMs = append(r.SSIMs, v)
 		}
 	}

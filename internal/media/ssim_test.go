@@ -10,7 +10,7 @@ import (
 // with independent per-pixel distortion of up to ±amp, clipped to 8 bits.
 func ssimPair(w, h int, seed int64, amp int) (a, b *Frame) {
 	rng := rand.New(rand.NewSource(seed))
-	a, b = NewFrame(0, w, h), NewFrame(0, w, h)
+	a, b = blank(w, h), blank(w, h)
 	for i := range a.Pix {
 		v := (i%w)*3 + (i/w)*2 + rng.Intn(64)
 		a.Pix[i] = uint8(min(v, 255))
@@ -48,12 +48,13 @@ func TestSSIMPinned(t *testing.T) {
 	// The synthetic camera against its own decode, as Renderer.Display
 	// scores it.
 	src := NewSource(64, 48, 11)
-	var dec Frame
+	var pix, dec Frame
 	rng := rand.New(rand.NewSource(0))
 	for i, want := range []uint64{0x3fef4dac087571ed, 0x3fec3431d77f34af, 0x3fe7d66a712aa9b6} {
 		ef := &EncodedFrame{Seq: uint64(i), NoiseSigma: 4 + 6*float64(i), Source: src.Next()}
-		ef.decodeInto(&dec, rng)
-		got := MustSSIM(ef.Source, &dec)
+		ef.Source.renderInto(&pix)
+		ef.decodeInto(&dec, &pix, rng)
+		got := MustSSIM(&pix, &dec)
 		if bits := math.Float64bits(got); bits != want {
 			t.Errorf("camera frame %d: SSIM %v (bits %#x), want bits %#x", i, got, bits, want)
 		}

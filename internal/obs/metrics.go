@@ -199,13 +199,17 @@ type HistSnapshot struct {
 	Buckets []HistBucket `json:"buckets,omitempty"`
 }
 
-// Snapshot exports the histogram's current state.
+// Snapshot exports the histogram's current state. Count is the sum of
+// the buckets it read, not the count word: a Record running concurrently
+// may have reached one and not the other, and the exposition's le="+Inf"
+// bucket must still equal _count and top the cumulative series.
 func (h *Histogram) Snapshot() HistSnapshot {
-	s := HistSnapshot{Count: h.count.Load(), Sum: h.sum.Load()}
+	s := HistSnapshot{Sum: h.sum.Load()}
 	var counts [histBuckets]int64
 	for i := range h.buckets {
 		if n := h.buckets[i].Load(); n > 0 {
 			counts[i] = n
+			s.Count += n
 			s.Buckets = append(s.Buckets, HistBucket{Le: bucketBound(i), N: n})
 		}
 	}

@@ -147,6 +147,9 @@ func TestObserveDuration(t *testing.T) {
 }
 
 func TestRegistryDedupAndSnapshot(t *testing.T) {
+	// The registry is process-wide; a repeat run (-count) must find the
+	// names fresh again.
+	t.Cleanup(func() { UnregisterPrefix("test.registry.") })
 	a := NewCounter("test.registry.dup")
 	b := NewCounter("test.registry.dup")
 	if a != b {

@@ -52,14 +52,16 @@ func summarizeSorted(s []float64) Summary {
 	if len(s) == 0 {
 		return Summary{}
 	}
+	// Here and below, float64() around a product keeps arm64 from fusing
+	// it with the neighbouring add, so every GOARCH rounds as amd64 does.
 	var sum, sumsq float64
 	for _, x := range s {
 		sum += x
-		sumsq += x * x
+		sumsq += float64(x * x)
 	}
 	n := float64(len(s))
 	mean := sum / n
-	variance := sumsq/n - mean*mean
+	variance := sumsq/n - float64(mean*mean)
 	if variance < 0 {
 		variance = 0
 	}
@@ -120,14 +122,14 @@ func quantileSorted(s []float64, q float64) float64 {
 	if q >= 1 {
 		return s[len(s)-1]
 	}
-	pos := q * float64(len(s)-1)
+	pos := float64(q * float64(len(s)-1))
 	lo := int(math.Floor(pos))
 	hi := int(math.Ceil(pos))
 	if lo == hi {
 		return s[lo]
 	}
 	frac := pos - float64(lo)
-	return s[lo]*(1-frac) + s[hi]*frac
+	return float64(s[lo]*(1-frac)) + float64(s[hi]*frac)
 }
 
 // Mean returns the arithmetic mean of xs, or NaN for empty input.
@@ -201,7 +203,7 @@ func (c *CDF) Points(n int) []Point {
 	}
 	step := (hi - lo) / float64(n-1)
 	for i := 0; i < n; i++ {
-		x := lo + float64(i)*step
+		x := lo + float64(float64(i)*step)
 		pts = append(pts, Point{X: x, Y: c.At(x)})
 	}
 	return pts
@@ -235,7 +237,7 @@ func (r *Running) Add(x float64) {
 	}
 	delta := x - r.mean
 	r.mean += delta / float64(r.n)
-	r.m2 += delta * (x - r.mean)
+	r.m2 += float64(delta * (x - r.mean))
 }
 
 // Count reports the number of samples seen.

@@ -1,24 +1,167 @@
 package vca
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
 	"athena/internal/cc/gcc"
-	"athena/internal/netem"
 	"athena/internal/packet"
 	"athena/internal/sim"
 	"athena/internal/units"
 )
 
-// impairHarness wires the sender and receiver through an Impairer.
-func impairHarness(t *testing.T, mut func(*netem.Impairer)) *harness {
+// impairer injects the network pathologies the VCA's reassembly path
+// must survive: random loss, reordering (a packet held back briefly so
+// later ones overtake it), and duplication. It sits between any two
+// handlers; zero-valued probabilities disable each impairment, so the
+// zero config is a transparent wire.
+type impairer struct {
+	// LossProb drops a packet outright.
+	LossProb float64
+	// ReorderProb holds a packet for ReorderDelay instead of forwarding
+	// immediately.
+	ReorderProb  float64
+	ReorderDelay time.Duration
+	// DupProb forwards a packet twice (the duplicate after DupDelay).
+	DupProb  float64
+	DupDelay time.Duration
+
+	next packet.Handler
+	sim  *sim.Simulator
+	rng  *rand.Rand
+
+	// Counters for assertions.
+	Lost, Reordered, Duplicated int
+}
+
+// newImpairer creates an impairment stage forwarding to next.
+func newImpairer(s *sim.Simulator, next packet.Handler) *impairer {
+	return &impairer{
+		next:         next,
+		ReorderDelay: 10 * time.Millisecond,
+		DupDelay:     time.Millisecond,
+		sim:          s,
+		rng:          s.NewStream(),
+	}
+}
+
+// Handle applies the configured impairments.
+func (im *impairer) Handle(p *packet.Packet) {
+	if im.LossProb > 0 && im.rng.Float64() < im.LossProb {
+		im.Lost++
+		p.GroundTruth.Dropped = true
+		return
+	}
+	if im.DupProb > 0 && im.rng.Float64() < im.DupProb {
+		im.Duplicated++
+		im.sim.After(im.DupDelay, func() { im.next.Handle(p) })
+	}
+	if im.ReorderProb > 0 && im.rng.Float64() < im.ReorderProb {
+		im.Reordered++
+		im.sim.After(im.ReorderDelay, func() { im.next.Handle(p) })
+		return
+	}
+	im.next.Handle(p)
+}
+
+// packetLog is a handler that keeps every packet it is handed, in order.
+type packetLog []*packet.Packet
+
+func (l *packetLog) Handle(p *packet.Packet) { *l = append(*l, p) }
+
+func TestImpairerTransparentWhenZero(t *testing.T) {
+	s := sim.New(1)
+	var k packetLog
+	im := newImpairer(s, &k)
+	var alloc packet.Alloc
+	for i := 0; i < 100; i++ {
+		im.Handle(alloc.New(packet.KindVideo, 1, 1200, 0))
+	}
+	s.Run()
+	if len(k) != 100 || im.Lost+im.Reordered+im.Duplicated != 0 {
+		t.Fatalf("zero config impaired traffic: %d delivered", len(k))
+	}
+	// FIFO preserved.
+	for i := 1; i < len(k); i++ {
+		if k[i].ID < k[i-1].ID {
+			t.Fatal("reordered without configuration")
+		}
+	}
+}
+
+func TestImpairerLoss(t *testing.T) {
+	s := sim.New(1)
+	var k packetLog
+	im := newImpairer(s, &k)
+	im.LossProb = 0.3
+	var alloc packet.Alloc
+	for i := 0; i < 1000; i++ {
+		im.Handle(alloc.New(packet.KindVideo, 1, 1200, 0))
+	}
+	s.Run()
+	if im.Lost < 200 || im.Lost > 400 {
+		t.Fatalf("Lost = %d, want ~300", im.Lost)
+	}
+	if len(k)+im.Lost != 1000 {
+		t.Fatal("conservation violated")
+	}
+}
+
+func TestImpairerReorders(t *testing.T) {
+	s := sim.New(1)
+	var k packetLog
+	im := newImpairer(s, &k)
+	im.ReorderProb = 0.2
+	var alloc packet.Alloc
+	for i := 0; i < 500; i++ {
+		at := time.Duration(i) * time.Millisecond
+		s.At(at, func() { im.Handle(alloc.New(packet.KindVideo, 1, 1200, s.Now())) })
+	}
+	s.Run()
+	if im.Reordered == 0 {
+		t.Fatal("nothing reordered")
+	}
+	inversions := 0
+	for i := 1; i < len(k); i++ {
+		if k[i].ID < k[i-1].ID {
+			inversions++
+		}
+	}
+	if inversions == 0 {
+		t.Fatal("reordering produced no observable inversions")
+	}
+	if len(k) != 500 {
+		t.Fatalf("reordering lost packets: %d", len(k))
+	}
+}
+
+func TestImpairerDuplicates(t *testing.T) {
+	s := sim.New(1)
+	var k packetLog
+	im := newImpairer(s, &k)
+	im.DupProb = 0.5
+	var alloc packet.Alloc
+	for i := 0; i < 200; i++ {
+		im.Handle(alloc.New(packet.KindVideo, 1, 1200, 0))
+	}
+	s.Run()
+	if im.Duplicated == 0 {
+		t.Fatal("nothing duplicated")
+	}
+	if len(k) != 200+im.Duplicated {
+		t.Fatalf("delivered %d, want %d", len(k), 200+im.Duplicated)
+	}
+}
+
+// impairHarness wires the sender and receiver through an impairer.
+func impairHarness(t *testing.T, mut func(*impairer)) *harness {
 	t.Helper()
 	s := sim.New(1)
 	var alloc packet.Alloc
 	g := gcc.New(800*units.Kbps, 100*units.Kbps, 2*units.Mbps)
 	h := &harness{s: s, g: g}
-	im := netem.NewImpairer(s, packet.HandlerFunc(func(p *packet.Packet) {
+	im := newImpairer(s, packet.HandlerFunc(func(p *packet.Packet) {
 		s.After(20*time.Millisecond, func() { h.rcv.Handle(p) })
 	}))
 	mut(im)
@@ -35,7 +178,7 @@ func impairHarness(t *testing.T, mut func(*netem.Impairer)) *harness {
 }
 
 func TestReceiverSurvivesReordering(t *testing.T) {
-	h := impairHarness(t, func(im *netem.Impairer) {
+	h := impairHarness(t, func(im *impairer) {
 		im.ReorderProb = 0.15
 		im.ReorderDelay = 8 * time.Millisecond
 	})
@@ -52,7 +195,7 @@ func TestReceiverSurvivesReordering(t *testing.T) {
 }
 
 func TestReceiverDeduplicatesFrames(t *testing.T) {
-	h := impairHarness(t, func(im *netem.Impairer) {
+	h := impairHarness(t, func(im *impairer) {
 		im.DupProb = 0.3
 	})
 	h.s.RunUntil(10 * time.Second)
@@ -72,7 +215,7 @@ func TestReceiverDeduplicatesFrames(t *testing.T) {
 }
 
 func TestReceiverUnderLossReportsAndRecovers(t *testing.T) {
-	mild := impairHarness(t, func(im *netem.Impairer) {
+	mild := impairHarness(t, func(im *impairer) {
 		im.LossProb = 0.05
 	})
 	mild.s.RunUntil(15 * time.Second)
@@ -85,7 +228,7 @@ func TestReceiverUnderLossReportsAndRecovers(t *testing.T) {
 		t.Fatalf("only %d frames displayed", mild.rcv.Renderer.DisplayTimes.Len())
 	}
 
-	heavy := impairHarness(t, func(im *netem.Impairer) {
+	heavy := impairHarness(t, func(im *impairer) {
 		im.LossProb = 0.15
 	})
 	heavy.s.RunUntil(15 * time.Second)
