@@ -28,5 +28,5 @@ func main() {
 	fmt.Printf("\nreceiver QoE: %d frames displayed, %d stalls, %d SSIM samples\n",
 		res.Receiver.Renderer.DisplayTimes.Len(),
 		res.Receiver.Renderer.Stalls,
-		len(res.Receiver.Renderer.SSIMs))
+		len(res.Receiver.Renderer.SSIMs()))
 }

@@ -203,15 +203,15 @@ func Fig7(o Options) *FigureData {
 
 	fig := NewFigure("F7", "5G degradation: QoE vs wired network with equal emulated capacity")
 	// Rate and fps extractors return fresh slices (in-place CDFs); jitter
-	// and SSIM are fields of the shared memoized Result, so those copy.
+	// and SSIMs() belong to the shared memoized Result, so those copy.
 	g5Rate := stats.NewCDFInPlace(g5.Receiver.ReceiveRates())
 	emRate := stats.NewCDFInPlace(emr.Receiver.ReceiveRates())
 	g5Jit := stats.NewCDF(g5.Receiver.FrameJitter)
 	emJit := stats.NewCDF(emr.Receiver.FrameJitter)
 	g5FPS := stats.NewCDFInPlace(g5.Receiver.Renderer.FrameRates())
 	emFPS := stats.NewCDFInPlace(emr.Receiver.Renderer.FrameRates())
-	g5SSIM := stats.NewCDF(g5.Receiver.Renderer.SSIMs)
-	emSSIM := stats.NewCDF(emr.Receiver.Renderer.SSIMs)
+	g5SSIM := stats.NewCDF(g5.Receiver.Renderer.SSIMs())
+	emSSIM := stats.NewCDF(emr.Receiver.Renderer.SSIMs())
 	fig.Add("5G receive bitrate CDF (x=kbps)", g5Rate.Points(30))
 	fig.Add("emulated receive bitrate CDF (x=kbps)", emRate.Points(30))
 	fig.Add("5G frame jitter CDF (x=ms)", g5Jit.Points(30))

@@ -130,7 +130,9 @@ func (gs *GameServer) RateMbps() float64 { return gs.Cfg.LadderMbps[gs.rung] }
 func (gs *GameServer) emitFrame() {
 	now := gs.sim.Now()
 	mean := gs.RateMbps() * 1e6 / 8 / float64(gs.Cfg.FPS)
-	size := mean * (1 + (gs.rng.Float64()-0.5)*0.2)
+	// float64() keeps arm64 from fusing a product with the add beside
+	// it; Float64 is itself a product once inlined.
+	size := mean * (1 + float64((float64(gs.rng.Float64())-0.5)*0.2))
 	if size < 120 {
 		size = 120
 	}

@@ -64,9 +64,11 @@ func (c *Controller) OnFeedback(fb *rtp.Feedback, now time.Duration) {
 		return
 	}
 	p := float64(ce) / float64(recv)
-	c.MarkFraction = 0.8*c.MarkFraction + 0.2*p
+	// float64() around a product keeps arm64 from fusing it with the
+	// neighbouring add, so every GOARCH rounds as amd64 does.
+	c.MarkFraction = float64(0.8*c.MarkFraction) + float64(0.2*p)
 	if p > 0 {
-		c.rate = units.BitRate(float64(c.rate) * (1 - betaCE*p/2))
+		c.rate = units.BitRate(float64(c.rate) * (1 - float64(betaCE*p/2)))
 	} else {
 		c.rate += addIncr
 	}

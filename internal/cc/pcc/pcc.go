@@ -53,8 +53,11 @@ func (m *mi) addLatency(atMS, owdMS float64) {
 	m.n++
 	m.sx += atMS
 	m.sy += owdMS
-	m.sxx += atMS * atMS
-	m.sxy += atMS * owdMS
+	// Here, in latencySlope, utility and decide, float64() around a
+	// product keeps arm64 from fusing it with the neighbouring add, so
+	// every GOARCH rounds as amd64 does.
+	m.sxx += float64(atMS * atMS)
+	m.sxy += float64(atMS * owdMS)
 }
 
 // latencySlope is d(owd)/dt over the interval (ms per ms).
@@ -62,11 +65,11 @@ func (m *mi) latencySlope() float64 {
 	if m.n < 2 {
 		return 0
 	}
-	den := m.n*m.sxx - m.sx*m.sx
+	den := float64(m.n*m.sxx) - float64(m.sx*m.sx)
 	if den == 0 {
 		return 0
 	}
-	return (m.n*m.sxy - m.sx*m.sy) / den
+	return (float64(m.n*m.sxy) - float64(m.sx*m.sy)) / den
 }
 
 // lossRate is the interval's loss fraction.
@@ -85,7 +88,7 @@ func (m *mi) utility() float64 {
 	if grad < 0 {
 		grad = 0
 	}
-	return math.Pow(thrMbps, utilityExponent) - bLatency*thrMbps*grad - cLoss*thrMbps*m.lossRate()
+	return math.Pow(thrMbps, utilityExponent) - float64(bLatency*thrMbps*grad) - float64(cLoss*thrMbps*m.lossRate())
 }
 
 // Controller is the PCC-Vivace-style sender.
@@ -210,7 +213,7 @@ func (c *Controller) decide(uUp, uDn float64) {
 	}
 	diff := math.Abs(uUp - uDn)
 	scale := stepFraction * math.Min(1, diff)
-	c.base = units.BitRate(float64(c.base) * (1 + gradSign*scale))
+	c.base = units.BitRate(float64(c.base) * (1 + float64(gradSign*scale)))
 	c.base = units.ClampRate(c.base, c.min, c.max)
 	c.RateTrace = append(c.RateTrace, float64(c.base)/1000)
 }

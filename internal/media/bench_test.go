@@ -13,11 +13,12 @@ var sinkRef FrameRef
 // frame: the cost of a scored frame whose predecessor was scored.
 func BenchmarkSourceRender64x48(b *testing.B) {
 	src := NewSource(64, 48, 1)
+	var sc scorer
 	var f Frame
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		src.Next().renderInto(&f)
+		sc.renderInto(&f, src.Next())
 	}
 }
 
@@ -40,13 +41,14 @@ func TestSourceNextAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { sinkRef = src.Next() }); n != 0 {
 		t.Fatalf("Next: %v allocs per frame, want 0", n)
 	}
+	var sc scorer
 	var f Frame
-	src.Next().renderInto(&f)
+	sc.renderInto(&f, src.Next())
 	render := func() {
 		for range 3 {
 			src.Next()
 		}
-		src.Next().renderInto(&f)
+		sc.renderInto(&f, src.Next())
 	}
 	if n := testing.AllocsPerRun(100, render); n != 0 {
 		t.Fatalf("render into scratch: %v allocs per frame, want 0", n)

@@ -168,22 +168,23 @@ func (e *Encoder) Encode(src FrameRef, pts time.Duration) *EncodedFrame {
 // content distorted by the encoder's quantization noise. The noise RNG is
 // keyed by frame sequence so repeated decodes are deterministic.
 func (ef *EncodedFrame) Decode() *Frame {
+	var sc scorer
 	var src Frame
-	ef.Source.renderInto(&src)
+	sc.renderInto(&src, ef.Source)
 	out := &Frame{}
-	ef.decodeInto(out, &src, rand.New(rand.NewSource(0)))
+	decodeInto(out, &src, ef.NoiseSigma, rand.New(rand.NewSource(0)))
 	return out
 }
 
 // decodeInto is Decode into caller-owned scratch, from src, the rendered
-// Source: out is overwritten (its Pix reused when large enough) and rng
-// is reseeded, which yields the stream of a fresh generator with that
-// seed.
-func (ef *EncodedFrame) decodeInto(out, src *Frame, rng *rand.Rand) {
+// source frame: out is overwritten (its Pix reused when large enough) and
+// rng is reseeded from src.Seq, which yields the stream of a fresh
+// generator with that seed.
+func decodeInto(out, src *Frame, sigma float64, rng *rand.Rand) {
 	out.Seq, out.W, out.H = src.Seq, src.W, src.H
 	out.Pix = append(out.Pix[:0], src.Pix...)
-	rng.Seed(int64(ef.Seq)*2654435761 + 17)
+	rng.Seed(int64(src.Seq)*2654435761 + 17)
 	for i, p := range out.Pix {
-		out.Pix[i] = clamp8(float64(p) + float64(rng.NormFloat64()*ef.NoiseSigma))
+		out.Pix[i] = clamp8(float64(p) + float64(rng.NormFloat64()*sigma))
 	}
 }

@@ -39,23 +39,14 @@ func (f *Frame) At(x, y int) uint8 { return f.Pix[y*f.W+x] }
 // video.
 //
 // Frames are rendered lazily: Next only stamps a FrameRef, and the pixels
-// are drawn when a FrameRef is rendered. The Source is a cursor over its
-// noise stream; a render walks the stream forward over the frames in
-// between, so the bytes do not depend on which frames are rendered, nor
-// in what order. A Source and its FrameRefs belong to one goroutine.
+// are drawn when a scorer renders it. The noise cursor and the render
+// scratch belong to the scorer, and a render reads only the Source's
+// seed, which never changes: any number of scorers may render its frames
+// at once.
 type Source struct {
 	W, H int
 	seed int64
 	seq  uint64 // the next frame Next issues
-
-	// rng is positioned at the noise of frame cursor; nil until the
-	// first render.
-	rng    *lfgStream
-	cursor uint64
-
-	// Render scratch reused across frames: the tables of the texture's
-	// three sinusoids (col over x, row over y, diag over x+y).
-	col, row, diag []float64
 }
 
 // NewSource creates a frame source with the given dimensions. Small frames
@@ -80,7 +71,40 @@ func (s *Source) Next() FrameRef {
 	return f
 }
 
-// renderInto renders the frame into dst, reusing dst.Pix when it is large
+// scorer renders, decodes and scores frames. It is a cursor over the
+// noise stream of the Source it last rendered from: a render walks the
+// stream forward over the frames in between, so the bytes do not depend
+// on which frames are rendered, nor in what order. A scorer belongs to
+// one goroutine.
+type scorer struct {
+	// rng is positioned at the noise of frame cursor of src; nil until
+	// the first render.
+	src    *Source
+	rng    *lfgStream
+	cursor uint64
+
+	// Render scratch reused across frames: the tables of the texture's
+	// three sinusoids (col over x, row over y, diag over x+y).
+	col, row, diag []float64
+
+	// The scored frame rendered and decoded, and the generator each
+	// decode reseeds; nil until the first score.
+	pix, dec Frame
+	decRNG   *rand.Rand
+}
+
+// score renders f, decodes it with quantization noise sigma and returns
+// the SSIM of the decode against the render.
+func (sc *scorer) score(f FrameRef, sigma float64) (float64, error) {
+	sc.renderInto(&sc.pix, f)
+	if sc.decRNG == nil {
+		sc.decRNG = rand.New(rand.NewSource(0)) // reseeded per decode
+	}
+	decodeInto(&sc.dec, &sc.pix, sigma, sc.decRNG)
+	return SSIM(&sc.pix, &sc.dec)
+}
+
+// renderInto renders frame f into dst, reusing dst.Pix when it is large
 // enough.
 //
 // A sample is ((128 + 52·sin(0.21x+φ)) + 43·cos(0.17y−0.7φ)) +
@@ -90,28 +114,28 @@ func (s *Source) Next() FrameRef {
 // product is wrapped in float64(), which forbids fusing it with the
 // neighbouring add: the bytes are the same on every GOARCH, and
 // TestSourceGoldenPixels pins them.
-func (f FrameRef) renderInto(dst *Frame) {
-	s := f.src
+func (sc *scorer) renderInto(dst *Frame, f FrameRef) {
 	dst.Seq, dst.W, dst.H = f.Seq, f.W, f.H
 	dst.Pix = slices.Grow(dst.Pix[:0], f.W*f.H)[:f.W*f.H]
 	if len(dst.Pix) == 0 {
 		return
 	}
-	// A frame behind the cursor replays the stream from its seed.
-	if s.rng == nil || f.Seq < s.cursor {
-		s.rng, s.cursor = newLFGStream(s.seed), 0
+	// A frame of another Source, or behind the cursor, replays the stream
+	// from its seed.
+	if sc.rng == nil || f.src != sc.src || f.Seq < sc.cursor {
+		sc.src, sc.rng, sc.cursor = f.src, newLFGStream(f.src.seed), 0
 	}
-	s.rng.skipNoise(int(f.Seq-s.cursor) * len(dst.Pix))
+	sc.rng.skipNoise(int(f.Seq-sc.cursor) * len(dst.Pix))
 	// A little static detail so the image is not band-limited; the noise
 	// is parked in Pix and read back below.
-	s.rng.fillNoise(dst.Pix)
-	s.cursor = f.Seq + 1
-	if len(s.col) != s.W || len(s.row) != s.H {
-		s.col = make([]float64, s.W)
-		s.row = make([]float64, s.H)
-		s.diag = make([]float64, s.W+s.H-1)
+	sc.rng.fillNoise(dst.Pix)
+	sc.cursor = f.Seq + 1
+	if len(sc.col) != f.W || len(sc.row) != f.H {
+		sc.col = make([]float64, f.W)
+		sc.row = make([]float64, f.H)
+		sc.diag = make([]float64, f.W+f.H-1)
 	}
-	col, row, diag := s.col, s.row, s.diag
+	col, row, diag := sc.col, sc.row, sc.diag
 	phase := float64(float64(f.Seq) * 0.13)
 	// Smoothly moving texture: two crossed sinusoids and a diagonal one.
 	for x := range col {
@@ -124,7 +148,7 @@ func (f FrameRef) renderInto(dst *Frame) {
 		diag[d] = float64(16 * math.Sin(float64(float64(d)*0.09)+float64(0.3*phase)))
 	}
 	for y, ry := range row {
-		pix := dst.Pix[y*s.W:][:len(col)]
+		pix := dst.Pix[y*f.W:][:len(col)]
 		dg := diag[y:][:len(col)]
 		for x, cx := range col {
 			pix[x] = clamp8(cx + ry + dg[x] + float64(int8(pix[x])))

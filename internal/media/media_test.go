@@ -5,6 +5,8 @@ import (
 	"encoding/hex"
 	"math"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -13,10 +15,12 @@ import (
 	"athena/internal/units"
 )
 
-// render renders f into a fresh frame.
+// render renders f into a fresh frame with a fresh scorer, which replays
+// the noise stream from the seed.
 func render(f FrameRef) *Frame {
+	var sc scorer
 	var dst Frame
-	f.renderInto(&dst)
+	sc.renderInto(&dst, f)
 	return &dst
 }
 
@@ -56,9 +60,10 @@ func TestSourceGoldenPixels(t *testing.T) {
 	} {
 		s := NewSource(tc.w, tc.h, tc.seed)
 		h := sha256.New()
+		var sc scorer
 		var f Frame
 		for i := 0; i < 100; i++ {
-			s.Next().renderInto(&f)
+			sc.renderInto(&f, s.Next())
 			if f.Seq != uint64(i) || f.W != tc.w || f.H != tc.h || len(f.Pix) != tc.w*tc.h {
 				t.Fatalf("%dx%d seed %d frame %d: seq %d, %dx%d, %d samples",
 					tc.w, tc.h, tc.seed, i, f.Seq, f.W, f.H, len(f.Pix))
@@ -75,7 +80,8 @@ func TestSourceGoldenPixels(t *testing.T) {
 // frame renders the same whichever frames were rendered before it and in
 // whatever order — shuffled, reversed, repeated, or after skipping many —
 // so a receiver that scores every 4th frame, late or out of order, sees
-// what an eager camera drew. One scratch frame serves every size.
+// what an eager camera drew. One scorer and one scratch frame serve every
+// size and Source, so each new Source restarts the scorer's cursor.
 func TestSourceRenderOrder(t *testing.T) {
 	const n = 40
 	reversed, repeated := make([]int, n), []int{0, 0, 1, 1, 1, 7, 7, 2, 9, 9, 9}
@@ -91,6 +97,7 @@ func TestSourceRenderOrder(t *testing.T) {
 		{"repeated", repeated},
 		{"skip-many-then-render", []int{n - 1, n - 1, 0, n / 2, n - 2}},
 	}
+	var sc scorer
 	var f Frame
 	for _, sz := range []struct{ w, h int }{{64, 48}, {33, 17}, {0, 0}} {
 		seq := NewSource(sz.w, sz.h, 5)
@@ -105,7 +112,7 @@ func TestSourceRenderOrder(t *testing.T) {
 				refs[k] = s.Next()
 			}
 			for _, k := range o.order {
-				refs[k].renderInto(&f)
+				sc.renderInto(&f, refs[k])
 				if f.Seq != uint64(k) || f.W != sz.w || f.H != sz.h || len(f.Pix) != sz.w*sz.h {
 					t.Fatalf("%dx%d %s: frame %d rendered as seq %d, %dx%d, %d samples",
 						sz.w, sz.h, o.name, k, f.Seq, f.W, f.H, len(f.Pix))
@@ -552,27 +559,100 @@ func TestRendererFrameRates(t *testing.T) {
 	}
 }
 
+// TestRendererSSIMScoring holds the lazy scores to a fresh render and
+// decode of each scored frame, bit for bit: every frame at SSIMEvery 1,
+// every 4th at 4, and frames displayed out of sequence, whose scoring
+// walks the noise stream back from the seed.
 func TestRendererSSIMScoring(t *testing.T) {
-	src := NewSource(64, 48, 9)
-	e := NewEncoder(Mode28FPS, units.Mbps, 1)
-	r := NewRenderer(1)
-	var want []float64
-	for i := 0; i < 4; i++ {
-		ef := e.Encode(src.Next(), 0)
-		r.Display(ef, time.Duration(i)*33*time.Millisecond)
-		want = append(want, MustSSIM(render(ef.Source), ef.Decode()))
-	}
-	if len(r.SSIMs) != 4 {
-		t.Fatalf("SSIMs = %d", len(r.SSIMs))
-	}
-	for i, v := range r.SSIMs {
-		if v <= 0 || v > 1 {
-			t.Fatalf("SSIM out of range: %v", v)
+	for _, tc := range []struct {
+		name  string
+		every int
+		order []int // display order of the encoded frames
+	}{
+		{"every", 1, []int{0, 1, 2, 3}},
+		{"every-4th", 4, []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13}},
+		{"out-of-seq", 1, []int{2, 0, 5, 1, 1, 9, 3}},
+	} {
+		src := NewSource(64, 48, 9)
+		e := NewEncoder(Mode28FPS, units.Mbps, 1)
+		var frames []*EncodedFrame
+		for range 14 {
+			frames = append(frames, e.Encode(src.Next(), 0))
 		}
-		// The renderer's reused scratch frame and reseeded generator must
-		// score exactly what a fresh Decode does.
-		if v != want[i] {
-			t.Fatalf("frame %d: renderer SSIM %v, fresh decode %v", i, v, want[i])
+		r := NewRenderer(tc.every)
+		var want []float64
+		for i, k := range tc.order {
+			ef := frames[k]
+			r.Display(ef, time.Duration(i)*33*time.Millisecond)
+			if (i+1)%tc.every == 0 {
+				want = append(want, MustSSIM(render(ef.Source), ef.Decode()))
+			}
+		}
+		got := r.SSIMs()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d SSIMs, want %d", tc.name, len(got), len(want))
+		}
+		for i, v := range got {
+			if v <= 0 || v > 1 {
+				t.Fatalf("%s: SSIM out of range: %v", tc.name, v)
+			}
+			// The scorer's reused scratch frames, cursor and reseeded
+			// generator must score exactly what a fresh Decode does.
+			if v != want[i] {
+				t.Fatalf("%s: score %d is %v, fresh decode %v", tc.name, i, v, want[i])
+			}
+		}
+	}
+}
+
+// A renderer whose SSIMs is never called never renders: Display only
+// records the frames it picks. These frames name no Source, so drawing
+// their noise would dereference nil and panic.
+func TestRendererDisplayRendersNothing(t *testing.T) {
+	r := NewRenderer(1)
+	for i := range 8 {
+		ref := FrameRef{Seq: uint64(i), W: 64, H: 48}
+		r.Display(&EncodedFrame{Seq: ref.Seq, PTS: time.Duration(i) * 33 * time.Millisecond, NoiseSigma: 5, Source: ref}, time.Duration(i)*40*time.Millisecond)
+	}
+	if len(r.scored) != 8 || r.ssims != nil {
+		t.Fatalf("after Display: %d frames recorded and %d scored, want 8 and none", len(r.scored), len(r.ssims))
+	}
+}
+
+// SSIMs is read by concurrent drivers through the runner's shared Result:
+// two goroutines on one renderer, and two renderers over one Source, all
+// get the scores a serial call computes.
+func TestRendererSSIMsConcurrent(t *testing.T) {
+	src := NewSource(64, 48, 4)
+	e := NewEncoder(Mode28FPS, units.Mbps, 2)
+	a, b, serial := NewRenderer(2), NewRenderer(2), NewRenderer(2)
+	for i := range 24 {
+		ef := e.Encode(src.Next(), 0)
+		if ef == nil {
+			continue
+		}
+		now := time.Duration(i) * 36 * time.Millisecond
+		a.Display(ef, now)
+		b.Display(ef, now)
+		serial.Display(ef, now)
+	}
+	want := serial.SSIMs()
+	if len(want) == 0 {
+		t.Fatal("nothing scored")
+	}
+	got := make([][]float64, 3)
+	var wg sync.WaitGroup
+	for i, r := range []*Renderer{a, a, b} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = r.SSIMs()
+		}()
+	}
+	wg.Wait()
+	for i, g := range got {
+		if !slices.Equal(g, want) {
+			t.Errorf("reader %d: SSIMs %v, want %v", i, g, want)
 		}
 	}
 }

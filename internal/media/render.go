@@ -1,7 +1,7 @@
 package media
 
 import (
-	"math/rand"
+	"sync"
 	"time"
 
 	"athena/internal/stats"
@@ -23,8 +23,7 @@ type Renderer struct {
 	displayedAt time.Duration
 
 	// Metrics accumulators.
-	FrameJitterMS []float64 // per-frame |inter-display - inter-PTS| in ms
-	SSIMs         []float64
+	FrameJitterMS []float64     // per-frame |inter-display - inter-PTS| in ms
 	DisplayTimes  *stats.Series // one sample per displayed frame (value = frame seq)
 	Stalls        int
 	StallTime     time.Duration
@@ -41,10 +40,11 @@ type Renderer struct {
 	// 1 scores all frames.
 	SSIMEvery int
 	ssimSkip  int
-	// Scratch for each scored frame: its rendered source and the decoded
-	// copy compared against it.
-	src, dec Frame
-	decRNG   *rand.Rand
+	// scored lists the frames Display picked for scoring, in display
+	// order; SSIMs scores them once, on its first call.
+	scored   []scoredFrame
+	ssimOnce sync.Once
+	ssims    []float64
 
 	// StallThreshold: gap between consecutive displays that counts as a
 	// stall. The paper flags frames on screen "longer than intended";
@@ -60,9 +60,15 @@ func NewRenderer(ssimEvery int) *Renderer {
 	return &Renderer{
 		DisplayTimes:   stats.NewSeries("display"),
 		SSIMEvery:      ssimEvery,
-		decRNG:         rand.New(rand.NewSource(0)), // reseeded per decode
-		StallThreshold: 360 * time.Millisecond,      // 2.5 × (1s/7)
+		StallThreshold: 360 * time.Millisecond, // 2.5 × (1s/7)
 	}
+}
+
+// scoredFrame is what scoring a displayed frame needs later: the source
+// frame and the encoder's distortion.
+type scoredFrame struct {
+	ref   FrameRef
+	sigma float64
 }
 
 // Display shows frame f at receiver time now.
@@ -91,12 +97,26 @@ func (r *Renderer) Display(f *EncodedFrame, now time.Duration) {
 	r.ssimSkip++
 	if r.ssimSkip >= r.SSIMEvery {
 		r.ssimSkip = 0
-		f.Source.renderInto(&r.src)
-		f.decodeInto(&r.dec, &r.src, r.decRNG)
-		if v, err := SSIM(&r.src, &r.dec); err == nil {
-			r.SSIMs = append(r.SSIMs, v)
-		}
+		r.scored = append(r.scored, scoredFrame{f.Source, f.NoiseSigma})
 	}
+}
+
+// SSIMs returns the picture quality of every SSIMEvery-th displayed
+// frame, in display order: the SSIM of its decode against its source
+// frame, skipping frames too small to score. The first call renders,
+// decodes and scores them; every call, from any goroutine, returns that
+// one slice, which callers must copy before modifying. Call it after the
+// last Display.
+func (r *Renderer) SSIMs() []float64 {
+	r.ssimOnce.Do(func() {
+		var sc scorer
+		for _, f := range r.scored {
+			if v, err := sc.score(f.ref, f.sigma); err == nil {
+				r.ssims = append(r.ssims, v)
+			}
+		}
+	})
+	return r.ssims
 }
 
 // Current reports the frame on screen (nil before first display).

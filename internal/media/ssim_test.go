@@ -45,16 +45,15 @@ func TestSSIMPinned(t *testing.T) {
 			t.Errorf("%dx%d seed %d: SSIM %v (bits %#x), want bits %#x", tc.w, tc.h, tc.seed, got, bits, tc.want)
 		}
 	}
-	// The synthetic camera against its own decode, as Renderer.Display
+	// The synthetic camera against its own decode, as Renderer.SSIMs
 	// scores it.
 	src := NewSource(64, 48, 11)
-	var pix, dec Frame
-	rng := rand.New(rand.NewSource(0))
+	var sc scorer
 	for i, want := range []uint64{0x3fef4dac087571ed, 0x3fec3431d77f34af, 0x3fe7d66a712aa9b6} {
-		ef := &EncodedFrame{Seq: uint64(i), NoiseSigma: 4 + 6*float64(i), Source: src.Next()}
-		ef.Source.renderInto(&pix)
-		ef.decodeInto(&dec, &pix, rng)
-		got := MustSSIM(&pix, &dec)
+		got, err := sc.score(src.Next(), 4+6*float64(i))
+		if err != nil {
+			t.Fatal(err)
+		}
 		if bits := math.Float64bits(got); bits != want {
 			t.Errorf("camera frame %d: SSIM %v (bits %#x), want bits %#x", i, got, bits, want)
 		}

@@ -80,8 +80,9 @@ func (l *LEOLink) delayNow() time.Duration {
 	elapsed := l.sim.Now() - l.start
 	phase := float64(elapsed%l.HandoverEvery) / float64(l.HandoverEvery)
 	// Delay shrinks toward mid-pass (satellite overhead) and grows at the
-	// edges: a half-cosine bowl.
-	drift := float64(l.DriftAmp) * (0.5 - 0.5*cos2pi(phase))
+	// edges: a half-cosine bowl. float64() keeps arm64 from fusing the
+	// product with the subtraction.
+	drift := float64(l.DriftAmp) * (0.5 - float64(0.5*cos2pi(phase)))
 	return l.BaseDelay + time.Duration(drift) + l.offset
 }
 

@@ -78,7 +78,9 @@ func (cs *CrossSource) setRate(r units.BitRate) {
 		n := pktsPerBurst
 		// ±40% burst-size jitter keeps the aggregate near the target rate
 		// while decorrelating bursts.
-		n += int(float64(n) * (rng.Float64() - 0.5) * 0.8)
+		// float64() keeps arm64 from fusing Float64's scaling product
+		// with the subtraction, so every GOARCH rounds as amd64 does.
+		n += int(float64(n) * (float64(rng.Float64()) - 0.5) * 0.8)
 		if n < 1 {
 			n = 1
 		}

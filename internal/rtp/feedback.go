@@ -1,9 +1,6 @@
 package rtp
 
-import (
-	"encoding/binary"
-	"time"
-)
+import "time"
 
 // Transport-wide congestion-control feedback, modeled after the WebRTC
 // transport-cc RTCP extension: the receiver periodically reports, for each
@@ -33,32 +30,13 @@ type Feedback struct {
 
 const feedbackEntrySize = 2 + 1 + 8 // seq + flags + arrival (ns)
 
-// Marshal serializes the report; the receiver sizes its RTCP packets
-// from it. Format (simulation-internal):
+// WireSize reports the serialized size of the report, from which the
+// receiver sizes its RTCP packets. Format (simulation-internal):
 //
 //	0:4   SSRC
 //	4:6   count
 //	then per entry: seq(2) flags(1: bit0 received, bit1 ECE) arrival ns (8)
-func (f *Feedback) Marshal() []byte {
-	buf := make([]byte, 6+len(f.Reports)*feedbackEntrySize)
-	binary.BigEndian.PutUint32(buf[0:], f.SSRC)
-	binary.BigEndian.PutUint16(buf[4:], uint16(len(f.Reports)))
-	off := 6
-	for _, r := range f.Reports {
-		binary.BigEndian.PutUint16(buf[off:], r.Seq)
-		var flags byte
-		if r.Received {
-			flags |= 1
-		}
-		if r.ECE {
-			flags |= 2
-		}
-		buf[off+2] = flags
-		binary.BigEndian.PutUint64(buf[off+3:], uint64(r.Arrival))
-		off += feedbackEntrySize
-	}
-	return buf
-}
+func (f *Feedback) WireSize() int { return 6 + len(f.Reports)*feedbackEntrySize }
 
 // FeedbackBuilder accumulates arrivals at the receiver and cuts periodic
 // reports. Sequence gaps become loss entries only after ReorderGrace has

@@ -1,18 +1,16 @@
 // Package rtp implements the subset of the Real-time Transport Protocol
 // (RFC 3550) that Athena's measurement and mitigation pipeline needs:
-// header marshal, the one-byte header-extension mechanism
+// the header, the one-byte header-extension mechanism
 // (RFC 8285), the SVC temporal-layer extension the paper observed Zoom
 // using, the media-metadata extension proposed in §5.2 for application-
 // aware RAN scheduling, and transport-wide congestion-control feedback.
 //
-// WireSize equals the length Marshal emits, so every packet is sized as
-// the bytes an on-path pcap would see.
+// The simulator never serializes a packet, only sizes it: WireSize equals
+// the length of the wire format (the tests' Marshal writes it), so every
+// packet is sized as the bytes an on-path pcap would see.
 package rtp
 
-import (
-	"encoding/binary"
-	"fmt"
-)
+import "fmt"
 
 // Version is the RTP protocol version (always 2).
 const Version = 2
@@ -126,55 +124,4 @@ func (p *Packet) extWireSize() int {
 	// then elements padded to a 4-byte boundary.
 	padded := (n + 3) &^ 3
 	return 4 + padded
-}
-
-// Marshal serializes the packet. The payload is emitted as zeros of
-// PayloadLen bytes (media content is modeled separately).
-func (p *Packet) Marshal() []byte {
-	buf := make([]byte, p.WireSize())
-	b0 := byte(Version << 6)
-	extSize := p.extWireSize()
-	if extSize > 0 {
-		b0 |= 1 << 4
-	}
-	buf[0] = b0
-	b1 := p.PayloadType & 0x7f
-	if p.Marker {
-		b1 |= 0x80
-	}
-	buf[1] = b1
-	binary.BigEndian.PutUint16(buf[2:], p.Seq)
-	binary.BigEndian.PutUint32(buf[4:], p.Timestamp)
-	binary.BigEndian.PutUint32(buf[8:], p.SSRC)
-
-	off := HeaderSize
-	if extSize > 0 {
-		// Profile 0xBEDE marks the one-byte extension form.
-		binary.BigEndian.PutUint16(buf[off:], 0xBEDE)
-		words := (extSize - 4) / 4
-		binary.BigEndian.PutUint16(buf[off+2:], uint16(words))
-		off += 4
-		if p.HasSVC {
-			buf[off] = byte(ExtIDSVCLayer<<4) | 0 // len-1 = 0 -> 1 byte
-			buf[off+1] = byte(p.SVC)
-			off += 2
-		}
-		if p.HasMeta {
-			buf[off] = byte(ExtIDMediaMeta<<4) | 7 // 8 bytes
-			buf[off+1] = p.Meta.Streams
-			buf[off+2] = p.Meta.FrameRateFPS
-			binary.BigEndian.PutUint16(buf[off+3:], p.Meta.AudioRateHz)
-			binary.BigEndian.PutUint32(buf[off+5:], p.Meta.FrameSizeBytes)
-			off += 9
-		}
-		if p.HasTWSeq {
-			buf[off] = byte(ExtIDTWSeq<<4) | 1 // 2 bytes
-			binary.BigEndian.PutUint16(buf[off+1:], p.TWSeq)
-			off += 3
-		}
-		// Remaining bytes up to the padded boundary are zero padding.
-		off = HeaderSize + extSize
-	}
-	// Payload bytes are already zero.
-	return buf
 }

@@ -1,6 +1,7 @@
 package rtp
 
 import (
+	"encoding/binary"
 	"testing"
 	"time"
 )
@@ -14,6 +15,20 @@ func TestWireSizeMatchesMarshal(t *testing.T) {
 	} {
 		if got := len(p.Marshal()); got != p.WireSize() {
 			t.Errorf("WireSize=%d but Marshal len=%d for %+v", p.WireSize(), got, p)
+		}
+	}
+}
+
+// The receiver sizes each RTCP packet from WireSize alone; the report
+// marshalled in full must be exactly that long.
+func TestFeedbackWireSizeMatchesMarshal(t *testing.T) {
+	for _, n := range []int{0, 1, 40} {
+		f := &Feedback{SSRC: 7, Reports: make([]ArrivalInfo, n)}
+		for i := range f.Reports {
+			f.Reports[i] = ArrivalInfo{Seq: uint16(i), Received: i%3 != 0, Arrival: time.Duration(i) * time.Millisecond, ECE: i%5 == 0}
+		}
+		if got := len(f.Marshal()); got != f.WireSize() {
+			t.Errorf("%d reports: WireSize=%d but Marshal len=%d", n, f.WireSize(), got)
 		}
 	}
 }
@@ -218,4 +233,76 @@ func TestSeqNewer(t *testing.T) {
 	if !seqNewer(0, 65535) {
 		t.Fatal("wrap order")
 	}
+}
+
+// Marshal serializes the packet: the oracle TestWireSizeMatchesMarshal
+// holds WireSize to. The payload is emitted as zeros of PayloadLen bytes
+// (media content is modeled separately).
+func (p *Packet) Marshal() []byte {
+	buf := make([]byte, p.WireSize())
+	b0 := byte(Version << 6)
+	extSize := p.extWireSize()
+	if extSize > 0 {
+		b0 |= 1 << 4
+	}
+	buf[0] = b0
+	b1 := p.PayloadType & 0x7f
+	if p.Marker {
+		b1 |= 0x80
+	}
+	buf[1] = b1
+	binary.BigEndian.PutUint16(buf[2:], p.Seq)
+	binary.BigEndian.PutUint32(buf[4:], p.Timestamp)
+	binary.BigEndian.PutUint32(buf[8:], p.SSRC)
+
+	off := HeaderSize
+	if extSize > 0 {
+		// Profile 0xBEDE marks the one-byte extension form.
+		binary.BigEndian.PutUint16(buf[off:], 0xBEDE)
+		words := (extSize - 4) / 4
+		binary.BigEndian.PutUint16(buf[off+2:], uint16(words))
+		off += 4
+		if p.HasSVC {
+			buf[off] = byte(ExtIDSVCLayer<<4) | 0 // len-1 = 0 -> 1 byte
+			buf[off+1] = byte(p.SVC)
+			off += 2
+		}
+		if p.HasMeta {
+			buf[off] = byte(ExtIDMediaMeta<<4) | 7 // 8 bytes
+			buf[off+1] = p.Meta.Streams
+			buf[off+2] = p.Meta.FrameRateFPS
+			binary.BigEndian.PutUint16(buf[off+3:], p.Meta.AudioRateHz)
+			binary.BigEndian.PutUint32(buf[off+5:], p.Meta.FrameSizeBytes)
+			off += 9
+		}
+		if p.HasTWSeq {
+			buf[off] = byte(ExtIDTWSeq<<4) | 1 // 2 bytes
+			binary.BigEndian.PutUint16(buf[off+1:], p.TWSeq)
+		}
+		// Remaining bytes up to the padded boundary are zero padding.
+	}
+	// Payload bytes are already zero.
+	return buf
+}
+
+// Marshal serializes the report in the format Feedback.WireSize
+// documents, appending field by field so its length owes nothing to
+// WireSize: the oracle TestFeedbackWireSizeMatchesMarshal holds WireSize
+// to.
+func (f *Feedback) Marshal() []byte {
+	buf := binary.BigEndian.AppendUint32(nil, f.SSRC)
+	buf = binary.BigEndian.AppendUint16(buf, uint16(len(f.Reports)))
+	for _, r := range f.Reports {
+		buf = binary.BigEndian.AppendUint16(buf, r.Seq)
+		var flags byte
+		if r.Received {
+			flags |= 1
+		}
+		if r.ECE {
+			flags |= 2
+		}
+		buf = append(buf, flags)
+		buf = binary.BigEndian.AppendUint64(buf, uint64(r.Arrival))
+	}
+	return buf
 }

@@ -113,7 +113,8 @@ func Downsample(pts []Point, n int) []Point {
 	out := make([]Point, 0, n)
 	step := float64(len(pts)-1) / float64(n-1)
 	for i := 0; i < n; i++ {
-		out = append(out, pts[int(float64(i)*step+0.5)])
+		// float64() keeps arm64 from fusing the product with the add.
+		out = append(out, pts[int(float64(float64(i)*step)+0.5)])
 	}
 	return out
 }

@@ -242,7 +242,7 @@ func (r *Receiver) flushFeedback() {
 	if fb == nil {
 		return
 	}
-	p := r.alloc.New(packet.KindRTCP, r.videoSSRC, units.ByteCount(len(fb.Marshal()))+28, r.sim.Now())
+	p := r.alloc.New(packet.KindRTCP, r.videoSSRC, units.ByteCount(fb.WireSize())+28, r.sim.Now())
 	p.Payload = fb
 	r.fbOut.Handle(p)
 }

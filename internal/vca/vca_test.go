@@ -69,7 +69,7 @@ func TestEndToEndFramesDisplayed(t *testing.T) {
 	if len(h.rcv.VideoOWDMS) == 0 || len(h.rcv.AudioOWDMS) == 0 {
 		t.Fatal("OWD records missing")
 	}
-	if len(h.rcv.Renderer.SSIMs) == 0 {
+	if len(h.rcv.Renderer.SSIMs()) == 0 {
 		t.Fatal("no SSIM scored")
 	}
 }
