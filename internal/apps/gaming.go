@@ -68,9 +68,8 @@ type GameServer struct {
 	rng   *rand.Rand
 	pack  *rtp.Packetizer
 
-	rung       int // index into Cfg.LadderMbps
-	lastShift  time.Duration
-	clientLate float64 // latest late-frame fraction reported by the client
+	rung      int // index into Cfg.LadderMbps
+	lastShift time.Duration
 
 	// InputDelaysMS collects per-event input one-way delays (the metric
 	// cloud gaming lives and dies by).
@@ -160,7 +159,6 @@ func (gs *GameServer) OnInput(p *packet.Packet) {
 	if !ok {
 		return
 	}
-	gs.clientLate = st.LateFrac
 	if now-gs.lastShift < ladderShiftWindow {
 		return
 	}

@@ -4,7 +4,7 @@
 // learner of study S3, in subpackages).
 //
 // All algorithms are fed the same inputs a real WebRTC sender has: its own
-// send timestamps and the receiver's transport-wide feedback reports
+// send history and the receiver's transport-wide feedback reports
 // (sequence → arrival time, loss, ECN). Everything else — including any
 // physical-layer hints — must come through an explicit side channel,
 // mirroring the architectural point of the paper.
@@ -22,8 +22,10 @@ type Controller interface {
 	// OnPacketSent informs the controller of a transmitted packet.
 	OnPacketSent(twSeq uint16, size units.ByteCount, at time.Duration)
 	// OnFeedback delivers a transport-wide feedback report at time now
-	// (sender clock).
-	OnFeedback(fb *rtp.Feedback, now time.Duration)
+	// (sender clock). sent is the sender's history of transmitted packets,
+	// in which the controller looks up each report's send time and size;
+	// the sender owns it and the controller only reads it.
+	OnFeedback(fb *rtp.Feedback, sent *History, now time.Duration)
 	// TargetRate reports the current media rate budget.
 	TargetRate() units.BitRate
 	// Name identifies the algorithm in bench output.
@@ -112,8 +114,7 @@ func (r *RateWindow) Rate(now time.Duration) units.BitRate {
 
 // LossEstimator tracks the loss fraction over recent feedback.
 type LossEstimator struct {
-	recv, lost int
-	frac       float64
+	frac float64
 }
 
 // Update folds one feedback report into the smoothed loss fraction.
@@ -126,8 +127,6 @@ func (l *LossEstimator) Update(fb *rtp.Feedback) {
 			lost++
 		}
 	}
-	l.recv += recv
-	l.lost += lost
 	if recv+lost == 0 {
 		return
 	}

@@ -25,7 +25,6 @@ type TracePoint struct {
 
 // GCC is the delay- plus loss-based Google Congestion Control sender.
 type GCC struct {
-	hist     cc.History
 	ia       interArrival
 	tl       trendline
 	det      *detector
@@ -46,8 +45,6 @@ type GCC struct {
 	OveruseCount int
 
 	pktIndex int
-	lastTS   time.Duration
-	haveTS   bool
 }
 
 var _ cc.Controller = (*GCC)(nil)
@@ -65,14 +62,13 @@ func New(initial, min, max units.BitRate) *GCC {
 // Name implements cc.Controller.
 func (g *GCC) Name() string { return "gcc" }
 
-// OnPacketSent implements cc.Controller.
-func (g *GCC) OnPacketSent(seq uint16, size units.ByteCount, at time.Duration) {
-	g.hist.Add(cc.SentPacket{Seq: seq, Size: size, SentAt: at})
-}
+// OnPacketSent implements cc.Controller (send times are read from the
+// sender's history at feedback).
+func (g *GCC) OnPacketSent(uint16, units.ByteCount, time.Duration) {}
 
 // OnFeedback implements cc.Controller: runs the delay-based estimator over
 // the report's arrivals and updates the AIMD rate.
-func (g *GCC) OnFeedback(fb *rtp.Feedback, now time.Duration) {
+func (g *GCC) OnFeedback(fb *rtp.Feedback, hist *cc.History, now time.Duration) {
 	g.loss.Update(fb)
 	sig := UsageNormal
 	for _, rep := range fb.Reports {
@@ -80,7 +76,7 @@ func (g *GCC) OnFeedback(fb *rtp.Feedback, now time.Duration) {
 			g.pktIndex++
 			continue
 		}
-		sent, ok := g.hist.Get(rep.Seq)
+		sent, ok := hist.Get(rep.Seq)
 		if !ok {
 			g.pktIndex++
 			continue
@@ -95,12 +91,7 @@ func (g *GCC) OnFeedback(fb *rtp.Feedback, now time.Duration) {
 		d, ok := g.ia.add(sent.SentAt, arrival)
 		if ok {
 			g.tl.update(d.d, arrival)
-			dt := d.arrival
-			if !g.haveTS {
-				g.haveTS = true
-			}
-			g.lastTS = arrival
-			sig = g.det.detect(g.tl.modified(), g.tl.value(), dt, now)
+			sig = g.det.detect(g.tl.modified(), g.tl.value(), d.arrival, now)
 			if sig == UsageOveruse {
 				g.OveruseCount++
 			}

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"athena/internal/cc"
 	"athena/internal/rtp"
 	"athena/internal/units"
 )
@@ -229,12 +230,13 @@ func TestAIMDHoldOnUnderuse(t *testing.T) {
 // driveGCC runs a GCC sender against a synthetic path described by
 // delayFn(sendTime) and returns the controller.
 func driveGCC(g *GCC, seconds int, delayFn func(i int, send time.Duration) time.Duration) {
+	var hist cc.History
 	seq := uint16(0)
 	interval := 10 * time.Millisecond
 	var fb *rtp.Feedback
 	for i := 0; i < seconds*100; i++ {
 		send := time.Duration(i) * interval
-		g.OnPacketSent(seq, 1200, send)
+		hist.Add(cc.SentPacket{Seq: seq, Size: 1200, SentAt: send})
 		arrival := send + delayFn(i, send)
 		if fb == nil {
 			fb = &rtp.Feedback{SSRC: 1}
@@ -242,7 +244,7 @@ func driveGCC(g *GCC, seconds int, delayFn func(i int, send time.Duration) time.
 		fb.Reports = append(fb.Reports, rtp.ArrivalInfo{Seq: seq, Received: true, Arrival: arrival})
 		seq++
 		if len(fb.Reports) == 5 { // feedback every 50ms
-			g.OnFeedback(fb, send+50*time.Millisecond)
+			g.OnFeedback(fb, &hist, send+50*time.Millisecond)
 			fb = nil
 		}
 	}
@@ -323,19 +325,20 @@ func TestGCCDelayAdjustRemovesPhantomOveruse(t *testing.T) {
 	g.DelayAdjust = func(seq uint16) (time.Duration, bool) {
 		return ranSawtooth(idx[seq], 0) - 5*time.Millisecond, true
 	}
+	var hist cc.History
 	seq := uint16(0)
 	var fb *rtp.Feedback
 	for i := 0; i < 3000; i++ {
 		send := time.Duration(i) * 10 * time.Millisecond
 		idx[seq] = i
-		g.OnPacketSent(seq, 1200, send)
+		hist.Add(cc.SentPacket{Seq: seq, Size: 1200, SentAt: send})
 		if fb == nil {
 			fb = &rtp.Feedback{SSRC: 1}
 		}
 		fb.Reports = append(fb.Reports, rtp.ArrivalInfo{Seq: seq, Received: true, Arrival: send + ranSawtooth(i, send)})
 		seq++
 		if len(fb.Reports) == 5 {
-			g.OnFeedback(fb, send+50*time.Millisecond)
+			g.OnFeedback(fb, &hist, send+50*time.Millisecond)
 			fb = nil
 		}
 		n++
@@ -348,17 +351,18 @@ func TestGCCDelayAdjustRemovesPhantomOveruse(t *testing.T) {
 func TestGCCLossController(t *testing.T) {
 	g := New(units.Mbps, 50*units.Kbps, 3*units.Mbps)
 	// Feedback with 50% loss repeatedly.
+	var hist cc.History
 	for i := 0; i < 50; i++ {
 		fb := &rtp.Feedback{SSRC: 1}
 		for j := 0; j < 10; j++ {
 			seq := uint16(i*10 + j)
-			g.OnPacketSent(seq, 1200, time.Duration(i*10+j)*10*time.Millisecond)
+			hist.Add(cc.SentPacket{Seq: seq, Size: 1200, SentAt: time.Duration(i*10+j) * 10 * time.Millisecond})
 			fb.Reports = append(fb.Reports, rtp.ArrivalInfo{
 				Seq: seq, Received: j%2 == 0,
 				Arrival: time.Duration(i*10+j)*10*time.Millisecond + 15*time.Millisecond,
 			})
 		}
-		g.OnFeedback(fb, time.Duration(i)*100*time.Millisecond)
+		g.OnFeedback(fb, &hist, time.Duration(i)*100*time.Millisecond)
 	}
 	if g.TargetRate() >= units.Mbps {
 		t.Fatalf("50%% loss did not reduce rate: %v", g.TargetRate())
@@ -370,7 +374,7 @@ func TestGCCIgnoresUnknownSeqs(t *testing.T) {
 	fb := &rtp.Feedback{SSRC: 1, Reports: []rtp.ArrivalInfo{
 		{Seq: 999, Received: true, Arrival: time.Millisecond},
 	}}
-	g.OnFeedback(fb, time.Second) // must not panic
+	g.OnFeedback(fb, &cc.History{}, time.Second) // must not panic
 	if g.Name() != "gcc" {
 		t.Fatal("name")
 	}

@@ -19,10 +19,9 @@ const burstDelta = 5 * time.Millisecond
 
 // group aggregates packets sent in one burst.
 type group struct {
-	firstSend    time.Duration
-	lastSend     time.Duration
-	lastArrival  time.Duration
-	completeSize int
+	firstSend   time.Duration
+	lastSend    time.Duration
+	lastArrival time.Duration
 }
 
 // interArrival turns per-packet (send, arrival) pairs into per-group

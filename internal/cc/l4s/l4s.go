@@ -49,7 +49,7 @@ func (c *Controller) OnPacketSent(uint16, units.ByteCount, time.Duration) {}
 
 // OnFeedback implements cc.Controller: scale down with the CE fraction,
 // probe up additively when unmarked.
-func (c *Controller) OnFeedback(fb *rtp.Feedback, now time.Duration) {
+func (c *Controller) OnFeedback(fb *rtp.Feedback, _ *cc.History, now time.Duration) {
 	ce, recv := 0, 0
 	for _, r := range fb.Reports {
 		if !r.Received {

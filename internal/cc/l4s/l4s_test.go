@@ -21,7 +21,7 @@ func fb(ce, clean int) *rtp.Feedback {
 
 func TestBrakeOnCE(t *testing.T) {
 	c := New(units.Mbps, 50*units.Kbps, 5*units.Mbps)
-	c.OnFeedback(fb(10, 0), time.Second) // 100% marked
+	c.OnFeedback(fb(10, 0), nil, time.Second) // 100% marked
 	want := units.BitRate(float64(units.Mbps) * 0.75)
 	if c.TargetRate() != want {
 		t.Fatalf("rate = %v, want %v", c.TargetRate(), want)
@@ -34,8 +34,8 @@ func TestBrakeOnCE(t *testing.T) {
 func TestProportionalBrake(t *testing.T) {
 	full := New(units.Mbps, 50*units.Kbps, 5*units.Mbps)
 	half := New(units.Mbps, 50*units.Kbps, 5*units.Mbps)
-	full.OnFeedback(fb(10, 0), time.Second)
-	half.OnFeedback(fb(5, 5), time.Second)
+	full.OnFeedback(fb(10, 0), nil, time.Second)
+	half.OnFeedback(fb(5, 5), nil, time.Second)
 	if half.TargetRate() <= full.TargetRate() {
 		t.Fatalf("50%% marking should brake less than 100%%: %v vs %v",
 			half.TargetRate(), full.TargetRate())
@@ -44,7 +44,7 @@ func TestProportionalBrake(t *testing.T) {
 
 func TestAccelerateWhenClean(t *testing.T) {
 	c := New(units.Mbps, 50*units.Kbps, 5*units.Mbps)
-	c.OnFeedback(fb(0, 10), time.Second)
+	c.OnFeedback(fb(0, 10), nil, time.Second)
 	if c.TargetRate() <= units.Mbps {
 		t.Fatalf("clean feedback should accelerate: %v", c.TargetRate())
 	}
@@ -57,7 +57,7 @@ func TestDelaySpikesWithoutMarksIgnored(t *testing.T) {
 	f := &rtp.Feedback{Reports: []rtp.ArrivalInfo{
 		{Seq: 1, Received: true, Arrival: 10 * time.Second}, // huge delay, no CE
 	}}
-	c.OnFeedback(f, time.Second)
+	c.OnFeedback(f, nil, time.Second)
 	if c.TargetRate() < units.Mbps {
 		t.Fatalf("unmarked delay spike braked the sender: %v", c.TargetRate())
 	}
@@ -65,7 +65,7 @@ func TestDelaySpikesWithoutMarksIgnored(t *testing.T) {
 
 func TestEmptyFeedbackNoChange(t *testing.T) {
 	c := New(units.Mbps, 50*units.Kbps, 5*units.Mbps)
-	c.OnFeedback(&rtp.Feedback{Reports: []rtp.ArrivalInfo{{Seq: 1, Received: false}}}, time.Second)
+	c.OnFeedback(&rtp.Feedback{Reports: []rtp.ArrivalInfo{{Seq: 1, Received: false}}}, nil, time.Second)
 	if c.TargetRate() != units.Mbps {
 		t.Fatal("loss-only feedback changed rate")
 	}

@@ -20,6 +20,7 @@ package pcc
 
 import (
 	"math"
+	"slices"
 	"time"
 
 	"athena/internal/cc"
@@ -93,7 +94,6 @@ func (m *mi) utility() float64 {
 
 // Controller is the PCC-Vivace-style sender.
 type Controller struct {
-	hist     cc.History
 	base     units.BitRate // rate around which the pair probes
 	min, max units.BitRate
 
@@ -135,8 +135,7 @@ func (c *Controller) Name() string { return "pcc-vivace" }
 func windowOf(at time.Duration) int64 { return int64(at / miDuration) }
 
 // OnPacketSent implements cc.Controller.
-func (c *Controller) OnPacketSent(seq uint16, size units.ByteCount, at time.Duration) {
-	c.hist.Add(cc.SentPacket{Seq: seq, Size: size, SentAt: at})
+func (c *Controller) OnPacketSent(_ uint16, _ units.ByteCount, at time.Duration) {
 	if w := windowOf(at); w > c.curWindow {
 		c.curWindow = w
 	}
@@ -145,9 +144,9 @@ func (c *Controller) OnPacketSent(seq uint16, size units.ByteCount, at time.Dura
 // OnFeedback implements cc.Controller: attribute arrivals to their send
 // windows, finalize windows past the grace period, and take a gradient
 // step whenever an up/down pair completes.
-func (c *Controller) OnFeedback(fb *rtp.Feedback, now time.Duration) {
+func (c *Controller) OnFeedback(fb *rtp.Feedback, hist *cc.History, now time.Duration) {
 	for _, rep := range fb.Reports {
-		sent, ok := c.hist.Get(rep.Seq)
+		sent, ok := hist.Get(rep.Seq)
 		if !ok {
 			continue
 		}
@@ -177,17 +176,19 @@ func (c *Controller) OnFeedback(fb *rtp.Feedback, now time.Duration) {
 		c.utilities[w] = m.utility()
 		delete(c.windows, w)
 	}
-	for w, uUp := range c.utilities {
-		if w%2 != 0 {
-			continue
+	// One report can complete several pairs (a feedback gap); each step
+	// builds on the last, so they are taken in window order.
+	var pairs []int64
+	for w := range c.utilities {
+		if _, ok := c.utilities[w+1]; ok && w%2 == 0 {
+			pairs = append(pairs, w)
 		}
-		uDn, ok := c.utilities[w+1]
-		if !ok {
-			continue
-		}
+	}
+	slices.Sort(pairs)
+	for _, w := range pairs {
+		c.decide(c.utilities[w], c.utilities[w+1])
 		delete(c.utilities, w)
 		delete(c.utilities, w+1)
-		c.decide(uUp, uDn)
 	}
 	// Drop stale unpaired utilities (idle stream).
 	for w := range c.utilities {

@@ -1,9 +1,11 @@
 package pcc
 
 import (
+	"slices"
 	"testing"
 	"time"
 
+	"athena/internal/cc"
 	"athena/internal/rtp"
 	"athena/internal/units"
 )
@@ -13,12 +15,14 @@ import (
 // so acked throughput responds to the rate, as it does for a real paced
 // sender — without this, the utility gradient has nothing to learn from.
 func drive(c *Controller, n int, owd func(i int) time.Duration, recv func(i int) bool) {
+	var hist cc.History
 	var fb *rtp.Feedback
 	for i := 0; i < n; i++ {
 		seq := uint16(i)
 		send := time.Duration(i) * 10 * time.Millisecond
 		size := units.ByteCount(int64(c.TargetRate()) / 800) // rate × 10 ms / 8
 		c.OnPacketSent(seq, size, send)
+		hist.Add(cc.SentPacket{Seq: seq, Size: size, SentAt: send})
 		if fb == nil {
 			fb = &rtp.Feedback{SSRC: 1}
 		}
@@ -29,8 +33,44 @@ func drive(c *Controller, n int, owd func(i int) time.Duration, recv func(i int)
 		}
 		fb.Reports = append(fb.Reports, ai)
 		if len(fb.Reports) == 5 {
-			c.OnFeedback(fb, send+50*time.Millisecond)
+			c.OnFeedback(fb, &hist, send+50*time.Millisecond)
 			fb = nil
+		}
+	}
+}
+
+// A feedback gap lets one report complete several probe pairs. Each
+// decision steps from the rate the previous one left, so the pairs are
+// decided in window order: the trace must equal the one from two reports
+// that complete one pair each, on every run.
+func TestPCCDecidesPairsInWindowOrder(t *testing.T) {
+	trace := func(split bool) []float64 {
+		c := New(500*units.Kbps, 100*units.Kbps, 5*units.Mbps)
+		var hist cc.History
+		fb := &rtp.Feedback{SSRC: 1}
+		for i := 0; i < 100; i++ { // windows 0–4 over 1 s
+			seq := uint16(i)
+			send := time.Duration(i) * 10 * time.Millisecond
+			size := units.ByteCount(int64(c.TargetRate()) / 800)
+			c.OnPacketSent(seq, size, send)
+			hist.Add(cc.SentPacket{Seq: seq, Size: size, SentAt: send})
+			owd := 15*time.Millisecond + time.Duration(i%25)*1200*time.Microsecond
+			fb.Reports = append(fb.Reports, rtp.ArrivalInfo{Seq: seq, Received: true, Arrival: send + owd})
+		}
+		if split { // windows 0–1, then the rest
+			c.OnFeedback(&rtp.Feedback{SSRC: 1, Reports: fb.Reports[:40]}, &hist, 2*time.Second)
+			fb.Reports = fb.Reports[40:]
+		}
+		c.OnFeedback(fb, &hist, 2*time.Second)
+		return c.RateTrace
+	}
+	want := trace(true)
+	if len(want) != 2 || want[0] == want[1] {
+		t.Fatalf("reference trace %v: want two distinct decisions", want)
+	}
+	for run := 0; run < 30; run++ {
+		if got := trace(false); !slices.Equal(got, want) {
+			t.Fatalf("run %d: trace %v, want %v", run, got, want)
 		}
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"testing"
 	"time"
 
+	"athena/internal/cc"
+	"athena/internal/cc/gcc"
 	"athena/internal/rtp"
 	"athena/internal/units"
 )
@@ -36,17 +38,15 @@ func TestPHYAwareSuppressesPhantomOveruse(t *testing.T) {
 	tab := NewTable()
 	plain := New(units.Mbps, 50*units.Kbps, 3*units.Mbps, nil)
 	aware := New(units.Mbps, 50*units.Kbps, 3*units.Mbps, tab)
-	drive := func(g interface {
-		OnPacketSent(uint16, units.ByteCount, time.Duration)
-		OnFeedback(*rtp.Feedback, time.Duration)
-	}) {
+	drive := func(g *gcc.GCC) {
+		var hist cc.History
 		var fb *rtp.Feedback
 		for i := 0; i < 2000; i++ {
 			seq := uint16(i)
 			send := time.Duration(i) * 10 * time.Millisecond
 			rd := ranDelay(i)
 			tab.Set(seq, rd)
-			g.OnPacketSent(seq, 1200, send)
+			hist.Add(cc.SentPacket{Seq: seq, Size: 1200, SentAt: send})
 			if fb == nil {
 				fb = &rtp.Feedback{SSRC: 1}
 			}
@@ -54,7 +54,7 @@ func TestPHYAwareSuppressesPhantomOveruse(t *testing.T) {
 				Seq: seq, Received: true, Arrival: send + 5*time.Millisecond + rd,
 			})
 			if len(fb.Reports) == 5 {
-				g.OnFeedback(fb, send+50*time.Millisecond)
+				g.OnFeedback(fb, &hist, send+50*time.Millisecond)
 				fb = nil
 			}
 		}
@@ -77,12 +77,13 @@ func TestPHYAwareSuppressesPhantomOveruse(t *testing.T) {
 func TestPHYAwareStillSeesRealCongestion(t *testing.T) {
 	tab := NewTable()
 	aware := New(units.Mbps, 50*units.Kbps, 3*units.Mbps, tab)
+	var hist cc.History
 	var fb *rtp.Feedback
 	for i := 0; i < 600; i++ {
 		seq := uint16(i)
 		send := time.Duration(i) * 10 * time.Millisecond
 		tab.Set(seq, 0) // RAN explains nothing
-		aware.OnPacketSent(seq, 1200, send)
+		hist.Add(cc.SentPacket{Seq: seq, Size: 1200, SentAt: send})
 		if fb == nil {
 			fb = &rtp.Feedback{SSRC: 1}
 		}
@@ -92,7 +93,7 @@ func TestPHYAwareStillSeesRealCongestion(t *testing.T) {
 			Arrival: send + 15*time.Millisecond + time.Duration(i)*time.Millisecond,
 		})
 		if len(fb.Reports) == 5 {
-			aware.OnFeedback(fb, send+50*time.Millisecond)
+			aware.OnFeedback(fb, &hist, send+50*time.Millisecond)
 			fb = nil
 		}
 	}

@@ -62,10 +62,6 @@ type Encoder struct {
 	rng        *rand.Rand
 	frameIdx   uint64
 	skipBudget int // enhancement frames to skip (transient jitter response)
-
-	// refBPP is the bits-per-pixel at which NoiseSigma equals sigmaRef;
-	// distortion scales as (refBPP/bpp)^distortionExp.
-	refBPP float64
 }
 
 // Distortion model calibration: at refRate for a 64×48 stream the model
@@ -151,6 +147,8 @@ func (e *Encoder) Encode(src FrameRef, pts time.Duration) *EncodedFrame {
 	// Distortion: bits/pixel relative to the calibration point.
 	pixels := float64(src.W * src.H)
 	bpp := size * 8 / pixels
+	// refBPP is the bits-per-pixel at which NoiseSigma equals sigmaRef;
+	// distortion scales as (refBPP/bpp)^distortionExp.
 	refBPP := refRateKbps * 1000 / 8 / fps * 8 / pixels // bytes→bits cancel; keep explicit
 	sigma := sigmaRef * math.Pow(refBPP/bpp, distortionExp)
 

@@ -7,33 +7,21 @@ import (
 	"athena/internal/stats"
 )
 
-// ScreenSampleRate is the paper's screen-capture cadence: 70 fps, slightly
-// above the monitor refresh rate, so every displayed frame is observed.
-const ScreenSampleRate = 70
-
-// ScreenSampleInterval is the sampling period.
-const ScreenSampleInterval = time.Second / ScreenSampleRate
-
 // Renderer tracks what is "on screen" at the receiver and derives the
-// user-centric QoE metrics of Fig 7: displayed frame rate, frame-level
-// jitter, stalls, and SSIM picture quality.
+// user-centric QoE metrics of Fig 7: displayed frame rate, stalls, and
+// SSIM picture quality.
 type Renderer struct {
-	// displayed frame history
-	current     *EncodedFrame
-	displayedAt time.Duration
-
-	// Metrics accumulators.
-	FrameJitterMS []float64     // per-frame |inter-display - inter-PTS| in ms
-	DisplayTimes  *stats.Series // one sample per displayed frame (value = frame seq)
-	Stalls        int
-	StallTime     time.Duration
+	// DisplayTimes holds one sample per displayed frame: its display time
+	// and, as the value, its sequence number. It is what the paper's
+	// 70 fps screen capture measures — which frame is on screen when —
+	// recorded exactly instead of sampled.
+	DisplayTimes *stats.Series
+	Stalls       int
 	// MouthToEarMS is the capture-to-render delay per displayed frame —
 	// the "long mouth-to-ear delay" QoE impairment §2 names as the cost
 	// of jitter-buffer expansion.
 	MouthToEarMS []float64
 
-	lastPTS     time.Duration
-	havePrev    bool
 	lastDisplay time.Duration
 
 	// SSIMEvery scores picture quality on every n-th frame to bound CPU;
@@ -73,24 +61,10 @@ type scoredFrame struct {
 
 // Display shows frame f at receiver time now.
 func (r *Renderer) Display(f *EncodedFrame, now time.Duration) {
-	if r.havePrev {
-		gap := now - r.lastDisplay
-		ptsGap := f.PTS - r.lastPTS
-		j := gap - ptsGap
-		if j < 0 {
-			j = -j
-		}
-		r.FrameJitterMS = append(r.FrameJitterMS, float64(j)/float64(time.Millisecond))
-		if gap > r.StallThreshold {
-			r.Stalls++
-			r.StallTime += gap - r.StallThreshold
-		}
+	if r.DisplayTimes.Len() > 0 && now-r.lastDisplay > r.StallThreshold {
+		r.Stalls++
 	}
-	r.current = f
-	r.displayedAt = now
 	r.lastDisplay = now
-	r.lastPTS = f.PTS
-	r.havePrev = true
 	r.DisplayTimes.Add(now, float64(f.Seq))
 	r.MouthToEarMS = append(r.MouthToEarMS, float64(now-f.PTS)/float64(time.Millisecond))
 
@@ -119,9 +93,6 @@ func (r *Renderer) SSIMs() []float64 {
 	return r.ssims
 }
 
-// Current reports the frame on screen (nil before first display).
-func (r *Renderer) Current() *EncodedFrame { return r.current }
-
 // FrameRateSeries bins displayed frames into 1-second buckets and returns
 // the per-second displayed frame rate.
 func (r *Renderer) FrameRateSeries() []stats.Point {
@@ -137,73 +108,4 @@ func (r *Renderer) FrameRates() []float64 {
 		out[i] = p.Y
 	}
 	return out
-}
-
-// ScreenSampler polls the renderer at 70 fps like the paper's screen
-// capture, recording which frame is visible at each tick. Freezes are
-// detected exactly as the paper does: a frame on screen for longer than
-// its intended packetization time.
-type ScreenSampler struct {
-	Samples []ScreenSample
-}
-
-// ScreenSample is one screen-capture observation.
-type ScreenSample struct {
-	At       time.Duration
-	FrameSeq uint64
-	Valid    bool // false before any frame has been displayed
-}
-
-// Sample records the currently displayed frame.
-func (s *ScreenSampler) Sample(r *Renderer, now time.Duration) {
-	smp := ScreenSample{At: now}
-	if f := r.Current(); f != nil {
-		smp.FrameSeq = f.Seq
-		smp.Valid = true
-	}
-	s.Samples = append(s.Samples, smp)
-}
-
-// FreezeReport summarizes on-screen dwell analysis from the samples.
-type FreezeReport struct {
-	Frames      int           // distinct frames observed
-	Freezes     int           // dwells exceeding the threshold
-	LongestDwel time.Duration // longest single dwell
-}
-
-// Freezes scans the samples for frames that stayed on screen longer than
-// threshold.
-func (s *ScreenSampler) Freezes(threshold time.Duration) FreezeReport {
-	var rep FreezeReport
-	var curSeq uint64
-	var curStart time.Duration
-	started := false
-	flush := func(end time.Duration) {
-		if !started {
-			return
-		}
-		dwell := end - curStart
-		rep.Frames++
-		if dwell > threshold {
-			rep.Freezes++
-		}
-		if dwell > rep.LongestDwel {
-			rep.LongestDwel = dwell
-		}
-	}
-	for _, smp := range s.Samples {
-		if !smp.Valid {
-			continue
-		}
-		if !started || smp.FrameSeq != curSeq {
-			flush(smp.At)
-			curSeq = smp.FrameSeq
-			curStart = smp.At
-			started = true
-		}
-	}
-	if len(s.Samples) > 0 {
-		flush(s.Samples[len(s.Samples)-1].At)
-	}
-	return rep
 }

@@ -21,7 +21,6 @@ type CrossSource struct {
 	ues    []*UE
 	alloc  *packet.Alloc
 	sim    *sim.Simulator
-	phases []CrossPhase
 	rate   units.BitRate
 	ticker *sim.Ticker
 }
@@ -33,7 +32,7 @@ const CrossPacketSize units.ByteCount = 1200
 // r and drives them per the schedule. Packet pacing gets a small
 // deterministic phase offset per UE so bursts do not align artificially.
 func NewCrossSource(s *sim.Simulator, r *RAN, alloc *packet.Alloc, n int, baseID uint32, phases []CrossPhase) *CrossSource {
-	cs := &CrossSource{alloc: alloc, sim: s, phases: phases}
+	cs := &CrossSource{alloc: alloc, sim: s}
 	for i := 0; i < n; i++ {
 		cs.ues = append(cs.ues, r.AttachUE(baseID+uint32(i), SchedBSROnly))
 	}

@@ -536,7 +536,7 @@ func (r *RAN) transmitTB(u *UE, tbs units.ByteCount, kind telemetry.GrantKind, s
 	// historical single-cell sequence, unchanged).
 	tb := &transportBlock{
 		id: r.nextTBID | uint64(r.Cfg.CellID)<<48, ue: u, tbs: tbs, used: used, kind: kind,
-		segs: segs, firstAt: slotAt, ids: ids,
+		segs: segs, ids: ids,
 	}
 	r.grantedBytes += tbs
 	if int(kind) < len(metGrantsByKind) {
@@ -552,14 +552,13 @@ func (r *RAN) transmitTB(u *UE, tbs units.ByteCount, kind telemetry.GrantKind, s
 
 // transportBlock is one TB working through HARQ.
 type transportBlock struct {
-	id      uint64
-	ue      *UE
-	tbs     units.ByteCount
-	used    units.ByteCount
-	kind    telemetry.GrantKind
-	segs    []segment
-	ids     []uint64
-	firstAt time.Duration
+	id   uint64
+	ue   *UE
+	tbs  units.ByteCount
+	used units.ByteCount
+	kind telemetry.GrantKind
+	segs []segment
+	ids  []uint64
 	// retry is the pending HARQ retransmission timer, valid while the TB
 	// sits in its UE's retx set; Detach stops it to reset HARQ state.
 	retry sim.Timer

@@ -5,10 +5,12 @@ import (
 	"encoding/hex"
 	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
 	"athena/internal/core"
+	"athena/internal/obs"
 	"athena/internal/ran"
 	"athena/internal/units"
 )
@@ -105,6 +107,44 @@ func TestSingleCellDigestsPinned(t *testing.T) {
 		if d := RunTopology(explicit).Digest(); d != got {
 			t.Errorf("%s: explicit one-cell digest %s != implicit-cell digest %s", tc.name, d, got)
 		}
+	}
+}
+
+// TestEventAndTBCountsPinned pins what one small serial run costs the
+// simulator: the events its engines fire (the counters the benchmark's
+// sim.events_per_ue_s reads) and the transport blocks its cells send. An
+// event-path change that keeps every digest still moves these numbers.
+func TestEventAndTBCountsPinned(t *testing.T) {
+	const wantEvents, wantTBs = 35841, 6921
+	top := NewMultiCellTopology(16, 2)
+	top.Seed = 1
+	top.Duration = 2 * time.Second
+	top.Serial = true
+	fired := func() (n int64) {
+		for name, v := range obs.TakeSnapshot().Counters {
+			if strings.HasPrefix(name, "sim.") && strings.HasSuffix(name, "events_fired") {
+				n += v
+			}
+		}
+		return n
+	}
+	if !obs.Enabled() {
+		obs.Enable()
+		defer obs.Disable()
+	}
+	before := fired()
+	tr := RunTopology(top)
+	events := fired() - before
+	tbs := 0
+	for _, sr := range tr.Shards {
+		for _, cell := range sr.RANs {
+			tbs += len(cell.Telemetry.Records)
+		}
+	}
+	// Frame sizes are not FMA-pinned off amd64 (ROADMAP item 14), and
+	// packet counts follow them.
+	if runtime.GOARCH == "amd64" && (events != wantEvents || tbs != wantTBs) {
+		t.Errorf("%d events and %d TBs, want %d and %d", events, tbs, wantEvents, wantTBs)
 	}
 }
 

@@ -25,7 +25,6 @@ type Adaptation struct {
 	RecoverHold  time.Duration // time below RecoverDelay before resuming
 	SkipBatch    int           // enhancement frames skipped per trigger
 
-	owd    stats.Running
 	window []time.Duration
 	mode   media.Mode
 

@@ -16,8 +16,11 @@ import (
 const FeedbackInterval = 50 * time.Millisecond
 
 // Receiver is the receiving VCA endpoint: it reassembles frames from RTP
-// packets, runs the jitter buffer and renderer, samples the screen at
-// 70 fps, and generates transport-wide feedback.
+// packets, runs the jitter buffer and renderer, and generates
+// transport-wide feedback. The paper captures the screen at 70 fps to
+// learn which frame is showing; here Renderer.DisplayTimes records each
+// displayed frame's sequence number and display time exactly, so nothing
+// samples the screen.
 type Receiver struct {
 	sim    *sim.Simulator
 	alloc  *packet.Alloc
@@ -26,7 +29,6 @@ type Receiver struct {
 
 	jb       *media.JitterBuffer
 	Renderer *media.Renderer
-	Sampler  *media.ScreenSampler
 	// AudioPlay tracks the audio playout line: samples that miss their
 	// 20 ms slot behind the fixed delay are concealed.
 	AudioPlay *media.AudioPlayout
@@ -39,12 +41,14 @@ type Receiver struct {
 	// (network duplication is real) cannot re-open and re-display them.
 	completed map[uint64]time.Duration
 
+	// Arrived bytes per second of receiver time, indexed by second: all
+	// media (bitrate) and per SVC layer (Fig 8 top).
+	recvBytes  []int64
+	layerBytes map[rtp.SVCLayer][]int64
+
 	// Figure inputs.
-	RecvBytes   *stats.Series                  // per-arrival media payload bytes (bitrate)
-	LayerBytes  map[rtp.SVCLayer]*stats.Series // per-SVC-layer arrivals (Fig 8 top)
-	VideoOWDMS  []float64                      // per-packet uplink+path OWD, video (Fig 4)
-	AudioOWDMS  []float64                      // per-packet OWD, audio (Fig 4)
-	FrameJitter []float64                      // per-frame inter-arrival jitter ms (Fig 7b)
+	VideoOWDMS  []float64 // per-packet uplink+path OWD, video (Fig 4)
+	FrameJitter []float64 // per-frame inter-arrival jitter ms (Fig 7b)
 	LostFrames  int
 
 	lastFrameArrival time.Duration
@@ -81,14 +85,12 @@ func NewReceiver(s *sim.Simulator, alloc *packet.Alloc, videoSSRC uint32, frames
 		frames:     frames,
 		jb:         media.NewJitterBuffer(10*time.Millisecond, 400*time.Millisecond),
 		Renderer:   media.NewRenderer(4),
-		Sampler:    &media.ScreenSampler{},
 		AudioPlay:  media.NewAudioPlayout(0),
 		builder:    rtp.NewFeedbackBuilder(videoSSRC),
 		videoSSRC:  videoSSRC,
 		asm:        make(map[uint64]*frameAsm),
 		completed:  make(map[uint64]time.Duration),
-		RecvBytes:  stats.NewSeries("recv_bytes"),
-		LayerBytes: make(map[rtp.SVCLayer]*stats.Series),
+		layerBytes: make(map[rtp.SVCLayer][]int64),
 	}
 	return r
 }
@@ -96,12 +98,9 @@ func NewReceiver(s *sim.Simulator, alloc *packet.Alloc, videoSSRC uint32, frames
 // VideoSSRC reports the video flow this receiver subscribes to.
 func (r *Receiver) VideoSSRC() uint32 { return r.videoSSRC }
 
-// Start begins feedback generation and 70 fps screen sampling.
+// Start begins feedback generation.
 func (r *Receiver) Start() {
 	r.fbTicker = r.sim.Every(FeedbackInterval, FeedbackInterval, r.flushFeedback)
-	r.sim.Every(0, media.ScreenSampleInterval, func() {
-		r.Sampler.Sample(r.Renderer, r.sim.Now())
-	})
 	// Reap stale incomplete frames (loss) every second.
 	r.sim.Every(time.Second, time.Second, r.reapStale)
 }
@@ -116,22 +115,15 @@ func (r *Receiver) Handle(p *packet.Packet) {
 	if rp.HasTWSeq {
 		r.builder.OnArrival(rp.TWSeq, now, p.ECN == packet.ECNCE)
 	}
-	r.RecvBytes.Add(now, float64(p.Size))
+	r.recvBytes = addBytes(r.recvBytes, now, p.Size)
 	if rp.HasSVC {
-		ls := r.LayerBytes[rp.SVC]
-		if ls == nil {
-			ls = stats.NewSeries(rp.SVC.String())
-			r.LayerBytes[rp.SVC] = ls
-		}
-		ls.Add(now, float64(p.Size))
+		r.layerBytes[rp.SVC] = addBytes(r.layerBytes[rp.SVC], now, p.Size)
 	}
-	owdMS := float64(now-p.SentAt) / float64(time.Millisecond)
 	switch p.Kind {
 	case packet.KindVideo:
-		r.VideoOWDMS = append(r.VideoOWDMS, owdMS)
+		r.VideoOWDMS = append(r.VideoOWDMS, float64(now-p.SentAt)/float64(time.Millisecond))
 		r.assemble(rp, now)
 	case packet.KindAudio:
-		r.AudioOWDMS = append(r.AudioOWDMS, owdMS)
 		pts := time.Duration(float64(rp.Timestamp) / 48000 * float64(time.Second))
 		r.AudioPlay.OnArrival(pts, now)
 	}
@@ -247,14 +239,34 @@ func (r *Receiver) flushFeedback() {
 	r.fbOut.Handle(p)
 }
 
-// ReceiveRateSeries bins arrivals into 1 s buckets as kbps (Fig 7a input).
-func (r *Receiver) ReceiveRateSeries() []stats.Point {
-	pts := r.RecvBytes.Bin(time.Second, stats.Sum)
-	for i := range pts {
-		pts[i].Y = pts[i].Y * 8 / 1000 // bytes/s → kbps
+// addBytes adds n bytes to the count of now's second in bins, growing
+// bins to reach it.
+func addBytes(bins []int64, now time.Duration, n units.ByteCount) []int64 {
+	i := int(now / time.Second)
+	for len(bins) <= i {
+		bins = append(bins, 0)
+	}
+	bins[i] += int64(n)
+	return bins
+}
+
+// ratePoints turns per-second byte counts into kbps points, X at the
+// second's centre, skipping seconds in which nothing arrived.
+func ratePoints(bins []int64) []stats.Point {
+	var pts []stats.Point
+	for i, b := range bins {
+		if b == 0 {
+			continue
+		}
+		x := time.Duration(i)*time.Second + time.Second/2
+		pts = append(pts, stats.Point{X: x.Seconds(), Y: float64(b) * 8 / 1000}) // bytes/s → kbps
 	}
 	return pts
 }
+
+// ReceiveRateSeries is the receive bitrate in 1 s buckets as kbps (Fig 7a
+// input).
+func (r *Receiver) ReceiveRateSeries() []stats.Point { return ratePoints(r.recvBytes) }
 
 // ReceiveRates returns per-second receive-bitrate samples in kbps.
 func (r *Receiver) ReceiveRates() []float64 {
@@ -269,16 +281,8 @@ func (r *Receiver) ReceiveRates() []float64 {
 // JitterBufferTarget reports the current adaptive playout delay.
 func (r *Receiver) JitterBufferTarget() time.Duration { return r.jb.TargetDelay() }
 
-// LayerRateSeries bins one SVC layer's arrivals into 1 s kbps points
-// (Fig 8's per-layer bitrate plot). Returns nil for unseen layers.
+// LayerRateSeries is one SVC layer's bitrate in 1 s kbps points (Fig 8's
+// per-layer bitrate plot). Returns nil for unseen layers.
 func (r *Receiver) LayerRateSeries(layer rtp.SVCLayer) []stats.Point {
-	ls := r.LayerBytes[layer]
-	if ls == nil {
-		return nil
-	}
-	pts := ls.Bin(time.Second, stats.Sum)
-	for i := range pts {
-		pts[i].Y = pts[i].Y * 8 / 1000
-	}
-	return pts
+	return ratePoints(r.layerBytes[layer])
 }

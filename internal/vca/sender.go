@@ -43,7 +43,7 @@ type Sender struct {
 	adapt *Adaptation
 
 	twSeq     uint16
-	hist      cc.History // sender-side send-time mirror for adaptation
+	hist      cc.History // send history, read by the controller and adaptation
 	lastFrame units.ByteCount
 
 	// FrameStore makes encoded frames available to the receiver for
@@ -53,7 +53,6 @@ type Sender struct {
 
 	// Diagnostics / figure inputs.
 	OWDSeries  *stats.Series // sender-estimated one-way delay (ms)
-	RateSeries *stats.Series // CC target rate over time (kbps)
 	ModeSeries *stats.Series // encoder mode fps over time
 	SkipEvents int
 
@@ -88,7 +87,6 @@ func NewSender(s *sim.Simulator, alloc *packet.Alloc, cfg SenderConfig, out pack
 		adapt:      cfg.Adaptation,
 		FrameStore: make(map[uint64]*media.EncodedFrame),
 		OWDSeries:  stats.NewSeries("owd_ms"),
-		RateSeries: stats.NewSeries("rate_kbps"),
 		ModeSeries: stats.NewSeries("mode_fps"),
 	}
 	snd.vpack.AttachMeta = cfg.AttachMeta
@@ -128,7 +126,6 @@ func (snd *Sender) captureFrame() {
 	// Video budget: CC target minus the audio share.
 	target := snd.cfg.Controller.TargetRate() - snd.cfg.AudioRate
 	snd.enc.SetTargetRate(target)
-	snd.RateSeries.Add(now, snd.cfg.Controller.TargetRate().Kbits())
 	snd.ModeSeries.Add(now, float64(snd.enc.Mode().FPS()))
 
 	ef := snd.enc.Encode(snd.src.Next(), now)
@@ -202,7 +199,7 @@ func (snd *Sender) HandleFeedback(p *packet.Packet) {
 		return
 	}
 	now := snd.sim.Now()
-	snd.cfg.Controller.OnFeedback(fb, now)
+	snd.cfg.Controller.OnFeedback(fb, &snd.hist, now)
 
 	// Estimate OWD per packet for the adaptation policy (hosts are
 	// NTP-synchronized in the testbed, so arrival-minus-send is usable).

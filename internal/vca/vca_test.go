@@ -1,13 +1,16 @@
 package vca
 
 import (
+	"slices"
 	"testing"
 	"time"
 
 	"athena/internal/cc/gcc"
 	"athena/internal/media"
 	"athena/internal/packet"
+	"athena/internal/rtp"
 	"athena/internal/sim"
+	"athena/internal/stats"
 	"athena/internal/units"
 )
 
@@ -66,8 +69,8 @@ func TestEndToEndFramesDisplayed(t *testing.T) {
 	if last < 24 || last > 30 {
 		t.Fatalf("steady frame rate = %v", last)
 	}
-	if len(h.rcv.VideoOWDMS) == 0 || len(h.rcv.AudioOWDMS) == 0 {
-		t.Fatal("OWD records missing")
+	if len(h.rcv.VideoOWDMS) == 0 || h.rcv.AudioPlay.Played == 0 {
+		t.Fatal("video OWD records or played audio missing")
 	}
 	if len(h.rcv.Renderer.SSIMs()) == 0 {
 		t.Fatal("no SSIM scored")
@@ -159,6 +162,50 @@ func TestReceiverBitrateSeries(t *testing.T) {
 	// Should be near the target (800kbps + overheads).
 	if rates[2] < 300 || rates[2] > 3000 {
 		t.Fatalf("bitrate sample = %v kbps", rates[2])
+	}
+}
+
+// The receive rates are per-second byte counts read as kbps at each
+// second's centre; a second with no arrival has no point, and a layer
+// never seen has no series.
+func TestReceiveRateSeriesPoints(t *testing.T) {
+	arrivals := []struct {
+		at    time.Duration
+		size  units.ByteCount
+		layer rtp.SVCLayer
+	}{
+		{100 * time.Millisecond, 100, rtp.LayerBase},
+		{900 * time.Millisecond, 200, rtp.LayerLowFPSEnhancement},
+		{1500 * time.Millisecond, 50, rtp.LayerBase},
+		{3200 * time.Millisecond, 1000, rtp.LayerBase}, // second 2 is empty
+	}
+	s := sim.New(1)
+	var alloc packet.Alloc
+	r := NewReceiver(s, &alloc, 1, nil, nil)
+	for _, a := range arrivals {
+		p := alloc.New(packet.KindData, 1, a.size, 0)
+		p.Payload = &rtp.Packet{HasSVC: true, SVC: a.layer}
+		s.At(a.at, func() { r.Handle(p) })
+	}
+	s.Run()
+	for _, tc := range []struct {
+		name string
+		got  []stats.Point
+		want []stats.Point
+	}{
+		{"all", r.ReceiveRateSeries(), []stats.Point{{X: 0.5, Y: 2.4}, {X: 1.5, Y: 0.4}, {X: 3.5, Y: 8}}},
+		{"base", r.LayerRateSeries(rtp.LayerBase), []stats.Point{{X: 0.5, Y: 0.8}, {X: 1.5, Y: 0.4}, {X: 3.5, Y: 8}}},
+		{"low-fps", r.LayerRateSeries(rtp.LayerLowFPSEnhancement), []stats.Point{{X: 0.5, Y: 1.6}}},
+		{"unseen", r.LayerRateSeries(rtp.LayerHighFPSEnhancement), nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if !slices.Equal(tc.got, tc.want) {
+				t.Fatalf("points %v, want %v", tc.got, tc.want)
+			}
+			if tc.want == nil && tc.got != nil {
+				t.Fatalf("points %#v, want nil", tc.got)
+			}
+		})
 	}
 }
 
