@@ -41,11 +41,6 @@ func init() {
 	)
 }
 
-// cdfPoints renders a sample set as CDF curve points.
-func cdfPoints(xs []float64, n int) []stats.Point {
-	return stats.NewCDF(xs).Points(n)
-}
-
 // Fig3 regenerates the one-way-delay time series of Fig 3: RTP sender→core
 // (the 5G uplink), RTP core→receiver (WAN + SFU), and ICMP core→SFU→core
 // probes, under the paper's cross-traffic phase schedule (time-compressed).
@@ -188,13 +183,12 @@ func Fig7(o Options) *FigureData {
 		{Start: 3 * q, Rate: 18 * units.Mbps},
 	}
 	em := base
-	em.Emulated = true
 	// The paper's baseline uses tc with the cellular capacity "calculated
-	// from the physical transport block sizes": the cell's per-slot TBS
-	// capability as a constant rate, at a fixed 15 ms latency. (The
-	// per-slot granted trace is available via scenario.TBSchedule for
-	// replay studies, but grants track demand, not capacity.)
-	em.EmulatedSchedule = []units.ByteCount{base.RAN.SlotCapacity()}
+	// from the physical transport block sizes": the emulated link carries
+	// the cell's per-slot TBS capability as a constant rate, at a fixed
+	// 15 ms latency. (Not the per-slot granted trace: grants track
+	// demand, not capacity.)
+	em.Emulated = true
 	// The two calls are independent, so they run concurrently; the 5G
 	// baseline is also the config several mitigation studies reuse, so it
 	// simulates once per process.

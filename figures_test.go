@@ -35,16 +35,6 @@ func TestFigureDataString(t *testing.T) {
 	}
 }
 
-func TestCDFPointsHelper(t *testing.T) {
-	pts := cdfPoints([]float64{1, 2, 3, 4}, 10)
-	if len(pts) != 10 {
-		t.Fatalf("points = %d", len(pts))
-	}
-	if pts[len(pts)-1].Y != 1 {
-		t.Fatalf("CDF must end at 1: %v", pts[len(pts)-1])
-	}
-}
-
 func TestMSHelper(t *testing.T) {
 	if ms(1500*time.Microsecond) != 1.5 {
 		t.Fatalf("ms = %v", ms(1500*time.Microsecond))

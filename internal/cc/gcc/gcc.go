@@ -139,6 +139,3 @@ func (g *GCC) TargetRate() units.BitRate {
 	}
 	return g.rc.rate
 }
-
-// DetectorState reports the current hypothesis (diagnostics).
-func (g *GCC) DetectorState() Usage { return g.det.hypothesis }

@@ -29,7 +29,7 @@ func TestLiveSteadyStateAdvanceAllocFree(t *testing.T) {
 		lc := NewLive(Input{SlotDuration: 500 * time.Microsecond}, emit)
 		seq := uint32(0)
 		step := func() {
-			feedStep(lc, seq)
+			feedStep(lc, nil, seq)
 			lc.Advance(time.Duration(seq) * 10 * time.Millisecond)
 			seq++
 		}

@@ -328,6 +328,7 @@ func replayChunked(t testing.TB, in Input, step func(i int) time.Duration) (view
 	})
 	si, ci, ti := 0, 0, 0
 	now := time.Duration(0)
+	var fed tbLog
 	advance := func(now time.Duration) {
 		buffered := len(lc.sizes)
 		if lc.Pending() > 0 && lc.dirty < lc.base+len(lc.ckpt) {
@@ -336,7 +337,7 @@ func replayChunked(t testing.TB, in Input, step func(i int) time.Duration) (view
 		if err := lc.Advance(now); err != nil {
 			t.Fatalf("advance %v: %v", now, err)
 		}
-		assertRederives(t, lc)
+		assertRederives(t, lc, &fed)
 		if buffered > 0 && len(lc.sizes) == 0 {
 			// A full drain: note the TBs it kept that carried its packets.
 			for _, v := range views[len(views)-buffered:] {
@@ -368,7 +369,7 @@ func replayChunked(t testing.TB, in Input, step func(i int) time.Duration) (view
 		// TBs are delivered in slice order (HARQ retries trail their At by
 		// design), gated on the head's timestamp; OnTB is order-free.
 		for ti < len(in.TBs) && in.TBs[ti].At <= now {
-			if err := lc.OnTB(in.TBs[ti]); err != nil {
+			if err := fed.feed(lc, in.TBs[ti]); err != nil {
 				t.Fatalf("tb %d: %v", ti, err)
 			}
 			ti++
@@ -393,12 +394,27 @@ type replayStats struct {
 	reused          bool
 }
 
+// tbLog is a test's log of the TB attempts it fed one correlator, each
+// numbered as the correlator numbers its arrivals.
+type tbLog []tbAttempt
+
+// feed passes r to lc, logging it unless the log is nil.
+func (l *tbLog) feed(lc *LiveCorrelator, r telemetry.TBRecord) error {
+	if l != nil {
+		*l = append(*l, tbAttempt{r.TBID, r.At, int64(r.UsedBytes), lc.arrivals, int32(r.HARQRound), r.Grant, r.Failed})
+	}
+	return lc.OnTB(r)
+}
+
 // assertRederives checks a correlator fed incrementally against a
 // one-shot feed of the records it retains: Correlate's feed of the
 // retained sender, core and TB records — one walk of the matcher from
 // position 0 on a fresh correlator — must reproduce every view, the
-// drain state, the key index and the TB-process table.
-func assertRederives(t testing.TB, lc *LiveCorrelator) {
+// drain state, the key index and the TB-process table. The retained TB
+// records are the attempts in fed whose process is in the table and
+// began no later than they did; fed is cut down to them, as an attempt
+// outside that set never re-enters it.
+func assertRederives(t testing.TB, lc *LiveCorrelator, fed *tbLog) {
 	t.Helper()
 	in := lc.in
 	for i, v := range lc.rep.Packets {
@@ -414,14 +430,17 @@ func assertRederives(t testing.TB, lc *LiveCorrelator) {
 			})
 		}
 	}
-	for _, a := range lc.tbs.items() {
-		if lc.tbLive(&a) {
+	kept := (*fed)[:0]
+	for _, a := range *fed {
+		if j, ok := lc.procIdx[a.id]; ok && a.seq >= lc.procs[j].seen {
+			kept = append(kept, a)
 			in.TBs = append(in.TBs, telemetry.TBRecord{
 				TBID: a.id, At: a.at, UsedBytes: units.ByteCount(a.used),
 				Grant: a.grant, HARQRound: int(a.round), Failed: a.failed,
 			})
 		}
 	}
+	*fed = kept
 	if len(in.Core) != lc.nCore || len(in.TBs) != lc.nTBs {
 		t.Fatalf("retained %d core / %d TB records, counted %d / %d", len(in.Core), len(in.TBs), lc.nCore, lc.nTBs)
 	}

@@ -78,16 +78,18 @@ type LiveCorrelator struct {
 
 	// The retained window. sizes holds the sender records' sizes,
 	// positionally identical to the views in rep.Packets and the drain
-	// state in fifoLeft; emitted is the prefix already emitted. core
-	// and tbs are arrival-ordered logs whose records trims retire in place
-	// (coreLive, tbLive); nCore and nTBs count the retained ones, the key
-	// index sums them up per key for the join, and arrivals numbers them.
+	// state in fifoLeft; emitted is the prefix already emitted. core is
+	// the arrival-ordered log of core sightings, whose records trims
+	// retire in place (coreLive); nCore counts the retained ones and the
+	// key index sums them up per key for the join. A TB attempt is kept
+	// only merged into its process; nTBs counts the attempts of the
+	// processes in the table. arrivals numbers core records and TB
+	// attempts alike.
 	rep       *Report
 	fifoLeft  []int64
 	sizes     []int64
 	emitted   int
 	core      queue[coreRec]
-	tbs       queue[tbAttempt]
 	nCore     int
 	nTBs      int
 	arrivals  uint64
@@ -174,7 +176,6 @@ func NewLive(in Input, emit func(PacketView)) *LiveCorrelator {
 		fifoLeft:   make([]int64, 0, ns),
 		sizes:      make([]int64, 0, ns),
 		core:       queue[coreRec]{buf: make([]coreRec, 0, nc)},
-		tbs:        queue[tbAttempt]{buf: make([]tbAttempt, 0, nt)},
 		headKeys:   make(map[pktKey]struct{}),
 		procs:      make([]tbProcess, 0, nt),
 		procIdx:    make(map[uint64]int32, nt),
@@ -309,15 +310,16 @@ func (lc *LiveCorrelator) covers(flow uint32) bool {
 // time, and the process table keeps its order whatever the arrival order.
 func (lc *LiveCorrelator) OnTB(r telemetry.TBRecord) error {
 	a := tbAttempt{r.TBID, r.At, int64(r.UsedBytes), lc.arrivals, int32(r.HARQRound), r.Grant, r.Failed}
-	lc.tbs.push(a)
 	lc.nTBs++
 	lc.arrivals++
 	lc.addTB(a)
 	return nil
 }
 
-// addTB merges one attempt into the TB-process table and re-places the
-// process if the attempt created it or changed its time or fate.
+// addTB merges one attempt into the TB-process table. If the attempt
+// created the process or changed its time or fate, it re-sorts the
+// process, lowers dirty to the first position affected and makes an
+// abandoned process a settle-gate candidate.
 func (lc *LiveCorrelator) addTB(a tbAttempt) {
 	j, ok := lc.procIdx[a.id]
 	if !ok {
@@ -331,15 +333,8 @@ func (lc *LiveCorrelator) addTB(a tbAttempt) {
 			return
 		}
 	}
-	lc.placed(int(j))
-}
-
-// placed re-sorts the changed process at position j, lowers dirty to the
-// first position affected and makes an abandoned process a settle-gate
-// candidate.
-func (lc *LiveCorrelator) placed(j int) {
-	to := lc.place(j)
-	lc.dirty = min(lc.dirty, j, to)
+	to := lc.place(int(j))
+	lc.dirty = min(lc.dirty, int(j), to)
 	if p := &lc.procs[to]; p.abandoned {
 		lc.harq = append(lc.harq, p.id)
 	}
@@ -563,9 +558,11 @@ func (lc *LiveCorrelator) unsettled(now time.Duration) time.Duration {
 // no emitted sender record consumed its key, its corrected time is at or
 // after the sender head's corrected send time (a packet sent later
 // reaches the core later), and it lies within a second of the flush
-// horizon; telemetry survives within that same second. So a core record
-// delivered ahead of its sender record (a sender clock running ahead)
-// waits for it, and a feed with no sender records at all stays bounded.
+// horizon. A TB process is kept or dropped whole: it goes once its last
+// attempt is more than that second old. So a core record delivered
+// ahead of its sender record (a sender clock running ahead) waits for
+// it, a HARQ process straddling the cut keeps its first attempt, and a
+// feed with no sender records at all stays bounded.
 //
 // Mid-stream, the emitted sender prefix is cut where the matcher's state
 // is settled, so the state over the trimmed buffers equals a batch pass
@@ -612,15 +609,7 @@ func (lc *LiveCorrelator) trim(horizon time.Duration) {
 			}
 		}
 		lc.core.off = i
-		for i = lc.tbs.off; i < len(lc.tbs.buf); i++ {
-			if a := &lc.tbs.buf[i]; lc.tbLive(a) {
-				if a.at >= keepFrom {
-					break
-				}
-				lc.cutTB(i)
-			}
-		}
-		lc.tbs.off = i
+		lc.dropSettled(keepFrom, keepFrom)
 		// No packet sent from now on precedes the sender head, so a kept
 		// process whose transmission causality bars the head from takes
 		// nothing: the next walk starts past them.
@@ -649,15 +638,8 @@ func (lc *LiveCorrelator) trim(horizon time.Duration) {
 		}
 		// Settled old TBs: initial attempt too old to satisfy causality
 		// against the first kept (hence any later) packet, and no attempt
-		// recent enough for the HARQ process to still be running. No
-		// attempt precedes the initial one, so the scan ends at whichever
-		// limit comes first.
-		limit := min(pkts[cut].SentAt-lc.in.SlotDuration-lc.in.MatchTolerance, keepFrom)
-		for j := 0; j < len(lc.procs) && lc.procs[j].initialAt < limit; j++ {
-			if p := &lc.procs[j]; !p.dead && p.finalAt < keepFrom {
-				lc.drop(p.id)
-			}
-		}
+		// recent enough for the HARQ process to still be running.
+		lc.dropSettled(min(pkts[cut].SentAt-lc.in.SlotDuration-lc.in.MatchTolerance, keepFrom), keepFrom)
 		lc.retire(cut)
 	}
 	if 4*lc.nDead > len(lc.procs) {
@@ -665,9 +647,6 @@ func (lc *LiveCorrelator) trim(horizon time.Duration) {
 	}
 	if 4*lc.nCore < 3*len(lc.core.items()) {
 		lc.core.keep(lc.coreLive)
-	}
-	if 4*lc.nTBs < 3*len(lc.tbs.items()) {
-		lc.tbs.keep(lc.tbLive)
 	}
 }
 
@@ -702,32 +681,16 @@ func (lc *LiveCorrelator) retire(cut int) {
 	lc.m.head = max(lc.m.head-cut, 0)
 }
 
-// cutTB removes the logged attempt at index i, which the full drain cuts
-// by time, not with its process. The process goes with its last attempt;
-// otherwise it is re-derived from those that remain — they follow in the
-// log within one HARQ lifetime — as the cut one may have set its
-// initialAt, used, grant or fate.
-func (lc *LiveCorrelator) cutTB(i int) {
-	id := lc.tbs.buf[i].id
-	j := int(lc.procIdx[id])
-	left := lc.procs[j].nrec - 1
-	if left == 0 {
-		lc.drop(id)
-		return
-	}
-	lc.nTBs--
-	var p tbProcess
-	for k := i + 1; p.nrec < left; k++ {
-		if a := lc.tbs.buf[k]; a.id == id {
-			if p.nrec == 0 {
-				p = newProcess(a)
-			} else {
-				p.merge(a)
-			}
+// dropSettled drops every process begun before limit whose last attempt
+// is older than keepFrom. No attempt precedes the initial one and the
+// table is in initialAt order, so the scan ends at the first process
+// begun at or after limit.
+func (lc *LiveCorrelator) dropSettled(limit, keepFrom time.Duration) {
+	for j := 0; j < len(lc.procs) && lc.procs[j].initialAt < limit; j++ {
+		if p := &lc.procs[j]; !p.dead && p.finalAt < keepFrom {
+			lc.drop(p.id)
 		}
 	}
-	lc.procs[j] = p
-	lc.placed(j)
 }
 
 // drop removes a TB process from the table; its slot stays, skipped by
@@ -780,14 +743,6 @@ func (lc *LiveCorrelator) compactProcs() {
 func (lc *LiveCorrelator) coreLive(c *coreRec) bool {
 	s := lc.rep.byKey[c.key]
 	return s.n > 0 && c.seq >= s.from
-}
-
-// tbLive reports whether a logged attempt belongs to a process in the
-// table: dropping a process retires its attempts, and a later attempt of
-// the same TB starts a new one.
-func (lc *LiveCorrelator) tbLive(a *tbAttempt) bool {
-	j, ok := lc.procIdx[a.id]
-	return ok && a.seq >= lc.procs[j].seen
 }
 
 // queue is an arrival-ordered log consumed from the front. Dropping a

@@ -28,6 +28,7 @@ func runLive(t *testing.T, dur time.Duration, flush time.Duration) (views []Pack
 	// tap would deliver them.
 	senderIdx, coreIdx, tbIdx := 0, 0, 0
 	tbs := bed.r.Telemetry.ForUE(1)
+	var fed tbLog
 	for now := time.Duration(0); now < dur+2*time.Second; now += 100 * time.Millisecond {
 		for senderIdx < len(bed.capSend.Records) && bed.capSend.Records[senderIdx].LocalTime <= now {
 			lc.OnSenderRecord(bed.capSend.Records[senderIdx])
@@ -38,11 +39,11 @@ func runLive(t *testing.T, dur time.Duration, flush time.Duration) (views []Pack
 			coreIdx++
 		}
 		for tbIdx < len(tbs) && tbs[tbIdx].At <= now {
-			lc.OnTB(tbs[tbIdx])
+			fed.feed(lc, tbs[tbIdx])
 			tbIdx++
 		}
 		lc.Advance(now)
-		assertRederives(t, lc)
+		assertRederives(t, lc, &fed)
 	}
 	return views, bed
 }
@@ -178,8 +179,9 @@ func TestLiveTBProcessTableMatchesWindow(t *testing.T) {
 // seq's sender record arrives now, while the previous packet's TB and
 // core arrival resolve it. The freshest packet is therefore always
 // unresolved at Advance time, keeping Pending() positive — the regime
-// the mid-stream trim exists for. Spacing is 10 ms per seq.
-func feedStep(lc *LiveCorrelator, seq uint32) {
+// the mid-stream trim exists for. Spacing is 10 ms per seq. The TB goes
+// through fed, which may be nil.
+func feedStep(lc *LiveCorrelator, fed *tbLog, seq uint32) {
 	now := time.Duration(seq) * 10 * time.Millisecond
 	lc.OnSenderRecord(packet.Record{
 		Point: packet.PointSender, Kind: packet.KindVideo,
@@ -189,7 +191,7 @@ func feedStep(lc *LiveCorrelator, seq uint32) {
 		return
 	}
 	prev := now - 10*time.Millisecond
-	lc.OnTB(telemetry.TBRecord{
+	fed.feed(lc, telemetry.TBRecord{
 		At: prev + 2*time.Millisecond, TBID: uint64(seq), UE: 1,
 		TBS: 1200, UsedBytes: 1200, Grant: telemetry.GrantProactive,
 	})
@@ -208,13 +210,14 @@ func TestLiveMidStreamTrimBoundsBuffers(t *testing.T) {
 	lc := NewLive(Input{SlotDuration: 500 * time.Microsecond}, nil)
 	const n = 2000
 	maxSender, maxCore, maxTBs := 0, 0, 0
+	var fed tbLog
 	for i := 0; i < n; i++ {
-		feedStep(lc, uint32(i))
+		feedStep(lc, &fed, uint32(i))
 		// The freshest packet's TB and core record are not fed yet at
 		// Advance time: hold it back by advancing only to its send time,
 		// inside the flush horizon, so Pending() stays positive.
 		lc.Advance(time.Duration(i) * 10 * time.Millisecond)
-		assertRederives(t, lc)
+		assertRederives(t, lc, &fed)
 		if lc.Pending() == 0 && i > 0 {
 			t.Fatalf("iteration %d: fully drained; this test must exercise the mid-stream path", i)
 		}
@@ -244,12 +247,13 @@ func TestLiveMidStreamTrimBoundsBuffers(t *testing.T) {
 // old for causality and their HARQ process is over.
 func TestLiveMidStreamTrimDropsSettledTBs(t *testing.T) {
 	lc := NewLive(Input{SlotDuration: 500 * time.Microsecond}, nil)
+	var fed tbLog
 	for i := 0; i < 1000; i++ {
-		feedStep(lc, uint32(i))
+		feedStep(lc, &fed, uint32(i))
 		now := time.Duration(i) * 10 * time.Millisecond
-		lc.OnTB(telemetry.TBRecord{At: now + time.Millisecond, TBID: 1<<32 | uint64(i), UE: 1, TBS: 1200})
+		fed.feed(lc, telemetry.TBRecord{At: now + time.Millisecond, TBID: 1<<32 | uint64(i), UE: 1, TBS: 1200})
 		lc.Advance(now)
-		assertRederives(t, lc)
+		assertRederives(t, lc, &fed)
 		// 1.5 s of empty grants, plus the spent-TB window.
 		if got := lc.Snapshot().BufferedTBs; got > 300 {
 			t.Fatalf("step %d: %d TB records buffered", i, got)
@@ -264,8 +268,9 @@ func TestLiveDrainRewalksKeptTBs(t *testing.T) {
 	var views []PacketView
 	lc := NewLive(Input{SlotDuration: 500 * time.Microsecond}, func(v PacketView) { views = append(views, v.Clone()) })
 	lc.FlushAfter = 50 * time.Millisecond
+	var fed tbLog
 	for i := 0; i < 10; i++ {
-		lc.OnTB(telemetry.TBRecord{TBID: uint64(i + 1), At: time.Duration(i) * time.Millisecond, UE: 1, TBS: 1200, UsedBytes: 1000})
+		fed.feed(lc, telemetry.TBRecord{TBID: uint64(i + 1), At: time.Duration(i) * time.Millisecond, UE: 1, TBS: 1200, UsedBytes: 1000})
 	}
 	feed := func(seq uint32, at time.Duration) {
 		lc.OnSenderRecord(sRec(1, seq, packet.KindVideo, at))
@@ -273,13 +278,40 @@ func TestLiveDrainRewalksKeptTBs(t *testing.T) {
 	}
 	feed(0, 5*time.Millisecond)
 	lc.Advance(20 * time.Millisecond)
-	lc.OnTB(telemetry.TBRecord{TBID: 100, At: 2 * time.Second, UE: 1, TBS: 1200, UsedBytes: 1200})
+	fed.feed(lc, telemetry.TBRecord{TBID: 100, At: 2 * time.Second, UE: 1, TBS: 1200, UsedBytes: 1200})
 	lc.Advance(2 * time.Second)
 	feed(1, 2*time.Second+time.Millisecond)
 	lc.Advance(2*time.Second + 10*time.Millisecond)
-	assertRederives(t, lc)
+	assertRederives(t, lc, &fed)
 	if len(views) != 2 || !slices.Equal(views[1].TBIDs, []uint64{100}) {
 		t.Fatalf("views %+v, want the second carried by TB 100", views)
+	}
+}
+
+// A full drain keeps or drops a HARQ process whole. Here the drain's
+// one-second retention cut falls between a TB's failed first attempt and
+// its successful retry: the process stays, first attempt included.
+func TestLiveDrainKeepsStraddlingProcessWhole(t *testing.T) {
+	var views []PacketView
+	lc := NewLive(Input{SlotDuration: 500 * time.Microsecond}, func(v PacketView) { views = append(views, v.Clone()) })
+	var fed tbLog
+	const s = time.Second
+	lc.OnSenderRecord(sRec(1, 0, packet.KindVideo, 995*time.Millisecond))
+	fed.feed(lc, telemetry.TBRecord{TBID: 7, At: s, UE: 1, TBS: 1200, UsedBytes: 1200, Failed: true})
+	fed.feed(lc, telemetry.TBRecord{TBID: 7, At: s + 10*time.Millisecond, UE: 1, TBS: 1200, UsedBytes: 1200, HARQRound: 1})
+	lc.OnCoreRecord(cRec(1, 0, packet.KindVideo, s+15*time.Millisecond))
+	lc.Advance(s + 100*time.Millisecond)
+	if len(views) != 1 || !slices.Equal(views[0].TBIDs, []uint64{7}) {
+		t.Fatalf("views %+v, want the packet carried by TB 7", views)
+	}
+	// keepFrom = 2.505 s - FlushAfter - 1 s = 1.005 s.
+	lc.Advance(2*s + 505*time.Millisecond)
+	assertRederives(t, lc, &fed)
+	if got := lc.Snapshot().BufferedTBs; got != 2 {
+		t.Fatalf("%d TB attempts buffered, want both of the straddling process", got)
+	}
+	if p := lc.procs[lc.procIdx[7]]; p.initialAt != s {
+		t.Fatalf("process starts at %v, want its first attempt's %v", p.initialAt, s)
 	}
 }
 
@@ -319,6 +351,7 @@ func TestLiveMidStreamTrimBoundsRepeatedKeyCoreRecords(t *testing.T) {
 	const n = 2000
 	maxCore := 0
 	var prev []packet.Record
+	var fed tbLog
 	for i := 0; i < n; i++ {
 		now := time.Duration(i) * 10 * time.Millisecond
 		ntp := sRec(99, 0, packet.KindCross, now+time.Microsecond)
@@ -337,11 +370,11 @@ func TestLiveMidStreamTrimBoundsRepeatedKeyCoreRecords(t *testing.T) {
 			lc.OnCoreRecord(r)
 		}
 		if used > 0 {
-			lc.OnTB(telemetry.TBRecord{At: now - 8*time.Millisecond, TBID: uint64(i), UE: 1, TBS: used, UsedBytes: used})
+			fed.feed(lc, telemetry.TBRecord{At: now - 8*time.Millisecond, TBID: uint64(i), UE: 1, TBS: used, UsedBytes: used})
 		}
 		prev = cur
 		lc.Advance(now)
-		assertRederives(t, lc)
+		assertRederives(t, lc, &fed)
 		if lc.Pending() == 0 {
 			t.Fatalf("iteration %d: fully drained; this test must exercise the mid-stream path", i)
 		}
@@ -387,7 +420,7 @@ func BenchmarkLiveSteadyState(b *testing.B) {
 	lc := NewLive(Input{SlotDuration: 500 * time.Microsecond}, nil)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		feedStep(lc, uint32(i))
+		feedStep(lc, nil, uint32(i))
 		lc.Advance(time.Duration(i) * 10 * time.Millisecond)
 	}
 }

@@ -77,9 +77,6 @@ func (l *Link) Handle(p *packet.Packet) {
 	})
 }
 
-// QueuedBytes reports the bytes currently in the transmission queue.
-func (l *Link) QueuedBytes() units.ByteCount { return l.queued }
-
 // SFU models the conferencing server's application-layer forwarding. The
 // paper identifies it as a secondary jitter source: the ping probes that
 // bypass its userspace processing see less jitter than media packets.
@@ -132,61 +129,46 @@ func (f *SFU) Handle(p *packet.Packet) {
 // FixedLatencyLink reproduces §2's emulated baseline: "a fixed 15 ms
 // latency that emulates the cellular network's capacity (calculated from
 // the physical transport block sizes) using Linux traffic control (tc)
-// over a wired network." The capacity follows a replayed schedule of
-// byte budgets per interval derived from a RAN TB trace.
+// over a wired network." The capacity is a constant byte budget per
+// interval.
 type FixedLatencyLink struct {
 	Latency time.Duration
 	Next    packet.Handler
 
-	sim      *sim.Simulator
-	schedule []units.ByteCount // byte budget per interval
-	interval time.Duration
-	idx      int
-	budget   units.ByteCount
-	queue    []*packet.Packet
+	sim    *sim.Simulator
+	rate   units.ByteCount // byte budget added per interval
+	limit  units.ByteCount // the most budget that may accumulate
+	budget units.ByteCount
+	queue  []*packet.Packet
 }
 
-// NewFixedLatencyLink creates the emulated link. schedule[i] is the byte
-// budget for interval i (replayed cyclically); interval is the schedule
-// granularity.
-func NewFixedLatencyLink(s *sim.Simulator, latency time.Duration, schedule []units.ByteCount, interval time.Duration, next packet.Handler) *FixedLatencyLink {
+// NewFixedLatencyLink creates the emulated link, granting budget bytes
+// every interval. A budget of zero means 1 GiB per interval, an interval
+// of zero 2.5 ms.
+func NewFixedLatencyLink(s *sim.Simulator, latency time.Duration, budget units.ByteCount, interval time.Duration, next packet.Handler) *FixedLatencyLink {
 	if next == nil {
 		next = packet.Discard
 	}
-	if len(schedule) == 0 {
-		schedule = []units.ByteCount{1 << 30}
+	if budget <= 0 {
+		budget = 1 << 30
 	}
 	if interval <= 0 {
 		interval = 2500 * time.Microsecond
 	}
 	l := &FixedLatencyLink{
 		Latency: latency, Next: next, sim: s,
-		schedule: schedule, interval: interval,
+		// Always allow at least a couple of MTUs to burst.
+		rate: budget, limit: max(4*budget, 4000), budget: budget,
 	}
-	l.budget = schedule[0]
 	s.Every(interval, interval, l.refill)
 	return l
 }
 
 func (l *FixedLatencyLink) refill() {
-	l.idx = (l.idx + 1) % len(l.schedule)
 	// Token-bucket accumulation: unused budget carries over (bounded), so
 	// a packet larger than a single interval's budget still transmits
 	// once enough intervals have passed — tc's behavior.
-	l.budget += l.schedule[l.idx]
-	var maxEntry units.ByteCount
-	for _, b := range l.schedule {
-		if b > maxEntry {
-			maxEntry = b
-		}
-	}
-	limit := 4 * maxEntry
-	if limit < 4000 { // always allow at least a couple of MTUs to burst
-		limit = 4000
-	}
-	if l.budget > limit {
-		l.budget = limit
-	}
+	l.budget = min(l.budget+l.rate, l.limit)
 	l.drain()
 }
 

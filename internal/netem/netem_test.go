@@ -161,7 +161,7 @@ func TestSFUMediaJittersProbesDoNot(t *testing.T) {
 func TestFixedLatencyLinkConstantDelay(t *testing.T) {
 	s := sim.New(1)
 	k := &sink{s: s}
-	l := NewFixedLatencyLink(s, 15*time.Millisecond, []units.ByteCount{100000}, 2500*time.Microsecond, k)
+	l := NewFixedLatencyLink(s, 15*time.Millisecond, 100000, 2500*time.Microsecond, k)
 	var alloc packet.Alloc
 	for i := 0; i < 20; i++ {
 		at := time.Duration(i) * 7 * time.Millisecond
@@ -182,7 +182,7 @@ func TestFixedLatencyLinkRespectsBudget(t *testing.T) {
 	s := sim.New(1)
 	k := &sink{s: s}
 	// 1200 B budget per 2.5 ms: one packet per interval.
-	l := NewFixedLatencyLink(s, 0, []units.ByteCount{1200}, 2500*time.Microsecond, k)
+	l := NewFixedLatencyLink(s, 0, 1200, 2500*time.Microsecond, k)
 	var alloc packet.Alloc
 	s.At(0, func() {
 		for i := 0; i < 4; i++ {
@@ -210,7 +210,7 @@ func TestFixedLatencyLinkRespectsBudget(t *testing.T) {
 
 func TestFixedLatencyLinkDefaults(t *testing.T) {
 	s := sim.New(1)
-	l := NewFixedLatencyLink(s, time.Millisecond, nil, 0, nil)
+	l := NewFixedLatencyLink(s, time.Millisecond, 0, 0, nil)
 	var alloc packet.Alloc
 	l.Handle(alloc.New(packet.KindVideo, 1, 1200, 0)) // must not panic
 	s.RunUntil(10 * time.Millisecond)

@@ -17,8 +17,8 @@ var publishMu sync.Mutex
 // publishMetrics publishes the registry under "athena.metrics" exactly
 // once per process, no matter how many handlers are built. The published
 // value is a live Func over TakeSnapshot, so a handler built after a
-// Flush serves the current (flushed) registry state, never the snapshot
-// that existed at first publication.
+// ResetAll serves the current (zeroed) registry state, never the
+// snapshot that existed at first publication.
 func publishMetrics() {
 	publishMu.Lock()
 	defer publishMu.Unlock()

@@ -29,12 +29,12 @@ func varsSnapshot(t *testing.T, rrBody string) Snapshot {
 // TestDebugHandlerRepublishAfterFlush is the regression test for the
 // sync.Once publication bug: a second server (or test) building its own
 // DebugHandler in the same process must neither panic on the duplicate
-// expvar name nor serve the pre-Flush snapshot.
+// expvar name nor serve the snapshot taken before a ResetAll.
 func TestDebugHandlerRepublishAfterFlush(t *testing.T) {
 	Enable()
 	defer Disable()
 	c := NewCounter("debugtest.republish")
-	defer Unregister("debugtest.republish")
+	defer UnregisterPrefix("debugtest.republish")
 
 	c.Add(41)
 	h1 := DebugHandler()
@@ -44,12 +44,13 @@ func TestDebugHandlerRepublishAfterFlush(t *testing.T) {
 		t.Fatalf("first server sees %d, want 41", got)
 	}
 
-	if got := Flush().Counters["debugtest.republish"]; got != 41 {
-		t.Fatalf("flush snapshot lost the final value: %d", got)
+	if got := TakeSnapshot().Counters["debugtest.republish"]; got != 41 {
+		t.Fatalf("final snapshot lost the value: %d", got)
 	}
+	ResetAll()
 
 	// Second server in the same process: must not panic, must serve the
-	// flushed (live) state, not a stale pre-Flush capture.
+	// reset (live) state, not a stale capture from before the reset.
 	h2 := DebugHandler()
 	c.Add(1)
 	rr = httptest.NewRecorder()
@@ -97,7 +98,7 @@ func TestUnregisterPrefix(t *testing.T) {
 	if s.Counters["session.s2.ingest"] != 3 {
 		t.Fatal("unrelated session's metric disturbed")
 	}
-	if Unregister("session.s1.ingest") {
+	if UnregisterPrefix("session.s1.") != 0 {
 		t.Fatal("double unregister reported a removal")
 	}
 }
@@ -113,17 +114,18 @@ func TestFlushZeroesEverything(t *testing.T) {
 	g.Set(9)
 	h.Observe(100)
 
-	s := Flush()
+	s := TakeSnapshot()
 	if s.Counters["flushtest.c"] != 7 || s.Gauges["flushtest.g"] != 9 || s.Histograms["flushtest.h"].Count != 1 {
-		t.Fatalf("flush snapshot incomplete: %+v", s)
+		t.Fatalf("snapshot incomplete: %+v", s)
 	}
+	ResetAll()
 	after := TakeSnapshot()
 	if after.Counters["flushtest.c"] != 0 || after.Gauges["flushtest.g"] != 0 || after.Histograms["flushtest.h"].Count != 0 {
-		t.Fatalf("metrics not zeroed after flush: %+v", after)
+		t.Fatalf("metrics not zeroed after ResetAll: %+v", after)
 	}
-	// Instances stay live: recording after Flush re-accumulates.
+	// Instances stay live: recording after ResetAll re-accumulates.
 	c.Inc()
 	if TakeSnapshot().Counters["flushtest.c"] != 1 {
-		t.Fatal("registration lost across flush")
+		t.Fatal("registration lost across ResetAll")
 	}
 }

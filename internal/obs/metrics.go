@@ -452,46 +452,11 @@ func ResetAll() {
 	}
 }
 
-// Flush atomically takes a final snapshot and zeroes every registered
-// metric — the handoff point between servers or tests sharing one
-// process. Registrations are kept, and the expvar publication reads the
-// live registry, so anything serving /debug/vars reports the flushed
-// (zeroed, then re-accumulating) values rather than a stale snapshot.
-func Flush() Snapshot {
-	registry.mu.Lock()
-	defer registry.mu.Unlock()
-	s := snapshotLocked()
-	for _, c := range registry.counters {
-		c.Reset()
-	}
-	for _, g := range registry.gauges {
-		g.Reset()
-	}
-	for _, h := range registry.histograms {
-		h.Reset()
-	}
-	return s
-}
-
-// Unregister removes every metric registered under name (a name may hold
-// at most one counter, gauge and histogram). The metric instances remain
-// valid — holders can keep recording into them — but they disappear from
-// snapshots and /metrics. Reports whether anything was removed.
-func Unregister(name string) bool {
-	registry.mu.Lock()
-	defer registry.mu.Unlock()
-	_, c := registry.counters[name]
-	_, g := registry.gauges[name]
-	_, h := registry.histograms[name]
-	delete(registry.counters, name)
-	delete(registry.gauges, name)
-	delete(registry.histograms, name)
-	return c || g || h
-}
-
 // UnregisterPrefix removes every metric whose name starts with prefix and
-// reports how many entries were dropped. The result store's Close uses
-// it to retire its instance-named metric family in one call.
+// reports how many entries were dropped. The metric instances remain
+// valid — holders can keep recording into them — but they disappear from
+// snapshots and /metrics. The result store's Close uses it to retire its
+// instance-named metric family in one call.
 func UnregisterPrefix(prefix string) int {
 	registry.mu.Lock()
 	defer registry.mu.Unlock()

@@ -100,7 +100,7 @@ func TestPromNameSanitization(t *testing.T) {
 	cases := map[string]string{
 		"serve.http.feed_ns":   "athena_serve_http_feed_ns",
 		"session.lg-01.pend":   "athena_session_lg_01_pend",
-		"ran.cell0.ue1.drops":  "athena_ran_cell0_ue1_drops",
+		"experiment.F7.wall":   "athena_experiment_F7_wall",
 		"weird name/with%chrs": "athena_weird_name_with_chrs",
 	}
 	for in, want := range cases {

@@ -11,10 +11,10 @@ import (
 )
 
 // TestUnregisterPrefixConcurrentSnapshot pins, under -race, the
-// real-world interleaving of a live server: session close retiring a
-// "session.<id>." metric family (UnregisterPrefix) while a concurrent
-// /metrics scrape walks the registry (TakeSnapshot, WritePrometheus)
-// and the expvar publication renders it. Every path must serialize on
+// real-world interleaving of a live server: a result store's Close
+// retiring its instance-named metric family (UnregisterPrefix) while a
+// concurrent /metrics scrape walks the registry (TakeSnapshot,
+// WritePrometheus) and the expvar publication renders it. Every path must serialize on
 // the registry mutex; recording into a just-unregistered metric must
 // stay safe (the instance outlives its registration).
 func TestUnregisterPrefixConcurrentSnapshot(t *testing.T) {
@@ -53,7 +53,7 @@ func TestUnregisterPrefixConcurrentSnapshot(t *testing.T) {
 			go func(g int) {
 				defer churn.Done()
 				for i := 0; i < rounds; i++ {
-					prefix := fmt.Sprintf("session.race%d-%d.", g, i)
+					prefix := fmt.Sprintf("store.race%d-%d.", g, i)
 					c := NewCounter(prefix + "ingest")
 					h := NewHistogram(prefix + "ingest_ns")
 					gauge := NewGauge(prefix + "pending")
@@ -77,12 +77,12 @@ func TestUnregisterPrefixConcurrentSnapshot(t *testing.T) {
 		// All churned families are gone from the final snapshot.
 		s := TakeSnapshot()
 		for name := range s.Counters {
-			if strings.HasPrefix(name, "session.race") {
+			if strings.HasPrefix(name, "store.race") {
 				t.Fatalf("retired metric %s survived", name)
 			}
 		}
 		for name := range s.Histograms {
-			if strings.HasPrefix(name, "session.race") {
+			if strings.HasPrefix(name, "store.race") {
 				t.Fatalf("retired metric %s survived", name)
 			}
 		}

@@ -46,8 +46,8 @@ type Prober struct {
 	ticker  *sim.Ticker
 }
 
-// New creates a prober sending every interval into forward. Call Start to
-// begin.
+// New creates a prober sending every ProbeInterval into forward. Call
+// Start to begin.
 func New(s *sim.Simulator, alloc *packet.Alloc, flow uint32, forward packet.Handler) *Prober {
 	return &Prober{
 		Flow: flow, sim: s, alloc: alloc, forward: forward,
@@ -55,12 +55,9 @@ func New(s *sim.Simulator, alloc *packet.Alloc, flow uint32, forward packet.Hand
 	}
 }
 
-// Start begins probing every interval until the simulation ends.
-func (p *Prober) Start(interval time.Duration) {
-	if interval <= 0 {
-		interval = ProbeInterval
-	}
-	p.ticker = p.sim.Every(p.sim.Now(), interval, p.send)
+// Start begins probing every ProbeInterval until the simulation ends.
+func (p *Prober) Start() {
+	p.ticker = p.sim.Every(p.sim.Now(), ProbeInterval, p.send)
 }
 
 // Stop halts probing.

@@ -24,7 +24,7 @@ func TestProberMeasuresOWDAndRTT(t *testing.T) {
 	var pr *Prober
 	pr = New(s, &alloc, 9, nil)
 	pr.forward = echoPath(s, pr, 7*time.Millisecond, 3*time.Millisecond)
-	pr.Start(ProbeInterval)
+	pr.Start()
 	s.RunUntil(200 * time.Millisecond)
 	pr.Stop()
 	if len(pr.Results) < 9 {
@@ -48,7 +48,7 @@ func TestProberSummary(t *testing.T) {
 	var alloc packet.Alloc
 	pr := New(s, &alloc, 9, nil)
 	pr.forward = echoPath(s, pr, 5*time.Millisecond, time.Millisecond)
-	pr.Start(0) // default interval
+	pr.Start()
 	s.RunUntil(500 * time.Millisecond)
 	sum := pr.Summary()
 	if sum.Count == 0 || sum.P50 != 5 {
@@ -78,10 +78,10 @@ func TestProberStop(t *testing.T) {
 	var alloc packet.Alloc
 	sent := 0
 	pr := New(s, &alloc, 9, packet.HandlerFunc(func(*packet.Packet) { sent++ }))
-	pr.Start(10 * time.Millisecond)
+	pr.Start()
 	s.At(35*time.Millisecond, func() { pr.Stop() })
 	s.RunUntil(time.Second)
-	if sent != 4 { // t=0,10,20,30
+	if sent != 2 { // t=0,20
 		t.Fatalf("sent = %d", sent)
 	}
 }

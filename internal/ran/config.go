@@ -42,9 +42,9 @@ func (d Duplex) String() string {
 // paper's private 5G setup.
 type Config struct {
 	// CellID identifies this cell in a multi-cell deployment. It
-	// namespaces per-cell observability (ran.cell<id>.ue<n>.drops) and
-	// the TB ID space (the top 16 bits of every TBID), so telemetry
-	// merged across cells never conflates two cells' transport blocks.
+	// namespaces the TB ID space (the top 16 bits of every TBID), so
+	// telemetry merged across cells never conflates two cells'
+	// transport blocks.
 	// Single-cell scenarios leave it zero, which keeps their TBIDs
 	// byte-identical to the historical single-cell numbering.
 	CellID uint32

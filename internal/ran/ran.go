@@ -208,11 +208,6 @@ func (r *RAN) GrantedBytes() units.ByteCount { return r.grantedBytes }
 // returns it.
 func (r *RAN) AttachUE(id uint32, sched SchedulerKind) *UE {
 	u := &UE{ID: id, Sched: sched, ran: r, Downlink: packet.Discard}
-	// NewCounter dedups by name, so re-attaching the same UE ID across
-	// scenario runs keeps accumulating into one per-UE drop counter. The
-	// name is keyed by cell so concurrent engines in a multi-cell run
-	// record into disjoint series.
-	u.metDrops = obs.NewCounter(fmt.Sprintf("ran.cell%d.ue%d.drops", r.Cfg.CellID, id))
 	r.ues = append(r.ues, u)
 	return u
 }
@@ -284,11 +279,9 @@ func (r *RAN) Detach(u *UE) {
 // AttachExisting adopts an already-constructed UE — the target side of a
 // handover. The UE keeps its buffer (the buffered-data transfer has
 // completed by the time the scenario layer calls this) and its identity;
-// scheduling state starts fresh, and its drop counter rehomes to this
-// cell's namespace.
+// scheduling state starts fresh.
 func (r *RAN) AttachExisting(u *UE) {
 	u.ran = r
-	u.metDrops = obs.NewCounter(fmt.Sprintf("ran.cell%d.ue%d.drops", r.Cfg.CellID, u.ID))
 	r.ues = append(r.ues, u)
 }
 
@@ -599,7 +592,6 @@ func (r *RAN) attempt(tb *transportBlock, round int, at time.Duration) {
 				r.Drops++
 				tb.ue.Drops++
 				metDrops.Inc()
-				tb.ue.metDrops.Inc()
 			}
 		}
 		return

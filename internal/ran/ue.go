@@ -3,7 +3,6 @@ package ran
 import (
 	"time"
 
-	"athena/internal/obs"
 	"athena/internal/packet"
 	"athena/internal/rtp"
 	"athena/internal/units"
@@ -157,10 +156,9 @@ type UE struct {
 	retx []*transportBlock
 
 	// Drops counts this UE's packets abandoned after HARQ exhaustion
-	// (the cell-wide total is RAN.Drops). metDrops mirrors it into the
-	// obs registry as ran.ue.<id>.drops.
-	Drops    int
-	metDrops *obs.Counter
+	// (the cell-wide total is RAN.Drops; the process-wide one is the
+	// ran.drops counter).
+	Drops int
 
 	// Downlink delivery handler (packets arriving from the network to
 	// this UE's host).

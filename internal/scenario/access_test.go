@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"athena/internal/packet"
-	"athena/internal/units"
 )
 
 // TestEveryAccessRunsOneShard pins the one-engine result shape: whatever
@@ -13,14 +12,11 @@ import (
 // aliases shard 0, and only the Access5G path owns a cell.
 func TestEveryAccessRunsOneShard(t *testing.T) {
 	for name, mut := range map[string]func(*Config){
-		"5g":    func(c *Config) {},
-		"wifi":  func(c *Config) { c.Access = AccessWiFi },
-		"leo":   func(c *Config) { c.Access = AccessLEO },
-		"wired": func(c *Config) { c.Access = AccessWired },
-		"emulated": func(c *Config) {
-			c.Emulated = true
-			c.EmulatedSchedule = []units.ByteCount{c.RAN.SlotCapacity()}
-		},
+		"5g":       func(c *Config) {},
+		"wifi":     func(c *Config) { c.Access = AccessWiFi },
+		"leo":      func(c *Config) { c.Access = AccessLEO },
+		"wired":    func(c *Config) { c.Access = AccessWired },
+		"emulated": func(c *Config) { c.Emulated = true },
 	} {
 		res := short(func(c *Config) {
 			c.Duration = time.Second

@@ -93,7 +93,6 @@ func TestTopologyMatchesLegacyFig7(t *testing.T) {
 
 	em := base
 	em.Emulated = true
-	em.EmulatedSchedule = []units.ByteCount{base.RAN.SlotCapacity()}
 	assertGolden(t, "fig7-emulated", em, "814063b225e3007f788a9130f69a97712ff3bc0b95c2b626d08e36a24ed3f193")
 }
 

@@ -22,7 +22,6 @@ import (
 	"athena/internal/sim"
 	"athena/internal/stats"
 	"athena/internal/units"
-	"athena/internal/wifi"
 )
 
 // ControllerKind names a congestion-control choice.
@@ -69,22 +68,16 @@ type Config struct {
 	Duration time.Duration
 
 	// Access selects the uplink technology; empty means Access5G.
-	// Emulated=true (the Fig 7 baseline) overrides it with the
-	// TB-schedule-driven wired link.
+	// Emulated=true (the Fig 7 baseline) overrides it with a wired link
+	// of the cell's constant per-slot TBS capacity.
 	Access AccessKind
-	// WiFi parameterizes the AccessWiFi uplink.
-	WiFi wifi.Config
 
 	// RAN path (default) or emulated wired baseline (Fig 7).
-	RAN             ran.Config
-	Sched           ran.SchedulerKind
-	CrossUEs        int
-	CrossPhases     []ran.CrossPhase
-	Emulated        bool
-	EmulatedLatency time.Duration
-	// EmulatedSchedule is the per-2.5 ms byte budget replayed from a 5G
-	// run's TB trace (the paper's tc-based capacity emulation).
-	EmulatedSchedule []units.ByteCount
+	RAN         ran.Config
+	Sched       ran.SchedulerKind
+	CrossUEs    int
+	CrossPhases []ran.CrossPhase
+	Emulated    bool
 
 	Controller  ControllerKind
 	InitialRate units.BitRate
@@ -114,8 +107,6 @@ type Config struct {
 	// correlator the *estimated* offsets instead of the configured truth
 	// — the full methodology loop, error sources included.
 	EstimateOffsets bool
-
-	ProbeInterval time.Duration
 }
 
 // Defaults fills a baseline 20-minute-style config (duration shortened by
@@ -141,11 +132,14 @@ func Defaults() Config {
 		// Zoom's video rate tops out near 1.5 Mbps at this resolution
 		// (Fig 7a's axis); the cap keeps the VCA below cell capacity so
 		// QoE differences come from RAN mechanics, not self-congestion.
-		MaxRate:         1700 * units.Kbps,
-		EmulatedLatency: 15 * time.Millisecond,
-		ProbeInterval:   probe.ProbeInterval,
+		MaxRate: 1700 * units.Kbps,
 	}
 }
+
+// privateLinkDelay is the one-way latency of every private (non-cell)
+// uplink's feedback return, and of the emulated and wired links
+// themselves: the paper's fixed 15 ms.
+const privateLinkDelay = 15 * time.Millisecond
 
 // Result bundles everything a figure driver needs: the single-UE view of
 // a topology run. The shared infrastructure (Sim, RAN, Prober, CapCore,
@@ -215,26 +209,4 @@ func (in *injector) Handle(p *packet.Packet) {
 		return
 	}
 	in.s.After(extra, func() { in.next.Handle(p) })
-}
-
-// TBSchedule extracts the per-UL-slot used-byte budget from a RAN run's
-// telemetry — the input to the Fig 7 emulated baseline ("equal emulated
-// capacity ... calculated from the physical transport block sizes").
-func TBSchedule(res *Result) []units.ByteCount {
-	if res.RAN == nil {
-		return nil
-	}
-	period := res.Cfg.RAN.ULPeriod()
-	n := int(res.Cfg.Duration/period) + 1
-	sched := make([]units.ByteCount, n)
-	for _, r := range res.RAN.Telemetry.ForUE(1) {
-		if r.HARQRound != 0 {
-			continue
-		}
-		i := int(r.At / period)
-		if i >= 0 && i < n {
-			sched[i] += r.TBS
-		}
-	}
-	return sched
 }

@@ -74,17 +74,10 @@ func TestDelaySpreadQuantized(t *testing.T) {
 }
 
 func TestEmulatedBaselineSmoother(t *testing.T) {
-	// First run 5G to capture the TB schedule, then replay it on the
-	// emulated wired path (the Fig 7 methodology).
+	// The same call on 5G and on the emulated wired path of the cell's
+	// per-slot TBS capacity (the Fig 7 methodology).
 	g5 := short(nil)
-	sched := TBSchedule(g5)
-	if len(sched) == 0 {
-		t.Fatal("no TB schedule")
-	}
-	em := short(func(c *Config) {
-		c.Emulated = true
-		c.EmulatedSchedule = sched
-	})
+	em := short(func(c *Config) { c.Emulated = true })
 	if em.RAN != nil {
 		t.Fatal("emulated run should have no RAN")
 	}
@@ -208,21 +201,6 @@ func TestECNMarksReachL4S(t *testing.T) {
 	}
 	if ce == 0 {
 		t.Fatal("no CE marks under load with ECN enabled")
-	}
-}
-
-func TestTBScheduleShape(t *testing.T) {
-	res := short(nil)
-	sched := TBSchedule(res)
-	var total units.ByteCount
-	for _, b := range sched {
-		total += b
-	}
-	if total == 0 {
-		t.Fatal("empty TB schedule")
-	}
-	if TBSchedule(&Result{Cfg: res.Cfg, TopologyResult: &TopologyResult{}}) != nil {
-		t.Fatal("nil RAN should yield nil schedule")
 	}
 }
 

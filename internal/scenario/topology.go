@@ -86,21 +86,16 @@ type Topology struct {
 	// Access5G UEs attach to shared cells; the other access kinds give
 	// each UE a private link.
 	Access AccessKind
-	WiFi   wifi.Config
 
 	RAN ran.Config
 	// CrossUEs / CrossPhases load the implicit cell of an Access5G
 	// topology with empty Cells; explicit cells carry their own.
-	CrossUEs         int
-	CrossPhases      []ran.CrossPhase
-	Emulated         bool
-	EmulatedLatency  time.Duration
-	EmulatedSchedule []units.ByteCount
+	CrossUEs    int
+	CrossPhases []ran.CrossPhase
+	Emulated    bool
 
 	Spikes  []Spike
 	Jitters []JitterEpisode
-
-	ProbeInterval time.Duration
 
 	UEs []UESpec
 
@@ -173,11 +168,9 @@ func DefaultUE() UESpec {
 func NewTopology(n int) Topology {
 	cfg := Defaults()
 	top := Topology{
-		Seed:            cfg.Seed,
-		Duration:        cfg.Duration,
-		RAN:             cfg.RAN,
-		EmulatedLatency: cfg.EmulatedLatency,
-		ProbeInterval:   cfg.ProbeInterval,
+		Seed:     cfg.Seed,
+		Duration: cfg.Duration,
+		RAN:      cfg.RAN,
 	}
 	for i := 0; i < n; i++ {
 		u := DefaultUE()
@@ -191,19 +184,15 @@ func NewTopology(n int) Topology {
 // the compatibility constructor Run and the root drivers go through it.
 func SingleUE(cfg Config) Topology {
 	return Topology{
-		Seed:             cfg.Seed,
-		Duration:         cfg.Duration,
-		Access:           cfg.Access,
-		WiFi:             cfg.WiFi,
-		RAN:              cfg.RAN,
-		CrossUEs:         cfg.CrossUEs,
-		CrossPhases:      cfg.CrossPhases,
-		Emulated:         cfg.Emulated,
-		EmulatedLatency:  cfg.EmulatedLatency,
-		EmulatedSchedule: cfg.EmulatedSchedule,
-		Spikes:           cfg.Spikes,
-		Jitters:          cfg.Jitters,
-		ProbeInterval:    cfg.ProbeInterval,
+		Seed:        cfg.Seed,
+		Duration:    cfg.Duration,
+		Access:      cfg.Access,
+		RAN:         cfg.RAN,
+		CrossUEs:    cfg.CrossUEs,
+		CrossPhases: cfg.CrossPhases,
+		Emulated:    cfg.Emulated,
+		Spikes:      cfg.Spikes,
+		Jitters:     cfg.Jitters,
 		UEs: []UESpec{{
 			Seed:                cfg.Seed,
 			Controller:          cfg.Controller,
@@ -616,27 +605,17 @@ func (b *build) buildEndpoint(ub *ueBuild) {
 	case ub.ranUE != nil:
 		senderOut = ub.ranUE
 	case top.Emulated:
-		// tc shapes at packet granularity; spread each UL-period budget
-		// over the finer slot grid so the emulated link is smooth.
-		sched := make([]units.ByteCount, 0, len(top.EmulatedSchedule)*top.RAN.SlotsPerPeriod)
-		for _, bytes := range top.EmulatedSchedule {
-			per := bytes / units.ByteCount(top.RAN.SlotsPerPeriod)
-			for i := 0; i < top.RAN.SlotsPerPeriod; i++ {
-				sched = append(sched, per)
-			}
-		}
-		senderOut = netem.NewFixedLatencyLink(s, top.EmulatedLatency, sched, top.RAN.SlotDuration, b.res.CapCore)
+		// The cell's per-UL-slot TBS capacity as a constant rate. tc
+		// shapes at packet granularity, so the budget is spread over the
+		// finer slot grid and the emulated link is smooth.
+		perSlot := top.RAN.SlotCapacity() / units.ByteCount(top.RAN.SlotsPerPeriod)
+		senderOut = netem.NewFixedLatencyLink(s, privateLinkDelay, perSlot, top.RAN.SlotDuration, b.res.CapCore)
 	case top.Access == AccessWiFi:
-		wcfg := top.WiFi
-		if wcfg.PHYRate == 0 {
-			wcfg = wifi.Defaults()
-		}
-		senderOut = wifi.New(s, wcfg, b.res.CapCore)
+		senderOut = wifi.New(s, wifi.Defaults(), b.res.CapCore)
 	case top.Access == AccessLEO:
 		senderOut = netem.NewLEOLink(s, b.res.CapCore)
 	default: // AccessWired
-		senderOut = netem.NewFixedLatencyLink(s, top.EmulatedLatency,
-			[]units.ByteCount{top.RAN.SlotCapacity()}, top.RAN.ULPeriod(), b.res.CapCore)
+		senderOut = netem.NewFixedLatencyLink(s, privateLinkDelay, top.RAN.SlotCapacity(), top.RAN.ULPeriod(), b.res.CapCore)
 	}
 	cap1 := packet.NewCapture(packet.PointSender, ub.senderClk, s.Now, senderOut)
 	ub.res.CapSender = cap1
@@ -686,7 +665,7 @@ func (b *build) start() {
 	for _, ub := range b.ues {
 		ub.wl.Start()
 	}
-	b.res.Prober.Start(b.top.ProbeInterval)
+	b.res.Prober.Start()
 }
 
 // stop halts the traffic sources after the run.

@@ -39,7 +39,7 @@ func (w *vcaWorkload) Hint() ran.AppHintClass { return ran.HintConversational }
 // sender, the feedback return path with the downlink demux, the
 // receiver, and — for TwoParty specs — the far participant's endpoints.
 func (w *vcaWorkload) Build(b *build, ub *ueBuild) {
-	s, top, spec := b.s, b.top, ub.spec
+	s, spec := b.s, ub.spec
 	cap1 := ub.res.CapSender
 
 	snd := vca.NewSender(s, &b.alloc, vca.SenderConfig{
@@ -68,7 +68,7 @@ func (w *vcaWorkload) Build(b *build, ub *ueBuild) {
 		if ub.ranUE != nil {
 			ub.servingCell.SendDownlink(ub.ranUE, p)
 		} else {
-			s.After(top.EmulatedLatency, func() { snd.HandleFeedback(p) })
+			s.After(privateLinkDelay, func() { snd.HandleFeedback(p) })
 		}
 	})
 	if ub.ranUE != nil {

@@ -369,6 +369,3 @@ func S9QoEScheduler(o Options) *FigureData {
 	fig.Note("qoe-aware serves grant allocations in hint-tier order and reclaims unused speculative grants; compare each family's headline metric across '@%s' and '@%s'", scheds[0], scheds[1])
 	return fig
 }
-
-// Ensure study symbols referenced before definition elsewhere compile.
-var _ = units.Kbps
