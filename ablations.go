@@ -181,15 +181,16 @@ func A4(o Options) *FigureData {
 	}
 
 	// Correlate is a pure function of its Input (it sorts copies of the
-	// capture records), so the sweep points run concurrently against the
-	// one shared session.
+	// capture records and only reads TBs), so the sweep points run
+	// concurrently against the one shared session and its one TB filter.
+	tbs := r.Telemetry.ForUE(1)
 	errs := []float64{0, 2, 5, 10, 20, 40}
 	accs := make([]float64, len(errs))
 	runner.Default.ForEach(context.Background(), len(errs), func(i int) {
 		rep := core.Correlate(core.Input{
 			Sender: senderTap.Records,
 			Core:   coreTap.Records,
-			TBs:    r.Telemetry.ForUE(1),
+			TBs:    tbs,
 			Offsets: map[packet.Point]time.Duration{
 				packet.PointSender: -time.Duration(errs[i] * float64(time.Millisecond)),
 			},

@@ -1,12 +1,124 @@
 package cc
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
+	"athena/internal/obs"
 	"athena/internal/rtp"
 	"athena/internal/units"
 )
+
+// fixedHistory is the send history as a full historySize-slot ring, the
+// reference History must answer exactly as.
+type fixedHistory struct {
+	slots [historySize]SentPacket
+	valid [historySize]bool
+}
+
+func (h *fixedHistory) Add(p SentPacket) {
+	h.slots[p.Seq%historySize] = p
+	h.valid[p.Seq%historySize] = true
+}
+
+func (h *fixedHistory) Get(seq uint16) (SentPacket, bool) {
+	p := h.slots[seq%historySize]
+	if !h.valid[seq%historySize] || p.Seq != seq {
+		return SentPacket{}, false
+	}
+	return p, true
+}
+
+// Every Get agrees with the full ring over increasing send streams whose
+// gaps cross the uint16 wrap, with lookups behind, at and ahead of the
+// newest packet, and at any sequence number at all.
+func TestHistoryMatchesFixedRing(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	check := func(h *History, ref *fixedHistory, seq uint16) {
+		t.Helper()
+		got, gok := h.Get(seq)
+		want, wok := ref.Get(seq)
+		if got != want || gok != wok {
+			t.Fatalf("Get(%d) = %+v %v, the full ring says %+v %v", seq, got, gok, want, wok)
+		}
+	}
+	for stream := 0; stream < 16; stream++ {
+		var h History
+		var ref fixedHistory
+		check(&h, &ref, uint16(rng.Intn(1<<16)))
+		seq := uint16(1)
+		if stream%4 == 3 {
+			seq = uint16(rng.Intn(1 << 16))
+		}
+		for i := 0; i < 3000; i++ {
+			// Mostly consecutive, sometimes a gap of up to 3× the ring.
+			switch r := rng.Intn(100); {
+			case r < 2:
+				seq += uint16(rng.Intn(3 * historySize))
+			case r < 10:
+				seq += uint16(rng.Intn(64))
+			default:
+				seq++
+			}
+			p := SentPacket{Seq: seq, Size: units.ByteCount(rng.Intn(1500)), SentAt: time.Duration(i) * time.Millisecond}
+			h.Add(p)
+			ref.Add(p)
+			check(&h, &ref, seq-uint16(rng.Intn(300)))
+			check(&h, &ref, seq+uint16(rng.Intn(300)))
+			check(&h, &ref, seq-uint16(rng.Intn(2*historySize)))
+			check(&h, &ref, uint16(rng.Intn(1<<16)))
+		}
+		for s := 0; s < 1<<16; s++ {
+			check(&h, &ref, uint16(s))
+		}
+	}
+}
+
+// A ring grows with the sequence numbers it is handed, not to its cap.
+func TestHistoryGrowsWithSeq(t *testing.T) {
+	var h History
+	if _, ok := h.Get(0); ok {
+		t.Fatal("zero-value History found seq 0")
+	}
+	for seq := uint16(1); seq <= 352; seq++ {
+		h.Add(SentPacket{Seq: seq, Size: 1200})
+	}
+	if len(h.slots) != 512 {
+		t.Fatalf("%d slots after seqs 1..352, want 512", len(h.slots))
+	}
+	h.Add(SentPacket{Seq: 60000, Size: 1200})
+	if len(h.slots) != historySize {
+		t.Fatalf("%d slots after seq 60000, want the cap %d", len(h.slots), historySize)
+	}
+}
+
+// A lookup that finds another packet in its slot counts one
+// cc.history_misses; a lookup of a slot never filled counts none.
+func TestHistoryMissCounted(t *testing.T) {
+	if !obs.Enabled() {
+		obs.Enable()
+		defer obs.Disable()
+	}
+	var h History
+	before := metHistoryMisses.Value()
+	for seq := uint16(1); seq <= 1+historySize; seq++ {
+		h.Add(SentPacket{Seq: seq, Size: 1200})
+	}
+	if _, ok := h.Get(1); ok {
+		t.Fatal("seq 1 found after a 4097-packet gap")
+	}
+	if p, ok := h.Get(1 + historySize); !ok || p.Seq != 1+historySize {
+		t.Fatal("newest packet lost")
+	}
+	var fresh History
+	fresh.Add(SentPacket{Seq: 1})
+	fresh.Get(2)
+	fresh.Get(1000)
+	if n := metHistoryMisses.Value() - before; n != 1 {
+		t.Fatalf("%d misses counted, want 1", n)
+	}
+}
 
 func TestHistoryRoundTrip(t *testing.T) {
 	var h History

@@ -36,21 +36,23 @@ func (p Point) String() string {
 
 // Record is one captured datagram observation: what a pcap at that host
 // would contain. LocalTime is stamped with the capturing host's clock and
-// therefore carries that host's offset and drift.
+// therefore carries that host's offset and drift. Fields are ordered
+// largest first, so a Record is 48 bytes with one byte of padding; a
+// cell run keeps one per packet per capture point.
 type Record struct {
-	Point     Point
 	PacketID  uint64
-	Kind      Kind
-	Flow      uint32
-	Seq       uint32
 	Size      units.ByteCount
 	LocalTime time.Duration
-	ECN       ECN
+	Flow      uint32
+	Seq       uint32
 	// RTPTime/RTPSeq/SSRC/Marker are copied out of the RTP header when the
 	// payload is RTP, because a real pcap parser would recover them.
 	RTPTime uint32
-	RTPSeq  uint16
 	SSRC    uint32
+	RTPSeq  uint16
+	Point   Point
+	Kind    Kind
+	ECN     ECN
 	Marker  bool
 	// MediaMeta is true when the packet carried the §5.2 media-metadata
 	// header extension.

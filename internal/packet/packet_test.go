@@ -3,6 +3,7 @@ package packet
 import (
 	"testing"
 	"time"
+	"unsafe"
 
 	"athena/internal/clock"
 )
@@ -118,5 +119,13 @@ func TestDiscardHandler(t *testing.T) {
 func TestECNCodepoints(t *testing.T) {
 	if ECNNotECT != 0 || ECNECT1 != 1 || ECNECT0 != 2 || ECNCE != 3 {
 		t.Fatal("ECN codepoints must match RFC 3168 encoding")
+	}
+}
+
+// A cell run keeps one Record per packet per capture point; its fields
+// stay ordered so that it packs into 48 bytes.
+func TestRecordSize(t *testing.T) {
+	if n := unsafe.Sizeof(Record{}); n != 48 {
+		t.Fatalf("Record is %d bytes, want 48", n)
 	}
 }

@@ -114,22 +114,21 @@ func medianDuration(ds []time.Duration) time.Duration {
 	return s[len(s)/2]
 }
 
-// predictiveGrants issues grants at predicted demand times; BSR remains
-// active as the learning signal and fallback.
-func (r *RAN) predictiveGrants(u *UE, now time.Duration) []*grant {
+// predictiveGrants queues grants on u at predicted demand times; BSR
+// remains active as the learning signal and fallback.
+func (r *RAN) predictiveGrants(u *UE, now time.Duration) {
 	p := u.pred
 	if p == nil {
 		p = &predictor{}
 		u.pred = p
 	}
-	var gs []*grant
 	if p.primed && p.period > 0 {
 		// Issue one slot ahead of the predicted arrival: an early grant
 		// is retried next slot (see onULSlot), so the burst is served
 		// within a slot of arriving, at the cost of one small wasted TB —
 		// the resource trade §5.2 acknowledges.
 		for p.anchor <= now+r.Cfg.ULPeriod() {
-			gs = append(gs, &grant{
+			u.grants.pushBack(grant{
 				ue:   u,
 				tbs:  units.ByteCount(float64(p.size) * predictMargin),
 				kind: telemetry.GrantAppAware,
@@ -139,7 +138,7 @@ func (r *RAN) predictiveGrants(u *UE, now time.Duration) []*grant {
 	}
 	if p.smallPrimed && p.smallPeriod > 0 {
 		for p.smallAnchor <= now {
-			gs = append(gs, &grant{
+			u.grants.pushBack(grant{
 				ue:   u,
 				tbs:  units.ByteCount(float64(p.smallSize)*predictMargin) + 60,
 				kind: telemetry.GrantAppAware,
@@ -147,5 +146,4 @@ func (r *RAN) predictiveGrants(u *UE, now time.Duration) []*grant {
 			p.smallAnchor += p.smallPeriod
 		}
 	}
-	return gs
 }

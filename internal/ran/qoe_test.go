@@ -154,3 +154,27 @@ func TestQoEAwareProactiveForUnhinted(t *testing.T) {
 		t.Fatalf("size mutated: %v -> %v", p.Size, core.pkts[0].Size)
 	}
 }
+
+// The QoE-aware order is rebuilt every UL slot in a slice the cell keeps:
+// the stable tier sort of the rotation, without an allocation.
+func TestQoEOrderReusesSlice(t *testing.T) {
+	s := sim.New(1)
+	r := New(s, Defaults(), nil)
+	hints := []AppHintClass{HintThroughput, HintNone, HintLatency, HintConversational, HintLatency, HintThroughput}
+	for i, h := range hints {
+		r.AttachUE(uint32(i+1), SchedQoEAware).Hint = h
+	}
+	r.rrStart = 2
+	var ids []uint32
+	for _, u := range r.qoeOrder() {
+		ids = append(ids, u.ID)
+	}
+	// Rotation 3 4 5 6 1 2, then tiers latency, conversational, none,
+	// throughput, each in rotation order.
+	if got, want := fmt.Sprint(ids), "[3 5 4 2 6 1]"; got != want {
+		t.Fatalf("order %s, want %s", got, want)
+	}
+	if n := testing.AllocsPerRun(100, func() { r.qoeOrder() }); n != 0 {
+		t.Fatalf("qoeOrder allocates %v times per slot", n)
+	}
+}

@@ -3,6 +3,7 @@ package ran
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"time"
 
@@ -46,8 +47,11 @@ type RAN struct {
 	// slot's scratch list of split remainders and predictive retries, in
 	// allocation order; onULSlot hands each to its UE's queue at the end
 	// of the slot.
-	rests   []*grant
+	rests   []grant
 	rrStart int
+	// order is the QoE-aware cells' per-slot allocation order, reused
+	// across slots (see qoeOrder).
+	order []*UE
 
 	// faded reports whether the cell is currently in a channel fade.
 	faded   bool
@@ -65,7 +69,8 @@ type RAN struct {
 	Drops int
 }
 
-// grant is an uplink allocation executable at a specific UL slot.
+// grant is an uplink allocation executable at a specific UL slot. Grants
+// are held by value: a cell files one proactive grant per UE per UL slot.
 type grant struct {
 	ue  *UE
 	tbs units.ByteCount
@@ -88,55 +93,49 @@ func carries(k telemetry.GrantKind) bool {
 // UE's backlog is served from the front, and a slot touches only the
 // grants it serves, files or carries past, never the whole queue.
 type grantRing struct {
-	buf  []*grant
+	buf  []grant
 	head int
 	n    int
 }
 
-func (q *grantRing) at(i int) *grant { return q.buf[(q.head+i)&(len(q.buf)-1)] }
+func (q *grantRing) at(i int) *grant { return &q.buf[(q.head+i)&(len(q.buf)-1)] }
 
 func (q *grantRing) grow() {
 	if q.n < len(q.buf) {
 		return
 	}
-	buf := make([]*grant, max(8, 2*len(q.buf)))
+	buf := make([]grant, max(8, 2*len(q.buf)))
 	for i := range q.n {
-		buf[i] = q.at(i)
+		buf[i] = *q.at(i)
 	}
 	q.buf, q.head = buf, 0
 }
 
-func (q *grantRing) pushBack(g *grant) {
+func (q *grantRing) pushBack(g grant) {
 	q.grow()
 	q.buf[(q.head+q.n)&(len(q.buf)-1)] = g
 	q.n++
 }
 
-func (q *grantRing) pushFront(g *grant) {
+func (q *grantRing) pushFront(g grant) {
 	q.grow()
 	q.head = (q.head - 1) & (len(q.buf) - 1)
 	q.buf[q.head] = g
 	q.n++
 }
 
-func (q *grantRing) popFront() *grant {
+func (q *grantRing) popFront() grant {
 	g := q.buf[q.head]
-	q.buf[q.head] = nil
 	q.head = (q.head + 1) & (len(q.buf) - 1)
 	q.n--
 	return g
 }
 
-func (q *grantRing) popBack() *grant {
-	i := (q.head + q.n - 1) & (len(q.buf) - 1)
-	g := q.buf[i]
-	q.buf[i] = nil
+func (q *grantRing) popBack() {
 	q.n--
-	return g
 }
 
 func (q *grantRing) reset() {
-	clear(q.buf)
 	q.head, q.n = 0, 0
 }
 
@@ -338,7 +337,7 @@ func (r *RAN) onULSlot() {
 			due++
 		}
 		for i := due - 1; i >= 0; i-- {
-			u.grants.pushFront(u.bsrGrants.at(i))
+			u.grants.pushFront(*u.bsrGrants.at(i))
 		}
 		for ; due > 0; due-- {
 			u.bsrGrants.popFront()
@@ -346,25 +345,21 @@ func (r *RAN) onULSlot() {
 		switch u.Sched {
 		case SchedOracle:
 			if u.bufBytes > 0 {
-				u.grants.pushBack(&grant{ue: u, tbs: u.bufBytes, kind: telemetry.GrantOracle})
+				u.grants.pushBack(grant{ue: u, tbs: u.bufBytes, kind: telemetry.GrantOracle})
 			}
 		case SchedAppAware:
-			for _, g := range r.appAwareGrants(u, now) {
-				u.grants.pushBack(g)
-			}
+			r.appAwareGrants(u, now)
 		case SchedPredictive:
-			for _, g := range r.predictiveGrants(u, now) {
-				u.grants.pushBack(g)
-			}
+			r.predictiveGrants(u, now)
 		case SchedCombined, SchedProactiveOnly:
-			u.grants.pushBack(&grant{ue: u, tbs: r.Cfg.ProactiveTBS, kind: telemetry.GrantProactive})
+			u.grants.pushBack(grant{ue: u, tbs: r.Cfg.ProactiveTBS, kind: telemetry.GrantProactive})
 		case SchedQoEAware:
 			// StreamGuard-style: speculative proactive grants go to the
 			// latency-sensitive families only. Elastic bulk waits for its
 			// BSR — under load the freed slot budget is exactly what keeps
 			// the interactive UEs' grants timely.
 			if u.Hint != HintThroughput {
-				u.grants.pushBack(&grant{ue: u, tbs: r.Cfg.ProactiveTBS, kind: telemetry.GrantProactive})
+				u.grants.pushBack(grant{ue: u, tbs: r.Cfg.ProactiveTBS, kind: telemetry.GrantProactive})
 			}
 		}
 	}
@@ -394,7 +389,7 @@ func (r *RAN) onULSlot() {
 				rest := tbs - remaining
 				tbs = remaining
 				if carries(g.kind) {
-					r.rests = append(r.rests, &grant{ue: u, tbs: rest, kind: g.kind})
+					r.rests = append(r.rests, grant{ue: u, tbs: rest, kind: g.kind})
 				}
 			}
 			remaining -= tbs
@@ -421,7 +416,7 @@ func (r *RAN) onULSlot() {
 			// audio packet absorbed a few bytes of an early frame grant.
 			if used*2 < tbs && g.kind == telemetry.GrantAppAware &&
 				u.Sched == SchedPredictive && g.retries < 4 {
-				r.rests = append(r.rests, &grant{
+				r.rests = append(r.rests, grant{
 					ue: u, tbs: g.tbs - used, kind: g.kind, retries: g.retries + 1,
 				})
 			}
@@ -442,7 +437,6 @@ func (r *RAN) onULSlot() {
 	}
 	for i := len(r.rests) - 1; i >= 0; i-- {
 		r.rests[i].ue.grants.pushFront(r.rests[i])
-		r.rests[i] = nil
 	}
 	r.rests = r.rests[:0]
 	if n > 0 {
@@ -471,7 +465,7 @@ func (r *RAN) onULSlot() {
 			want = capacity // a grant cannot exceed one slot
 		}
 		u.outstanding += want
-		g := &grant{ue: u, tbs: want, due: now + r.Cfg.SchedDelay, kind: telemetry.GrantRequested}
+		g := grant{ue: u, tbs: want, due: now + r.Cfg.SchedDelay, kind: telemetry.GrantRequested}
 		// A grant due by the next slot is served after what that slot
 		// carries over; a later one waits in the UE's BSR FIFO, where a
 		// fixed SchedDelay keeps due times in filing order.
@@ -489,7 +483,8 @@ func (r *RAN) onULSlot() {
 // elastic bulk last), so equal-priority UEs still share fairly while a
 // loaded cell spends its budget on the UEs whose QoE actually depends on
 // timeliness. Cells without a QoE-aware UE return nil and keep the plain
-// rotation — the legacy event stream stays untouched byte for byte.
+// rotation — the legacy event stream stays untouched byte for byte. The
+// order is rebuilt in place in r.order, valid until the next slot.
 func (r *RAN) qoeOrder() []*UE {
 	qoe := false
 	for _, u := range r.ues {
@@ -502,13 +497,14 @@ func (r *RAN) qoeOrder() []*UE {
 		return nil
 	}
 	n := len(r.ues)
-	order := make([]*UE, n)
-	for i := range order {
-		order[i] = r.ues[(r.rrStart+i)%n]
+	order := r.order[:0]
+	for i := range n {
+		order = append(order, r.ues[(r.rrStart+i)%n])
 	}
-	sort.SliceStable(order, func(i, j int) bool {
-		return order[i].Hint.tier() < order[j].Hint.tier()
+	slices.SortStableFunc(order, func(a, b *UE) int {
+		return a.Hint.tier() - b.Hint.tier()
 	})
+	r.order = order
 	return order
 }
 
@@ -640,9 +636,9 @@ type appAwareState struct {
 
 // appAwareGrants issues grants timed to the UE's announced media cadence
 // (§5.2: "the base station can issue grants exactly at the right times
-// when a sample or frame is generated"). A small BSR fallback (handled by
-// the normal BSR path) cleans up estimation error.
-func (r *RAN) appAwareGrants(u *UE, now time.Duration) []*grant {
+// when a sample or frame is generated"), queueing them on u. A small BSR
+// fallback (handled by the normal BSR path) cleans up estimation error.
+func (r *RAN) appAwareGrants(u *UE, now time.Duration) {
 	st := u.app
 	if st == nil {
 		st = &appAwareState{}
@@ -668,23 +664,22 @@ func (r *RAN) appAwareGrants(u *UE, now time.Duration) []*grant {
 		u.hasMeta = false // consume; refreshed by the next meta packet
 		// The frame that carried the metadata is itself in the buffer:
 		// grant for it immediately.
-		return []*grant{{ue: u, tbs: st.frameBytes, kind: telemetry.GrantAppAware}}
+		u.grants.pushBack(grant{ue: u, tbs: st.frameBytes, kind: telemetry.GrantAppAware})
+		return
 	}
 	if !st.primed {
-		return nil
+		return
 	}
-	var gs []*grant
 	// Issue the frame grant on the first UL slot at/after the predicted
 	// generation instant; anchors in the future wait for a later slot.
 	for st.interval > 0 && st.anchor <= now {
-		gs = append(gs, &grant{ue: u, tbs: st.frameBytes, kind: telemetry.GrantAppAware})
+		u.grants.pushBack(grant{ue: u, tbs: st.frameBytes, kind: telemetry.GrantAppAware})
 		st.anchor += st.interval
 	}
 	for st.audioInterval > 0 && st.audioAnchor <= now {
-		gs = append(gs, &grant{ue: u, tbs: st.audioBytes, kind: telemetry.GrantAppAware})
+		u.grants.pushBack(grant{ue: u, tbs: st.audioBytes, kind: telemetry.GrantAppAware})
 		st.audioAnchor += st.audioInterval
 	}
-	return gs
 }
 
 // String describes the cell.

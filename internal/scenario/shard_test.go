@@ -114,8 +114,13 @@ func TestSingleCellDigestsPinned(t *testing.T) {
 // simulator: the events its engines fire (the counters the benchmark's
 // sim.events_per_ue_s reads) and the transport blocks its cells send. An
 // event-path change that keeps every digest still moves these numbers.
+// It also pins the run's memory: the allocations it makes and the bytes
+// they take (±1 %), and the heap it leaves behind while its result is
+// held (±2 %). Across runs in one process the first two repeat within
+// 0.05 % and the third within 1 %; -race moves each by under 0.5 %.
 func TestEventAndTBCountsPinned(t *testing.T) {
 	const wantEvents, wantTBs = 35841, 6921
+	const wantMallocs, wantAllocated, wantRetained = 87_190, 14_010_000, 4_390_000
 	top := NewMultiCellTopology(16, 2)
 	top.Seed = 1
 	top.Duration = 2 * time.Second
@@ -133,7 +138,13 @@ func TestEventAndTBCountsPinned(t *testing.T) {
 		defer obs.Disable()
 	}
 	before := fired()
+	var m0, m1, m2 runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m0)
 	tr := RunTopology(top)
+	runtime.ReadMemStats(&m1)
+	runtime.GC()
+	runtime.ReadMemStats(&m2)
 	events := fired() - before
 	tbs := 0
 	for _, sr := range tr.Shards {
@@ -141,11 +152,25 @@ func TestEventAndTBCountsPinned(t *testing.T) {
 			tbs += len(cell.Telemetry.Records)
 		}
 	}
+	mallocs, allocated := m1.Mallocs-m0.Mallocs, m1.TotalAlloc-m0.TotalAlloc
+	retained := int64(m2.HeapAlloc) - int64(m0.HeapAlloc)
+	t.Logf("%d events, %d TBs, %d mallocs, %d bytes allocated, %d bytes retained", events, tbs, mallocs, allocated, retained)
 	// Frame sizes are not FMA-pinned off amd64 (ROADMAP item 14), and
 	// packet counts follow them.
-	if runtime.GOARCH == "amd64" && (events != wantEvents || tbs != wantTBs) {
+	if runtime.GOARCH != "amd64" {
+		return
+	}
+	if events != wantEvents || tbs != wantTBs {
 		t.Errorf("%d events and %d TBs, want %d and %d", events, tbs, wantEvents, wantTBs)
 	}
+	within := func(what string, got, want int64, tol float64) {
+		if d := float64(got-want) / float64(want); d > tol || d < -tol {
+			t.Errorf("%s %d, want %d ±%.0f%%", what, got, want, 100*tol)
+		}
+	}
+	within("mallocs", int64(mallocs), wantMallocs, 0.01)
+	within("bytes allocated", int64(allocated), wantAllocated, 0.01)
+	within("bytes retained", retained, wantRetained, 0.02)
 }
 
 // TestShortSchedDelayDigestsPinned covers a grant order no registry

@@ -48,19 +48,21 @@ func (g GrantKind) String() string {
 
 // TBRecord describes one transmission attempt of one transport block.
 // A TB that needs HARQ retransmission produces one record per attempt,
-// sharing TBID with HARQRound incrementing.
+// sharing TBID with HARQRound incrementing. Fields are ordered largest
+// first, so a TBRecord is 72 bytes.
 type TBRecord struct {
 	TBID      uint64
-	UE        uint32
 	At        time.Duration // UL slot start of this transmission attempt
 	TBS       units.ByteCount
 	UsedBytes units.ByteCount // media/cross bytes actually carried (rest is padding)
-	Grant     GrantKind
-	HARQRound int  // 0 = initial transmission
-	Failed    bool // this attempt failed CRC and will be retransmitted
+	HARQRound int             // 0 = initial transmission
 
 	// PacketIDs is simulator ground truth (not visible to a sniffer).
 	PacketIDs []uint64
+
+	UE     uint32
+	Grant  GrantKind
+	Failed bool // this attempt failed CRC and will be retransmitted
 }
 
 // Used reports whether the TB carried any payload.

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"testing"
 	"time"
+	"unsafe"
 )
 
 func TestGrantKindString(t *testing.T) {
@@ -77,5 +78,16 @@ func TestWasteOf(t *testing.T) {
 func TestWasteEmptyEfficiency(t *testing.T) {
 	if WasteOf(nil).Efficiency() != 1 {
 		t.Fatal("empty waste efficiency should be 1")
+	}
+}
+
+// A cell run keeps one TBRecord per TB attempt; on 64-bit targets its
+// fields stay ordered so that it packs into 72 bytes.
+func TestTBRecordSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("the 72-byte layout is a 64-bit one")
+	}
+	if n := unsafe.Sizeof(TBRecord{}); n != 72 {
+		t.Fatalf("TBRecord is %d bytes, want 72", n)
 	}
 }

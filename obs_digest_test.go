@@ -67,6 +67,11 @@ func TestDigestsUnchangedByObservability(t *testing.T) {
 	if snap.Counters["runner.default.memo_misses"] == 0 {
 		t.Fatal("instrumented sweep hit only memoized results")
 	}
+	// Every feedback report finds its packets in the sender's send
+	// history: the ring never overwrote a packet still awaiting feedback.
+	if n, ok := snap.Counters["cc.history_misses"]; !ok || n != 0 {
+		t.Fatalf("cc.history_misses = %d (registered: %v), want 0", n, ok)
+	}
 	spans := tl.Snapshot()
 	expSpans := 0
 	for _, s := range spans {
