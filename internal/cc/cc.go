@@ -41,67 +41,47 @@ type SentPacket struct {
 }
 
 // History ring-buffers sent-packet records keyed by transport-wide
-// sequence number, for matching against feedback. The ring holds the
-// first len(slots) of historySize slots, each at index seq mod
-// historySize, so it answers every Get as a full historySize ring does:
-// it starts at minHistory slots and doubles whenever Add is handed a
-// sequence number whose slot lies past its end. A sender that numbers
-// packets upward from 1 and sends 352 of them keeps a 512-slot ring. The
+// sequence number, for matching against feedback: seq lives in slot
+// seq mod historySize. The slots are allocated on the first Add, so the
 // zero value is ready to use.
 type History struct {
-	slots []sentSlot
+	slots []SentPacket
+	valid []bool
 }
 
-// sentSlot is one ring slot: a SentPacket and whether it was ever filled,
-// packed into the padding SentPacket leaves after Seq.
-type sentSlot struct {
-	sentAt time.Duration
-	size   units.ByteCount
-	seq    uint16
-	ok     bool
-}
-
-// historySize caps the ring. It must exceed the longest feedback round
-// trip in packets: the longest gap between the newest packet sent and a
-// packet looked up is 281 packets across the registry (seeds 1–3 at
-// -scale 0.25, seed 1 at -scale 1) and 172 on the benchmark's 200-UE
-// cell, so the cap has 14× headroom. A lookup that finds another packet
-// in the slot counts in cc.history_misses, which reads zero on all of
-// them.
-const (
-	historySize = 1 << 12
-	minHistory  = 1 << 6
-)
+// historySize is the ring's length. It must exceed the longest feedback
+// round trip in packets: the longest gap between the newest packet sent
+// and a packet looked up is 281 packets across the registry (seeds 1–3
+// at -scale 0.25, seed 1 at -scale 1) and 172 on the benchmark's 200-UE
+// cell, so the ring has 3.6× headroom. A lookup that finds another
+// packet in its slot counts in cc.history_misses, which reads zero on
+// all of them.
+const historySize = 1 << 10
 
 var metHistoryMisses = obs.NewCounter("cc.history_misses")
 
 // Add records a sent packet.
 func (h *History) Add(p SentPacket) {
-	i := int(p.Seq) & (historySize - 1)
-	if i >= len(h.slots) {
-		n := max(minHistory, len(h.slots))
-		for i >= n {
-			n *= 2
-		}
-		slots := make([]sentSlot, n)
-		copy(slots, h.slots)
-		h.slots = slots
+	if h.slots == nil {
+		h.slots = make([]SentPacket, historySize)
+		h.valid = make([]bool, historySize)
 	}
-	h.slots[i] = sentSlot{sentAt: p.SentAt, size: p.Size, seq: p.Seq, ok: true}
+	i := p.Seq % historySize
+	h.slots[i] = p
+	h.valid[i] = true
 }
 
 // Get looks up the record for seq.
 func (h *History) Get(seq uint16) (SentPacket, bool) {
-	i := int(seq) & (historySize - 1)
-	if i >= len(h.slots) || !h.slots[i].ok {
+	i := seq % historySize
+	if h.slots == nil || !h.valid[i] {
 		return SentPacket{}, false
 	}
-	s := h.slots[i]
-	if s.seq != seq {
+	if h.slots[i].Seq != seq {
 		metHistoryMisses.Inc()
 		return SentPacket{}, false
 	}
-	return SentPacket{Seq: s.seq, Size: s.size, SentAt: s.sentAt}, true
+	return h.slots[i], true
 }
 
 // RateWindow computes a running received-rate estimate from feedback

@@ -10,63 +10,74 @@ import (
 	"athena/internal/units"
 )
 
-// fixedHistory is the send history as a full historySize-slot ring, the
-// reference History must answer exactly as.
-type fixedHistory struct {
-	slots [historySize]SentPacket
-	valid [historySize]bool
+// wideRing is the send history as a 4 096-slot ring, four times
+// History's: the reference History must agree with wherever a feedback
+// report can look.
+type wideRing struct {
+	slots [1 << 12]SentPacket
+	valid [1 << 12]bool
 }
 
-func (h *fixedHistory) Add(p SentPacket) {
-	h.slots[p.Seq%historySize] = p
-	h.valid[p.Seq%historySize] = true
+func (h *wideRing) Add(p SentPacket) {
+	h.slots[p.Seq%(1<<12)] = p
+	h.valid[p.Seq%(1<<12)] = true
 }
 
-func (h *fixedHistory) Get(seq uint16) (SentPacket, bool) {
-	p := h.slots[seq%historySize]
-	if !h.valid[seq%historySize] || p.Seq != seq {
+func (h *wideRing) Get(seq uint16) (SentPacket, bool) {
+	p := h.slots[seq%(1<<12)]
+	if !h.valid[seq%(1<<12)] || p.Seq != seq {
 		return SentPacket{}, false
 	}
 	return p, true
 }
 
-// Every Get agrees with the full ring over increasing send streams whose
-// gaps cross the uint16 wrap, with lookups behind, at and ahead of the
-// newest packet, and at any sequence number at all.
-func TestHistoryMatchesFixedRing(t *testing.T) {
+// Over increasing send streams whose gaps cross the uint16 wrap, every
+// Get of a packet sent less than historySize sequence numbers before
+// the newest answers as the wide ring does, and any other Get answers as
+// it does or finds nothing: a ring never returns the wrong packet.
+func TestHistoryMatchesWideRing(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	check := func(h *History, ref *fixedHistory, seq uint16) {
+	// sent[seq] is how far into the stream, unwrapped, seq was last sent.
+	var sent [1 << 16]int
+	var newest int
+	check := func(h *History, ref *wideRing, seq uint16) {
 		t.Helper()
 		got, gok := h.Get(seq)
 		want, wok := ref.Get(seq)
-		if got != want || gok != wok {
-			t.Fatalf("Get(%d) = %+v %v, the full ring says %+v %v", seq, got, gok, want, wok)
+		if got == want && gok == wok {
+			return
+		}
+		if gok || wok && newest-sent[seq] < historySize {
+			t.Fatalf("Get(%d), sent %d before the newest: %+v %v, the wide ring says %+v %v", seq, newest-sent[seq], got, gok, want, wok)
 		}
 	}
 	for stream := 0; stream < 16; stream++ {
 		var h History
-		var ref fixedHistory
+		var ref wideRing
 		check(&h, &ref, uint16(rng.Intn(1<<16)))
 		seq := uint16(1)
+		newest = 1
 		if stream%4 == 3 {
 			seq = uint16(rng.Intn(1 << 16))
 		}
 		for i := 0; i < 3000; i++ {
 			// Mostly consecutive, sometimes a gap of up to 3× the ring.
+			gap := 1
 			switch r := rng.Intn(100); {
 			case r < 2:
-				seq += uint16(rng.Intn(3 * historySize))
+				gap = rng.Intn(3 * historySize)
 			case r < 10:
-				seq += uint16(rng.Intn(64))
-			default:
-				seq++
+				gap = rng.Intn(64)
 			}
+			seq += uint16(gap)
+			newest += gap
+			sent[seq] = newest
 			p := SentPacket{Seq: seq, Size: units.ByteCount(rng.Intn(1500)), SentAt: time.Duration(i) * time.Millisecond}
 			h.Add(p)
 			ref.Add(p)
 			check(&h, &ref, seq-uint16(rng.Intn(300)))
 			check(&h, &ref, seq+uint16(rng.Intn(300)))
-			check(&h, &ref, seq-uint16(rng.Intn(2*historySize)))
+			check(&h, &ref, seq-uint16(rng.Intn(8*historySize)))
 			check(&h, &ref, uint16(rng.Intn(1<<16)))
 		}
 		for s := 0; s < 1<<16; s++ {
@@ -75,21 +86,18 @@ func TestHistoryMatchesFixedRing(t *testing.T) {
 	}
 }
 
-// A ring grows with the sequence numbers it is handed, not to its cap.
-func TestHistoryGrowsWithSeq(t *testing.T) {
+// A zero-value History finds nothing, counts no miss and allocates
+// nothing until its first Add.
+func TestHistoryZeroValue(t *testing.T) {
 	var h History
-	if _, ok := h.Get(0); ok {
-		t.Fatal("zero-value History found seq 0")
+	before := metHistoryMisses.Value()
+	for _, seq := range []uint16{0, 1, historySize, 65535} {
+		if _, ok := h.Get(seq); ok {
+			t.Fatalf("zero-value History found seq %d", seq)
+		}
 	}
-	for seq := uint16(1); seq <= 352; seq++ {
-		h.Add(SentPacket{Seq: seq, Size: 1200})
-	}
-	if len(h.slots) != 512 {
-		t.Fatalf("%d slots after seqs 1..352, want 512", len(h.slots))
-	}
-	h.Add(SentPacket{Seq: 60000, Size: 1200})
-	if len(h.slots) != historySize {
-		t.Fatalf("%d slots after seq 60000, want the cap %d", len(h.slots), historySize)
+	if h.slots != nil || metHistoryMisses.Value() != before {
+		t.Fatal("a Get on a zero-value History allocated or counted a miss")
 	}
 }
 
@@ -106,7 +114,7 @@ func TestHistoryMissCounted(t *testing.T) {
 		h.Add(SentPacket{Seq: seq, Size: 1200})
 	}
 	if _, ok := h.Get(1); ok {
-		t.Fatal("seq 1 found after a 4097-packet gap")
+		t.Fatalf("seq 1 found after a %d-packet gap", historySize+1)
 	}
 	if p, ok := h.Get(1 + historySize); !ok || p.Seq != 1+historySize {
 		t.Fatal("newest packet lost")

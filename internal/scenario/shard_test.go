@@ -116,11 +116,15 @@ func TestSingleCellDigestsPinned(t *testing.T) {
 // event-path change that keeps every digest still moves these numbers.
 // It also pins the run's memory: the allocations it makes and the bytes
 // they take (±1 %), and the heap it leaves behind while its result is
-// held (±2 %). Across runs in one process the first two repeat within
-// 0.05 % and the third within 1 %; -race moves each by under 0.5 %.
+// held (±2 %). Those depend on the runtime (its maps, above all), so
+// they are checked only on the toolchain they were measured with,
+// memToolchain, and logged on any other. Across runs in one process the
+// first two repeat within 0.05 % and the third within 1 %; -race moves
+// each by under 0.5 %.
 func TestEventAndTBCountsPinned(t *testing.T) {
 	const wantEvents, wantTBs = 35841, 6921
-	const wantMallocs, wantAllocated, wantRetained = 87_190, 14_010_000, 4_390_000
+	const memToolchain = "go1.24.0"
+	const wantMallocs, wantAllocated, wantRetained = 87_170, 14_150_000, 4_640_000
 	top := NewMultiCellTopology(16, 2)
 	top.Seed = 1
 	top.Duration = 2 * time.Second
@@ -162,6 +166,10 @@ func TestEventAndTBCountsPinned(t *testing.T) {
 	}
 	if events != wantEvents || tbs != wantTBs {
 		t.Errorf("%d events and %d TBs, want %d and %d", events, tbs, wantEvents, wantTBs)
+	}
+	if v := runtime.Version(); v != memToolchain {
+		t.Logf("memory pins measured with %s, not checked on %s", memToolchain, v)
+		return
 	}
 	within := func(what string, got, want int64, tol float64) {
 		if d := float64(got-want) / float64(want); d > tol || d < -tol {
