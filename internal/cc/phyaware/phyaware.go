@@ -40,22 +40,47 @@ func New(initial, min, max units.BitRate, adj Adjuster) *gcc.GCC {
 	return g
 }
 
-// Table is a simple Adjuster backed by a map the simulation (or the
-// Athena correlator's live mode) fills in as packets traverse the RAN.
+// Table is a simple Adjuster the simulation (or the Athena correlator's
+// live mode) fills in as packets traverse the RAN. It holds one slot per
+// sequence number, in pages of 256 allocated when a page is first set:
+// the simulation sets every media packet's entry, and a map paid for
+// hashing and rehashing on each. A table never set allocates nothing.
 type Table struct {
-	m map[uint16]time.Duration
+	pages *[256]*tablePage
+}
+
+type tablePage struct {
+	d   [256]time.Duration
+	set [256]bool
 }
 
 // NewTable creates an empty adjustment table.
-func NewTable() *Table { return &Table{m: make(map[uint16]time.Duration)} }
+func NewTable() *Table { return &Table{} }
 
 // Set records the RAN-induced delay for seq.
-func (t *Table) Set(seq uint16, d time.Duration) { t.m[seq] = d }
+func (t *Table) Set(seq uint16, d time.Duration) {
+	if t.pages == nil {
+		t.pages = new([256]*tablePage)
+	}
+	pg := t.pages[seq>>8]
+	if pg == nil {
+		pg = new(tablePage)
+		t.pages[seq>>8] = pg
+	}
+	pg.d[seq&0xff] = d
+	pg.set[seq&0xff] = true
+}
 
 // RANDelay implements Adjuster.
 func (t *Table) RANDelay(seq uint16) (time.Duration, bool) {
-	d, ok := t.m[seq]
-	return d, ok
+	if t.pages == nil {
+		return 0, false
+	}
+	pg := t.pages[seq>>8]
+	if pg == nil {
+		return 0, false
+	}
+	return pg.d[seq&0xff], pg.set[seq&0xff]
 }
 
 var _ cc.Controller = (*gcc.GCC)(nil)

@@ -1,6 +1,7 @@
 package phyaware
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
@@ -102,5 +103,29 @@ func TestPHYAwareStillSeesRealCongestion(t *testing.T) {
 	}
 	if aware.TargetRate() >= units.Mbps {
 		t.Fatalf("rate did not decrease: %v", aware.TargetRate())
+	}
+}
+
+// The paged table answers as a map of every Set would, across the whole
+// sequence space.
+func TestTableMatchesMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	tab := NewTable()
+	ref := map[uint16]time.Duration{}
+	for i := 0; i < 20000; i++ {
+		seq := uint16(rng.Intn(1 << 16))
+		if i%3 == 0 {
+			d := time.Duration(rng.Int63n(int64(time.Second)))
+			tab.Set(seq, d)
+			ref[seq] = d
+		}
+		want, wantOK := ref[seq]
+		if got, ok := tab.RANDelay(seq); got != want || ok != wantOK {
+			t.Fatalf("step %d: RANDelay(%d) = %v, %t, want %v, %t", i, seq, got, ok, want, wantOK)
+		}
+	}
+	var zero Table
+	if _, ok := zero.RANDelay(7); ok {
+		t.Fatal("the zero Table reports an entry")
 	}
 }

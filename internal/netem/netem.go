@@ -35,9 +35,20 @@ type Link struct {
 	rng     *rand.Rand
 	busyTil time.Duration
 	queued  units.ByteCount
+	// sending holds the packets in transmission, in order: busyTil never
+	// decreases, so transmit completions fire in the order they were
+	// scheduled and each pops the front.
+	sending           sim.Queue[hop]
+	sentFn, forwardFn func(any)
 
 	// Dropped counts queue overflow losses.
 	Dropped int
+}
+
+// hop is a packet in transmission and the propagation delay drawn for it.
+type hop struct {
+	p     *packet.Packet
+	delay time.Duration
 }
 
 // NewLink creates a link on s forwarding to next.
@@ -45,7 +56,9 @@ func NewLink(s *sim.Simulator, name string, delay time.Duration, rate units.BitR
 	if next == nil {
 		next = packet.Discard
 	}
-	return &Link{Name: name, Delay: delay, Rate: rate, Next: next, sim: s, rng: s.NewStream()}
+	l := &Link{Name: name, Delay: delay, Rate: rate, Next: next, sim: s, rng: s.NewStream()}
+	l.sentFn, l.forwardFn = l.sent, l.forward
+	return l
 }
 
 // Handle enqueues the packet for transmission.
@@ -71,11 +84,20 @@ func (l *Link) Handle(p *packet.Packet) {
 	if l.Jitter > 0 {
 		delay += time.Duration(l.rng.Int63n(int64(l.Jitter)))
 	}
-	l.sim.At(done, func() {
-		l.queued -= p.Size
-		l.sim.After(delay, func() { l.Next.Handle(p) })
-	})
+	l.sending.PushBack(hop{p: p, delay: delay})
+	l.sim.AtArg(done, l.sentFn, nil)
 }
+
+// sent completes the oldest transmission: the packet leaves the queue
+// and propagates.
+func (l *Link) sent(any) {
+	h := l.sending.PopFront()
+	l.queued -= h.p.Size
+	l.sim.AfterArg(h.delay, l.forwardFn, h.p)
+}
+
+// forward hands a packet (the event argument) to the next stage.
+func (l *Link) forward(p any) { l.Next.Handle(p.(*packet.Packet)) }
 
 // SFU models the conferencing server's application-layer forwarding. The
 // paper identifies it as a secondary jitter source: the ping probes that
@@ -88,9 +110,10 @@ type SFU struct {
 	StallProb  float64       // probability of an extra stall
 	StallExtra time.Duration // mean of the exponential stall
 
-	Next packet.Handler
-	sim  *sim.Simulator
-	rng  *rand.Rand
+	Next      packet.Handler
+	sim       *sim.Simulator
+	rng       *rand.Rand
+	forwardFn func(any)
 	// Forwarded counts media packets processed.
 	Forwarded int
 }
@@ -100,7 +123,7 @@ func NewSFU(s *sim.Simulator, next packet.Handler) *SFU {
 	if next == nil {
 		next = packet.Discard
 	}
-	return &SFU{
+	f := &SFU{
 		Base:       300 * time.Microsecond,
 		Jitter:     2 * time.Millisecond,
 		StallProb:  0.01,
@@ -109,6 +132,8 @@ func NewSFU(s *sim.Simulator, next packet.Handler) *SFU {
 		sim:        s,
 		rng:        s.NewStream(),
 	}
+	f.forwardFn = f.forward
+	return f
 }
 
 // Handle applies application-layer processing delay and forwards.
@@ -123,8 +148,11 @@ func (f *SFU) Handle(p *packet.Packet) {
 			d += time.Duration(f.rng.ExpFloat64() * float64(f.StallExtra))
 		}
 	}
-	f.sim.After(d, func() { f.Next.Handle(p) })
+	f.sim.AfterArg(d, f.forwardFn, p)
 }
+
+// forward hands a processed packet (the event argument) to the next stage.
+func (f *SFU) forward(p any) { f.Next.Handle(p.(*packet.Packet)) }
 
 // FixedLatencyLink reproduces §2's emulated baseline: "a fixed 15 ms
 // latency that emulates the cellular network's capacity (calculated from
@@ -140,6 +168,8 @@ type FixedLatencyLink struct {
 	limit  units.ByteCount // the most budget that may accumulate
 	budget units.ByteCount
 	queue  []*packet.Packet
+
+	forwardFn func(any)
 }
 
 // NewFixedLatencyLink creates the emulated link, granting budget bytes
@@ -160,6 +190,7 @@ func NewFixedLatencyLink(s *sim.Simulator, latency time.Duration, budget units.B
 		// Always allow at least a couple of MTUs to burst.
 		rate: budget, limit: max(4*budget, 4000), budget: budget,
 	}
+	l.forwardFn = l.forward
 	s.Every(interval, interval, l.refill)
 	return l
 }
@@ -177,9 +208,12 @@ func (l *FixedLatencyLink) drain() {
 		p := l.queue[0]
 		l.queue = l.queue[1:]
 		l.budget -= p.Size
-		l.sim.After(l.Latency, func() { l.Next.Handle(p) })
+		l.sim.AfterArg(l.Latency, l.forwardFn, p)
 	}
 }
+
+// forward hands a packet (the event argument) to the next stage.
+func (l *FixedLatencyLink) forward(p any) { l.Next.Handle(p.(*packet.Packet)) }
 
 // Handle sends the packet within the current interval's capacity budget,
 // queueing it for later intervals when the budget is spent.

@@ -223,3 +223,32 @@ func TestLinkNilNext(t *testing.T) {
 	l.Handle(alloc.New(packet.KindVideo, 1, 100, 0))
 	s.Run() // must not panic
 }
+
+// A packet's hops schedule no closures: once the event free list and the
+// link's in-transmission ring are warm, a packet through a jittered,
+// rate-limited Link and then an SFU allocates nothing.
+func TestLinkAndSFUHopsNoAllocs(t *testing.T) {
+	s := sim.New(1)
+	n := 0
+	f := NewSFU(s, packet.HandlerFunc(func(*packet.Packet) { n++ }))
+	l := NewLink(s, "wan", 10*time.Millisecond, 100*units.Mbps, f)
+	l.Jitter = time.Millisecond
+	var alloc packet.Alloc
+	burst := make([]*packet.Packet, 4)
+	for i := range burst {
+		burst[i] = alloc.New(packet.KindVideo, 1, 1200, 0)
+	}
+	send := func() {
+		for _, p := range burst {
+			l.Handle(p)
+		}
+		s.Run()
+	}
+	send()
+	if allocs := testing.AllocsPerRun(200, send); allocs != 0 {
+		t.Fatalf("%.1f allocations per %d-packet burst, want 0", allocs, len(burst))
+	}
+	if want := len(burst) * 202; n != want {
+		t.Fatalf("SFU forwarded %d packets, want %d", n, want)
+	}
+}

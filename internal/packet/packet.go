@@ -133,5 +133,10 @@ type HandlerFunc func(p *Packet)
 // Handle calls f(p).
 func (f HandlerFunc) Handle(p *Packet) { f(p) }
 
+// Event calls f with the packet a simulator event carries as its
+// argument. Bind the method value once, then schedule each packet's hop
+// with sim.AtArg or AfterArg.
+func (f HandlerFunc) Event(p any) { f(p.(*Packet)) }
+
 // Discard is a Handler that drops everything (end of a chain).
 var Discard Handler = HandlerFunc(func(*Packet) {})

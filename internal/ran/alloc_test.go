@@ -49,7 +49,7 @@ func saturatedCell() (r *RAN, step func(slot int)) {
 func grantBacklog(r *RAN) int {
 	n := 0
 	for _, u := range r.ues {
-		n += u.grants.n + u.bsrGrants.n
+		n += u.grants.Len() + u.bsrGrants.Len()
 	}
 	return n
 }
@@ -118,5 +118,58 @@ func TestULSlotTimeIndependentOfGrantBacklog(t *testing.T) {
 	if late > 2*early {
 		t.Fatalf("slot time grew with the grant backlog: %v at %d pending grants, %v at %d",
 			early, backlog[backlogEarly], late, backlog[backlogLate])
+	}
+}
+
+// A HARQ retry and a core delivery schedule no closures and build no new
+// transport block: the only allocations a packet costs on its way through
+// a failed attempt, its retry and the core hand-off are records — the
+// buffer entry UE.Handle makes, the PacketIDs slice the TB's telemetry
+// records keep, and the packet's ground-truth TBIDs.
+func TestRetryAndDeliveryAllocateOnlyRecords(t *testing.T) {
+	cfg := Defaults()
+	s := sim.New(1)
+	delivered := 0
+	r := New(s, cfg, packet.HandlerFunc(func(*packet.Packet) { delivered++ }))
+	u := r.AttachUE(1, SchedCombined)
+	var alloc packet.Alloc
+	const runs = 200
+	pkts := make([]*packet.Packet, runs+2)
+	for i := range pkts {
+		pkts[i] = alloc.New(packet.KindVideo, 1, 200, 0)
+	}
+	next := 0
+	retries := 0
+	op := func() {
+		r.Telemetry.Records = r.Telemetry.Records[:0]
+		u.Handle(pkts[next])
+		next++
+		// Every attempt in the next UL slot fails, so the packet's TB waits
+		// for its retry; from then on every attempt succeeds.
+		r.Cfg.BLER = 1
+		s.RunUntil(s.Now() + cfg.ULPeriod())
+		r.Cfg.BLER = 0
+		s.RunUntil(s.Now() + cfg.HARQRTT + cfg.SlotDuration + cfg.CoreDelay + cfg.ULPeriod())
+		for _, rec := range r.Telemetry.Records {
+			if rec.HARQRound == 1 && len(rec.PacketIDs) == 1 {
+				retries++
+			}
+		}
+	}
+	op()
+	allocs := testing.AllocsPerRun(runs, op)
+	if delivered != runs+2 || retries != runs+2 {
+		t.Fatalf("%d packets delivered and %d carried by a retry, want %d each", delivered, retries, runs+2)
+	}
+	if allocs != 3 {
+		t.Fatalf("%.2f allocations per packet, want 3 (buffer entry, PacketIDs, ground-truth TBIDs)", allocs)
+	}
+	// Retired TBs keep no buffer entry alive.
+	for _, tb := range r.freeTBs {
+		for _, seg := range tb.segs[:cap(tb.segs)] {
+			if seg.entry != nil {
+				t.Fatal("a recycled TB still references a buffer entry")
+			}
+		}
 	}
 }

@@ -128,7 +128,7 @@ func (r *RAN) predictiveGrants(u *UE, now time.Duration) {
 		// within a slot of arriving, at the cost of one small wasted TB —
 		// the resource trade §5.2 acknowledges.
 		for p.anchor <= now+r.Cfg.ULPeriod() {
-			u.grants.pushBack(grant{
+			u.grants.PushBack(grant{
 				ue:   u,
 				tbs:  units.ByteCount(float64(p.size) * predictMargin),
 				kind: telemetry.GrantAppAware,
@@ -138,7 +138,7 @@ func (r *RAN) predictiveGrants(u *UE, now time.Duration) {
 	}
 	if p.smallPrimed && p.smallPeriod > 0 {
 		for p.smallAnchor <= now {
-			u.grants.pushBack(grant{
+			u.grants.PushBack(grant{
 				ue:   u,
 				tbs:  units.ByteCount(float64(p.smallSize)*predictMargin) + 60,
 				kind: telemetry.GrantAppAware,

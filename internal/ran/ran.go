@@ -57,8 +57,17 @@ type RAN struct {
 	faded   bool
 	fadeRNG *rand.Rand
 
-	// dlBusyTil serializes downlink transmissions.
+	// dlBusyTil serializes downlink transmissions. dlSending holds the
+	// packets in transmission, in order: dlBusyTil never decreases, so
+	// transmit completions fire in the order they were scheduled.
 	dlBusyTil time.Duration
+	dlSending sim.Queue[dlHop]
+
+	// freeTBs recycles retired transport blocks and their segment lists.
+	freeTBs []*transportBlock
+
+	// Event functions bound once (see New).
+	dlSentFn, retryFn, toCoreFn func(any)
 
 	nextTBID uint64
 
@@ -89,54 +98,12 @@ func carries(k telemetry.GrantKind) bool {
 	return k == telemetry.GrantRequested || k == telemetry.GrantAppAware
 }
 
-// grantRing is a double-ended grant queue over a power-of-two ring: a
-// UE's backlog is served from the front, and a slot touches only the
-// grants it serves, files or carries past, never the whole queue.
-type grantRing struct {
-	buf  []grant
-	head int
-	n    int
-}
-
-func (q *grantRing) at(i int) *grant { return &q.buf[(q.head+i)&(len(q.buf)-1)] }
-
-func (q *grantRing) grow() {
-	if q.n < len(q.buf) {
-		return
-	}
-	buf := make([]grant, max(8, 2*len(q.buf)))
-	for i := range q.n {
-		buf[i] = *q.at(i)
-	}
-	q.buf, q.head = buf, 0
-}
-
-func (q *grantRing) pushBack(g grant) {
-	q.grow()
-	q.buf[(q.head+q.n)&(len(q.buf)-1)] = g
-	q.n++
-}
-
-func (q *grantRing) pushFront(g grant) {
-	q.grow()
-	q.head = (q.head - 1) & (len(q.buf) - 1)
-	q.buf[q.head] = g
-	q.n++
-}
-
-func (q *grantRing) popFront() grant {
-	g := q.buf[q.head]
-	q.head = (q.head + 1) & (len(q.buf) - 1)
-	q.n--
-	return g
-}
-
-func (q *grantRing) popBack() {
-	q.n--
-}
-
-func (q *grantRing) reset() {
-	q.head, q.n = 0, 0
+// dlHop is a downlink packet in transmission and what its delivery needs
+// once the transmission completes.
+type dlHop struct {
+	u     *UE
+	p     *packet.Packet
+	delay time.Duration
 }
 
 // New creates a RAN on s delivering uplink packets to core. The UL slot
@@ -152,6 +119,7 @@ func New(s *sim.Simulator, cfg Config, core packet.Handler) *RAN {
 		core:      core,
 		Telemetry: &telemetry.Collector{},
 	}
+	r.dlSentFn, r.retryFn, r.toCoreFn = r.dlSent, r.retry, r.toCore
 	// TDD: the UL slot is the last slot of each period. FDD: the uplink
 	// carrier is continuously available, one opportunity per slot.
 	firstUL := cfg.SlotDuration * time.Duration(cfg.SlotsPerPeriod-1)
@@ -207,6 +175,7 @@ func (r *RAN) GrantedBytes() units.ByteCount { return r.grantedBytes }
 // returns it.
 func (r *RAN) AttachUE(id uint32, sched SchedulerKind) *UE {
 	u := &UE{ID: id, Sched: sched, ran: r, Downlink: packet.Discard}
+	u.receiveFn = u.receive
 	r.ues = append(r.ues, u)
 	return u
 }
@@ -240,8 +209,8 @@ func (r *RAN) Detach(u *UE) {
 	} else {
 		r.rrStart = 0
 	}
-	u.grants.reset()
-	u.bsrGrants.reset()
+	u.grants.Reset()
+	u.bsrGrants.Reset()
 	u.outstanding = 0
 
 	// HARQ reset. Only TBs awaiting a retransmission are in flight (the
@@ -249,7 +218,7 @@ func (r *RAN) Detach(u *UE) {
 	// so cancelling u.retx accounts for every undelivered segment
 	// exactly once: each seg's bytes go back to its entry, and entries
 	// that had left the buffer as fully segmented re-enter it.
-	reinserted := false
+	var reinserted []*bufEntry
 	for _, tb := range u.retx {
 		tb.retry.Stop()
 		for _, s := range tb.segs {
@@ -262,14 +231,21 @@ func (r *RAN) Detach(u *UE) {
 			e.pendingTBs--
 			if e.fullySegmented {
 				e.fullySegmented = false
-				u.buf = append(u.buf, e)
-				reinserted = true
+				reinserted = append(reinserted, e)
 			}
 		}
+		r.retire(tb)
 	}
+	clear(u.retx)
 	u.retx = u.retx[:0]
-	if reinserted {
-		sort.Slice(u.buf, func(i, j int) bool { return u.buf[i].seq < u.buf[j].seq })
+	if reinserted != nil {
+		for u.buf.Len() > 0 {
+			reinserted = append(reinserted, u.buf.PopFront())
+		}
+		sort.Slice(reinserted, func(i, j int) bool { return reinserted[i].seq < reinserted[j].seq })
+		for _, e := range reinserted {
+			u.buf.PushBack(e)
+		}
 	}
 	u.app = nil
 	u.pred = nil
@@ -310,9 +286,15 @@ func (r *RAN) SendDownlink(u *UE, p *packet.Packet) {
 	for round := 0; round < r.Cfg.MaxHARQ && r.rng.Float64() < r.effectiveBLER(); round++ {
 		delay += r.Cfg.HARQRTT
 	}
-	r.sim.At(done, func() {
-		r.sim.After(delay, func() { u.Downlink.Handle(p) })
-	})
+	r.dlSending.PushBack(dlHop{u: u, p: p, delay: delay})
+	r.sim.AtArg(done, r.dlSentFn, nil)
+}
+
+// dlSent completes the oldest downlink transmission: its packet reaches
+// the UE's host after its alignment and HARQ delay.
+func (r *RAN) dlSent(any) {
+	h := r.dlSending.PopFront()
+	r.sim.AfterArg(h.delay, h.u.receiveFn, h.p)
 }
 
 // onULSlot runs the gNB's per-uplink-slot machinery: execute due grants,
@@ -333,33 +315,33 @@ func (r *RAN) onULSlot() {
 	//    paper only sees proactive TBs helping in a lightly-used cell.
 	for _, u := range r.ues {
 		due := 0
-		for due < u.bsrGrants.n && u.bsrGrants.at(due).due <= now {
+		for due < u.bsrGrants.Len() && u.bsrGrants.At(due).due <= now {
 			due++
 		}
 		for i := due - 1; i >= 0; i-- {
-			u.grants.pushFront(*u.bsrGrants.at(i))
+			u.grants.PushFront(*u.bsrGrants.At(i))
 		}
 		for ; due > 0; due-- {
-			u.bsrGrants.popFront()
+			u.bsrGrants.PopFront()
 		}
 		switch u.Sched {
 		case SchedOracle:
 			if u.bufBytes > 0 {
-				u.grants.pushBack(grant{ue: u, tbs: u.bufBytes, kind: telemetry.GrantOracle})
+				u.grants.PushBack(grant{ue: u, tbs: u.bufBytes, kind: telemetry.GrantOracle})
 			}
 		case SchedAppAware:
 			r.appAwareGrants(u, now)
 		case SchedPredictive:
 			r.predictiveGrants(u, now)
 		case SchedCombined, SchedProactiveOnly:
-			u.grants.pushBack(grant{ue: u, tbs: r.Cfg.ProactiveTBS, kind: telemetry.GrantProactive})
+			u.grants.PushBack(grant{ue: u, tbs: r.Cfg.ProactiveTBS, kind: telemetry.GrantProactive})
 		case SchedQoEAware:
 			// StreamGuard-style: speculative proactive grants go to the
 			// latency-sensitive families only. Elastic bulk waits for its
 			// BSR — under load the freed slot budget is exactly what keeps
 			// the interactive UEs' grants timely.
 			if u.Hint != HintThroughput {
-				u.grants.pushBack(grant{ue: u, tbs: r.Cfg.ProactiveTBS, kind: telemetry.GrantProactive})
+				u.grants.PushBack(grant{ue: u, tbs: r.Cfg.ProactiveTBS, kind: telemetry.GrantProactive})
 			}
 		}
 	}
@@ -378,10 +360,10 @@ func (r *RAN) onULSlot() {
 			if order != nil {
 				u = order[i]
 			}
-			if u.grants.n == 0 {
+			if u.grants.Len() == 0 {
 				continue
 			}
-			g := u.grants.popFront()
+			g := u.grants.PopFront()
 			progress = true
 			tbs := g.tbs
 			if tbs > remaining {
@@ -431,12 +413,12 @@ func (r *RAN) onULSlot() {
 	// The slot's split rests and retries go in front of what stays, each
 	// UE's in the order it filed them.
 	for _, u := range r.ues {
-		for u.grants.n > 0 && !carries(u.grants.at(u.grants.n-1).kind) {
-			u.grants.popBack()
+		for u.grants.Len() > 0 && !carries(u.grants.At(u.grants.Len()-1).kind) {
+			u.grants.PopBack()
 		}
 	}
 	for i := len(r.rests) - 1; i >= 0; i-- {
-		r.rests[i].ue.grants.pushFront(r.rests[i])
+		r.rests[i].ue.grants.PushFront(r.rests[i])
 	}
 	r.rests = r.rests[:0]
 	if n > 0 {
@@ -470,9 +452,9 @@ func (r *RAN) onULSlot() {
 		// carries over; a later one waits in the UE's BSR FIFO, where a
 		// fixed SchedDelay keeps due times in filing order.
 		if g.due <= nextSlot {
-			u.grants.pushBack(g)
+			u.grants.PushBack(g)
 		} else {
-			u.bsrGrants.pushBack(g)
+			u.bsrGrants.PushBack(g)
 		}
 	}
 }
@@ -512,7 +494,14 @@ func (r *RAN) qoeOrder() []*UE {
 // process, and reports the payload bytes it carried.
 func (r *RAN) transmitTB(u *UE, tbs units.ByteCount, kind telemetry.GrantKind, slotAt time.Duration) units.ByteCount {
 	viaBSR := kind == telemetry.GrantRequested
-	segs := u.fill(tbs, viaBSR, slotAt)
+	var tb *transportBlock
+	if n := len(r.freeTBs); n > 0 {
+		tb = r.freeTBs[n-1]
+		r.freeTBs = r.freeTBs[:n-1]
+	} else {
+		tb = new(transportBlock)
+	}
+	segs := u.fill(tb.segs, tbs, viaBSR, slotAt)
 	var used units.ByteCount
 	ids := make([]uint64, 0, len(segs))
 	for _, s := range segs {
@@ -523,7 +512,7 @@ func (r *RAN) transmitTB(u *UE, tbs units.ByteCount, kind telemetry.GrantKind, s
 	// The cell ID occupies the top 16 bits so telemetry merged across
 	// cells keeps every TBID globally unique (cell 0 numbering is the
 	// historical single-cell sequence, unchanged).
-	tb := &transportBlock{
+	*tb = transportBlock{
 		id: r.nextTBID | uint64(r.Cfg.CellID)<<48, ue: u, tbs: tbs, used: used, kind: kind,
 		segs: segs, ids: ids,
 	}
@@ -535,27 +524,51 @@ func (r *RAN) transmitTB(u *UE, tbs units.ByteCount, kind telemetry.GrantKind, s
 		metTBOvergranted.Inc()
 		metTBWastedBytes.Add(int64(tbs - used))
 	}
-	r.attempt(tb, 0, slotAt)
+	r.attempt(tb, slotAt)
 	return used
 }
 
-// transportBlock is one TB working through HARQ.
+// transportBlock is one TB working through HARQ. A cell recycles its TBs:
+// one that retires (decoded, HARQ exhausted, or cancelled by a handover)
+// returns to the cell's free list with its segment list.
 type transportBlock struct {
 	id   uint64
 	ue   *UE
 	tbs  units.ByteCount
 	used units.ByteCount
 	kind telemetry.GrantKind
-	segs []segment
-	ids  []uint64
+	// round is the HARQ round of the latest attempt (0 = initial).
+	round int
+	segs  []segment
+	// ids is the telemetry record's PacketIDs; the record keeps it, so it
+	// is not recycled.
+	ids []uint64
 	// retry is the pending HARQ retransmission timer, valid while the TB
 	// sits in its UE's retx set; Detach stops it to reset HARQ state.
 	retry sim.Timer
 }
 
-// attempt transmits the TB (round = HARQ round) and schedules either
-// delivery or a retransmission.
-func (r *RAN) attempt(tb *transportBlock, round int, at time.Duration) {
+// retire returns tb to the free list. Its segments are cleared so the
+// free list keeps no buffer entry (or packet) alive.
+func (r *RAN) retire(tb *transportBlock) {
+	clear(tb.segs)
+	*tb = transportBlock{segs: tb.segs[:0]}
+	r.freeTBs = append(r.freeTBs, tb)
+}
+
+// retry fires a TB's HARQ retransmission, one HARQ RTT after its last
+// attempt.
+func (r *RAN) retry(a any) {
+	tb := a.(*transportBlock)
+	tb.ue.untrackRetx(tb)
+	tb.round++
+	r.attempt(tb, r.sim.Now())
+}
+
+// attempt transmits the TB in its current HARQ round and schedules
+// either delivery or a retransmission.
+func (r *RAN) attempt(tb *transportBlock, at time.Duration) {
+	round := tb.round
 	if round > 0 {
 		metHARQRetx.Inc()
 	}
@@ -571,11 +584,7 @@ func (r *RAN) attempt(tb *transportBlock, round int, at time.Duration) {
 		// (§3.2), so the retry is scheduled unconditionally. The TB is
 		// tracked in its UE's retx set until the retry fires, so a
 		// handover in the gap can cancel it.
-		next := at + r.Cfg.HARQRTT
-		tb.retry = r.sim.At(next, func() {
-			tb.ue.untrackRetx(tb)
-			r.attempt(tb, round+1, next)
-		})
+		tb.retry = r.sim.AtArg(at+r.Cfg.HARQRTT, r.retryFn, tb)
 		tb.ue.trackRetx(tb)
 		return
 	}
@@ -590,6 +599,7 @@ func (r *RAN) attempt(tb *transportBlock, round int, at time.Duration) {
 				metDrops.Inc()
 			}
 		}
+		r.retire(tb)
 		return
 	}
 	// Success: bytes decoded at the end of this slot.
@@ -607,6 +617,7 @@ func (r *RAN) attempt(tb *transportBlock, round int, at time.Duration) {
 			r.deliver(e)
 		}
 	}
+	r.retire(tb)
 }
 
 // deliver hands a fully received packet to the core, recording the
@@ -618,10 +629,11 @@ func (r *RAN) deliver(e *bufEntry) {
 		gt.BSRWait = gt.UEQueueWait
 	}
 	gt.HARQDelay = e.latestSuccess - (e.lastFirstTx + r.Cfg.SlotDuration)
-	deliverAt := e.latestSuccess + r.Cfg.CoreDelay
-	pkt := e.pkt
-	r.sim.At(deliverAt, func() { r.core.Handle(pkt) })
+	r.sim.AtArg(e.latestSuccess+r.Cfg.CoreDelay, r.toCoreFn, e.pkt)
 }
+
+// toCore hands a decoded uplink packet (the event argument) to the core.
+func (r *RAN) toCore(p any) { r.core.Handle(p.(*packet.Packet)) }
 
 // appAwareState tracks the gNB's learned media cadence for one UE.
 type appAwareState struct {
@@ -664,7 +676,7 @@ func (r *RAN) appAwareGrants(u *UE, now time.Duration) {
 		u.hasMeta = false // consume; refreshed by the next meta packet
 		// The frame that carried the metadata is itself in the buffer:
 		// grant for it immediately.
-		u.grants.pushBack(grant{ue: u, tbs: st.frameBytes, kind: telemetry.GrantAppAware})
+		u.grants.PushBack(grant{ue: u, tbs: st.frameBytes, kind: telemetry.GrantAppAware})
 		return
 	}
 	if !st.primed {
@@ -673,11 +685,11 @@ func (r *RAN) appAwareGrants(u *UE, now time.Duration) {
 	// Issue the frame grant on the first UL slot at/after the predicted
 	// generation instant; anchors in the future wait for a later slot.
 	for st.interval > 0 && st.anchor <= now {
-		u.grants.pushBack(grant{ue: u, tbs: st.frameBytes, kind: telemetry.GrantAppAware})
+		u.grants.PushBack(grant{ue: u, tbs: st.frameBytes, kind: telemetry.GrantAppAware})
 		st.anchor += st.interval
 	}
 	for st.audioInterval > 0 && st.audioAnchor <= now {
-		u.grants.pushBack(grant{ue: u, tbs: st.audioBytes, kind: telemetry.GrantAppAware})
+		u.grants.PushBack(grant{ue: u, tbs: st.audioBytes, kind: telemetry.GrantAppAware})
 		st.audioAnchor += st.audioInterval
 	}
 }

@@ -5,6 +5,7 @@ import (
 
 	"athena/internal/packet"
 	"athena/internal/rtp"
+	"athena/internal/sim"
 	"athena/internal/units"
 )
 
@@ -131,7 +132,7 @@ type UE struct {
 
 	ran *RAN
 
-	buf      []*bufEntry
+	buf      sim.Queue[*bufEntry]
 	bufBytes units.ByteCount
 
 	// Per-UE scheduler state: outstanding tracks requested-but-not-yet-
@@ -141,8 +142,8 @@ type UE struct {
 	// app/pred hold the app-aware and predictive schedulers' learned
 	// models for this attachment.
 	outstanding units.ByteCount
-	grants      grantRing
-	bsrGrants   grantRing
+	grants      sim.Queue[grant]
+	bsrGrants   sim.Queue[grant]
 	app         *appAwareState
 	pred        *predictor
 
@@ -163,6 +164,9 @@ type UE struct {
 	// Downlink delivery handler (packets arriving from the network to
 	// this UE's host).
 	Downlink packet.Handler
+	// receiveFn is receive bound once: the event that ends a downlink
+	// packet's delay carries the packet as its argument.
+	receiveFn func(any)
 
 	// latestMeta is the §5.2 media metadata most recently seen in a
 	// queued packet; the UE reports it alongside its BSR when the cell
@@ -180,7 +184,7 @@ func (u *UE) Handle(p *packet.Packet) {
 	}
 	e := &bufEntry{pkt: p, remaining: p.Size, enqueuedAt: now, seq: u.enqSeq}
 	u.enqSeq++
-	u.buf = append(u.buf, e)
+	u.buf.PushBack(e)
 	u.bufBytes += p.Size
 	if rp, ok := p.Payload.(*rtp.Packet); ok && rp.HasMeta {
 		u.latestMeta = rp.Meta
@@ -188,6 +192,9 @@ func (u *UE) Handle(p *packet.Packet) {
 		u.lastMetaFrame = now
 	}
 }
+
+// receive hands a downlink packet (the event argument) to the host.
+func (u *UE) receive(p any) { u.Downlink.Handle(p.(*packet.Packet)) }
 
 // Buffered reports the bytes currently awaiting transmission.
 func (u *UE) Buffered() units.ByteCount { return u.bufBytes }
@@ -215,14 +222,13 @@ func (u *UE) untrackRetx(tb *transportBlock) {
 	}
 }
 
-// fill carves up to tbs bytes from the head of the buffer, marking
-// transmission bookkeeping. grantKind records how the carrying TB was
-// granted (for per-packet BSR-wait attribution).
-func (u *UE) fill(tbs units.ByteCount, viaBSR bool, slotAt time.Duration) []segment {
-	var segs []segment
+// fill carves up to tbs bytes from the head of the buffer into segs,
+// marking transmission bookkeeping. viaBSR records how the carrying TB
+// was granted (for per-packet BSR-wait attribution).
+func (u *UE) fill(segs []segment, tbs units.ByteCount, viaBSR bool, slotAt time.Duration) []segment {
 	budget := tbs
-	for budget > 0 && len(u.buf) > 0 {
-		e := u.buf[0]
+	for budget > 0 && u.buf.Len() > 0 {
+		e := *u.buf.At(0)
 		take := e.remaining
 		if take > budget {
 			take = budget
@@ -237,7 +243,7 @@ func (u *UE) fill(tbs units.ByteCount, viaBSR bool, slotAt time.Duration) []segm
 		e.lastViaBSR = viaBSR
 		if last {
 			e.fullySegmented = true
-			u.buf = u.buf[1:]
+			u.buf.PopFront()
 		}
 	}
 	return segs

@@ -1,6 +1,9 @@
 package rtp
 
-import "time"
+import (
+	"slices"
+	"time"
+)
 
 // Transport-wide congestion-control feedback, modeled after the WebRTC
 // transport-cc RTCP extension: the receiver periodically reports, for each
@@ -88,14 +91,22 @@ func (b *FeedbackBuilder) OnArrival(seq uint16, at time.Duration, ece bool) {
 	b.pending = append(b.pending, ArrivalInfo{Seq: seq, Received: true, Arrival: at, ECE: ece})
 }
 
-// ExpireGaps converts gaps older than ReorderGrace into loss entries; the
-// receiver calls it just before flushing a report.
+// ExpireGaps converts gaps older than ReorderGrace into loss entries, in
+// sequence order; the receiver calls it just before flushing a report.
 func (b *FeedbackBuilder) ExpireGaps(now time.Duration) {
+	from := len(b.pending)
 	for seq, first := range b.missing {
 		if now-first >= b.ReorderGrace {
 			b.pending = append(b.pending, ArrivalInfo{Seq: seq})
 			delete(b.missing, seq)
 		}
+	}
+	// Map iteration order is random. Every gap lies behind maxSeq, so
+	// the oldest sequence is the one furthest behind it, wrap included.
+	if lost := b.pending[from:]; len(lost) > 1 {
+		slices.SortFunc(lost, func(x, y ArrivalInfo) int {
+			return int(b.maxSeq-y.Seq) - int(b.maxSeq-x.Seq)
+		})
 	}
 }
 

@@ -2,6 +2,7 @@ package rtp
 
 import (
 	"encoding/binary"
+	"slices"
 	"testing"
 	"time"
 )
@@ -223,6 +224,42 @@ func TestFeedbackBuilderSeqWrap(t *testing.T) {
 	}
 	if lost != 2 {
 		t.Fatalf("lost = %d, want 2 across the wrap", lost)
+	}
+}
+
+// One builder state yields one report: expired gaps are reported in
+// sequence order, oldest first across the wrap, not in map order.
+func TestFeedbackBuilderLossOrderDeterministic(t *testing.T) {
+	build := func() *Feedback {
+		b := NewFeedbackBuilder(9)
+		at := time.Millisecond
+		// Gaps on both sides of the wrap, some closed by late arrivals.
+		for _, seq := range []uint16{65500, 65510, 65531, 3, 9, 40, 12, 70} {
+			b.OnArrival(seq, at, false)
+			at += time.Millisecond
+		}
+		b.ExpireGaps(time.Second)
+		return b.Flush()
+	}
+	want := build()
+	var lost []uint16
+	for _, r := range want.Reports {
+		if !r.Received {
+			lost = append(lost, r.Seq)
+		}
+	}
+	if len(lost) < 50 {
+		t.Fatalf("%d losses; the input should open more than 50 gaps", len(lost))
+	}
+	for i := 1; i < len(lost); i++ {
+		if !seqNewer(lost[i], lost[i-1]) {
+			t.Fatalf("loss %d (seq %d) reported after seq %d", i, lost[i], lost[i-1])
+		}
+	}
+	for run := 0; run < 50; run++ {
+		if got := build(); !slices.Equal(got.Reports, want.Reports) {
+			t.Fatalf("run %d: reports differ from the first run", run)
+		}
 	}
 }
 

@@ -184,10 +184,14 @@ type injector struct {
 	jitters []JitterEpisode
 	next    packet.Handler
 	rng     interface{ Int63n(int64) int64 }
+
+	forwardFn func(any)
 }
 
 func newInjector(s *sim.Simulator, spikes []Spike, jitters []JitterEpisode, next packet.Handler) *injector {
-	return &injector{s: s, spikes: spikes, jitters: jitters, next: next, rng: s.NewStream()}
+	in := &injector{s: s, spikes: spikes, jitters: jitters, next: next, rng: s.NewStream()}
+	in.forwardFn = in.forward
+	return in
 }
 
 // Handle applies any active episode's extra delay.
@@ -208,5 +212,8 @@ func (in *injector) Handle(p *packet.Packet) {
 		in.next.Handle(p)
 		return
 	}
-	in.s.After(extra, func() { in.next.Handle(p) })
+	in.s.AfterArg(extra, in.forwardFn, p)
 }
+
+// forward hands a delayed packet (the event argument) on.
+func (in *injector) forward(p any) { in.next.Handle(p.(*packet.Packet)) }

@@ -110,11 +110,11 @@ func TestSingleCellDigestsPinned(t *testing.T) {
 	}
 }
 
-// TestEventAndTBCountsPinned pins what one small serial run costs the
-// simulator: the events its engines fire (the counters the benchmark's
-// sim.events_per_ue_s reads) and the transport blocks its cells send. An
-// event-path change that keeps every digest still moves these numbers.
-// It also pins the run's memory: the allocations it makes and the bytes
+// TestEventAndTBCountsPinned pins what small serial runs cost the
+// simulator: the events their engines fire (the counters the benchmark's
+// sim.events_per_ue_s reads) and the transport blocks their cells send.
+// An event-path change that keeps every digest still moves these numbers.
+// It also pins each run's memory: the allocations it makes and the bytes
 // they take (±1 %), and the heap it leaves behind while its result is
 // held (±2 %). Those depend on the runtime (its maps, above all), so
 // they are checked only on the toolchain they were measured with,
@@ -122,13 +122,53 @@ func TestSingleCellDigestsPinned(t *testing.T) {
 // first two repeat within 0.05 % and the third within 1 %; -race moves
 // each by under 0.5 %.
 func TestEventAndTBCountsPinned(t *testing.T) {
-	const wantEvents, wantTBs = 35841, 6921
 	const memToolchain = "go1.24.0"
-	const wantMallocs, wantAllocated, wantRetained = 87_170, 14_150_000, 4_640_000
-	top := NewMultiCellTopology(16, 2)
-	top.Seed = 1
-	top.Duration = 2 * time.Second
-	top.Serial = true
+	vca := NewMultiCellTopology(16, 2)
+	mixed := NewMultiCellTopology(8, 2)
+	mixed.MixWorkloads()
+	for _, tc := range []struct {
+		name                         string
+		top                          Topology
+		events, tbs                  int64
+		mallocs, allocated, retained int64
+	}{
+		{"16ue-2cell-vca", vca, 35841, 6921, 39_540, 12_030_000, 4_590_000},
+		{"8ue-2cell-mixed", mixed, 28962, 6087, 22_115, 6_660_000, 2_077_000},
+	} {
+		top := tc.top
+		top.Seed = 1
+		top.Duration = 2 * time.Second
+		top.Serial = true
+		events, tbs, mallocs, allocated, retained := runCost(top)
+		t.Logf("%s: %d events, %d TBs, %d mallocs, %d bytes allocated, %d bytes retained",
+			tc.name, events, tbs, mallocs, allocated, retained)
+		// Frame sizes are not FMA-pinned off amd64 (ROADMAP item 14), and
+		// packet counts follow them.
+		if runtime.GOARCH != "amd64" {
+			continue
+		}
+		if events != tc.events || tbs != tc.tbs {
+			t.Errorf("%s: %d events and %d TBs, want %d and %d", tc.name, events, tbs, tc.events, tc.tbs)
+		}
+		if v := runtime.Version(); v != memToolchain {
+			t.Logf("memory pins measured with %s, not checked on %s", memToolchain, v)
+			continue
+		}
+		within := func(what string, got, want int64, tol float64) {
+			if d := float64(got-want) / float64(want); d > tol || d < -tol {
+				t.Errorf("%s: %s %d, want %d ±%.0f%%", tc.name, what, got, want, 100*tol)
+			}
+		}
+		within("mallocs", mallocs, tc.mallocs, 0.01)
+		within("bytes allocated", allocated, tc.allocated, 0.01)
+		within("bytes retained", retained, tc.retained, 0.02)
+	}
+}
+
+// runCost runs top once and reports the events its engines fired, the
+// TBs its cells sent, the mallocs and bytes the run allocated, and the
+// heap it retains while its result is held.
+func runCost(top Topology) (events, tbs, mallocs, allocated, retained int64) {
 	fired := func() (n int64) {
 		for name, v := range obs.TakeSnapshot().Counters {
 			if strings.HasPrefix(name, "sim.") && strings.HasSuffix(name, "events_fired") {
@@ -149,36 +189,15 @@ func TestEventAndTBCountsPinned(t *testing.T) {
 	runtime.ReadMemStats(&m1)
 	runtime.GC()
 	runtime.ReadMemStats(&m2)
-	events := fired() - before
-	tbs := 0
+	events = fired() - before
 	for _, sr := range tr.Shards {
 		for _, cell := range sr.RANs {
-			tbs += len(cell.Telemetry.Records)
+			tbs += int64(len(cell.Telemetry.Records))
 		}
 	}
-	mallocs, allocated := m1.Mallocs-m0.Mallocs, m1.TotalAlloc-m0.TotalAlloc
-	retained := int64(m2.HeapAlloc) - int64(m0.HeapAlloc)
-	t.Logf("%d events, %d TBs, %d mallocs, %d bytes allocated, %d bytes retained", events, tbs, mallocs, allocated, retained)
-	// Frame sizes are not FMA-pinned off amd64 (ROADMAP item 14), and
-	// packet counts follow them.
-	if runtime.GOARCH != "amd64" {
-		return
-	}
-	if events != wantEvents || tbs != wantTBs {
-		t.Errorf("%d events and %d TBs, want %d and %d", events, tbs, wantEvents, wantTBs)
-	}
-	if v := runtime.Version(); v != memToolchain {
-		t.Logf("memory pins measured with %s, not checked on %s", memToolchain, v)
-		return
-	}
-	within := func(what string, got, want int64, tol float64) {
-		if d := float64(got-want) / float64(want); d > tol || d < -tol {
-			t.Errorf("%s %d, want %d ±%.0f%%", what, got, want, 100*tol)
-		}
-	}
-	within("mallocs", int64(mallocs), wantMallocs, 0.01)
-	within("bytes allocated", int64(allocated), wantAllocated, 0.01)
-	within("bytes retained", retained, wantRetained, 0.02)
+	runtime.KeepAlive(tr)
+	return events, tbs, int64(m1.Mallocs - m0.Mallocs), int64(m1.TotalAlloc - m0.TotalAlloc),
+		int64(m2.HeapAlloc) - int64(m0.HeapAlloc)
 }
 
 // TestShortSchedDelayDigestsPinned covers a grant order no registry

@@ -367,6 +367,10 @@ type ueBuild struct {
 	servingCell *ran.RAN
 	curCell     int
 
+	// toRemoteSender delivers a far participant's feedback (the event
+	// argument) to the remote sender; nil without one.
+	toRemoteSender func(any)
+
 	ntpT1, ntpT2       map[uint64]time.Duration
 	senderNTP, recvNTP clock.SyncEstimator
 }
@@ -533,8 +537,8 @@ func (b *build) coreIngress() packet.Handler {
 		// heads back across the WAN to the remote sender.
 		if p.Kind == packet.KindRTCP {
 			if ub, ok := b.ueByDLFB[p.Flow]; ok {
-				if snd := ub.res.DLSender; snd != nil {
-					s.After(15*time.Millisecond, func() { snd.HandleFeedback(p) })
+				if ub.toRemoteSender != nil {
+					s.AfterArg(15*time.Millisecond, ub.toRemoteSender, p)
 				}
 				return
 			}

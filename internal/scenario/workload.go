@@ -137,6 +137,12 @@ func (ws WorkloadScore) String() string {
 	return sb.String()
 }
 
+// sendDownlink hands p to the cell currently serving the UE's downlink
+// (a handover repoints it, so it is read when the packet arrives there).
+func (ub *ueBuild) sendDownlink(p *packet.Packet) {
+	ub.servingCell.SendDownlink(ub.ranUE, p)
+}
+
 // handleNTPReply consumes a core-turned NTP reply arriving on the UE's
 // downlink, folding the four timestamps into the sender-host sync
 // estimator. Every family's downlink demux routes through it first; it

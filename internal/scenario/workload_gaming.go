@@ -33,8 +33,9 @@ func (w *gamingWorkload) Build(b *build, ub *ueBuild) {
 		InputFlow: ub.flows.Video,
 		FrameFlow: ub.flows.DLVideo,
 	}
+	toDownlink := packet.HandlerFunc(ub.sendDownlink).Event
 	frameOut := packet.HandlerFunc(func(p *packet.Packet) {
-		s.After(15*time.Millisecond, func() { ub.servingCell.SendDownlink(ub.ranUE, p) })
+		s.AfterArg(15*time.Millisecond, toDownlink, p)
 	})
 	w.server = apps.NewGameServer(s, &b.alloc, cfg, s.NewStream(), frameOut)
 	w.client = apps.NewGameClient(s, &b.alloc, cfg, ub.res.CapSender)

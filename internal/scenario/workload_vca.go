@@ -63,12 +63,13 @@ func (w *vcaWorkload) Build(b *build, ub *ueBuild) {
 		}
 		return p
 	}
+	toSnd := packet.HandlerFunc(snd.HandleFeedback).Event
 	toSender := packet.HandlerFunc(func(p *packet.Packet) {
 		p = maskIfNeeded(p)
 		if ub.ranUE != nil {
 			ub.servingCell.SendDownlink(ub.ranUE, p)
 		} else {
-			s.After(privateLinkDelay, func() { snd.HandleFeedback(p) })
+			s.AfterArg(privateLinkDelay, toSnd, p)
 		}
 	})
 	if ub.ranUE != nil {
@@ -95,8 +96,9 @@ func (w *vcaWorkload) Build(b *build, ub *ueBuild) {
 	// receiver on the UE host; feedback rides the UE uplink.
 	if spec.TwoParty && ub.ranUE != nil {
 		dlCtrl := gcc.New(spec.InitialRate, spec.MinRate, spec.MaxRate)
+		toDownlink := packet.HandlerFunc(ub.sendDownlink).Event
 		remoteOut := packet.HandlerFunc(func(p *packet.Packet) {
-			s.After(15*time.Millisecond, func() { ub.servingCell.SendDownlink(ub.ranUE, p) })
+			s.AfterArg(15*time.Millisecond, toDownlink, p)
 		})
 		ub.res.DLSender = vca.NewSender(s, &b.alloc, vca.SenderConfig{
 			VideoSSRC:  ub.flows.DLVideo,
@@ -104,6 +106,7 @@ func (w *vcaWorkload) Build(b *build, ub *ueBuild) {
 			Controller: dlCtrl,
 			Seed:       spec.Seed + 20,
 		}, remoteOut)
+		ub.toRemoteSender = packet.HandlerFunc(ub.res.DLSender.HandleFeedback).Event
 		// Feedback from the UE host enters the UE's uplink buffer and
 		// competes with the local media.
 		fbUp := packet.HandlerFunc(func(p *packet.Packet) { ub.ranUE.Handle(p) })

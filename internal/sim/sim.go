@@ -3,22 +3,25 @@
 //
 // A Simulator owns a virtual clock and a priority queue of scheduled
 // events. Components schedule closures at absolute virtual times (or after
-// relative delays); Run drains the queue in time order. Ties are broken by
-// insertion order, so a simulation with a fixed seed is fully
-// reproducible — a property the test suite and the Athena correlator's
-// ground-truth checks depend on.
+// relative delays), or, on per-packet paths, a function bound once plus
+// the packet it carries (AtArg, AfterArg); Run drains the queue in time
+// order. Ties are broken by insertion order, so a simulation with a fixed
+// seed is fully reproducible — a property the test suite and the Athena
+// correlator's ground-truth checks depend on.
 //
-// The queue is a concrete 4-ary min-heap of recycled event records: no
-// interface boxing, and steady-state schedule/fire cycles allocate
-// nothing because fired and cancelled events return to a free list.
-// Cancelled timers are compacted out of the heap once they outnumber the
-// live events, so a workload that schedules and cancels aggressively
-// (jitter buffers, tickers racing simulation end) cannot grow the queue
-// with corpses.
+// The queue is a concrete 4-ary min-heap whose slots hold the ordering
+// key inline beside a recycled event record. Every event has one shape,
+// fn(arg): At stores its closure as the argument of a shared trampoline.
+// Steady-state schedule/fire cycles allocate nothing because fired and
+// cancelled records return to a free list. Cancelled timers are compacted
+// out of the heap once they outnumber the live events, so a workload that
+// schedules and cancels aggressively (jitter buffers, tickers racing
+// simulation end) cannot grow the queue with corpses.
 package sim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"time"
 
@@ -35,24 +38,35 @@ var (
 	metHeapDepth   = obs.NewGauge("sim.heap_depth_max")
 )
 
-// event is a scheduled callback. Records are pooled: gen increments each
-// time the record is recycled so stale Timer handles cannot act on the
-// record's next life.
+// event is a scheduled callback: fn applied to arg. Records are pooled:
+// gen increments each time the record is recycled so stale Timer handles
+// cannot act on the record's next life.
 type event struct {
-	at   time.Duration
-	seq  uint64 // insertion order, breaks ties deterministically
-	fn   func()
+	fn   func(any)
+	arg  any
 	gen  uint32
 	dead bool
 }
 
-// eventLess orders events by (time, insertion order).
-func eventLess(a, b *event) bool {
+// entry is one heap slot. The ordering key (time, insertion order) sits
+// inline, so sifting compares slots without dereferencing a record.
+type entry struct {
+	at  time.Duration
+	seq uint64 // insertion order, breaks ties deterministically
+	e   *event
+}
+
+// before orders entries by (time, insertion order).
+func (a *entry) before(b *entry) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
 	return a.seq < b.seq
 }
+
+// call is the event function of At: its argument is the func() to run.
+// A func value is pointer-shaped, so storing it in arg does not allocate.
+func call(f any) { f.(func())() }
 
 // Timer is a handle to a scheduled event that can be cancelled. The zero
 // Timer is valid: Stop on it reports false.
@@ -79,7 +93,7 @@ func (t Timer) Stop() bool {
 // The zero value is not usable; create one with New.
 type Simulator struct {
 	now     time.Duration
-	heap    []*event // 4-ary min-heap ordered by eventLess
+	heap    []entry  // 4-ary min-heap ordered by entry.before
 	live    int      // heap entries not marked dead
 	free    []*event // recycled event records
 	seq     uint64
@@ -133,7 +147,7 @@ func (s *Simulator) NewStream() *rand.Rand {
 
 // alloc takes an event record from the free list (or the heap allocator
 // when the list is empty) and initializes it.
-func (s *Simulator) alloc(at time.Duration, fn func()) *event {
+func (s *Simulator) alloc(fn func(any), arg any) *event {
 	var e *event
 	if n := len(s.free); n > 0 {
 		e = s.free[n-1]
@@ -142,11 +156,9 @@ func (s *Simulator) alloc(at time.Duration, fn func()) *event {
 	} else {
 		e = new(event)
 	}
-	e.at = at
-	e.seq = s.seq
 	e.fn = fn
+	e.arg = arg
 	e.dead = false
-	s.seq++
 	return e
 }
 
@@ -154,72 +166,69 @@ func (s *Simulator) alloc(at time.Duration, fn func()) *event {
 // invalidates any outstanding Timer handles to it.
 func (s *Simulator) release(e *event) {
 	e.fn = nil
+	e.arg = nil
 	e.gen++
 	e.dead = false
 	s.free = append(s.free, e)
 }
 
-// push inserts e into the heap.
-func (s *Simulator) push(e *event) {
-	s.heap = append(s.heap, e)
+// push inserts e at (at, next seq) into the heap.
+func (s *Simulator) push(at time.Duration, e *event) {
+	s.heap = append(s.heap, entry{at: at, seq: s.seq, e: e})
+	s.seq++
 	s.siftUp(len(s.heap) - 1)
 	s.metDepth.Max(int64(len(s.heap)))
 }
 
-// pop removes and returns the earliest event.
-func (s *Simulator) pop() *event {
+// pop removes the earliest entry.
+func (s *Simulator) pop() {
 	h := s.heap
-	root := h[0]
 	n := len(h) - 1
 	h[0] = h[n]
-	h[n] = nil
+	h[n] = entry{}
 	s.heap = h[:n]
 	if n > 1 {
 		s.siftDown(0)
 	}
-	return root
 }
 
 func (s *Simulator) siftUp(i int) {
 	h := s.heap
-	e := h[i]
+	x := h[i]
 	for i > 0 {
 		p := (i - 1) / 4
-		if !eventLess(e, h[p]) {
+		if !x.before(&h[p]) {
 			break
 		}
 		h[i] = h[p]
 		i = p
 	}
-	h[i] = e
+	h[i] = x
 }
 
 func (s *Simulator) siftDown(i int) {
 	h := s.heap
 	n := len(h)
-	e := h[i]
+	x := h[i]
 	for {
 		first := 4*i + 1
 		if first >= n {
 			break
 		}
 		best := first
-		end := first + 4
-		if end > n {
-			end = n
-		}
+		end := min(first+4, n)
 		for c := first + 1; c < end; c++ {
-			if eventLess(h[c], h[best]) {
+			if h[c].before(&h[best]) {
 				best = c
 			}
 		}
-		if !eventLess(h[best], e) {
+		if !h[best].before(&x) {
 			break
 		}
 		h[i] = h[best]
 		i = best
 	}
-	h[i] = e
+	h[i] = x
 }
 
 // maybeCompact rebuilds the heap without its dead entries once they
@@ -232,17 +241,15 @@ func (s *Simulator) maybeCompact() {
 	}
 	h := s.heap
 	j := 0
-	for _, e := range h {
-		if e.dead {
-			s.release(e)
+	for _, x := range h {
+		if x.e.dead {
+			s.release(x.e)
 		} else {
-			h[j] = e
+			h[j] = x
 			j++
 		}
 	}
-	for i := j; i < n; i++ {
-		h[i] = nil
-	}
+	clear(h[j:])
 	s.heap = h[:j]
 	s.metCompact.Inc()
 	if j == 0 {
@@ -256,22 +263,33 @@ func (s *Simulator) maybeCompact() {
 // At schedules fn to run at absolute virtual time t. Scheduling in the
 // past panics: it indicates a causality bug in the caller.
 func (s *Simulator) At(t time.Duration, fn func()) Timer {
-	if t < s.now {
-		panic(fmt.Sprintf("sim: scheduling at %v before now %v", t, s.now))
-	}
-	e := s.alloc(t, fn)
-	s.push(e)
-	s.live++
-	return Timer{sim: s, e: e, gen: e.gen}
+	return s.AtArg(t, call, fn)
 }
 
 // After schedules fn to run d after the current time. Negative delays are
 // clamped to zero.
 func (s *Simulator) After(d time.Duration, fn func()) Timer {
-	if d < 0 {
-		d = 0
+	return s.AfterArg(d, call, fn)
+}
+
+// AtArg schedules fn(arg) at absolute virtual time t. It is At for the
+// per-packet paths: a component binds fn once (a method value) and passes
+// the packet or record as arg, so scheduling a hop allocates nothing when
+// arg is pointer-shaped. Scheduling in the past panics.
+func (s *Simulator) AtArg(t time.Duration, fn func(any), arg any) Timer {
+	if t < s.now {
+		panic(fmt.Sprintf("sim: scheduling at %v before now %v", t, s.now))
 	}
-	return s.At(s.now+d, fn)
+	e := s.alloc(fn, arg)
+	s.push(t, e)
+	s.live++
+	return Timer{sim: s, e: e, gen: e.gen}
+}
+
+// AfterArg schedules fn(arg) d after the current time. Negative delays
+// are clamped to zero.
+func (s *Simulator) AfterArg(d time.Duration, fn func(any), arg any) Timer {
+	return s.AtArg(s.now+max(d, 0), fn, arg)
 }
 
 // Every schedules fn at t, t+period, t+2*period, ... until the returned
@@ -320,43 +338,37 @@ func (s *Simulator) Stop() { s.stopped = true }
 // clock would pass horizon. The clock finishes at min(horizon, last event)
 // and is advanced to horizon on return.
 func (s *Simulator) RunUntil(horizon time.Duration) {
-	for len(s.heap) > 0 && !s.stopped {
-		e := s.heap[0]
-		if e.dead {
-			s.pop()
-			s.release(e)
-			continue
-		}
-		if e.at > horizon {
-			break
-		}
-		s.pop()
-		s.live--
-		s.now = e.at
-		fn := e.fn
-		s.release(e)
-		s.metFired.Inc()
-		fn()
-	}
+	s.run(horizon)
 	if s.now < horizon {
 		s.now = horizon
 	}
 }
 
 // Run executes all events until the queue drains or Stop is called.
-func (s *Simulator) Run() {
+func (s *Simulator) Run() { s.run(math.MaxInt64) }
+
+// run is the one dispatch loop: it fires events in (time, insertion)
+// order until the queue drains, Stop is called, or the next event lies
+// past horizon.
+func (s *Simulator) run(horizon time.Duration) {
 	for len(s.heap) > 0 && !s.stopped {
-		e := s.pop()
+		top := &s.heap[0]
+		e := top.e
 		if e.dead {
+			s.pop()
 			s.release(e)
 			continue
 		}
+		if top.at > horizon {
+			break
+		}
+		s.now = top.at
+		s.pop()
 		s.live--
-		s.now = e.at
-		fn := e.fn
+		fn, arg := e.fn, e.arg
 		s.release(e)
 		s.metFired.Inc()
-		fn()
+		fn(arg)
 	}
 }
 

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -151,18 +152,58 @@ func TestDeadEventCompaction(t *testing.T) {
 }
 
 // Steady-state scheduling and firing must not allocate: event records are
-// recycled through the free list and Timer handles are values.
+// recycled through the free list and Timer handles are values. That holds
+// for a closure (At stores it as the argument of a shared function), for
+// a bound function with a pointer argument (AtArg), and for cancelling an
+// argument-carrying event.
 func TestScheduleFireNoAllocs(t *testing.T) {
 	s := New(1)
 	fn := func() {}
-	s.After(time.Microsecond, fn)
-	s.Run() // warm the free list and heap capacity
-	allocs := testing.AllocsPerRun(1000, func() {
-		s.After(time.Microsecond, fn)
-		s.Run()
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state schedule/fire allocates %.1f/op, want 0", allocs)
+	type record struct{ n int }
+	rec := &record{}
+	argFn := func(a any) { a.(*record).n++ }
+	for name, op := range map[string]func(){
+		"After": func() {
+			s.After(time.Microsecond, fn)
+			s.Run()
+		},
+		"AtArg": func() {
+			s.AtArg(s.Now()+time.Microsecond, argFn, rec)
+			s.Run()
+		},
+		"AfterArg+Stop": func() {
+			tm := s.AfterArg(time.Microsecond, argFn, rec)
+			s.AfterArg(2*time.Microsecond, argFn, rec)
+			tm.Stop()
+			s.Run()
+		},
+	} {
+		op() // warm the free list and heap capacity
+		if allocs := testing.AllocsPerRun(1000, op); allocs != 0 {
+			t.Errorf("%s: steady-state schedule/fire allocates %.1f/op, want 0", name, allocs)
+		}
+	}
+	// Each argument case ran once to warm up, plus AllocsPerRun's own
+	// warm-up run and its 1000 measured runs.
+	if want := 2 * 1002; rec.n != want {
+		t.Fatalf("argument events fired %d times, want %d", rec.n, want)
+	}
+}
+
+// AtArg passes its argument to the bound function, and events of both
+// shapes share one (time, insertion) order.
+func TestArgEventsShareOrder(t *testing.T) {
+	s := New(1)
+	var got []int
+	push := func(a any) { got = append(got, a.(int)) }
+	s.AtArg(2*time.Millisecond, push, 3)
+	s.At(time.Millisecond, func() { got = append(got, 1) })
+	s.AtArg(time.Millisecond, push, 2)
+	s.At(2*time.Millisecond, func() { got = append(got, 4) })
+	s.AfterArg(-time.Millisecond, push, 0) // clamped to now
+	s.Run()
+	if want := []int{0, 1, 2, 3, 4}; !slices.Equal(got, want) {
+		t.Fatalf("fired %v, want %v", got, want)
 	}
 }
 

@@ -56,6 +56,8 @@ type Receiver struct {
 	haveFrameRef     bool
 
 	fbTicker *sim.Ticker
+	// releaseFn is release bound once; it ends every jitter-buffer wait.
+	releaseFn func()
 }
 
 // frameAsm tracks reassembly of one frame.
@@ -92,6 +94,7 @@ func NewReceiver(s *sim.Simulator, alloc *packet.Alloc, videoSSRC uint32, frames
 		completed:  make(map[uint64]time.Duration),
 		layerBytes: make(map[rtp.SVCLayer][]int64),
 	}
+	r.releaseFn = r.release
 	return r
 }
 
@@ -201,12 +204,14 @@ func (r *Receiver) completeFrame(id uint64, a *frameAsm, now time.Duration) {
 	r.lastFramePTS = ef.PTS
 	r.haveFrameRef = true
 
-	release := r.jb.Push(ef, now)
-	r.sim.At(release, func() {
-		for _, f := range r.jb.PopDue(r.sim.Now()) {
-			r.Renderer.Display(f, r.sim.Now())
-		}
-	})
+	r.sim.At(r.jb.Push(ef, now), r.releaseFn)
+}
+
+// release displays the frames whose jitter-buffer wait has ended.
+func (r *Receiver) release() {
+	for _, f := range r.jb.PopDue(r.sim.Now()) {
+		r.Renderer.Display(f, r.sim.Now())
+	}
 }
 
 // reapStale drops reassembly state, and the sender's stored frame, for

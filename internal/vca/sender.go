@@ -57,6 +57,8 @@ type Sender struct {
 	SkipEvents int
 
 	stopped bool
+	// frameFn is frame bound once; it runs the video capture chain.
+	frameFn func()
 }
 
 // NewSender wires a sender that emits packets into out (capture point ①).
@@ -90,6 +92,7 @@ func NewSender(s *sim.Simulator, alloc *packet.Alloc, cfg SenderConfig, out pack
 		ModeSeries: stats.NewSeries("mode_fps"),
 	}
 	snd.vpack.AttachMeta = cfg.AttachMeta
+	snd.frameFn = snd.frame
 	return snd
 }
 
@@ -111,13 +114,17 @@ func (snd *Sender) Start() {
 func (snd *Sender) Stop() { snd.stopped = true }
 
 func (snd *Sender) scheduleNextFrame(at time.Duration) {
-	snd.sim.At(at, func() {
-		if snd.stopped {
-			return
-		}
-		snd.captureFrame()
-		snd.scheduleNextFrame(snd.sim.Now() + snd.enc.Mode().Interval())
-	})
+	snd.sim.At(at, snd.frameFn)
+}
+
+// frame captures one video frame and schedules the next at the current
+// mode's cadence.
+func (snd *Sender) frame() {
+	if snd.stopped {
+		return
+	}
+	snd.captureFrame()
+	snd.scheduleNextFrame(snd.sim.Now() + snd.enc.Mode().Interval())
 }
 
 // captureFrame pulls a camera frame, encodes, packetizes and sends.

@@ -76,9 +76,10 @@ type AP struct {
 	Cfg  Config
 	Next packet.Handler
 
-	sim      *sim.Simulator
-	rng      *rand.Rand
-	busyTill time.Duration
+	sim       *sim.Simulator
+	rng       *rand.Rand
+	busyTill  time.Duration
+	forwardFn func(any)
 
 	// Dropped counts retry-exhausted frames.
 	Dropped int
@@ -91,7 +92,9 @@ func New(s *sim.Simulator, cfg Config, next packet.Handler) *AP {
 	if next == nil {
 		next = packet.Discard
 	}
-	return &AP{Cfg: cfg, Next: next, sim: s, rng: s.NewStream()}
+	ap := &AP{Cfg: cfg, Next: next, sim: s, rng: s.NewStream()}
+	ap.forwardFn = ap.forward
+	return ap
 }
 
 // Handle enqueues one uplink packet; the CSMA/CA process delivers it.
@@ -107,8 +110,11 @@ func (ap *AP) Handle(p *packet.Packet) {
 		return
 	}
 	ap.busyTill = done
-	ap.sim.At(done, func() { ap.Next.Handle(p) })
+	ap.sim.AtArg(done, ap.forwardFn, p)
 }
+
+// forward hands a delivered frame's packet (the event argument) on.
+func (ap *AP) forward(p any) { ap.Next.Handle(p.(*packet.Packet)) }
 
 // serve computes the completion time of one frame's CSMA/CA lifecycle
 // starting no earlier than start.
