@@ -49,10 +49,11 @@ type AccessKind = scenario.AccessKind
 
 // Access technologies.
 const (
-	Access5G    = scenario.Access5G
-	AccessWiFi  = scenario.AccessWiFi
-	AccessLEO   = scenario.AccessLEO
-	AccessWired = scenario.AccessWired
+	Access5G       = scenario.Access5G
+	AccessWiFi     = scenario.AccessWiFi
+	AccessLEO      = scenario.AccessLEO
+	AccessWired    = scenario.AccessWired
+	AccessEmulated = scenario.AccessEmulated
 )
 
 // DefaultConfig returns the paper-testbed defaults (private 5G SA cell,

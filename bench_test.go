@@ -1,10 +1,9 @@
 package athena
 
-// One benchmark per evaluation artifact in the paper (figures F3–F10,
-// §5 mitigations M1–M4) plus the design ablations A1–A4 from DESIGN.md.
-// Each bench regenerates its figure's series and prints them (first
-// iteration only), and reports the figure's headline scalars as bench
-// metrics so `go test -bench` output carries the reproduction numbers.
+// One benchmark per registered evaluation artifact: BenchmarkRegistry/F3
+// through /S9 regenerate the figure at Seed 1, Scale 1, print its series
+// (once) and report every scalar it carries as a bench metric, so
+// `go test -bench Registry` output carries the reproduction numbers.
 //
 // Absolute values come from the simulated substrate; the reproduction
 // targets are the paper's *shapes*: who wins, step sizes, and direction
@@ -12,128 +11,31 @@ package athena
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 	"testing"
+
+	"athena/internal/experiment"
 )
 
-// benchFigure runs driver once per iteration, printing the figure once.
-func benchFigure(b *testing.B, driver func(Options) *FigureData, metrics ...string) {
-	b.Helper()
-	var fig *FigureData
-	for i := 0; i < b.N; i++ {
-		fig = driver(Options{Seed: 1, Scale: 1})
+func BenchmarkRegistry(b *testing.B) {
+	// testing.B rejects units containing whitespace.
+	unit := strings.NewReplacer(" ", "_", "(", "", ")", "")
+	for _, e := range experiment.All() {
+		b.Run(e.ID, func(b *testing.B) {
+			var fig *FigureData
+			for i := 0; i < b.N; i++ {
+				fig = e.Gen(Options{Seed: 1, Scale: 1})
+			}
+			fmt.Println(fig)
+			names := make([]string, 0, len(fig.Scalars))
+			for name := range fig.Scalars {
+				names = append(names, name)
+			}
+			sort.Strings(names)
+			for _, name := range names {
+				b.ReportMetric(fig.Scalars[name], unit.Replace(name))
+			}
+		})
 	}
-	if fig == nil {
-		return
-	}
-	fmt.Println(fig)
-	for _, m := range metrics {
-		if v, ok := fig.Scalars[m]; ok {
-			// testing.B rejects units containing whitespace.
-			unit := strings.NewReplacer(" ", "_", "(", "", ")", "").Replace(m)
-			b.ReportMetric(v, unit)
-		}
-	}
-}
-
-func BenchmarkFig3OneWayDelay(b *testing.B) {
-	benchFigure(b, Fig3, "uplink_p95_ms", "downstream_p95_ms", "icmp_p95_ms")
-}
-
-func BenchmarkFig4AudioVideoDelay(b *testing.B) {
-	benchFigure(b, Fig4, "audio_p50_ms", "video_p50_ms", "audio_p99_ms")
-}
-
-func BenchmarkFig5DelaySpread(b *testing.B) {
-	benchFigure(b, Fig5, "core_spread_p90_ms", "fraction_on_2.5ms_grid")
-}
-
-func BenchmarkFig6FrameStructure(b *testing.B) {
-	benchFigure(b, Fig6, "ul_period_ms", "sched_delay_ms", "harq_rtt_ms")
-}
-
-func BenchmarkFig7QoE5GvsEmulated(b *testing.B) {
-	benchFigure(b, Fig7,
-		"5g_bitrate_p50_kbps", "em_bitrate_p50_kbps",
-		"5g_jitter_p50_ms", "em_jitter_p50_ms",
-		"5g_fps_p50", "em_fps_p50",
-		"5g_ssim_p50", "em_ssim_p50")
-}
-
-func BenchmarkFig8ZoomAdaptation(b *testing.B) {
-	benchFigure(b, Fig8, "mode_changes", "skip_events")
-}
-
-func BenchmarkFig9aSchedulingDrilldown(b *testing.B) {
-	benchFigure(b, Fig9a, "requested_tb_efficiency", "unused_requested_tbs")
-}
-
-func BenchmarkFig9bRetransmissionDrilldown(b *testing.B) {
-	benchFigure(b, Fig9b, "harq_inflation_p50_ms", "empty_tb_retransmissions")
-}
-
-func BenchmarkFig10GCCPhantomOveruse(b *testing.B) {
-	benchFigure(b, Fig10, "overuse_detections", "packets_traced")
-}
-
-func BenchmarkM1AppAwareScheduler(b *testing.B) {
-	benchFigure(b, M1, "appaware_over_default",
-		"mean_ms:proactive+bsr (default)", "mean_ms:app-aware", "mean_ms:oracle")
-}
-
-func BenchmarkM2PHYInformedGCC(b *testing.B) {
-	benchFigure(b, M2,
-		"overuse:gcc", "overuse:gcc-phy",
-		"rate_kbps:gcc", "rate_kbps:gcc-phy",
-		"overuse:gcc+load", "overuse:gcc-phy+load")
-}
-
-func BenchmarkM3DelayMasking(b *testing.B) {
-	benchFigure(b, M3, "overuse:gcc", "overuse:gcc-masked",
-		"rate_kbps:gcc", "rate_kbps:gcc-masked")
-}
-
-func BenchmarkM4L4SAccelBrake(b *testing.B) {
-	benchFigure(b, M4,
-		"rate_kbps:gcc@fade=heavy", "rate_kbps:l4s@fade=heavy",
-		"ul_p95_ms:gcc@fade=heavy", "ul_p95_ms:l4s@fade=heavy")
-}
-
-func BenchmarkA1SchedDelaySweep(b *testing.B) {
-	benchFigure(b, A1, "spread_p90_ms@sched=5ms", "spread_p90_ms@sched=20ms")
-}
-
-func BenchmarkA2ProactiveGrantSweep(b *testing.B) {
-	benchFigure(b, A2, "spread_p90_ms@tbs=800", "proactive_eff@tbs=6000")
-}
-
-func BenchmarkA3BLERSweep(b *testing.B) {
-	benchFigure(b, A3, "ul_p99_ms@bler=0.00", "ul_p99_ms@bler=0.30")
-}
-
-func BenchmarkA4SyncErrorSweep(b *testing.B) {
-	benchFigure(b, A4, "match_acc@err=0ms", "match_acc@err=5ms", "match_acc@err=20ms")
-}
-
-func BenchmarkS1PHYContexts(b *testing.B) {
-	benchFigure(b, S1PHYContexts,
-		"spread_p90_ms:tdd-2.5ms (paper)", "spread_p90_ms:fdd",
-		"overuse:tdd-2.5ms (paper)", "overuse:fdd")
-}
-
-func BenchmarkS2AccessNetworks(b *testing.B) {
-	benchFigure(b, S2AccessNetworks,
-		"ul_p50_ms:5g", "ul_p50_ms:wifi", "ul_p50_ms:leo", "ul_p50_ms:wired")
-}
-
-func BenchmarkS3LearningCC(b *testing.B) {
-	benchFigure(b, S3LearningCC,
-		"rate_kbps:wired", "rate_kbps:5g",
-		"down_decisions:wired", "down_decisions:5g")
-}
-
-func BenchmarkS4AppDiversity(b *testing.B) {
-	benchFigure(b, S4AppDiversity,
-		"late_inputs:cloud-gaming@5g-combined", "late_inputs:cloud-gaming@5g-bsr-only",
-		"burst_p95_ms:web@5g-combined", "mbps:upload@5g-combined")
 }

@@ -174,7 +174,7 @@ func main() {
 	// Pool and store statistics ride the obs counters, so -v and any
 	// store use imply collection even when no output file was
 	// requested (instrumentation is digest-neutral, see
-	// TestDigestsUnchangedByObservability).
+	// the obs row of TestRegistryDigestsPinned).
 	if *verbose || *storeDir != "" {
 		obs.Enable()
 	}

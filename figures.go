@@ -188,7 +188,7 @@ func Fig7(o Options) *FigureData {
 	// the cell's per-slot TBS capability as a constant rate, at a fixed
 	// 15 ms latency. (Not the per-slot granted trace: grants track
 	// demand, not capacity.)
-	em.Emulated = true
+	em.Access = AccessEmulated
 	// The two calls are independent, so they run concurrently; the 5G
 	// baseline is also the config several mitigation studies reuse, so it
 	// simulates once per process.

@@ -68,34 +68,40 @@ func TestLiveEmitsAllExactlyOnceInOrder(t *testing.T) {
 	}
 }
 
+// TestLiveMatchesBatch replays a real testbed workload live and checks
+// every emitted view that saw the core against the batch correlation of
+// the same captures: as fed, and with aggressive flushing that forces
+// many mid-stream trims, which must never change what is emitted.
 func TestLiveMatchesBatch(t *testing.T) {
-	views, bed := runLive(t, 2*time.Second, 0)
-	batch := Correlate(bed.input(nil))
-	if len(views) == 0 {
-		t.Fatal("no live views")
-	}
-	checked := 0
-	for _, v := range views {
-		bv, ok := batch.Packet(v.Flow, v.Seq, v.Kind)
-		if !ok {
-			t.Fatalf("batch missing %d/%d", v.Flow, v.Seq)
-		}
-		if !v.SeenCore {
-			continue
-		}
-		if v.ULDelay != bv.ULDelay {
-			t.Fatalf("UL delay diverges: live %v batch %v", v.ULDelay, bv.ULDelay)
-		}
-		if !equalIDs(v.TBIDs, bv.TBIDs) {
-			t.Fatalf("TB match diverges for seq %d: %v vs %v", v.Seq, v.TBIDs, bv.TBIDs)
-		}
-		if v.QueueWait != bv.QueueWait || v.HARQDelay != bv.HARQDelay {
-			t.Fatalf("attribution diverges for seq %d", v.Seq)
-		}
-		checked++
-	}
-	if checked < 100 {
-		t.Fatalf("only %d resolved views compared", checked)
+	for _, tc := range []struct {
+		name       string
+		dur, flush time.Duration
+	}{
+		{"2s", 2 * time.Second, 0},
+		{"3s-flush150ms", 3 * time.Second, 150 * time.Millisecond},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			views, bed := runLive(t, tc.dur, tc.flush)
+			batch := Correlate(bed.input(nil))
+			checked := 0
+			for _, v := range views {
+				bv, ok := batch.Packet(v.Flow, v.Seq, v.Kind)
+				if !ok {
+					t.Fatalf("batch missing %d/%d", v.Flow, v.Seq)
+				}
+				if !v.SeenCore {
+					continue
+				}
+				if v.ULDelay != bv.ULDelay || !equalIDs(v.TBIDs, bv.TBIDs) || v.QueueWait != bv.QueueWait || v.HARQDelay != bv.HARQDelay {
+					t.Fatalf("seq %d diverges: ul %v/%v tbs %v/%v queue %v/%v harq %v/%v", v.Seq,
+						v.ULDelay, bv.ULDelay, v.TBIDs, bv.TBIDs, v.QueueWait, bv.QueueWait, v.HARQDelay, bv.HARQDelay)
+				}
+				checked++
+			}
+			if checked < 100 {
+				t.Fatalf("only %d resolved views compared", checked)
+			}
+		})
 	}
 }
 
@@ -387,28 +393,6 @@ func TestLiveMidStreamTrimBoundsRepeatedKeyCoreRecords(t *testing.T) {
 	}
 	if maxCore > 300 {
 		t.Fatalf("core buffer grew to %d records over %d steps", maxCore, n)
-	}
-}
-
-// TestLiveMidStreamTrimMatchesBatch replays a real testbed workload with
-// aggressive flushing (forcing many mid-stream trims) and checks every
-// emitted view against the full batch correlation — the trim must never
-// change what is emitted.
-func TestLiveMidStreamTrimMatchesBatch(t *testing.T) {
-	views, bed := runLive(t, 3*time.Second, 150*time.Millisecond)
-	batch := Correlate(bed.input(nil))
-	for _, v := range views {
-		bv, ok := batch.Packet(v.Flow, v.Seq, v.Kind)
-		if !ok {
-			t.Fatalf("batch missing %d/%d", v.Flow, v.Seq)
-		}
-		if !v.SeenCore {
-			continue
-		}
-		if v.ULDelay != bv.ULDelay || !equalIDs(v.TBIDs, bv.TBIDs) {
-			t.Fatalf("seq %d diverged after trim: ul %v/%v tbs %v/%v",
-				v.Seq, v.ULDelay, bv.ULDelay, v.TBIDs, bv.TBIDs)
-		}
 	}
 }
 

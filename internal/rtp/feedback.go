@@ -120,7 +120,9 @@ func (b *FeedbackBuilder) Flush() *Feedback {
 		return nil
 	}
 	f := &Feedback{SSRC: b.ssrc, Reports: b.pending}
-	b.pending = nil
+	// The report keeps the slice; the next one is sized like it rather
+	// than regrown from one element.
+	b.pending = make([]ArrivalInfo, 0, len(f.Reports))
 	return f
 }
 

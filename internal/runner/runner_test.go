@@ -2,42 +2,14 @@ package runner
 
 import (
 	"context"
-	"fmt"
-	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"athena/internal/packet"
 	"athena/internal/ran"
 	"athena/internal/scenario"
 	"athena/internal/units"
 )
-
-// digest renders the determinism-relevant content of a Result as bytes:
-// per-packet corrected timings, delay summaries, frame grouping, receiver
-// and probe outputs. Two runs of one config must produce identical bytes
-// regardless of scheduling.
-func digest(res *scenario.Result) string {
-	if res == nil {
-		return "<nil>"
-	}
-	var b strings.Builder
-	rep := res.Report
-	fmt.Fprintf(&b, "packets=%d frames=%d\n", len(rep.Packets), len(rep.Frames))
-	fmt.Fprintf(&b, "video=%s\naudio=%s\n",
-		rep.DelaySummary(packet.KindVideo), rep.DelaySummary(packet.KindAudio))
-	for _, v := range rep.Packets {
-		fmt.Fprintf(&b, "%d/%d/%s sent=%d core=%d recv=%d ul=%d tbs=%v\n",
-			v.Flow, v.Seq, v.Kind, v.SentAt, v.CoreAt, v.ReceiverAt, v.ULDelay, v.TBIDs)
-	}
-	sender, core := rep.SpreadsMS()
-	fmt.Fprintf(&b, "spreads=%d/%d\n", len(sender), len(core))
-	fmt.Fprintf(&b, "rates=%v\n", res.Receiver.ReceiveRates())
-	fmt.Fprintf(&b, "probe=%v\n", res.Prober.OWDsMS())
-	fmt.Fprintf(&b, "scalars=%v %v\n", res.Receiver.FrameJitter, res.Receiver.Renderer.Stalls)
-	return b.String()
-}
 
 // testConfigs is a small matrix over seeds and access technologies, kept
 // short so the determinism test stays fast under -race.
@@ -69,7 +41,7 @@ func TestRunAllMatchesSerial(t *testing.T) {
 
 	want := make([]string, len(cfgs))
 	for i, cfg := range cfgs {
-		want[i] = digest(scenario.Run(cfg))
+		want[i] = scenario.Run(cfg).TopologyResult.Digest()
 	}
 
 	p := New(4)
@@ -78,7 +50,7 @@ func TestRunAllMatchesSerial(t *testing.T) {
 		t.Fatalf("RunAll returned %d results for %d configs", len(got), len(cfgs))
 	}
 	for i := range cfgs {
-		if d := digest(got[i]); d != want[i] {
+		if d := got[i].TopologyResult.Digest(); d != want[i] {
 			t.Errorf("config %d: parallel result diverges from serial\nserial: %.200s\nparallel: %.200s",
 				i, want[i], d)
 		}

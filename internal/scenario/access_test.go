@@ -16,7 +16,7 @@ func TestEveryAccessRunsOneShard(t *testing.T) {
 		"wifi":     func(c *Config) { c.Access = AccessWiFi },
 		"leo":      func(c *Config) { c.Access = AccessLEO },
 		"wired":    func(c *Config) { c.Access = AccessWired },
-		"emulated": func(c *Config) { c.Emulated = true },
+		"emulated": func(c *Config) { c.Access = AccessEmulated },
 	} {
 		res := short(func(c *Config) {
 			c.Duration = time.Second

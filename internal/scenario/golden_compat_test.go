@@ -24,9 +24,9 @@ import (
 )
 
 // compatDigest renders the determinism-relevant content of a Result as
-// bytes — the same rendering the runner's determinism test uses —
-// covering per-packet corrected timings, delay summaries, receiver
-// output and probe OWDs.
+// bytes, the rendering the monolith's literals were recorded with:
+// per-packet corrected timings, delay summaries, receiver output and
+// probe OWDs.
 func compatDigest(res *Result) string {
 	if res == nil {
 		return "<nil>"
@@ -92,7 +92,7 @@ func TestTopologyMatchesLegacyFig7(t *testing.T) {
 	assertGolden(t, "fig7-5g", base, "18cfecd9a4c9799440adbfabcec9469083d6592919cc9cb8ac926cb1d7e35eb1")
 
 	em := base
-	em.Emulated = true
+	em.Access = AccessEmulated
 	assertGolden(t, "fig7-emulated", em, "814063b225e3007f788a9130f69a97712ff3bc0b95c2b626d08e36a24ed3f193")
 }
 

@@ -56,10 +56,11 @@ type AccessKind string
 
 // Access technologies.
 const (
-	Access5G    AccessKind = "5g"    // the paper's private cell (default)
-	AccessWiFi  AccessKind = "wifi"  // CSMA/CA contention channel
-	AccessLEO   AccessKind = "leo"   // satellite path with handovers
-	AccessWired AccessKind = "wired" // clean fixed-latency reference
+	Access5G       AccessKind = "5g"       // the paper's private cell (default)
+	AccessWiFi     AccessKind = "wifi"     // CSMA/CA contention channel
+	AccessLEO      AccessKind = "leo"      // satellite path with handovers
+	AccessWired    AccessKind = "wired"    // clean fixed-latency reference
+	AccessEmulated AccessKind = "emulated" // Fig 7 baseline: wired, at the cell's per-slot TBS capacity
 )
 
 // Config describes one single-UE testbed run.
@@ -68,16 +69,12 @@ type Config struct {
 	Duration time.Duration
 
 	// Access selects the uplink technology; empty means Access5G.
-	// Emulated=true (the Fig 7 baseline) overrides it with a wired link
-	// of the cell's constant per-slot TBS capacity.
 	Access AccessKind
 
-	// RAN path (default) or emulated wired baseline (Fig 7).
 	RAN         ran.Config
 	Sched       ran.SchedulerKind
 	CrossUEs    int
 	CrossPhases []ran.CrossPhase
-	Emulated    bool
 
 	Controller  ControllerKind
 	InitialRate units.BitRate

@@ -92,7 +92,6 @@ type Topology struct {
 	// topology with empty Cells; explicit cells carry their own.
 	CrossUEs    int
 	CrossPhases []ran.CrossPhase
-	Emulated    bool
 
 	Spikes  []Spike
 	Jitters []JitterEpisode
@@ -190,7 +189,6 @@ func SingleUE(cfg Config) Topology {
 		RAN:         cfg.RAN,
 		CrossUEs:    cfg.CrossUEs,
 		CrossPhases: cfg.CrossPhases,
-		Emulated:    cfg.Emulated,
 		Spikes:      cfg.Spikes,
 		Jitters:     cfg.Jitters,
 		UEs: []UESpec{{
@@ -215,7 +213,7 @@ func SingleUE(cfg Config) Topology {
 // Access5G path) rather than to private emulated, Wi-Fi, LEO or wired
 // links.
 func (top Topology) onRANPath() bool {
-	return !top.Emulated && (top.Access == "" || top.Access == Access5G)
+	return top.Access == "" || top.Access == Access5G
 }
 
 // Validate reports the first reason RunTopology cannot run top: a
@@ -608,7 +606,7 @@ func (b *build) buildEndpoint(ub *ueBuild) {
 	switch {
 	case ub.ranUE != nil:
 		senderOut = ub.ranUE
-	case top.Emulated:
+	case top.Access == AccessEmulated:
 		// The cell's per-UL-slot TBS capacity as a constant rate. tc
 		// shapes at packet granularity, so the budget is spread over the
 		// finer slot grid and the emulated link is smooth.

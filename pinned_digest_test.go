@@ -1,19 +1,30 @@
 package athena
 
-// Every other digest test in the tree is relative — serial ≡ sharded,
-// cold ≡ cached, bare ≡ instrumented within one commit — so a change that
-// moved all digests consistently would pass them all. This one is
-// absolute: the registry's id → digest map at Options{Seed: 1, Scale:
-// 0.02}, as recorded at commit fadc9a7. A PR that means to change an
-// artifact updates its literal and says why; any other diff here is a
-// behaviour change nobody asked for.
+// The registry's behavioural contract, as one table. A bare sweep at
+// Options{Seed: 1, Scale: 0.02} must reproduce the id → digest map below
+// (recorded at commit fadc9a7; amd64 only, ROADMAP item 14), and every
+// row re-sweeps under one condition — another worker count, the obs
+// metrics and span timeline switched on, the result store cold, warm and
+// after every entry is corrupted — and must reproduce the bare sweep
+// digest for digest. The shared scenario pool is flushed before each
+// sweep so every row recomputes what it does not recall from the store.
+// The store rows run in order on one store. A PR that means to change
+// an artifact updates its literal and says why; any other diff here is
+// a behaviour change nobody asked for.
 
 import (
+	"bytes"
 	"context"
+	"os"
+	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 
 	"athena/internal/experiment"
+	"athena/internal/obs"
+	"athena/internal/runner"
+	"athena/internal/store"
 )
 
 var pinnedDigests = map[string]string{
@@ -43,9 +54,6 @@ var pinnedDigests = map[string]string{
 }
 
 func TestRegistryDigestsPinned(t *testing.T) {
-	if runtime.GOARCH != "amd64" {
-		t.Skip("SSIM and decode-noise floats are not FMA-pinned yet (ROADMAP item 14); the literals are amd64's")
-	}
 	sel, err := experiment.Select(experiment.Selection{})
 	if err != nil {
 		t.Fatal(err)
@@ -53,15 +61,169 @@ func TestRegistryDigestsPinned(t *testing.T) {
 	if len(sel) != len(pinnedDigests) {
 		t.Fatalf("registry has %d experiments, %d digests pinned", len(sel), len(pinnedDigests))
 	}
-	for _, r := range experiment.Sweep(context.Background(), sel, experiment.SweepConfig{Options: Options{Seed: 1, Scale: 0.02}, Parallel: 2}) {
-		id := r.Experiment.ID
-		if r.Err != nil {
-			t.Fatalf("%s errored: %v", id, r.Err)
+	opts := Options{Seed: 1, Scale: 0.02}
+	sweep := func(t *testing.T, cfg experiment.SweepConfig) []experiment.RunResult {
+		t.Helper()
+		runner.Default.Flush()
+		cfg.Options = opts
+		rs := experiment.Sweep(context.Background(), sel, cfg)
+		if len(rs) != len(sel) {
+			t.Fatalf("sweep returned %d results for %d experiments", len(rs), len(sel))
 		}
-		if want, ok := pinnedDigests[id]; !ok {
-			t.Errorf("%s has no pinned digest", id)
-		} else if r.Digest != want {
-			t.Errorf("%s digest moved: %s, pinned %s", id, r.Digest, want)
+		for _, r := range rs {
+			if r.Err != nil {
+				t.Fatalf("%s errored: %v", r.Experiment.ID, r.Err)
+			}
+		}
+		return rs
+	}
+
+	bare := sweep(t, experiment.SweepConfig{Parallel: 2})
+	for _, r := range bare {
+		id := r.Experiment.ID
+		// The sweep renders what the registered generator returns.
+		if f := r.Figure; f.ID != id || f.Title != r.Experiment.Title || f.String() != r.Rendered || experiment.Digest(r.Rendered) != r.Digest {
+			t.Errorf("%s: figure %q %q does not render to the swept bytes and digest", id, f.ID, f.Title)
+		}
+		if runtime.GOARCH == "amd64" && r.Digest != pinnedDigests[id] {
+			t.Errorf("%s digest moved: %s, pinned %s", id, r.Digest, pinnedDigests[id])
 		}
 	}
+
+	s, err := store.Open(t.TempDir(), store.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	withStore := experiment.SweepConfig{Parallel: 2, Cache: s, CacheNamespace: "digest-test"}
+	n := int64(len(sel))
+	// The store counts into obs counters, which count only while obs is on.
+	enableObs := func(t *testing.T) {
+		obs.Enable()
+		t.Cleanup(obs.Disable)
+	}
+	var tl *obs.Tracer
+	var before obs.Snapshot
+	for _, row := range []struct {
+		name  string
+		cfg   experiment.SweepConfig
+		setup func(t *testing.T)
+		check func(t *testing.T, rs []experiment.RunResult)
+	}{
+		{name: "parallel-1", cfg: experiment.SweepConfig{Parallel: 1}},
+		{name: "parallel-4", cfg: experiment.SweepConfig{Parallel: 4}},
+		{name: "obs", cfg: experiment.SweepConfig{Parallel: 2}, setup: func(t *testing.T) {
+			enableObs(t)
+			before, tl = obs.TakeSnapshot(), obs.NewTracer()
+			obs.SetTimeline(tl)
+			t.Cleanup(func() { obs.SetTimeline(nil) })
+		}, check: func(t *testing.T, _ []experiment.RunResult) { checkObsSweep(t, before, tl, len(sel)) }},
+		{name: "store-cold", cfg: withStore, setup: enableObs, check: func(t *testing.T, rs []experiment.RunResult) {
+			for _, r := range rs {
+				if r.Cached {
+					t.Errorf("%s claims a hit on a cold store", r.Experiment.ID)
+				}
+			}
+		}},
+		{name: "store-warm", cfg: withStore, setup: enableObs, check: func(t *testing.T, rs []experiment.RunResult) {
+			for _, r := range rs {
+				if !r.Cached {
+					t.Errorf("%s missed on a warm store", r.Experiment.ID)
+				}
+			}
+			if st := s.Stats(); st.Hits != n || st.Writes != n {
+				t.Errorf("warm store stats %+v, want %d hits and %d writes", st, n, n)
+			}
+		}},
+		{name: "store-corrupt", cfg: withStore, setup: func(t *testing.T) {
+			enableObs(t)
+			if c := corruptEntries(t, s.Dir()); c != len(sel) {
+				t.Fatalf("corrupted %d entries, want %d", c, len(sel))
+			}
+		}, check: func(t *testing.T, rs []experiment.RunResult) {
+			for _, r := range rs {
+				if r.Cached {
+					t.Errorf("%s served from a corrupt entry", r.Experiment.ID)
+				}
+			}
+			if got := s.Stats().Corrupt; got != n {
+				t.Errorf("corrupt counter = %d, want %d", got, n)
+			}
+		}},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			if row.setup != nil {
+				row.setup(t)
+			}
+			rs := sweep(t, row.cfg)
+			for i, r := range rs {
+				if r.Digest != bare[i].Digest {
+					t.Errorf("%s digest %.12s, the bare sweep's %.12s", r.Experiment.ID, r.Digest, bare[i].Digest)
+				}
+			}
+			if diffs := experiment.DiffDigests(experiment.NewManifest(opts, bare), experiment.NewManifest(opts, rs)); len(diffs) != 0 {
+				t.Errorf("manifest diverges from the bare sweep: %v", diffs)
+			}
+			if row.check != nil {
+				row.check(t, rs)
+			}
+		})
+	}
+}
+
+// checkObsSweep holds an instrumented sweep to real work since before:
+// it fired events, missed the flushed memo, found every fed-back packet
+// in its sender's send history, spanned each experiment once, and left a
+// registry that renders as well-formed Prometheus exposition.
+func checkObsSweep(t *testing.T, before obs.Snapshot, tl *obs.Tracer, experiments int) {
+	snap := obs.TakeSnapshot()
+	if snap.Counters["sim.events_fired"] == before.Counters["sim.events_fired"] {
+		t.Error("instrumented sweep fired no sim events — was the pool flushed?")
+	}
+	if snap.Counters["runner.default.memo_misses"] == before.Counters["runner.default.memo_misses"] {
+		t.Error("instrumented sweep hit only memoized results")
+	}
+	if n, ok := snap.Counters["cc.history_misses"]; !ok || n != 0 {
+		t.Errorf("cc.history_misses = %d (registered: %v), want 0", n, ok)
+	}
+	spans := 0
+	for _, s := range tl.Snapshot() {
+		if strings.HasPrefix(s.Name, "exp:") {
+			spans++
+		}
+	}
+	if spans != experiments {
+		t.Errorf("timeline has %d experiment spans, want %d", spans, experiments)
+	}
+	var prom bytes.Buffer
+	if err := obs.WritePrometheus(&prom); err != nil {
+		t.Fatal(err)
+	}
+	pt, err := obs.ParsePrometheus(&prom)
+	if err != nil {
+		t.Fatalf("instrumented exposition does not lint: %v", err)
+	}
+	if pt.Families[obs.PromName("sim.events_fired")] == nil {
+		t.Errorf("exposition lost sim.events_fired (%d families)", len(pt.Families))
+	}
+}
+
+// corruptEntries flips one byte in the middle of every store entry under
+// dir and returns how many it corrupted.
+func corruptEntries(t *testing.T, dir string) (n int) {
+	err := filepath.Walk(dir, func(path string, info os.FileInfo, err error) error {
+		if err != nil || info.IsDir() || !strings.HasSuffix(path, ".entry") {
+			return err
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		data[len(data)/2] ^= 0xff
+		n++
+		return os.WriteFile(path, data, 0o644)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
 }

@@ -1,14 +1,11 @@
 package athena
 
 // Registry completeness and compatibility: the registry is the single
-// source of truth for the 23 evaluation artifacts, every legacy
-// exported driver resolves to its registry entry, and the registry-
-// driven sweep path renders byte-identical output to calling the legacy
-// entry points directly — so future perf PRs can diff run manifests
-// instead of eyeballing figures.
+// source of truth for the 23 evaluation artifacts, and every legacy
+// exported driver is its registry entry's generator, so the sweep
+// TestRegistryDigestsPinned checks renders what the drivers return.
 
 import (
-	"context"
 	"reflect"
 	"strings"
 	"testing"
@@ -112,49 +109,5 @@ func TestSelectUnknownIDListsValidIDs(t *testing.T) {
 		if !strings.Contains(err.Error(), want) {
 			t.Fatalf("error %q does not list %q", err, want)
 		}
-	}
-}
-
-// TestRegistrySweepMatchesLegacyEntryPoints is the acceptance-criteria
-// digest test: the registry-driven sweep path (selection, pooled
-// execution, rendering, digesting) produces byte-identical output to
-// the legacy exported entry points, at both -parallel settings.
-func TestRegistrySweepMatchesLegacyEntryPoints(t *testing.T) {
-	ids := []string{"F6", "A1", "F4"} // cheap representatives: schematic, sweep, single run
-	opts := Options{Seed: 3, Scale: 0.05}
-	sel, err := experiment.Select(experiment.Selection{IDs: ids})
-	if err != nil {
-		t.Fatal(err)
-	}
-	serial := experiment.Sweep(context.Background(), sel, experiment.SweepConfig{Options: opts, Parallel: 1})
-	par := experiment.Sweep(context.Background(), sel, experiment.SweepConfig{Options: opts, Parallel: 4})
-
-	for i, r := range serial {
-		if r.Err != nil {
-			t.Fatal(r.Err)
-		}
-		legacy := legacyDrivers[r.Experiment.ID](opts)
-		if legacy.ID != r.Experiment.ID {
-			t.Fatalf("figure ID %q != registry ID %q", legacy.ID, r.Experiment.ID)
-		}
-		if legacy.Title != r.Experiment.Title {
-			t.Fatalf("%s figure title %q != registry title %q", r.Experiment.ID, legacy.Title, r.Experiment.Title)
-		}
-		if want := legacy.String(); r.Rendered != want {
-			t.Fatalf("%s sweep output differs from legacy entry point:\n%s\nvs\n%s",
-				r.Experiment.ID, r.Rendered, want)
-		}
-		if r.Digest != experiment.Digest(r.Rendered) || r.Digest != legacy.Digest() {
-			t.Fatalf("%s digest mismatch", r.Experiment.ID)
-		}
-		if par[i].Digest != r.Digest {
-			t.Fatalf("%s digest unstable across -parallel: %s vs %s",
-				r.Experiment.ID, r.Digest, par[i].Digest)
-		}
-	}
-
-	// Manifests from the two sweeps must agree digest-for-digest.
-	if diffs := experiment.DiffDigests(experiment.NewManifest(opts, serial), experiment.NewManifest(opts, par)); len(diffs) != 0 {
-		t.Fatalf("parallel manifests diverge: %v", diffs)
 	}
 }
