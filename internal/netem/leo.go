@@ -38,10 +38,7 @@ type LEOLink struct {
 	outageTil time.Duration
 	busyTil   time.Duration
 	start     time.Duration
-	// sending holds the packets in transmission, in completion order
-	// (see Link.sending).
-	sending           sim.Queue[hop]
-	sentFn, forwardFn func(any)
+	forwardFn func(any)
 
 	// Handovers counts reconfigurations (diagnostics).
 	Handovers int
@@ -65,7 +62,7 @@ func NewLEOLink(s *sim.Simulator, next packet.Handler) *LEOLink {
 		rng:             s.NewStream(),
 		start:           s.Now(),
 	}
-	l.sentFn, l.forwardFn = l.sent, l.forward
+	l.forwardFn = l.forward
 	s.Every(s.Now()+l.HandoverEvery, l.HandoverEvery, l.handover)
 	return l
 }
@@ -107,14 +104,7 @@ func (l *LEOLink) Handle(p *packet.Packet) {
 	}
 	done := start + units.TransmitTime(p.Size, l.Rate)
 	l.busyTil = done
-	l.sending.PushBack(hop{p: p, delay: l.delayNow()})
-	l.sim.AtArg(done, l.sentFn, nil)
-}
-
-// sent completes the oldest transmission; the packet then propagates.
-func (l *LEOLink) sent(any) {
-	h := l.sending.PopFront()
-	l.sim.AfterArg(h.delay, l.forwardFn, h.p)
+	l.sim.AtArg(done+l.delayNow(), l.forwardFn, p)
 }
 
 // forward hands a packet (the event argument) to the next stage.

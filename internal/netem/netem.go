@@ -14,41 +14,20 @@ import (
 	"athena/internal/units"
 )
 
-// Link forwards packets after a propagation delay plus serialization at a
-// finite rate, with a FIFO queue that drops beyond QueueLimit bytes.
-// A zero Rate means infinite capacity (pure delay).
+// Link forwards packets after serialization at a finite rate plus a
+// propagation delay. A zero Rate means infinite capacity (pure delay).
 type Link struct {
-	Name       string
-	Delay      time.Duration
-	Jitter     time.Duration // uniform [0, Jitter) added per packet
-	Rate       units.BitRate
-	QueueLimit units.ByteCount // 0 = unlimited
-
-	// ECNMarkThreshold, when >0, sets the CE codepoint on ECN-capable
-	// packets whenever the queue exceeds the threshold (the L4S-style
-	// shallow marking of §5.3).
-	ECNMarkThreshold units.ByteCount
+	Name   string
+	Delay  time.Duration
+	Jitter time.Duration // uniform [0, Jitter) added per packet
+	Rate   units.BitRate
 
 	Next packet.Handler
 
-	sim     *sim.Simulator
-	rng     *rand.Rand
-	busyTil time.Duration
-	queued  units.ByteCount
-	// sending holds the packets in transmission, in order: busyTil never
-	// decreases, so transmit completions fire in the order they were
-	// scheduled and each pops the front.
-	sending           sim.Queue[hop]
-	sentFn, forwardFn func(any)
-
-	// Dropped counts queue overflow losses.
-	Dropped int
-}
-
-// hop is a packet in transmission and the propagation delay drawn for it.
-type hop struct {
-	p     *packet.Packet
-	delay time.Duration
+	sim       *sim.Simulator
+	rng       *rand.Rand
+	busyTil   time.Duration
+	forwardFn func(any)
 }
 
 // NewLink creates a link on s forwarding to next.
@@ -57,43 +36,21 @@ func NewLink(s *sim.Simulator, name string, delay time.Duration, rate units.BitR
 		next = packet.Discard
 	}
 	l := &Link{Name: name, Delay: delay, Rate: rate, Next: next, sim: s, rng: s.NewStream()}
-	l.sentFn, l.forwardFn = l.sent, l.forward
+	l.forwardFn = l.forward
 	return l
 }
 
-// Handle enqueues the packet for transmission.
+// Handle transmits the packet once the link is free and schedules its
+// arrival at the far end: one event per packet, at the end of its
+// transmission plus the propagation delay drawn for it.
 func (l *Link) Handle(p *packet.Packet) {
-	now := l.sim.Now()
-	if l.QueueLimit > 0 && l.queued+p.Size > l.QueueLimit {
-		l.Dropped++
-		p.GroundTruth.Dropped = true
-		return
-	}
-	start := now
-	if l.busyTil > start {
-		start = l.busyTil
-	}
-	txTime := units.TransmitTime(p.Size, l.Rate)
-	done := start + txTime
+	done := max(l.sim.Now(), l.busyTil) + units.TransmitTime(p.Size, l.Rate)
 	l.busyTil = done
-	l.queued += p.Size
-	if l.ECNMarkThreshold > 0 && l.queued > l.ECNMarkThreshold && p.ECN != packet.ECNNotECT {
-		p.ECN = packet.ECNCE
-	}
 	delay := l.Delay
 	if l.Jitter > 0 {
 		delay += time.Duration(l.rng.Int63n(int64(l.Jitter)))
 	}
-	l.sending.PushBack(hop{p: p, delay: delay})
-	l.sim.AtArg(done, l.sentFn, nil)
-}
-
-// sent completes the oldest transmission: the packet leaves the queue
-// and propagates.
-func (l *Link) sent(any) {
-	h := l.sending.PopFront()
-	l.queued -= h.p.Size
-	l.sim.AfterArg(h.delay, l.forwardFn, h.p)
+	l.sim.AtArg(done+delay, l.forwardFn, p)
 }
 
 // forward hands a packet (the event argument) to the next stage.

@@ -51,59 +51,6 @@ func TestLinkSerialization(t *testing.T) {
 	}
 }
 
-func TestLinkQueueOverflowDrops(t *testing.T) {
-	s := sim.New(1)
-	k := &sink{s: s}
-	l := NewLink(s, "narrow", 0, units.Mbps, k)
-	l.QueueLimit = 2500
-	var alloc packet.Alloc
-	var dropped *packet.Packet
-	s.At(0, func() {
-		for i := 0; i < 3; i++ {
-			p := alloc.New(packet.KindVideo, 1, 1200, 0)
-			if i == 2 {
-				dropped = p
-			}
-			l.Handle(p)
-		}
-	})
-	s.Run()
-	if len(k.pkts) != 2 || l.Dropped != 1 {
-		t.Fatalf("delivered=%d dropped=%d", len(k.pkts), l.Dropped)
-	}
-	if !dropped.GroundTruth.Dropped {
-		t.Fatal("drop not recorded in ground truth")
-	}
-}
-
-func TestLinkECNMarking(t *testing.T) {
-	s := sim.New(1)
-	k := &sink{s: s}
-	l := NewLink(s, "aqm", 0, units.Mbps, k)
-	l.ECNMarkThreshold = 1500
-	var alloc packet.Alloc
-	s.At(0, func() {
-		a := alloc.New(packet.KindVideo, 1, 1200, 0)
-		a.ECN = packet.ECNECT1
-		l.Handle(a)
-		b := alloc.New(packet.KindVideo, 1, 1200, 0)
-		b.ECN = packet.ECNECT1
-		l.Handle(b) // queue now 2400 > 1500 -> CE
-		c := alloc.New(packet.KindVideo, 1, 1200, 0)
-		l.Handle(c) // not ECN-capable: never marked
-	})
-	s.Run()
-	if k.pkts[0].ECN != packet.ECNECT1 {
-		t.Errorf("first packet marked: %v", k.pkts[0].ECN)
-	}
-	if k.pkts[1].ECN != packet.ECNCE {
-		t.Errorf("second packet not marked: %v", k.pkts[1].ECN)
-	}
-	if k.pkts[2].ECN != packet.ECNNotECT {
-		t.Errorf("non-ECT packet marked: %v", k.pkts[2].ECN)
-	}
-}
-
 func TestLinkJitterBounded(t *testing.T) {
 	s := sim.New(1)
 	k := &sink{s: s}
@@ -224,9 +171,9 @@ func TestLinkNilNext(t *testing.T) {
 	s.Run() // must not panic
 }
 
-// A packet's hops schedule no closures: once the event free list and the
-// link's in-transmission ring are warm, a packet through a jittered,
-// rate-limited Link and then an SFU allocates nothing.
+// A packet's hops schedule no closures: once the event free list is
+// warm, a packet through a jittered, rate-limited Link and then an SFU
+// allocates nothing.
 func TestLinkAndSFUHopsNoAllocs(t *testing.T) {
 	s := sim.New(1)
 	n := 0

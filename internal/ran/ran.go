@@ -57,17 +57,14 @@ type RAN struct {
 	faded   bool
 	fadeRNG *rand.Rand
 
-	// dlBusyTil serializes downlink transmissions. dlSending holds the
-	// packets in transmission, in order: dlBusyTil never decreases, so
-	// transmit completions fire in the order they were scheduled.
+	// dlBusyTil serializes downlink transmissions.
 	dlBusyTil time.Duration
-	dlSending sim.Queue[dlHop]
 
 	// freeTBs recycles retired transport blocks and their segment lists.
 	freeTBs []*transportBlock
 
 	// Event functions bound once (see New).
-	dlSentFn, retryFn, toCoreFn func(any)
+	retryFn, toCoreFn func(any)
 
 	nextTBID uint64
 
@@ -98,14 +95,6 @@ func carries(k telemetry.GrantKind) bool {
 	return k == telemetry.GrantRequested || k == telemetry.GrantAppAware
 }
 
-// dlHop is a downlink packet in transmission and what its delivery needs
-// once the transmission completes.
-type dlHop struct {
-	u     *UE
-	p     *packet.Packet
-	delay time.Duration
-}
-
 // New creates a RAN on s delivering uplink packets to core. The UL slot
 // loop starts immediately.
 func New(s *sim.Simulator, cfg Config, core packet.Handler) *RAN {
@@ -119,7 +108,7 @@ func New(s *sim.Simulator, cfg Config, core packet.Handler) *RAN {
 		core:      core,
 		Telemetry: &telemetry.Collector{},
 	}
-	r.dlSentFn, r.retryFn, r.toCoreFn = r.dlSent, r.retry, r.toCore
+	r.retryFn, r.toCoreFn = r.retry, r.toCore
 	// TDD: the UL slot is the last slot of each period. FDD: the uplink
 	// carrier is continuously available, one opportunity per slot.
 	firstUL := cfg.SlotDuration * time.Duration(cfg.SlotsPerPeriod-1)
@@ -286,15 +275,7 @@ func (r *RAN) SendDownlink(u *UE, p *packet.Packet) {
 	for round := 0; round < r.Cfg.MaxHARQ && r.rng.Float64() < r.effectiveBLER(); round++ {
 		delay += r.Cfg.HARQRTT
 	}
-	r.dlSending.PushBack(dlHop{u: u, p: p, delay: delay})
-	r.sim.AtArg(done, r.dlSentFn, nil)
-}
-
-// dlSent completes the oldest downlink transmission: its packet reaches
-// the UE's host after its alignment and HARQ delay.
-func (r *RAN) dlSent(any) {
-	h := r.dlSending.PopFront()
-	r.sim.AfterArg(h.delay, h.u.receiveFn, h.p)
+	r.sim.AtArg(done+delay, u.receiveFn, p)
 }
 
 // onULSlot runs the gNB's per-uplink-slot machinery: execute due grants,

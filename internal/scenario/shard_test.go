@@ -7,12 +7,18 @@ import (
 	"time"
 
 	"athena/internal/obs"
+	"athena/internal/ran"
+	"athena/internal/units"
 )
 
 // TestEventAndTBCountsPinned pins what small serial runs cost the
 // simulator: the events their engines fire (the counters the benchmark's
 // sim.events_per_ue_s reads) and the transport blocks their cells send.
 // An event-path change that keeps every digest still moves these numbers.
+// Two rows are multi-cell deployments; two are registry artifacts' runs
+// at Scale 0.02, built as their generators build them: F3's single UE
+// under cross-traffic phases (the figure path, downlink included) and
+// M2's PHY-aware GCC on a loaded cell (the telemetry-fed controller).
 // It also pins each run's memory: the allocations it makes and the bytes
 // they take (±1 %), and the heap it leaves behind while its result is
 // held (±2 %). Those depend on the runtime (its maps, above all), so
@@ -22,21 +28,47 @@ import (
 // each by under 0.5 %.
 func TestEventAndTBCountsPinned(t *testing.T) {
 	const memToolchain = "go1.24.0"
-	vca := NewMultiCellTopology(16, 2)
-	mixed := NewMultiCellTopology(8, 2)
-	mixed.MixWorkloads()
+	multi := func(ues int, mixed bool) Topology {
+		top := NewMultiCellTopology(ues, 2)
+		if mixed {
+			top.MixWorkloads()
+		}
+		top.Seed = 1
+		top.Duration = 2 * time.Second
+		return top
+	}
+	// scaled is experiment.Options.Scaled at Scale 0.02.
+	scaled := func(d time.Duration) time.Duration { return time.Duration(float64(d) * 0.02) }
+	f3 := Defaults()
+	f3.Seed = 1
+	f3.Duration = scaled(2 * time.Minute)
+	f3.TwoParty = true
+	f3.CrossUEs = 6
+	q := f3.Duration / 4
+	f3.CrossPhases = []ran.CrossPhase{
+		{Start: 0, Rate: 0},
+		{Start: q, Rate: 14 * units.Mbps},
+		{Start: 2 * q, Rate: 16 * units.Mbps},
+		{Start: 3 * q, Rate: 18 * units.Mbps},
+	}
+	m2 := Defaults()
+	m2.Seed = 1
+	m2.Duration = scaled(60 * time.Second)
+	m2.Controller = CtlPHYAware
+	m2.CrossUEs = 6
+	m2.CrossPhases = []ran.CrossPhase{{Start: 0, Rate: 16 * units.Mbps}}
 	for _, tc := range []struct {
 		name                         string
 		top                          Topology
 		events, tbs                  int64
 		mallocs, allocated, retained int64
 	}{
-		{"16ue-2cell-vca", vca, 35841, 6921, 38_000, 11_940_000, 4_590_000},
-		{"8ue-2cell-mixed", mixed, 28962, 6087, 21_900, 6_640_000, 2_077_000},
+		{"16ue-2cell-vca", multi(16, false), 25394, 6921, 38_000, 11_940_000, 4_590_000},
+		{"8ue-2cell-mixed", multi(8, true), 20284, 6087, 21_900, 6_640_000, 2_077_000},
+		{"F3", SingleUE(f3), 16561, 2158, 17_530, 3_914_000, 1_262_000},
+		{"M2-gcc-phy+load", SingleUE(m2), 10244, 1159, 10_540, 2_431_000, 876_000},
 	} {
 		top := tc.top
-		top.Seed = 1
-		top.Duration = 2 * time.Second
 		top.Serial = true
 		events, tbs, mallocs, allocated, retained := runCost(top)
 		t.Logf("%s: %d events, %d TBs, %d mallocs, %d bytes allocated, %d bytes retained",

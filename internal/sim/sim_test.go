@@ -127,6 +127,9 @@ func TestStaleTimerDoesNotCancelRecycledEvent(t *testing.T) {
 	}
 }
 
+// TestDeadEventCompaction cancels 900 of 1 000 events spread over a
+// second, so corpses sit both in the calendar and in the far heap: once
+// they outnumber the live events the queue drops them, wherever they are.
 func TestDeadEventCompaction(t *testing.T) {
 	s := New(1)
 	timers := make([]Timer, 0, 1000)
@@ -139,23 +142,58 @@ func TestDeadEventCompaction(t *testing.T) {
 	if s.Pending() != 100 {
 		t.Fatalf("Pending = %d, want 100", s.Pending())
 	}
-	// Compaction must have dropped the corpses from the heap itself.
-	if len(s.heap) > 200 {
-		t.Fatalf("heap holds %d entries for 100 live events; compaction missing", len(s.heap))
+	n := stored(t, s)
+	if n > 2*s.Pending() {
+		t.Fatalf("queue stores %d entries for %d live events; compaction missing", n, s.Pending())
 	}
-	n := 0
-	s.At(1, func() { n++ }) // schedule on the compacted heap still works
+	fired := 0
+	s.At(1, func() { fired++ }) // schedule on the compacted queue still works
 	s.Run()
-	if n != 1 || s.Pending() != 0 {
-		t.Fatalf("post-compaction run: n=%d pending=%d", n, s.Pending())
+	if fired != 1 || s.Pending() != 0 || stored(t, s) != 0 {
+		t.Fatalf("post-compaction run: fired=%d pending=%d stored=%d", fired, s.Pending(), stored(t, s))
 	}
+}
+
+// stored counts the entries the queue holds, dead ones included, by
+// walking every calendar bucket and the far heap, and checks the
+// calendar's own count and each bucket's order and window against it.
+func stored(t testing.TB, s *Simulator) int {
+	t.Helper()
+	n := 0
+	for i := range s.cal {
+		b := &s.cal[i]
+		var last *event
+		for e := b.head; e != nil; e = e.next {
+			if k := int64(e.at) >> bucketShift; k&(nBuckets-1) != int64(i) || k < s.cur || k-s.cur >= nBuckets {
+				t.Fatalf("event at %v (bucket %d) filed in slot %d with the window at bucket %d", e.at, k, i, s.cur)
+			}
+			if last != nil && !last.before(e) {
+				t.Fatalf("slot %d out of order: (%v, %d) before (%v, %d)", i, last.at, last.seq, e.at, e.seq)
+			}
+			last = e
+			n++
+		}
+		if b.tail != last {
+			t.Fatalf("slot %d: tail is not the last event", i)
+		}
+	}
+	if n != s.inCal {
+		t.Fatalf("calendar holds %d events, counts %d", n, s.inCal)
+	}
+	for _, e := range s.far {
+		if int64(e.at)>>bucketShift-s.cur < nBuckets {
+			t.Fatalf("far event at %v lies inside the window at bucket %d", e.at, s.cur)
+		}
+	}
+	return n + len(s.far)
 }
 
 // Steady-state scheduling and firing must not allocate: event records are
 // recycled through the free list and Timer handles are values. That holds
 // for a closure (At stores it as the argument of a shared function), for
-// a bound function with a pointer argument (AtArg), and for cancelling an
-// argument-carrying event.
+// a bound function with a pointer argument (AtArg), for cancelling an
+// argument-carrying event, and for an event past the calendar's window,
+// which waits in the far heap and moves into the calendar to fire.
 func TestScheduleFireNoAllocs(t *testing.T) {
 	s := New(1)
 	fn := func() {}
@@ -177,6 +215,10 @@ func TestScheduleFireNoAllocs(t *testing.T) {
 			tm.Stop()
 			s.Run()
 		},
+		"AfterArg beyond the window": func() {
+			s.AfterArg(time.Second, argFn, rec)
+			s.Run()
+		},
 	} {
 		op() // warm the free list and heap capacity
 		if allocs := testing.AllocsPerRun(1000, op); allocs != 0 {
@@ -185,7 +227,7 @@ func TestScheduleFireNoAllocs(t *testing.T) {
 	}
 	// Each argument case ran once to warm up, plus AllocsPerRun's own
 	// warm-up run and its 1000 measured runs.
-	if want := 2 * 1002; rec.n != want {
+	if want := 3 * 1002; rec.n != want {
 		t.Fatalf("argument events fired %d times, want %d", rec.n, want)
 	}
 }
