@@ -1,46 +1,59 @@
 // Command athena-trace runs Athena testbed scenarios and either dumps
-// their raw cross-layer traces or correlates them.
+// each run as a replayable session feed or correlates it.
 //
-// The default verb dumps what a real deployment's pcaps and NG-Scope
-// would produce: per-point packet captures (CSV), per-TB PHY telemetry
-// (CSV) and a merged time-ordered event log (JSONL).
+// The default verb dumps what a cell-site Athena deployment would
+// stream to athena-serve: the UE's session config (flow coverage, clock
+// offsets, cell timing) on the first line, then one feed batch per
+// 100 ms of capture — sender and core capture records and sniffed TB
+// telemetry — one JSON value per line, in the session API's wire form.
 //
 //	athena-trace -duration 30s -seed 1 -out /tmp/athena
 //
-// writes /tmp/athena.packets.csv, /tmp/athena.tbs.csv and
-// /tmp/athena.trace.jsonl.
+// writes /tmp/athena.session.ndjson.
 //
 // The analyze verb runs the Athena correlator and prints the cross-layer
-// analysis: per-kind one-way delay summaries, frame delay spreads, and
-// the root-cause attribution table (UE queueing, BSR scheduling wait,
-// HARQ retransmission, WAN, SFU processing). With -seeds N it prints each
-// seed's headline numbers and their spread instead; with -in it
-// summarizes a dumped JSONL trace without running or correlating
-// anything.
+// analysis: per-kind one-way delay summaries, frame delay spreads, the
+// root-cause attribution table (UE queueing, BSR scheduling wait, HARQ
+// retransmission, WAN, SFU processing) and the packets digest. With
+// -seeds N it prints each seed's headline numbers and their spread
+// instead. With -in it replays a dump through athena-serve's session
+// feed checks and prints the uplink half of the same report: a feed
+// carries no SFU or receiver capture, so it attributes no WAN or SFU
+// delay.
 //
 //	athena-trace analyze -duration 30s [-seeds 8]
-//	athena-trace analyze -in /tmp/athena.trace.jsonl
+//	athena-trace analyze -in /tmp/athena.session.ndjson
 package main
 
 import (
+	"bufio"
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"log"
 	"os"
-	"strconv"
-	"strings"
 	"time"
 
 	"athena"
+	"athena/internal/core"
 	"athena/internal/obs"
 	"athena/internal/packet"
 	"athena/internal/ran"
+	"athena/internal/scenario"
+	"athena/internal/session"
 	"athena/internal/stats"
-	"athena/internal/trace"
 	"athena/internal/units"
 )
+
+// feedTick is the capture span of one dumped batch, the default batching
+// of athena-serve's load generator.
+const feedTick = 100 * time.Millisecond
+
+// maxLine bounds one line of a dump: the 8 MiB athena-serve allows a feed
+// body.
+const maxLine = 8 << 20
 
 func main() {
 	log.SetFlags(0)
@@ -53,15 +66,14 @@ func main() {
 	fs := flag.NewFlagSet(name, flag.ExitOnError)
 	duration := fs.Duration("duration", 30*time.Second, "simulated call duration")
 	seed := fs.Int64("seed", 1, "simulation seed")
-	seeds := fs.Int("seeds", 1, "number of consecutive seeds to simulate (in parallel): dump writes one trace per seed, analyze aggregates them")
+	seeds := fs.Int("seeds", 1, "number of consecutive seeds to simulate (in parallel): dump writes one feed per seed, analyze aggregates them")
 	cross := fs.Bool("cross", false, "enable the paper's cross-traffic phase schedule (time-compressed)")
 	sched := fs.String("sched", "combined", "uplink scheduler: combined|bsr|proactive|appaware|oracle")
-	var in, out, flows string
+	var in, out string
 	if analyze {
-		fs.StringVar(&in, "in", "", "JSONL trace to summarize (default: run a live scenario)")
+		fs.StringVar(&in, "in", "", "session feed to replay and correlate (default: run a live scenario)")
 	} else {
 		fs.StringVar(&out, "out", "athena", "output file prefix")
-		fs.StringVar(&flows, "flows", "", "comma-separated flow IDs; restrict dumped capture records to these flows")
 	}
 	obsFlags := obs.AddCLIFlags(fs)
 	fs.Usage = func() {
@@ -70,10 +82,6 @@ func main() {
 	}
 	fs.Parse(args)
 
-	keepFlow, err := parseFlows(flows)
-	if err != nil {
-		log.Fatal(err)
-	}
 	cfg, err := scenarioConfig(*duration, *sched, *cross)
 	if err != nil {
 		log.Fatal(err)
@@ -90,7 +98,9 @@ func main() {
 	}()
 
 	if in != "" {
-		summarizeFile(in)
+		if err := analyzeFeed(in); err != nil {
+			log.Fatal(err)
+		}
 		return
 	}
 
@@ -110,7 +120,7 @@ func main() {
 			if len(cfgs) > 1 {
 				prefix = fmt.Sprintf("%s.s%d", out, cfgs[i].Seed)
 			}
-			dump(prefix, res, keepFlow)
+			dump(prefix+".session.ndjson", res)
 		}
 	case len(cfgs) > 1:
 		analyzeSeeds(cfgs, results)
@@ -153,68 +163,125 @@ func scenarioConfig(duration time.Duration, sched string, cross bool) (athena.Co
 	return cfg, nil
 }
 
-// parseFlows parses the -flows value into a keep-set; nil means keep
-// everything.
-func parseFlows(s string) (map[uint32]bool, error) {
-	if s == "" {
-		return nil, nil
+// dump writes the run's one UE as a session feed to path.
+func dump(path string, res *athena.Result) {
+	f, err := os.Create(path)
+	if err != nil {
+		log.Fatal(err)
 	}
-	keep := make(map[uint32]bool)
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		f, err := strconv.ParseUint(part, 10, 32)
-		if err != nil {
-			return nil, fmt.Errorf("bad -flows entry %q: %v", part, err)
-		}
-		keep[uint32(f)] = true
+	w := bufio.NewWriter(f)
+	streams := res.SessionStreams()
+	if err := errors.Join(writeFeed(w, &streams[0]), w.Flush(), f.Close()); err != nil {
+		log.Fatalf("writing %s: %v", path, err)
 	}
-	if len(keep) == 0 {
-		return nil, fmt.Errorf("-flows %q names no flows", s)
-	}
-	return keep, nil
+	fmt.Printf("wrote %s\n", path)
 }
 
-func dump(out string, res *athena.Result, keepFlow map[uint32]bool) {
-	var records []packet.Record
-	records = append(records, res.CapSender.Records...)
-	records = append(records, res.CapCore.Records...)
-	records = append(records, res.CapSFU.Records...)
-	records = append(records, res.CapReceiver.Records...)
-	if keepFlow != nil {
-		kept := records[:0]
-		for _, r := range records {
-			if keepFlow[r.Flow] {
-				kept = append(kept, r)
-			}
-		}
-		records = kept
+// writeFeed writes a stream as athena-serve would receive it: its
+// session.Config with the capture slices nil, then one session.Batch per
+// feedTick of capture, each JSON value on a line of its own.
+func writeFeed(w io.Writer, ss *scenario.SessionStream) error {
+	cfg := session.Config{
+		ID:       ss.ID,
+		Cell:     fmt.Sprintf("cell%d", ss.Cell),
+		Workload: string(ss.Workload),
+		Input:    ss.Input,
 	}
+	cfg.Input.Sender, cfg.Input.Core, cfg.Input.TBs = nil, nil, nil
+	enc := json.NewEncoder(w)
+	if err := enc.Encode(cfg); err != nil {
+		return err
+	}
+	for _, ch := range ss.Chunks(feedTick) {
+		if err := enc.Encode(session.Batch{
+			Sender: ch.Sender, Core: ch.Core, TBs: ch.TBs, AdvanceTo: ch.AdvanceTo,
+		}); err != nil {
+			return err
+		}
+	}
+	return nil
+}
 
-	var tbs = res.RAN.Telemetry.SnifferView()
-
-	write := func(name string, fn func(io.Writer) error) {
-		f, err := os.Create(name)
+// readFeed reads a session feed: a session.Config line, then
+// session.Batch lines, each at most maxLine bytes. Every batch is fed to
+// a session as athena-serve feeds one, so the server's config bounds and
+// the correlator's feed contract hold (capture order, flow coverage, no
+// replayed record, a clock that only advances). It returns the config
+// and the correlation input the accepted records make up; an error names
+// its 1-based line.
+func readFeed(r io.Reader) (session.Config, core.Input, error) {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(nil, maxLine)
+	var cfg session.Config
+	var in core.Input
+	if !sc.Scan() {
+		err := sc.Err()
+		if err == nil {
+			err = errors.New("empty feed: no session config")
+		}
+		return cfg, in, fmt.Errorf("line 1: %w", err)
+	}
+	err := json.Unmarshal(sc.Bytes(), &cfg)
+	var s *session.Session
+	if err == nil {
+		s, err = session.NewRegistry().Create(cfg)
+	}
+	if err != nil {
+		return cfg, in, fmt.Errorf("line 1: %w", err)
+	}
+	in = cfg.Input
+	in.Sender, in.Core, in.SFU, in.Receiver, in.TBs = nil, nil, nil, nil, nil
+	var b session.Batch
+	line := 2
+	for ; sc.Scan(); line++ {
+		err := b.UnmarshalJSON(sc.Bytes())
+		if err == nil {
+			_, err = s.Feed(&b)
+		}
 		if err != nil {
-			log.Fatal(err)
+			return cfg, in, fmt.Errorf("line %d: %w", line, err)
 		}
-		if err := errors.Join(fn(f), f.Close()); err != nil {
-			log.Fatalf("writing %s: %v", name, err)
-		}
-		fmt.Printf("wrote %s\n", name)
+		in.Sender = append(in.Sender, b.Sender...)
+		in.Core = append(in.Core, b.Core...)
+		in.TBs = append(in.TBs, b.TBs...)
 	}
-	write(out+".packets.csv", func(w io.Writer) error { return trace.WritePacketCSV(w, records) })
-	write(out+".tbs.csv", func(w io.Writer) error { return trace.WriteTBCSV(w, tbs) })
-	evs := trace.Merge(records, tbs)
-	write(out+".trace.jsonl", func(w io.Writer) error { return trace.WriteJSON(w, evs) })
-	fmt.Println(trace.Summary(evs))
+	if err := sc.Err(); err != nil {
+		return cfg, in, fmt.Errorf("line %d: %w", line, err)
+	}
+	return cfg, in, nil
+}
+
+// analyzeFeed replays the session feed at path and prints the uplink
+// half of its correlation report.
+func analyzeFeed(path string) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	cfg, in, err := readFeed(f)
+	if err != nil {
+		return fmt.Errorf("%s: %w", path, err)
+	}
+	fmt.Printf("session %s (%s, %s) replayed from %s\n", cfg.ID, cfg.Cell, cfg.Workload, path)
+	printUplink(core.Correlate(in), core.Causes[:core.IdxWAN])
+	fmt.Println("\nWAN and SFU delay: not attributed (a session feed has no SFU or receiver capture)")
+	return nil
 }
 
 // report prints one run's correlation report.
 func report(res *athena.Result) {
-	rep := res.Report
+	printUplink(res.Report, core.Causes[:])
+	fmt.Printf("\nprobe OWD core->SFU: %s\n", res.Prober.Summary())
+	fmt.Printf("receiver: %d frames displayed, %d stalls, jitter-buffer target %v\n",
+		res.Receiver.Renderer.DisplayTimes.Len(),
+		res.Receiver.Renderer.Stalls,
+		res.Receiver.JitterBufferTarget())
+}
+
+// printUplink prints a report's delay summaries, frame delay spreads and
+// its attribution table over causes, then its packets digest.
+func printUplink(rep *core.Report, causes []core.Cause) {
 	fmt.Println("== Athena cross-layer analysis ==")
 	fmt.Printf("packets correlated: %d; frames: %d\n\n", len(rep.Packets), len(rep.Frames))
 
@@ -222,18 +289,18 @@ func report(res *athena.Result) {
 	fmt.Printf("  video: %s\n", rep.DelaySummary(packet.KindVideo))
 	fmt.Printf("  audio: %s\n\n", rep.DelaySummary(packet.KindAudio))
 
-	sender, core := rep.SpreadsMS()
+	sender, coreSpread := rep.SpreadsMS()
 	fmt.Print(stats.ASCIICDF("frame delay spread at sender (ms)", sender))
-	fmt.Print(stats.ASCIICDF("frame delay spread at 5G core (ms)", core))
+	fmt.Print(stats.ASCIICDF("frame delay spread at 5G core (ms)", coreSpread))
 	fmt.Println()
 
-	fmt.Print(rep.Attribute())
-
-	fmt.Printf("\nprobe OWD core->SFU: %s\n", res.Prober.Summary())
-	fmt.Printf("receiver: %d frames displayed, %d stalls, jitter-buffer target %v\n",
-		res.Receiver.Renderer.DisplayTimes.Len(),
-		res.Receiver.Renderer.Stalls,
-		res.Receiver.JitterBufferTarget())
+	a := rep.Attribute()
+	fmt.Printf("root-cause attribution over %d packets (mean ms/packet):\n", a.Packets)
+	for _, c := range causes {
+		fmt.Printf("  %-26s %8.3f\n", c, a.MeanMS(c))
+	}
+	fmt.Printf("  packets with HARQ inflation: %d; served by BSR grant: %d\n", a.RetxAffected, a.BSRServed)
+	fmt.Printf("packets digest: %s\n", rep.PacketsDigest())
 }
 
 // analyzeSeeds reports each seed's headline numbers plus the cross-seed
@@ -254,18 +321,4 @@ func analyzeSeeds(cfgs []athena.Config, results []*athena.Result) {
 	fmt.Printf("  video UL p50 (ms): %s\n", stats.SummarizeInPlace(p50s))
 	fmt.Printf("  video UL p95 (ms): %s\n", stats.SummarizeInPlace(p95s))
 	fmt.Printf("  stalls:            %s\n", stats.SummarizeInPlace(stalls))
-}
-
-// summarizeFile prints the summary of a dumped JSONL trace.
-func summarizeFile(path string) {
-	f, err := os.Open(path)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer f.Close()
-	evs, err := trace.ReadJSON(f)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println(trace.Summary(evs))
 }

@@ -101,16 +101,30 @@ func TestULSlotAllocsIndependentOfGrantBacklog(t *testing.T) {
 // Nor may it cost time: a slot serves one grant, files sixteen and steps
 // past the rest, so its median wall time at a twenty-fold backlog stays
 // within 2× of the early slots' (a slot that walks its backlog reads
-// several times slower here).
+// several times slower here). The windows are timed on twin cells,
+// interleaved slot by slot — an early slot of one, then a late slot of
+// the other, stepped untimed to the late window first — so contention
+// from other processes lands on both windows alike.
 func TestULSlotTimeIndependentOfGrantBacklog(t *testing.T) {
+	_, stepEarly := saturatedCell()
 	r, step := saturatedCell()
 	took := make([]time.Duration, saturatedSlots)
 	backlog := make([]int, saturatedSlots)
-	for i := range took {
-		t0 := time.Now()
+	for i := 0; i < backlogLate; i++ {
 		step(i)
-		took[i] = time.Since(t0)
 		backlog[i] = grantBacklog(r)
+	}
+	for i := 0; i < backlogEarly; i++ {
+		stepEarly(i)
+	}
+	for k := 0; k < backlogWindow; k++ {
+		i, j := backlogEarly+k, backlogLate+k
+		t0 := time.Now()
+		stepEarly(i)
+		t1 := time.Now()
+		step(j)
+		took[i], took[j] = t1.Sub(t0), time.Since(t1)
+		backlog[j] = grantBacklog(r)
 	}
 	checkBacklogGrew(t, r, backlog)
 	early, late := windowMedian(took, backlogEarly), windowMedian(took, backlogLate)
