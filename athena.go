@@ -61,18 +61,20 @@ const (
 func DefaultConfig() Config { return scenario.Defaults() }
 
 // Run executes a scenario and correlates its traces. Runs go through the
-// shared process-wide runner: a config already executed this process
-// (same seed, same knobs) is recalled from the memoization cache and the
-// callers share one Result. Results are safe to share because their
+// shared process-wide runner: a call made while the same config (same
+// seed, same knobs) is in flight for another caller joins that run, and
+// the callers share one Result. Nothing is kept once the call returns, so
+// a later call simulates again. Results are safe to share because their
 // accessors are pure readers.
 func Run(cfg Config) *Result { return runner.Default.Run(cfg) }
 
 // RunAll executes a batch of independent scenarios, fanning them across
 // GOMAXPROCS workers while preserving input order and per-seed
 // determinism: the returned results are byte-identical to running each
-// config serially. Duplicate configs — within the batch or against the
-// process-wide cache — simulate once. Every figure, mitigation, ablation
-// and study driver submits its config sweep through this path.
+// config serially. Duplicate configs — within the batch, or in flight for
+// a concurrent batch — simulate once; the pool keeps no Result after the
+// batch returns. Every figure, mitigation, ablation and study driver
+// submits its config sweep through this path.
 func RunAll(cfgs []Config) []*Result {
 	return runner.Default.RunAll(context.Background(), cfgs)
 }

@@ -189,15 +189,14 @@ func Fig7(o Options) *FigureData {
 	// 15 ms latency. (Not the per-slot granted trace: grants track
 	// demand, not capacity.)
 	em.Access = AccessEmulated
-	// The two calls are independent, so they run concurrently; the 5G
-	// baseline is also the config several mitigation studies reuse, so it
-	// simulates once per process.
+	// The two calls are independent, so they run concurrently.
 	rs := RunAll([]Config{base, em})
 	g5, emr := rs[0], rs[1]
 
 	fig := NewFigure("F7", "5G degradation: QoE vs wired network with equal emulated capacity")
 	// Rate and fps extractors return fresh slices (in-place CDFs); jitter
-	// and SSIMs() belong to the shared memoized Result, so those copy.
+	// and SSIMs() belong to a Result a concurrent driver may share, so
+	// those copy.
 	g5Rate := stats.NewCDFInPlace(g5.Receiver.ReceiveRates())
 	emRate := stats.NewCDFInPlace(emr.Receiver.ReceiveRates())
 	g5Jit := stats.NewCDF(g5.Receiver.FrameJitter)

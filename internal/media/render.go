@@ -80,7 +80,9 @@ func (r *Renderer) Display(f *EncodedFrame, now time.Duration) {
 // frame, skipping frames too small to score. The first call renders,
 // decodes and scores them; every call, from any goroutine, returns that
 // one slice, which callers must copy before modifying. Call it after the
-// last Display.
+// last Display. Scoring runs once under a sync.Once because a driver
+// that joins a run another driver has in flight shares its Result, and
+// both may score it at once.
 func (r *Renderer) SSIMs() []float64 {
 	r.ssimOnce.Do(func() {
 		var sc scorer

@@ -102,6 +102,15 @@ func (c *Capture) Handle(p *Packet) {
 	if info, ok := p.Payload.(RTPInfo); ok {
 		r.SSRC, r.RTPSeq, r.RTPTime, r.Marker, r.MediaMeta = rtpInfo(info)
 	}
+	if n := len(c.Records); n == cap(c.Records) {
+		// A full log doubles. append grows a large slice by 1.25×, which
+		// over a run allocates ~5× the log's final size and copies ~4×.
+		// (slices.Grow would do, but under -race it allocates a second,
+		// temporary slice of the same size.)
+		grown := make([]Record, n, 2*n+1)
+		copy(grown, c.Records)
+		c.Records = grown
+	}
 	c.Records = append(c.Records, r)
 	// Ground-truth bookkeeping for the correlator's scoring harness.
 	switch c.Point {

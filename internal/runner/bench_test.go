@@ -39,15 +39,3 @@ func BenchmarkRunAllParallel(b *testing.B) {
 		p.RunAll(context.Background(), cfgs)
 	}
 }
-
-// BenchmarkRunAllMemoized measures recall of an already-cached batch —
-// the cross-driver sharing fast path.
-func BenchmarkRunAllMemoized(b *testing.B) {
-	cfgs := benchConfigs(8)
-	p := New(0)
-	p.RunAll(context.Background(), cfgs)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.RunAll(context.Background(), cfgs)
-	}
-}

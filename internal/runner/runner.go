@@ -1,16 +1,19 @@
 // Package runner is the batch execution engine for scenario runs: a
 // worker pool that fans independent, deterministically-seeded simulations
 // out across GOMAXPROCS goroutines, fronted by a content-addressed
-// memoization cache.
+// cache of the runs in flight.
 //
 // Every evaluation artifact (figures, mitigation studies, ablations) is a
 // loop of scenario.Run calls over configs that differ in one knob. The
 // runs are embarrassingly parallel — each owns its Simulator, RNG streams
 // and packet allocator — so RunAll executes them concurrently while
 // preserving input order in the returned slice. The cache keys on a hash
-// of the full Config (seed included): a config that several drivers share
-// (e.g. the Fig 7 baseline reused by mitigation studies) simulates once
-// per process and every caller receives the same *Result. Results are
+// of the full Config (seed included): a config submitted twice in one
+// batch, or by a concurrent batch while it is still in flight, simulates
+// once and every caller receives the same *Result. A batch's entries
+// leave the cache when its RunAll returns, so the pool holds no Result
+// past the batch that asked for it and a sweep's memory is one batch's
+// worth; a config submitted again later simulates again. Results are
 // safe to share because their accessors are pure readers; callers that
 // need a private, mutable Result should call scenario.Run directly.
 package runner
@@ -38,9 +41,9 @@ func Key(cfg scenario.Config) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// Pool executes scenario runs across a bounded set of workers with
-// process-lifetime memoization. The zero value is not usable; create one
-// with New or use the shared Default pool.
+// Pool executes scenario runs across a bounded set of workers,
+// deduplicating the configs of the batches in flight. The zero value is
+// not usable; create one with New or use the shared Default pool.
 type Pool struct {
 	sem chan struct{} // counting semaphore bounding concurrent runs
 
@@ -83,7 +86,7 @@ func init() {
 // accumulate only while obs metrics are enabled (see obs.Enable).
 type Stats struct {
 	Submissions int64 // configs submitted through RunAll (duplicates included)
-	MemoHits    int64 // submissions satisfied by the cache or batch dedup
+	MemoHits    int64 // submissions that joined an entry in the batch or in flight
 	MemoMisses  int64 // submissions that claimed a fresh execution
 	InFlight    int64 // runs currently executing on workers
 	Flushes     int64 // Flush calls
@@ -100,7 +103,7 @@ func (p *Pool) Stats() Stats {
 	}
 }
 
-// entry is one memoized run. res is written exactly once, before done is
+// entry is one deduplicated run. res is written exactly once, before done is
 // closed; readers load it only after <-done, so the close provides the
 // happens-before edge.
 type entry struct {
@@ -124,24 +127,28 @@ func New(workers int) *Pool {
 }
 
 // Default is the process-wide pool every driver and CLI submits through;
-// sharing one pool is what lets configs reused across drivers simulate
-// once per process.
+// sharing one pool bounds the simulations running at once across
+// concurrent drivers, and lets a driver join a config another driver has
+// in flight.
 var Default = New(0)
 
-// Run executes (or recalls) a single scenario through the pool.
+// Run executes a single scenario through the pool, or joins the run of
+// the same config in flight.
 func (p *Pool) Run(cfg scenario.Config) *scenario.Result {
 	return p.RunAll(context.Background(), []scenario.Config{cfg})[0]
 }
 
 // RunAll executes every config and returns the results in input order.
 // Distinct configs run concurrently across the pool's workers; duplicate
-// configs — within the batch, across batches, or already cached — execute
-// once and share a Result. Determinism is unaffected by scheduling: each
-// run's randomness derives only from its own config's seed.
+// configs — within the batch, or in flight for a concurrent batch —
+// execute once and share a Result. Before returning, RunAll removes the
+// cache entries it claimed, so a config submitted after it returns
+// simulates again and the pool keeps no Result alive. Determinism is
+// unaffected by scheduling: each run's randomness derives only from its
+// own config's seed.
 //
 // If ctx is cancelled, runs not yet started are skipped and their slots
-// in the returned slice are nil; runs already in flight complete and are
-// cached.
+// in the returned slice are nil; runs already in flight complete.
 func (p *Pool) RunAll(ctx context.Context, cfgs []scenario.Config) []*scenario.Result {
 	type job struct {
 		key string
@@ -216,6 +223,16 @@ func (p *Pool) RunAll(ctx context.Context, cfgs []scenario.Config) []*scenario.R
 		p.mu.Unlock()
 	}
 	wg.Wait()
+	// The claimed entries leave with the batch. A Flush may have removed
+	// one already and a later batch filed a fresh entry under its key, so
+	// only this batch's own entry is deleted.
+	p.mu.Lock()
+	for _, j := range jobs[:submitted] {
+		if p.cache[j.key] == j.e {
+			delete(p.cache, j.key)
+		}
+	}
+	p.mu.Unlock()
 
 	results := make([]*scenario.Result, len(cfgs))
 	for i, e := range entries {
@@ -261,16 +278,17 @@ func (p *Pool) ForEach(ctx context.Context, n int, fn func(i int)) {
 	wg.Wait()
 }
 
-// Flush drops every completed cache entry, releasing the retained
-// Results. An in-flight entry — one whose run has not yet closed done —
-// is never removed: the running goroutine still owns the cache slot, so
-// every waiter blocked on it in a concurrent RunAll (and every later
-// arrival that joined before completion) receives the Result that run
-// produces, and the config stays deduplicated until it finishes. A
-// Flush racing a batch therefore cannot drop an entry another waiter is
-// blocked on, lose a result, or cause a duplicate simulation; it only
-// forgets finished work. Long-lived processes sweeping many distinct
-// configs call this between sweeps to bound memory.
+// Flush drops every completed cache entry. An in-flight entry — one
+// whose run has not yet closed done — is never removed: the running
+// goroutine still owns the cache slot, so every waiter blocked on it in a
+// concurrent RunAll (and every later arrival that joined before
+// completion) receives the Result that run produces, and the config stays
+// deduplicated until it finishes. A Flush racing a batch therefore cannot
+// drop an entry another waiter is blocked on, lose a result, or cause a
+// duplicate simulation. Since RunAll removes its entries when it returns,
+// a completed entry lingers only between its run finishing and its batch
+// returning; Flush is kept for callers that reset the pool between
+// sweeps.
 func (p *Pool) Flush() {
 	p.met.flushes.Inc()
 	p.mu.Lock()
@@ -284,7 +302,7 @@ func (p *Pool) Flush() {
 	}
 }
 
-// CacheLen reports the number of memoized (or in-flight) configs.
+// CacheLen reports the number of configs held by the batches in flight.
 func (p *Pool) CacheLen() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"athena/internal/obs"
 	"athena/internal/ran"
 	"athena/internal/scenario"
 	"athena/internal/units"
@@ -33,7 +34,7 @@ func testConfigs() []scenario.Config {
 	return cfgs
 }
 
-// TestRunAllMatchesSerial asserts that parallel, memoized execution is
+// TestRunAllMatchesSerial asserts that parallel, deduplicated execution is
 // byte-identical to direct serial scenario.Run for a seed/config matrix.
 // Run under -race this also exercises the pool's synchronization.
 func TestRunAllMatchesSerial(t *testing.T) {
@@ -78,12 +79,17 @@ func TestRunAllPreservesOrderAndMemoizes(t *testing.T) {
 	if res[0].Cfg.Seed != 1 || res[1].Cfg.Seed != 2 {
 		t.Errorf("order not preserved: seeds %d,%d", res[0].Cfg.Seed, res[1].Cfg.Seed)
 	}
-	if p.CacheLen() != 2 {
-		t.Errorf("CacheLen = %d, want 2", p.CacheLen())
+	// The batch's entries leave with it: the pool holds no Result.
+	if n := p.CacheLen(); n != 0 {
+		t.Errorf("CacheLen after RunAll returned = %d, want 0", n)
 	}
-	// Cross-batch recall: no new execution, same pointer.
-	if again := p.Run(a); again != res[0] {
-		t.Error("cross-batch recall should return the memoized Result")
+	// A later batch simulates again, to the same bytes.
+	again := p.Run(a)
+	if again == res[0] {
+		t.Error("a config submitted after its batch returned was recalled, not re-run")
+	}
+	if again.TopologyResult.Digest() != res[0].TopologyResult.Digest() {
+		t.Error("re-running a config changed its result")
 	}
 }
 
@@ -99,13 +105,21 @@ func TestRunCountsExecutions(t *testing.T) {
 		cfgs[i] = scenario.Defaults()
 		cfgs[i].Seed = int64(i % 4) // 4 distinct configs, 4 copies each
 	}
-	p.RunAll(context.Background(), cfgs)
+	res := p.RunAll(context.Background(), cfgs)
 	if runs.Load() != 4 {
-		t.Fatalf("executed %d runs, want 4 (memoized duplicates)", runs.Load())
+		t.Fatalf("executed %d runs, want 4 (in-batch duplicates run once)", runs.Load())
+	}
+	for i := range cfgs {
+		if res[i] != res[i%4] {
+			t.Fatalf("slot %d does not share the Result of its first copy", i)
+		}
+	}
+	if n := p.CacheLen(); n != 0 {
+		t.Fatalf("CacheLen after RunAll returned = %d, want 0", n)
 	}
 	p.RunAll(context.Background(), cfgs)
-	if runs.Load() != 4 {
-		t.Fatalf("re-submission re-executed: %d runs", runs.Load())
+	if runs.Load() != 8 {
+		t.Fatalf("re-submission executed %d runs in all, want 8 (nothing outlives a batch)", runs.Load())
 	}
 }
 
@@ -173,18 +187,23 @@ func TestKeyDistinguishesConfigs(t *testing.T) {
 	}
 }
 
-// TestFlushKeepsInFlightEntries pins the documented Flush contract: a
-// Flush racing an in-flight batch never removes the running entry, so a
-// concurrent waiter that joined the same config still receives the
-// Result that run produces (no lost result, no duplicate simulation).
+// TestFlushKeepsInFlightEntries pins the documented Flush contract and
+// the in-flight dedupe that outlives drop-on-return: a second batch
+// submitting a config while the first batch runs it joins that run, a
+// Flush racing them never removes the running entry, both receive the
+// one Result that run produces, and once both return the pool is empty.
 func TestFlushKeepsInFlightEntries(t *testing.T) {
+	obs.Enable() // the hit counter tells when the second batch has joined
+	defer obs.Disable()
+
 	p := New(2)
 	started := make(chan struct{})
 	block := make(chan struct{})
 	var execs atomic.Int32
 	p.runFn = func(cfg scenario.Config) *scenario.Result {
-		execs.Add(1)
-		close(started)
+		if execs.Add(1) == 1 {
+			close(started)
+		}
 		<-block
 		return &scenario.Result{Cfg: cfg}
 	}
@@ -195,6 +214,9 @@ func TestFlushKeepsInFlightEntries(t *testing.T) {
 	<-started
 	// A second caller joins the in-flight entry while it is blocked.
 	go func() { resCh <- p.Run(cfg) }()
+	for p.Stats().MemoHits == 0 {
+		time.Sleep(time.Millisecond)
+	}
 
 	// Flush mid-flight: the running entry must survive.
 	p.Flush()
@@ -213,11 +235,8 @@ func TestFlushKeepsInFlightEntries(t *testing.T) {
 	if got := execs.Load(); got != 1 {
 		t.Fatalf("config simulated %d times, want exactly 1", got)
 	}
-
-	// Once the run has completed, Flush may forget it.
-	p.Flush()
 	if n := p.CacheLen(); n != 0 {
-		t.Fatalf("CacheLen after post-completion Flush = %d, want 0", n)
+		t.Fatalf("CacheLen after both batches returned = %d, want 0", n)
 	}
 }
 

@@ -1,10 +1,14 @@
 package scenario
 
 import (
+	"maps"
+	"reflect"
+	"slices"
 	"testing"
 	"time"
 
 	"athena/internal/core"
+	"athena/internal/packet"
 )
 
 // TestSessionStreamsSeenCoreUnderSenderOffset runs every sender clock
@@ -82,4 +86,70 @@ func TestSessionStreamLabels(t *testing.T) {
 			t.Fatalf("single-cell stream labels %q/%d", ss.Workload, ss.Cell)
 		}
 	}
+}
+
+// TestSingleUEInputsAliasCaptures pins what lets a single-UE run skip
+// copying its logs: the correlator input of a UE that owns every record
+// of its shard's core capture and telemetry is that capture and that
+// telemetry, capped at their length, and neither core.Correlate nor
+// SessionStream.Chunks writes to any slice it is given — sorted or not.
+func TestSingleUEInputsAliasCaptures(t *testing.T) {
+	top := NewTopology(1)
+	top.Duration = 2 * time.Second
+	res := RunTopology(top)
+	sr := res.Shards[0]
+	ss := res.SessionStreams()[0]
+	in := ss.Input
+	if len(in.Core) == 0 || &in.Core[0] != &sr.CapCore.Records[0] || len(in.Core) != len(sr.CapCore.Records) {
+		t.Fatal("the single-UE core input does not share the core capture's backing array")
+	}
+	if len(in.TBs) == 0 || &in.TBs[0] != &sr.RANs[0].Telemetry.Records[0] || len(in.TBs) != len(sr.RANs[0].Telemetry.Records) {
+		t.Fatal("the single-UE TB input does not share the cell telemetry's backing array")
+	}
+	if cap(in.Core) != len(in.Core) || cap(in.TBs) != len(in.TBs) {
+		t.Fatal("an aliased input is not capped at its length: an append could write into the log")
+	}
+
+	full := shardInputs(res.Top, sr, true)[0]
+	// An unsorted sender and core capture take the sort-a-copy path.
+	unsorted := deepCopyInput(full)
+	for _, s := range [][]packet.Record{unsorted.Sender, unsorted.Core} {
+		for i := 1; i < len(s); i++ {
+			if s[i-1].LocalTime != s[i].LocalTime {
+				s[i-1], s[i] = s[i], s[i-1]
+				break
+			}
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		in   core.Input
+		call func(core.Input)
+	}{
+		{"Correlate", full, func(in core.Input) { core.Correlate(in) }},
+		{"Correlate-unsorted", unsorted, func(in core.Input) { core.Correlate(in) }},
+		{"Chunks", ss.Input, func(in core.Input) { (&SessionStream{Input: in}).Chunks(50 * time.Millisecond) }},
+	} {
+		want := deepCopyInput(tc.in)
+		tc.call(tc.in)
+		if !reflect.DeepEqual(tc.in, want) {
+			t.Errorf("%s wrote to its input", tc.name)
+		}
+	}
+}
+
+// deepCopyInput copies every capture and TB slice of in, the TBs'
+// packet lists included.
+func deepCopyInput(in core.Input) core.Input {
+	in.Sender = slices.Clone(in.Sender)
+	in.Core = slices.Clone(in.Core)
+	in.SFU = slices.Clone(in.SFU)
+	in.Receiver = slices.Clone(in.Receiver)
+	in.TBs = slices.Clone(in.TBs)
+	for i := range in.TBs {
+		in.TBs[i].PacketIDs = slices.Clone(in.TBs[i].PacketIDs)
+	}
+	in.Flows = slices.Clone(in.Flows)
+	in.Offsets = maps.Clone(in.Offsets)
+	return in
 }

@@ -829,13 +829,19 @@ func shardInputs(top Topology, sr *ShardResult, downstream bool) []core.Input {
 // partitionByFlow splits a shared capture into per-UE record slices in
 // one pass, preserving capture order within each partition. Records of
 // unowned flows (cross traffic, probes) are dropped — they can never
-// join a UE's sender index.
+// join a UE's sender index. A partition that would keep every record
+// (one UE owning the whole capture) is the capture itself, capped at its
+// length so an append cannot reach the log's spare room; no reader
+// writes through it.
 func partitionByFlow(records []packet.Record, ueOfFlow map[uint32]int, n int) [][]packet.Record {
 	counts := make([]int, n)
 	for _, r := range records {
 		if i, ok := ueOfFlow[r.Flow]; ok {
 			counts[i]++
 		}
+	}
+	if n == 1 && counts[0] == len(records) {
+		return [][]packet.Record{records[:len(records):len(records)]}
 	}
 	out := make([][]packet.Record, n)
 	for i, c := range counts {
@@ -852,13 +858,17 @@ func partitionByFlow(records []packet.Record, ueOfFlow map[uint32]int, n int) []
 // partitionTBsByUE splits cell telemetry into per-UE attempt streams in
 // one pass, preserving input order. idOf maps RAN UE identifiers to
 // local result positions (sparse for a shard holding a subset of the
-// topology's UEs).
+// topology's UEs). Like partitionByFlow, it returns the input itself,
+// capped, when one UE owns every record.
 func partitionTBsByUE(records []telemetry.TBRecord, idOf map[uint32]int, n int) [][]telemetry.TBRecord {
 	counts := make([]int, n)
 	for _, r := range records {
 		if i, ok := idOf[r.UE]; ok {
 			counts[i]++
 		}
+	}
+	if n == 1 && counts[0] == len(records) {
+		return [][]telemetry.TBRecord{records[:len(records):len(records)]}
 	}
 	out := make([][]telemetry.TBRecord, n)
 	for i, c := range counts {

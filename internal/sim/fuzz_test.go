@@ -19,14 +19,23 @@ type queue interface {
 }
 
 // simQueue schedules through At, or through AtArg with the closure as the
-// argument.
-type simQueue struct{ *Simulator }
+// argument. It checks the queue's invariants (stored) at each Pending,
+// which drive reads after every top-level step.
+type simQueue struct {
+	*Simulator
+	t testing.TB
+}
 
 func (q simQueue) at(t time.Duration, arg bool, fn func()) func() bool {
 	if arg {
 		return q.AtArg(t, func(a any) { a.(func())() }, fn).Stop
 	}
 	return q.At(t, fn).Stop
+}
+
+func (q simQueue) Pending() int {
+	stored(q.t, q.Simulator)
+	return q.Simulator.Pending()
 }
 
 // refQueue is the reference: a flat list of pending events, the next one
@@ -193,9 +202,18 @@ func FuzzEventOrder(f *testing.F) {
 		seq[i] = byte(i*37 + i/7)
 	}
 	f.Add(seq)
+	// Sparse programs, where the window jumps over empty buckets: events
+	// hundreds of buckets apart, scheduling more from inside them;
+	f.Add([]byte{3, 100, 3, 200, 0x13, 30, 3, 250, 5, 7, 9, 0, 3, 180, 3, 60, 0x13, 220, 2, 9, 3, 140, 1, 2, 3, 255, 0, 0})
+	// a calendar holding only far events, run to a horizon short of them
+	// and then drained;
+	f.Add([]byte{5, 0, 5, 40, 0x15, 200, 5, 255, 9, 8, 9, 0, 5, 90, 3, 220, 5, 3, 0, 0})
+	// RunUntil horizons inside empty stretches, each followed by events at
+	// and just after the clock it leaves.
+	f.Add([]byte{3, 200, 9, 2, 0, 0, 1, 3, 9, 3, 0x10, 0, 2, 100, 3, 250, 9, 5, 1, 1, 9, 29, 0, 0, 9, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s := New(1)
-		got := drive(simQueue{s}, data)
+		got := drive(simQueue{s, t}, data)
 		want := drive(&refQueue{}, data)
 		if !slices.Equal(got, want) {
 			i := 0

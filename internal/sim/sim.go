@@ -14,8 +14,10 @@
 // kept in (time, insertion) order, threaded through the event records
 // themselves. Scheduling into the window appends to (or walks) one
 // short list, and the next event is the head of the first non-empty
-// bucket, so neither side sifts. Events beyond the window wait in a 4-ary
-// min-heap and move into the calendar as the window reaches them. Every
+// bucket, so neither side sifts. A bitmap of the non-empty buckets lets
+// the window jump over empty stretches instead of stepping through them.
+// Events beyond the window wait in a 4-ary min-heap and move into the
+// calendar as the window reaches them. Every
 // event has one shape, fn(arg): At stores its closure as the argument of a
 // shared trampoline. Steady-state schedule/fire cycles allocate nothing
 // because fired and cancelled records return to a free list. Cancelled
@@ -28,6 +30,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"time"
 
@@ -138,7 +141,9 @@ type Simulator struct {
 	// Whenever code can schedule (inside an event or between runs), cur
 	// is at most the bucket of now, so whatever is scheduled lands at or
 	// after it.
-	cal     [nBuckets]bucket
+	cal [nBuckets]bucket
+	// occ has bit i set exactly when cal[i] holds an event.
+	occ     [nBuckets / 64]uint64
 	cur     int64
 	inCal   int      // events in cal, dead ones included
 	far     []*event // events past the window: 4-ary min-heap by before
@@ -221,6 +226,15 @@ func (s *Simulator) release(e *event) {
 	s.free = append(s.free, e)
 }
 
+// file links e into the calendar bucket b (an absolute bucket number
+// inside the window) and marks the bucket occupied.
+func (s *Simulator) file(b int64, e *event) {
+	i := b & (nBuckets - 1)
+	s.cal[i].insert(e)
+	s.occ[i>>6] |= 1 << (i & 63)
+	s.inCal++
+}
+
 // push queues e at (at, next seq): into its calendar bucket when that lies
 // inside the window, into the far heap otherwise.
 func (s *Simulator) push(at time.Duration, e *event) {
@@ -228,8 +242,7 @@ func (s *Simulator) push(at time.Duration, e *event) {
 	s.seq++
 	b := int64(at) >> bucketShift
 	if b-s.cur < nBuckets {
-		s.cal[b&(nBuckets-1)].insert(e)
-		s.inCal++
+		s.file(b, e)
 	} else {
 		s.far = append(s.far, e)
 		s.siftUp(len(s.far) - 1)
@@ -239,9 +252,10 @@ func (s *Simulator) push(at time.Duration, e *event) {
 
 // head returns the calendar bucket whose first event is the earliest
 // queued one, provided that event is due by horizon; otherwise nil. It
-// advances the window over empty buckets, but never past the bucket of
-// horizon, and moves far events into the calendar as the window reaches
-// them.
+// advances the window to the next occupied bucket, but never past the
+// bucket of horizon, and moves far events into the calendar as the window
+// reaches them. The jump skips no far event: each lies at least nBuckets
+// past cur, so past every bucket the window can jump to.
 func (s *Simulator) head(horizon time.Duration) *bucket {
 	for {
 		b := &s.cal[s.cur&(nBuckets-1)]
@@ -253,10 +267,11 @@ func (s *Simulator) head(horizon time.Duration) *bucket {
 		}
 		switch {
 		case s.inCal > 0:
-			if s.cur >= int64(horizon)>>bucketShift {
+			hb := int64(horizon) >> bucketShift
+			if s.cur >= hb {
 				return nil
 			}
-			s.cur++
+			s.cur = min(s.nextOccupied(), hb)
 		case len(s.far) > 0 && s.far[0].at <= horizon:
 			s.cur = int64(s.far[0].at) >> bucketShift
 		default:
@@ -264,6 +279,24 @@ func (s *Simulator) head(horizon time.Duration) *bucket {
 		}
 		s.refill()
 	}
+}
+
+// nextOccupied returns the absolute number of the first occupied bucket
+// after cur. The calendar must hold an event and cur's bucket none; a
+// bitmap that marks no bucket then is a bug, and panics rather than spin.
+func (s *Simulator) nextOccupied() int64 {
+	i := int(s.cur+1) & (nBuckets - 1)
+	w := i >> 6
+	m := s.occ[w] >> (i & 63) << (i & 63)
+	for n := 0; m == 0; n++ {
+		if n == len(s.occ) {
+			panic("sim: the calendar holds events but marks no bucket occupied")
+		}
+		w = (w + 1) & (len(s.occ) - 1)
+		m = s.occ[w]
+	}
+	j := w<<6 + bits.TrailingZeros64(m)
+	return s.cur + 1 + int64((j-i)&(nBuckets-1))
 }
 
 // refill moves the far events the window now covers into the calendar.
@@ -275,9 +308,14 @@ func (s *Simulator) refill() {
 			return
 		}
 		s.popFar()
-		s.cal[b&(nBuckets-1)].insert(e)
-		s.inCal++
+		s.file(b, e)
 	}
+}
+
+// vacate marks bucket b (an absolute bucket number) empty.
+func (s *Simulator) vacate(b int64) {
+	i := b & (nBuckets - 1)
+	s.occ[i>>6] &^= 1 << (i & 63)
 }
 
 // popFar removes the far heap's earliest event.
@@ -356,6 +394,9 @@ func (s *Simulator) maybeCompact() {
 				b.insert(e)
 			}
 			e = next
+		}
+		if b.head == nil {
+			s.vacate(i)
 		}
 	}
 	h := s.far
@@ -484,6 +525,7 @@ func (s *Simulator) run(horizon time.Duration) {
 		e := b.head
 		if b.head = e.next; b.head == nil {
 			b.tail = nil
+			s.vacate(s.cur)
 		}
 		s.inCal--
 		if e.dead {

@@ -156,7 +156,8 @@ func TestDeadEventCompaction(t *testing.T) {
 
 // stored counts the entries the queue holds, dead ones included, by
 // walking every calendar bucket and the far heap, and checks the
-// calendar's own count and each bucket's order and window against it.
+// calendar's own count, each bucket's order and window, and its
+// occupancy bit against it.
 func stored(t testing.TB, s *Simulator) int {
 	t.Helper()
 	n := 0
@@ -175,6 +176,9 @@ func stored(t testing.TB, s *Simulator) int {
 		}
 		if b.tail != last {
 			t.Fatalf("slot %d: tail is not the last event", i)
+		}
+		if set := s.occ[i>>6]&(1<<(i&63)) != 0; set != (b.head != nil) {
+			t.Fatalf("slot %d: occupancy bit %t, bucket non-empty %t", i, set, b.head != nil)
 		}
 	}
 	if n != s.inCal {

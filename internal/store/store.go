@@ -1,5 +1,6 @@
 // Package store is an on-disk content-addressed result store: the
-// persistent second cache tier behind the in-process runner memo. Keys
+// persistent cache of experiment results across processes (the runner
+// keeps no scenario result past its batch). Keys
 // are arbitrary strings (the experiment layer derives them from
 // experiment ID + options + a code-revision namespace); entries are
 // opaque payload bytes wrapped in a checksummed envelope. The store is

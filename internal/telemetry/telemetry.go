@@ -76,8 +76,15 @@ type Collector struct {
 	Records []TBRecord
 }
 
-// Add appends one record.
-func (c *Collector) Add(r TBRecord) { c.Records = append(c.Records, r) }
+// Add appends one record. A full log doubles, as packet.Capture's does.
+func (c *Collector) Add(r TBRecord) {
+	if n := len(c.Records); n == cap(c.Records) {
+		grown := make([]TBRecord, n, 2*n+1)
+		copy(grown, c.Records)
+		c.Records = grown
+	}
+	c.Records = append(c.Records, r)
+}
 
 // SnifferView returns copies of the records with ground-truth fields
 // stripped, i.e. exactly what NG-Scope would deliver.
@@ -90,9 +97,19 @@ func (c *Collector) SnifferView() []TBRecord {
 	return out
 }
 
-// ForUE filters records for one UE, preserving order.
+// ForUE filters records for one UE, preserving order. It counts them
+// first, so the result is allocated once at its size.
 func (c *Collector) ForUE(ue uint32) []TBRecord {
-	var out []TBRecord
+	n := 0
+	for _, r := range c.Records {
+		if r.UE == ue {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]TBRecord, 0, n)
 	for _, r := range c.Records {
 		if r.UE == ue {
 			out = append(out, r)

@@ -6,8 +6,10 @@ package athena
 // row re-sweeps under one condition — another worker count, the obs
 // metrics and span timeline switched on, the result store cold, warm and
 // after every entry is corrupted — and must reproduce the bare sweep
-// digest for digest. The shared scenario pool is flushed before each
-// sweep so every row recomputes what it does not recall from the store.
+// digest for digest. The shared scenario pool keeps no run past the
+// batch that asked for it (the bare sweep checks it is empty once it
+// returns), so every row recomputes what it does not recall from the
+// store.
 // The store rows run in order on one store. A PR that means to change
 // an artifact updates its literal and says why; any other diff here is
 // a behaviour change nobody asked for.
@@ -79,6 +81,10 @@ func TestRegistryDigestsPinned(t *testing.T) {
 	}
 
 	bare := sweep(t, experiment.SweepConfig{Parallel: 2})
+	// A sweep's memory is one batch's worth: no run outlives its batch.
+	if n := runner.Default.CacheLen(); n != 0 {
+		t.Errorf("the scenario pool holds %d runs after the sweep returned, want 0", n)
+	}
 	for _, r := range bare {
 		id := r.Experiment.ID
 		// The sweep renders what the registered generator returns.
@@ -171,16 +177,17 @@ func TestRegistryDigestsPinned(t *testing.T) {
 }
 
 // checkObsSweep holds an instrumented sweep to real work since before:
-// it fired events, missed the flushed memo, found every fed-back packet
-// in its sender's send history, spanned each experiment once, and left a
-// registry that renders as well-formed Prometheus exposition.
+// it fired events, ran scenarios of its own (pool misses), found every
+// fed-back packet in its sender's send history, spanned each experiment
+// once, and left a registry that renders as well-formed Prometheus
+// exposition.
 func checkObsSweep(t *testing.T, before obs.Snapshot, tl *obs.Tracer, experiments int) {
 	snap := obs.TakeSnapshot()
 	if snap.Counters["sim.events_fired"] == before.Counters["sim.events_fired"] {
 		t.Error("instrumented sweep fired no sim events — was the pool flushed?")
 	}
 	if snap.Counters["runner.default.memo_misses"] == before.Counters["runner.default.memo_misses"] {
-		t.Error("instrumented sweep hit only memoized results")
+		t.Error("instrumented sweep ran no scenario of its own")
 	}
 	if n, ok := snap.Counters["cc.history_misses"]; !ok || n != 0 {
 		t.Errorf("cc.history_misses = %d (registered: %v), want 0", n, ok)

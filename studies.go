@@ -141,8 +141,9 @@ func S2AccessNetworks(o Options) *FigureData {
 		fig.Scalars["ul_p99_ms:"+key] = sum.P99
 		fig.Scalars["overuse:"+key] = float64(res.GCC.OveruseCount)
 		fig.Scalars["rate_kbps:"+key] = res.GCC.TargetRate().Kbits()
-		// FrameJitter belongs to the shared memoized Result: quantile on a
-		// copy. FrameRates returns a fresh slice: quantile in place.
+		// FrameJitter belongs to a Result a concurrent driver may share:
+		// quantile on a copy. FrameRates returns a fresh slice: quantile
+		// in place.
 		fig.Scalars["frame_jitter_p50_ms:"+key] = stats.Quantile(res.Receiver.FrameJitter, 0.5)
 		fig.Scalars["fps_p50:"+key] = stats.QuantileInPlace(res.Receiver.Renderer.FrameRates(), 0.5)
 		fig.Add("video UL delay CDF (x=ms): "+key,
