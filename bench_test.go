@@ -25,7 +25,7 @@ func BenchmarkRegistry(b *testing.B) {
 		b.Run(e.ID, func(b *testing.B) {
 			var fig *FigureData
 			for i := 0; i < b.N; i++ {
-				fig = e.Gen(Options{Seed: 1, Scale: 1})
+				fig = experiment.Generate(e.Plan(Options{Seed: 1, Scale: 1}))
 			}
 			fmt.Println(fig)
 			names := make([]string, 0, len(fig.Scalars))

@@ -12,29 +12,27 @@
 //	athena-bench -tags smoke           # by tag (one experiment per family)
 //	athena-bench -regex '^F9'          # by ID/title regex
 //	athena-bench -scale 0.25           # quick pass
-//	athena-bench -parallel 4           # up to 4 experiments concurrently
 //	athena-bench -manifest run.json    # JSON run manifest for regression diffing
 //	athena-bench -store .athena-store  # persistent result store: repeat sweeps are incremental
 //	athena-bench -diff-manifests a.json b.json
 //
-// With -parallel the experiments run concurrently but output streams in
-// registry order as each ordered prefix completes, so the figure
-// content is byte-identical to a serial run (only the timing lines
-// differ). Within each experiment the scenario sweep itself also fans
-// out across the shared runner pool, so even -parallel 1 uses every
-// core.
+// A sweep is one batch: every selected experiment's simulations run
+// together across the shared runner pool (one per core, each distinct
+// run once), and each figure renders as soon as its own runs have
+// landed. Output streams in registry order as each ordered prefix
+// completes, so the figure content is byte-identical whatever the
+// selection (only the timing lines differ).
 //
 // With -store (or ATHENA_STORE in the environment) results persist in
 // an on-disk content-addressed store keyed by experiment, options and
-// code revision: a warm sweep skips every unchanged generator and is
+// code revision: a warm sweep skips every unchanged experiment and is
 // digest-identical to a cold one. The store grows by about one sweep's
 // results per revision and is safe to delete.
 //
-// On SIGINT/SIGTERM a sweep stops launching new experiments, lets
-// in-flight ones finish, and still writes the manifest — completed
-// entries intact, never-started ones marked skipped — so a cancelled
-// CI job or ^C'd run keeps its partial progress diffable (and, with
-// -store, already persisted).
+// On SIGINT/SIGTERM a sweep stops launching new runs, lets in-flight
+// ones finish, and still writes the manifest — rendered entries intact,
+// the rest marked skipped — so a cancelled CI job or ^C'd run keeps its
+// partial progress diffable (and, with -store, already persisted).
 package main
 
 import (
@@ -136,7 +134,6 @@ func main() {
 	regex := flag.String("regex", "", "regular expression matched against experiment ID and title")
 	manifest := flag.String("manifest", "", "write a JSON run manifest (options, wall times, content digests) to this file")
 	out := flag.String("out", "", "directory to also write per-figure CSV data into")
-	parallel := flag.Int("parallel", 1, "number of experiments to regenerate concurrently")
 	verbose := flag.Bool("v", false, "print runner pool and result store statistics after the sweep")
 	storeDir := flag.String("store", os.Getenv("ATHENA_STORE"), "persistent result store directory (default $ATHENA_STORE; empty disables)")
 	storeNS := flag.String("store-namespace", "", "result store namespace (default $ATHENA_STORE_NAMESPACE, else the build VCS revision)")
@@ -194,8 +191,8 @@ func main() {
 		}
 	}
 
-	// A first ^C (or SIGTERM) stops launching experiments but lets
-	// in-flight ones complete, and the partial manifest below still
+	// A first ^C (or SIGTERM) stops launching runs but lets in-flight
+	// ones complete, and the partial manifest below still
 	// gets written; a second one kills the process the default way.
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
@@ -203,7 +200,6 @@ func main() {
 	start := time.Now()
 	results := experiment.Sweep(ctx, sel, experiment.SweepConfig{
 		Options:        opts,
-		Parallel:       *parallel,
 		OutDir:         *out,
 		Cache:          resultStore,
 		CacheNamespace: namespace,

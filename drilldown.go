@@ -15,15 +15,15 @@ func init() {
 		Experiment{ID: "F9a", Family: "figure", Tags: []string{"figure", "drilldown", "scheduling"},
 			Title:       "Link-layer scheduling introduces frame-level delay spread in 2.5 ms increments",
 			Description: "Fig 9a: a 120 ms window lining packets up against their TBs; over-granted requested TBs arrive unused.",
-			Gen:         Fig9a},
+			Plan:        planFig9a},
 		Experiment{ID: "F9b", Family: "figure", Tags: []string{"figure", "drilldown", "harq"},
 			Title:       "Link-layer retransmissions inflate packet delay by 10 ms",
 			Description: "Fig 9b: failed TBs retransmit 10 ms later, inflating carried packets in 10 ms multiples.",
-			Gen:         Fig9b},
+			Plan:        planFig9b},
 		Experiment{ID: "F10", Family: "figure", Tags: []string{"figure", "gcc"},
 			Title:       "GCC on an idle private 5G cell detects phantom network overuse",
 			Description: "Fig 10: the filtered delay gradient trips the adaptive threshold on a never-congested cell.",
-			Gen:         Fig10},
+			Plan:        planFig10},
 	)
 }
 
@@ -32,68 +32,70 @@ func init() {
 // horizontal lines of the figure) and every TB with its grant type and
 // used/unused state. The delay spread steps in 2.5 ms increments and some
 // requested TBs arrive over-granted (unused).
-func Fig9a(o Options) *FigureData {
+func Fig9a(o Options) *FigureData { return experiment.Generate(planFig9a(o)) }
+
+func planFig9a(o Options) Plan {
 	cfg := DefaultConfig()
 	cfg.Seed = o.SeedOrDefault()
 	cfg.Duration = 10 * time.Second
 	// A clean window: no fading so the scheduling mechanics stand alone.
 	cfg.RAN.BLER = 0
 	cfg.RAN.FadeMeanBad = 0
-	res := Run(cfg)
+	return partsPlan(NewFigure("F9a", "Link-layer scheduling introduces frame-level delay spread in 2.5 ms increments"), runs(cfg), func(_ int, tr *TopologyResult, fig *FigureData) {
+		res := tr.SingleUE(cfg)
+		from, to := 5*time.Second, 5*time.Second+120*time.Millisecond
+		drilldown(fig, res, from, to)
 
-	fig := NewFigure("F9a", "Link-layer scheduling introduces frame-level delay spread in 2.5 ms increments")
-	from, to := 5*time.Second, 5*time.Second+120*time.Millisecond
-	drilldown(fig, res, from, to)
-
-	// Over-granting evidence across the whole run.
-	var requested []telemetry.TBRecord
-	for _, r := range res.RAN.Telemetry.ForUE(1) {
-		if r.Grant == telemetry.GrantRequested {
-			requested = append(requested, r)
+		// Over-granting evidence across the whole run.
+		var requested []telemetry.TBRecord
+		for _, r := range res.RAN.Telemetry.ForUE(1) {
+			if r.Grant == telemetry.GrantRequested {
+				requested = append(requested, r)
+			}
 		}
-	}
-	w := telemetry.WasteOf(requested)
-	fig.Scalars["requested_tb_efficiency"] = w.Efficiency()
-	fig.Scalars["unused_requested_tbs"] = float64(w.EmptyTBs)
-	fig.Note("requested TBs arrive ~10 ms after the BSR; proactive TBs drained the buffer meanwhile, so %d requested TBs carried nothing", w.EmptyTBs)
-	return fig
+		w := telemetry.WasteOf(requested)
+		fig.Scalars["requested_tb_efficiency"] = w.Efficiency()
+		fig.Scalars["unused_requested_tbs"] = float64(w.EmptyTBs)
+		fig.Note("requested TBs arrive ~10 ms after the BSR; proactive TBs drained the buffer meanwhile, so %d requested TBs carried nothing", w.EmptyTBs)
+	}, nil)
 }
 
 // Fig9b regenerates the retransmission drill-down of Fig 9b: a lossy
 // window where failed TBs are retransmitted 10 ms later, inflating the
 // delay of the packets they carry by 10 ms multiples.
-func Fig9b(o Options) *FigureData {
+func Fig9b(o Options) *FigureData { return experiment.Generate(planFig9b(o)) }
+
+func planFig9b(o Options) Plan {
 	cfg := DefaultConfig()
 	cfg.Seed = o.SeedOrDefault()
 	cfg.Duration = 10 * time.Second
 	cfg.RAN.BLER = 0.25 // high-interference episode
 	cfg.RAN.FadeMeanBad = 0
-	res := Run(cfg)
+	return partsPlan(NewFigure("F9b", "Link-layer retransmissions inflate packet delay by 10 ms"), runs(cfg), func(_ int, tr *TopologyResult, fig *FigureData) {
+		res := tr.SingleUE(cfg)
+		from, to := 5*time.Second, 5*time.Second+160*time.Millisecond
+		drilldown(fig, res, from, to)
 
-	fig := NewFigure("F9b", "Link-layer retransmissions inflate packet delay by 10 ms")
-	from, to := 5*time.Second, 5*time.Second+160*time.Millisecond
-	drilldown(fig, res, from, to)
-
-	// HARQ inflation statistics.
-	var inflations []float64
-	for _, v := range res.Report.Packets {
-		if v.HARQDelay > 0 {
-			inflations = append(inflations, float64(v.HARQDelay)/float64(time.Millisecond))
+		// HARQ inflation statistics.
+		var inflations []float64
+		for _, v := range res.Report.Packets {
+			if v.HARQDelay > 0 {
+				inflations = append(inflations, float64(v.HARQDelay)/float64(time.Millisecond))
+			}
 		}
-	}
-	fig.Scalars["packets_with_harq_inflation"] = float64(len(inflations))
-	if len(inflations) > 0 {
-		fig.Scalars["harq_inflation_p50_ms"] = stats.QuantileInPlace(inflations, 0.5)
-	}
-	retxEmpty := 0
-	for _, r := range res.RAN.Telemetry.ForUE(1) {
-		if r.IsRetx() && !r.Used() {
-			retxEmpty++
+		fig.Scalars["packets_with_harq_inflation"] = float64(len(inflations))
+		if len(inflations) > 0 {
+			fig.Scalars["harq_inflation_p50_ms"] = stats.QuantileInPlace(inflations, 0.5)
 		}
-	}
-	fig.Scalars["empty_tb_retransmissions"] = float64(retxEmpty)
-	fig.Note("the base station also mandates retransmission of empty TBs (%d observed), wasting bandwidth", retxEmpty)
-	return fig
+		retxEmpty := 0
+		for _, r := range res.RAN.Telemetry.ForUE(1) {
+			if r.IsRetx() && !r.Used() {
+				retxEmpty++
+			}
+		}
+		fig.Scalars["empty_tb_retransmissions"] = float64(retxEmpty)
+		fig.Note("the base station also mandates retransmission of empty TBs (%d observed), wasting bandwidth", retxEmpty)
+	}, nil)
 }
 
 // drilldown emits the Fig 9 content for [from, to): packet rows and TB
@@ -138,30 +140,31 @@ func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond)
 // threshold, and the overuse detections, on an idle cell where the mobile
 // is the only user — the gradient fluctuates and trips the detector even
 // though the network is never congested.
-func Fig10(o Options) *FigureData {
+func Fig10(o Options) *FigureData { return experiment.Generate(planFig10(o)) }
+
+func planFig10(o Options) Plan {
 	cfg := DefaultConfig()
 	cfg.Seed = o.SeedOrDefault()
 	cfg.Duration = o.Scaled(2 * time.Minute)
 	cfg.CaptureGCC = true
-	res := Run(cfg)
-
-	fig := NewFigure("F10", "GCC on an idle private 5G cell detects phantom network overuse")
-	var trend, thrU, thrL, over []stats.Point
-	for _, tp := range res.GCC.Trace {
-		x := float64(tp.PacketIndex)
-		trend = append(trend, stats.Point{X: x, Y: tp.Trend})
-		thrU = append(thrU, stats.Point{X: x, Y: tp.Threshold})
-		thrL = append(thrL, stats.Point{X: x, Y: -tp.Threshold})
-		if tp.Overuse {
-			over = append(over, stats.Point{X: x, Y: tp.Trend})
+	return partsPlan(NewFigure("F10", "GCC on an idle private 5G cell detects phantom network overuse"), runs(cfg), func(_ int, tr *TopologyResult, fig *FigureData) {
+		res := tr.SingleUE(cfg)
+		var trend, thrU, thrL, over []stats.Point
+		for _, tp := range res.GCC.Trace {
+			x := float64(tp.PacketIndex)
+			trend = append(trend, stats.Point{X: x, Y: tp.Trend})
+			thrU = append(thrU, stats.Point{X: x, Y: tp.Threshold})
+			thrL = append(thrL, stats.Point{X: x, Y: -tp.Threshold})
+			if tp.Overuse {
+				over = append(over, stats.Point{X: x, Y: tp.Trend})
+			}
 		}
-	}
-	fig.Add("filtered delay gradient", trend)
-	fig.Add("threshold (+)", thrU)
-	fig.Add("threshold (-)", thrL)
-	fig.Add("overuse detections", over)
-	fig.Scalars["overuse_detections"] = float64(res.GCC.OveruseCount)
-	fig.Scalars["packets_traced"] = float64(len(res.GCC.Trace))
-	fig.Note("%d overuse detections on an idle, never-congested cell — phantom congestion misleads GCC", res.GCC.OveruseCount)
-	return fig
+		fig.Add("filtered delay gradient", trend)
+		fig.Add("threshold (+)", thrU)
+		fig.Add("threshold (-)", thrL)
+		fig.Add("overuse detections", over)
+		fig.Scalars["overuse_detections"] = float64(res.GCC.OveruseCount)
+		fig.Scalars["packets_traced"] = float64(len(res.GCC.Trace))
+		fig.Note("%d overuse detections on an idle, never-congested cell — phantom congestion misleads GCC", res.GCC.OveruseCount)
+	}, nil)
 }

@@ -116,7 +116,7 @@ type Report struct {
 	Frames  []FrameView
 	// byKey is the key index: each packet key's newest view and core
 	// sightings.
-	byKey map[pktKey]keyState
+	byKey keyIndex
 	// fifoLeft holds, per Packets index, the bytes the TB matcher's FIFO
 	// replay never drained into a transport block (nil when no TBs were
 	// supplied).
@@ -145,9 +145,80 @@ type keyState struct {
 // noView marks a key whose core sightings await their sender record.
 const noView = -1
 
+// keyIndex is the key index behind a counter: every lookup, insert and
+// delete goes through it and counts one probe, so probes is the work the
+// correlator did on the index, whoever asked for it — what the live
+// duplicate guard must keep O(1) per record
+// (TestIngestSameTimestampBurstLinear). peek alone does not count: it
+// serves Report.Packet, whose callers may share a Report across
+// goroutines.
+type keyIndex struct {
+	m      map[pktKey]keyState
+	probes int
+}
+
+func newKeyIndex(n int) keyIndex { return keyIndex{m: make(map[pktKey]keyState, n)} }
+
+func (x *keyIndex) get(k pktKey) (keyState, bool) {
+	x.probes++
+	s, ok := x.m[k]
+	return s, ok
+}
+
+func (x *keyIndex) set(k pktKey, s keyState) {
+	x.probes++
+	x.m[k] = s
+}
+
+func (x *keyIndex) del(k pktKey) {
+	x.probes++
+	delete(x.m, k)
+}
+
+func (x *keyIndex) peek(k pktKey) (keyState, bool) {
+	s, ok := x.m[k]
+	return s, ok
+}
+
+// keySet is the live duplicate guard's set of keys a trim retired at the
+// sender head. Like keyIndex it counts a probe per lookup and insert,
+// and a reset counts each slot it clears.
+type keySet struct {
+	m      map[pktKey]struct{}
+	peak   int // the most keys m has held since it was made
+	probes int
+}
+
+func (x *keySet) has(k pktKey) bool {
+	x.probes++
+	_, ok := x.m[k]
+	return ok
+}
+
+func (x *keySet) add(k pktKey) {
+	x.probes++
+	x.m[k] = struct{}{}
+}
+
+// reset empties the set for a new capture timestamp. Clearing a map
+// costs its capacity, which never shrinks, so once a burst has grown the
+// map past 64 keys, a run under a quarter of that burst replaces it
+// instead. Either way the reset is amortised O(1) per key added, and a
+// feed whose runs stay small never allocates here.
+func (x *keySet) reset() {
+	n := len(x.m)
+	x.peak = max(x.peak, n)
+	if x.peak > 64 && 4*n < x.peak {
+		x.m, x.peak = make(map[pktKey]struct{}), 0
+		return
+	}
+	x.probes += x.peak // clear walks every slot the map has grown
+	clear(x.m)
+}
+
 // Packet looks up the view for a specific packet.
 func (r *Report) Packet(flow, seq uint32, kind packet.Kind) (PacketView, bool) {
-	s, ok := r.byKey[pktKey{flow, seq, kind}]
+	s, ok := r.byKey.peek(pktKey{flow, seq, kind})
 	if !ok || s.view == noView {
 		return PacketView{}, false
 	}
@@ -284,7 +355,7 @@ func feedOnce(in Input) *LiveCorrelator {
 	// capture too.
 	recvOff := in.offset(packet.PointReceiver)
 	for _, r := range in.Receiver {
-		s, ok := rep.byKey[pktKey{r.Flow, r.Seq, r.Kind}]
+		s, ok := rep.byKey.get(pktKey{r.Flow, r.Seq, r.Kind})
 		if !ok || s.view == noView {
 			continue
 		}

@@ -268,15 +268,15 @@ func reportHash(rep *Report) string {
 	for _, f := range rep.Frames {
 		fmt.Fprintf(h, "%+v\n", f)
 	}
-	keys := make([]pktKey, 0, len(rep.byKey))
-	for k, s := range rep.byKey {
+	keys := make([]pktKey, 0, len(rep.byKey.m))
+	for k, s := range rep.byKey.m {
 		if s.view != noView {
 			keys = append(keys, k)
 		}
 	}
-	sort.Slice(keys, func(i, j int) bool { return rep.byKey[keys[i]].view < rep.byKey[keys[j]].view })
+	sort.Slice(keys, func(i, j int) bool { return rep.byKey.m[keys[i]].view < rep.byKey.m[keys[j]].view })
 	for _, k := range keys {
-		fmt.Fprintf(h, "%v=%d\n", k, rep.byKey[k].view)
+		fmt.Fprintf(h, "%v=%d\n", k, rep.byKey.m[k].view)
 	}
 	fmt.Fprintf(h, "fifo nil=%v %v\n", rep.fifoLeft == nil, rep.fifoLeft)
 	return hex.EncodeToString(h.Sum(nil))

@@ -155,38 +155,70 @@ func TestIngestRejectsReplayOfTrimmedHeadRecord(t *testing.T) {
 // per-record cost of an ordinary feed: the duplicate guard runs under the
 // session lock, and a session's 64 Ki pending records fit in one feed.
 // The check compares equal lengths — 64 Ki records at one timestamp
-// against 64 Ki at distinct timestamps — so both sides build key maps of
-// the same size and pay the same cache cost per record: a guard that is
-// O(1) per record reads ~1×, a scan of the head run per record reads
-// hundreds of times that. The two feeds alternate, and the first of each
-// only sizes the buffers, so each side is the best of the five after it.
+// against 64 Ki at distinct timestamps, each followed by an Advance that
+// retires them — and counts the key slots probed: the lookups, inserts
+// and deletes on the key index and the duplicate guard's head set, and
+// each slot a reset of the head set clears, counted inside those two
+// types, the only way to reach their maps. A guard that is O(1) per
+// record probes about as many per record on both feeds; one that
+// re-probes the head run, or clears the head set, per record probes
+// thousands of times as many on the burst.
+//
+// A scan of the head run written over Report.Packets itself touches
+// neither map, so the counts cannot see it; the feeds are also timed,
+// as a backstop against that, with a bound (10×) no load on the box
+// reaches — such a scan takes about a hundred times as long.
+// BenchmarkIngestSameTimestampBurst times the burst.
 func TestIngestSameTimestampBurstLinear(t *testing.T) {
 	const n = 64 << 10
-	feed := func(lc *LiveCorrelator, base, step time.Duration) time.Duration {
-		t0 := time.Now()
-		for i := 0; i < n; i++ {
-			if err := lc.OnSenderRecord(sRec(1, uint32(i), packet.KindVideo, base+time.Duration(i)*step)); err != nil {
-				t.Fatal(err)
+	steps := [2]time.Duration{0, time.Microsecond} // burst, spread
+	lcs := [2]*LiveCorrelator{NewLive(Input{}, nil), NewLive(Input{}, nil)}
+	best := [2]time.Duration{1<<63 - 1, 1<<63 - 1}
+	for rep := 0; rep < 3; rep++ {
+		for side, lc := range lcs {
+			t0 := time.Now()
+			feedRecords(t, lc, n, time.Duration(rep)*time.Second, steps[side])
+			if rep > 0 { // the first feed only sizes the buffers
+				best[side] = min(best[side], time.Since(t0))
 			}
 		}
-		took := time.Since(t0)
-		if err := lc.Advance(base + time.Second); err != nil {
-			t.Fatal(err)
-		}
-		return took
 	}
-	burstLC, spreadLC := NewLive(Input{}, nil), NewLive(Input{}, nil)
-	burst, spread := time.Duration(1<<63-1), time.Duration(1<<63-1)
-	for rep := 0; rep < 6; rep++ {
-		base := time.Duration(rep) * time.Second
-		b, s := feed(burstLC, base, 0), feed(spreadLC, base, time.Microsecond)
-		if rep > 0 {
-			burst, spread = min(burst, b), min(spread, s)
+	var probes [2]int
+	for side, lc := range lcs {
+		probes[side] = lc.rep.byKey.probes + lc.headKeys.probes
+	}
+	burst, spread := probes[0], probes[1]
+	t.Logf("key slots probed per record: %.2f on the burst, %.2f spread; best feed %v against %v",
+		float64(burst)/(3*n), float64(spread)/(3*n), best[0], best[1])
+	if burst >= 2*spread {
+		t.Errorf("64 Ki same-timestamp records probed %d key slots, %.2f× the %d of 64 Ki at distinct timestamps; want < 2×",
+			burst, float64(burst)/float64(spread), spread)
+	}
+	if best[0] >= 10*best[1] {
+		t.Errorf("64 Ki same-timestamp records took %v, %.1f× the %v of 64 Ki at distinct timestamps; want < 10×",
+			best[0], float64(best[0])/float64(best[1]), best[1])
+	}
+}
+
+// feedRecords feeds n sender records from base, step apart, then
+// advances a second past base.
+func feedRecords(tb testing.TB, lc *LiveCorrelator, n int, base, step time.Duration) {
+	for i := 0; i < n; i++ {
+		if err := lc.OnSenderRecord(sRec(1, uint32(i), packet.KindVideo, base+time.Duration(i)*step)); err != nil {
+			tb.Fatal(err)
 		}
 	}
-	if ratio := float64(burst) / float64(spread); ratio >= 2 {
-		t.Fatalf("64 Ki same-timestamp records took %v, %.2f× the %v of 64 Ki at distinct timestamps; want < 2×",
-			burst, ratio, spread)
+	if err := lc.Advance(base + time.Second); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// BenchmarkIngestSameTimestampBurst feeds 64 Ki sender records at one
+// capture timestamp per iteration.
+func BenchmarkIngestSameTimestampBurst(b *testing.B) {
+	lc := NewLive(Input{}, nil)
+	for i := 0; i < b.N; i++ {
+		feedRecords(b, lc, 64<<10, time.Duration(i)*time.Second, 0)
 	}
 }
 
@@ -460,11 +492,11 @@ func assertRederives(t testing.TB, lc *LiveCorrelator, fed *tbLog) {
 			t.Fatalf("view %d: %d bytes undrained, re-derive has %d", i, lc.fifoLeft[i], re.fifoLeft[i])
 		}
 	}
-	if len(lc.rep.byKey) != len(want.byKey) {
-		t.Fatalf("key index holds %d keys, re-derive %d", len(lc.rep.byKey), len(want.byKey))
+	if len(lc.rep.byKey.m) != len(want.byKey.m) {
+		t.Fatalf("key index holds %d keys, re-derive %d", len(lc.rep.byKey.m), len(want.byKey.m))
 	}
-	for k, s := range lc.rep.byKey {
-		w, ok := want.byKey[k]
+	for k, s := range lc.rep.byKey.m {
+		w, ok := want.byKey.m[k]
 		if s.view != noView {
 			s.view -= lc.shift
 		}

@@ -102,13 +102,11 @@ type LiveCorrelator struct {
 	// accepted at exactly sentHead: a replay of anything older already
 	// fails the order check. The key index finds the ones
 	// still retained; headKeys holds those a trim retired, so the check
-	// survives every trim. headPeak is the most keys headKeys has held
-	// since it was last made.
+	// survives every trim.
 	sentHead    time.Duration
 	coreHead    time.Duration
 	advanced    time.Duration
-	headKeys    map[pktKey]struct{}
-	headPeak    int
+	headKeys    keySet
 	coveredFlow map[uint32]bool
 
 	// Progress counters surfaced by Snapshot.
@@ -172,11 +170,11 @@ func NewLive(in Input, emit func(PacketView)) *LiveCorrelator {
 		in:         in,
 		FlushAfter: DefaultFlushAfter,
 		Emit:       emit,
-		rep:        &Report{Packets: make([]PacketView, 0, ns), byKey: make(map[pktKey]keyState, ns)},
+		rep:        &Report{Packets: make([]PacketView, 0, ns), byKey: newKeyIndex(ns)},
 		fifoLeft:   make([]int64, 0, ns),
 		sizes:      make([]int64, 0, ns),
 		core:       queue[coreRec]{buf: make([]coreRec, 0, nc)},
-		headKeys:   make(map[pktKey]struct{}),
+		headKeys:   keySet{m: make(map[pktKey]struct{})},
 		procs:      make([]tbProcess, 0, nt),
 		procIdx:    make(map[uint64]int32, nt),
 		tbids:      make([]uint64, 0, ns+nt),
@@ -213,14 +211,14 @@ func (lc *LiveCorrelator) OnSenderRecord(r packet.Record) error {
 	}
 	k := pktKey{r.Flow, r.Seq, r.Kind}
 	if at > lc.sentHead {
-		lc.resetHead()
+		lc.headKeys.reset()
 	}
-	s, ok := lc.rep.byKey[k]
+	s, ok := lc.rep.byKey.get(k)
 	var prev *PacketView
 	if ok && s.view != noView {
 		prev = &lc.rep.Packets[s.view-lc.shift]
 	}
-	if _, retired := lc.headKeys[k]; retired || prev != nil && prev.SentAt == at {
+	if prev != nil && prev.SentAt == at || lc.headKeys.has(k) {
 		// Sequence-less kinds (NTP cross traffic) legitimately repeat a
 		// key at distinct capture times; an identical timestamp means the
 		// same record fed twice.
@@ -235,7 +233,7 @@ func (lc *LiveCorrelator) OnSenderRecord(r packet.Record) error {
 		prev.clearCore()
 	}
 	s.view = len(lc.rep.Packets) + lc.shift
-	lc.rep.byKey[k] = s
+	lc.rep.byKey.set(k, s)
 	lc.rep.Packets = append(lc.rep.Packets, PacketView{})
 	v := &lc.rep.Packets[len(lc.rep.Packets)-1]
 	v.Flow, v.Seq, v.Kind, v.SentAt = r.Flow, r.Seq, r.Kind, at
@@ -247,21 +245,6 @@ func (lc *LiveCorrelator) OnSenderRecord(r packet.Record) error {
 	// A dry FIFO left budget over that the new packet can take.
 	lc.dirty = min(lc.dirty, lc.dry)
 	return nil
-}
-
-// resetHead empties the duplicate index for a new capture timestamp.
-// Clearing a map costs its capacity, which never shrinks, so once a
-// burst has grown the map past 64 keys, a run under a quarter of that
-// burst replaces it instead. Either way the reset is amortised O(1) per
-// record, and a feed whose runs stay small never allocates here.
-func (lc *LiveCorrelator) resetHead() {
-	n := len(lc.headKeys)
-	lc.headPeak = max(lc.headPeak, n)
-	if lc.headPeak > 64 && 4*n < lc.headPeak {
-		lc.headKeys, lc.headPeak = make(map[pktKey]struct{}), 0
-		return
-	}
-	clear(lc.headKeys)
 }
 
 // OnCoreRecord feeds a point-② capture record. The same capture-order
@@ -278,7 +261,7 @@ func (lc *LiveCorrelator) OnCoreRecord(r packet.Record) error {
 	}
 	lc.coreHead = at
 	k := pktKey{r.Flow, r.Seq, r.Kind}
-	s, ok := lc.rep.byKey[k]
+	s, ok := lc.rep.byKey.get(k)
 	if !ok {
 		s.view = noView
 	}
@@ -286,7 +269,7 @@ func (lc *LiveCorrelator) OnCoreRecord(r packet.Record) error {
 		s.from = lc.arrivals
 	}
 	s.at, s.n = at, s.n+1
-	lc.rep.byKey[k] = s
+	lc.rep.byKey.set(k, s)
 	lc.core.push(coreRec{k, at, lc.arrivals})
 	lc.arrivals++
 	lc.nCore++
@@ -600,11 +583,11 @@ func (lc *LiveCorrelator) trim(horizon time.Duration) {
 				}
 				// The sender buffer is empty, so the key has no view.
 				lc.nCore--
-				if s := lc.rep.byKey[c.key]; s.n > 1 {
+				if s, _ := lc.rep.byKey.get(c.key); s.n > 1 {
 					s.n--
-					lc.rep.byKey[c.key] = s
+					lc.rep.byKey.set(c.key, s)
 				} else {
-					delete(lc.rep.byKey, c.key)
+					lc.rep.byKey.del(c.key)
 				}
 			}
 		}
@@ -657,12 +640,12 @@ func (lc *LiveCorrelator) retire(cut int) {
 	for i := range lc.rep.Packets[:cut] {
 		v := &lc.rep.Packets[i]
 		k := pktKey{v.Flow, v.Seq, v.Kind}
-		s := lc.rep.byKey[k] // the key's newest view, this one or a later
+		s, _ := lc.rep.byKey.get(k) // the key's newest view, this one or a later
 		lc.nCore -= s.n
 		if s.view == i+lc.shift {
-			delete(lc.rep.byKey, k)
+			lc.rep.byKey.del(k)
 			if v.SentAt == lc.sentHead {
-				lc.headKeys[k] = struct{}{}
+				lc.headKeys.add(k)
 			}
 			continue
 		}
@@ -670,7 +653,7 @@ func (lc *LiveCorrelator) retire(cut int) {
 			lc.rep.Packets[s.view-lc.shift].clearCore()
 		}
 		s.at, s.n = 0, 0
-		lc.rep.byKey[k] = s
+		lc.rep.byKey.set(k, s)
 	}
 	lc.sizes = lc.sizes[:copy(lc.sizes, lc.sizes[cut:])]
 	lc.rep.Packets = lc.rep.Packets[:copy(lc.rep.Packets, lc.rep.Packets[cut:])]
@@ -741,7 +724,7 @@ func (lc *LiveCorrelator) compactProcs() {
 
 // coreLive reports whether a logged core sighting is still retained.
 func (lc *LiveCorrelator) coreLive(c *coreRec) bool {
-	s := lc.rep.byKey[c.key]
+	s, _ := lc.rep.byKey.get(c.key)
 	return s.n > 0 && c.seq >= s.from
 }
 

@@ -5,7 +5,7 @@ package experiment
 // fixed code revision, and digest-validated — exactly the shape an
 // on-disk content-addressed cache wants. This file derives the cache
 // keys, defines the stored payload, and implements the load/save path
-// Sweep uses to skip a generator entirely on a warm hit.
+// Sweep uses to skip an experiment's plan entirely on a warm hit.
 //
 // Freshness is a key property, not a validation property: the stored
 // digest proves the bytes are intact, not that the current code would
@@ -30,8 +30,8 @@ const cacheKeyVersion = 1
 
 // CacheKey derives the content address of one experiment result. The
 // key is a pure function of (namespace, experiment ID, options):
-// everything the generator's output depends on at a fixed revision —
-// Gen is required to be a pure function of Options, and the namespace
+// everything the rendered figure depends on at a fixed revision —
+// Plan is required to be a pure function of Options, and the namespace
 // stands in for the revision.
 func CacheKey(namespace string, e Experiment, opts Options) string {
 	optJSON, err := json.Marshal(opts)

@@ -13,14 +13,14 @@ import (
 	"athena/internal/store"
 )
 
-// countingExperiments builds deterministic experiments whose generators
-// count invocations, so tests can prove a warm sweep really skipped
-// Gen.
+// countingExperiments builds deterministic experiments whose plans count
+// invocations, so tests can prove a warm sweep really skipped planning
+// and rendering them.
 func countingExperiments(n int, calls *atomic.Int64) []Experiment {
 	es := make([]Experiment, n)
 	for i := range es {
 		id := string(rune('A'+i)) + "1"
-		es[i] = Experiment{ID: id, Title: "cache-" + id, Family: "test", Tags: []string{"test"}, Gen: func(o Options) *FigureData {
+		es[i] = Experiment{ID: id, Title: "cache-" + id, Family: "test", Tags: []string{"test"}, Plan: renderOnly(func(o Options) *FigureData {
 			if calls != nil {
 				calls.Add(1)
 			}
@@ -30,7 +30,7 @@ func countingExperiments(n int, calls *atomic.Int64) []Experiment {
 			f.Add("line", []stats.Point{{X: 1, Y: float64(o.SeedOrDefault())}, {X: 2, Y: 0.125}})
 			f.Note("note for %s", id)
 			return f
-		}}
+		})}
 	}
 	return es
 }
@@ -54,7 +54,7 @@ func TestSweepStoreColdWarm(t *testing.T) {
 	var calls atomic.Int64
 	exps := countingExperiments(5, &calls)
 	s := testStore(t)
-	cfg := SweepConfig{Options: Options{Seed: 3, Scale: 0.5}, Parallel: 2, Cache: s, CacheNamespace: "rev1"}
+	cfg := SweepConfig{Options: Options{Seed: 3, Scale: 0.5}, Cache: s, CacheNamespace: "rev1"}
 
 	cold := Sweep(context.Background(), exps, cfg)
 	if got := calls.Load(); got != 5 {

@@ -1,11 +1,14 @@
 // Package experiment is the evaluation-artifact layer of the repository:
 // the plot-ready figure model (FigureData), a process-wide registry of
 // experiments (every paper figure F3–F10, mitigation study M1–M4,
-// ablation A1–A4 and extension study S1–S4 registers itself here), a
-// declarative selection language (by ID, tag, or regex), and a Sweep
-// engine that executes any selection through a runner.Pool with context
-// cancellation, deterministic input-ordered output, and a JSON run
-// manifest for regression diffing across revisions.
+// ablation A1–A4 and extension study S1–S4, S8, S9 registers itself
+// here), a declarative selection language (by ID, tag, or regex), and a
+// Sweep engine. An experiment declares a Plan — the topology runs it
+// needs, a Fold per run and a Render — rather than running anything
+// itself; Sweep submits the plans of a whole selection to the shared
+// runner pool as one deduplicated batch, with context cancellation,
+// deterministic input-ordered output, and a JSON run manifest for
+// regression diffing across revisions.
 //
 // The package exists so that adding a workload means registering data,
 // not editing code paths: drivers used to be a hand-maintained function

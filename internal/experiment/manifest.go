@@ -27,9 +27,9 @@ type ManifestEntry struct {
 	Tags    []string `json:"tags,omitempty"`
 	Options Options  `json:"options"`
 	WallMS  float64  `json:"wall_ms"`
-	// QueueWaitMS is how long the experiment waited behind the sweep's
-	// parallelism bound before running; wall_ms counts only the
-	// generator itself.
+	// QueueWaitMS is how long the experiment's first run waited in the
+	// sweep's batch before starting; wall_ms counts from that start to
+	// the end of its render.
 	QueueWaitMS float64 `json:"queue_wait_ms"`
 	// StoreWaitMS is the persistent-store lookup and validation time,
 	// hit or miss; zero when no store was configured.

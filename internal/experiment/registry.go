@@ -10,7 +10,7 @@ import (
 )
 
 // Experiment is one registered evaluation artifact: identity and
-// metadata plus the generator that renders it. Experiments are values;
+// metadata plus the plan that renders it. Experiments are values;
 // registering one is all it takes for the sweep engine, both CLIs, the
 // manifest writer and the docs listing to pick it up.
 type Experiment struct {
@@ -28,10 +28,12 @@ type Experiment struct {
 	Tags []string
 	// Description is a sentence of context for listings.
 	Description string
-	// Gen renders the artifact. It must be a pure function of its
-	// Options (all scenario randomness derives from Options.Seed), so
-	// equal options always render byte-identical figures.
-	Gen func(Options) *FigureData
+	// Plan declares the artifact's simulations and how their results
+	// fold into its figure; Sweep and Generate execute it. It must be a
+	// pure function of its Options (all scenario randomness derives from
+	// Options.Seed), so equal options always render byte-identical
+	// figures.
+	Plan func(Options) Plan
 }
 
 // HasTag reports whether the experiment carries the tag
@@ -63,14 +65,14 @@ func NewRegistry() *Registry {
 // Register and are selected and swept exactly like the built-ins.
 var Default = NewRegistry()
 
-// Register adds an experiment, rejecting empty IDs, nil generators and
+// Register adds an experiment, rejecting empty IDs, nil plans and
 // duplicate (case-insensitive) IDs.
 func (r *Registry) Register(e Experiment) error {
 	if strings.TrimSpace(e.ID) == "" {
 		return fmt.Errorf("experiment: empty ID (title %q)", e.Title)
 	}
-	if e.Gen == nil {
-		return fmt.Errorf("experiment %s: nil generator", e.ID)
+	if e.Plan == nil {
+		return fmt.Errorf("experiment %s: nil plan", e.ID)
 	}
 	key := strings.ToLower(e.ID)
 	r.mu.Lock()

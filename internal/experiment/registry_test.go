@@ -6,12 +6,12 @@ import (
 	"testing"
 )
 
-func genFor(id string) func(Options) *FigureData {
-	return func(o Options) *FigureData {
+func genFor(id string) func(Options) Plan {
+	return renderOnly(func(o Options) *FigureData {
 		f := New(id, "title of "+id)
 		f.Scalars["seed"] = float64(o.SeedOrDefault())
 		return f
-	}
+	})
 }
 
 // testRegistry registers a representative ID mix deliberately out of
@@ -20,14 +20,14 @@ func testRegistry(t *testing.T) *Registry {
 	t.Helper()
 	r := NewRegistry()
 	for _, e := range []Experiment{
-		{ID: "S2", Family: "study", Tags: []string{"study", "access"}, Gen: genFor("S2")},
-		{ID: "F10", Family: "figure", Tags: []string{"figure", "gcc"}, Gen: genFor("F10")},
-		{ID: "F9b", Family: "figure", Tags: []string{"figure", "drilldown"}, Gen: genFor("F9b")},
-		{ID: "A1", Family: "ablation", Tags: []string{"ablation"}, Gen: genFor("A1")},
-		{ID: "F3", Family: "figure", Tags: []string{"figure", "delay"}, Title: "One-Way Delay", Gen: genFor("F3")},
-		{ID: "F9a", Family: "figure", Tags: []string{"figure", "drilldown"}, Gen: genFor("F9a")},
-		{ID: "M1", Family: "mitigation", Tags: []string{"mitigation"}, Gen: genFor("M1")},
-		{ID: "X1", Family: "custom", Tags: []string{"custom"}, Gen: genFor("X1")},
+		{ID: "S2", Family: "study", Tags: []string{"study", "access"}, Plan: genFor("S2")},
+		{ID: "F10", Family: "figure", Tags: []string{"figure", "gcc"}, Plan: genFor("F10")},
+		{ID: "F9b", Family: "figure", Tags: []string{"figure", "drilldown"}, Plan: genFor("F9b")},
+		{ID: "A1", Family: "ablation", Tags: []string{"ablation"}, Plan: genFor("A1")},
+		{ID: "F3", Family: "figure", Tags: []string{"figure", "delay"}, Title: "One-Way Delay", Plan: genFor("F3")},
+		{ID: "F9a", Family: "figure", Tags: []string{"figure", "drilldown"}, Plan: genFor("F9a")},
+		{ID: "M1", Family: "mitigation", Tags: []string{"mitigation"}, Plan: genFor("M1")},
+		{ID: "X1", Family: "custom", Tags: []string{"custom"}, Plan: genFor("X1")},
 	} {
 		if err := r.Register(e); err != nil {
 			t.Fatal(err)
@@ -38,16 +38,16 @@ func testRegistry(t *testing.T) *Registry {
 
 func TestRegisterRejectsBadAndDuplicate(t *testing.T) {
 	r := NewRegistry()
-	if err := r.Register(Experiment{ID: "", Gen: genFor("")}); err == nil {
+	if err := r.Register(Experiment{ID: "", Plan: genFor("")}); err == nil {
 		t.Fatal("empty ID accepted")
 	}
 	if err := r.Register(Experiment{ID: "F3"}); err == nil {
-		t.Fatal("nil Gen accepted")
+		t.Fatal("nil Plan accepted")
 	}
-	if err := r.Register(Experiment{ID: "F3", Gen: genFor("F3")}); err != nil {
+	if err := r.Register(Experiment{ID: "F3", Plan: genFor("F3")}); err != nil {
 		t.Fatal(err)
 	}
-	err := r.Register(Experiment{ID: "f3", Gen: genFor("f3")})
+	err := r.Register(Experiment{ID: "f3", Plan: genFor("f3")})
 	if err == nil || !strings.Contains(err.Error(), "already registered") {
 		t.Fatalf("case-insensitive duplicate not rejected: %v", err)
 	}

@@ -3,28 +3,62 @@ package experiment
 import (
 	"context"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"athena/internal/obs"
 	"athena/internal/runner"
+	"athena/internal/scenario"
 	"athena/internal/store"
 )
 
+// Plan is what an experiment declares instead of running its own
+// simulations: the topology runs it needs and how their results become
+// its figure. Sweep unions the plans of every artifact it regenerates
+// into one deduplicated batch, so an artifact's runs share the workers
+// with every other artifact's and a run two artifacts need simulates
+// once. A Plan value is executed once; Experiment.Plan builds a fresh
+// one per sweep.
+type Plan struct {
+	// Runs are the simulations, in the order Fold indexes them. A
+	// single-UE Config run is scenario.SingleUE(cfg).
+	Runs []scenario.Topology
+	// Fold takes what the figure needs out of run i's result. It is
+	// called once per run, on the worker that ran it, possibly
+	// concurrently with other folds, so it writes index-disjoint state
+	// only, and must not modify the result: another artifact may fold
+	// the same one. The result is dropped when Fold returns. Fold may be
+	// nil when Runs is empty.
+	Fold func(i int, r *scenario.TopologyResult)
+	// Render builds the figure once every Fold has returned. It never
+	// runs on a pool worker slot, so it may do work of its own,
+	// runner.Default.ForEach included.
+	Render func() *FigureData
+}
+
+// Generate executes one plan through the shared runner pool and renders
+// its figure — the engine Sweep runs, for a single artifact.
+func Generate(p Plan) *FigureData {
+	runner.Default.Each(context.Background(), p.Runs, nil, p.Fold)
+	return p.Render()
+}
+
 // SweepConfig tunes a Sweep.
 type SweepConfig struct {
-	// Options is passed to every generator.
+	// Options is passed to every experiment's plan.
 	Options Options
-	// Parallel bounds how many experiments regenerate concurrently;
-	// <= 1 runs them serially. Each experiment's own scenario sweep
-	// still fans out across the shared scenario pool either way.
+	// Parallel is ignored: a sweep is one batch on the shared runner
+	// pool, which bounds the simulations running at once.
+	//
+	// Deprecated: ignored.
 	Parallel int
 	// OutDir, when set, saves each figure's CSV artifacts there.
 	OutDir string
 	// Cache, when set, is the persistent second cache tier: before an
-	// experiment's generator runs, the store is consulted under
+	// experiment is planned, the store is consulted under
 	// CacheKey(CacheNamespace, exp, Options); a validated hit skips the
-	// generator entirely (the result carries Cached=true), and a miss
-	// stores the fresh result after generation. Store lookups are
+	// experiment entirely (the result carries Cached=true), and a miss
+	// stores the fresh result after rendering. Store lookups are
 	// digest-validated, so a corrupt or stale entry degrades to a
 	// recompute, never a wrong figure; store write failures are
 	// likewise silent — the cache is strictly best-effort.
@@ -49,11 +83,13 @@ type RunResult struct {
 	// the bytes manifests diff across revisions.
 	Rendered string
 	Digest   string
-	// Wall is the regeneration wall time (excluded from the digest).
+	// Wall is the experiment's span in the sweep: from the start of its
+	// first run (of its render, when it plans none) to the end of its
+	// render. Spans of different experiments overlap. Excluded from the
+	// digest.
 	Wall time.Duration
-	// QueueWait is how long the experiment sat behind the sweep's
-	// Parallel bound before its generator started (also excluded from
-	// the digest).
+	// QueueWait is the wait before that span, from the sweep submitting
+	// its batch (also excluded from the digest).
 	QueueWait time.Duration
 	// StoreWait is the time spent consulting (and validating) the
 	// persistent store, hit or miss; zero when no Cache is configured.
@@ -66,30 +102,58 @@ type RunResult struct {
 	Artifacts []string
 	// Err is a save error, or the context error when Skipped.
 	Err error
-	// Skipped marks experiments never started because the context was
+	// Skipped marks experiments never rendered because the context was
 	// cancelled first.
 	Skipped bool
 }
 
-// Sweep executes the experiments through a runner.Pool bounded at
-// cfg.Parallel workers and returns their results in input order,
-// regardless of completion order. Each generator is a pure function of
-// cfg.Options, so the rendered bytes and digests are identical across
-// Parallel values; only wall times differ. The per-experiment pool is
-// separate from the shared scenario pool (runner.Default) the
-// generators submit their scenario sweeps into, so driver-level
-// concurrency cannot starve scenario-level workers.
+// pending is one experiment of a sweep that missed the store: its plan
+// and the progress of its runs.
+type pending struct {
+	slot  int
+	id    string
+	key   string // store key; empty without a Cache
+	plan  Plan
+	left  atomic.Int32 // runs not yet folded
+	once  sync.Once    // the first of its runs to start opens the span
+	start time.Time
+	span  obs.Span
+}
+
+func (p *pending) begin() {
+	p.once.Do(func() {
+		p.start = time.Now()
+		p.span = obs.StartSpan("exp:" + p.id)
+	})
+}
+
+// Sweep regenerates the experiments and returns their results in input
+// order, regardless of completion order. It works in four steps:
 //
-// Cancelling ctx skips experiments not yet started; their slots carry
-// Skipped and the context error. Experiments already running complete.
+//  1. Each experiment is looked up in the store (when cfg.Cache is set);
+//     a hit is final.
+//  2. The plans of the experiments that missed are unioned, in input
+//     order, into one batch of topology runs.
+//  3. The plans with no run render first, on the calling goroutine.
+//  4. The batch goes to runner.Default as one Each: duplicate runs
+//     simulate once, at most one run per worker is in flight, and each
+//     result is folded into every plan that asked for it and dropped.
+//     When an experiment's last fold returns, its Render runs on the
+//     calling goroutine and the figure goes to the store.
+//
+// Each plan is a pure function of cfg.Options, so the rendered bytes and
+// digests are identical whatever else the sweep selects and in whatever
+// order the runs land; only wall times differ.
+//
+// Cancelling ctx skips every experiment whose Render has not started;
+// their slots carry Skipped and the context error. Runs already in
+// flight complete.
 func Sweep(ctx context.Context, exps []Experiment, cfg SweepConfig) []RunResult {
 	results := make([]RunResult, len(exps))
 	done := make([]bool, len(exps))
-	var mu sync.Mutex
 	frontier := 0
+	// finish runs on this goroutine only, so OnResult is never concurrent.
 	finish := func(i int) {
-		mu.Lock()
-		defer mu.Unlock()
 		done[i] = true
 		for frontier < len(exps) && done[frontier] {
 			if cfg.OnResult != nil && !results[frontier].Skipped {
@@ -98,58 +162,110 @@ func Sweep(ctx context.Context, exps []Experiment, cfg SweepConfig) []RunResult 
 			frontier++
 		}
 	}
-
-	workers := cfg.Parallel
-	if workers < 1 {
-		workers = 1
-	}
-	submitAt := time.Now()
-	pool := runner.New(workers)
-	pool.ForEach(ctx, len(exps), func(i int) {
-		r := RunResult{Experiment: exps[i]}
-		if err := ctx.Err(); err != nil {
-			r.Err, r.Skipped = err, true
-			results[i] = r
-			finish(i)
-			return
-		}
-		r.QueueWait = time.Since(submitAt)
-		var cacheKey string
-		if cfg.Cache != nil {
-			cacheKey = CacheKey(cfg.CacheNamespace, exps[i], cfg.Options)
-			t0 := time.Now()
-			fig, rendered, digest, hit := loadCached(cfg.Cache, cacheKey, exps[i], cfg.Options)
-			r.StoreWait = time.Since(t0)
-			if hit {
-				r.Figure, r.Rendered, r.Digest, r.Cached = fig, rendered, digest, true
-			}
-		}
-		if !r.Cached {
-			span := obs.StartSpan("exp:" + exps[i].ID)
-			t0 := time.Now()
-			fig := exps[i].Gen(cfg.Options)
-			r.Figure = fig
-			r.Rendered = fig.String()
-			r.Digest = Digest(r.Rendered)
-			r.Wall = time.Since(t0)
-			span.End()
-			if cfg.Cache != nil {
-				// Best-effort: a full disk or unencodable figure costs
-				// persistence, never the sweep.
-				_ = saveCached(cfg.Cache, cacheKey, exps[i], cfg.Options, fig, r.Digest)
-			}
-		}
+	save := func(r *RunResult) {
 		if cfg.OutDir != "" {
 			r.Artifacts, r.Err = r.Figure.Save(cfg.OutDir)
 		}
-		results[i] = r
-		finish(i)
-	})
-	// ForEach skips remaining indices entirely once ctx is cancelled;
-	// mark those slots so callers can tell "skipped" from "ran".
-	for i := range results {
-		if !done[i] {
-			results[i] = RunResult{Experiment: exps[i], Err: ctx.Err(), Skipped: true}
+	}
+
+	// 1 and 2: recall what the store holds, plan the rest.
+	var todo []*pending
+	var tops []scenario.Topology
+	type runRef struct {
+		p   *pending
+		run int
+	}
+	var refs []runRef
+	for i, e := range exps {
+		r := &results[i]
+		r.Experiment = e
+		if err := ctx.Err(); err != nil {
+			r.Err, r.Skipped = err, true
+			finish(i)
+			continue
+		}
+		p := &pending{slot: i, id: e.ID}
+		if cfg.Cache != nil {
+			p.key = CacheKey(cfg.CacheNamespace, e, cfg.Options)
+			t0 := time.Now()
+			fig, rendered, digest, hit := loadCached(cfg.Cache, p.key, e, cfg.Options)
+			r.StoreWait = time.Since(t0)
+			if hit {
+				r.Figure, r.Rendered, r.Digest, r.Cached = fig, rendered, digest, true
+				save(r)
+				finish(i)
+				continue
+			}
+		}
+		p.plan = e.Plan(cfg.Options)
+		p.left.Store(int32(len(p.plan.Runs)))
+		for k, top := range p.plan.Runs {
+			tops = append(tops, top)
+			refs = append(refs, runRef{p, k})
+		}
+		todo = append(todo, p)
+	}
+
+	// render renders one plan whose runs have all been folded.
+	submitAt := time.Now()
+	render := func(p *pending) {
+		r := &results[p.slot]
+		if err := ctx.Err(); err != nil {
+			r.Err, r.Skipped = err, true
+			finish(p.slot)
+			return
+		}
+		p.begin()
+		fig := p.plan.Render()
+		r.Figure = fig
+		r.Rendered = fig.String()
+		r.Digest = Digest(r.Rendered)
+		r.QueueWait = p.start.Sub(submitAt)
+		r.Wall = time.Since(p.start)
+		p.span.End()
+		if cfg.Cache != nil {
+			// Best-effort: a full disk or unencodable figure costs
+			// persistence, never the sweep.
+			_ = saveCached(cfg.Cache, p.key, r.Experiment, cfg.Options, fig, r.Digest)
+		}
+		save(r)
+		finish(p.slot)
+	}
+
+	// 3: the plans with no run render first, on this goroutine, while
+	// they have the pool to themselves; one that does work of its own
+	// then never holds back the renders of plans whose runs have landed.
+	for _, p := range todo {
+		if len(p.plan.Runs) == 0 {
+			render(p)
+		}
+	}
+
+	// 4: one batch; a plan becomes ready to render when its last fold
+	// returns, and renders on this goroutine. The channel holds every
+	// plan, so no worker blocks on it.
+	ready := make(chan *pending, len(todo))
+	go func() {
+		runner.Default.Each(ctx, tops,
+			func(t int) { refs[t].p.begin() },
+			func(t int, tr *scenario.TopologyResult) {
+				ref := refs[t]
+				ref.p.plan.Fold(ref.run, tr)
+				if ref.p.left.Add(-1) == 0 {
+					ready <- ref.p
+				}
+			})
+		close(ready)
+	}()
+	for p := range ready {
+		render(p)
+	}
+	// Plans with runs the cancellation skipped never became ready.
+	for _, p := range todo {
+		if p.left.Load() > 0 {
+			r := &results[p.slot]
+			r.Err, r.Skipped = ctx.Err(), true
+			finish(p.slot)
 		}
 	}
 	return results

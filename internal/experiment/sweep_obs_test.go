@@ -17,11 +17,11 @@ func fastExperiments(n int) []Experiment {
 	es := make([]Experiment, n)
 	for i := range es {
 		id := string(rune('A'+i)) + "1"
-		es[i] = Experiment{ID: id, Family: "test", Gen: func(o Options) *FigureData {
+		es[i] = Experiment{ID: id, Family: "test", Plan: renderOnly(func(o Options) *FigureData {
 			f := New(id, "t-"+id)
 			f.Add("line", []stats.Point{{X: 1, Y: float64(o.SeedOrDefault())}})
 			return f
-		}}
+		})}
 	}
 	return es
 }
@@ -33,8 +33,9 @@ func useTimeline(t *testing.T, tr *obs.Tracer) {
 	t.Cleanup(func() { obs.SetTimeline(nil) })
 }
 
-// goldenSweepTrace is the Chrome trace of a serial 2-experiment sweep
-// under a deterministic clock that advances 1 ms per reading: each
+// goldenSweepTrace is the Chrome trace of a 2-experiment sweep of
+// render-only plans under a deterministic clock that advances 1 ms per
+// reading: renders run one after another on the sweep's goroutine, each
 // experiment's span takes two readings (begin, end), so the spans tile
 // [1,2] and [3,4] ms on their own tracks.
 const goldenSweepTrace = `{
@@ -65,7 +66,7 @@ func TestSweepChromeTraceGolden(t *testing.T) {
 		return time.Duration(ticks.Add(1)) * time.Millisecond
 	})
 	useTimeline(t, tr)
-	results := Sweep(context.Background(), fastExperiments(2), SweepConfig{Parallel: 1})
+	results := Sweep(context.Background(), fastExperiments(2), SweepConfig{})
 	for _, r := range results {
 		if r.Err != nil || r.Skipped {
 			t.Fatalf("sweep failed: %+v", r)
@@ -80,22 +81,30 @@ func TestSweepChromeTraceGolden(t *testing.T) {
 	}
 }
 
-// TestSweepSpansParallel runs a parallel sweep under the race detector:
-// every experiment must contribute exactly one intact span, regardless
-// of worker interleaving.
+// TestSweepSpansParallel runs a sweep whose experiments' runs share the
+// batch, under the race detector: every experiment must contribute
+// exactly one intact span, opened by whichever worker starts its first
+// run and closed after its render, regardless of worker interleaving.
 func TestSweepSpansParallel(t *testing.T) {
 	tr := obs.NewTracer()
 	useTimeline(t, tr)
-	exps := fastExperiments(8)
-	Sweep(context.Background(), exps, SweepConfig{Parallel: 4})
+	exps := append(runExperiments(6, 2, nil), fastExperiments(8)[6:]...)
+	Sweep(context.Background(), exps, SweepConfig{})
 
-	spans := tr.Snapshot()
+	// The runs open spans of their own; the experiments' are the exp:
+	// roots.
+	var spans []obs.SpanRecord
+	for _, s := range tr.Snapshot() {
+		if strings.HasPrefix(s.Name, "exp:") {
+			spans = append(spans, s)
+		}
+	}
 	if len(spans) != len(exps) {
-		t.Fatalf("got %d spans, want %d", len(spans), len(exps))
+		t.Fatalf("got %d experiment spans, want %d", len(spans), len(exps))
 	}
 	seen := map[string]bool{}
 	for _, s := range spans {
-		if !strings.HasPrefix(s.Name, "exp:") || s.Parent != 0 || s.End < s.Start {
+		if s.Parent != 0 || s.End < s.Start {
 			t.Fatalf("corrupt span: %+v", s)
 		}
 		if seen[s.Name] {
@@ -113,7 +122,7 @@ func TestSweepSpansParallel(t *testing.T) {
 // TestSweepRecordsQueueWait checks the manifest sees a nonzero per-
 // experiment queue wait and that it is excluded from Wall.
 func TestSweepRecordsQueueWait(t *testing.T) {
-	results := Sweep(context.Background(), fastExperiments(3), SweepConfig{Parallel: 1})
+	results := Sweep(context.Background(), append(runExperiments(2, 2, nil), fastExperiments(3)[2:]...), SweepConfig{})
 	for i, r := range results {
 		if r.QueueWait < 0 {
 			t.Fatalf("slot %d queue wait negative: %v", i, r.QueueWait)

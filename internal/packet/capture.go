@@ -74,6 +74,9 @@ type Capture struct {
 	// Next receives the packet after recording; nil means the capture is a
 	// sink tap inserted mid-chain by Tap.
 	Next Handler
+	// Keep, if non-nil, selects the flows recorded: a packet of a flow it
+	// rejects is forwarded unrecorded.
+	Keep func(flow uint32) bool
 
 	now func() time.Duration // true simulation time source
 }
@@ -89,6 +92,10 @@ func NewCapture(pt Point, hc *clock.HostClock, now func() time.Duration, next Ha
 
 // Handle records the packet and forwards it.
 func (c *Capture) Handle(p *Packet) {
+	if c.Keep != nil && !c.Keep(p.Flow) {
+		c.Next.Handle(p)
+		return
+	}
 	r := Record{
 		Point:     c.Point,
 		PacketID:  p.ID,

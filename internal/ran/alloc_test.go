@@ -67,8 +67,8 @@ func checkBacklogGrew(t *testing.T, r *RAN, backlog []int) {
 }
 
 // windowMedian is the median of the backlogWindow samples from index from.
-func windowMedian[T int | time.Duration](xs []T, from int) T {
-	w := append([]T(nil), xs[from:from+backlogWindow]...)
+func windowMedian(xs []int, from int) int {
+	w := append([]int(nil), xs[from:from+backlogWindow]...)
 	slices.Sort(w)
 	return w[backlogWindow/2]
 }
@@ -98,41 +98,56 @@ func TestULSlotAllocsIndependentOfGrantBacklog(t *testing.T) {
 	}
 }
 
-// Nor may it cost time: a slot serves one grant, files sixteen and steps
-// past the rest, so its median wall time at a twenty-fold backlog stays
-// within 2× of the early slots' (a slot that walks its backlog reads
-// several times slower here). The windows are timed on twin cells,
-// interleaved slot by slot — an early slot of one, then a late slot of
-// the other, stepped untimed to the late window first — so contention
-// from other processes lands on both windows alike.
+// grantReads sums the grants the cell's slots have read from its UEs'
+// grant queues.
+func grantReads(r *RAN) int {
+	n := 0
+	for _, u := range r.ues {
+		n += u.grants.reads + u.bsrGrants.reads
+	}
+	return n
+}
+
+// Nor may it cost work: a slot serves one grant, files sixteen and steps
+// past the rest, so the grants it reads from the queues — looked at or
+// served — may not rise while the backlog grows twenty-fold (a slot that
+// walks its backlog reads twenty times as many late as early). The count
+// is the queues' own, so it holds on any machine; the slot's wall time
+// is BenchmarkULSlotAtGrantBacklog.
 func TestULSlotTimeIndependentOfGrantBacklog(t *testing.T) {
-	_, stepEarly := saturatedCell()
 	r, step := saturatedCell()
-	took := make([]time.Duration, saturatedSlots)
+	reads := make([]int, saturatedSlots)
 	backlog := make([]int, saturatedSlots)
-	for i := 0; i < backlogLate; i++ {
+	for i := range reads {
+		before := grantReads(r)
 		step(i)
+		reads[i] = grantReads(r) - before
 		backlog[i] = grantBacklog(r)
 	}
-	for i := 0; i < backlogEarly; i++ {
-		stepEarly(i)
-	}
-	for k := 0; k < backlogWindow; k++ {
-		i, j := backlogEarly+k, backlogLate+k
-		t0 := time.Now()
-		stepEarly(i)
-		t1 := time.Now()
-		step(j)
-		took[i], took[j] = t1.Sub(t0), time.Since(t1)
-		backlog[j] = grantBacklog(r)
-	}
 	checkBacklogGrew(t, r, backlog)
-	early, late := windowMedian(took, backlogEarly), windowMedian(took, backlogLate)
-	t.Logf("slot wall: %v at backlog %d, %v at backlog %d", early, backlog[backlogEarly], late, backlog[backlogLate])
-	if late > 2*early {
-		t.Fatalf("slot time grew with the grant backlog: %v at %d pending grants, %v at %d",
+	early, late := windowMedian(reads, backlogEarly), windowMedian(reads, backlogLate)
+	t.Logf("grants read per slot: %d at backlog %d, %d at backlog %d", early, backlog[backlogEarly], late, backlog[backlogLate])
+	if late > early {
+		t.Fatalf("grants read per slot grew with the grant backlog: %d at %d pending grants, %d at %d",
 			early, backlog[backlogEarly], late, backlog[backlogLate])
 	}
+}
+
+// BenchmarkULSlotAtGrantBacklog times the slots of the saturated cell's
+// late window, at a twenty-fold grant backlog.
+func BenchmarkULSlotAtGrantBacklog(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		_, step := saturatedCell()
+		for slot := 0; slot < backlogLate; slot++ {
+			step(slot)
+		}
+		b.StartTimer()
+		for slot := backlogLate; slot < saturatedSlots; slot++ {
+			step(slot)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*backlogWindow), "ns/slot")
 }
 
 // A HARQ retry and a core delivery schedule no closures and build no new

@@ -89,6 +89,27 @@ type grant struct {
 	retries int
 }
 
+// grantQueue is a UE's grant FIFO. It counts the grants read from it —
+// looked at or served — which is the work a slot spends on the backlog,
+// and which a standing backlog must not raise
+// (TestULSlotTimeIndependentOfGrantBacklog).
+type grantQueue struct {
+	sim.Queue[grant]
+	reads int
+}
+
+// At returns the i-th grant from the front, counting the read.
+func (q *grantQueue) At(i int) *grant {
+	q.reads++
+	return q.Queue.At(i)
+}
+
+// PopFront removes and returns the front grant, counting the read.
+func (q *grantQueue) PopFront() grant {
+	q.reads++
+	return q.Queue.PopFront()
+}
+
 // carries reports whether an unserved grant of this kind waits for the
 // next slot. Speculative allocations (proactive, oracle) lapse instead.
 func carries(k telemetry.GrantKind) bool {

@@ -142,8 +142,8 @@ type UE struct {
 	// app/pred hold the app-aware and predictive schedulers' learned
 	// models for this attachment.
 	outstanding units.ByteCount
-	grants      sim.Queue[grant]
-	bsrGrants   sim.Queue[grant]
+	grants      grantQueue
+	bsrGrants   grantQueue
 	app         *appAwareState
 	pred        *predictor
 

@@ -70,11 +70,11 @@ func TestRunAllPreservesOrderAndMemoizes(t *testing.T) {
 	if res[0] == nil || res[1] == nil || res[2] == nil {
 		t.Fatal("nil result without cancellation")
 	}
-	if res[0] != res[2] {
-		t.Error("duplicate config within a batch should share one Result")
+	if res[0].TopologyResult != res[2].TopologyResult {
+		t.Error("duplicate config within a batch should share one run")
 	}
-	if res[0] == res[1] {
-		t.Error("distinct configs must not share a Result")
+	if res[0].TopologyResult == res[1].TopologyResult {
+		t.Error("distinct configs must not share a run")
 	}
 	if res[0].Cfg.Seed != 1 || res[1].Cfg.Seed != 2 {
 		t.Errorf("order not preserved: seeds %d,%d", res[0].Cfg.Seed, res[1].Cfg.Seed)
@@ -85,7 +85,7 @@ func TestRunAllPreservesOrderAndMemoizes(t *testing.T) {
 	}
 	// A later batch simulates again, to the same bytes.
 	again := p.Run(a)
-	if again == res[0] {
+	if again.TopologyResult == res[0].TopologyResult {
 		t.Error("a config submitted after its batch returned was recalled, not re-run")
 	}
 	if again.TopologyResult.Digest() != res[0].TopologyResult.Digest() {
@@ -96,9 +96,9 @@ func TestRunAllPreservesOrderAndMemoizes(t *testing.T) {
 func TestRunCountsExecutions(t *testing.T) {
 	var runs atomic.Int64
 	p := New(4)
-	p.runFn = func(cfg scenario.Config) *scenario.Result {
+	p.runFn = func(top scenario.Topology) *scenario.TopologyResult {
 		runs.Add(1)
-		return &scenario.Result{Cfg: cfg}
+		return fakeResult(top)
 	}
 	cfgs := make([]scenario.Config, 16)
 	for i := range cfgs {
@@ -110,8 +110,8 @@ func TestRunCountsExecutions(t *testing.T) {
 		t.Fatalf("executed %d runs, want 4 (in-batch duplicates run once)", runs.Load())
 	}
 	for i := range cfgs {
-		if res[i] != res[i%4] {
-			t.Fatalf("slot %d does not share the Result of its first copy", i)
+		if res[i].TopologyResult != res[i%4].TopologyResult {
+			t.Fatalf("slot %d does not share the run of its first copy", i)
 		}
 	}
 	if n := p.CacheLen(); n != 0 {
@@ -126,9 +126,9 @@ func TestRunCountsExecutions(t *testing.T) {
 func TestRunAllCancellation(t *testing.T) {
 	p := New(1)
 	block := make(chan struct{})
-	p.runFn = func(cfg scenario.Config) *scenario.Result {
+	p.runFn = func(top scenario.Topology) *scenario.TopologyResult {
 		<-block
-		return &scenario.Result{Cfg: cfg}
+		return fakeResult(top)
 	}
 	cfgs := make([]scenario.Config, 4)
 	for i := range cfgs {
@@ -144,7 +144,7 @@ func TestRunAllCancellation(t *testing.T) {
 	res := <-done
 	// Unstarted jobs were skipped and unpublished: running them again
 	// (uncancelled) must work and fill every slot.
-	p.runFn = func(cfg scenario.Config) *scenario.Result { return &scenario.Result{Cfg: cfg} }
+	p.runFn = fakeResult
 	res2 := p.RunAll(context.Background(), cfgs)
 	for i, r := range res2 {
 		if r == nil || r.Cfg.Seed != cfgs[i].Seed {
@@ -166,23 +166,24 @@ func TestForEach(t *testing.T) {
 }
 
 func TestKeyDistinguishesConfigs(t *testing.T) {
+	key := func(cfg scenario.Config) string { return Key(scenario.SingleUE(cfg)) }
 	a := scenario.Defaults()
 	b := a
-	if Key(a) != Key(b) {
+	if key(a) != key(b) {
 		t.Fatal("identical configs must share a key")
 	}
 	b.Seed++
-	if Key(a) == Key(b) {
+	if key(a) == key(b) {
 		t.Fatal("seed must be part of the key")
 	}
 	c := a
 	c.Spikes = []scenario.Spike{{Start: time.Second, End: 2 * time.Second, Extra: time.Millisecond}}
-	if Key(a) == Key(c) {
+	if key(a) == key(c) {
 		t.Fatal("nested slices must be part of the key")
 	}
 	d := a
 	d.MaxRate = a.MaxRate + units.BitRate(1)
-	if Key(a) == Key(d) {
+	if key(a) == key(d) {
 		t.Fatal("rate fields must be part of the key")
 	}
 }
@@ -200,12 +201,12 @@ func TestFlushKeepsInFlightEntries(t *testing.T) {
 	started := make(chan struct{})
 	block := make(chan struct{})
 	var execs atomic.Int32
-	p.runFn = func(cfg scenario.Config) *scenario.Result {
+	p.runFn = func(top scenario.Topology) *scenario.TopologyResult {
 		if execs.Add(1) == 1 {
 			close(started)
 		}
 		<-block
-		return &scenario.Result{Cfg: cfg}
+		return fakeResult(top)
 	}
 	cfg := scenario.Defaults()
 
@@ -229,8 +230,8 @@ func TestFlushKeepsInFlightEntries(t *testing.T) {
 	if a == nil || b == nil {
 		t.Fatal("a waiter lost its result to the racing Flush")
 	}
-	if a != b {
-		t.Fatal("waiters received different Results for one config")
+	if a.TopologyResult != b.TopologyResult {
+		t.Fatal("waiters received different runs for one config")
 	}
 	if got := execs.Load(); got != 1 {
 		t.Fatalf("config simulated %d times, want exactly 1", got)
@@ -242,14 +243,14 @@ func TestFlushKeepsInFlightEntries(t *testing.T) {
 
 func TestFlush(t *testing.T) {
 	p := New(2)
-	p.runFn = func(cfg scenario.Config) *scenario.Result { return &scenario.Result{Cfg: cfg} }
+	p.runFn = fakeResult
 	cfg := scenario.Defaults()
 	first := p.Run(cfg)
 	p.Flush()
 	if p.CacheLen() != 0 {
 		t.Fatalf("CacheLen after Flush = %d", p.CacheLen())
 	}
-	if second := p.Run(cfg); second == first {
+	if second := p.Run(cfg); second.TopologyResult == first.TopologyResult {
 		t.Fatal("Flush should force re-execution")
 	}
 }
@@ -281,5 +282,121 @@ func TestForEachShardedTopologyNoStarvation(t *testing.T) {
 		}
 	case <-time.After(2 * time.Minute):
 		t.Fatal("sharded RunTopology starved inside a single-worker pool")
+	}
+}
+
+// fakeResult stands in for a simulation: a result carrying its topology
+// and the one UE slot the Config view reads.
+func fakeResult(top scenario.Topology) *scenario.TopologyResult {
+	return &scenario.TopologyResult{Top: top, UEs: []*scenario.UEResult{{}}}
+}
+
+// seededTops builds n distinct topologies, seeds 1..n.
+func seededTops(n int) []scenario.Topology {
+	tops := make([]scenario.Topology, n)
+	for i := range tops {
+		tops[i] = scenario.SingleUE(scenario.Defaults())
+		tops[i].Seed = int64(i + 1)
+	}
+	return tops
+}
+
+// TestEachBoundsLiveResults pins fold-then-drop: across a batch far
+// larger than the pool, Results created minus folds returned never
+// exceeds the workers, so a batch keeps one Result per worker alive
+// however many runs it holds. A pool that held results until the batch
+// ended would reach one per run.
+func TestEachBoundsLiveResults(t *testing.T) {
+	const workers, n = 2, 64
+	var created, folded, peak atomic.Int64
+	p := New(workers)
+	p.runFn = func(top scenario.Topology) *scenario.TopologyResult {
+		live := created.Add(1) - folded.Load()
+		for {
+			pk := peak.Load()
+			if live <= pk || peak.CompareAndSwap(pk, live) {
+				break
+			}
+		}
+		return fakeResult(top)
+	}
+	tops := seededTops(n)
+	seen := make([]bool, n)
+	p.Each(context.Background(), tops, nil, func(i int, r *scenario.TopologyResult) {
+		if r.Top.Seed != tops[i].Seed {
+			t.Errorf("index %d folded the run of seed %d", i, r.Top.Seed)
+		}
+		seen[i] = true
+		folded.Add(1)
+	})
+	if pk := peak.Load(); pk > workers {
+		t.Fatalf("%d results alive at once, want at most %d (one per worker)", pk, workers)
+	}
+	for i, ok := range seen {
+		if !ok {
+			t.Fatalf("index %d never folded", i)
+		}
+	}
+	if created.Load() != n || folded.Load() != n {
+		t.Fatalf("created %d, folded %d, want %d each", created.Load(), folded.Load(), n)
+	}
+}
+
+// TestEachCancelledOwnerStillServesJoiner: a batch cancelled before it
+// launches a run withdraws only itself from it. Another batch that
+// joined the run still gets it folded, and the cancelled batch folds
+// only what was already in flight.
+func TestEachCancelledOwnerStillServesJoiner(t *testing.T) {
+	obs.Enable() // the hit counter tells when the second batch has joined
+	defer obs.Disable()
+
+	p := New(1)
+	startedX := make(chan struct{})
+	block := make(chan struct{})
+	var execs atomic.Int32
+	p.runFn = func(top scenario.Topology) *scenario.TopologyResult {
+		execs.Add(1)
+		if top.Seed == 1 {
+			close(startedX)
+			<-block
+		}
+		return fakeResult(top)
+	}
+	tops := seededTops(2) // x (seed 1) blocks the only worker; y waits
+	ctx, cancel := context.WithCancel(context.Background())
+	var ownerFolds, joinerFolds []int64
+	ownerDone := make(chan struct{})
+	go func() {
+		p.Each(ctx, tops, nil, func(_ int, r *scenario.TopologyResult) {
+			ownerFolds = append(ownerFolds, r.Top.Seed)
+		})
+		close(ownerDone)
+	}()
+	<-startedX
+	joinerDone := make(chan struct{})
+	go func() {
+		p.Each(context.Background(), tops[1:], nil, func(_ int, r *scenario.TopologyResult) {
+			joinerFolds = append(joinerFolds, r.Top.Seed)
+		})
+		close(joinerDone)
+	}()
+	for p.Stats().MemoHits == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	cancel()
+	close(block)
+	<-ownerDone
+	<-joinerDone
+	if len(ownerFolds) != 1 || ownerFolds[0] != 1 {
+		t.Errorf("cancelled batch folded seeds %v, want [1] (the run in flight)", ownerFolds)
+	}
+	if len(joinerFolds) != 1 || joinerFolds[0] != 2 {
+		t.Errorf("joining batch folded seeds %v, want [2]", joinerFolds)
+	}
+	if n := execs.Load(); n != 2 {
+		t.Errorf("executed %d runs, want 2", n)
+	}
+	if n := p.CacheLen(); n != 0 {
+		t.Errorf("CacheLen = %d after both batches returned, want 0", n)
 	}
 }

@@ -13,9 +13,9 @@ import (
 // simulating, so stats tests stay fast and deterministic.
 func fakePool(workers int) *Pool {
 	p := New(workers)
-	p.runFn = func(cfg scenario.Config) *scenario.Result {
+	p.runFn = func(top scenario.Topology) *scenario.TopologyResult {
 		time.Sleep(time.Millisecond)
-		return &scenario.Result{}
+		return fakeResult(top)
 	}
 	return p
 }
@@ -70,9 +70,9 @@ func TestStatsInFlightDuringRun(t *testing.T) {
 
 	p := New(1)
 	observed := make(chan int64, 1)
-	p.runFn = func(cfg scenario.Config) *scenario.Result {
+	p.runFn = func(top scenario.Topology) *scenario.TopologyResult {
 		observed <- p.Stats().InFlight
-		return &scenario.Result{}
+		return fakeResult(top)
 	}
 	p.Run(scenario.Defaults())
 	if got := <-observed; got != 1 {

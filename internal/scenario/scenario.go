@@ -152,8 +152,11 @@ type Result struct {
 // Run executes the scenario and correlates the traces: RunTopology over
 // the 1-UE topology of cfg, byte-identical to the historical monolithic
 // implementation (the golden-compat test pins this).
-func Run(cfg Config) *Result {
-	tr := RunTopology(SingleUE(cfg))
+func Run(cfg Config) *Result { return RunTopology(SingleUE(cfg)).SingleUE(cfg) }
+
+// SingleUE is the Config-shaped view of tr, the result of running
+// SingleUE(cfg): the Result Run(cfg) returns.
+func (tr *TopologyResult) SingleUE(cfg Config) *Result {
 	return &Result{Cfg: cfg, TopologyResult: tr, UEResult: tr.UEs[0]}
 }
 

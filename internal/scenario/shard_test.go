@@ -24,8 +24,10 @@ import (
 // held (±2 %). Those depend on the runtime (its maps, above all), so
 // they are checked only on the toolchain they were measured with,
 // memToolchain, and logged on any other. Across runs in one process the
-// first two repeat within 0.05 % and the third within 1 %; -race moves
-// each by under 1 %.
+// first two repeat within 0.05 % and the third within 1 %. -race adds a
+// near-fixed 20–60 KB to the bytes allocated, under 1 % of the two
+// multi-cell rows but 1.3–1.7 % of F3's and M2's, so those two pins sit
+// midway between the plain and the -race measurement.
 func TestEventAndTBCountsPinned(t *testing.T) {
 	const memToolchain = "go1.24.0"
 	multi := func(ues int, mixed bool) Topology {
@@ -65,8 +67,8 @@ func TestEventAndTBCountsPinned(t *testing.T) {
 	}{
 		{"16ue-2cell-vca", multi(16, false), 25394, 6921, 37_880, 11_025_000, 4_712_000},
 		{"8ue-2cell-mixed", multi(8, true), 20284, 6087, 21_815, 6_352_000, 2_255_000},
-		{"F3", SingleUE(f3), 16561, 2158, 17_515, 3_473_000, 1_410_000},
-		{"M2-gcc-phy+load", SingleUE(m2), 10244, 1159, 10_534, 2_432_000, 1_073_000},
+		{"F3", SingleUE(f3), 16561, 2158, 17_515, 2_426_000, 895_000},
+		{"M2-gcc-phy+load", SingleUE(m2), 10244, 1159, 10_534, 1_319_000, 520_000},
 	} {
 		top := tc.top
 		top.Serial = true

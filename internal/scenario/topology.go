@@ -333,6 +333,10 @@ type build struct {
 	// parallel to res.Cells) by global cell index.
 	cellByGlobal map[int]*ran.RAN
 
+	// owned marks, by flow ID, every flow of the shard's UEs: the flows
+	// its captures record.
+	owned []bool
+
 	// Routing tables for the shared stages, keyed by flow.
 	downlinkByFlow map[uint32]*netem.Link // SFU egress → subscriber WAN leg
 	ueByNTPFlow    map[uint32]*ueBuild    // core NTP turnaround
@@ -417,6 +421,12 @@ func newBuildFor(top Topology, seed int64, plan shardPlan) *build {
 		ub.wl = newWorkload(spec, ub)
 		b.ues = append(b.ues, ub)
 		b.res.UEs = append(b.res.UEs, ub.res)
+		for _, f := range ub.flows.All() {
+			if int(f) >= len(b.owned) {
+				b.owned = append(b.owned, make([]bool, int(f)+1-len(b.owned))...)
+			}
+			b.owned[f] = true
+		}
 		b.ueByNTPFlow[ub.flows.NTP] = ub
 		b.ueByMedia[ub.flows.Video] = ub
 		b.ueByMedia[ub.flows.Audio] = ub
@@ -461,6 +471,7 @@ func (b *build) buildWiredPath() {
 		ub := ub
 		cap4 := packet.NewCapture(packet.PointReceiver, ub.recvClk, s.Now,
 			packet.HandlerFunc(func(p *packet.Packet) { ub.wl.WiredArrival(p) }))
+		cap4.Keep = b.ownedFlow
 		ub.res.CapReceiver = cap4
 		ub.wanDown = netem.NewLink(s, "sfu-recv", 7*time.Millisecond, units.Gbps, cap4)
 		ub.wanDown.Jitter = 500 * time.Microsecond
@@ -471,7 +482,8 @@ func (b *build) buildWiredPath() {
 	// SFU egress demux: each media flow goes to its subscriber's WAN
 	// leg. Flows nobody owns (cross traffic reaching the SFU) fan out on
 	// the first UE's path, as in the single-party testbed where one
-	// receiver host saw all SFU egress; VCA receivers ignore them.
+	// receiver host saw all SFU egress; VCA receivers ignore them, and
+	// no capture records them.
 	egress := packet.HandlerFunc(func(p *packet.Packet) {
 		if l, ok := b.downlinkByFlow[p.Flow]; ok {
 			l.Handle(p)
@@ -496,6 +508,7 @@ func (b *build) buildWiredPath() {
 		b.res.CapSFU.Handle(p)
 	})
 	b.res.CapSFU = packet.NewCapture(packet.PointSFU, b.sfuClk, s.Now, sfu)
+	b.res.CapSFU.Keep = b.ownedFlow
 	b.wanUp = netem.NewLink(s, "core-sfu", 8*time.Millisecond, units.Gbps, sfuIngress)
 	b.wanUp.Jitter = 500 * time.Microsecond
 	if b.top.RAN.ECNThreshold == 0 {
@@ -513,6 +526,15 @@ func (b *build) buildWiredPath() {
 	b.inject = newInjector(s, b.top.Spikes, b.top.Jitters, b.wanUp)
 
 	b.res.CapCore = packet.NewCapture(packet.PointCore, b.coreClk, s.Now, b.coreIngress())
+	b.res.CapCore.Keep = b.ownedFlow
+}
+
+// ownedFlow reports whether a UE of the shard owns flow. The shard's
+// captures record only such flows: every correlation joins a UE's
+// records on its own flows, so a record of cross traffic would be kept
+// and never read — in a loaded cell, most of each shared log.
+func (b *build) ownedFlow(flow uint32) bool {
+	return int(flow) < len(b.owned) && b.owned[flow]
 }
 
 // coreIngress is the capture-plane stage at point ②: NTP turnaround,
@@ -744,13 +766,11 @@ func (b *build) correlate() {
 // shard order: the one derivation behind both the run's correlation
 // stage and the live feeds SessionStreams taps.
 //
-// The shard's shared captures are partitioned by owning UE in one scan
-// each — records of flows nobody owns (cross traffic, probes) never
-// match a UE's sender-derived join keys, so dropping them up front
-// cannot change any report. The cells' telemetry is concatenated in
-// global cell order (a UE that handed over has TBs in two cells'
-// streams, and the TB reconstruction tolerates the resulting time
-// interleaving) and partitioned by RAN UE identifier. Clock offsets are
+// The shard's shared captures, which record only its UEs' flows, are
+// partitioned by owning UE in one scan each. The cells' telemetry is
+// concatenated in global cell order (a UE that handed over has TBs in
+// two cells' streams, and the TB reconstruction tolerates the resulting
+// time interleaving) and partitioned by RAN UE identifier. Clock offsets are
 // the configured ones, or EstimatedOffsets for a UE that estimates
 // them; Flows is set only in a shard of several UEs, so a shard of one
 // correlates unfiltered.
@@ -828,11 +848,10 @@ func shardInputs(top Topology, sr *ShardResult, downstream bool) []core.Input {
 
 // partitionByFlow splits a shared capture into per-UE record slices in
 // one pass, preserving capture order within each partition. Records of
-// unowned flows (cross traffic, probes) are dropped — they can never
-// join a UE's sender index. A partition that would keep every record
-// (one UE owning the whole capture) is the capture itself, capped at its
-// length so an append cannot reach the log's spare room; no reader
-// writes through it.
+// unowned flows are dropped — they can never join a UE's sender index.
+// A partition that would keep every record (one UE owning the whole
+// capture) is the capture itself, capped at its length so an append
+// cannot reach the log's spare room; no reader writes through it.
 func partitionByFlow(records []packet.Record, ueOfFlow map[uint32]int, n int) [][]packet.Record {
 	counts := make([]int, n)
 	for _, r := range records {

@@ -17,19 +17,19 @@ func init() {
 		Experiment{ID: "M1", Family: "mitigation", Tags: []string{"mitigation", "scheduling"},
 			Title:       "App-aware uplink grants cut frame-level delay (§5.2)",
 			Description: "M1: frame-level delay under six grant strategies; app-aware and predictive beat the ½ projection.",
-			Gen:         M1},
+			Plan:        planM1},
 		Experiment{ID: "M2", Family: "mitigation", Tags: []string{"mitigation", "cc", "gcc"},
 			Title:       "PHY-informed GCC removes phantom overuse (§5.3)",
 			Description: "M2: RAN telemetry corrects GCC's arrival times without hiding real congestion.",
-			Gen:         M2},
+			Plan:        planM2},
 		Experiment{ID: "M3", Family: "mitigation", Tags: []string{"mitigation", "cc", "gcc", "smoke"},
 			Title:       "RAN-side delay masking in CC feedback (§5.3)",
 			Description: "M3: the RAN rewrites transport-wide feedback so unmodified GCC stops seeing its delays.",
-			Gen:         M3},
+			Plan:        planM3},
 		Experiment{ID: "M4", Family: "mitigation", Tags: []string{"mitigation", "cc", "ecn"},
 			Title:       "L4S-style ECN accelerate/brake vs RAN-induced delay spikes (§5.3)",
 			Description: "M4: queue-true ECN marking versus delay-based GCC across fade intensities.",
-			Gen:         M4},
+			Plan:        planM4},
 	)
 }
 
@@ -37,7 +37,9 @@ func init() {
 // approach has the potential to cut the delay inflation experienced by
 // frames in half"): frame-level delay — first packet sent to last packet
 // received at the core — under five grant strategies.
-func M1(o Options) *FigureData {
+func M1(o Options) *FigureData { return experiment.Generate(planM1(o)) }
+
+func planM1(o Options) Plan {
 	fig := NewFigure("M1", "App-aware uplink grants cut frame-level delay (§5.2)")
 	schedulers := []struct {
 		name  string
@@ -62,33 +64,32 @@ func M1(o Options) *FigureData {
 		cfg.AttachMeta = s.meta
 		cfgs[i] = cfg
 	}
-	results := RunAll(cfgs)
-	var defaultMean float64
-	for i, s := range schedulers {
+	return partsPlan(fig, runs(cfgs...), func(i int, tr *TopologyResult, part *FigureData) {
 		// FrameDelaysMS builds a fresh slice, so the CDF can sort it in
 		// place: one sort serves the curve and both order statistics.
-		delays := stats.NewCDFInPlace(results[i].Report.FrameDelaysMS())
+		name := schedulers[i].name
+		delays := stats.NewCDFInPlace(tr.SingleUE(cfgs[i]).Report.FrameDelaysMS())
 		sum := delays.Summary()
-		fig.Add("frame delay CDF (x=ms): "+s.name, delays.Points(30))
-		fig.Scalars["mean_ms:"+s.name] = sum.Mean
-		fig.Scalars["p95_ms:"+s.name] = sum.P95
-		if s.name == "proactive+bsr (default)" {
-			defaultMean = sum.Mean
-		}
-		if s.name == "app-aware" && defaultMean > 0 {
-			fig.Scalars["appaware_over_default"] = sum.Mean / defaultMean
+		part.Add("frame delay CDF (x=ms): "+name, delays.Points(30))
+		part.Scalars["mean_ms:"+name] = sum.Mean
+		part.Scalars["p95_ms:"+name] = sum.P95
+	}, func() {
+		if defaultMean := fig.Scalars["mean_ms:proactive+bsr (default)"]; defaultMean > 0 {
+			appAware := fig.Scalars["mean_ms:app-aware"]
+			fig.Scalars["appaware_over_default"] = appAware / defaultMean
 			fig.Note("app-aware mean frame delay is %.0f%% of the default's — at or beyond the paper's 'cut in half'",
-				100*sum.Mean/defaultMean)
+				100*appAware/defaultMean)
 		}
-	}
-	return fig
+	})
 }
 
 // M2 evaluates §5.3's PHY-informed congestion control: GCC versus GCC
 // whose arrival times are corrected by RAN telemetry, on an idle and a
 // loaded cell. Metrics: phantom overuse detections, achieved media rate,
 // p95 uplink delay (the mitigation must not hide real congestion).
-func M2(o Options) *FigureData {
+func M2(o Options) *FigureData { return experiment.Generate(planM2(o)) }
+
+func planM2(o Options) Plan {
 	fig := NewFigure("M2", "PHY-informed GCC removes phantom overuse (§5.3)")
 	cells := []struct {
 		kind   string
@@ -115,19 +116,22 @@ func M2(o Options) *FigureData {
 		}
 		cfgs[i] = cfg
 	}
-	for i, res := range RunAll(cfgs) {
-		fig.Scalars["overuse:"+names[i]] = float64(res.GCC.OveruseCount)
-		fig.Scalars["rate_kbps:"+names[i]] = res.GCC.TargetRate().Kbits()
-		fig.Scalars["ul_p95_ms:"+names[i]] = res.Report.DelaySummary(packet.KindVideo).P95
-	}
-	fig.Note("telemetry-corrected GCC sees fewer phantom overuses idle and sustains rate, while real load still backs it off")
-	return fig
+	return partsPlan(fig, runs(cfgs...), func(i int, tr *TopologyResult, part *FigureData) {
+		res := tr.SingleUE(cfgs[i])
+		part.Scalars["overuse:"+names[i]] = float64(res.GCC.OveruseCount)
+		part.Scalars["rate_kbps:"+names[i]] = res.GCC.TargetRate().Kbits()
+		part.Scalars["ul_p95_ms:"+names[i]] = res.Report.DelaySummary(packet.KindVideo).P95
+	}, func() {
+		fig.Note("telemetry-corrected GCC sees fewer phantom overuses idle and sustains rate, while real load still backs it off")
+	})
 }
 
 // M3 evaluates §5.3's network-side alternative: the RAN masks its own
 // delays by rewriting per-packet arrival times in the transport-wide
 // feedback; the sender runs unmodified GCC.
-func M3(o Options) *FigureData {
+func M3(o Options) *FigureData { return experiment.Generate(planM3(o)) }
+
+func planM3(o Options) Plan {
 	fig := NewFigure("M3", "RAN-side delay masking in CC feedback (§5.3)")
 	controllers := []struct {
 		name string
@@ -141,14 +145,15 @@ func M3(o Options) *FigureData {
 		cfg.Controller = c.kind
 		cfgs[i] = cfg
 	}
-	for i, res := range RunAll(cfgs) {
+	return partsPlan(fig, runs(cfgs...), func(i int, tr *TopologyResult, part *FigureData) {
+		res := tr.SingleUE(cfgs[i])
 		name := controllers[i].name
-		fig.Scalars["overuse:"+name] = float64(res.GCC.OveruseCount)
-		fig.Scalars["rate_kbps:"+name] = res.GCC.TargetRate().Kbits()
-		fig.Scalars["recv_p50_kbps:"+name] = stats.QuantileInPlace(res.Receiver.ReceiveRates(), 0.5)
-	}
-	fig.Note("masking inside the network achieves the sender-side mitigation's effect without touching endpoints")
-	return fig
+		part.Scalars["overuse:"+name] = float64(res.GCC.OveruseCount)
+		part.Scalars["rate_kbps:"+name] = res.GCC.TargetRate().Kbits()
+		part.Scalars["recv_p50_kbps:"+name] = stats.QuantileInPlace(res.Receiver.ReceiveRates(), 0.5)
+	}, func() {
+		fig.Note("masking inside the network achieves the sender-side mitigation's effect without touching endpoints")
+	})
 }
 
 // M4 evaluates §5.3's L4S question: an ECN accelerate/brake signal marked
@@ -156,7 +161,9 @@ func M3(o Options) *FigureData {
 // also brakes on the RAN's retransmission and fade-recovery delay spikes.
 // Swept over fade intensity (the mix of "unpredictable loss" and
 // "predictable delay spikes" the section asks about).
-func M4(o Options) *FigureData {
+func M4(o Options) *FigureData { return experiment.Generate(planM4(o)) }
+
+func planM4(o Options) Plan {
 	fig := NewFigure("M4", "L4S-style ECN accelerate/brake vs RAN-induced delay spikes (§5.3)")
 	fades := []struct {
 		name string
@@ -187,11 +194,12 @@ func M4(o Options) *FigureData {
 			keys = append(keys, fmt.Sprintf("%s@fade=%s", c.name, f.name))
 		}
 	}
-	for i, res := range RunAll(cfgs) {
-		fig.Scalars["rate_kbps:"+keys[i]] = stats.QuantileInPlace(res.Receiver.ReceiveRates(), 0.5)
-		fig.Scalars["ul_p95_ms:"+keys[i]] = res.Report.DelaySummary(packet.KindVideo).P95
-		fig.Scalars["stalls:"+keys[i]] = float64(res.Receiver.Renderer.Stalls)
-	}
-	fig.Note("under fades, GCC's delay signal conflates retransmission spikes with congestion and sheds rate; L4S brakes only while a queue actually stands — but retains the §5.3 open question of when that is safe")
-	return fig
+	return partsPlan(fig, runs(cfgs...), func(i int, tr *TopologyResult, part *FigureData) {
+		res := tr.SingleUE(cfgs[i])
+		part.Scalars["rate_kbps:"+keys[i]] = stats.QuantileInPlace(res.Receiver.ReceiveRates(), 0.5)
+		part.Scalars["ul_p95_ms:"+keys[i]] = res.Report.DelaySummary(packet.KindVideo).P95
+		part.Scalars["stalls:"+keys[i]] = float64(res.Receiver.Renderer.Stalls)
+	}, func() {
+		fig.Note("under fades, GCC's delay signal conflates retransmission spikes with congestion and sheds rate; L4S brakes only while a queue actually stands — but retains the §5.3 open question of when that is safe")
+	})
 }

@@ -3,13 +3,14 @@ package athena
 // The registry's behavioural contract, as one table. A bare sweep at
 // Options{Seed: 1, Scale: 0.02} must reproduce the id → digest map below
 // (recorded at commit fadc9a7; amd64 only, ROADMAP item 14), and every
-// row re-sweeps under one condition — another worker count, the obs
-// metrics and span timeline switched on, the result store cold, warm and
-// after every entry is corrupted — and must reproduce the bare sweep
-// digest for digest. The shared scenario pool keeps no run past the
-// batch that asked for it (the bare sweep checks it is empty once it
-// returns), so every row recomputes what it does not recall from the
-// store.
+// row re-sweeps under one condition — each artifact swept alone, the
+// selection in reverse order, each artifact's exported driver called
+// directly, the obs metrics and span timeline switched on, the result
+// store cold, warm and after every entry is corrupted — and must
+// reproduce the bare sweep digest for digest. The shared
+// scenario pool keeps no run past its folds (the bare sweep checks it is
+// empty once it returns), so every row recomputes what it does not
+// recall from the store.
 // The store rows run in order on one store. A PR that means to change
 // an artifact updates its literal and says why; any other diff here is
 // a behaviour change nobody asked for.
@@ -20,12 +21,15 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"athena/internal/experiment"
 	"athena/internal/obs"
 	"athena/internal/runner"
+	"athena/internal/scenario"
 	"athena/internal/store"
 )
 
@@ -64,13 +68,12 @@ func TestRegistryDigestsPinned(t *testing.T) {
 		t.Fatalf("registry has %d experiments, %d digests pinned", len(sel), len(pinnedDigests))
 	}
 	opts := Options{Seed: 1, Scale: 0.02}
-	sweep := func(t *testing.T, cfg experiment.SweepConfig) []experiment.RunResult {
+	sweepOf := func(t *testing.T, exps []Experiment, cfg experiment.SweepConfig) []experiment.RunResult {
 		t.Helper()
-		runner.Default.Flush()
 		cfg.Options = opts
-		rs := experiment.Sweep(context.Background(), sel, cfg)
-		if len(rs) != len(sel) {
-			t.Fatalf("sweep returned %d results for %d experiments", len(rs), len(sel))
+		rs := experiment.Sweep(context.Background(), exps, cfg)
+		if len(rs) != len(exps) {
+			t.Fatalf("sweep returned %d results for %d experiments", len(rs), len(exps))
 		}
 		for _, r := range rs {
 			if r.Err != nil {
@@ -79,8 +82,12 @@ func TestRegistryDigestsPinned(t *testing.T) {
 		}
 		return rs
 	}
+	sweep := func(t *testing.T, cfg experiment.SweepConfig) []experiment.RunResult {
+		t.Helper()
+		return sweepOf(t, sel, cfg)
+	}
 
-	bare := sweep(t, experiment.SweepConfig{Parallel: 2})
+	bare := sweep(t, experiment.SweepConfig{})
 	// A sweep's memory is one batch's worth: no run outlives its batch.
 	if n := runner.Default.CacheLen(); n != 0 {
 		t.Errorf("the scenario pool holds %d runs after the sweep returned, want 0", n)
@@ -100,7 +107,7 @@ func TestRegistryDigestsPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	withStore := experiment.SweepConfig{Parallel: 2, Cache: s, CacheNamespace: "digest-test"}
+	withStore := experiment.SweepConfig{Cache: s, CacheNamespace: "digest-test"}
 	n := int64(len(sel))
 	// The store counts into obs counters, which count only while obs is on.
 	enableObs := func(t *testing.T) {
@@ -113,11 +120,40 @@ func TestRegistryDigestsPinned(t *testing.T) {
 		name  string
 		cfg   experiment.SweepConfig
 		setup func(t *testing.T)
+		// sweep, when set, replaces the sweep of the selection under cfg;
+		// it returns the results in selection order.
+		sweep func(t *testing.T) []experiment.RunResult
 		check func(t *testing.T, rs []experiment.RunResult)
 	}{
-		{name: "parallel-1", cfg: experiment.SweepConfig{Parallel: 1}},
-		{name: "parallel-4", cfg: experiment.SweepConfig{Parallel: 4}},
-		{name: "obs", cfg: experiment.SweepConfig{Parallel: 2}, setup: func(t *testing.T) {
+		{name: "alone", sweep: func(t *testing.T) []experiment.RunResult {
+			var rs []experiment.RunResult
+			for _, e := range sel {
+				rs = append(rs, sweepOf(t, []Experiment{e}, experiment.SweepConfig{})...)
+			}
+			return rs
+		}},
+		{name: "reversed", sweep: func(t *testing.T) []experiment.RunResult {
+			rev := slices.Clone(sel)
+			slices.Reverse(rev)
+			rs := sweepOf(t, rev, experiment.SweepConfig{})
+			slices.Reverse(rs)
+			return rs
+		}},
+		// athena.Fig3(o), M1(o), … return what the registry sweeps.
+		{name: "drivers", sweep: func(t *testing.T) []experiment.RunResult {
+			var rs []experiment.RunResult
+			for _, e := range sel {
+				driver, ok := legacyDrivers[e.ID]
+				if !ok {
+					t.Fatalf("%s has no exported driver", e.ID)
+				}
+				f := driver(opts)
+				rendered := f.String()
+				rs = append(rs, experiment.RunResult{Experiment: e, Figure: f, Rendered: rendered, Digest: experiment.Digest(rendered)})
+			}
+			return rs
+		}},
+		{name: "obs", setup: func(t *testing.T) {
 			enableObs(t)
 			before, tl = obs.TakeSnapshot(), obs.NewTracer()
 			obs.SetTimeline(tl)
@@ -160,7 +196,12 @@ func TestRegistryDigestsPinned(t *testing.T) {
 			if row.setup != nil {
 				row.setup(t)
 			}
-			rs := sweep(t, row.cfg)
+			var rs []experiment.RunResult
+			if row.sweep != nil {
+				rs = row.sweep(t)
+			} else {
+				rs = sweep(t, row.cfg)
+			}
 			for i, r := range rs {
 				if r.Digest != bare[i].Digest {
 					t.Errorf("%s digest %.12s, the bare sweep's %.12s", r.Experiment.ID, r.Digest, bare[i].Digest)
@@ -173,6 +214,70 @@ func TestRegistryDigestsPinned(t *testing.T) {
 				row.check(t, rs)
 			}
 		})
+	}
+}
+
+// TestSweepSimulatesEachRunOnce: a registry sweep is one batch that
+// simulates each distinct run once, counted through the pool's run
+// function. Three runs repeat another artifact's — F5's is F4's, M3's
+// gcc run is M2's idle gcc run, A3's bler=0 run is A2's tbs=1600 run —
+// so those artifacts fold the other's result, and still render their
+// pinned digests.
+func TestSweepSimulatesEachRunOnce(t *testing.T) {
+	sel, err := experiment.Select(experiment.Selection{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{Seed: 1, Scale: 0.02}
+	var mu sync.Mutex
+	execs := map[string]int{}
+	saved := runner.Default
+	runner.Default = runner.NewFunc(0, func(top scenario.Topology) *scenario.TopologyResult {
+		mu.Lock()
+		execs[runner.Key(top)]++
+		mu.Unlock()
+		return scenario.RunTopology(top)
+	})
+	t.Cleanup(func() { runner.Default = saved })
+
+	planned := map[string][]string{} // ID → run keys, in plan order
+	distinct := map[string]bool{}
+	total := 0
+	for _, e := range sel {
+		for _, top := range e.Plan(opts).Runs {
+			k := runner.Key(top)
+			planned[e.ID] = append(planned[e.ID], k)
+			distinct[k] = true
+			total++
+		}
+	}
+	rs := experiment.Sweep(context.Background(), sel, experiment.SweepConfig{Options: opts})
+	for k := range distinct {
+		if execs[k] != 1 {
+			t.Errorf("run %.12s simulated %d times, want 1", k, execs[k])
+		}
+	}
+	if len(execs) != len(distinct) {
+		t.Errorf("simulated %d distinct runs, %d planned", len(execs), len(distinct))
+	}
+	t.Logf("%d runs planned, %d distinct, %d simulated", total, len(distinct), len(execs))
+
+	for _, j := range []struct {
+		id    string
+		run   int
+		joins string
+	}{{"F5", 0, "F4"}, {"M3", 0, "M2"}, {"A3", 0, "A2"}} {
+		if !slices.Contains(planned[j.joins], planned[j.id][j.run]) {
+			t.Errorf("%s run %d is not one of %s's runs", j.id, j.run, j.joins)
+		}
+	}
+	for _, r := range rs {
+		switch id := r.Experiment.ID; {
+		case r.Err != nil || r.Skipped:
+			t.Errorf("%s: err=%v skipped=%t", id, r.Err, r.Skipped)
+		case runtime.GOARCH == "amd64" && r.Digest != pinnedDigests[id]:
+			t.Errorf("%s digest moved: %s, pinned %s", id, r.Digest, pinnedDigests[id])
+		}
 	}
 }
 

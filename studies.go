@@ -23,27 +23,27 @@ func init() {
 		Experiment{ID: "S1", Family: "study", Tags: []string{"study", "phy", "gcc"},
 			Title:       "GCC across physical-layer contexts: duplexing and slice length (§5.1)",
 			Description: "S1: the same GCC call over TDD slice lengths, 5G-FDD and LTE-FDD.",
-			Gen:         S1PHYContexts},
+			Plan:        planS1},
 		Experiment{ID: "S2", Family: "study", Tags: []string{"study", "access", "smoke"},
 			Title:       "One VCA, many access networks: artifact structure differs (§5.1)",
 			Description: "S2: 5G, Wi-Fi, LEO satellite and wired each inject a different artifact signature.",
-			Gen:         S2AccessNetworks},
+			Plan:        planS2},
 		Experiment{ID: "S3", Family: "study", Tags: []string{"study", "cc", "learning"},
 			Title:       "Learning-based CC still sees a clouded view on 5G (§1)",
 			Description: "S3: a PCC-Vivace-style learner reads RAN latency artifacts as utility gradients.",
-			Gen:         S3LearningCC},
+			Plan:        planS3},
 		Experiment{ID: "S4", Family: "study", Tags: []string{"study", "apps"},
 			Title:       "Application classes feel different RAN artifacts (§5.1)",
 			Description: "S4: gaming input pays the grant cycle, bursts pay the spread, bulk upload barely notices.",
-			Gen:         S4AppDiversity},
+			Plan:        planS4},
 		Experiment{ID: "S8", Family: "study", Tags: []string{"study", "apps", "workloads"},
 			Title:       "Mixed-workload cell: per-app attribution through one shared RAN (§5.1)",
 			Description: "S8: VCA, cloud gaming, bulk upload and audio-only share a cell; Athena attributes each family's delay separately.",
-			Gen:         S8MixedWorkloads},
+			Plan:        planS8},
 		Experiment{ID: "S9", Family: "study", Tags: []string{"study", "apps", "sched"},
 			Title:       "QoE-aware scheduling: app hints reorder the cell's grant budget (§5.2)",
 			Description: "S9: the same mixed cell under default vs app-hint arbitration — interactive families gain, elastic bulk pays.",
-			Gen:         S9QoEScheduler},
+			Plan:        planS9},
 	)
 }
 
@@ -59,7 +59,9 @@ func init() {
 // The same GCC-driven call runs over four PHY contexts; reported per
 // context: delay-spread quantum, uplink delay quantiles, GCC phantom
 // overuse, and achieved rate.
-func S1PHYContexts(o Options) *FigureData {
+func S1PHYContexts(o Options) *FigureData { return experiment.Generate(planS1(o)) }
+
+func planS1(o Options) Plan {
 	fig := NewFigure("S1", "GCC across physical-layer contexts: duplexing and slice length (§5.1)")
 	contexts := []struct {
 		name string
@@ -100,29 +102,32 @@ func S1PHYContexts(o Options) *FigureData {
 		ctx.mut(&cfg.RAN)
 		cfgs[i] = cfg
 	}
-	for i, res := range RunAll(cfgs) {
+	return partsPlan(fig, runs(cfgs...), func(i int, tr *TopologyResult, part *FigureData) {
+		res := tr.SingleUE(cfgs[i])
 		key := contexts[i].name
 		sum := res.Report.DelaySummary(packet.KindVideo)
 		_, coreSp := res.Report.SpreadsMS()
-		fig.Scalars["ul_p50_ms:"+key] = sum.P50
-		fig.Scalars["ul_p95_ms:"+key] = sum.P95
-		fig.Scalars["spread_p90_ms:"+key] = stats.QuantileInPlace(coreSp, 0.9)
-		fig.Scalars["overuse:"+key] = float64(res.GCC.OveruseCount)
-		fig.Scalars["rate_kbps:"+key] = res.GCC.TargetRate().Kbits()
-		fig.Scalars["quantum_ms:"+key] = float64(cfgs[i].RAN.ULPeriod()) / float64(time.Millisecond)
-		fig.Add(fmt.Sprintf("video UL delay CDF (x=ms): %s", key),
+		part.Scalars["ul_p50_ms:"+key] = sum.P50
+		part.Scalars["ul_p95_ms:"+key] = sum.P95
+		part.Scalars["spread_p90_ms:"+key] = stats.QuantileInPlace(coreSp, 0.9)
+		part.Scalars["overuse:"+key] = float64(res.GCC.OveruseCount)
+		part.Scalars["rate_kbps:"+key] = res.GCC.TargetRate().Kbits()
+		part.Scalars["quantum_ms:"+key] = float64(cfgs[i].RAN.ULPeriod()) / float64(time.Millisecond)
+		part.Add(fmt.Sprintf("video UL delay CDF (x=ms): %s", key),
 			stats.NewCDFInPlace(res.Report.ULDelaysMS(packet.KindVideo)).Points(30))
-	}
-	fig.Note("finer uplink cadence (short slices, FDD) shrinks the delay-spread quantum and the median uplink delay")
-	fig.Note("but under channel fading, finer cadence also multiplies the gradient samples per trendline window and thins per-slot capacity, so GCC's phantom overuse does not automatically improve — the duplexing choice interacts with channel dynamics, which is precisely the §5.1 design space Athena exists to explore")
-	return fig
+	}, func() {
+		fig.Note("finer uplink cadence (short slices, FDD) shrinks the delay-spread quantum and the median uplink delay")
+		fig.Note("but under channel fading, finer cadence also multiplies the gradient samples per trendline window and thins per-slot capacity, so GCC's phantom overuse does not automatically improve — the duplexing choice interacts with channel dynamics, which is precisely the §5.1 design space Athena exists to explore")
+	})
 }
 
 // S2 is the §5.1 breadth study: the same VCA-over-GCC call across access
 // technologies with fundamentally different artifact structure — the
 // paper's 5G cell, a Wi-Fi-like contention channel, and a LEO-satellite
 // path with handover-driven delay steps — plus the wired reference.
-func S2AccessNetworks(o Options) *FigureData {
+func S2AccessNetworks(o Options) *FigureData { return experiment.Generate(planS2(o)) }
+
+func planS2(o Options) Plan {
 	fig := NewFigure("S2", "One VCA, many access networks: artifact structure differs (§5.1)")
 	accesses := []AccessKind{Access5G, AccessWiFi, AccessLEO, AccessWired}
 	cfgs := make([]Config, len(accesses))
@@ -134,23 +139,24 @@ func S2AccessNetworks(o Options) *FigureData {
 		cfg.CaptureGCC = true
 		cfgs[i] = cfg
 	}
-	for i, res := range RunAll(cfgs) {
+	return partsPlan(fig, runs(cfgs...), func(i int, tr *TopologyResult, part *FigureData) {
+		res := tr.SingleUE(cfgs[i])
 		key := string(accesses[i])
 		sum := res.Report.DelaySummary(packet.KindVideo)
-		fig.Scalars["ul_p50_ms:"+key] = sum.P50
-		fig.Scalars["ul_p99_ms:"+key] = sum.P99
-		fig.Scalars["overuse:"+key] = float64(res.GCC.OveruseCount)
-		fig.Scalars["rate_kbps:"+key] = res.GCC.TargetRate().Kbits()
-		// FrameJitter belongs to a Result a concurrent driver may share:
+		part.Scalars["ul_p50_ms:"+key] = sum.P50
+		part.Scalars["ul_p99_ms:"+key] = sum.P99
+		part.Scalars["overuse:"+key] = float64(res.GCC.OveruseCount)
+		part.Scalars["rate_kbps:"+key] = res.GCC.TargetRate().Kbits()
+		// FrameJitter belongs to a Result another artifact may share:
 		// quantile on a copy. FrameRates returns a fresh slice: quantile
 		// in place.
-		fig.Scalars["frame_jitter_p50_ms:"+key] = stats.Quantile(res.Receiver.FrameJitter, 0.5)
-		fig.Scalars["fps_p50:"+key] = stats.QuantileInPlace(res.Receiver.Renderer.FrameRates(), 0.5)
-		fig.Add("video UL delay CDF (x=ms): "+key,
+		part.Scalars["frame_jitter_p50_ms:"+key] = stats.Quantile(res.Receiver.FrameJitter, 0.5)
+		part.Scalars["fps_p50:"+key] = stats.QuantileInPlace(res.Receiver.Renderer.FrameRates(), 0.5)
+		part.Add("video UL delay CDF (x=ms): "+key,
 			stats.NewCDFInPlace(res.Report.ULDelaysMS(packet.KindVideo)).Points(30))
-	}
-	fig.Note("each access technology injects a different artifact: 5G quantizes and over-grants, Wi-Fi adds contention variance, LEO adds handover delay steps; only the wired path is artifact-free")
-	return fig
+	}, func() {
+		fig.Note("each access technology injects a different artifact: 5G quantizes and over-grants, Wi-Fi adds contention variance, LEO adds handover delay steps; only the wired path is artifact-free")
+	})
 }
 
 // S3 tests the paper's §1 caution about learning-based congestion control
@@ -161,7 +167,9 @@ func S2AccessNetworks(o Options) *FigureData {
 // cell. Reported per path: achieved rate, uplink p95, and the
 // rate-decision oscillation (stddev of relative rate steps) — the
 // learner's confusion metric.
-func S3LearningCC(o Options) *FigureData {
+func S3LearningCC(o Options) *FigureData { return experiment.Generate(planS3(o)) }
+
+func planS3(o Options) Plan {
 	fig := NewFigure("S3", "Learning-based CC still sees a clouded view on 5G (§1)")
 	accesses := []AccessKind{AccessWired, Access5G}
 	cfgs := make([]Config, len(accesses))
@@ -173,17 +181,18 @@ func S3LearningCC(o Options) *FigureData {
 		cfg.Controller = scenario.CtlPCC
 		cfgs[i] = cfg
 	}
-	for i, res := range RunAll(cfgs) {
+	return partsPlan(fig, runs(cfgs...), func(i int, tr *TopologyResult, part *FigureData) {
+		res := tr.SingleUE(cfgs[i])
 		key := string(accesses[i])
-		fig.Scalars["rate_kbps:"+key] = stats.QuantileInPlace(res.Receiver.ReceiveRates(), 0.5)
-		fig.Scalars["ul_p95_ms:"+key] = res.Report.DelaySummary(packet.KindVideo).P95
-		fig.Scalars["decisions:"+key] = float64(res.PCC.Decisions)
-		fig.Scalars["down_decisions:"+key] = float64(res.PCC.DownDecisions)
-		fig.Scalars["step_stddev:"+key] = rateStepStddev(res.PCC.RateTrace)
-		fig.Add("PCC base rate kbps over decisions: "+key, tracePoints(res.PCC.RateTrace))
-	}
-	fig.Note("with identical capacity headroom, the learner achieves a lower rate and brakes more often on the 5G cell: RAN latency artifacts read as utility gradients")
-	return fig
+		part.Scalars["rate_kbps:"+key] = stats.QuantileInPlace(res.Receiver.ReceiveRates(), 0.5)
+		part.Scalars["ul_p95_ms:"+key] = res.Report.DelaySummary(packet.KindVideo).P95
+		part.Scalars["decisions:"+key] = float64(res.PCC.Decisions)
+		part.Scalars["down_decisions:"+key] = float64(res.PCC.DownDecisions)
+		part.Scalars["step_stddev:"+key] = rateStepStddev(res.PCC.RateTrace)
+		part.Add("PCC base rate kbps over decisions: "+key, tracePoints(res.PCC.RateTrace))
+	}, func() {
+		fig.Note("with identical capacity headroom, the learner achieves a lower rate and brakes more often on the 5G cell: RAN latency artifacts read as utility gradients")
+	})
 }
 
 // rateStepStddev is the standard deviation of relative per-decision rate
@@ -217,7 +226,13 @@ func tracePoints(trace []float64) []stats.Point {
 // strategy and the wired reference. Different artifacts hurt different
 // classes: sporadic tiny packets pay the grant cycle, bursts pay the
 // delay spread, bulk mostly doesn't care.
-func S4AppDiversity(o Options) *FigureData {
+func S4AppDiversity(o Options) *FigureData { return experiment.Generate(planS4(o)) }
+
+// planS4 plans no topology run: S4's grid drives application generators
+// over bare cells and links, built and run in its render.
+func planS4(o Options) Plan { return Plan{Render: func() *FigureData { return renderS4(o) }} }
+
+func renderS4(o Options) *FigureData {
 	fig := NewFigure("S4", "Application classes feel different RAN artifacts (§5.1)")
 	classes := []apps.Class{apps.ClassGaming, apps.ClassWeb, apps.ClassUpload, apps.ClassVoD}
 	type path struct {
@@ -300,73 +315,74 @@ func scoreKind(k scenario.WorkloadKind) packet.Kind {
 // through the same capture points, with per-family delay summaries,
 // root-cause attribution, and the family's own QoE score — the paper's
 // "and Beyond" claim made concrete.
-func S8MixedWorkloads(o Options) *FigureData {
+func S8MixedWorkloads(o Options) *FigureData { return experiment.Generate(planS8(o)) }
+
+func planS8(o Options) Plan {
 	fig := NewFigure("S8", "Mixed-workload cell: per-app attribution through one shared RAN (§5.1)")
 	top := scenario.NewTopology(8)
 	top.Seed = o.SeedOrDefault()
 	top.Duration = o.Scaled(12 * time.Second)
 	top.MixWorkloads()
-	res := scenario.RunTopology(top)
-
-	perFam := map[scenario.WorkloadKind][]float64{}
-	for _, u := range res.UEs {
-		key := fmt.Sprintf("%s:ue%d", u.Workload, u.ID)
-		sum := u.Report.DelaySummary(scoreKind(u.Workload))
-		fig.Scalars["ul_p50_ms:"+key] = sum.P50
-		fig.Scalars["ul_p99_ms:"+key] = sum.P99
-		att := u.Report.Attribute()
-		for _, c := range []core.Cause{core.CauseQueueSlot, core.CauseBSR, core.CauseHARQ} {
-			fig.Scalars[fmt.Sprintf("%s_ms:%s", c, key)] = att.MeanMS(c)
+	return partsPlan(fig, []Topology{top}, func(_ int, res *TopologyResult, part *FigureData) {
+		perFam := map[scenario.WorkloadKind][]float64{}
+		for _, u := range res.UEs {
+			key := fmt.Sprintf("%s:ue%d", u.Workload, u.ID)
+			sum := u.Report.DelaySummary(scoreKind(u.Workload))
+			part.Scalars["ul_p50_ms:"+key] = sum.P50
+			part.Scalars["ul_p99_ms:"+key] = sum.P99
+			att := u.Report.Attribute()
+			for _, c := range []core.Cause{core.CauseQueueSlot, core.CauseBSR, core.CauseHARQ} {
+				part.Scalars[fmt.Sprintf("%s_ms:%s", c, key)] = att.MeanMS(c)
+			}
+			for name, v := range u.Score.Scalars {
+				part.Scalars[fmt.Sprintf("qoe_%s:%s", name, key)] = v
+			}
+			perFam[u.Workload] = append(perFam[u.Workload], sum.P50)
 		}
-		for name, v := range u.Score.Scalars {
-			fig.Scalars[fmt.Sprintf("qoe_%s:%s", name, key)] = v
+		for fam, p50s := range perFam {
+			part.Scalars["fam_ul_p50_ms:"+string(fam)] = stats.Quantile(p50s, 0.5)
 		}
-		perFam[u.Workload] = append(perFam[u.Workload], sum.P50)
-	}
-	for fam, p50s := range perFam {
-		fig.Scalars["fam_ul_p50_ms:"+string(fam)] = stats.Quantile(p50s, 0.5)
-	}
-	fig.Note("four families, one RAN: the correlator joins each family's own flows (media, input events, bulk data, Opus frames) without per-app plumbing — attribution stays per-UE, per-cause")
-	return fig
+	}, func() {
+		fig.Note("four families, one RAN: the correlator joins each family's own flows (media, input events, bulk data, Opus frames) without per-app plumbing — attribution stays per-UE, per-cause")
+	})
 }
 
 // S9QoEScheduler runs the same mixed cell under the default arbitration
 // and the StreamGuard-style app-hint scheduler: the study reports each
 // family's QoE under both, making the trade explicit — interactive
 // families gain timeliness, elastic bulk gives up throughput.
-func S9QoEScheduler(o Options) *FigureData {
+func S9QoEScheduler(o Options) *FigureData { return experiment.Generate(planS9(o)) }
+
+func planS9(o Options) Plan {
 	fig := NewFigure("S9", "QoE-aware scheduling: app hints reorder the cell's grant budget (§5.2)")
-	run := func(sched ran.SchedulerKind) *scenario.TopologyResult {
+	scheds := []ran.SchedulerKind{ran.SchedCombined, ran.SchedQoEAware}
+	tops := make([]Topology, len(scheds))
+	for i, sched := range scheds {
 		top := scenario.NewTopology(8)
 		top.Seed = o.SeedOrDefault()
 		top.Duration = o.Scaled(12 * time.Second)
 		top.MixWorkloads()
-		for i := range top.UEs {
-			top.UEs[i].Sched = sched
+		for u := range top.UEs {
+			top.UEs[u].Sched = sched
 		}
 		// Background load so arbitration order decides who waits.
 		top.CrossUEs = 2
 		top.CrossPhases = []ran.CrossPhase{{Start: 0, Rate: 4 * units.Mbps}}
-		return scenario.RunTopology(top)
+		tops[i] = top
 	}
-	scheds := []ran.SchedulerKind{ran.SchedCombined, ran.SchedQoEAware}
-	results := make([]*scenario.TopologyResult, len(scheds))
-	runner.Default.ForEach(context.Background(), len(scheds), func(i int) {
-		results[i] = run(scheds[i])
-	})
 	headline := map[scenario.WorkloadKind]string{
 		scenario.WorkloadVCA:          "video_owd_p95_ms",
 		scenario.WorkloadCloudGaming:  "input_p95_ms",
 		scenario.WorkloadBulkTransfer: "goodput_mbps",
 		scenario.WorkloadAudioOnly:    "delay_p95_ms",
 	}
-	for i, sched := range scheds {
-		for _, u := range results[i].UEs {
-			key := fmt.Sprintf("%s:ue%d@%s", u.Workload, u.ID, sched)
-			fig.Scalars["qoe_"+headline[u.Workload]+":"+key] = u.Score.Scalars[headline[u.Workload]]
-			fig.Scalars["ul_p95_ms:"+key] = u.Report.DelaySummary(scoreKind(u.Workload)).P95
+	return partsPlan(fig, tops, func(i int, res *TopologyResult, part *FigureData) {
+		for _, u := range res.UEs {
+			key := fmt.Sprintf("%s:ue%d@%s", u.Workload, u.ID, scheds[i])
+			part.Scalars["qoe_"+headline[u.Workload]+":"+key] = u.Score.Scalars[headline[u.Workload]]
+			part.Scalars["ul_p95_ms:"+key] = u.Report.DelaySummary(scoreKind(u.Workload)).P95
 		}
-	}
-	fig.Note("qoe-aware serves grant allocations in hint-tier order and reclaims unused speculative grants; compare each family's headline metric across '@%s' and '@%s'", scheds[0], scheds[1])
-	return fig
+	}, func() {
+		fig.Note("qoe-aware serves grant allocations in hint-tier order and reclaims unused speculative grants; compare each family's headline metric across '@%s' and '@%s'", scheds[0], scheds[1])
+	})
 }
