@@ -1,17 +1,13 @@
 package athena
 
 import (
-	"context"
 	"fmt"
 	"time"
 
-	"athena/internal/clock"
 	"athena/internal/core"
 	"athena/internal/experiment"
 	"athena/internal/packet"
 	"athena/internal/ran"
-	"athena/internal/runner"
-	"athena/internal/sim"
 	"athena/internal/stats"
 	"athena/internal/telemetry"
 	"athena/internal/units"
@@ -168,80 +164,59 @@ func planA3(o Options) Plan {
 // join to hold.
 func A4(o Options) *FigureData { return experiment.Generate(planA4(o)) }
 
-// planA4 plans no topology run: A4 builds its own session and correlates
-// it repeatedly, all in its render.
-func planA4(o Options) Plan { return Plan{Render: func() *FigureData { return renderA4(o) }} }
-
-func renderA4(o Options) *FigureData {
+// planA4 plans one single-UE call on an idle cell, then correlates its
+// session feed again under increasing artificial sender-clock error and
+// scores each join against the simulator's truth: the packets each
+// successful TB attempt carried.
+func planA4(o Options) Plan {
 	fig := NewFigure("A4", "Ablation: time-sync error vs packet-TB match accuracy")
-
-	// Build one session with ground truth, then correlate repeatedly
-	// under increasing artificial sender-clock error.
-	s := sim.New(o.SeedOrDefault())
-	cfg := ran.Defaults()
-	type arr struct {
-		p  *packet.Packet
-		at time.Duration
-	}
-	var arrivals []arr
-	coreTap := packet.NewCapture(packet.PointCore, clock.Perfect("core"), s.Now,
-		packet.HandlerFunc(func(p *packet.Packet) { arrivals = append(arrivals, arr{p, s.Now()}) }))
-	r := ran.New(s, cfg, coreTap)
-	ue := r.AttachUE(1, ran.SchedCombined)
-	senderTap := packet.NewCapture(packet.PointSender, clock.Perfect("sender"), s.Now, ue)
-	var alloc packet.Alloc
-	var sent []*packet.Packet
-	seq := uint16(0)
-	s.Every(3*time.Millisecond, 33*time.Millisecond, func() {
-		if s.Now() > o.Scaled(20*time.Second) {
-			return
-		}
-		for i := 0; i < 4; i++ {
-			p := alloc.New(packet.KindVideo, 1, 1200, s.Now())
-			p.Seq = uint32(seq)
-			seq++
-			sent = append(sent, p)
-			senderTap.Handle(p)
-		}
-	})
-	s.RunUntil(o.Scaled(20*time.Second) + time.Second)
-
-	truth := map[uint64][]uint64{}
-	idx := map[uint32]uint64{}
-	for _, p := range sent {
-		truth[p.ID] = p.GroundTruth.TBIDs
-		idx[p.Seq] = p.ID
-	}
-	idOf := func(flow, sq uint32, kind packet.Kind) (uint64, bool) {
-		id, ok := idx[sq]
-		return id, ok
-	}
-
-	// Correlate is a pure function of its Input (it sorts copies of the
-	// capture records and only reads TBs), so the sweep points run
-	// concurrently against the one shared session and its one TB filter.
-	tbs := r.Telemetry.ForUE(1)
+	cfg := DefaultConfig()
+	cfg.Seed = o.SeedOrDefault()
+	cfg.Duration = o.Scaled(20 * time.Second)
+	cfg.RAN = ran.Defaults()
 	errs := []float64{0, 2, 5, 10, 20, 40}
 	accs := make([]float64, len(errs))
-	runner.Default.ForEach(context.Background(), len(errs), func(i int) {
-		rep := core.Correlate(core.Input{
-			Sender: senderTap.Records,
-			Core:   coreTap.Records,
-			TBs:    tbs,
-			Offsets: map[packet.Point]time.Duration{
-				packet.PointSender: -time.Duration(errs[i] * float64(time.Millisecond)),
-			},
-			SlotDuration: cfg.SlotDuration,
-			CoreDelay:    cfg.CoreDelay,
-		})
-		accs[i] = rep.MatchAccuracy(truth, idOf)
-	})
-	var pts []stats.Point
-	for i, errMS := range errs {
-		pts = append(pts, stats.Point{X: errMS, Y: accs[i]})
-		fig.Scalars[fmt.Sprintf("match_acc@err=%.0fms", errMS)] = accs[i]
+	return Plan{
+		Runs: runs(cfg),
+		Fold: func(_ int, tr *TopologyResult) {
+			in := tr.SessionStreams()[0].Input
+			truth := map[uint64][]uint64{}
+			for _, r := range in.TBs {
+				if !r.Failed {
+					for _, id := range r.PacketIDs {
+						truth[id] = append(truth[id], r.TBID)
+					}
+				}
+			}
+			type key struct {
+				flow, seq uint32
+				kind      packet.Kind
+			}
+			ids := make(map[key]uint64, len(in.Sender))
+			for _, r := range in.Sender {
+				ids[key{r.Flow, r.Seq, r.Kind}] = r.PacketID
+			}
+			idOf := func(flow, seq uint32, kind packet.Kind) (uint64, bool) {
+				id, ok := ids[key{flow, seq, kind}]
+				return id, ok
+			}
+			sender := in.Offsets[packet.PointSender]
+			for i, e := range errs {
+				in.Offsets = map[packet.Point]time.Duration{
+					packet.PointSender: sender - time.Duration(e*float64(time.Millisecond)),
+				}
+				accs[i] = core.Correlate(in).MatchAccuracy(truth, idOf)
+			}
+		},
+		Render: func() *FigureData {
+			var pts []stats.Point
+			for i, errMS := range errs {
+				pts = append(pts, stats.Point{X: errMS, Y: accs[i]})
+				fig.Scalars[fmt.Sprintf("match_acc@err=%.0fms", errMS)] = accs[i]
+			}
+			fig.Add("packet-TB match accuracy vs sync error ms", pts)
+			fig.Note("matching is exact with good sync and degrades once the error exceeds the slot/burst timescale")
+			return fig
+		},
 	}
-	fig.Add("packet-TB match accuracy vs sync error ms", pts)
-	fig.Note("matching is exact with good sync and degrades once the error exceeds the slot/burst timescale")
-	return fig
 }

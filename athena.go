@@ -61,19 +61,17 @@ const (
 func DefaultConfig() Config { return scenario.Defaults() }
 
 // Run executes a scenario and correlates its traces. Runs go through the
-// shared process-wide runner: a call made while the same config (same
-// seed, same knobs) is in flight for another caller joins that run, and
-// the callers' Results share one TopologyResult. Nothing is kept once the
-// call returns, so a later call simulates again. Results are safe to
-// share because their accessors are pure readers.
+// shared process-wide runner, which bounds the simulations running at
+// once across callers. Nothing is kept once the call returns, so a later
+// call simulates again.
 func Run(cfg Config) *Result { return runner.Default.Run(cfg) }
 
 // RunAll executes a batch of independent scenarios, fanning them across
 // GOMAXPROCS workers while preserving input order and per-seed
 // determinism: the returned results are byte-identical to running each
-// config serially. Duplicate configs — within the batch, or in flight for
-// a concurrent batch — simulate once; the pool keeps nothing after the
-// batch returns. RunAll holds every Result until it returns; the figure,
+// config serially. Duplicate configs within the batch simulate once and
+// share one TopologyResult; the pool keeps nothing after the batch
+// returns. RunAll holds every Result until it returns; the figure,
 // mitigation, ablation and study drivers instead declare plans (Plan),
 // whose folds take what they need from each result as it lands, so a
 // registry sweep holds one result per core.

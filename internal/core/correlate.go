@@ -114,6 +114,11 @@ func (v PacketView) Clone() PacketView {
 type Report struct {
 	Packets []PacketView
 	Frames  []FrameView
+	// RefusedJoins counts the core sightings refused a join because they
+	// precede the packet's send by more than the clock slack: a namesake's
+	// sighting under a reused key (a 16-bit sequence that wrapped), a
+	// missing sample rather than a view with a negative uplink delay.
+	RefusedJoins int64
 	// byKey is the key index: each packet key's newest view and core
 	// sightings.
 	byKey keyIndex

@@ -37,6 +37,9 @@ type LiveSnapshot struct {
 	// Trims counts state-discarding trims (mid-stream prefix cuts and
 	// full-drain resets) — the memory bound at work.
 	Trims int64 `json:"trims"`
+	// RefusedJoins counts core sightings refused a join since the feed
+	// began (Report.RefusedJoins).
+	RefusedJoins int64 `json:"refused_joins"`
 	// Advanced is the latest Advance clock.
 	Advanced time.Duration `json:"advanced_ns"`
 	// BufferedSender/BufferedCore/BufferedTBs are the retained window

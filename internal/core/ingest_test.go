@@ -409,7 +409,7 @@ func replayChunked(t testing.TB, in Input, step func(i int) time.Duration) (view
 		advance(now)
 	}
 	advance(now + 30*time.Second)
-	st.walked = lc.walked
+	st.walked, st.refused = lc.walked, lc.Snapshot().RefusedJoins
 	return views, st
 }
 
@@ -420,10 +420,12 @@ func replayChunked(t testing.TB, in Input, step func(i int) time.Duration) (view
 //   - reused reports that a packet was matched to a TB a full drain kept
 //     after that TB had carried drained packets. The next walk starts the
 //     kept TB at its full budget where a one-shot feed has spent it, so
-//     only then may emission differ from Correlate (ROADMAP item 1).
+//     only then may emission differ from Correlate (ROADMAP item 1);
+//   - refused counts the core sightings the feed refused a join.
 type replayStats struct {
 	rewinds, walked int
 	reused          bool
+	refused         int64
 }
 
 // tbLog is a test's log of the TB attempts it fed one correlator, each
@@ -574,6 +576,40 @@ func TestLiveChunkedReplayMatchesBatchDigest(t *testing.T) {
 			t.Run(name, func(t *testing.T) { assertStreamMatchesBatch(t, in, views) })
 		}
 	}
+}
+
+// TestSequenceWrapRefusesNamesakeJoin: one flow's 16-bit sequence wraps
+// after 65 536 packets, and the packets sent after the wrap never reach
+// the core. Each one's key still holds the core sighting of its namesake
+// one wrap earlier, which would give it a negative uplink delay: the
+// one-shot and the chunked live feed both refuse that join and count it.
+func TestSequenceWrapRefusesNamesakeJoin(t *testing.T) {
+	const n, wrap = 70_000, 1 << 16
+	const gap, delay = 10 * time.Microsecond, 20 * time.Millisecond
+	in := Input{SlotDuration: 500 * time.Microsecond}
+	for i := range n {
+		at := time.Duration(i) * gap
+		in.Sender = append(in.Sender, sRec(1, uint32(i%wrap), packet.KindVideo, at))
+		if i < wrap {
+			in.Core = append(in.Core, cRec(1, uint32(i), packet.KindVideo, at+delay))
+		}
+	}
+	check := func(feed string, views []PacketView, refused int64) {
+		t.Helper()
+		for _, v := range views {
+			if v.ULDelay < 0 {
+				t.Fatalf("%s: %d/%d sent at %v joined a core sighting at %v (uplink delay %v)",
+					feed, v.Flow, v.Seq, v.SentAt, v.CoreAt, v.ULDelay)
+			}
+		}
+		if refused == 0 {
+			t.Errorf("%s: no join refused", feed)
+		}
+	}
+	rep := Correlate(in)
+	check("Correlate", rep.Packets, rep.RefusedJoins)
+	views, st := replayChunked(t, in, func(int) time.Duration { return 100 * time.Millisecond })
+	check("live", views, st.refused)
 }
 
 // FuzzLiveFeedOrder fuzzes the delivery chunking of a synthetic session:

@@ -239,7 +239,7 @@ func (lc *LiveCorrelator) OnSenderRecord(r packet.Record) error {
 	v.Flow, v.Seq, v.Kind, v.SentAt = r.Flow, r.Seq, r.Kind, at
 	v.SSRC, v.RTPTime, v.Marker = r.SSRC, r.RTPTime, r.Marker
 	if s.n > 0 {
-		v.joinCore(s.at)
+		lc.joinCore(v, s.at)
 	}
 	lc.fifoLeft = append(lc.fifoLeft, int64(r.Size))
 	// A dry FIFO left budget over that the new packet can take.
@@ -274,9 +274,21 @@ func (lc *LiveCorrelator) OnCoreRecord(r packet.Record) error {
 	lc.arrivals++
 	lc.nCore++
 	if s.view != noView {
-		lc.rep.Packets[s.view-lc.shift].joinCore(at)
+		lc.joinCore(&lc.rep.Packets[s.view-lc.shift], at)
 	}
 	return nil
+}
+
+// joinCore joins view v to its key's core sighting at corrected time at,
+// unless the sighting precedes the send by more than the clock slack
+// (SlotDuration + MatchTolerance): then it belongs to a namesake sent
+// earlier under the same key, and the join is refused and counted.
+func (lc *LiveCorrelator) joinCore(v *PacketView, at time.Duration) {
+	if at < v.SentAt-lc.in.SlotDuration-lc.in.MatchTolerance {
+		lc.rep.RefusedJoins++
+		return
+	}
+	v.joinCore(at)
 }
 
 // noTime marks a capture head no record has set: a clock running behind
@@ -356,6 +368,7 @@ func (lc *LiveCorrelator) Snapshot() LiveSnapshot {
 		Emitted:        lc.emittedTotal,
 		Pending:        lc.Pending(),
 		Trims:          lc.trims,
+		RefusedJoins:   lc.rep.RefusedJoins,
 		Advanced:       lc.advanced,
 		BufferedSender: len(lc.sizes),
 		BufferedCore:   lc.nCore,

@@ -30,9 +30,9 @@ type Plan struct {
 	// the same one. The result is dropped when Fold returns. Fold may be
 	// nil when Runs is empty.
 	Fold func(i int, r *scenario.TopologyResult)
-	// Render builds the figure once every Fold has returned. It never
-	// runs on a pool worker slot, so it may do work of its own,
-	// runner.Default.ForEach included.
+	// Render builds the figure once every Fold has returned. It runs on
+	// the sweep goroutine, never on a pool worker slot, and submits
+	// nothing to the pool; a plan with no runs does all its work here.
 	Render func() *FigureData
 }
 
@@ -128,18 +128,19 @@ func (p *pending) begin() {
 }
 
 // Sweep regenerates the experiments and returns their results in input
-// order, regardless of completion order. It works in four steps:
+// order, regardless of completion order. It works in three steps:
 //
 //  1. Each experiment is looked up in the store (when cfg.Cache is set);
 //     a hit is final.
 //  2. The plans of the experiments that missed are unioned, in input
 //     order, into one batch of topology runs.
-//  3. The plans with no run render first, on the calling goroutine.
-//  4. The batch goes to runner.Default as one Each: duplicate runs
+//  3. The batch goes to runner.Default as one Each: duplicate runs
 //     simulate once, at most one run per worker is in flight, and each
 //     result is folded into every plan that asked for it and dropped.
 //     When an experiment's last fold returns, its Render runs on the
-//     calling goroutine and the figure goes to the store.
+//     calling goroutine and the figure goes to the store. A plan with
+//     no run is ready before the batch starts, so it renders while the
+//     batch's workers run.
 //
 // Each plan is a pure function of cfg.Options, so the rendered bytes and
 // digests are identical whatever else the sweep selects and in whatever
@@ -232,19 +233,15 @@ func Sweep(ctx context.Context, exps []Experiment, cfg SweepConfig) []RunResult 
 		finish(p.slot)
 	}
 
-	// 3: the plans with no run render first, on this goroutine, while
-	// they have the pool to themselves; one that does work of its own
-	// then never holds back the renders of plans whose runs have landed.
+	// 3: one batch; a plan becomes ready to render when its last fold
+	// returns (a plan with no run, at once), and renders on this
+	// goroutine. The channel holds every plan, so no worker blocks on it.
+	ready := make(chan *pending, len(todo))
 	for _, p := range todo {
 		if len(p.plan.Runs) == 0 {
-			render(p)
+			ready <- p
 		}
 	}
-
-	// 4: one batch; a plan becomes ready to render when its last fold
-	// returns, and renders on this goroutine. The channel holds every
-	// plan, so no worker blocks on it.
-	ready := make(chan *pending, len(todo))
 	go func() {
 		runner.Default.Each(ctx, tops,
 			func(t int) { refs[t].p.begin() },

@@ -25,7 +25,7 @@ func BenchmarkRunAllSerial(b *testing.B) {
 	cfgs := benchConfigs(8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p := New(1) // fresh pool: measure execution, not the cache
+		p := New(1) // one worker: measure serial execution
 		p.RunAll(context.Background(), cfgs)
 	}
 }

@@ -1,23 +1,26 @@
 // Package runner is the batch execution engine for scenario runs: a
 // worker pool that fans independent, deterministically-seeded
 // simulations out across GOMAXPROCS goroutines, deduplicating the
-// topologies in flight.
+// topologies of one batch.
 //
 // Every evaluation artifact (figures, mitigation studies, ablations) is
 // a set of topology runs that differ in one knob. The runs are
 // embarrassingly parallel — each owns its Simulator, RNG streams and
 // packet allocator — so Each executes them concurrently and streams
-// each result to its subscribers as it lands: the subscribers fold what
-// they need out of it on the worker that ran it, and the pool then drops
-// it. A batch therefore keeps at most one Result per worker alive,
-// however many runs it holds. Runs dedupe on a hash of the full Topology
-// (seed included): a topology submitted twice in one batch, or by a
-// concurrent batch while it is still in flight, simulates once and every
-// subscriber folds the same *TopologyResult. Nothing is kept once a run
-// has been folded; a topology submitted again later simulates again.
-// Results are safe to share because their accessors are pure readers.
-// RunAll and Run are thin wrappers over Each for callers that want the
-// Results themselves.
+// each result to the batch as it lands: the caller folds what it needs
+// out of it on the worker that ran it, and the pool then drops it. A
+// batch therefore keeps at most one Result per worker alive, however
+// many runs it holds. Runs dedupe on a hash of the full Topology (seed
+// included): a topology submitted twice in one batch simulates once and
+// both indices fold the same *TopologyResult. Nothing outlives the Each
+// call; a topology submitted again by a later or concurrent batch
+// simulates again. Results are safe to share because their accessors
+// are pure readers. RunAll and Run are thin wrappers over Each for
+// callers that want the Results themselves.
+//
+// A sweep (package experiment) is one Each batch over every artifact's
+// runs; an artifact's Render runs on the sweep goroutine and submits
+// nothing to the pool.
 package runner
 
 import (
@@ -43,14 +46,11 @@ func Key(top scenario.Topology) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// Pool executes scenario runs across a bounded set of workers,
-// deduplicating the topologies of the batches in flight. The zero value
-// is not usable; create one with New or use the shared Default pool.
+// Pool executes scenario runs across a bounded set of workers. It holds
+// no state between batches beyond its counters. The zero value is not
+// usable; create one with New or use the shared Default pool.
 type Pool struct {
 	sem chan struct{} // counting semaphore bounding concurrent runs
-
-	mu    sync.Mutex
-	cache map[string]*entry // claimed runs that have not landed yet
 
 	runFn func(scenario.Topology) *scenario.TopologyResult
 
@@ -88,7 +88,7 @@ func init() {
 // accumulate only while obs metrics are enabled (see obs.Enable).
 type Stats struct {
 	Submissions int64 // topologies submitted (duplicates included)
-	MemoHits    int64 // submissions that joined a run in the batch or in flight
+	MemoHits    int64 // submissions that joined an earlier index's run in their batch
 	MemoMisses  int64 // submissions that claimed a fresh execution
 	InFlight    int64 // runs currently executing on workers
 	Flushes     int64 // Flush calls
@@ -105,36 +105,9 @@ func (p *Pool) Stats() Stats {
 	}
 }
 
-// entry is one deduplicated run: the subscribers its result feeds. subs
-// and running are guarded by Pool.mu. The subscribers present when the
-// run is launched are told then that it started; one that joins mid-run
-// is told when it lands, just before its fold.
-type entry struct {
-	key     string
-	top     scenario.Topology
-	subs    []sub
-	running bool
-}
-
-// sub is one index of one batch waiting on a run; told records that its
-// batch's started callback has run for it.
-type sub struct {
-	b    *batch
-	i    int
-	told bool
-}
-
-// batch is one Each call: its callbacks, and the subscriptions not yet
-// resolved (folded, or withdrawn by cancellation).
-type batch struct {
-	started func(i int)
-	fold    func(i int, r *scenario.TopologyResult)
-	pending sync.WaitGroup
-}
-
 // New creates a pool running at most workers simulations concurrently.
 // workers <= 0 selects GOMAXPROCS. The bound is global across concurrent
-// batches on the same pool, so nesting submissions cannot oversubscribe
+// batches on the same pool, so concurrent callers cannot oversubscribe
 // the machine.
 func New(workers int) *Pool { return NewFunc(workers, scenario.RunTopology) }
 
@@ -146,122 +119,71 @@ func NewFunc(workers int, run func(scenario.Topology) *scenario.TopologyResult) 
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	return &Pool{
-		sem:   make(chan struct{}, workers),
-		cache: make(map[string]*entry),
-		runFn: run,
-	}
+	return &Pool{sem: make(chan struct{}, workers), runFn: run}
 }
 
 // Default is the process-wide pool every driver and CLI submits through;
 // sharing one pool bounds the simulations running at once across
-// concurrent callers, and lets a caller join a topology another has in
-// flight.
+// concurrent callers.
 var Default = New(0)
 
 // Each executes every topology and streams the results: for each index
 // i, fold(i, r) is called once the run serving i lands, on the worker
 // that ran it, before the worker takes another run; started(i), if
-// non-nil, is called on that worker when the run starts (just before
-// the fold, for an index that joined a run already in flight).
-// Distinct topologies run concurrently across the pool's workers,
-// started in input order; duplicate topologies — within the batch, or
-// in flight for a concurrent batch — execute once, and every subscriber
-// folds the same Result, in index order within a batch. The pool drops
-// a Result as soon as its folds return, so at most one Result per
-// worker is alive. fold may run concurrently for different indices and
-// must confine its writes to index-disjoint state; it must not submit
-// back into the pool. Each returns once every fold has returned.
+// non-nil, is called on that worker when the run starts. Distinct
+// topologies run concurrently across the pool's workers, started in
+// input order; duplicate topologies within the batch execute once, and
+// every index that asked for one folds the same Result, in index order.
+// The pool drops a Result as soon as its folds return, so at most one
+// Result per worker is alive. fold may run concurrently for different
+// indices and must confine its writes to index-disjoint state; it must
+// not submit back into the pool. Each returns once every fold has
+// returned, and keeps nothing past that.
 //
 // If ctx is cancelled, runs not yet started are skipped and their
 // indices are never folded; runs already in flight complete and fold.
 // Determinism is unaffected by scheduling: each run's randomness derives
 // only from its own topology's seed.
 func (p *Pool) Each(ctx context.Context, tops []scenario.Topology, started func(i int), fold func(i int, r *scenario.TopologyResult)) {
-	b := &batch{started: started, fold: fold}
-	b.pending.Add(len(tops))
-
-	// Claim entries under one lock pass: the first batch to see a key
-	// owns its execution, later arrivals subscribe to it.
+	// A key's first index owns its run; later indices join it.
 	p.met.submissions.Add(int64(len(tops)))
-	keys := make([]string, len(tops))
+	first := make(map[string]int, len(tops))
+	var jobs []job
 	for i, top := range tops {
-		keys[i] = Key(top)
-	}
-	var jobs []*entry
-	p.mu.Lock()
-	for i, top := range tops {
-		k := keys[i]
-		e, ok := p.cache[k]
-		if !ok {
-			e = &entry{key: k, top: top}
-			p.cache[k] = e
-			jobs = append(jobs, e)
-			p.met.memoMisses.Inc()
-		} else {
+		k := Key(top)
+		if j, ok := first[k]; ok {
+			jobs[j].idx = append(jobs[j].idx, i)
 			p.met.memoHits.Inc()
+			continue
 		}
-		e.subs = append(e.subs, sub{b: b, i: i})
+		first[k] = len(jobs)
+		jobs = append(jobs, job{top: top, idx: []int{i}})
+		p.met.memoMisses.Inc()
 	}
-	p.mu.Unlock()
 
 	var claimedAt time.Time
 	if obs.Enabled() {
 		claimedAt = time.Now()
 	}
 	var workers sync.WaitGroup
-	// launch starts e on the slot the caller holds.
-	launch := func(e *entry) {
-		p.mu.Lock()
-		e.running = true
-		subs := append([]sub(nil), e.subs...)
-		for i := range e.subs {
-			e.subs[i].told = true
+	for _, j := range jobs {
+		if !p.acquire(ctx) {
+			break
 		}
-		p.mu.Unlock()
 		workers.Add(1)
 		go func() {
 			defer workers.Done()
 			defer func() { <-p.sem }()
-			p.execute(e, subs, claimedAt)
+			p.execute(j, started, fold, claimedAt)
 		}()
 	}
-	// Jobs start in input order, one per worker slot, until ctx is
-	// cancelled.
-	queue := jobs
-	for len(queue) > 0 && p.acquire(ctx) {
-		launch(queue[0])
-		queue = queue[1:]
-	}
-	// Cancelled with jobs unlaunched: withdraw this batch from them.
-	// Another batch's subscribers keep a job alive, so it still runs
-	// for them; a job nobody waits on is unpublished.
-	for _, e := range queue {
-		p.mu.Lock()
-		e.subs = withdraw(b, e.subs)
-		orphan := len(e.subs) == 0
-		if orphan {
-			delete(p.cache, e.key)
-		}
-		p.mu.Unlock()
-		if !orphan {
-			p.sem <- struct{}{}
-			launch(e)
-		}
-	}
-	// Cancelled while subscribed to another batch's runs that have not
-	// started: stop waiting for them.
-	if ctx.Err() != nil {
-		p.mu.Lock()
-		for _, e := range p.cache {
-			if !e.running {
-				e.subs = withdraw(b, e.subs)
-			}
-		}
-		p.mu.Unlock()
-	}
-	b.pending.Wait()
 	workers.Wait()
+}
+
+// job is one distinct topology of a batch and the indices it serves.
+type job struct {
+	top scenario.Topology
+	idx []int
 }
 
 // acquire takes a worker slot, or reports false once ctx is cancelled.
@@ -280,28 +202,12 @@ func (p *Pool) acquire(ctx context.Context) bool {
 	return true
 }
 
-// withdraw removes b's subscriptions from subs, resolving each; the
-// caller holds the pool's lock.
-func withdraw(b *batch, subs []sub) []sub {
-	kept := subs[:0]
-	for _, s := range subs {
-		if s.b == b {
-			b.pending.Done()
-			continue
-		}
-		kept = append(kept, s)
-	}
-	return kept
-}
-
-// execute runs one launched entry on the calling worker: it tells the
-// subscribers present at launch that it started, and once it lands,
-// folds the result into every subscriber present then and lets the
-// result go.
-func (p *Pool) execute(e *entry, subs []sub, claimedAt time.Time) {
-	for _, s := range subs {
-		if s.b.started != nil {
-			s.b.started(s.i)
+// execute runs one job on the calling worker and folds its result into
+// every index it serves, then lets the result go.
+func (p *Pool) execute(j job, started func(int), fold func(int, *scenario.TopologyResult), claimedAt time.Time) {
+	if started != nil {
+		for _, i := range j.idx {
+			started(i)
 		}
 	}
 
@@ -313,26 +219,14 @@ func (p *Pool) execute(e *entry, subs []sub, claimedAt time.Time) {
 		}
 	}
 	p.met.inFlight.Add(1)
-	r := p.runFn(e.top)
+	r := p.runFn(j.top)
 	p.met.inFlight.Add(-1)
 	if !start.IsZero() {
 		p.met.runDur.ObserveDuration(time.Since(start))
 	}
 
-	// Landed: the entry leaves the cache, so a later submission of the
-	// same topology simulates again, and the subscribers take the result.
-	p.mu.Lock()
-	if p.cache[e.key] == e {
-		delete(p.cache, e.key)
-	}
-	subs, e.subs = e.subs, nil
-	p.mu.Unlock()
-	for _, s := range subs {
-		if !s.told && s.b.started != nil {
-			s.b.started(s.i)
-		}
-		s.b.fold(s.i, r)
-		s.b.pending.Done()
+	for _, i := range j.idx {
+		fold(i, r)
 	}
 }
 
@@ -353,49 +247,14 @@ func (p *Pool) RunAll(ctx context.Context, cfgs []scenario.Config) []*scenario.R
 	return results
 }
 
-// Run executes a single scenario through the pool, or joins the run of
-// the same config in flight.
+// Run executes a single scenario through the pool.
 func (p *Pool) Run(cfg scenario.Config) *scenario.Result {
 	return p.RunAll(context.Background(), []scenario.Config{cfg})[0]
 }
 
-// ForEach runs fn(0..n-1) across the pool's workers and waits for all of
-// them. It is the generic parallel-for for driver stages that build their
-// own simulations or correlations instead of going through a topology
-// run; fn must confine its writes to index-disjoint state and must not
-// submit back into the same pool (fn holds a worker slot for its whole
-// run, so a nested Each could starve). If ctx is cancelled, remaining
-// indices are skipped.
-func (p *Pool) ForEach(ctx context.Context, n int, fn func(i int)) {
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		select {
-		case <-ctx.Done():
-			wg.Wait()
-			return
-		case p.sem <- struct{}{}:
-		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-p.sem }()
-			fn(i)
-		}(i)
-	}
-	wg.Wait()
-}
-
-// Flush counts a reset request. It drops nothing: the pool holds only
-// runs in flight, whose subscribers are waiting on them, and a run
-// leaves the pool the moment it lands.
+// Flush counts a reset request. It drops nothing: the pool keeps no run
+// past the batch that submitted it.
 //
 // Deprecated: there is nothing to flush; kept for callers that reset the
 // pool between sweeps.
 func (p *Pool) Flush() { p.met.flushes.Inc() }
-
-// CacheLen reports the number of runs claimed and not yet landed.
-func (p *Pool) CacheLen() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.cache)
-}

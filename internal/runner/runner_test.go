@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"athena/internal/obs"
 	"athena/internal/ran"
 	"athena/internal/scenario"
 	"athena/internal/units"
@@ -79,10 +78,6 @@ func TestRunAllPreservesOrderAndMemoizes(t *testing.T) {
 	if res[0].Cfg.Seed != 1 || res[1].Cfg.Seed != 2 {
 		t.Errorf("order not preserved: seeds %d,%d", res[0].Cfg.Seed, res[1].Cfg.Seed)
 	}
-	// The batch's entries leave with it: the pool holds no Result.
-	if n := p.CacheLen(); n != 0 {
-		t.Errorf("CacheLen after RunAll returned = %d, want 0", n)
-	}
 	// A later batch simulates again, to the same bytes.
 	again := p.Run(a)
 	if again.TopologyResult == res[0].TopologyResult {
@@ -114,9 +109,6 @@ func TestRunCountsExecutions(t *testing.T) {
 			t.Fatalf("slot %d does not share the run of its first copy", i)
 		}
 	}
-	if n := p.CacheLen(); n != 0 {
-		t.Fatalf("CacheLen after RunAll returned = %d, want 0", n)
-	}
 	p.RunAll(context.Background(), cfgs)
 	if runs.Load() != 8 {
 		t.Fatalf("re-submission executed %d runs in all, want 8 (nothing outlives a batch)", runs.Load())
@@ -142,7 +134,7 @@ func TestRunAllCancellation(t *testing.T) {
 	cancel()
 	close(block)
 	res := <-done
-	// Unstarted jobs were skipped and unpublished: running them again
+	// Unstarted jobs were skipped: running them again
 	// (uncancelled) must work and fill every slot.
 	p.runFn = fakeResult
 	res2 := p.RunAll(context.Background(), cfgs)
@@ -152,17 +144,6 @@ func TestRunAllCancellation(t *testing.T) {
 		}
 	}
 	_ = res
-}
-
-func TestForEach(t *testing.T) {
-	p := New(4)
-	out := make([]int, 100)
-	p.ForEach(context.Background(), len(out), func(i int) { out[i] = i * i })
-	for i, v := range out {
-		if v != i*i {
-			t.Fatalf("index %d = %d", i, v)
-		}
-	}
 }
 
 func TestKeyDistinguishesConfigs(t *testing.T) {
@@ -188,92 +169,21 @@ func TestKeyDistinguishesConfigs(t *testing.T) {
 	}
 }
 
-// TestFlushKeepsInFlightEntries pins the documented Flush contract and
-// the in-flight dedupe that outlives drop-on-return: a second batch
-// submitting a config while the first batch runs it joins that run, a
-// Flush racing them never removes the running entry, both receive the
-// one Result that run produces, and once both return the pool is empty.
-func TestFlushKeepsInFlightEntries(t *testing.T) {
-	obs.Enable() // the hit counter tells when the second batch has joined
-	defer obs.Disable()
-
-	p := New(2)
-	started := make(chan struct{})
-	block := make(chan struct{})
-	var execs atomic.Int32
-	p.runFn = func(top scenario.Topology) *scenario.TopologyResult {
-		if execs.Add(1) == 1 {
-			close(started)
-		}
-		<-block
-		return fakeResult(top)
-	}
-	cfg := scenario.Defaults()
-
-	resCh := make(chan *scenario.Result, 2)
-	go func() { resCh <- p.Run(cfg) }()
-	<-started
-	// A second caller joins the in-flight entry while it is blocked.
-	go func() { resCh <- p.Run(cfg) }()
-	for p.Stats().MemoHits == 0 {
-		time.Sleep(time.Millisecond)
-	}
-
-	// Flush mid-flight: the running entry must survive.
-	p.Flush()
-	if n := p.CacheLen(); n != 1 {
-		t.Fatalf("CacheLen after mid-flight Flush = %d, want 1 (in-flight entry dropped)", n)
-	}
-
-	close(block)
-	a, b := <-resCh, <-resCh
-	if a == nil || b == nil {
-		t.Fatal("a waiter lost its result to the racing Flush")
-	}
-	if a.TopologyResult != b.TopologyResult {
-		t.Fatal("waiters received different runs for one config")
-	}
-	if got := execs.Load(); got != 1 {
-		t.Fatalf("config simulated %d times, want exactly 1", got)
-	}
-	if n := p.CacheLen(); n != 0 {
-		t.Fatalf("CacheLen after both batches returned = %d, want 0", n)
-	}
-}
-
-func TestFlush(t *testing.T) {
-	p := New(2)
-	p.runFn = fakeResult
-	cfg := scenario.Defaults()
-	first := p.Run(cfg)
-	p.Flush()
-	if p.CacheLen() != 0 {
-		t.Fatalf("CacheLen after Flush = %d", p.CacheLen())
-	}
-	if second := p.Run(cfg); second.TopologyResult == first.TopologyResult {
-		t.Fatal("Flush should force re-execution")
-	}
-}
-
 // A pool worker executing a sharded multi-cell RunTopology must
 // complete even on a single-worker pool: the shards run on their own
 // goroutines started by internal/scenario, not by submitting back into
-// the pool, so
-// holding a worker slot for the whole topology run cannot starve the
-// shards of each other (the nested-submission deadlock ForEach's
-// contract warns about). Guards the fan-out layering of the sharded
-// engine; run under -race in CI.
-func TestForEachShardedTopologyNoStarvation(t *testing.T) {
+// the pool, so holding the only worker slot for the whole topology run
+// cannot starve the shards of each other. Guards the fan-out layering of
+// the sharded engine; run under -race in CI.
+func TestEachShardedTopologyNoStarvation(t *testing.T) {
 	p := New(1) // one slot: any nested submission would deadlock
+	top := scenario.NewMultiCellTopology(4, 2)
+	top.Duration = 500 * time.Millisecond
 	done := make(chan string, 1)
 	go func() {
-		var d string
-		p.ForEach(context.Background(), 1, func(int) {
-			top := scenario.NewMultiCellTopology(4, 2)
-			top.Duration = 500 * time.Millisecond
-			d = scenario.RunTopology(top).Digest()
+		p.Each(context.Background(), []scenario.Topology{top}, nil, func(_ int, r *scenario.TopologyResult) {
+			done <- r.Digest()
 		})
-		done <- d
 	}()
 	select {
 	case d := <-done:
@@ -339,64 +249,5 @@ func TestEachBoundsLiveResults(t *testing.T) {
 	}
 	if created.Load() != n || folded.Load() != n {
 		t.Fatalf("created %d, folded %d, want %d each", created.Load(), folded.Load(), n)
-	}
-}
-
-// TestEachCancelledOwnerStillServesJoiner: a batch cancelled before it
-// launches a run withdraws only itself from it. Another batch that
-// joined the run still gets it folded, and the cancelled batch folds
-// only what was already in flight.
-func TestEachCancelledOwnerStillServesJoiner(t *testing.T) {
-	obs.Enable() // the hit counter tells when the second batch has joined
-	defer obs.Disable()
-
-	p := New(1)
-	startedX := make(chan struct{})
-	block := make(chan struct{})
-	var execs atomic.Int32
-	p.runFn = func(top scenario.Topology) *scenario.TopologyResult {
-		execs.Add(1)
-		if top.Seed == 1 {
-			close(startedX)
-			<-block
-		}
-		return fakeResult(top)
-	}
-	tops := seededTops(2) // x (seed 1) blocks the only worker; y waits
-	ctx, cancel := context.WithCancel(context.Background())
-	var ownerFolds, joinerFolds []int64
-	ownerDone := make(chan struct{})
-	go func() {
-		p.Each(ctx, tops, nil, func(_ int, r *scenario.TopologyResult) {
-			ownerFolds = append(ownerFolds, r.Top.Seed)
-		})
-		close(ownerDone)
-	}()
-	<-startedX
-	joinerDone := make(chan struct{})
-	go func() {
-		p.Each(context.Background(), tops[1:], nil, func(_ int, r *scenario.TopologyResult) {
-			joinerFolds = append(joinerFolds, r.Top.Seed)
-		})
-		close(joinerDone)
-	}()
-	for p.Stats().MemoHits == 0 {
-		time.Sleep(time.Millisecond)
-	}
-	cancel()
-	close(block)
-	<-ownerDone
-	<-joinerDone
-	if len(ownerFolds) != 1 || ownerFolds[0] != 1 {
-		t.Errorf("cancelled batch folded seeds %v, want [1] (the run in flight)", ownerFolds)
-	}
-	if len(joinerFolds) != 1 || joinerFolds[0] != 2 {
-		t.Errorf("joining batch folded seeds %v, want [2]", joinerFolds)
-	}
-	if n := execs.Load(); n != 2 {
-		t.Errorf("executed %d runs, want 2", n)
-	}
-	if n := p.CacheLen(); n != 0 {
-		t.Errorf("CacheLen = %d after both batches returned, want 0", n)
 	}
 }
