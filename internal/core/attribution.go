@@ -115,6 +115,17 @@ func (a *Attribution) Add(c Components) {
 	}
 }
 
+// Merge folds another breakdown into this one. Merging the breakdowns of
+// any partition of the packets equals Add over all of them.
+func (a *Attribution) Merge(b Attribution) {
+	a.Packets += b.Packets
+	a.RetxAffected += b.RetxAffected
+	a.BSRServed += b.BSRServed
+	for i, ns := range b.TotalNS {
+		a.TotalNS[i] += ns
+	}
+}
+
 // TotalMS reports a cause's summed contribution in milliseconds.
 func (a Attribution) TotalMS(c Cause) float64 {
 	for i, known := range Causes {

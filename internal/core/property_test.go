@@ -100,7 +100,7 @@ func TestAttributionBoundsProperty(t *testing.T) {
 	}
 }
 
-// Property: a report's breakdown is the field-wise sum of its per-flow
+// Property: a report's breakdown is the Merge of its per-flow
 // breakdowns — exactly, not approximately. Both fold the same
 // Components() into integer totals, and integer addition does not care
 // how the packets are partitioned; float millisecond totals would.
@@ -119,12 +119,7 @@ func TestAttributeIsExactSumOfFlows(t *testing.T) {
 		byFlow := rep.AttributeByFlow()
 		var sum Attribution
 		for _, a := range byFlow {
-			sum.Packets += a.Packets
-			sum.RetxAffected += a.RetxAffected
-			sum.BSRServed += a.BSRServed
-			for i, ns := range a.TotalNS {
-				sum.TotalNS[i] += ns
-			}
+			sum.Merge(a)
 		}
 		whole := rep.Attribute()
 		if len(byFlow) != 7 || whole.RetxAffected == 0 || whole.TotalNS[IdxSFU] == 0 {

@@ -18,7 +18,8 @@ const PrometheusContentType = "text/plain; version=0.0.4; charset=utf-8"
 // name: the "athena_" namespace prefix plus the name with every
 // character outside [a-zA-Z0-9_:] rewritten to '_'. The mapping is not
 // injective ("a.b" and "a-b" collide); WritePrometheus deduplicates
-// collisions deterministically by suffixing the metric kind.
+// collisions deterministically by suffixing the metric kind until the
+// name is unique.
 func PromName(name string) string {
 	var b strings.Builder
 	b.Grow(len("athena_") + len(name))
@@ -51,11 +52,12 @@ func writePrometheusSnapshot(w io.Writer, s Snapshot) error {
 	var b bytes.Buffer
 	seen := make(map[string]bool, len(s.Counters)+len(s.Gauges)+len(s.Histograms))
 	family := func(name, kind string) string {
+		// A registry name may hold a counter, a gauge and a histogram
+		// at once, and distinct names can collide after sanitization;
+		// a later family takes a deterministic kind suffix, repeated
+		// until its name is unique.
 		pn := PromName(name)
-		if seen[pn] {
-			// A registry name may hold a counter, a gauge and a
-			// histogram at once, and distinct names can collide after
-			// sanitization; later kinds get a deterministic suffix.
+		for seen[pn] {
 			pn += "_" + kind
 		}
 		seen[pn] = true

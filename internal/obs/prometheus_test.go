@@ -113,13 +113,18 @@ func TestPromNameSanitization(t *testing.T) {
 	}
 }
 
-// A registry name holding both a counter and a gauge must not emit two
-// families under one Prometheus name.
+// Registry names that collide after PromName must not emit two families
+// under one Prometheus name: one name holding both a counter and a gauge,
+// and three histograms whose names differ only in '.', '-' and ' ' (the
+// delay histograms of sessions in cells "a.b", "a-b" and "a b").
 func TestPrometheusKindCollision(t *testing.T) {
 	const name = "promtest.collide.value"
 	promTestMetrics(t, "promtest.collide.")
 	NewCounter(name).Add(1)
 	NewGauge(name).Set(2)
+	for _, cell := range []string{"a.b", "a-b", "a b"} {
+		NewHistogram("promtest.collide.cell." + cell + ".delay_ns").Observe(1)
+	}
 
 	var buf bytes.Buffer
 	if err := WritePrometheus(&buf); err != nil {
@@ -131,6 +136,12 @@ func TestPrometheusKindCollision(t *testing.T) {
 	out := buf.String()
 	if !strings.Contains(out, PromName(name)+"_gauge ") {
 		t.Fatalf("gauge kind not disambiguated:\n%s", out)
+	}
+	base := PromName("promtest.collide.cell.a_b.delay_ns")
+	for _, pn := range []string{base, base + "_histogram", base + "_histogram_histogram"} {
+		if !strings.Contains(out, "# TYPE "+pn+" histogram\n") {
+			t.Fatalf("family %s missing:\n%s", pn, out)
+		}
 	}
 }
 

@@ -188,6 +188,8 @@ func TestAPIErrorMapping(t *testing.T) {
 		{Config{ID: "b2", MaxPending: DefaultMaxPending + 1}, "max_pending"},
 		{Config{ID: "b3", FlushAfter: -1}, "flush_after_ns"},
 		{Config{ID: "b4", FlushAfter: core.DefaultFlushAfter + 1}, "flush_after_ns"},
+		{Config{ID: "b5", Cell: strings.Repeat("c", 129)}, "cell"},
+		{Config{ID: "b6", Workload: strings.Repeat("w", 129)}, "workload"},
 	} {
 		rr, body := do(t, h, "POST", "/v1/sessions", c.cfg)
 		if _, made := reg.Get(c.cfg.ID); rr.Code != http.StatusBadRequest || !strings.Contains(string(body), c.field) || made {
@@ -325,7 +327,7 @@ func TestMetricsPageIndependentOfSessions(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		feedAllTB(t, s, synthFeedTB(10), 5)
+		feedAll(t, s, synthFeedTB(10), 5)
 	}
 
 	// Warm every feed-path series with a session that is gone again.

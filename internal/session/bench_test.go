@@ -15,9 +15,10 @@ import (
 	"athena/internal/obs"
 )
 
-// BenchmarkRollupFold measures one fold on the per-view emit path — the
-// exact cost rollups add to every attributed packet. Run with
-// -obs (see obs.BenchFlag) toggled by the two named variants below.
+// BenchmarkRollupFold measures the rollup's share of one feed of ten
+// attributed views: ten histogram observes and one fold — the exact cost
+// rollups add to the ingest path. The Obs variant runs with collection
+// enabled.
 func benchRollupFold(b *testing.B, enabled bool) {
 	if enabled {
 		obs.Enable()
@@ -28,10 +29,18 @@ func benchRollupFold(b *testing.B, enabled bool) {
 	}
 	r := NewRollup()
 	f := r.Bind("cell0", "vca")
+	c := core.Components{1000, 2000, 3000, 4000, 500}
+	var a core.Attribution
+	for range 10 {
+		a.Add(c)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f.fold(core.Components{1000, 2000, 3000, 4000, 500}, true)
+		for range 10 {
+			f.observe(c, true)
+		}
+		f.fold(a)
 	}
 }
 

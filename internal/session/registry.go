@@ -86,13 +86,19 @@ func (r *Registry) Overview() Overview {
 	return o
 }
 
+// maxLabelLen bounds a session ID and its Cell and Workload labels.
+const maxLabelLen = 128
+
 // Create registers a new session. The ID must be non-empty, at most 128
-// bytes, and unused. The bounds are server policy: a create may lower
-// MaxPending and FlushAfter below their defaults, but not raise or
-// disable them.
+// bytes, and unused; Cell and Workload are at most 128 bytes too. The
+// bounds are server policy: a create may lower MaxPending and FlushAfter
+// below their defaults, but not raise or disable them.
 func (r *Registry) Create(cfg Config) (*Session, error) {
-	if cfg.ID == "" || len(cfg.ID) > 128 {
+	if cfg.ID == "" || len(cfg.ID) > maxLabelLen {
 		return nil, fmt.Errorf("%w: %q", ErrInvalidID, cfg.ID)
+	}
+	if len(cfg.Cell) > maxLabelLen || len(cfg.Workload) > maxLabelLen {
+		return nil, fmt.Errorf("%w: cell (%d bytes) or workload (%d bytes) over %d", ErrInvalidConfig, len(cfg.Cell), len(cfg.Workload), maxLabelLen)
 	}
 	if cfg.MaxPending < 0 || cfg.MaxPending > DefaultMaxPending {
 		return nil, fmt.Errorf("%w: max_pending %d outside [0, %d]", ErrInvalidConfig, cfg.MaxPending, DefaultMaxPending)

@@ -2,7 +2,6 @@ package session
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"athena/internal/core"
 	"athena/internal/obs"
@@ -10,9 +9,8 @@ import (
 
 // causeMetricNames are the metric-name components of each cause, used
 // for the fleet distribution histograms ("serve.rollup.cause.<name>_ns").
-// The rollup fold runs per emitted view on the session feed path, so
-// cause totals live in arrays of atomics indexed by core's dense cause
-// indices rather than maps — no hashing, no allocation.
+// The histograms are observed per emitted view, so they live in an array
+// indexed by core's dense cause indices rather than a map.
 var causeMetricNames = [core.NumCauses]string{
 	core.IdxQueueSlot: "queue_slot",
 	core.IdxBSR:       "bsr",
@@ -25,23 +23,19 @@ var causeMetricNames = [core.NumCauses]string{
 // cell or workload tag, so fleet totals never silently lose packets.
 const unlabeledBin = "unlabeled"
 
-// Rollup folds every session's attribution deltas into fleet-wide
-// per-dimension aggregates: integer-nanosecond cause totals (exact under
-// any feed interleaving — integer addition is associative, float is
-// not), plus per-cause and per-dimension obs.Histograms for delay
-// distributions. Totals are plain atomics and always on — they are
-// service data, not diagnostics; the distribution histograms ride the
-// obs enable gate like every other metric.
+// Rollup is the fleet aggregate behind /v1/overview: one
+// core.Attribution per cell and per workload family, each beside a
+// histogram of its packets' attributed delay, plus one fleet histogram
+// per cause. The attributions are service data and always on; the
+// histograms ride the obs enable gate like every other metric.
 //
-// The fold path is allocation-free: a session resolves its cell and
-// workload-family bins once at creation (rollupFold), so folding one
-// view is a handful of atomic adds and gated histogram observes.
+// A session folds into the rollup twice over. Each emitted view is
+// observed into the histograms (allocation-free, gated); at the end of
+// each feed the session merges what it emitted into its two bins, once,
+// under the rollup mutex. The fleet totals are not stored: every session
+// is bound to exactly one cell bin, so Snapshot sums those, and a
+// snapshot's totals and bins agree by construction.
 type Rollup struct {
-	packets atomic.Int64
-	retx    atomic.Int64
-	bsr     atomic.Int64
-	causeNS [core.NumCauses]atomic.Int64
-
 	// causeHist observes each attributed packet's per-cause delay (ns);
 	// registered once under "serve.rollup.cause.*" (the obs registry
 	// dedupes by name, so rollups across registries share instances,
@@ -54,11 +48,10 @@ type Rollup struct {
 }
 
 // rollupBin is one dimension value's aggregate (a cell, or a workload
-// family): packet count, cause totals, and a histogram of each packet's
-// total attributed delay.
+// family): its attribution, guarded by Rollup.mu, and a histogram of each
+// packet's total attributed delay.
 type rollupBin struct {
-	packets   atomic.Int64
-	causeNS   [core.NumCauses]atomic.Int64
+	attr      core.Attribution
 	delayHist *obs.Histogram
 }
 
@@ -91,8 +84,8 @@ func (r *Rollup) bin(dim string, m map[string]*rollupBin, label string) *rollupB
 }
 
 // rollupFold is a session's pre-resolved view into the rollup: the
-// shared totals plus this session's cell and family bins. The zero value
-// (nil rollup) folds nothing, so sessions work without a rollup.
+// rollup plus this session's cell and family bins. The zero value (nil
+// rollup) folds nothing, so sessions work without a rollup.
 type rollupFold struct {
 	r            *Rollup
 	cell, family *rollupBin
@@ -110,23 +103,13 @@ func (r *Rollup) Bind(cell, family string) rollupFold {
 	}
 }
 
-// fold adds one attributed view's components, as derived by
-// PacketView.Components. A packet not seen at the receiver has no
-// downstream components — unobserved, not zero — so only the uplink
-// causes reach the totals and the per-cause distributions. The sum of
-// what is folded is the packet's whole attributed delay, which feeds the
-// dimension distribution histograms.
-func (f rollupFold) fold(c core.Components, seenRecv bool) {
-	r := f.r
-	if r == nil {
+// observe records one attributed view's components, as derived by
+// PacketView.Components, in the delay histograms. A packet not seen at
+// the receiver has no downstream components — unobserved, not zero — so
+// only its uplink causes reach the per-cause distributions.
+func (f rollupFold) observe(c core.Components, seenRecv bool) {
+	if f.r == nil || !obs.Enabled() {
 		return
-	}
-	r.packets.Add(1)
-	if c[core.IdxHARQ] > 0 {
-		r.retx.Add(1)
-	}
-	if c[core.IdxBSR] > 0 {
-		r.bsr.Add(1)
 	}
 	observed := c[:core.IdxWAN]
 	if seenRecv {
@@ -134,17 +117,22 @@ func (f rollupFold) fold(c core.Components, seenRecv bool) {
 	}
 	var total int64
 	for i, ns := range observed {
-		r.causeNS[i].Add(ns)
-		r.causeHist[i].Observe(ns)
+		f.r.causeHist[i].Observe(ns)
 		total += ns
 	}
-	for _, b := range [2]*rollupBin{f.cell, f.family} {
-		b.packets.Add(1)
-		for i, ns := range observed {
-			b.causeNS[i].Add(ns)
-		}
-		b.delayHist.Observe(total)
+	f.cell.delayHist.Observe(total)
+	f.family.delayHist.Observe(total)
+}
+
+// fold merges one feed's attribution into the session's two bins.
+func (f rollupFold) fold(a core.Attribution) {
+	if f.r == nil || a.Packets == 0 {
+		return
 	}
+	f.r.mu.Lock()
+	f.cell.attr.Merge(a)
+	f.family.attr.Merge(a)
+	f.r.mu.Unlock()
 }
 
 // CauseStats is one cause's fleet aggregate in an Overview: the exact
@@ -191,26 +179,31 @@ type Overview struct {
 	Events *obs.EventLogStats `json:"events,omitempty"`
 }
 
-// Snapshot renders the rollup. Totals are exact (atomic loads of the
-// folded integers); quantiles come from the obs histograms and are zero
-// when collection is disabled.
+// Snapshot renders the rollup. The totals are the sum of the cell bins,
+// read in the same critical section as the bins, so they agree exactly;
+// quantiles come from the obs histograms and are zero when collection is
+// disabled.
 func (r *Rollup) Snapshot() Overview {
-	o := Overview{
-		Packets:      r.packets.Load(),
-		RetxAffected: r.retx.Load(),
-		BSRServed:    r.bsr.Load(),
+	r.mu.Lock()
+	var total core.Attribution
+	for _, b := range r.cells {
+		total.Merge(b.attr)
 	}
-	if o.Packets > 0 {
-		o.TotalNS = make(map[core.Cause]int64, core.NumCauses)
-		o.TotalMS = make(map[core.Cause]float64, core.NumCauses)
+	o := Overview{
+		Packets:      int64(total.Packets),
+		RetxAffected: int64(total.RetxAffected),
+		BSRServed:    int64(total.BSRServed),
+		Cells:        binStats(r.cells),
+		Families:     binStats(r.families),
+	}
+	r.mu.Unlock()
+	o.TotalNS, o.TotalMS = causeTotals(total)
+	if total.Packets > 0 {
 		o.Causes = make(map[core.Cause]CauseStats, core.NumCauses)
 		for i, c := range core.Causes {
-			ns := r.causeNS[i].Load()
-			o.TotalNS[c] = ns
-			o.TotalMS[c] = float64(ns) / 1e6
 			o.Causes[c] = CauseStats{
-				TotalNS: ns,
-				TotalMS: float64(ns) / 1e6,
+				TotalNS: o.TotalNS[c],
+				TotalMS: o.TotalMS[c],
 				Count:   r.causeHist[i].Count(),
 				P50NS:   r.causeHist[i].Quantile(0.50),
 				P90NS:   r.causeHist[i].Quantile(0.90),
@@ -218,48 +211,40 @@ func (r *Rollup) Snapshot() Overview {
 			}
 		}
 	}
-	r.mu.Lock()
-	cells, families := make([]binRef, 0, len(r.cells)), make([]binRef, 0, len(r.families))
-	for label, b := range r.cells {
-		cells = append(cells, binRef{label, b})
-	}
-	for label, b := range r.families {
-		families = append(families, binRef{label, b})
-	}
-	r.mu.Unlock()
-	o.Cells = binStats(cells)
-	o.Families = binStats(families)
 	return o
 }
 
-type binRef struct {
-	label string
-	bin   *rollupBin
-}
-
-func binStats(refs []binRef) map[string]BinStats {
-	if len(refs) == 0 {
+// binStats renders one dimension's bins. The caller holds Rollup.mu.
+func binStats(bins map[string]*rollupBin) map[string]BinStats {
+	if len(bins) == 0 {
 		return nil
 	}
-	out := make(map[string]BinStats, len(refs))
-	for _, ref := range refs {
-		b := ref.bin
+	out := make(map[string]BinStats, len(bins))
+	for label, b := range bins {
 		bs := BinStats{
-			Packets: b.packets.Load(),
+			Packets: int64(b.attr.Packets),
 			P50NS:   b.delayHist.Quantile(0.50),
 			P90NS:   b.delayHist.Quantile(0.90),
 			P99NS:   b.delayHist.Quantile(0.99),
 		}
-		if bs.Packets > 0 {
-			bs.TotalNS = make(map[core.Cause]int64, core.NumCauses)
-			bs.TotalMS = make(map[core.Cause]float64, core.NumCauses)
-			for i, c := range core.Causes {
-				ns := b.causeNS[i].Load()
-				bs.TotalNS[c] = ns
-				bs.TotalMS[c] = float64(ns) / 1e6
-			}
-		}
-		out[ref.label] = bs
+		bs.TotalNS, bs.TotalMS = causeTotals(b.attr)
+		out[label] = bs
 	}
 	return out
+}
+
+// causeTotals renders an attribution's per-cause totals as the JSON
+// total_ns / total_ms maps: exact integer nanoseconds, and milliseconds
+// derived from them. Both are nil for an attribution with no packets.
+func causeTotals(a core.Attribution) (map[core.Cause]int64, map[core.Cause]float64) {
+	if a.Packets == 0 {
+		return nil, nil
+	}
+	ns := make(map[core.Cause]int64, core.NumCauses)
+	ms := make(map[core.Cause]float64, core.NumCauses)
+	for i, c := range core.Causes {
+		ns[c] = a.TotalNS[i]
+		ms[c] = a.TotalMS(c)
+	}
+	return ns, ms
 }

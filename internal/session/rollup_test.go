@@ -1,6 +1,7 @@
 package session
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -33,29 +34,42 @@ func synthFeedHARQ(n int) core.Input {
 	return in
 }
 
-// feedAllTB streams an input including its TB telemetry, interleaving
-// TBs with the packet chunks in time order, then drains.
-func feedAllTB(t *testing.T, s *Session, in core.Input, batchSize int) {
-	t.Helper()
+// feedChunks streams an input into a session in chunks of batchSize
+// packets, interleaving its TB telemetry (if any) in time order. With
+// drain it then advances past every flush horizon; without, the last
+// chunk is fed with no clock advance and stays pending until the session
+// closes.
+func feedChunks(s *Session, in core.Input, batchSize int, drain bool) error {
 	ti := 0
 	for i := 0; i < len(in.Sender); i += batchSize {
-		j := i + batchSize
-		if j > len(in.Sender) {
-			j = len(in.Sender)
-		}
-		adv := in.Sender[j-1].LocalTime + 6*time.Millisecond
-		b := Batch{Sender: in.Sender[i:j], Core: in.Core[i:j], AdvanceTo: adv}
-		for ti < len(in.TBs) && in.TBs[ti].At <= adv {
+		j := min(i+batchSize, len(in.Sender))
+		b := Batch{Sender: in.Sender[i:j], Core: in.Core[i:j], AdvanceTo: in.Sender[j-1].LocalTime + 6*time.Millisecond}
+		for ti < len(in.TBs) && in.TBs[ti].At <= b.AdvanceTo {
 			b.TBs = append(b.TBs, in.TBs[ti])
 			ti++
 		}
+		if !drain && j == len(in.Sender) {
+			b.AdvanceTo = 0
+		}
 		if _, err := s.Feed(&b); err != nil {
-			t.Fatalf("feed chunk %d: %v", i, err)
+			return fmt.Errorf("feed chunk %d: %w", i, err)
 		}
 	}
-	last := in.Sender[len(in.Sender)-1].LocalTime
-	if _, err := s.Feed(&Batch{TBs: in.TBs[ti:], AdvanceTo: last + 30*time.Second}); err != nil {
-		t.Fatalf("drain: %v", err)
+	b := Batch{TBs: in.TBs[ti:]}
+	if drain {
+		b.AdvanceTo = in.Sender[len(in.Sender)-1].LocalTime + 30*time.Second
+	}
+	if _, err := s.Feed(&b); err != nil {
+		return fmt.Errorf("final feed: %w", err)
+	}
+	return nil
+}
+
+// feedAll feeds a whole input through feedChunks and drains it.
+func feedAll(t *testing.T, s *Session, in core.Input, batchSize int) {
+	t.Helper()
+	if err := feedChunks(s, in, batchSize, true); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -78,50 +92,71 @@ func TestRollupTotalsExactAcrossSessions(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		feedAllTB(t, s, synthFeedHARQ(sizes[i]), 7)
+		feedAll(t, s, synthFeedHARQ(sizes[i]), 7)
 	}
 	finals := reg.CloseAll()
 	if len(finals) != len(cfgs) {
 		t.Fatalf("closed %d sessions", len(finals))
 	}
-
-	wantNS := make(map[core.Cause]int64)
-	var wantPackets, wantRetx, wantBSR int64
 	for _, st := range finals {
 		if st.Attribution.Packets == 0 {
 			t.Fatalf("session %s attributed nothing; exactness check is vacuous", st.ID)
 		}
-		for c, ns := range st.Attribution.TotalNS {
-			wantNS[c] += ns
-		}
-		wantPackets += int64(st.Attribution.Packets)
-		wantRetx += int64(st.Attribution.RetxAffected)
-		wantBSR += int64(st.Attribution.BSRServed)
 	}
 
 	ov := reg.Overview()
 	if ov.Sessions != 0 {
 		t.Fatalf("overview sessions = %d after CloseAll", ov.Sessions)
 	}
-	if ov.Packets != wantPackets || ov.RetxAffected != wantRetx || ov.BSRServed != wantBSR {
-		t.Fatalf("overview counts %d/%d/%d, want %d/%d/%d",
-			ov.Packets, ov.RetxAffected, ov.BSRServed, wantPackets, wantRetx, wantBSR)
-	}
-	if wantRetx == 0 {
+	if ov.RetxAffected == 0 {
 		t.Fatal("no HARQ-affected packets; the HARQ total is vacuously exact")
 	}
-	for _, c := range core.Causes {
-		if ov.TotalNS[c] != wantNS[c] {
-			t.Fatalf("cause %s: overview %d ns != session sum %d ns", c, ov.TotalNS[c], wantNS[c])
-		}
-		if ov.TotalMS[c] != float64(wantNS[c])/1e6 {
-			t.Fatalf("cause %s: overview ms %v is not the exact rendering of %d ns", c, ov.TotalMS[c], wantNS[c])
+	requireOverviewIsSum(t, ov, finals)
+	// The unlabeled session lands in the "unlabeled" bin on both
+	// dimensions.
+	if ov.Cells[unlabeledBin].Packets == 0 || ov.Families[unlabeledBin].Packets == 0 {
+		t.Fatalf("unlabeled session not binned under %q: %+v", unlabeledBin, ov)
+	}
+	if len(ov.Cells) != 3 || len(ov.Families) != 3 {
+		t.Fatalf("bins: %d cells, %d families, want 3+3", len(ov.Cells), len(ov.Families))
+	}
+}
+
+// requireOverviewIsSum fails unless the overview's fleet totals equal the
+// sum of the sessions' final attributions exactly, and its bins partition
+// those totals.
+func requireOverviewIsSum(t *testing.T, ov Overview, finals []Status) {
+	t.Helper()
+	var want core.Attribution
+	for _, st := range finals {
+		a := st.Attribution
+		want.Packets += a.Packets
+		want.RetxAffected += a.RetxAffected
+		want.BSRServed += a.BSRServed
+		for i, c := range core.Causes {
+			want.TotalNS[i] += a.TotalNS[c]
 		}
 	}
+	if ov.Packets != int64(want.Packets) || ov.RetxAffected != int64(want.RetxAffected) || ov.BSRServed != int64(want.BSRServed) {
+		t.Fatalf("overview counts %d/%d/%d, want %d/%d/%d",
+			ov.Packets, ov.RetxAffected, ov.BSRServed, want.Packets, want.RetxAffected, want.BSRServed)
+	}
+	for i, c := range core.Causes {
+		if ov.TotalNS[c] != want.TotalNS[i] {
+			t.Fatalf("cause %s: overview %d ns != session sum %d ns", c, ov.TotalNS[c], want.TotalNS[i])
+		}
+		if ov.TotalMS[c] != float64(want.TotalNS[i])/1e6 {
+			t.Fatalf("cause %s: overview ms %v is not the exact rendering of %d ns", c, ov.TotalMS[c], want.TotalNS[i])
+		}
+	}
+	if err := binsPartitionTotals(ov); err != nil {
+		t.Fatal(err)
+	}
+}
 
-	// Dimension bins partition the fleet: per-cell packets and cause
-	// totals sum back to the fleet totals, and the unlabeled session
-	// lands in the "unlabeled" bin on both dimensions.
+// binsPartitionTotals reports where an overview's cell bins or family
+// bins fail to sum to its fleet packets and cause totals, or nil.
+func binsPartitionTotals(ov Overview) error {
 	for dim, bins := range map[string]map[string]BinStats{"cells": ov.Cells, "families": ov.Families} {
 		var packets int64
 		binNS := make(map[core.Cause]int64)
@@ -131,36 +166,39 @@ func TestRollupTotalsExactAcrossSessions(t *testing.T) {
 				binNS[c] += ns
 			}
 		}
-		if packets != wantPackets {
-			t.Fatalf("%s bins cover %d packets, want %d", dim, packets, wantPackets)
+		if packets != ov.Packets {
+			return fmt.Errorf("%s bins cover %d packets, totals %d", dim, packets, ov.Packets)
 		}
 		for _, c := range core.Causes {
-			if binNS[c] != wantNS[c] {
-				t.Fatalf("%s bins cause %s: %d != %d", dim, c, binNS[c], wantNS[c])
+			if binNS[c] != ov.TotalNS[c] {
+				return fmt.Errorf("%s bins cause %s: %d != totals %d", dim, c, binNS[c], ov.TotalNS[c])
 			}
 		}
-		if bins[unlabeledBin].Packets == 0 {
-			t.Fatalf("%s: unlabeled session not binned under %q", dim, unlabeledBin)
-		}
 	}
-	if len(ov.Cells) != 3 || len(ov.Families) != 3 {
-		t.Fatalf("bins: %d cells, %d families, want 3+3", len(ov.Cells), len(ov.Families))
-	}
+	return nil
 }
 
-// The rollup fold is on the per-view emit path: it must not allocate,
-// enabled or disabled.
+// The rollup's share of the emit path must not allocate, enabled or
+// disabled: the per-view observe, and the per-feed fold.
 func TestRollupFoldNoAllocs(t *testing.T) {
 	r := NewRollup()
 	f := r.Bind("cell0", "vca")
-	fold := func() { f.fold(core.Components{1000, 2000, 3000, 4000, 500}, true) }
-	if n := testing.AllocsPerRun(1000, fold); n != 0 {
-		t.Fatalf("disabled fold allocates %.1f/op", n)
-	}
-	obs.Enable()
-	defer obs.Disable()
-	if n := testing.AllocsPerRun(1000, fold); n != 0 {
-		t.Fatalf("enabled fold allocates %.1f/op", n)
+	c := core.Components{1000, 2000, 3000, 4000, 500}
+	var a core.Attribution
+	a.Add(c)
+	observe := func() { f.observe(c, true) }
+	fold := func() { f.fold(a) }
+	for _, on := range []bool{false, true} {
+		if on {
+			obs.Enable()
+			defer obs.Disable()
+		}
+		if n := testing.AllocsPerRun(1000, observe); n != 0 {
+			t.Fatalf("observe allocates %.1f/op (obs on: %v)", n, on)
+		}
+		if n := testing.AllocsPerRun(1000, fold); n != 0 {
+			t.Fatalf("fold allocates %.1f/op (obs on: %v)", n, on)
+		}
 	}
 }
 
@@ -177,7 +215,7 @@ func TestRollupQuantilesWhenEnabled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	feedAllTB(t, s, synthFeedHARQ(100), 10)
+	feedAll(t, s, synthFeedHARQ(100), 10)
 	ov := reg.Overview()
 	qs := ov.Causes[core.CauseQueueSlot]
 	if qs.Count == 0 || qs.P99NS == 0 {
@@ -299,7 +337,7 @@ func testSessionAnomalyEvents(t *testing.T) {
 		t.Fatal(err)
 	}
 	// 25% of packets carry 5 ms HARQ inflation: p99 lands well past 1 ms.
-	feedAllTB(t, s, synthFeedHARQ(200), 10)
+	feedAll(t, s, synthFeedHARQ(200), 10)
 
 	evs, _, _ := reg.Events.Since(0, 0)
 	var raised []obs.Event
@@ -321,7 +359,7 @@ func testSessionAnomalyEvents(t *testing.T) {
 
 	// A clean session under the same registry never alarms.
 	s2, _ := reg.Create(Config{ID: "clean"})
-	feedAllTB(t, s2, synthFeedTB(100), 10)
+	feedAll(t, s2, synthFeedTB(100), 10)
 	evs, _, _ = reg.Events.Since(0, 0)
 	for _, e := range evs {
 		if e.Type == "session.anomaly" && e.Session == "clean" {

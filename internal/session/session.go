@@ -134,8 +134,11 @@ type Session struct {
 	mu     sync.Mutex
 	lc     *core.LiveCorrelator
 	hasher *core.ViewHasher
-	attr   core.Attribution
-	closed bool
+	// attr is the running breakdown over every view folded so far;
+	// unfolded holds the views emitted since, until foldLocked hands
+	// them to attr and the fleet rollup at the end of the feed.
+	attr, unfolded core.Attribution
+	closed         bool
 
 	maxPending int
 
@@ -172,11 +175,11 @@ func newSession(cfg Config, hooks sessionHooks) *Session {
 	s.lc = core.NewLive(cfg.Input, func(v core.PacketView) {
 		s.hasher.Add(v)
 		if c, ok := v.Components(); ok {
-			s.attr.Add(c)
+			s.unfolded.Add(c)
 			if s.hooks.anomalyNS > 0 {
 				s.harq.Record(c[core.IdxHARQ])
 			}
-			s.hooks.fold.fold(c, v.SeenRecv)
+			s.hooks.fold.observe(c, v.SeenRecv)
 		}
 	})
 	if cfg.FlushAfter > 0 {
@@ -209,6 +212,7 @@ func (s *Session) Feed(b *Batch) (core.LiveSnapshot, error) {
 			ErrBackpressure, snap.Pending, len(b.Sender), s.maxPending)
 	}
 	err := s.feedLocked(b)
+	s.foldLocked()
 	if err != nil {
 		s.hooks.events.Emit(obs.Event{
 			Type: "session.reject", Session: s.id, Cell: s.cell, Family: s.family,
@@ -239,6 +243,15 @@ func (s *Session) feedLocked(b *Batch) error {
 		return s.lc.Advance(b.AdvanceTo)
 	}
 	return nil
+}
+
+// foldLocked hands the views emitted since the last fold to the running
+// breakdown and to the fleet rollup, once per feed. A feed that fails
+// part-way still folds what it emitted before the error.
+func (s *Session) foldLocked() {
+	s.attr.Merge(s.unfolded)
+	s.hooks.fold.fold(s.unfolded)
+	s.unfolded = core.Attribution{}
 }
 
 // checkAnomalyLocked compares the session's HARQ-attributed p99 against
@@ -274,19 +287,10 @@ func (s *Session) Status() Status {
 }
 
 func (s *Session) statusLocked() Status {
-	// The running totals are a plain array; the maps below are rendered
-	// fresh for this Status, so encoding it after the mutex is released
-	// shares nothing with concurrent feeds.
-	var totalMS map[core.Cause]float64
-	var totalNS map[core.Cause]int64
-	if s.attr.Packets > 0 {
-		totalMS = make(map[core.Cause]float64, core.NumCauses)
-		totalNS = make(map[core.Cause]int64, core.NumCauses)
-		for i, c := range core.Causes {
-			totalMS[c] = s.attr.TotalMS(c)
-			totalNS[c] = s.attr.TotalNS[i]
-		}
-	}
+	// The running totals are a plain array; the maps are rendered fresh
+	// for this Status, so encoding it after the mutex is released shares
+	// nothing with concurrent feeds.
+	totalNS, totalMS := causeTotals(s.attr)
 	return Status{
 		ID:          s.id,
 		Closed:      s.closed,
@@ -317,6 +321,7 @@ func (s *Session) close() Status {
 			// the feeder never advanced the clock or used absolute
 			// (e.g. epoch-based) record times far ahead of it.
 			_ = s.lc.Drain()
+			s.foldLocked()
 		}
 		s.closed = true
 	}

@@ -2,6 +2,8 @@ package session
 
 import (
 	"errors"
+	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -32,7 +34,7 @@ func synthFeed(n int) core.Input {
 }
 
 // synthFeedTB extends synthFeed with one TB per packet, so emitted views
-// carry TB matches and Accumulate writes the per-cause totals map.
+// carry TB matches and attribute to per-cause totals.
 func synthFeedTB(n int) core.Input {
 	in := synthFeed(n)
 	in.SlotDuration = 500 * time.Microsecond
@@ -45,30 +47,6 @@ func synthFeedTB(n int) core.Input {
 		})
 	}
 	return in
-}
-
-// feedAll streams an input into a session in chunks of batchSize packets,
-// advancing past each chunk, with a final drain advance.
-func feedAll(t *testing.T, s *Session, in core.Input, batchSize int) {
-	t.Helper()
-	for i := 0; i < len(in.Sender); i += batchSize {
-		j := i + batchSize
-		if j > len(in.Sender) {
-			j = len(in.Sender)
-		}
-		b := Batch{
-			Sender:    in.Sender[i:j],
-			Core:      in.Core[i:j],
-			AdvanceTo: in.Sender[j-1].LocalTime,
-		}
-		if _, err := s.Feed(&b); err != nil {
-			t.Fatalf("feed chunk %d: %v", i, err)
-		}
-	}
-	last := in.Sender[len(in.Sender)-1].LocalTime
-	if _, err := s.Feed(&Batch{AdvanceTo: last + 30*time.Second}); err != nil {
-		t.Fatalf("drain: %v", err)
-	}
 }
 
 func TestSessionLifecycleAndDigest(t *testing.T) {
@@ -185,21 +163,8 @@ func TestSessionStatusDetachedFromFeed(t *testing.T) {
 		}
 	}()
 	<-ready // overlap the reader with the whole feed, not just its tail
-	ti := 0
-	for i := 0; i < len(in.Sender); i += 10 {
-		j := i + 10
-		if j > len(in.Sender) {
-			j = len(in.Sender)
-		}
-		adv := in.Sender[j-1].LocalTime + 2*time.Millisecond
-		b := Batch{Sender: in.Sender[i:j], Core: in.Core[i:j], AdvanceTo: adv}
-		for ti < len(in.TBs) && in.TBs[ti].At <= adv {
-			b.TBs = append(b.TBs, in.TBs[ti])
-			ti++
-		}
-		if _, err := s.Feed(&b); err != nil {
-			t.Fatalf("feed %d: %v", i, err)
-		}
+	if err := feedChunks(s, in, 10, false); err != nil {
+		t.Fatal(err)
 	}
 	close(stop)
 	<-done
@@ -255,8 +220,26 @@ func TestSessionFeedErrorKeepsUsable(t *testing.T) {
 func TestRegistryCreateErrors(t *testing.T) {
 	reg := NewRegistry()
 	reg.MaxSessions = 2
-	if _, err := reg.Create(Config{ID: ""}); !errors.Is(err, ErrInvalidID) {
-		t.Fatalf("empty id: %v", err)
+	long := strings.Repeat("x", 129)
+	for _, c := range []struct {
+		cfg  Config
+		want error
+	}{
+		{Config{ID: ""}, ErrInvalidID},
+		{Config{ID: long}, ErrInvalidID},
+		{Config{ID: "l1", Cell: long}, ErrInvalidConfig},
+		{Config{ID: "l2", Workload: long}, ErrInvalidConfig},
+	} {
+		if _, err := reg.Create(c.cfg); !errors.Is(err, c.want) {
+			t.Fatalf("%.20q/%.20q/%.20q: %v, want %v", c.cfg.ID, c.cfg.Cell, c.cfg.Workload, err, c.want)
+		}
+	}
+	// Labels at the bound pass.
+	if _, err := reg.Create(Config{ID: "edge", Cell: long[1:], Workload: long[1:]}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := reg.Close("edge"); err != nil {
+		t.Fatal(err)
 	}
 	if _, err := reg.Create(Config{ID: "a"}); err != nil {
 		t.Fatal(err)
@@ -276,37 +259,38 @@ func TestRegistryCreateErrors(t *testing.T) {
 }
 
 // TestRegistryConcurrent exercises the documented concurrency contract
-// under -race: many sessions fed in parallel while another goroutine
-// lists and queries.
+// under -race: labelled sessions fed TB-carrying feeds in parallel while
+// another goroutine lists sessions and reads the overview. Each overview
+// read must agree with itself — its cell bins and its family bins each
+// sum to its fleet totals — and after CloseAll the overview must equal
+// the sum of the final statuses exactly, including session "a", which is
+// closed with packets still pending.
 func TestRegistryConcurrent(t *testing.T) {
 	reg := NewRegistry()
 	const n = 8
+	sessions := make([]*Session, n)
 	var feeders sync.WaitGroup
-	for i := 0; i < n; i++ {
-		id := string(rune('a' + i))
-		s, err := reg.Create(Config{ID: id})
+	for i := range sessions {
+		s, err := reg.Create(Config{
+			ID:       string(rune('a' + i)),
+			Cell:     fmt.Sprintf("cell%d", i%3),
+			Workload: []string{"vca", "bulk-transfer", ""}[i%3],
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
+		sessions[i] = s
 		feeders.Add(1)
-		go func(s *Session) {
+		go func(s *Session, drain bool) {
 			defer feeders.Done()
-			in := synthFeed(100)
-			for j := 0; j < len(in.Sender); j += 10 {
-				b := Batch{
-					Sender:    in.Sender[j : j+10],
-					Core:      in.Core[j : j+10],
-					AdvanceTo: in.Sender[j+9].LocalTime,
-				}
-				if _, err := s.Feed(&b); err != nil {
-					t.Error(err)
-					return
-				}
+			if err := feedChunks(s, synthFeedHARQ(100), 10, drain); err != nil {
+				t.Error(err)
 			}
-		}(s)
+		}(s, i != 0)
 	}
 	stop := make(chan struct{})
 	listerDone := make(chan struct{})
+	var reads int
 	go func() {
 		defer close(listerDone)
 		for {
@@ -314,16 +298,28 @@ func TestRegistryConcurrent(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				reg.List()
 			}
+			reg.List()
+			if err := binsPartitionTotals(reg.Overview()); err != nil {
+				t.Errorf("overview read %d: %v", reads, err)
+				return
+			}
+			reads++
 		}
 	}()
 	feeders.Wait()
 	close(stop)
 	<-listerDone
+	if reads == 0 {
+		t.Fatal("no overview read overlapped the feeds")
+	}
+	if p := sessions[0].Status().Feed.Pending; p == 0 {
+		t.Fatal("session a has nothing pending; the close-time fold goes untested")
+	}
 
-	want := core.Correlate(synthFeed(100)).PacketsDigest()
-	for _, st := range reg.CloseAll() {
+	want := core.Correlate(synthFeedHARQ(100)).PacketsDigest()
+	finals := reg.CloseAll()
+	for _, st := range finals {
 		if st.Digest != want {
 			t.Fatalf("session %s digest diverged under concurrency", st.ID)
 		}
@@ -331,4 +327,5 @@ func TestRegistryConcurrent(t *testing.T) {
 	if reg.Len() != 0 {
 		t.Fatal("CloseAll left sessions behind")
 	}
+	requireOverviewIsSum(t, reg.Overview(), finals)
 }
