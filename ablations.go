@@ -180,32 +180,12 @@ func planA4(o Options) Plan {
 		Runs: runs(cfg),
 		Fold: func(_ int, tr *TopologyResult) {
 			in := tr.SessionStreams()[0].Input
-			truth := map[uint64][]uint64{}
-			for _, r := range in.TBs {
-				if !r.Failed {
-					for _, id := range r.PacketIDs {
-						truth[id] = append(truth[id], r.TBID)
-					}
-				}
-			}
-			type key struct {
-				flow, seq uint32
-				kind      packet.Kind
-			}
-			ids := make(map[key]uint64, len(in.Sender))
-			for _, r := range in.Sender {
-				ids[key{r.Flow, r.Seq, r.Kind}] = r.PacketID
-			}
-			idOf := func(flow, seq uint32, kind packet.Kind) (uint64, bool) {
-				id, ok := ids[key{flow, seq, kind}]
-				return id, ok
-			}
 			sender := in.Offsets[packet.PointSender]
 			for i, e := range errs {
 				in.Offsets = map[packet.Point]time.Duration{
 					packet.PointSender: sender - time.Duration(e*float64(time.Millisecond)),
 				}
-				accs[i] = core.Correlate(in).MatchAccuracy(truth, idOf)
+				accs[i] = core.Correlate(in).MatchAccuracy(in.Sender, in.TBs)
 			}
 		},
 		Render: func() *FigureData {

@@ -26,6 +26,13 @@ func TestFeedRoundTrip(t *testing.T) {
 	if err := writeFeed(&buf, &streams[0]); err != nil {
 		t.Fatal(err)
 	}
+	// The dump holds what a capture or a sniffer sees: no simulator
+	// packet identity, and no capture field nothing reads.
+	for _, key := range []string{`"Point"`, `"PacketID"`, `"RTPSeq"`, `"MediaMeta"`, `"PacketIDs"`} {
+		if bytes.Contains(buf.Bytes(), []byte(key)) {
+			t.Fatalf("the dump carries the key %s", key)
+		}
+	}
 	sc, in, err := readFeed(&buf)
 	if err != nil {
 		t.Fatal(err)
@@ -55,7 +62,7 @@ func TestReadFeedErrors(t *testing.T) {
 		return string(b) + "\n"
 	}
 	rec := func(flow uint32, at time.Duration) packet.Record {
-		return packet.Record{Point: packet.PointSender, Kind: packet.KindVideo, Flow: flow, Seq: uint32(at), Size: 1200, LocalTime: at}
+		return packet.Record{Kind: packet.KindVideo, Flow: flow, Seq: uint32(at), Size: 1200, LocalTime: at}
 	}
 	batch := func(advance time.Duration, recs ...packet.Record) string {
 		return line(session.Batch{Sender: recs, AdvanceTo: advance})

@@ -6,6 +6,7 @@ import (
 
 	"athena/internal/packet"
 	"athena/internal/stats"
+	"athena/internal/telemetry"
 )
 
 // Cause labels a delay component in the root-cause breakdown.
@@ -158,11 +159,26 @@ func (a Attribution) String() string {
 
 // MatchAccuracy scores the correlator's packet↔TB matching against the
 // simulator's ground truth: the fraction of packets whose inferred TB set
-// exactly equals the true one. truth maps (flow,seq,kind) → TB ids.
-func (r *Report) MatchAccuracy(truth map[uint64][]uint64, idOf func(flow, seq uint32, kind packet.Kind) (uint64, bool)) float64 {
+// exactly equals the true one. The truth is the one the telemetry holds
+// in process: the TBs whose successful attempt lists a packet in its
+// PacketIDs, joined to the report's packets through the sender records'
+// PacketID. Packets no successful attempt carried are not scored.
+func (r *Report) MatchAccuracy(sender []packet.Record, tbs []telemetry.TBRecord) float64 {
+	truth := make(map[uint64][]uint64)
+	for _, tb := range tbs {
+		if !tb.Failed {
+			for _, id := range tb.PacketIDs {
+				truth[id] = append(truth[id], tb.TBID)
+			}
+		}
+	}
+	ids := make(map[pktKey]uint64, len(sender))
+	for _, s := range sender {
+		ids[pktKey{s.Flow, s.Seq, s.Kind}] = s.PacketID
+	}
 	total, correct := 0, 0
 	for _, v := range r.Packets {
-		id, ok := idOf(v.Flow, v.Seq, v.Kind)
+		id, ok := ids[pktKey{v.Flow, v.Seq, v.Kind}]
 		if !ok {
 			continue
 		}

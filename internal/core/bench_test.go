@@ -53,14 +53,13 @@ func synthInput(n, flows int, seed int64) Input {
 				kind, size = packet.KindAudio, units.ByteCount(120)
 			}
 			r := packet.Record{
-				Point: packet.PointSender, Kind: kind, Flow: f,
+				Kind: kind, Flow: f,
 				Seq: seqs[f-1], Size: size, LocalTime: now,
 				SSRC: f, RTPTime: uint32(now / (33 * time.Millisecond)),
 			}
 			seqs[f-1]++
 			in.Sender = append(in.Sender, r)
 			c := r
-			c.Point = packet.PointCore
 			c.LocalTime = now + 3*time.Millisecond
 			in.Core = append(in.Core, c)
 			queue += int64(size)

@@ -29,10 +29,10 @@ func runBed(t testing.TB, sched ran.SchedulerKind, bler float64, senderClk, core
 	cfg := ran.Defaults()
 	cfg.BLER = bler
 	bed := &testbed{s: s}
-	bed.capCore = packet.NewCapture(packet.PointCore, coreClk, s.Now, nil)
+	bed.capCore = packet.NewCapture(coreClk, s.Now, nil)
 	bed.r = ran.New(s, cfg, bed.capCore)
 	ue := bed.r.AttachUE(1, sched)
-	bed.capSend = packet.NewCapture(packet.PointSender, senderClk, s.Now, ue)
+	bed.capSend = packet.NewCapture(senderClk, s.Now, ue)
 
 	var alloc packet.Alloc
 	rtpSeq := uint16(0)
@@ -45,7 +45,7 @@ func runBed(t testing.TB, sched ran.SchedulerKind, bler float64, senderClk, core
 		for i := 0; i < 4; i++ {
 			p := alloc.New(packet.KindVideo, 10, 1200, s.Now())
 			p.Seq = uint32(rtpSeq)
-			p.Payload = fakeRTP{ssrc: 10, seq: rtpSeq, ts: frame * 3000, marker: i == 3}
+			p.Payload = fakeRTP{ssrc: 10, ts: frame * 3000, marker: i == 3}
 			rtpSeq++
 			bed.sent = append(bed.sent, p)
 			bed.capSend.Handle(p)
@@ -58,7 +58,7 @@ func runBed(t testing.TB, sched ran.SchedulerKind, bler float64, senderClk, core
 		}
 		p := alloc.New(packet.KindAudio, 20, 120, s.Now())
 		p.Seq = uint32(audioSeq)
-		p.Payload = fakeRTP{ssrc: 20, seq: audioSeq, ts: uint32(s.Now() / time.Millisecond * 48), marker: true}
+		p.Payload = fakeRTP{ssrc: 20, ts: uint32(s.Now() / time.Millisecond * 48), marker: true}
 		audioSeq++
 		bed.sent = append(bed.sent, p)
 		bed.capSend.Handle(p)
@@ -69,13 +69,12 @@ func runBed(t testing.TB, sched ran.SchedulerKind, bler float64, senderClk, core
 
 type fakeRTP struct {
 	ssrc   uint32
-	seq    uint16
 	ts     uint32
 	marker bool
 }
 
-func (f fakeRTP) RTPHeaderInfo() (uint32, uint16, uint32, bool, bool) {
-	return f.ssrc, f.seq, f.ts, f.marker, false
+func (f fakeRTP) RTPHeaderInfo() (uint32, uint32, bool) {
+	return f.ssrc, f.ts, f.marker
 }
 
 func (b *testbed) input(offsets map[packet.Point]time.Duration) Input {
@@ -86,26 +85,6 @@ func (b *testbed) input(offsets map[packet.Point]time.Duration) Input {
 		Offsets:      offsets,
 		SlotDuration: b.r.Cfg.SlotDuration,
 		CoreDelay:    b.r.Cfg.CoreDelay,
-	}
-}
-
-// truthTBs maps packet ID → ground-truth TB ids.
-func (b *testbed) truthTBs() map[uint64][]uint64 {
-	m := make(map[uint64][]uint64)
-	for _, p := range b.sent {
-		m[p.ID] = p.GroundTruth.TBIDs
-	}
-	return m
-}
-
-func (b *testbed) idOf() func(flow, seq uint32, kind packet.Kind) (uint64, bool) {
-	idx := make(map[pktKey]uint64)
-	for _, p := range b.sent {
-		idx[pktKey{p.Flow, p.Seq, p.Kind}] = p.ID
-	}
-	return func(flow, seq uint32, kind packet.Kind) (uint64, bool) {
-		id, ok := idx[pktKey{flow, seq, kind}]
-		return id, ok
 	}
 }
 
@@ -148,7 +127,7 @@ func TestCorrelateCorrectsClockOffsets(t *testing.T) {
 func TestPacketTBMatchingExact(t *testing.T) {
 	bed := runBed(t, ran.SchedCombined, 0, clock.Perfect("s"), clock.Perfect("c"), 3*time.Second)
 	rep := Correlate(bed.input(nil))
-	acc := rep.MatchAccuracy(bed.truthTBs(), bed.idOf())
+	acc := rep.MatchAccuracy(bed.capSend.Records, bed.r.Telemetry.Records)
 	if acc < 0.99 {
 		t.Fatalf("TB match accuracy = %.3f, want ~1.0", acc)
 	}
@@ -161,8 +140,8 @@ func TestPacketTBMatchingDegradesWithSyncError(t *testing.T) {
 	rep := Correlate(bed.input(map[packet.Point]time.Duration{
 		packet.PointSender: -40 * time.Millisecond,
 	}))
-	acc := rep.MatchAccuracy(bed.truthTBs(), bed.idOf())
-	good := Correlate(bed.input(nil)).MatchAccuracy(bed.truthTBs(), bed.idOf())
+	acc := rep.MatchAccuracy(bed.capSend.Records, bed.r.Telemetry.Records)
+	good := Correlate(bed.input(nil)).MatchAccuracy(bed.capSend.Records, bed.r.Telemetry.Records)
 	if acc >= good {
 		t.Fatalf("sync error should hurt matching: err=%.3f good=%.3f", acc, good)
 	}
@@ -238,18 +217,17 @@ func TestBSRAttribution(t *testing.T) {
 func TestAttributionMatchesGroundTruth(t *testing.T) {
 	bed := runBed(t, ran.SchedCombined, 0, clock.Perfect("s"), clock.Perfect("c"), 2*time.Second)
 	rep := Correlate(bed.input(nil))
-	idOf := bed.idOf()
-	byID := make(map[uint64]*packet.Packet)
+	sent := make(map[pktKey]*packet.Packet, len(bed.sent))
 	for _, p := range bed.sent {
-		byID[p.ID] = p
+		sent[pktKey{p.Flow, p.Seq, p.Kind}] = p
 	}
 	checked := 0
 	for _, v := range rep.Packets {
-		id, ok := idOf(v.Flow, v.Seq, v.Kind)
+		p, ok := sent[pktKey{v.Flow, v.Seq, v.Kind}]
 		if !ok || !v.SeenCore {
 			continue
 		}
-		gt := byID[id].GroundTruth
+		id, gt := p.ID, p.GroundTruth
 		// QueueWait should match the simulator's record within a slot.
 		diff := v.QueueWait - gt.UEQueueWait
 		if diff < 0 {
@@ -285,15 +263,15 @@ func TestReceiverJoinAndSFUAttribution(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		base := time.Duration(i) * 20 * time.Millisecond
 		senderRecs = append(senderRecs, packet.Record{
-			Point: packet.PointSender, PacketID: uint64(i), Kind: packet.KindVideo,
+			PacketID: uint64(i), Kind: packet.KindVideo,
 			Flow: 1, Seq: uint32(i), Size: 1200, LocalTime: base, SSRC: 1, RTPTime: uint32(i),
 		})
 		coreRecs = append(coreRecs, packet.Record{
-			Point: packet.PointCore, PacketID: uint64(i), Kind: packet.KindVideo,
+			PacketID: uint64(i), Kind: packet.KindVideo,
 			Flow: 1, Seq: uint32(i), Size: 1200, LocalTime: base + 10*time.Millisecond,
 		})
 		recvRecs = append(recvRecs, packet.Record{
-			Point: packet.PointReceiver, PacketID: uint64(i), Kind: packet.KindVideo,
+			PacketID: uint64(i), Kind: packet.KindVideo,
 			Flow: 1, Seq: uint32(i), Size: 1200, LocalTime: base + 10*time.Millisecond + 25*time.Millisecond,
 		})
 	}

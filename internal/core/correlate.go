@@ -29,8 +29,8 @@ type Input struct {
 	// analysis; SFU and Receiver enable end-to-end attribution.
 	Sender, Core, SFU, Receiver []packet.Record
 
-	// TBs is the sniffer view of the monitored UE's transport blocks
-	// (all HARQ attempts).
+	// TBs is the telemetry of the monitored UE's transport blocks (all
+	// HARQ attempts). The matcher never reads their PacketIDs.
 	TBs []telemetry.TBRecord
 
 	// Flows, when non-empty, restricts correlation to the listed flow

@@ -97,7 +97,6 @@ func TestCorrelateMatchesMapJoinReference(t *testing.T) {
 		{"receiver", func(in Input, _ *rand.Rand) Input {
 			in.Receiver = make([]packet.Record, 0, len(in.Core))
 			for _, r := range in.Core {
-				r.Point = packet.PointReceiver
 				r.LocalTime += 20 * time.Millisecond
 				in.Receiver = append(in.Receiver, r)
 			}

@@ -14,25 +14,20 @@ import (
 	"athena/internal/units"
 )
 
-func sRec(flow, seq uint32, kind packet.Kind, at time.Duration) packet.Record {
+// rec is one captured record; sender and core captures record alike.
+func rec(flow, seq uint32, kind packet.Kind, at time.Duration) packet.Record {
 	return packet.Record{
-		Point: packet.PointSender, Kind: kind, Flow: flow, Seq: seq,
+		Kind: kind, Flow: flow, Seq: seq,
 		Size: 1200, LocalTime: at,
 	}
 }
 
-func cRec(flow, seq uint32, kind packet.Kind, at time.Duration) packet.Record {
-	r := sRec(flow, seq, kind, at)
-	r.Point = packet.PointCore
-	return r
-}
-
 func TestIngestRejectsOutOfOrderSender(t *testing.T) {
 	lc := NewLive(Input{}, nil)
-	if err := lc.OnSenderRecord(sRec(1, 0, packet.KindVideo, 10*time.Millisecond)); err != nil {
+	if err := lc.OnSenderRecord(rec(1, 0, packet.KindVideo, 10*time.Millisecond)); err != nil {
 		t.Fatal(err)
 	}
-	err := lc.OnSenderRecord(sRec(1, 1, packet.KindVideo, 5*time.Millisecond))
+	err := lc.OnSenderRecord(rec(1, 1, packet.KindVideo, 5*time.Millisecond))
 	if !errors.Is(err, ErrOutOfOrder) {
 		t.Fatalf("want ErrOutOfOrder, got %v", err)
 	}
@@ -43,10 +38,10 @@ func TestIngestRejectsOutOfOrderSender(t *testing.T) {
 
 func TestIngestRejectsOutOfOrderCore(t *testing.T) {
 	lc := NewLive(Input{}, nil)
-	if err := lc.OnCoreRecord(cRec(1, 0, packet.KindVideo, 10*time.Millisecond)); err != nil {
+	if err := lc.OnCoreRecord(rec(1, 0, packet.KindVideo, 10*time.Millisecond)); err != nil {
 		t.Fatal(err)
 	}
-	err := lc.OnCoreRecord(cRec(1, 1, packet.KindVideo, 9*time.Millisecond))
+	err := lc.OnCoreRecord(rec(1, 1, packet.KindVideo, 9*time.Millisecond))
 	if !errors.Is(err, ErrOutOfOrder) {
 		t.Fatalf("want ErrOutOfOrder, got %v", err)
 	}
@@ -57,7 +52,7 @@ func TestIngestRejectsOutOfOrderCore(t *testing.T) {
 
 func TestIngestRejectsDuplicateSender(t *testing.T) {
 	lc := NewLive(Input{}, nil)
-	r := sRec(1, 7, packet.KindVideo, 10*time.Millisecond)
+	r := rec(1, 7, packet.KindVideo, 10*time.Millisecond)
 	if err := lc.OnSenderRecord(r); err != nil {
 		t.Fatal(err)
 	}
@@ -74,13 +69,13 @@ func TestIngestRejectsDuplicateSender(t *testing.T) {
 // identical timestamp is a replay.
 func TestIngestAllowsRepeatedKeyAtDistinctTimes(t *testing.T) {
 	lc := NewLive(Input{}, nil)
-	if err := lc.OnSenderRecord(sRec(99, 0, packet.KindCross, 10*time.Millisecond)); err != nil {
+	if err := lc.OnSenderRecord(rec(99, 0, packet.KindCross, 10*time.Millisecond)); err != nil {
 		t.Fatal(err)
 	}
-	if err := lc.OnSenderRecord(sRec(99, 0, packet.KindCross, 20*time.Millisecond)); err != nil {
+	if err := lc.OnSenderRecord(rec(99, 0, packet.KindCross, 20*time.Millisecond)); err != nil {
 		t.Fatalf("repeated key at a later time must pass: %v", err)
 	}
-	if err := lc.OnSenderRecord(sRec(99, 0, packet.KindCross, 20*time.Millisecond)); !errors.Is(err, ErrDuplicate) {
+	if err := lc.OnSenderRecord(rec(99, 0, packet.KindCross, 20*time.Millisecond)); !errors.Is(err, ErrDuplicate) {
 		t.Fatal("identical repeat must be a duplicate")
 	}
 }
@@ -92,11 +87,11 @@ func TestIngestRejectsReplayAcrossDrain(t *testing.T) {
 	lc := NewLive(Input{}, nil)
 	lc.FlushAfter = 50 * time.Millisecond
 	for i, at := range []time.Duration{10, 20, 30} {
-		if err := lc.OnSenderRecord(sRec(1, uint32(i), packet.KindVideo, at*time.Millisecond)); err != nil {
+		if err := lc.OnSenderRecord(rec(1, uint32(i), packet.KindVideo, at*time.Millisecond)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	head := sRec(1, 3, packet.KindVideo, 40*time.Millisecond)
+	head := rec(1, 3, packet.KindVideo, 40*time.Millisecond)
 	if err := lc.OnSenderRecord(head); err != nil {
 		t.Fatal(err)
 	}
@@ -109,10 +104,10 @@ func TestIngestRejectsReplayAcrossDrain(t *testing.T) {
 	if err := lc.OnSenderRecord(head); !errors.Is(err, ErrDuplicate) {
 		t.Fatalf("head replay after drain: want ErrDuplicate, got %v", err)
 	}
-	if err := lc.OnSenderRecord(sRec(1, 1, packet.KindVideo, 20*time.Millisecond)); !errors.Is(err, ErrOutOfOrder) {
+	if err := lc.OnSenderRecord(rec(1, 1, packet.KindVideo, 20*time.Millisecond)); !errors.Is(err, ErrOutOfOrder) {
 		t.Fatalf("old replay after drain: want ErrOutOfOrder, got %v", err)
 	}
-	if err := lc.OnSenderRecord(sRec(1, 4, packet.KindVideo, 50*time.Millisecond)); err != nil {
+	if err := lc.OnSenderRecord(rec(1, 4, packet.KindVideo, 50*time.Millisecond)); err != nil {
 		t.Fatalf("fresh record after drain must pass: %v", err)
 	}
 }
@@ -124,15 +119,15 @@ func TestIngestRejectsReplayAcrossDrain(t *testing.T) {
 // a silently wrong attribution.
 func TestIngestRejectsReplayOfTrimmedHeadRecord(t *testing.T) {
 	lc := NewLive(Input{}, nil)
-	a := sRec(1, 1, packet.KindVideo, 10*time.Millisecond)
+	a := rec(1, 1, packet.KindVideo, 10*time.Millisecond)
 	a.Size = 100
-	b := sRec(1, 2, packet.KindVideo, 10*time.Millisecond)
+	b := rec(1, 2, packet.KindVideo, 10*time.Millisecond)
 	for _, r := range []packet.Record{a, b} {
 		if err := lc.OnSenderRecord(r); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := lc.OnCoreRecord(cRec(1, 1, packet.KindVideo, 13*time.Millisecond)); err != nil {
+	if err := lc.OnCoreRecord(rec(1, 1, packet.KindVideo, 13*time.Millisecond)); err != nil {
 		t.Fatal(err)
 	}
 	if err := lc.OnTB(telemetry.TBRecord{At: 11 * time.Millisecond, TBID: 1, UE: 1, TBS: 100, UsedBytes: 100}); err != nil {
@@ -204,7 +199,7 @@ func TestIngestSameTimestampBurstLinear(t *testing.T) {
 // advances a second past base.
 func feedRecords(tb testing.TB, lc *LiveCorrelator, n int, base, step time.Duration) {
 	for i := 0; i < n; i++ {
-		if err := lc.OnSenderRecord(sRec(1, uint32(i), packet.KindVideo, base+time.Duration(i)*step)); err != nil {
+		if err := lc.OnSenderRecord(rec(1, uint32(i), packet.KindVideo, base+time.Duration(i)*step)); err != nil {
 			tb.Fatal(err)
 		}
 	}
@@ -231,10 +226,10 @@ func TestDrainFlushesWithoutAdvance(t *testing.T) {
 	lc := NewLive(Input{}, func(PacketView) { views++ })
 	for i := 0; i < 20; i++ {
 		at := base + time.Duration(i)*10*time.Millisecond
-		if err := lc.OnSenderRecord(sRec(1, uint32(i), packet.KindVideo, at)); err != nil {
+		if err := lc.OnSenderRecord(rec(1, uint32(i), packet.KindVideo, at)); err != nil {
 			t.Fatal(err)
 		}
-		if err := lc.OnCoreRecord(cRec(1, uint32(i), packet.KindVideo, at+3*time.Millisecond)); err != nil {
+		if err := lc.OnCoreRecord(rec(1, uint32(i), packet.KindVideo, at+3*time.Millisecond)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -248,13 +243,13 @@ func TestDrainFlushesWithoutAdvance(t *testing.T) {
 
 func TestIngestRejectsUncoveredFlow(t *testing.T) {
 	lc := NewLive(Input{Flows: []uint32{1, 2}}, nil)
-	if err := lc.OnSenderRecord(sRec(1, 0, packet.KindVideo, time.Millisecond)); err != nil {
+	if err := lc.OnSenderRecord(rec(1, 0, packet.KindVideo, time.Millisecond)); err != nil {
 		t.Fatal(err)
 	}
-	if err := lc.OnSenderRecord(sRec(3, 0, packet.KindVideo, 2*time.Millisecond)); !errors.Is(err, ErrFlowNotCovered) {
+	if err := lc.OnSenderRecord(rec(3, 0, packet.KindVideo, 2*time.Millisecond)); !errors.Is(err, ErrFlowNotCovered) {
 		t.Fatalf("want ErrFlowNotCovered, got %v", err)
 	}
-	if err := lc.OnCoreRecord(cRec(3, 0, packet.KindVideo, 2*time.Millisecond)); !errors.Is(err, ErrFlowNotCovered) {
+	if err := lc.OnCoreRecord(rec(3, 0, packet.KindVideo, 2*time.Millisecond)); !errors.Is(err, ErrFlowNotCovered) {
 		t.Fatalf("want ErrFlowNotCovered on core stream, got %v", err)
 	}
 	if snap := lc.Snapshot(); snap.BufferedSender != 1 || snap.BufferedCore != 0 {
@@ -281,19 +276,19 @@ func TestIngestErrorLeavesFeedUsable(t *testing.T) {
 	var views []PacketView
 	lc := NewLive(Input{}, func(v PacketView) { views = append(views, v.Clone()) })
 	lc.FlushAfter = 50 * time.Millisecond
-	if err := lc.OnSenderRecord(sRec(1, 0, packet.KindVideo, 10*time.Millisecond)); err != nil {
+	if err := lc.OnSenderRecord(rec(1, 0, packet.KindVideo, 10*time.Millisecond)); err != nil {
 		t.Fatal(err)
 	}
-	if err := lc.OnSenderRecord(sRec(1, 9, packet.KindVideo, 5*time.Millisecond)); err == nil {
+	if err := lc.OnSenderRecord(rec(1, 9, packet.KindVideo, 5*time.Millisecond)); err == nil {
 		t.Fatal("out-of-order record accepted")
 	}
-	if err := lc.OnSenderRecord(sRec(1, 1, packet.KindVideo, 20*time.Millisecond)); err != nil {
+	if err := lc.OnSenderRecord(rec(1, 1, packet.KindVideo, 20*time.Millisecond)); err != nil {
 		t.Fatalf("feed must continue after a rejection: %v", err)
 	}
-	if err := lc.OnCoreRecord(cRec(1, 0, packet.KindVideo, 15*time.Millisecond)); err != nil {
+	if err := lc.OnCoreRecord(rec(1, 0, packet.KindVideo, 15*time.Millisecond)); err != nil {
 		t.Fatal(err)
 	}
-	if err := lc.OnCoreRecord(cRec(1, 1, packet.KindVideo, 25*time.Millisecond)); err != nil {
+	if err := lc.OnCoreRecord(rec(1, 1, packet.KindVideo, 25*time.Millisecond)); err != nil {
 		t.Fatal(err)
 	}
 	if err := lc.Advance(time.Second); err != nil {
@@ -314,10 +309,10 @@ func TestIngestSnapshotProgress(t *testing.T) {
 	lc.FlushAfter = 50 * time.Millisecond
 	for i := 0; i < 10; i++ {
 		at := time.Duration(i) * 10 * time.Millisecond
-		if err := lc.OnSenderRecord(sRec(1, uint32(i), packet.KindVideo, at)); err != nil {
+		if err := lc.OnSenderRecord(rec(1, uint32(i), packet.KindVideo, at)); err != nil {
 			t.Fatal(err)
 		}
-		if err := lc.OnCoreRecord(cRec(1, uint32(i), packet.KindVideo, at+time.Millisecond)); err != nil {
+		if err := lc.OnCoreRecord(rec(1, uint32(i), packet.KindVideo, at+time.Millisecond)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -589,9 +584,9 @@ func TestSequenceWrapRefusesNamesakeJoin(t *testing.T) {
 	in := Input{SlotDuration: 500 * time.Microsecond}
 	for i := range n {
 		at := time.Duration(i) * gap
-		in.Sender = append(in.Sender, sRec(1, uint32(i%wrap), packet.KindVideo, at))
+		in.Sender = append(in.Sender, rec(1, uint32(i%wrap), packet.KindVideo, at))
 		if i < wrap {
-			in.Core = append(in.Core, cRec(1, uint32(i), packet.KindVideo, at+delay))
+			in.Core = append(in.Core, rec(1, uint32(i), packet.KindVideo, at+delay))
 		}
 	}
 	check := func(feed string, views []PacketView, refused int64) {

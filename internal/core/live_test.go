@@ -108,7 +108,7 @@ func TestLiveMatchesBatch(t *testing.T) {
 func TestLiveEmissionLatencyBounded(t *testing.T) {
 	// With a short flush horizon, even unresolvable packets are emitted.
 	s := []packet.Record{{
-		Point: packet.PointSender, PacketID: 1, Kind: packet.KindVideo,
+		PacketID: 1, Kind: packet.KindVideo,
 		Flow: 1, Seq: 0, Size: 1200, LocalTime: 10 * time.Millisecond,
 	}}
 	var got []PacketView
@@ -138,7 +138,7 @@ func TestLiveTBProcessTableMatchesWindow(t *testing.T) {
 	lc.FlushAfter = 50 * time.Millisecond
 	for i := 0; i < 3; i++ {
 		at := time.Duration(i+1) * time.Millisecond
-		lc.OnSenderRecord(sRec(1, uint32(i), packet.KindVideo, at))
+		lc.OnSenderRecord(rec(1, uint32(i), packet.KindVideo, at))
 	}
 	// The source cell's stream (TBs 10, 11) is delivered ahead of the
 	// target cell's (TB 20), whose transmission falls between them.
@@ -163,7 +163,7 @@ func TestLiveTBProcessTableMatchesWindow(t *testing.T) {
 	}
 
 	for i := 0; i < 3; i++ {
-		lc.OnCoreRecord(cRec(1, uint32(i), packet.KindVideo, time.Duration(i+11)*time.Millisecond))
+		lc.OnCoreRecord(rec(1, uint32(i), packet.KindVideo, time.Duration(i+11)*time.Millisecond))
 	}
 	if err := lc.Advance(10 * time.Second); err != nil {
 		t.Fatal(err)
@@ -171,7 +171,7 @@ func TestLiveTBProcessTableMatchesWindow(t *testing.T) {
 	if snap := lc.Snapshot(); snap.Pending != 0 || snap.BufferedTBs != 0 {
 		t.Fatalf("full drain expected: %+v", snap)
 	}
-	lc.OnSenderRecord(sRec(1, 3, packet.KindVideo, 11*time.Second))
+	lc.OnSenderRecord(rec(1, 3, packet.KindVideo, 11*time.Second))
 	if err := lc.Advance(11 * time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestLiveTBProcessTableMatchesWindow(t *testing.T) {
 func feedStep(lc *LiveCorrelator, fed *tbLog, seq uint32) {
 	now := time.Duration(seq) * 10 * time.Millisecond
 	lc.OnSenderRecord(packet.Record{
-		Point: packet.PointSender, Kind: packet.KindVideo,
+		Kind: packet.KindVideo,
 		Flow: 1, Seq: seq, Size: 1200, LocalTime: now,
 	})
 	if seq == 0 {
@@ -202,7 +202,7 @@ func feedStep(lc *LiveCorrelator, fed *tbLog, seq uint32) {
 		TBS: 1200, UsedBytes: 1200, Grant: telemetry.GrantProactive,
 	})
 	lc.OnCoreRecord(packet.Record{
-		Point: packet.PointCore, Kind: packet.KindVideo,
+		Kind: packet.KindVideo,
 		Flow: 1, Seq: seq - 1, Size: 1200, LocalTime: prev + 6*time.Millisecond,
 	})
 }
@@ -279,8 +279,8 @@ func TestLiveDrainRewalksKeptTBs(t *testing.T) {
 		fed.feed(lc, telemetry.TBRecord{TBID: uint64(i + 1), At: time.Duration(i) * time.Millisecond, UE: 1, TBS: 1200, UsedBytes: 1000})
 	}
 	feed := func(seq uint32, at time.Duration) {
-		lc.OnSenderRecord(sRec(1, seq, packet.KindVideo, at))
-		lc.OnCoreRecord(cRec(1, seq, packet.KindVideo, at+2*time.Millisecond))
+		lc.OnSenderRecord(rec(1, seq, packet.KindVideo, at))
+		lc.OnCoreRecord(rec(1, seq, packet.KindVideo, at+2*time.Millisecond))
 	}
 	feed(0, 5*time.Millisecond)
 	lc.Advance(20 * time.Millisecond)
@@ -302,10 +302,10 @@ func TestLiveDrainKeepsStraddlingProcessWhole(t *testing.T) {
 	lc := NewLive(Input{SlotDuration: 500 * time.Microsecond}, func(v PacketView) { views = append(views, v.Clone()) })
 	var fed tbLog
 	const s = time.Second
-	lc.OnSenderRecord(sRec(1, 0, packet.KindVideo, 995*time.Millisecond))
+	lc.OnSenderRecord(rec(1, 0, packet.KindVideo, 995*time.Millisecond))
 	fed.feed(lc, telemetry.TBRecord{TBID: 7, At: s, UE: 1, TBS: 1200, UsedBytes: 1200, Failed: true})
 	fed.feed(lc, telemetry.TBRecord{TBID: 7, At: s + 10*time.Millisecond, UE: 1, TBS: 1200, UsedBytes: 1200, HARQRound: 1})
-	lc.OnCoreRecord(cRec(1, 0, packet.KindVideo, s+15*time.Millisecond))
+	lc.OnCoreRecord(rec(1, 0, packet.KindVideo, s+15*time.Millisecond))
 	lc.Advance(s + 100*time.Millisecond)
 	if len(views) != 1 || !slices.Equal(views[0].TBIDs, []uint64{7}) {
 		t.Fatalf("views %+v, want the packet carried by TB 7", views)
@@ -332,7 +332,7 @@ func TestLiveSenderSilentFeedBounded(t *testing.T) {
 	bound := int((lc.FlushAfter+time.Second)/step) + 1
 	for i := 0; i < 20000; i++ {
 		now := time.Duration(i) * step
-		if err := lc.OnCoreRecord(cRec(1, uint32(i), packet.KindVideo, now)); err != nil {
+		if err := lc.OnCoreRecord(rec(1, uint32(i), packet.KindVideo, now)); err != nil {
 			t.Fatal(err)
 		}
 		lc.OnTB(telemetry.TBRecord{At: now, TBID: uint64(i), UE: 1, TBS: 1200, UsedBytes: 1200})
@@ -360,9 +360,9 @@ func TestLiveMidStreamTrimBoundsRepeatedKeyCoreRecords(t *testing.T) {
 	var fed tbLog
 	for i := 0; i < n; i++ {
 		now := time.Duration(i) * 10 * time.Millisecond
-		ntp := sRec(99, 0, packet.KindCross, now+time.Microsecond)
+		ntp := rec(99, 0, packet.KindCross, now+time.Microsecond)
 		ntp.Size = 90
-		cur := []packet.Record{sRec(1, uint32(i), packet.KindVideo, now), ntp}
+		cur := []packet.Record{rec(1, uint32(i), packet.KindVideo, now), ntp}
 		var used units.ByteCount
 		for _, r := range cur {
 			lc.OnSenderRecord(r)
@@ -371,7 +371,6 @@ func TestLiveMidStreamTrimBoundsRepeatedKeyCoreRecords(t *testing.T) {
 		// flight, so the session never fully drains.
 		for _, r := range prev {
 			used += r.Size
-			r.Point = packet.PointCore
 			r.LocalTime = now - 4*time.Millisecond
 			lc.OnCoreRecord(r)
 		}
@@ -421,11 +420,11 @@ func TestLiveTrimBoundsMemory(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		now := time.Duration(i) * 33 * time.Millisecond
 		lc.OnSenderRecord(packet.Record{
-			Point: packet.PointSender, Kind: packet.KindVideo,
+			Kind: packet.KindVideo,
 			Flow: 1, Seq: uint32(i), Size: 1200, LocalTime: now,
 		})
 		lc.OnCoreRecord(packet.Record{
-			Point: packet.PointCore, Kind: packet.KindVideo,
+			Kind: packet.KindVideo,
 			Flow: 1, Seq: uint32(i), Size: 1200, LocalTime: now + 10*time.Millisecond,
 		})
 		lc.Advance(now + 20*time.Millisecond)

@@ -30,11 +30,11 @@ func TestMatchAccuracyProperty(t *testing.T) {
 		cfg := ran.Defaults()
 		s := sim.New(w.Seed)
 		var arrivals []*packet.Packet
-		coreTap := packet.NewCapture(packet.PointCore, clock.Perfect("c"), s.Now,
+		coreTap := packet.NewCapture(clock.Perfect("c"), s.Now,
 			packet.HandlerFunc(func(p *packet.Packet) { arrivals = append(arrivals, p) }))
 		r := ran.New(s, cfg, coreTap)
 		ue := r.AttachUE(1, ran.SchedulerKind(w.Sched%3))
-		senderTap := packet.NewCapture(packet.PointSender, clock.Perfect("s"), s.Now, ue)
+		senderTap := packet.NewCapture(clock.Perfect("s"), s.Now, ue)
 		var alloc packet.Alloc
 		var sent []*packet.Packet
 		now := time.Duration(0)
@@ -60,16 +60,7 @@ func TestMatchAccuracyProperty(t *testing.T) {
 			SlotDuration: cfg.SlotDuration,
 			CoreDelay:    cfg.CoreDelay,
 		})
-		truth := map[uint64][]uint64{}
-		idx := map[uint32]uint64{}
-		for _, p := range sent {
-			truth[p.ID] = p.GroundTruth.TBIDs
-			idx[p.Seq] = p.ID
-		}
-		acc := rep.MatchAccuracy(truth, func(flow, sq uint32, kind packet.Kind) (uint64, bool) {
-			id, ok := idx[sq]
-			return id, ok
-		})
+		acc := rep.MatchAccuracy(senderTap.Records, r.Telemetry.Records)
 		return acc >= 0.999
 	}
 	cfg := &quick.Config{MaxCount: 30, Rand: rand.New(rand.NewSource(23))}
@@ -109,7 +100,6 @@ func TestAttributeIsExactSumOfFlows(t *testing.T) {
 		in := synthInput(4000, 7, seed)
 		rng := rand.New(rand.NewSource(seed))
 		for _, r := range in.Core {
-			r.Point = packet.PointReceiver
 			r.LocalTime += 20*time.Millisecond + time.Duration(rng.Int63n(int64(7*time.Millisecond)))
 			in.Receiver = append(in.Receiver, r)
 		}

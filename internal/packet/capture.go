@@ -37,38 +37,35 @@ func (p Point) String() string {
 // Record is one captured datagram observation: what a pcap at that host
 // would contain. LocalTime is stamped with the capturing host's clock and
 // therefore carries that host's offset and drift. Fields are ordered
-// largest first, so a Record is 48 bytes with one byte of padding; a
-// cell run keeps one per packet per capture point.
+// largest first, so a Record is 48 bytes; a cell run keeps one per packet
+// per capture point.
 type Record struct {
-	PacketID  uint64
+	// PacketID is the simulator's packet identity, which no pcap sees. It
+	// stays in process, where a scorer joins a record to the TBs that
+	// carried it (telemetry.TBRecord.PacketIDs); the wire form omits it.
+	PacketID  uint64 `json:"-"`
 	Size      units.ByteCount
 	LocalTime time.Duration
 	Flow      uint32
 	Seq       uint32
-	// RTPTime/RTPSeq/SSRC/Marker are copied out of the RTP header when the
+	// RTPTime/SSRC/Marker are copied out of the RTP header when the
 	// payload is RTP, because a real pcap parser would recover them.
 	RTPTime uint32
 	SSRC    uint32
-	RTPSeq  uint16
-	Point   Point
 	Kind    Kind
 	ECN     ECN
 	Marker  bool
-	// MediaMeta is true when the packet carried the §5.2 media-metadata
-	// header extension.
-	MediaMeta bool
 }
 
 // RTPInfo is implemented by payloads that expose RTP header fields to the
 // capture point (avoids an import cycle with package rtp).
 type RTPInfo interface {
-	RTPHeaderInfo() (ssrc uint32, seq uint16, ts uint32, marker bool, mediaMeta bool)
+	RTPHeaderInfo() (ssrc, ts uint32, marker bool)
 }
 
-// Capture is a passive tap at one point, stamping records with the host's
-// local clock.
+// Capture is a passive tap, stamping records with the host's local
+// clock.
 type Capture struct {
-	Point   Point
 	Clock   *clock.HostClock
 	Records []Record
 	// Next receives the packet after recording; nil means the capture is a
@@ -81,13 +78,13 @@ type Capture struct {
 	now func() time.Duration // true simulation time source
 }
 
-// NewCapture creates a capture at point pt using hc for timestamps and now
-// for true time. Packets are forwarded to next after recording.
-func NewCapture(pt Point, hc *clock.HostClock, now func() time.Duration, next Handler) *Capture {
+// NewCapture creates a capture using hc for timestamps and now for true
+// time. Packets are forwarded to next after recording.
+func NewCapture(hc *clock.HostClock, now func() time.Duration, next Handler) *Capture {
 	if next == nil {
 		next = Discard
 	}
-	return &Capture{Point: pt, Clock: hc, Next: next, now: now}
+	return &Capture{Clock: hc, Next: next, now: now}
 }
 
 // Handle records the packet and forwards it.
@@ -97,7 +94,6 @@ func (c *Capture) Handle(p *Packet) {
 		return
 	}
 	r := Record{
-		Point:     c.Point,
 		PacketID:  p.ID,
 		Kind:      p.Kind,
 		Flow:      p.Flow,
@@ -107,7 +103,7 @@ func (c *Capture) Handle(p *Packet) {
 		ECN:       p.ECN,
 	}
 	if info, ok := p.Payload.(RTPInfo); ok {
-		r.SSRC, r.RTPSeq, r.RTPTime, r.Marker, r.MediaMeta = rtpInfo(info)
+		r.SSRC, r.RTPTime, r.Marker = info.RTPHeaderInfo()
 	}
 	if n := len(c.Records); n == cap(c.Records) {
 		// A full log doubles. append grows a large slice by 1.25×, which
@@ -119,19 +115,7 @@ func (c *Capture) Handle(p *Packet) {
 		c.Records = grown
 	}
 	c.Records = append(c.Records, r)
-	// Ground-truth bookkeeping for the correlator's scoring harness.
-	switch c.Point {
-	case PointCore:
-		p.GroundTruth.CoreAt = c.now()
-	case PointReceiver:
-		p.GroundTruth.ReceiverAt = c.now()
-	}
 	c.Next.Handle(p)
-}
-
-func rtpInfo(i RTPInfo) (ssrc uint32, seq uint16, ts uint32, marker, mediaMeta bool) {
-	ssrc, seq, ts, marker, mediaMeta = i.RTPHeaderInfo()
-	return
 }
 
 // IsSortedByTime reports whether records are already in non-decreasing

@@ -86,11 +86,10 @@ type Packet struct {
 	GroundTruth Truth
 }
 
-// Truth is the simulator's omniscient record of what happened to a packet.
+// Truth is the simulator's omniscient record of what happened to a packet
+// on the 5G uplink. Which transport blocks carried it is not here: the
+// RAN's telemetry records hold that (telemetry.TBRecord.PacketIDs).
 type Truth struct {
-	// TBIDs lists the transport blocks (by telemetry id) that carried any
-	// segment of this packet on the 5G uplink.
-	TBIDs []uint64
 	// UEQueueWait is time spent in the UE buffer before first transmission
 	// opportunity (slot alignment + grant wait).
 	UEQueueWait time.Duration
@@ -99,9 +98,6 @@ type Truth struct {
 	BSRWait time.Duration
 	// HARQDelay is added delay from link-layer retransmissions.
 	HARQDelay time.Duration
-	// CoreAt / ReceiverAt are true arrival times at the mobile core (point
-	// ②) and receiver (point ④); zero if never arrived.
-	CoreAt, ReceiverAt time.Duration
 	// Dropped marks packets lost in a queue or abandoned by HARQ.
 	Dropped bool
 }

@@ -57,15 +57,15 @@ func TestPointString(t *testing.T) {
 
 type fakeRTP struct{}
 
-func (fakeRTP) RTPHeaderInfo() (uint32, uint16, uint32, bool, bool) {
-	return 0xabcd, 42, 90000, true, true
+func (fakeRTP) RTPHeaderInfo() (uint32, uint32, bool) {
+	return 0xabcd, 90000, true
 }
 
 func TestCaptureRecordsWithLocalClock(t *testing.T) {
 	hc := &clock.HostClock{Name: "core", Offset: 3 * time.Millisecond}
 	now := time.Duration(0)
 	var forwarded []*Packet
-	cap := NewCapture(PointCore, hc, func() time.Duration { return now },
+	cap := NewCapture(hc, func() time.Duration { return now },
 		HandlerFunc(func(p *Packet) { forwarded = append(forwarded, p) }))
 
 	var a Alloc
@@ -81,29 +81,16 @@ func TestCaptureRecordsWithLocalClock(t *testing.T) {
 	if r.LocalTime != 13*time.Millisecond {
 		t.Errorf("LocalTime = %v, want 13ms (10ms true + 3ms offset)", r.LocalTime)
 	}
-	if r.SSRC != 0xabcd || r.RTPSeq != 42 || r.RTPTime != 90000 || !r.Marker || !r.MediaMeta {
+	if r.SSRC != 0xabcd || r.RTPTime != 90000 || !r.Marker {
 		t.Errorf("RTP fields not copied: %+v", r)
 	}
 	if len(forwarded) != 1 || forwarded[0] != p {
 		t.Error("packet not forwarded")
 	}
-	if p.GroundTruth.CoreAt != 10*time.Millisecond {
-		t.Errorf("ground truth CoreAt = %v", p.GroundTruth.CoreAt)
-	}
-}
-
-func TestCaptureReceiverGroundTruth(t *testing.T) {
-	cap := NewCapture(PointReceiver, clock.Perfect("r"), func() time.Duration { return 7 * time.Millisecond }, nil)
-	var a Alloc
-	p := a.New(KindAudio, 1, 100, 0)
-	cap.Handle(p)
-	if p.GroundTruth.ReceiverAt != 7*time.Millisecond {
-		t.Fatalf("ReceiverAt = %v", p.GroundTruth.ReceiverAt)
-	}
 }
 
 func TestCaptureNilNextDiscards(t *testing.T) {
-	cap := NewCapture(PointSender, clock.Perfect("s"), func() time.Duration { return 0 }, nil)
+	cap := NewCapture(clock.Perfect("s"), func() time.Duration { return 0 }, nil)
 	var a Alloc
 	cap.Handle(a.New(KindVideo, 1, 1200, 0)) // must not panic
 	if len(cap.Records) != 1 {

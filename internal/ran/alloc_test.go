@@ -153,8 +153,8 @@ func BenchmarkULSlotAtGrantBacklog(b *testing.B) {
 // A HARQ retry and a core delivery schedule no closures and build no new
 // transport block: the only allocations a packet costs on its way through
 // a failed attempt, its retry and the core hand-off are records — the
-// buffer entry UE.Handle makes, the PacketIDs slice the TB's telemetry
-// records keep, and the packet's ground-truth TBIDs.
+// buffer entry UE.Handle makes and the PacketIDs slice the TB's telemetry
+// records keep.
 func TestRetryAndDeliveryAllocateOnlyRecords(t *testing.T) {
 	cfg := Defaults()
 	s := sim.New(1)
@@ -190,8 +190,8 @@ func TestRetryAndDeliveryAllocateOnlyRecords(t *testing.T) {
 	if delivered != runs+2 || retries != runs+2 {
 		t.Fatalf("%d packets delivered and %d carried by a retry, want %d each", delivered, retries, runs+2)
 	}
-	if allocs != 3 {
-		t.Fatalf("%.2f allocations per packet, want 3 (buffer entry, PacketIDs, ground-truth TBIDs)", allocs)
+	if allocs != 2 {
+		t.Fatalf("%.2f allocations per packet, want 2 (buffer entry, PacketIDs)", allocs)
 	}
 	// Retired TBs keep no buffer entry alive.
 	for _, tb := range r.freeTBs {

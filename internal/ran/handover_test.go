@@ -134,7 +134,8 @@ func TestRANHandoverInvariantsProperty(t *testing.T) {
 // is fully opaque (BLER 1), so by detach time the packet's TBs are all
 // awaiting HARQ retries. The reset must cancel them, return every byte
 // to the buffer in order, and let the clean target cell deliver the
-// packet exactly once — with only target-cell TBIDs in its ground truth.
+// packet exactly once — with only target-cell TBs' successful attempts
+// carrying it.
 func TestHandoverHARQResetRedelivers(t *testing.T) {
 	cfg0 := Defaults()
 	cfg0.BLER = 1.0
@@ -179,10 +180,11 @@ func TestHandoverHARQResetRedelivers(t *testing.T) {
 		if p.GroundTruth.Dropped {
 			t.Fatalf("packet %d marked dropped", p.ID)
 		}
-		if len(p.GroundTruth.TBIDs) == 0 {
+		tbs := carriedBy(p.ID, src, dst)
+		if len(tbs) == 0 {
 			t.Fatalf("packet %d has no TB attribution", p.ID)
 		}
-		for _, id := range p.GroundTruth.TBIDs {
+		for _, id := range tbs {
 			if id>>48 != 1 {
 				t.Fatalf("packet %d carries TBID %#x not namespaced to the target cell", p.ID, id)
 			}

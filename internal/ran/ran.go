@@ -612,9 +612,6 @@ func (r *RAN) attempt(tb *transportBlock, at time.Duration) {
 		if doneAt > e.latestSuccess {
 			e.latestSuccess = doneAt
 		}
-		if tb.id != 0 {
-			e.pkt.GroundTruth.TBIDs = append(e.pkt.GroundTruth.TBIDs, tb.id)
-		}
 		if e.fullySegmented && e.pendingTBs == 0 && !e.abandoned {
 			r.deliver(e)
 		}

@@ -96,9 +96,9 @@ type Packet struct {
 }
 
 // RTPHeaderInfo implements packet.RTPInfo so capture points can copy
-// header fields the way a pcap parser would.
-func (p *Packet) RTPHeaderInfo() (ssrc uint32, seq uint16, ts uint32, marker, mediaMeta bool) {
-	return p.SSRC, p.Seq, p.Timestamp, p.Marker, p.HasMeta
+// the header fields the correlator reads, the way a pcap parser would.
+func (p *Packet) RTPHeaderInfo() (ssrc, ts uint32, marker bool) {
+	return p.SSRC, p.Timestamp, p.Marker
 }
 
 // WireSize reports the on-the-wire RTP size: header + extensions + payload.

@@ -51,9 +51,8 @@ func TestSVCLayerString(t *testing.T) {
 }
 
 func TestRTPHeaderInfo(t *testing.T) {
-	p := &Packet{SSRC: 5, Seq: 6, Timestamp: 7, Marker: true, HasMeta: true}
-	ssrc, seq, ts, m, meta := p.RTPHeaderInfo()
-	if ssrc != 5 || seq != 6 || ts != 7 || !m || !meta {
+	p := &Packet{SSRC: 5, Seq: 6, Timestamp: 7, Marker: true}
+	if ssrc, ts, m := p.RTPHeaderInfo(); ssrc != 5 || ts != 7 || !m {
 		t.Fatal("RTPHeaderInfo mismatch")
 	}
 }

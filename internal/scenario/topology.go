@@ -469,7 +469,7 @@ func (b *build) buildWiredPath() {
 	// Receiver edge (point ④) and the SFU→receiver WAN leg, one per UE.
 	for _, ub := range b.ues {
 		ub := ub
-		cap4 := packet.NewCapture(packet.PointReceiver, ub.recvClk, s.Now,
+		cap4 := packet.NewCapture(ub.recvClk, s.Now,
 			packet.HandlerFunc(func(p *packet.Packet) { ub.wl.WiredArrival(p) }))
 		cap4.Keep = b.ownedFlow
 		ub.res.CapReceiver = cap4
@@ -507,7 +507,7 @@ func (b *build) buildWiredPath() {
 		}
 		b.res.CapSFU.Handle(p)
 	})
-	b.res.CapSFU = packet.NewCapture(packet.PointSFU, b.sfuClk, s.Now, sfu)
+	b.res.CapSFU = packet.NewCapture(b.sfuClk, s.Now, sfu)
 	b.res.CapSFU.Keep = b.ownedFlow
 	b.wanUp = netem.NewLink(s, "core-sfu", 8*time.Millisecond, units.Gbps, sfuIngress)
 	b.wanUp.Jitter = 500 * time.Microsecond
@@ -525,7 +525,7 @@ func (b *build) buildWiredPath() {
 	// Delay injection stage (Fig 8 episodes) between core and WAN.
 	b.inject = newInjector(s, b.top.Spikes, b.top.Jitters, b.wanUp)
 
-	b.res.CapCore = packet.NewCapture(packet.PointCore, b.coreClk, s.Now, b.coreIngress())
+	b.res.CapCore = packet.NewCapture(b.coreClk, s.Now, b.coreIngress())
 	b.res.CapCore.Keep = b.ownedFlow
 }
 
@@ -641,7 +641,7 @@ func (b *build) buildEndpoint(ub *ueBuild) {
 	default: // AccessWired
 		senderOut = netem.NewFixedLatencyLink(s, privateLinkDelay, top.RAN.SlotCapacity(), top.RAN.ULPeriod(), b.res.CapCore)
 	}
-	cap1 := packet.NewCapture(packet.PointSender, ub.senderClk, s.Now, senderOut)
+	cap1 := packet.NewCapture(ub.senderClk, s.Now, senderOut)
 	ub.res.CapSender = cap1
 
 	ub.wl.Build(b, ub)

@@ -23,8 +23,12 @@ import (
 // Unlike the stdlib's struct merge, b is replaced, not merged into: a key
 // absent from data leaves its field empty (the omitempty wire form means
 // "no records", and a reused Batch must not re-feed its previous ones).
-// TBRecord.PacketIDs are always freshly allocated, never carved from b's
-// reused memory: the correlator retains TB records by value.
+//
+// The wire form carries only what a capture or a sniffer sees: the
+// simulator's packet identities (Record.PacketID, TBRecord.PacketIDs)
+// are `json:"-"`. A body from an older client that still sends them, or
+// the capture fields since removed (Point, RTPSeq, MediaMeta), has keys
+// outside the grammar, so encoding/json decodes it and drops those keys.
 func (b *Batch) UnmarshalJSON(data []byte) error {
 	if b.decodeFast(data) {
 		return nil
@@ -261,55 +265,41 @@ func (d *fastReader) record(r *packet.Record) bool {
 		var n uint64
 		var i int64
 		switch string(key) {
-		case "Point":
-			bit = 1 << 0
-			n, ok = d.uint(math.MaxUint8)
-			r.Point = packet.Point(n)
-		case "PacketID":
-			bit = 1 << 1
-			r.PacketID, ok = d.uint(math.MaxUint64)
 		case "Kind":
-			bit = 1 << 2
+			bit = 1 << 0
 			n, ok = d.uint(math.MaxUint8)
 			r.Kind = packet.Kind(n)
 		case "Flow":
-			bit = 1 << 3
+			bit = 1 << 1
 			n, ok = d.uint(math.MaxUint32)
 			r.Flow = uint32(n)
 		case "Seq":
-			bit = 1 << 4
+			bit = 1 << 2
 			n, ok = d.uint(math.MaxUint32)
 			r.Seq = uint32(n)
 		case "Size":
-			bit = 1 << 5
+			bit = 1 << 3
 			i, ok = d.int64()
 			r.Size = units.ByteCount(i)
 		case "LocalTime":
-			bit = 1 << 6
+			bit = 1 << 4
 			i, ok = d.int64()
 			r.LocalTime = time.Duration(i)
 		case "ECN":
-			bit = 1 << 7
+			bit = 1 << 5
 			n, ok = d.uint(math.MaxUint8)
 			r.ECN = packet.ECN(n)
 		case "RTPTime":
-			bit = 1 << 8
+			bit = 1 << 6
 			n, ok = d.uint(math.MaxUint32)
 			r.RTPTime = uint32(n)
-		case "RTPSeq":
-			bit = 1 << 9
-			n, ok = d.uint(math.MaxUint16)
-			r.RTPSeq = uint16(n)
 		case "SSRC":
-			bit = 1 << 10
+			bit = 1 << 7
 			n, ok = d.uint(math.MaxUint32)
 			r.SSRC = uint32(n)
 		case "Marker":
-			bit = 1 << 11
+			bit = 1 << 8
 			r.Marker, ok = d.bool()
-		case "MediaMeta":
-			bit = 1 << 12
-			r.MediaMeta, ok = d.bool()
 		default:
 			return false
 		}
@@ -390,9 +380,6 @@ func (d *fastReader) tb(r *telemetry.TBRecord) bool {
 		case "Failed":
 			bit = 1 << 7
 			r.Failed, ok = d.bool()
-		case "PacketIDs":
-			bit = 1 << 8
-			r.PacketIDs, ok = d.packetIDs()
 		default:
 			return false
 		}
@@ -402,34 +389,6 @@ func (d *fastReader) tb(r *telemetry.TBRecord) bool {
 		seen |= bit
 		if done, ok := d.sep('}'); done || !ok {
 			return ok
-		}
-	}
-}
-
-// packetIDs parses a JSON array of uint64 (or null) into a slice of its
-// own: the array's span is sized first (one more element than it has
-// commas), so the one allocation is exact.
-func (d *fastReader) packetIDs() ([]uint64, bool) {
-	if d.lit("null") {
-		return nil, true
-	}
-	empty, ok := d.open('[', ']')
-	if !ok || empty {
-		return []uint64{}, ok
-	}
-	end := bytes.IndexByte(d.data[d.pos:], ']')
-	if end < 0 {
-		return nil, false
-	}
-	ids := make([]uint64, 0, bytes.Count(d.data[d.pos:d.pos+end], []byte{','})+1)
-	for {
-		n, ok := d.uint(math.MaxUint64)
-		if !ok {
-			return nil, false
-		}
-		ids = append(ids, n)
-		if done, ok := d.sep(']'); done || !ok {
-			return ids, ok
 		}
 	}
 }

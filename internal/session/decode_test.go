@@ -18,7 +18,7 @@ import (
 )
 
 // realStream taps one UE's feed off a short simulated call: the batches a
-// loadgen or a cell-site tap would POST, TB ground-truth PacketIDs included.
+// loadgen or a cell-site tap would POST.
 var realStream = sync.OnceValue(func() scenario.SessionStream {
 	top := scenario.NewTopology(2)
 	top.Seed = 1
@@ -42,7 +42,7 @@ func realBatches(tb testing.TB) [][]byte {
 }
 
 // realBatch is the stream's fullest batch that carries all three record
-// kinds and at least one non-empty PacketIDs.
+// kinds.
 func realBatch(tb testing.TB) []byte {
 	tb.Helper()
 	var best []byte
@@ -51,29 +51,37 @@ func realBatch(tb testing.TB) []byte {
 		if err := unmarshalBatchStd(enc, &b); err != nil {
 			tb.Fatal(err)
 		}
-		ids := 0
-		for _, r := range b.TBs {
-			ids += len(r.PacketIDs)
-		}
-		if len(b.Sender) > 0 && len(b.Core) > 0 && ids > 0 && len(enc) > len(best) {
+		if len(b.Sender) > 0 && len(b.Core) > 0 && len(b.TBs) > 0 && len(enc) > len(best) {
 			best = enc
 		}
 	}
 	if best == nil {
-		tb.Fatal("no batch with sender, core and TB packet ids in the tapped stream")
+		tb.Fatal("no batch with sender, core and TB records in the tapped stream")
 	}
 	return best
 }
 
 const (
-	oneRecord = `{"Point":1,"PacketID":7,"Kind":2,"Flow":3,"Seq":4,"Size":1200,"LocalTime":5000000,"ECN":1,"RTPTime":90000,"RTPSeq":65535,"SSRC":4294967295,"Marker":true,"MediaMeta":false}`
-	oneTB     = `{"TBID":18446744073709551615,"UE":1,"At":2500000,"TBS":1500,"UsedBytes":1200,"Grant":2,"HARQRound":1,"Failed":true,"PacketIDs":[7,8,9]}`
+	oneRecord = `{"Kind":2,"Flow":3,"Seq":4,"Size":1200,"LocalTime":5000000,"ECN":1,"RTPTime":90000,"SSRC":4294967295,"Marker":true}`
+	oneTB     = `{"TBID":18446744073709551615,"UE":1,"At":2500000,"TBS":1500,"UsedBytes":1200,"Grant":2,"HARQRound":1,"Failed":true}`
+	// The same two objects in the older wire form, which also carried the
+	// simulator's packet identities and three capture fields nothing read.
+	oldRecord = `{"Point":1,"PacketID":7,"Kind":2,"Flow":3,"Seq":4,"Size":1200,"LocalTime":5000000,"ECN":1,"RTPTime":90000,"RTPSeq":65535,"SSRC":4294967295,"Marker":true,"MediaMeta":false}`
+	oldTB     = `{"TBID":18446744073709551615,"UE":1,"At":2500000,"TBS":1500,"UsedBytes":1200,"Grant":2,"HARQRound":1,"Failed":true,"PacketIDs":[7,8,9]}`
 )
+
+// allKeys is a body with every top-level key, built from one record and
+// one TB object.
+func allKeys(record, tb string) string {
+	return `{"sender":[` + record + `],"core":[` + record + `,` + record + `],"tbs":[` + tb + `],"advance_to_ns":1}`
+}
 
 // decodeCases is the seed corpus of FuzzDecodeBatch, each case also run
 // as a unit test. fast says whether the single-pass decoder must take the
 // input (true) or must decline it to encoding/json (false); either way
-// the outcome must equal the stdlib's.
+// the outcome must equal the stdlib's. Keys of the older wire form
+// (Point, PacketID, RTPSeq, MediaMeta, PacketIDs) are outside the
+// grammar: the fast path declines them and encoding/json drops them.
 var decodeCases = []struct {
 	name string
 	data string
@@ -81,20 +89,20 @@ var decodeCases = []struct {
 }{
 	{"empty object", `{}`, true},
 	{"advance only", `{"advance_to_ns":100000000}`, true},
-	{"all keys", `{"sender":[` + oneRecord + `],"core":[` + oneRecord + `,` + oneRecord + `],"tbs":[` + oneTB + `],"advance_to_ns":1}`, true},
+	{"all keys", allKeys(oneRecord, oneTB), true},
 	{"sender omitted", `{"core":[` + oneRecord + `],"tbs":[` + oneTB + `],"advance_to_ns":1}`, true},
 	{"core omitted", `{"sender":[` + oneRecord + `],"tbs":[` + oneTB + `],"advance_to_ns":1}`, true},
 	{"tbs omitted", `{"sender":[` + oneRecord + `],"core":[` + oneRecord + `],"advance_to_ns":1}`, true},
 	{"advance omitted", `{"sender":[` + oneRecord + `]}`, true},
-	{"keys reordered", `{"advance_to_ns":1,"tbs":[{"PacketIDs":[1],"TBID":2}],"sender":[{"Seq":4,"Point":1}]}`, true},
+	{"keys reordered", `{"advance_to_ns":1,"tbs":[{"Failed":true,"TBID":2}],"sender":[{"Seq":4,"Kind":1}]}`, true},
 	{"empty records", `{"sender":[{}],"tbs":[{}]}`, true},
 	{"empty arrays", `{"sender":[],"core":[],"tbs":[]}`, true},
 	{"null arrays", `{"sender":null,"core":null,"tbs":null,"advance_to_ns":3}`, true},
-	{"PacketIDs null", `{"tbs":[{"TBID":1,"PacketIDs":null}]}`, true},
-	{"PacketIDs empty", `{"tbs":[{"TBID":1,"PacketIDs":[]}]}`, true},
+	{"PacketIDs null", `{"tbs":[{"TBID":1,"PacketIDs":null}]}`, false},
+	{"PacketIDs empty", `{"tbs":[{"TBID":1,"PacketIDs":[]}]}`, false},
 	{"negative LocalTime", `{"sender":[{"LocalTime":-5}]}`, true},
 	{"int64 extremes", `{"sender":[{"Size":-9223372036854775808,"LocalTime":9223372036854775807}]}`, true},
-	{"pretty printed", "\n{\n\t\"sender\" : [ {\n \"Point\" : 1 ,\r\n \"Marker\" : true } ] ,\n \"tbs\" : [ { \"PacketIDs\" : [ 1 , 2 ] } ] ,\n \"advance_to_ns\" : 7\n}\n", true},
+	{"pretty printed", "\n{\n\t\"sender\" : [ {\n \"Kind\" : 1 ,\r\n \"Marker\" : true } ] ,\n \"tbs\" : [ { \"TBS\" : 1 , \"UE\" : 2 } ] ,\n \"advance_to_ns\" : 7\n}\n", true},
 
 	{"duplicate sender", `{"sender":[` + oneRecord + `],"sender":[` + oneRecord + `]}`, false},
 	{"duplicate record key", `{"sender":[{"Seq":1,"Seq":2}]}`, false},
@@ -102,16 +110,18 @@ var decodeCases = []struct {
 	{"unknown record key", `{"sender":[{"Seq":1,"Extra":2}]}`, false},
 	{"upper-case SENDER", `{"SENDER":[` + oneRecord + `]}`, false},
 	{"lower-case point", `{"sender":[{"point":2}]}`, false},
-	{"escaped key", `{"sender":[{"Po\u0069nt":2}]}`, false},
+	{"escaped key", `{"sender":[{"Ki\u006ed":2}]}`, false},
 	{"Kelvin-sign key", `{"sender":[{"` + "\u212aind" + `":2}]}`, false},
 	{"exponent", `{"advance_to_ns":1e3}`, false},
 	{"fraction", `{"advance_to_ns":1.0}`, false},
 	{"minus zero", `{"advance_to_ns":-0}`, false},
 	{"leading zero", `{"advance_to_ns":01}`, false},
 	{"Point past uint8", `{"sender":[{"Point":256}]}`, false},
+	{"Kind past uint8", `{"sender":[{"Kind":256}]}`, false},
 	{"RTPSeq past uint16", `{"sender":[{"RTPSeq":65536}]}`, false},
 	{"SSRC past uint32", `{"sender":[{"SSRC":4294967296}]}`, false},
 	{"PacketID past uint64", `{"sender":[{"PacketID":18446744073709551616}]}`, false},
+	{"TBID past uint64", `{"tbs":[{"TBID":18446744073709551616}]}`, false},
 	{"negative unsigned", `{"sender":[{"Seq":-1}]}`, false},
 	{"LocalTime past int64", `{"sender":[{"LocalTime":9223372036854775808}]}`, false},
 	{"LocalTime below int64", `{"sender":[{"LocalTime":-9223372036854775809}]}`, false},
@@ -132,6 +142,7 @@ var decodeCases = []struct {
 	{"two batches", `{"advance_to_ns":1}{"advance_to_ns":2}`, false},
 	{"trailing garbage", `{"advance_to_ns":1} x`, false},
 	{"deep nesting", strings.Repeat("[", 10000), false},
+	{"old wire form", allKeys(oldRecord, oldTB), false},
 }
 
 // noEmpty maps empty slices to nil, the one difference the differential
@@ -146,12 +157,6 @@ func noEmpty(b Batch) Batch {
 	}
 	if len(b.TBs) == 0 {
 		b.TBs = nil
-	}
-	b.TBs = append(b.TBs[:0:0], b.TBs...)
-	for i := range b.TBs {
-		if len(b.TBs[i].PacketIDs) == 0 {
-			b.TBs[i].PacketIDs = nil
-		}
 	}
 	return b
 }
@@ -221,6 +226,18 @@ func TestDecodeBatchMatchesStdlib(t *testing.T) {
 				t.Fatalf("fast path took the input = %v, want %v", took, c.fast)
 			}
 		})
+	}
+	// An older client's body decodes, through the fallback, to what the
+	// same records in today's wire form decode to.
+	decode := func(body string) Batch {
+		var b Batch
+		if err := b.UnmarshalJSON([]byte(body)); err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	if got, want := decode(allKeys(oldRecord, oldTB)), decode(allKeys(oneRecord, oneTB)); !reflect.DeepEqual(got, want) {
+		t.Fatalf("the older wire form decoded\n%+v\ntoday's decoded\n%+v", got, want)
 	}
 }
 
@@ -318,34 +335,9 @@ func TestPooledBatchNotRefed(t *testing.T) {
 	}
 }
 
-// A TBRecord kept by value holds its PacketIDs slice header, so a decode
-// into a reused Batch must never write into PacketIDs memory handed out
-// by an earlier one.
-func TestDecodedPacketIDsSurviveReuse(t *testing.T) {
-	var b Batch
-	if err := b.UnmarshalJSON(realBatch(t)); err != nil {
-		t.Fatal(err)
-	}
-	held := append(b.TBs[:0:0], b.TBs...) // what the session holds after Feed
-	var want Batch
-	if err := unmarshalBatchStd(realBatch(t), &want); err != nil {
-		t.Fatal(err)
-	}
-	other := `{"tbs":[` + strings.TrimSuffix(strings.Repeat(oneTB+",", 2*len(held)), ",") + `]}`
-	for i := 0; i < 3; i++ {
-		if err := b.UnmarshalJSON([]byte(other)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !reflect.DeepEqual(held, want.TBs) {
-		t.Fatalf("TB records held by value changed under a later decode:\n%+v\nwant\n%+v", held, want.TBs)
-	}
-}
-
-// Session.Feed retains nothing of the Batch (PacketIDs aside, which the
-// decoder never reuses): the handler returns it to a pool the moment
-// Feed returns, so every record is scribbled over here and the stream
-// must still digest-match the offline correlation.
+// Session.Feed retains nothing of the Batch: the handler returns it to a
+// pool the moment Feed returns, so every record is scribbled over here
+// and the stream must still digest-match the offline correlation.
 func TestFeedRetainsNothingOfBatch(t *testing.T) {
 	reg := NewRegistry()
 	s, err := reg.Create(Config{ID: "borrow"})

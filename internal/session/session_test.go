@@ -21,11 +21,10 @@ func synthFeed(n int) core.Input {
 	for i := 0; i < n; i++ {
 		at := time.Duration(i) * 10 * time.Millisecond
 		s := packet.Record{
-			Point: packet.PointSender, Kind: packet.KindVideo,
+			Kind: packet.KindVideo,
 			Flow: 1, Seq: uint32(i), Size: 1200, LocalTime: at,
 		}
 		c := s
-		c.Point = packet.PointCore
 		c.LocalTime = at + 3*time.Millisecond
 		in.Sender = append(in.Sender, s)
 		in.Core = append(in.Core, c)

@@ -8,8 +8,8 @@
 // truth directly. The record layout deliberately matches what a sniffer
 // can see — notably it does NOT include which IP packets a TB carried;
 // recovering that mapping is the Athena correlator's job. The PacketIDs
-// field carries the simulator's ground truth for scoring the correlator
-// and is excluded from the "sniffer view" helper.
+// field is the simulator's one record of that truth, for scoring the
+// correlator; it never leaves the process.
 package telemetry
 
 import (
@@ -57,8 +57,10 @@ type TBRecord struct {
 	UsedBytes units.ByteCount // media/cross bytes actually carried (rest is padding)
 	HARQRound int             // 0 = initial transmission
 
-	// PacketIDs is simulator ground truth (not visible to a sniffer).
-	PacketIDs []uint64
+	// PacketIDs is simulator ground truth: the packets this attempt
+	// carried, by packet.Packet.ID. No sniffer sees it, so the wire form
+	// omits it.
+	PacketIDs []uint64 `json:"-"`
 
 	UE     uint32
 	Grant  GrantKind
@@ -84,17 +86,6 @@ func (c *Collector) Add(r TBRecord) {
 		c.Records = grown
 	}
 	c.Records = append(c.Records, r)
-}
-
-// SnifferView returns copies of the records with ground-truth fields
-// stripped, i.e. exactly what NG-Scope would deliver.
-func (c *Collector) SnifferView() []TBRecord {
-	out := make([]TBRecord, len(c.Records))
-	copy(out, c.Records)
-	for i := range out {
-		out[i].PacketIDs = nil
-	}
-	return out
 }
 
 // ForUE filters records for one UE, preserving order. It counts them

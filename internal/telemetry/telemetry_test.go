@@ -40,22 +40,6 @@ func TestCollectorFilters(t *testing.T) {
 	}
 }
 
-func TestSnifferViewStripsAndCopies(t *testing.T) {
-	var c Collector
-	c.Add(TBRecord{TBID: 1, PacketIDs: []uint64{5, 6}})
-	view := c.SnifferView()
-	if view[0].PacketIDs != nil {
-		t.Fatal("view leaks ground truth")
-	}
-	if c.Records[0].PacketIDs == nil {
-		t.Fatal("original mutated")
-	}
-	view[0].TBID = 99
-	if c.Records[0].TBID != 1 {
-		t.Fatal("view aliases original")
-	}
-}
-
 func TestWasteOf(t *testing.T) {
 	recs := []TBRecord{
 		{TBS: 1000, UsedBytes: 1000},
