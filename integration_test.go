@@ -163,8 +163,8 @@ func TestIntegrationFig10PhantomOveruse(t *testing.T) {
 
 // The scale-10 row is the paper's own call length: each 450 s call sends
 // more than 65 536 video packets, so its 16-bit transport-wide sequence
-// wraps, and a packet past the wrap that never reaches the core must not
-// join its namesake's core sighting (a frame delay of −270 s).
+// wraps, and a packet past the wrap must not join the core sighting of
+// the packet numbered alike one wrap earlier (a frame delay of −270 s).
 func TestIntegrationM1HalvesFrameDelay(t *testing.T) {
 	for _, o := range []Options{itOpts, {Seed: 1, Scale: 10}} {
 		t.Run(fmt.Sprintf("scale-%g", o.Scale), func(t *testing.T) {

@@ -161,8 +161,10 @@ func (a Attribution) String() string {
 // simulator's ground truth: the fraction of packets whose inferred TB set
 // exactly equals the true one. The truth is the one the telemetry holds
 // in process: the TBs whose successful attempt lists a packet in its
-// PacketIDs, joined to the report's packets through the sender records'
-// PacketID. Packets no successful attempt carried are not scored.
+// PacketIDs, joined to the report's packets through the PacketID of the
+// sender record with the same identity, extended as the one-shot feed
+// extends the capture-ordered sender records. Packets no successful
+// attempt carried, and sequence-less ones, are not scored.
 func (r *Report) MatchAccuracy(sender []packet.Record, tbs []telemetry.TBRecord) float64 {
 	truth := make(map[uint64][]uint64)
 	for _, tb := range tbs {
@@ -172,14 +174,23 @@ func (r *Report) MatchAccuracy(sender []packet.Record, tbs []telemetry.TBRecord)
 			}
 		}
 	}
-	ids := make(map[pktKey]uint64, len(sender))
+	ids := make(map[uint64]uint64, len(sender))
+	sent := make(map[uint32]uint32)
 	for _, s := range sender {
-		ids[pktKey{s.Flow, s.Seq, s.Kind}] = s.PacketID
+		if sequenceLess(s.Kind) {
+			continue
+		}
+		newest, ok := sent[s.Flow]
+		if !ok {
+			newest = s.Seq
+		}
+		ids[key(s.Flow, track(&newest, s.Seq))] = s.PacketID
+		sent[s.Flow] = newest
 	}
 	total, correct := 0, 0
-	for _, v := range r.Packets {
-		id, ok := ids[pktKey{v.Flow, v.Seq, v.Kind}]
-		if !ok {
+	for k, s := range r.byKey.m {
+		id, ok := ids[k]
+		if !ok || s.view == noView {
 			continue
 		}
 		want := truth[id]
@@ -187,7 +198,7 @@ func (r *Report) MatchAccuracy(sender []packet.Record, tbs []telemetry.TBRecord)
 			continue
 		}
 		total++
-		if equalIDs(v.TBIDs, want) {
+		if equalIDs(r.Packets[s.view].TBIDs, want) {
 			correct++
 		}
 	}

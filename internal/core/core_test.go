@@ -217,13 +217,13 @@ func TestBSRAttribution(t *testing.T) {
 func TestAttributionMatchesGroundTruth(t *testing.T) {
 	bed := runBed(t, ran.SchedCombined, 0, clock.Perfect("s"), clock.Perfect("c"), 2*time.Second)
 	rep := Correlate(bed.input(nil))
-	sent := make(map[pktKey]*packet.Packet, len(bed.sent))
+	sent := make(map[rawKey]*packet.Packet, len(bed.sent))
 	for _, p := range bed.sent {
-		sent[pktKey{p.Flow, p.Seq, p.Kind}] = p
+		sent[rawKey{p.Flow, p.Seq, p.Kind}] = p
 	}
 	checked := 0
 	for _, v := range rep.Packets {
-		p, ok := sent[pktKey{v.Flow, v.Seq, v.Kind}]
+		p, ok := sent[rawKey{v.Flow, v.Seq, v.Kind}]
 		if !ok || !v.SeenCore {
 			continue
 		}
@@ -243,17 +243,6 @@ func TestAttributionMatchesGroundTruth(t *testing.T) {
 	}
 	if checked < 100 {
 		t.Fatalf("only %d packets checked", checked)
-	}
-}
-
-func TestReportPacketLookup(t *testing.T) {
-	bed := runBed(t, ran.SchedCombined, 0, clock.Perfect("s"), clock.Perfect("c"), time.Second)
-	rep := Correlate(bed.input(nil))
-	if _, ok := rep.Packet(10, 0, packet.KindVideo); !ok {
-		t.Fatal("first video packet not found")
-	}
-	if _, ok := rep.Packet(99, 0, packet.KindVideo); ok {
-		t.Fatal("bogus lookup succeeded")
 	}
 }
 

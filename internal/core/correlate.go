@@ -115,11 +115,11 @@ type Report struct {
 	Packets []PacketView
 	Frames  []FrameView
 	// RefusedJoins counts the core sightings refused a join because they
-	// precede the packet's send by more than the clock slack: a namesake's
-	// sighting under a reused key (a 16-bit sequence that wrapped), a
-	// missing sample rather than a view with a negative uplink delay.
+	// precede the packet's send by more than the clock slack: a clock error
+	// larger than the tolerance, a missing sample rather than a view with a
+	// negative uplink delay.
 	RefusedJoins int64
-	// byKey is the key index: each packet key's newest view and core
+	// byKey is the key index: each packet identity's view and core
 	// sightings.
 	byKey keyIndex
 	// fifoLeft holds, per Packets index, the bytes the TB matcher's FIFO
@@ -128,23 +128,53 @@ type Report struct {
 	fifoLeft []int64
 }
 
-type pktKey struct {
-	flow uint32
-	seq  uint32
-	kind packet.Kind
+// A packet's identity is its flow and extended sequence number, packed
+// into one key. Each capture point extends a flow's 16-bit transport-wide
+// numbers on its own (RFC 3550 appendix A.1): a number lands within half
+// a cycle of the newest one that point has seen, starting from the
+// flow's first number at any point. Sequence-less kinds repeat Seq 0 on
+// every packet and have no identity: they keep their place and bytes in
+// the FIFO but join no core or receiver sighting.
+func key(flow, ext uint32) uint64 { return uint64(flow)<<32 | uint64(ext) }
+
+// sequenceLess reports whether a kind carries no sequence number.
+func sequenceLess(k packet.Kind) bool {
+	return k == packet.KindCross || k == packet.KindICMP || k == packet.KindRTCP
 }
 
-// keyState is one key's entry in the index: the position of its newest
+// extend returns where seq falls within half a cycle of the extended
+// number ref.
+func extend(ref, seq uint32) uint32 { return ref + uint32(int16(uint16(seq)-uint16(ref))) }
+
+// track extends seq against the newest extended number and keeps the
+// newer of the two.
+func track(newest *uint32, seq uint32) uint32 {
+	x := extend(*newest, seq)
+	if int32(x-*newest) > 0 {
+		*newest = x
+	}
+	return x
+}
+
+// flowState is one flow's identity state: each capture point's newest
+// extended number, the newest number a trim retired (the flow's first
+// number until one did), and the newest send time of its sequence-less
+// records.
+type flowState struct {
+	sent, core, recv, tail uint32
+	trimmed                bool
+	seqlessAt              time.Duration
+}
+
+// keyState is one identity's entry in the index: the position of its
 // view (plus the live window's shift; noView if it has none) and a
 // summary of its retained core sightings — the newest one's corrected
-// time, their count, and the arrival number they count from (older
-// sightings of the key were retired with it). A key with neither a view
-// nor a sighting has no entry.
+// time and their count. An identity with neither a view nor a sighting
+// has no entry.
 type keyState struct {
 	view int
 	at   time.Duration
 	n    int
-	from uint64
 }
 
 // noView marks a key whose core sightings await their sender record.
@@ -154,80 +184,28 @@ const noView = -1
 // delete goes through it and counts one probe, so probes is the work the
 // correlator did on the index, whoever asked for it — what the live
 // duplicate guard must keep O(1) per record
-// (TestIngestSameTimestampBurstLinear). peek alone does not count: it
-// serves Report.Packet, whose callers may share a Report across
-// goroutines.
+// (TestIngestSameTimestampBurstLinear).
 type keyIndex struct {
-	m      map[pktKey]keyState
+	m      map[uint64]keyState
 	probes int
 }
 
-func newKeyIndex(n int) keyIndex { return keyIndex{m: make(map[pktKey]keyState, n)} }
+func newKeyIndex(n int) keyIndex { return keyIndex{m: make(map[uint64]keyState, n)} }
 
-func (x *keyIndex) get(k pktKey) (keyState, bool) {
+func (x *keyIndex) get(k uint64) (keyState, bool) {
 	x.probes++
 	s, ok := x.m[k]
 	return s, ok
 }
 
-func (x *keyIndex) set(k pktKey, s keyState) {
+func (x *keyIndex) set(k uint64, s keyState) {
 	x.probes++
 	x.m[k] = s
 }
 
-func (x *keyIndex) del(k pktKey) {
+func (x *keyIndex) del(k uint64) {
 	x.probes++
 	delete(x.m, k)
-}
-
-func (x *keyIndex) peek(k pktKey) (keyState, bool) {
-	s, ok := x.m[k]
-	return s, ok
-}
-
-// keySet is the live duplicate guard's set of keys a trim retired at the
-// sender head. Like keyIndex it counts a probe per lookup and insert,
-// and a reset counts each slot it clears.
-type keySet struct {
-	m      map[pktKey]struct{}
-	peak   int // the most keys m has held since it was made
-	probes int
-}
-
-func (x *keySet) has(k pktKey) bool {
-	x.probes++
-	_, ok := x.m[k]
-	return ok
-}
-
-func (x *keySet) add(k pktKey) {
-	x.probes++
-	x.m[k] = struct{}{}
-}
-
-// reset empties the set for a new capture timestamp. Clearing a map
-// costs its capacity, which never shrinks, so once a burst has grown the
-// map past 64 keys, a run under a quarter of that burst replaces it
-// instead. Either way the reset is amortised O(1) per key added, and a
-// feed whose runs stay small never allocates here.
-func (x *keySet) reset() {
-	n := len(x.m)
-	x.peak = max(x.peak, n)
-	if x.peak > 64 && 4*n < x.peak {
-		x.m, x.peak = make(map[pktKey]struct{}), 0
-		return
-	}
-	x.probes += x.peak // clear walks every slot the map has grown
-	clear(x.m)
-}
-
-// Packet looks up the view for a specific packet.
-func (r *Report) Packet(flow, seq uint32, kind packet.Kind) (PacketView, bool) {
-	s, ok := r.byKey.peek(pktKey{flow, seq, kind})
-	if !ok || s.view == noView {
-		return PacketView{}, false
-	}
-	return r.Packets[s.view], true
 }
 
 // tbProcess is one TB's HARQ lifecycle reconstructed from attempts.
@@ -316,8 +294,9 @@ const noPos = 1<<31 - 1
 //   - an unsorted sender or core capture is correlated from a sorted copy
 //     (the core copy stable by LocalTime);
 //   - records of flows outside Input.Flows are dropped;
-//   - an exact replay of a sender record (same key and LocalTime) is
-//     dropped.
+//   - a replay of a sender record (an identity its flow already holds, or
+//     a sequence-less record at its flow's newest sequence-less send
+//     time) is dropped.
 func Correlate(in Input) *Report {
 	rep := feedOnce(in).rep
 	// Group packets into frames/samples and compute delay spreads.
@@ -347,12 +326,12 @@ func feedOnce(in Input) *LiveCorrelator {
 	// Uncovered records are skipped, not fed to be rejected: in a shared
 	// capture most records are other UEs'.
 	for i := range sender {
-		if lc.covers(sender[i].Flow) {
+		if lc.flow(sender[i].Flow, sender[i].Seq) != nil {
 			_ = lc.OnSenderRecord(sender[i]) // a rejected record is dropped
 		}
 	}
 	for i := range core {
-		if lc.covers(core[i].Flow) {
+		if lc.flow(core[i].Flow, core[i].Seq) != nil {
 			_ = lc.OnCoreRecord(core[i]) // a rejected record is dropped
 		}
 	}
@@ -360,7 +339,14 @@ func feedOnce(in Input) *LiveCorrelator {
 	// capture too.
 	recvOff := in.offset(packet.PointReceiver)
 	for _, r := range in.Receiver {
-		s, ok := rep.byKey.get(pktKey{r.Flow, r.Seq, r.Kind})
+		if sequenceLess(r.Kind) {
+			continue
+		}
+		fs := lc.flow(r.Flow, r.Seq)
+		if fs == nil {
+			continue
+		}
+		s, ok := rep.byKey.get(key(r.Flow, track(&fs.recv, r.Seq)))
 		if !ok || s.view == noView {
 			continue
 		}
@@ -392,11 +378,6 @@ func feedOnce(in Input) *LiveCorrelator {
 // joinCore records the packet's corrected core sighting.
 func (v *PacketView) joinCore(at time.Duration) {
 	v.CoreAt, v.SeenCore, v.ULDelay = at, true, at-v.SentAt
-}
-
-// clearCore forgets the packet's core sighting.
-func (v *PacketView) clearCore() {
-	v.CoreAt, v.SeenCore, v.ULDelay = 0, false, 0
 }
 
 // walk replays the UE buffer's FIFO service order from process position

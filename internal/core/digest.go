@@ -5,26 +5,7 @@ import (
 	"encoding/hex"
 	"hash"
 	"strconv"
-
-	"athena/internal/packet"
 )
-
-// DigestEligible reports whether a view participates in the canonical
-// attribution digest: kinds whose (flow, seq) uniquely identify a packet.
-// Sequence-less bookkeeping kinds — NTP cross traffic and ICMP probes
-// repeat Seq 0 on every packet — are excluded, because the batch join's
-// last-wins semantics for a repeated key depends on how much of the
-// session is in view, so their rendered views are not comparable between
-// a windowed live feed and the full offline run. They still participate
-// in correlation (their bytes occupy the uplink FIFO); only the digest
-// skips them.
-func DigestEligible(v PacketView) bool {
-	switch v.Kind {
-	case packet.KindCross, packet.KindICMP:
-		return false
-	}
-	return true
-}
 
 // ViewHasher accumulates the canonical per-packet attribution digest over
 // a stream of emitted views. Feeding every emitted view of a live session
@@ -43,12 +24,8 @@ func NewViewHasher() *ViewHasher {
 	return &ViewHasher{h: sha256.New()}
 }
 
-// Add folds one view into the digest. Ineligible views (DigestEligible
-// false) are skipped, so callers may feed every emitted view unfiltered.
+// Add folds one view into the digest.
 func (vh *ViewHasher) Add(v PacketView) {
-	if !DigestEligible(v) {
-		return
-	}
 	vh.buf = appendViewLine(vh.buf[:0], v)
 	vh.h.Write(vh.buf)
 	vh.n++
@@ -100,7 +77,7 @@ func appendViewLine(b []byte, v PacketView) []byte {
 }
 
 // PacketsDigest is the offline form of the streamed digest: the canonical
-// hash over every digest-eligible packet view in send order. For the same
+// hash over every packet view in send order. For the same
 // input, a live session's ViewHasher converges to this value once every
 // packet has been emitted.
 func (r *Report) PacketsDigest() string {

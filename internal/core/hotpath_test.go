@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
-	"sort"
 	"testing"
 	"time"
 
@@ -65,8 +64,8 @@ func TestCorrelateAllocBound(t *testing.T) {
 	if len(rep.Packets) != 5000 {
 		t.Fatalf("correlated %d of 5000 packets", len(rep.Packets))
 	}
-	// Measured 62 on go1.24 (the correlator, its presized buffers and
-	// index maps, the frame grouping);
+	// Measured 67 on go1.24 (the correlator, its presized buffers and
+	// index maps, one identity state per flow, the frame grouping);
 	// 200 leaves headroom for map-runtime changes while still failing
 	// loudly on any return to per-record allocation.
 	if allocs > 200 {
@@ -256,9 +255,10 @@ func TestRecordsBeforeTimeZeroAreFed(t *testing.T) {
 }
 
 // reportHash renders every field of a Report the equivalence contract
-// covers — each view with its TBIDs, the frames, the view positions of
-// the key index (keys seen only at the core have none) and the matcher's
-// fifoLeft — and returns its SHA-256.
+// covers — each view with its TBIDs, the frames, the key index's view
+// positions and the matcher's fifoLeft — and returns its SHA-256. The
+// index is rendered from the views, as the map-join reference recorded
+// it: one "{flow seq kind}=position" line per view with an identity.
 func reportHash(rep *Report) string {
 	h := sha256.New()
 	for _, v := range rep.Packets {
@@ -267,16 +267,18 @@ func reportHash(rep *Report) string {
 	for _, f := range rep.Frames {
 		fmt.Fprintf(h, "%+v\n", f)
 	}
-	keys := make([]pktKey, 0, len(rep.byKey.m))
-	for k, s := range rep.byKey.m {
-		if s.view != noView {
-			keys = append(keys, k)
+	for i, v := range rep.Packets {
+		if !sequenceLess(v.Kind) {
+			fmt.Fprintf(h, "%v=%d\n", rawKey{v.Flow, v.Seq, v.Kind}, i)
 		}
-	}
-	sort.Slice(keys, func(i, j int) bool { return rep.byKey.m[keys[i]].view < rep.byKey.m[keys[j]].view })
-	for _, k := range keys {
-		fmt.Fprintf(h, "%v=%d\n", k, rep.byKey.m[k].view)
 	}
 	fmt.Fprintf(h, "fifo nil=%v %v\n", rep.fifoLeft == nil, rep.fifoLeft)
 	return hex.EncodeToString(h.Sum(nil))
+}
+
+// rawKey is a record's flow, raw sequence number and kind, for tests that
+// look up packets on inputs with no wrap and no sequence-less kind.
+type rawKey struct {
+	flow, seq uint32
+	kind      packet.Kind
 }

@@ -13,8 +13,10 @@ var (
 	// delivers out of order has lost or reordered data.
 	ErrOutOfOrder = errors.New("record out of capture order")
 
-	// ErrDuplicate reports a sender record identical to one already fed —
-	// the signature of a replayed feed batch.
+	// ErrDuplicate reports a replayed sender record — the signature of a
+	// replayed feed batch: one whose flow and extended sequence number
+	// the feed already holds or a trim retired, or a sequence-less record
+	// at its flow's newest sequence-less send time.
 	ErrDuplicate = errors.New("duplicate sender record")
 
 	// ErrFlowNotCovered reports a record whose flow is absent from
@@ -38,7 +40,8 @@ type LiveSnapshot struct {
 	// full-drain resets) — the memory bound at work.
 	Trims int64 `json:"trims"`
 	// RefusedJoins counts core sightings refused a join since the feed
-	// began (Report.RefusedJoins).
+	// began because a clock error put them before the send
+	// (Report.RefusedJoins).
 	RefusedJoins int64 `json:"refused_joins"`
 	// Advanced is the latest Advance clock.
 	Advanced time.Duration `json:"advanced_ns"`

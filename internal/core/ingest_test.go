@@ -152,12 +152,10 @@ func TestIngestRejectsReplayOfTrimmedHeadRecord(t *testing.T) {
 // The check compares equal lengths — 64 Ki records at one timestamp
 // against 64 Ki at distinct timestamps, each followed by an Advance that
 // retires them — and counts the key slots probed: the lookups, inserts
-// and deletes on the key index and the duplicate guard's head set, and
-// each slot a reset of the head set clears, counted inside those two
-// types, the only way to reach their maps. A guard that is O(1) per
-// record probes about as many per record on both feeds; one that
-// re-probes the head run, or clears the head set, per record probes
-// thousands of times as many on the burst.
+// and deletes on the key index, counted inside its type, the only way to
+// reach its map. A guard that is O(1) per record probes about as many
+// per record on both feeds; one that re-probes the head run per record
+// probes thousands of times as many on the burst.
 //
 // A scan of the head run written over Report.Packets itself touches
 // neither map, so the counts cannot see it; the feeds are also timed,
@@ -180,7 +178,7 @@ func TestIngestSameTimestampBurstLinear(t *testing.T) {
 	}
 	var probes [2]int
 	for side, lc := range lcs {
-		probes[side] = lc.rep.byKey.probes + lc.headKeys.probes
+		probes[side] = lc.rep.byKey.probes
 	}
 	burst, spread := probes[0], probes[1]
 	t.Logf("key slots probed per record: %.2f on the burst, %.2f spread; best feed %v against %v",
@@ -344,6 +342,13 @@ func TestIngestSnapshotProgress(t *testing.T) {
 // re-derive from position 0 over the same buffers.
 func replayChunked(t testing.TB, in Input, step func(i int) time.Duration) (views []PacketView, st replayStats) {
 	t.Helper()
+	return replay(t, in, step, true)
+}
+
+// replay is replayChunked, with the re-derive after every Advance only
+// when rederive is set.
+func replay(t testing.TB, in Input, step func(i int) time.Duration, rederive bool) (views []PacketView, st replayStats) {
+	t.Helper()
 	cfg := in
 	cfg.Sender, cfg.Core, cfg.TBs = nil, nil, nil
 	var kept map[uint64]bool
@@ -364,7 +369,9 @@ func replayChunked(t testing.TB, in Input, step func(i int) time.Duration) (view
 		if err := lc.Advance(now); err != nil {
 			t.Fatalf("advance %v: %v", now, err)
 		}
-		assertRederives(t, lc, &fed)
+		if rederive {
+			assertRederives(t, lc, &fed)
+		}
 		if buffered > 0 && len(lc.sizes) == 0 {
 			// A full drain: note the TBs it kept that carried its packets.
 			for _, v := range views[len(views)-buffered:] {
@@ -452,11 +459,14 @@ func assertRederives(t testing.TB, lc *LiveCorrelator, fed *tbLog) {
 			LocalTime: v.SentAt + lc.senderOff, SSRC: v.SSRC, RTPTime: v.RTPTime, Marker: v.Marker,
 		})
 	}
+	var coreKeys []uint64
 	for _, c := range lc.core.items() {
 		if lc.coreLive(&c) {
+			// A sighting keeps no kind: any sequenced one joins alike.
 			in.Core = append(in.Core, packet.Record{
-				Flow: c.key.flow, Seq: c.key.seq, Kind: c.key.kind, LocalTime: c.at + lc.coreOff,
+				Flow: uint32(c.key >> 32), Seq: uint32(c.key), Kind: packet.KindVideo, LocalTime: c.at + lc.coreOff,
 			})
+			coreKeys = append(coreKeys, c.key)
 		}
 	}
 	kept := (*fed)[:0]
@@ -489,18 +499,46 @@ func assertRederives(t testing.TB, lc *LiveCorrelator, fed *tbLog) {
 			t.Fatalf("view %d: %d bytes undrained, re-derive has %d", i, lc.fifoLeft[i], re.fifoLeft[i])
 		}
 	}
+	// The re-derive extends the retained numbers afresh, so they trail the
+	// feed's by whole wraps, alike for every identity of a flow. Views at
+	// one position and core sightings at one place in the log pair the
+	// two feeds' identities and give each flow's wraps.
+	wraps := make(map[uint32]uint32)
+	pair := func(got, want uint64) {
+		flow, d := uint32(got>>32), uint32(got)-uint32(want)
+		if w, ok := wraps[flow]; uint32(want>>32) != flow || uint16(d) != 0 || ok && w != d {
+			t.Fatalf("identity %#x pairs with the re-derive's %#x (flow %d trails by %#x)", got, want, flow, w)
+		}
+		wraps[flow] = d
+	}
+	wantKeys := make([]uint64, len(got))
+	for k, s := range want.byKey.m {
+		if s.view != noView {
+			wantKeys[s.view] = k
+		}
+	}
+	for k, s := range lc.rep.byKey.m {
+		if s.view != noView {
+			pair(k, wantKeys[s.view-lc.shift])
+		}
+	}
+	if len(re.core.items()) != len(coreKeys) {
+		t.Fatalf("re-derive logged %d of %d core sightings", len(re.core.items()), len(coreKeys))
+	}
+	for i, c := range re.core.items() {
+		pair(coreKeys[i], c.key)
+	}
 	if len(lc.rep.byKey.m) != len(want.byKey.m) {
 		t.Fatalf("key index holds %d keys, re-derive %d", len(lc.rep.byKey.m), len(want.byKey.m))
 	}
 	for k, s := range lc.rep.byKey.m {
-		w, ok := want.byKey.m[k]
+		flow := uint32(k >> 32)
+		w, ok := want.byKey.m[key(flow, uint32(k)-wraps[flow])]
 		if s.view != noView {
 			s.view -= lc.shift
 		}
-		// Arrival numbers differ between the two feeds.
-		s.from, w.from = 0, 0
 		if !ok || s != w {
-			t.Fatalf("key %v is %+v, re-derive has %+v (present %v)", k, s, w, ok)
+			t.Fatalf("key %#x is %+v, re-derive has %+v (present %v)", k, s, w, ok)
 		}
 	}
 	var live, rederived []tbProcess
@@ -573,44 +611,122 @@ func TestLiveChunkedReplayMatchesBatchDigest(t *testing.T) {
 	}
 }
 
-// TestSequenceWrapRefusesNamesakeJoin: one flow's 16-bit sequence wraps
-// after 65 536 packets, and the packets sent after the wrap never reach
-// the core. Each one's key still holds the core sighting of its namesake
-// one wrap earlier, which would give it a negative uplink delay: the
-// one-shot and the chunked live feed both refuse that join and count it.
-func TestSequenceWrapRefusesNamesakeJoin(t *testing.T) {
-	const n, wrap = 70_000, 1 << 16
-	const gap, delay = 10 * time.Microsecond, 20 * time.Millisecond
-	in := Input{SlotDuration: 500 * time.Microsecond}
-	for i := range n {
-		at := time.Duration(i) * gap
-		in.Sender = append(in.Sender, rec(1, uint32(i%wrap), packet.KindVideo, at))
-		if i < wrap {
-			in.Core = append(in.Core, rec(1, uint32(i), packet.KindVideo, at+delay))
-		}
-	}
-	check := func(feed string, views []PacketView, refused int64) {
-		t.Helper()
-		for _, v := range views {
-			if v.ULDelay < 0 {
-				t.Fatalf("%s: %d/%d sent at %v joined a core sighting at %v (uplink delay %v)",
-					feed, v.Flow, v.Seq, v.SentAt, v.CoreAt, v.ULDelay)
+// TestSequenceWrapKeepsIdentity feeds flows whose 16-bit sequence
+// numbers wrap. Each capture point extends them, so a packet sent after
+// a wrap is a new identity, not its namesake one wrap earlier:
+//   - one-flow: 70 000 packets on one flow, and those sent after the wrap
+//     never reach the core. Every earlier packet keeps its own 20 ms
+//     sighting, no join is refused (a namesake's sighting would precede
+//     the send), and the 100 ms live replay digests as Correlate does;
+//   - shared-counter: a 20-minute call at M1's ~243 packets/s, video and
+//     audio numbered by one counter that wraps four times, each packet
+//     carried by a TB of its own. Every packet joins its own sighting
+//     with no negative uplink delay, and the live replay, checked without
+//     the per-step re-derive, digests as Correlate does;
+//   - match-accuracy: the simulator's truth joins each packet past a wrap
+//     to its own PacketID, so an exact matcher scores 1.0.
+func TestSequenceWrapKeepsIdentity(t *testing.T) {
+	const wrap = 1 << 16
+	tick := func(int) time.Duration { return 100 * time.Millisecond }
+	t.Run("one-flow", func(t *testing.T) {
+		const n, gap, delay = 70_000, 10 * time.Microsecond, 20 * time.Millisecond
+		in := Input{SlotDuration: 500 * time.Microsecond}
+		for i := range n {
+			at := time.Duration(i) * gap
+			in.Sender = append(in.Sender, rec(1, uint32(i%wrap), packet.KindVideo, at))
+			if i < wrap {
+				in.Core = append(in.Core, rec(1, uint32(i), packet.KindVideo, at+delay))
 			}
 		}
-		if refused == 0 {
-			t.Errorf("%s: no join refused", feed)
+		rep := Correlate(in)
+		for i, v := range rep.Packets {
+			if seen := i < wrap; v.SeenCore != seen || seen && v.ULDelay != delay {
+				t.Fatalf("packet %d (%d/%d sent at %v): seen %v with uplink delay %v, want seen %v after %v",
+					i, v.Flow, v.Seq, v.SentAt, v.SeenCore, v.ULDelay, seen, delay)
+			}
 		}
+		views, st := replayChunked(t, in, tick)
+		assertStreamMatchesBatch(t, in, views)
+		if rep.RefusedJoins != 0 || st.refused != 0 {
+			t.Errorf("refused %d joins in Correlate, %d live; want none", rep.RefusedJoins, st.refused)
+		}
+	})
+	t.Run("shared-counter", func(t *testing.T) {
+		const delay = 5 * time.Millisecond
+		in := sharedCounterCall(20*60*243, delay)
+		rep := Correlate(in)
+		views, st := replay(t, in, tick, false)
+		assertStreamMatchesBatch(t, in, views)
+		for i, v := range rep.Packets {
+			if !v.SeenCore || v.ULDelay != delay {
+				t.Fatalf("packet %d (%d/%d sent at %v): seen %v with uplink delay %v, want %v",
+					i, v.Flow, v.Seq, v.SentAt, v.SeenCore, v.ULDelay, delay)
+			}
+		}
+		if rep.RefusedJoins != 0 || st.refused != 0 {
+			t.Errorf("refused %d joins in Correlate, %d live; want none", rep.RefusedJoins, st.refused)
+		}
+	})
+	t.Run("match-accuracy", func(t *testing.T) {
+		in := sharedCounterCall(wrap+5000, 5*time.Millisecond)
+		if acc := Correlate(in).MatchAccuracy(in.Sender, in.TBs); acc != 1 {
+			t.Fatalf("match accuracy %.4f past a wrap, want 1", acc)
+		}
+	})
+}
+
+// sharedCounterCall sends n packets at M1's ~243 packets/s, every fifth
+// one audio (flow 2) and the rest video (flow 1), numbered by one 16-bit
+// counter. Each is carried whole by a TB of its own 1 ms after its send
+// and reaches the core delay after it.
+func sharedCounterCall(n int, delay time.Duration) Input {
+	const gap = time.Second / 243
+	in := Input{SlotDuration: 500 * time.Microsecond}
+	in.Sender, in.Core = make([]packet.Record, 0, n), make([]packet.Record, 0, n)
+	in.TBs = make([]telemetry.TBRecord, 0, n)
+	for i := range n {
+		at := time.Duration(i) * gap
+		r := rec(1, uint32(i%(1<<16)), packet.KindVideo, at)
+		if i%5 == 4 {
+			r.Flow, r.Kind, r.Size = 2, packet.KindAudio, 120
+		}
+		r.PacketID = uint64(i + 1)
+		in.Sender = append(in.Sender, r)
+		c := r
+		c.LocalTime = at + delay
+		in.Core = append(in.Core, c)
+		in.TBs = append(in.TBs, telemetry.TBRecord{
+			TBID: uint64(i + 1), UE: 1, At: at + time.Millisecond, TBS: r.Size, UsedBytes: r.Size,
+			Grant: telemetry.GrantProactive, PacketIDs: []uint64{r.PacketID},
+		})
 	}
-	rep := Correlate(in)
-	check("Correlate", rep.Packets, rep.RefusedJoins)
-	views, st := replayChunked(t, in, func(int) time.Duration { return 100 * time.Millisecond })
-	check("live", views, st.refused)
+	return in
+}
+
+// acrossWrap renumbers each flow's sequence numbers to start half the
+// flow's packets below 65 536, so every flow wraps mid-feed. It leaves
+// in's captures untouched.
+func acrossWrap(in Input) Input {
+	count := make(map[uint32]uint32)
+	for _, r := range in.Sender {
+		count[r.Flow]++
+	}
+	renumber := func(rs []packet.Record) []packet.Record {
+		rs = slices.Clone(rs)
+		for i := range rs {
+			rs[i].Seq = uint32(uint16(rs[i].Seq - count[rs[i].Flow]/2))
+		}
+		return rs
+	}
+	in.Sender, in.Core = renumber(in.Sender), renumber(in.Core)
+	return in
 }
 
 // FuzzLiveFeedOrder fuzzes the delivery chunking of a synthetic session:
 // each fuzz byte is a clock increment, so the corpus explores adversarial
 // interleavings of sender/core/TB delivery against Advance (including
-// long stalls that force horizon flushes and mid-stream trims). It
+// long stalls that force horizon flushes and mid-stream trims). Every
+// flow's sequence numbers wrap mid-feed (acrossWrap). It
 // compares the incremental and one-shot feeds of the one correlator:
 // after every Advance the incremental state must equal a one-shot feed
 // of the retained records, and the emitted views must digest-match
@@ -629,7 +745,7 @@ func FuzzLiveFeedOrder(f *testing.F) {
 		if len(chunks) > 256 {
 			chunks = chunks[:256]
 		}
-		in := synthInput(300, 3, seed)
+		in := acrossWrap(synthInput(300, 3, seed))
 		step := func(i int) time.Duration {
 			ms := int(chunks[i%len(chunks)])%120 + 1
 			return time.Duration(ms) * time.Millisecond

@@ -26,11 +26,12 @@ import (
 //
 //   - sender and core records must arrive in capture order (non-decreasing
 //     LocalTime per stream) — ErrOutOfOrder otherwise;
-//   - a sender record identical in (flow, seq, kind, LocalTime) to one
-//     already fed is a replay — ErrDuplicate. Detection is independent of
-//     the retained window, so it survives every trim: records behind the
-//     capture head fail the order check, and the duplicate index is the
-//     keys accepted at exactly the head timestamp;
+//   - a sender record whose identity its flow already holds, or that a
+//     trim retired, is a replay — ErrDuplicate; so is a sequence-less
+//     record at its flow's newest sequence-less send time. Detection is
+//     independent of the retained window, so it survives every trim: a
+//     trim retires a flow's numbers in send order, and its flow keeps the
+//     newest one retired;
 //   - when Input.Flows is set, every sender and core record must belong to
 //     a listed flow — ErrFlowNotCovered. The sender capture is the FIFO
 //     the TB matcher replays, so an uncovered record would silently shift
@@ -44,8 +45,8 @@ import (
 // the feed may continue.
 //
 // It keeps the matcher's state between calls. A sender record appends
-// its view and joins its key's buffered core sighting; a core record
-// joins its key's newest view; a TB attempt merges into its HARQ process,
+// its view and joins its identity's buffered core sighting; a core record
+// joins its identity's view; a TB attempt merges into its HARQ process,
 // which keeps the table in (initial transmission, first sighting) order.
 // Advance resumes the FIFO matcher at the earliest process position new
 // evidence can change — the first process an attempt inserted, moved or
@@ -61,8 +62,8 @@ import (
 // The feed-order validation doubles as a structural guarantee: sender
 // records are time-ordered and flow-covered, so the views are 1:1 with
 // the sender buffer and position i of the buffer IS view i. Emission and
-// trim select by position, never by key — duplicate (flow, seq, kind)
-// keys are legal for sequence-less kinds like NTP cross traffic.
+// trim select by position, never by key: sequence-less kinds like NTP
+// cross traffic have no identity.
 type LiveCorrelator struct {
 	in Input
 
@@ -81,10 +82,9 @@ type LiveCorrelator struct {
 	// state in fifoLeft; emitted is the prefix already emitted. core is
 	// the arrival-ordered log of core sightings, whose records trims
 	// retire in place (coreLive); nCore counts the retained ones and the
-	// key index sums them up per key for the join. A TB attempt is kept
-	// only merged into its process; nTBs counts the attempts of the
-	// processes in the table. arrivals numbers core records and TB
-	// attempts alike.
+	// key index sums them up per identity for the join. A TB attempt is
+	// kept only merged into its process; nTBs counts the attempts of the
+	// processes in the table. arrivals numbers the TB attempts.
 	rep       *Report
 	fifoLeft  []int64
 	sizes     []int64
@@ -96,18 +96,14 @@ type LiveCorrelator struct {
 	senderOff time.Duration
 	coreOff   time.Duration
 
-	// Feed-validation state: per-stream capture heads in corrected time
-	// (noTime until the stream's first record), the duplicate index, and
-	// the flow-coverage set derived from in.Flows. A duplicate is a key
-	// accepted at exactly sentHead: a replay of anything older already
-	// fails the order check. The key index finds the ones
-	// still retained; headKeys holds those a trim retired, so the check
-	// survives every trim.
-	sentHead    time.Duration
-	coreHead    time.Duration
-	advanced    time.Duration
-	headKeys    keySet
-	coveredFlow map[uint32]bool
+	// Feed-validation and identity state: per-stream capture heads in
+	// corrected time (noTime until the stream's first record) and each
+	// flow's identity state. When in.Flows is set, flows is made with a
+	// nil entry per covered flow and any other flow is uncovered.
+	sentHead time.Duration
+	coreHead time.Duration
+	advanced time.Duration
+	flows    map[uint32]*flowState
 
 	// Progress counters surfaced by Snapshot.
 	emittedTotal int64
@@ -139,12 +135,10 @@ type LiveCorrelator struct {
 	nDead   int
 }
 
-// coreRec is one retained core sighting: its key, corrected time and
-// arrival number.
+// coreRec is one retained core sighting: its key and corrected time.
 type coreRec struct {
-	key pktKey
+	key uint64
 	at  time.Duration
-	seq uint64
 }
 
 // DefaultFlushAfter is the emission horizon NewLive sets: a packet still
@@ -174,7 +168,7 @@ func NewLive(in Input, emit func(PacketView)) *LiveCorrelator {
 		fifoLeft:   make([]int64, 0, ns),
 		sizes:      make([]int64, 0, ns),
 		core:       queue[coreRec]{buf: make([]coreRec, 0, nc)},
-		headKeys:   keySet{m: make(map[pktKey]struct{})},
+		flows:      make(map[uint32]*flowState, len(in.Flows)),
 		procs:      make([]tbProcess, 0, nt),
 		procIdx:    make(map[uint64]int32, nt),
 		tbids:      make([]uint64, 0, ns+nt),
@@ -184,62 +178,67 @@ func NewLive(in Input, emit func(PacketView)) *LiveCorrelator {
 		coreHead:   noTime,
 	}
 	lc.senderOff, lc.coreOff = in.offset(packet.PointSender), in.offset(packet.PointCore)
-	if len(in.Flows) > 0 {
-		lc.coveredFlow = make(map[uint32]bool, len(in.Flows))
-		for _, f := range in.Flows {
-			lc.coveredFlow[f] = true
-		}
-		// Uncovered records are rejected at the door, so the matcher
-		// needs no filter of its own.
-		lc.in.Flows = nil
+	for _, f := range in.Flows {
+		lc.flows[f] = nil
 	}
 	return lc
 }
 
+// flow returns a covered flow's identity state, anchoring a new flow's
+// numbers at seq, or nil if Input.Flows leaves the flow out.
+func (lc *LiveCorrelator) flow(id, seq uint32) *flowState {
+	fs, ok := lc.flows[id]
+	if fs == nil {
+		if !ok && len(lc.in.Flows) > 0 {
+			return nil
+		}
+		fs = &flowState{sent: seq, core: seq, recv: seq, tail: seq, seqlessAt: noTime}
+		lc.flows[id] = fs
+	}
+	return fs
+}
+
 // OnSenderRecord feeds a point-① capture record. Records must arrive in
-// capture order; a record behind the capture head, a replay of a record
-// at the capture head, or a record outside Input.Flows is rejected
-// without being ingested.
+// capture order; a record behind the capture head, a replay (see
+// ErrDuplicate), or a record outside Input.Flows is rejected without
+// being ingested.
 func (lc *LiveCorrelator) OnSenderRecord(r packet.Record) error {
 	at := r.LocalTime - lc.senderOff
 	if at < lc.sentHead {
 		return fmt.Errorf("%w: sender %d/%d/%s at %v behind head %v",
 			ErrOutOfOrder, r.Flow, r.Seq, r.Kind, r.LocalTime, lc.sentHead+lc.senderOff)
 	}
-	if !lc.covers(r.Flow) {
+	fs := lc.flow(r.Flow, r.Seq)
+	if fs == nil {
 		return fmt.Errorf("%w: sender %d/%d/%s", ErrFlowNotCovered, r.Flow, r.Seq, r.Kind)
 	}
-	k := pktKey{r.Flow, r.Seq, r.Kind}
-	if at > lc.sentHead {
-		lc.headKeys.reset()
+	seqless, x := sequenceLess(r.Kind), extend(fs.sent, r.Seq)
+	k := key(r.Flow, x)
+	var s keyState
+	dup := seqless && at == fs.seqlessAt
+	if !seqless {
+		var held bool
+		s, held = lc.rep.byKey.get(k)
+		dup = held && s.view != noView || fs.trimmed && int32(x-fs.tail) <= 0
 	}
-	s, ok := lc.rep.byKey.get(k)
-	var prev *PacketView
-	if ok && s.view != noView {
-		prev = &lc.rep.Packets[s.view-lc.shift]
-	}
-	if prev != nil && prev.SentAt == at || lc.headKeys.has(k) {
-		// Sequence-less kinds (NTP cross traffic) legitimately repeat a
-		// key at distinct capture times; an identical timestamp means the
-		// same record fed twice.
+	if dup {
 		return fmt.Errorf("%w: sender %d/%d/%s at %v", ErrDuplicate, r.Flow, r.Seq, r.Kind, r.LocalTime)
 	}
 	lc.sentHead = at
 	lc.sizes = append(lc.sizes, int64(r.Size))
-
-	if prev != nil {
-		// The join is last-wins: the key's core sightings move to its
-		// newest sender record.
-		prev.clearCore()
-	}
-	s.view = len(lc.rep.Packets) + lc.shift
-	lc.rep.byKey.set(k, s)
 	lc.rep.Packets = append(lc.rep.Packets, PacketView{})
 	v := &lc.rep.Packets[len(lc.rep.Packets)-1]
 	v.Flow, v.Seq, v.Kind, v.SentAt = r.Flow, r.Seq, r.Kind, at
 	v.SSRC, v.RTPTime, v.Marker = r.SSRC, r.RTPTime, r.Marker
-	if s.n > 0 {
-		lc.joinCore(v, s.at)
+	if seqless {
+		fs.seqlessAt = at
+	} else {
+		track(&fs.sent, r.Seq)
+		s.view = len(lc.rep.Packets) - 1 + lc.shift
+		lc.rep.byKey.set(k, s)
+		if s.n > 0 {
+			lc.joinCore(v, s.at)
+		}
 	}
 	lc.fifoLeft = append(lc.fifoLeft, int64(r.Size))
 	// A dry FIFO left budget over that the new packet can take.
@@ -249,29 +248,35 @@ func (lc *LiveCorrelator) OnSenderRecord(r packet.Record) error {
 
 // OnCoreRecord feeds a point-② capture record. The same capture-order
 // and flow-coverage validation as the sender stream applies; duplicates
-// are harmless here (the join overwrites in place) and pass.
+// are harmless here (the join overwrites in place) and pass. A record
+// that can join nothing is dropped once validated: a sequence-less one,
+// and one whose identity a trim already retired with its view.
 func (lc *LiveCorrelator) OnCoreRecord(r packet.Record) error {
 	at := r.LocalTime - lc.coreOff
 	if at < lc.coreHead {
 		return fmt.Errorf("%w: core %d/%d/%s at %v behind head %v",
 			ErrOutOfOrder, r.Flow, r.Seq, r.Kind, r.LocalTime, lc.coreHead+lc.coreOff)
 	}
-	if !lc.covers(r.Flow) {
+	fs := lc.flow(r.Flow, r.Seq)
+	if fs == nil {
 		return fmt.Errorf("%w: core %d/%d/%s", ErrFlowNotCovered, r.Flow, r.Seq, r.Kind)
 	}
 	lc.coreHead = at
-	k := pktKey{r.Flow, r.Seq, r.Kind}
+	if sequenceLess(r.Kind) {
+		return nil
+	}
+	x := track(&fs.core, r.Seq)
+	if fs.trimmed && int32(x-fs.tail) <= 0 {
+		return nil
+	}
+	k := key(r.Flow, x)
 	s, ok := lc.rep.byKey.get(k)
 	if !ok {
 		s.view = noView
 	}
-	if s.n == 0 {
-		s.from = lc.arrivals
-	}
 	s.at, s.n = at, s.n+1
 	lc.rep.byKey.set(k, s)
-	lc.core.push(coreRec{k, at, lc.arrivals})
-	lc.arrivals++
+	lc.core.push(coreRec{k, at})
 	lc.nCore++
 	if s.view != noView {
 		lc.joinCore(&lc.rep.Packets[s.view-lc.shift], at)
@@ -279,10 +284,10 @@ func (lc *LiveCorrelator) OnCoreRecord(r packet.Record) error {
 	return nil
 }
 
-// joinCore joins view v to its key's core sighting at corrected time at,
+// joinCore joins view v to its core sighting at corrected time at,
 // unless the sighting precedes the send by more than the clock slack
-// (SlotDuration + MatchTolerance): then it belongs to a namesake sent
-// earlier under the same key, and the join is refused and counted.
+// (SlotDuration + MatchTolerance): a clock error that large would give a
+// negative uplink delay, so the join is refused and counted.
 func (lc *LiveCorrelator) joinCore(v *PacketView, at time.Duration) {
 	if at < v.SentAt-lc.in.SlotDuration-lc.in.MatchTolerance {
 		lc.rep.RefusedJoins++
@@ -294,11 +299,6 @@ func (lc *LiveCorrelator) joinCore(v *PacketView, at time.Duration) {
 // noTime marks a capture head no record has set: a clock running behind
 // stamps records before time zero, so zero cannot.
 const noTime = time.Duration(math.MinInt64)
-
-// covers reports whether Input.Flows, if set, lists the flow.
-func (lc *LiveCorrelator) covers(flow uint32) bool {
-	return lc.coveredFlow == nil || lc.coveredFlow[flow]
-}
 
 // OnTB feeds one TB telemetry record (any HARQ attempt). No ordering
 // constraint: merged multi-cell telemetry legitimately interleaves in
@@ -402,16 +402,17 @@ func (lc *LiveCorrelator) Advance(now time.Duration) error {
 	// Emit, in send order, every not-yet-emitted packet that is either
 	// fully resolved (seen at the core with TBs matched) or past the
 	// flush horizon. Views are positionally identical to the sender
-	// buffer, so index — not the (possibly aliased) key — selects them.
+	// buffer, so index — not identity, which sequence-less kinds lack —
+	// selects them.
 	for lc.emitted < len(lc.sizes) {
 		v := &lc.rep.Packets[lc.emitted]
-		// Resolved means the view is final: observed at the core and — when
-		// TB telemetry is in play — fully drained by the FIFO matcher, so
-		// no later TB can extend its match (the FIFO head never moves
-		// backwards). A causal feed implies drained whenever the core saw
-		// the packet; the explicit check protects emission against feeds
-		// that are not.
-		resolved := v.SeenCore && (lc.nTBs == 0 ||
+		// Resolved means the view is final: observed at the core (a
+		// sequence-less packet never is) and — when TB telemetry is in
+		// play — fully drained by the FIFO matcher, so no later TB can
+		// extend its match (the FIFO head never moves backwards). A causal
+		// feed implies drained whenever the core saw the packet; the
+		// explicit check protects emission against feeds that are not.
+		resolved := (v.SeenCore || sequenceLess(v.Kind)) && (lc.nTBs == 0 ||
 			(len(v.TBIDs) > 0 && lc.fifoLeft[lc.emitted] == 0))
 		if resolved && unsettled < 1<<63-1 {
 			for _, id := range v.TBIDs {
@@ -551,8 +552,8 @@ func (lc *LiveCorrelator) unsettled(now time.Duration) time.Duration {
 // Fully drained — on every Advance with nothing pending, whether or not
 // it correlated — the sender buffer resets and one retention rule keeps
 // what a future sender record can still use. A core record survives if
-// no emitted sender record consumed its key, its corrected time is at or
-// after the sender head's corrected send time (a packet sent later
+// no emitted sender record consumed its identity, its corrected time is
+// at or after the sender head's corrected send time (a packet sent later
 // reaches the core later), and it lies within a second of the flush
 // horizon. A TB process is kept or dropped whole: it goes once its last
 // attempt is more than that second old. So a core record delivered
@@ -560,8 +561,9 @@ func (lc *LiveCorrelator) unsettled(now time.Duration) time.Duration {
 // it, a HARQ process straddling the cut keeps its first attempt, and a
 // feed with no sender records at all stays bounded.
 //
-// Mid-stream, the emitted sender prefix is cut where the matcher's state
-// is settled, so the state over the trimmed buffers equals a batch pass
+// Mid-stream, the same time rule drops the core sightings no view holds,
+// and the emitted sender prefix is cut where the matcher's state is
+// settled, so the state over the trimmed buffers equals a batch pass
 // over them for every kept packet:
 //
 //   - every trimmed packet must be fully drained (fifoLeft == 0) — a
@@ -577,34 +579,20 @@ func (lc *LiveCorrelator) unsettled(now time.Duration) time.Duration {
 // pass the causality check against any kept-or-future packet.
 //
 // Each step costs what it removes: the drained prefix starts at the
-// matcher head, spent processes are the trimmed packets' TBIDs, too-old
-// processes lead the table, and retired records and processes are
-// compacted away once they make up a quarter of their buffer.
+// matcher head, old core sightings lead their log, spent processes are
+// the trimmed packets' TBIDs, too-old processes lead the table, and
+// retired records and processes are compacted away once they make up a
+// quarter of their buffer.
 func (lc *LiveCorrelator) trim(horizon time.Duration) {
 	keepFrom := horizon - time.Second
+	coreFrom := keepFrom
 	if lc.Pending() == 0 {
 		if len(lc.sizes) > 0 {
 			lc.trims++
 		}
 		lc.retire(len(lc.sizes))
 		lc.m, lc.tbids, lc.ckpt, lc.dry = cursor{}, lc.tbids[:0], lc.ckpt[:0], noPos
-		from, i := max(lc.sentHead, keepFrom), lc.core.off
-		for ; i < len(lc.core.buf); i++ {
-			if c := &lc.core.buf[i]; lc.coreLive(c) {
-				if c.at >= from {
-					break
-				}
-				// The sender buffer is empty, so the key has no view.
-				lc.nCore--
-				if s, _ := lc.rep.byKey.get(c.key); s.n > 1 {
-					s.n--
-					lc.rep.byKey.set(c.key, s)
-				} else {
-					lc.rep.byKey.del(c.key)
-				}
-			}
-		}
-		lc.core.off = i
+		coreFrom = max(lc.sentHead, keepFrom)
 		lc.dropSettled(keepFrom, keepFrom)
 		// No packet sent from now on precedes the sender head, so a kept
 		// process whose transmission causality bars the head from takes
@@ -623,21 +611,21 @@ func (lc *LiveCorrelator) trim(horizon time.Duration) {
 		for cut > 0 && sharesTB(pkts[cut-1].TBIDs, pkts[cut].TBIDs) {
 			cut--
 		}
-		if cut == 0 {
-			return
-		}
-		lc.trims++
-		for i := range pkts[:cut] {
-			for _, id := range pkts[i].TBIDs {
-				lc.drop(id)
+		if cut > 0 {
+			lc.trims++
+			for i := range pkts[:cut] {
+				for _, id := range pkts[i].TBIDs {
+					lc.drop(id)
+				}
 			}
+			// Settled old TBs: initial attempt too old to satisfy causality
+			// against the first kept (hence any later) packet, and no
+			// attempt recent enough for the HARQ process to still be running.
+			lc.dropSettled(min(pkts[cut].SentAt-lc.in.SlotDuration-lc.in.MatchTolerance, keepFrom), keepFrom)
+			lc.retire(cut)
 		}
-		// Settled old TBs: initial attempt too old to satisfy causality
-		// against the first kept (hence any later) packet, and no attempt
-		// recent enough for the HARQ process to still be running.
-		lc.dropSettled(min(pkts[cut].SentAt-lc.in.SlotDuration-lc.in.MatchTolerance, keepFrom), keepFrom)
-		lc.retire(cut)
 	}
+	lc.dropCore(coreFrom)
 	if 4*lc.nDead > len(lc.procs) {
 		lc.compactProcs()
 	}
@@ -646,27 +634,46 @@ func (lc *LiveCorrelator) trim(horizon time.Duration) {
 	}
 }
 
-// retire removes the first cut packets from the window, and their keys'
-// core sightings with them. Positions shift down by cut; the key index
-// stores positions plus lc.shift, so it needs no rewrite.
+// dropCore drops, from the front of the core log, the sightings older
+// than from that no view holds, stopping at the first one a view holds.
+func (lc *LiveCorrelator) dropCore(from time.Duration) {
+	i := lc.core.off
+	for ; i < len(lc.core.buf); i++ {
+		c := &lc.core.buf[i]
+		s, ok := lc.rep.byKey.get(c.key)
+		if !ok {
+			continue // retired with its view
+		}
+		if c.at >= from || s.view != noView {
+			break
+		}
+		lc.nCore--
+		if s.n > 1 {
+			s.n--
+			lc.rep.byKey.set(c.key, s)
+		} else {
+			lc.rep.byKey.del(c.key)
+		}
+	}
+	lc.core.off = i
+}
+
+// retire removes the first cut packets from the window, and their core
+// sightings with them. Each flow's numbers retire in send order, so its
+// tail extends them and keeps the newest. Positions shift down by cut;
+// the key index stores positions plus lc.shift, so it needs no rewrite.
 func (lc *LiveCorrelator) retire(cut int) {
 	for i := range lc.rep.Packets[:cut] {
 		v := &lc.rep.Packets[i]
-		k := pktKey{v.Flow, v.Seq, v.Kind}
-		s, _ := lc.rep.byKey.get(k) // the key's newest view, this one or a later
-		lc.nCore -= s.n
-		if s.view == i+lc.shift {
-			lc.rep.byKey.del(k)
-			if v.SentAt == lc.sentHead {
-				lc.headKeys.add(k)
-			}
+		if sequenceLess(v.Kind) {
 			continue
 		}
-		if s.view-lc.shift >= cut {
-			lc.rep.Packets[s.view-lc.shift].clearCore()
-		}
-		s.at, s.n = 0, 0
-		lc.rep.byKey.set(k, s)
+		fs := lc.flow(v.Flow, v.Seq)
+		k := key(v.Flow, track(&fs.tail, v.Seq))
+		fs.trimmed = true
+		s, _ := lc.rep.byKey.get(k)
+		lc.nCore -= s.n
+		lc.rep.byKey.del(k)
 	}
 	lc.sizes = lc.sizes[:copy(lc.sizes, lc.sizes[cut:])]
 	lc.rep.Packets = lc.rep.Packets[:copy(lc.rep.Packets, lc.rep.Packets[cut:])]
@@ -735,10 +742,12 @@ func (lc *LiveCorrelator) compactProcs() {
 	}
 }
 
-// coreLive reports whether a logged core sighting is still retained.
+// coreLive reports whether a logged core sighting is still retained:
+// trims drop an identity's sightings from the front of the log or with
+// its view, and a retired identity never returns.
 func (lc *LiveCorrelator) coreLive(c *coreRec) bool {
-	s, _ := lc.rep.byKey.get(c.key)
-	return s.n > 0 && c.seq >= s.from
+	_, ok := lc.rep.byKey.get(c.key)
+	return ok
 }
 
 // queue is an arrival-ordered log consumed from the front. Dropping a

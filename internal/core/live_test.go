@@ -53,10 +53,10 @@ func TestLiveEmitsAllExactlyOnceInOrder(t *testing.T) {
 	if len(views) != len(bed.capSend.Records) {
 		t.Fatalf("emitted %d views for %d sent packets", len(views), len(bed.capSend.Records))
 	}
-	seen := map[pktKey]bool{}
+	seen := map[rawKey]bool{}
 	var lastSent time.Duration
 	for _, v := range views {
-		k := pktKey{v.Flow, v.Seq, v.Kind}
+		k := rawKey{v.Flow, v.Seq, v.Kind}
 		if seen[k] {
 			t.Fatalf("packet %+v emitted twice", k)
 		}
@@ -83,11 +83,14 @@ func TestLiveMatchesBatch(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			views, bed := runLive(t, tc.dur, tc.flush)
 			batch := Correlate(bed.input(nil))
+			if len(views) != len(batch.Packets) {
+				t.Fatalf("emitted %d views, batch has %d", len(views), len(batch.Packets))
+			}
 			checked := 0
-			for _, v := range views {
-				bv, ok := batch.Packet(v.Flow, v.Seq, v.Kind)
-				if !ok {
-					t.Fatalf("batch missing %d/%d", v.Flow, v.Seq)
+			for i, v := range views {
+				bv := batch.Packets[i]
+				if v.Flow != bv.Flow || v.Seq != bv.Seq || v.Kind != bv.Kind {
+					t.Fatalf("view %d is %d/%d/%s, batch has %d/%d/%s", i, v.Flow, v.Seq, v.Kind, bv.Flow, bv.Seq, bv.Kind)
 				}
 				if !v.SeenCore {
 					continue
@@ -346,52 +349,64 @@ func TestLiveSenderSilentFeedBounded(t *testing.T) {
 	}
 }
 
-// Sequence-less kinds repeat one (flow, seq, kind) key for the whole
-// session (NTP exchanges, all Seq 0), so a never-draining session's
-// window can always hold a newer sender record of that key than the ones
-// being trimmed. The trim must still release their core records:
-// keyed on the newest sender record alone, they would pile up for as long
+// TestLiveMidStreamTrimBoundsCoreOnlyFloods floods a never-draining
+// session's core capture with records no sender record will join, one
+// every step, on a flow the sender never uses: sequence-less RTCP (all
+// Seq 0, as a far party's feedback), and sequenced numbers. The session
+// also sends sequence-less NTP through its FIFO, whose core records join
+// nothing. A sequence-less record is dropped at the door, and the
+// mid-stream trim drops sequenced sightings no view holds once they are a
+// second behind the flush horizon, so neither flood piles up for as long
 // as the session lives.
-func TestLiveMidStreamTrimBoundsRepeatedKeyCoreRecords(t *testing.T) {
-	lc := NewLive(Input{SlotDuration: 500 * time.Microsecond}, nil)
-	const n = 2000
-	maxCore := 0
-	var prev []packet.Record
-	var fed tbLog
-	for i := 0; i < n; i++ {
-		now := time.Duration(i) * 10 * time.Millisecond
-		ntp := rec(99, 0, packet.KindCross, now+time.Microsecond)
-		ntp.Size = 90
-		cur := []packet.Record{rec(1, uint32(i), packet.KindVideo, now), ntp}
-		var used units.ByteCount
-		for _, r := range cur {
-			lc.OnSenderRecord(r)
-		}
-		// The previous step's packets resolve now; this step's stay in
-		// flight, so the session never fully drains.
-		for _, r := range prev {
-			used += r.Size
-			r.LocalTime = now - 4*time.Millisecond
-			lc.OnCoreRecord(r)
-		}
-		if used > 0 {
-			fed.feed(lc, telemetry.TBRecord{At: now - 8*time.Millisecond, TBID: uint64(i), UE: 1, TBS: used, UsedBytes: used})
-		}
-		prev = cur
-		lc.Advance(now)
-		assertRederives(t, lc, &fed)
-		if lc.Pending() == 0 {
-			t.Fatalf("iteration %d: fully drained; this test must exercise the mid-stream path", i)
-		}
-		if lc.nCore > maxCore {
-			maxCore = lc.nCore
-		}
-	}
-	if lc.Snapshot().Emitted < n {
-		t.Fatalf("emitted %d views over %d steps; the stream is not resolving", lc.Snapshot().Emitted, n)
-	}
-	if maxCore > 300 {
-		t.Fatalf("core buffer grew to %d records over %d steps", maxCore, n)
+func TestLiveMidStreamTrimBoundsCoreOnlyFloods(t *testing.T) {
+	for _, flood := range []struct {
+		name string
+		rec  func(i int, at time.Duration) packet.Record
+	}{
+		{"sequence-less", func(_ int, at time.Duration) packet.Record { return rec(98, 0, packet.KindRTCP, at) }},
+		{"sequenced", func(i int, at time.Duration) packet.Record { return rec(97, uint32(i), packet.KindVideo, at) }},
+	} {
+		t.Run(flood.name, func(t *testing.T) {
+			lc := NewLive(Input{SlotDuration: 500 * time.Microsecond}, nil)
+			const n = 2000
+			maxCore := 0
+			var prev []packet.Record
+			var fed tbLog
+			for i := 0; i < n; i++ {
+				now := time.Duration(i) * 10 * time.Millisecond
+				ntp := rec(99, 0, packet.KindCross, now+time.Microsecond)
+				ntp.Size = 90
+				cur := []packet.Record{rec(1, uint32(i), packet.KindVideo, now), ntp}
+				var used units.ByteCount
+				for _, r := range cur {
+					lc.OnSenderRecord(r)
+				}
+				// The previous step's packets resolve now; this step's stay
+				// in flight, so the session never fully drains.
+				for _, r := range prev {
+					used += r.Size
+					r.LocalTime = now - 4*time.Millisecond
+					lc.OnCoreRecord(r)
+				}
+				lc.OnCoreRecord(flood.rec(i, now-4*time.Millisecond))
+				if used > 0 {
+					fed.feed(lc, telemetry.TBRecord{At: now - 8*time.Millisecond, TBID: uint64(i), UE: 1, TBS: used, UsedBytes: used})
+				}
+				prev = cur
+				lc.Advance(now)
+				assertRederives(t, lc, &fed)
+				if lc.Pending() == 0 {
+					t.Fatalf("iteration %d: fully drained; this test must exercise the mid-stream path", i)
+				}
+				maxCore = max(maxCore, lc.nCore)
+			}
+			if lc.Snapshot().Emitted < n {
+				t.Fatalf("emitted %d views over %d steps; the stream is not resolving", lc.Snapshot().Emitted, n)
+			}
+			if maxCore > 300 {
+				t.Fatalf("core buffer grew to %d records over %d steps", maxCore, n)
+			}
+		})
 	}
 }
 

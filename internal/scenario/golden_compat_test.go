@@ -123,5 +123,5 @@ func TestTopologyMatchesLegacyVariants(t *testing.T) {
 	ntp.EstimateOffsets = true
 	ntp.SenderClockOffset = 2 * time.Millisecond
 	ntp.ReceiverClockOffset = -1 * time.Millisecond
-	assertGolden(t, "ntp-estimated", ntp, "44e35cbc86b3b09de77bd2642a8e250a6bb01cb0a7cfee9b266655f829b799f3")
+	assertGolden(t, "ntp-estimated", ntp, "aeb911384eb63c486658c253b561c6e0f84fdc7d64f55ab69e0174fa8f684a74")
 }

@@ -201,24 +201,31 @@ func raceBuild() bool {
 
 // loopedBatches extends the tapped stream to at least n batches past one
 // whole warm-up call by replaying it back to back, each replay shifted
-// past the previous one's final clock advance, so every batch is a valid
-// continuation of the feed.
+// past the previous one's final clock advance and its sequence numbers
+// past the previous one's, so every batch is a valid continuation of the
+// feed.
 func loopedBatches(t *testing.T, n int) [][]byte {
 	t.Helper()
 	ss := realStream()
 	chunks := ss.Chunks(100 * time.Millisecond)
 	period := chunks[len(chunks)-1].AdvanceTo
+	var span uint32
+	for _, r := range ss.Input.Sender {
+		span = max(span, r.Seq+1)
+	}
 	var out [][]byte
 	for loop := 0; len(out) < n+len(chunks); loop++ {
-		shift := time.Duration(loop) * period
+		shift, seqs := time.Duration(loop)*period, uint32(loop)*span
 		for _, ch := range chunks {
 			b := Batch{AdvanceTo: ch.AdvanceTo + shift}
 			for _, r := range ch.Sender {
 				r.LocalTime += shift
+				r.Seq += seqs
 				b.Sender = append(b.Sender, r)
 			}
 			for _, r := range ch.Core {
 				r.LocalTime += shift
+				r.Seq += seqs
 				b.Core = append(b.Core, r)
 			}
 			for _, r := range ch.TBs {
