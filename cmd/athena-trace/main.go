@@ -283,7 +283,7 @@ func report(res *athena.Result) {
 // its attribution table over causes, then its packets digest.
 func printUplink(rep *core.Report, causes []core.Cause) {
 	fmt.Println("== Athena cross-layer analysis ==")
-	fmt.Printf("packets correlated: %d; frames: %d\n\n", len(rep.Packets), len(rep.Frames))
+	fmt.Printf("packets correlated: %d; frames: %d\n\n", len(rep.Packets), len(rep.Frames()))
 
 	fmt.Println("uplink one-way delay (ms):")
 	fmt.Printf("  video: %s\n", rep.DelaySummary(packet.KindVideo))

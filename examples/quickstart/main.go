@@ -18,7 +18,7 @@ func main() {
 	rep := res.Report
 
 	fmt.Println("Athena quickstart — one call, four capture points, one PHY sniffer")
-	fmt.Printf("correlated %d packets into %d frames/samples\n\n", len(rep.Packets), len(rep.Frames))
+	fmt.Printf("correlated %d packets into %d frames/samples\n\n", len(rep.Packets), len(rep.Frames()))
 
 	fmt.Printf("video uplink delay: %s\n", rep.DelaySummary(packet.KindVideo))
 	fmt.Printf("audio uplink delay: %s\n\n", rep.DelaySummary(packet.KindAudio))

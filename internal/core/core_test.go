@@ -151,7 +151,7 @@ func TestFrameGroupingAndSpread(t *testing.T) {
 	bed := runBed(t, ran.SchedCombined, 0, clock.Perfect("s"), clock.Perfect("c"), 2*time.Second)
 	rep := Correlate(bed.input(nil))
 	videoFrames := 0
-	for _, f := range rep.Frames {
+	for _, f := range rep.Frames() {
 		if f.Kind != packet.KindVideo {
 			continue
 		}

@@ -113,7 +113,6 @@ func (v PacketView) Clone() PacketView {
 // Report is the correlator's output.
 type Report struct {
 	Packets []PacketView
-	Frames  []FrameView
 	// RefusedJoins counts the core sightings refused a join because they
 	// precede the packet's send by more than the clock slack: a clock error
 	// larger than the tolerance, a missing sample rather than a view with a
@@ -298,10 +297,7 @@ const noPos = 1<<31 - 1
 //     a sequence-less record at its flow's newest sequence-less send
 //     time) is dropped.
 func Correlate(in Input) *Report {
-	rep := feedOnce(in).rep
-	// Group packets into frames/samples and compute delay spreads.
-	rep.Frames = groupFrames(rep.Packets)
-	return rep
+	return feedOnce(in).rep
 }
 
 // feedOnce is Correlate's feed: a LiveCorrelator given every record of

@@ -38,8 +38,12 @@ type frameKey struct {
 	ts   uint32
 }
 
-// groupFrames buckets packet views by (SSRC, RTPTime) into frames.
-func groupFrames(pkts []PacketView) []FrameView {
+// Frames groups the report's packets into frames and audio samples, in
+// order of each unit's first packet, with their delay spreads. It groups
+// on every call and keeps nothing: only frame-level readers pay for it,
+// so a caller that needs the frames more than once keeps the slice.
+func (r *Report) Frames() []FrameView {
+	pkts := r.Packets
 	idx := make(map[frameKey]int, len(pkts)/3+1)
 	var frames []FrameView
 	for _, v := range pkts {
@@ -95,7 +99,7 @@ func groupFrames(pkts []PacketView) []FrameView {
 // spreads in milliseconds for units with at least one packet seen at the
 // core.
 func (r *Report) SpreadsMS() (sender, core []float64) {
-	for _, f := range r.Frames {
+	for _, f := range r.Frames() {
 		if !f.SeenCore {
 			continue
 		}
@@ -121,7 +125,7 @@ func (r *Report) ULDelaysMS(kind packet.Kind) []float64 {
 // arrival) in ms for video frames — the M1 scheduler-comparison metric.
 func (r *Report) FrameDelaysMS() []float64 {
 	var out []float64
-	for _, f := range r.Frames {
+	for _, f := range r.Frames() {
 		if f.Kind == packet.KindVideo && f.SeenCore {
 			out = append(out, float64(f.FrameDelay)/float64(time.Millisecond))
 		}

@@ -25,17 +25,20 @@ type Link struct {
 	Next packet.Handler
 
 	sim       *sim.Simulator
-	rng       *rand.Rand
+	seed      int64      // the jitter source's seed, drawn at construction
+	rng       *rand.Rand // built from seed on the first jittered packet
 	busyTil   time.Duration
 	forwardFn func(any)
 }
 
-// NewLink creates a link on s forwarding to next.
+// NewLink creates a link on s forwarding to next. It draws its jitter
+// seed from s's stream as s.NewStream would, but builds the source only
+// when a jittered packet needs it: many links never jitter.
 func NewLink(s *sim.Simulator, name string, delay time.Duration, rate units.BitRate, next packet.Handler) *Link {
 	if next == nil {
 		next = packet.Discard
 	}
-	l := &Link{Name: name, Delay: delay, Rate: rate, Next: next, sim: s, rng: s.NewStream()}
+	l := &Link{Name: name, Delay: delay, Rate: rate, Next: next, sim: s, seed: s.Rand().Int63()}
 	l.forwardFn = l.forward
 	return l
 }
@@ -48,6 +51,9 @@ func (l *Link) Handle(p *packet.Packet) {
 	l.busyTil = done
 	delay := l.Delay
 	if l.Jitter > 0 {
+		if l.rng == nil {
+			l.rng = rand.New(rand.NewSource(l.seed))
+		}
 		delay += time.Duration(l.rng.Int63n(int64(l.Jitter)))
 	}
 	l.sim.AtArg(done+delay, l.forwardFn, p)

@@ -150,11 +150,10 @@ func BenchmarkULSlotAtGrantBacklog(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*backlogWindow), "ns/slot")
 }
 
-// A HARQ retry and a core delivery schedule no closures and build no new
-// transport block: the only allocations a packet costs on its way through
-// a failed attempt, its retry and the core hand-off are records — the
-// buffer entry UE.Handle makes and the PacketIDs slice the TB's telemetry
-// records keep.
+// A HARQ retry and a core delivery schedule no closures, build no new
+// transport block and no new buffer entry: the only allocation a packet
+// costs on its way through a failed attempt, its retry and the core
+// hand-off is the PacketIDs slice the TB's telemetry records keep.
 func TestRetryAndDeliveryAllocateOnlyRecords(t *testing.T) {
 	cfg := Defaults()
 	s := sim.New(1)
@@ -190,8 +189,17 @@ func TestRetryAndDeliveryAllocateOnlyRecords(t *testing.T) {
 	if delivered != runs+2 || retries != runs+2 {
 		t.Fatalf("%d packets delivered and %d carried by a retry, want %d each", delivered, retries, runs+2)
 	}
-	if allocs != 2 {
-		t.Fatalf("%.2f allocations per packet, want 2 (buffer entry, PacketIDs)", allocs)
+	if allocs != 1 {
+		t.Fatalf("%.2f allocations per packet, want 1 (PacketIDs)", allocs)
+	}
+	// Recycled buffer entries keep no packet alive.
+	if len(u.free) == 0 {
+		t.Fatal("no buffer entry was recycled")
+	}
+	for _, e := range u.free {
+		if e.pkt != nil {
+			t.Fatal("a recycled buffer entry still references its packet")
+		}
 	}
 	// Retired TBs keep no buffer entry alive.
 	for _, tb := range r.freeTBs {

@@ -20,8 +20,10 @@ import (
 // exactly once, bytes buffered at the source must be conserved across
 // the transfer (HARQ reset may not leak or duplicate segment bytes),
 // the source cell must issue no transport blocks for the UE after the
-// detach, the two cells' TBID spaces must stay disjoint, and the UE's
-// drop counter must equal the sum of the cells' drops.
+// detach, the two cells' TBID spaces must stay disjoint, the UE's
+// drop counter must equal the sum of the cells' drops, and once every
+// packet is delivered or dropped each buffer entry is recycled exactly
+// once (see allSettled).
 func TestRANHandoverInvariantsProperty(t *testing.T) {
 	type workload struct {
 		Seed       int64
@@ -119,7 +121,7 @@ func TestRANHandoverInvariantsProperty(t *testing.T) {
 			}
 		}
 		// Drops-sum invariant spans both attachments.
-		return ue.Drops == src.Drops+dst.Drops
+		return ue.Drops == src.Drops+dst.Drops && allSettled(ue, len(sent))
 	}
 	cfg := &quick.Config{
 		MaxCount: 40,
@@ -128,6 +130,29 @@ func TestRANHandoverInvariantsProperty(t *testing.T) {
 	if err := quick.Check(f, cfg); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// allSettled reports whether a UE with nothing left to send has
+// recycled every buffer entry exactly once: its free list holds no entry
+// twice (a second settle would hand one entry to two packets) and no
+// entry that still references a packet. Empty TBs may still be retrying.
+func allSettled(u *UE, sent int) bool {
+	if u.buf.Len() != 0 || (len(u.free) == 0) != (sent == 0) {
+		return false
+	}
+	for _, tb := range u.retx {
+		if len(tb.segs) != 0 {
+			return false
+		}
+	}
+	seen := map[*bufEntry]bool{}
+	for _, e := range u.free {
+		if seen[e] || *e != (bufEntry{}) {
+			return false
+		}
+		seen[e] = true
+	}
+	return true
 }
 
 // A handover with retransmissions in flight: the source cell's channel

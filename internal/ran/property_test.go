@@ -13,8 +13,9 @@ import (
 
 // Property: for arbitrary workloads and channel conditions, the cell
 // preserves the core transport invariants — exactly-once delivery of
-// every non-dropped packet, byte conservation, and causality (nothing
-// arrives before it could have been transmitted).
+// every non-dropped packet, byte conservation, causality (nothing
+// arrives before it could have been transmitted), and every buffer entry
+// recycled exactly once.
 func TestRANInvariantsProperty(t *testing.T) {
 	type workload struct {
 		Seed      int64
@@ -84,7 +85,7 @@ func TestRANInvariantsProperty(t *testing.T) {
 				droppedBytes += p.Size
 			}
 		}
-		return gotBytes == sentBytes-droppedBytes
+		return gotBytes == sentBytes-droppedBytes && allSettled(ue, len(sent))
 	}
 	cfg := &quick.Config{
 		MaxCount: 40,

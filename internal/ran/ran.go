@@ -227,13 +227,17 @@ func (r *RAN) Detach(u *UE) {
 	// initial attempt is synchronous and successes resolve immediately),
 	// so cancelling u.retx accounts for every undelivered segment
 	// exactly once: each seg's bytes go back to its entry, and entries
-	// that had left the buffer as fully segmented re-enter it.
+	// that had left the buffer as fully segmented re-enter it. A dropped
+	// packet's entry gets nothing back and settles with its last TB.
 	var reinserted []*bufEntry
 	for _, tb := range u.retx {
 		tb.retry.Stop()
 		for _, s := range tb.segs {
 			e := s.entry
 			if e.abandoned {
+				if e.unhold() {
+					u.settle(e)
+				}
 				continue
 			}
 			e.remaining += s.bytes
@@ -593,12 +597,16 @@ func (r *RAN) attempt(tb *transportBlock, at time.Duration) {
 	if failed {
 		// HARQ exhausted: packets carried (even partially) are lost.
 		for _, s := range tb.segs {
-			if !s.entry.abandoned {
-				s.entry.abandoned = true
-				s.entry.pkt.GroundTruth.Dropped = true
+			e := s.entry
+			if !e.abandoned {
+				e.abandoned = true
+				e.pkt.GroundTruth.Dropped = true
 				r.Drops++
 				tb.ue.Drops++
 				metDrops.Inc()
+			}
+			if e.unhold() {
+				tb.ue.settle(e)
 			}
 		}
 		r.retire(tb)
@@ -608,12 +616,14 @@ func (r *RAN) attempt(tb *transportBlock, at time.Duration) {
 	doneAt := at + r.Cfg.SlotDuration
 	for _, s := range tb.segs {
 		e := s.entry
-		e.pendingTBs--
 		if doneAt > e.latestSuccess {
 			e.latestSuccess = doneAt
 		}
-		if e.fullySegmented && e.pendingTBs == 0 && !e.abandoned {
-			r.deliver(e)
+		if e.unhold() {
+			if !e.abandoned {
+				r.deliver(e)
+			}
+			tb.ue.settle(e)
 		}
 	}
 	r.retire(tb)

@@ -109,7 +109,7 @@ type bufEntry struct {
 	seq uint64
 
 	// transmission bookkeeping
-	pendingTBs     int           // TB transmissions in flight carrying segments
+	pendingTBs     int           // TBs in flight carrying segments, abandoned or not
 	lastFirstTx    time.Duration // slot of the *initial* attempt of the latest segment
 	latestSuccess  time.Duration // max success time across segment TBs
 	lastViaBSR     bool          // last segment rode a BSR-requested TB
@@ -149,6 +149,9 @@ type UE struct {
 
 	// enqSeq numbers buffer entries in arrival order (see bufEntry.seq).
 	enqSeq uint64
+	// free recycles settled buffer entries (see settle), cleared so the
+	// list keeps no packet alive.
+	free []*bufEntry
 	// retx tracks TBs with a HARQ retransmission pending, so a handover
 	// can cancel them and return their bytes to the buffer. A TB joins
 	// when a retry is scheduled and leaves when that retry fires; the
@@ -182,7 +185,14 @@ func (u *UE) Handle(p *packet.Packet) {
 	if th := u.ran.Cfg.ECNThreshold; th > 0 && u.bufBytes > th && p.ECN != packet.ECNNotECT {
 		p.ECN = packet.ECNCE
 	}
-	e := &bufEntry{pkt: p, remaining: p.Size, enqueuedAt: now, seq: u.enqSeq}
+	var e *bufEntry
+	if n := len(u.free); n > 0 {
+		e = u.free[n-1]
+		u.free = u.free[:n-1]
+	} else {
+		e = new(bufEntry)
+	}
+	*e = bufEntry{pkt: p, remaining: p.Size, enqueuedAt: now, seq: u.enqSeq}
 	u.enqSeq++
 	u.buf.PushBack(e)
 	u.bufBytes += p.Size
@@ -204,6 +214,21 @@ type segment struct {
 	entry *bufEntry
 	bytes units.ByteCount
 	last  bool // carries the packet's final byte
+}
+
+// unhold ends one carrying TB's hold on e (the TB was decoded, exhausted
+// HARQ or was cancelled by a handover) and reports whether e is now
+// settled: out of the buffer, with no carrying TB in flight.
+func (e *bufEntry) unhold() bool {
+	e.pendingTBs--
+	return e.fullySegmented && e.pendingTBs == 0
+}
+
+// settle recycles a settled entry, once its packet is delivered or
+// dropped: nothing refers to it any more.
+func (u *UE) settle(e *bufEntry) {
+	*e = bufEntry{}
+	u.free = append(u.free, e)
 }
 
 // trackRetx registers a TB whose HARQ retransmission timer is pending.

@@ -33,7 +33,7 @@ func compatDigest(res *Result) string {
 	}
 	var b strings.Builder
 	rep := res.Report
-	fmt.Fprintf(&b, "packets=%d frames=%d\n", len(rep.Packets), len(rep.Frames))
+	fmt.Fprintf(&b, "packets=%d frames=%d\n", len(rep.Packets), len(rep.Frames()))
 	fmt.Fprintf(&b, "video=%s\naudio=%s\n",
 		rep.DelaySummary(packet.KindVideo), rep.DelaySummary(packet.KindAudio))
 	for _, v := range rep.Packets {

@@ -64,10 +64,10 @@ func TestEventAndTBCountsPinned(t *testing.T) {
 		events, tbs                  int64
 		mallocs, allocated, retained int64
 	}{
-		{"16ue-2cell-vca", multi(16, false), 25394, 6921, 31_690, 10_578_000, 4_585_000},
-		{"8ue-2cell-mixed", multi(8, true), 20284, 6087, 19_075, 6_045_000, 2_196_000},
-		{"F3", SingleUE(f3), 16561, 2158, 12_755, 2_221_000, 877_000},
-		{"M2-gcc-phy+load", SingleUE(m2), 10244, 1159, 7_443, 1_191_500, 507_000},
+		{"16ue-2cell-vca", multi(16, false), 25394, 6921, 27_390, 9_510_000, 4_200_000},
+		{"8ue-2cell-mixed", multi(8, true), 20284, 6087, 16_950, 5_708_500, 2_103_500},
+		{"F3", SingleUE(f3), 16561, 2158, 9_538, 1_942_400, 842_000},
+		{"M2-gcc-phy+load", SingleUE(m2), 10244, 1159, 5_308, 1_016_500, 491_200},
 	} {
 		top := tc.top
 		top.Serial = true
